@@ -39,7 +39,7 @@
 //!   samplers used throughout the workspace (exponential, Pareto, Poisson,
 //!   alias method). Bit-stable results across toolchain upgrades.
 //! * [`numeric`] — the small numerical toolbox (adaptive quadrature,
-//!   bisection, Lanczos Γ) backing the closed-form-free code paths.
+//!   Brent root finding, Lanczos Γ) backing the closed-form-free code paths.
 //!
 //! ## Quickstart
 //!

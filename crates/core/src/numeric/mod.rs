@@ -1,5 +1,5 @@
 //! Small numerical toolbox: adaptive quadrature on finite and semi-infinite
-//! intervals, bracketing root finders, and the Gamma function.
+//! intervals, a bracketed root finder, and the Gamma function.
 //!
 //! These back the *generic* code paths: every delay-utility family in the
 //! paper has closed forms for its transforms (Table 1), and the numeric
@@ -15,4 +15,4 @@ pub use gamma::gamma;
 pub use quadrature::{
     integrate, integrate_semi_infinite, integrate_semi_infinite_singular, QuadratureError,
 };
-pub use roots::{bisect, BracketError};
+pub use roots::{brent, brent_between, BracketError};

@@ -5,7 +5,7 @@
 //! literals, scattered across `crates/oracle` and the solver tests. They
 //! are all statements about the *same* two error sources — f64 round-off
 //! accumulated over a welfare sum, and the convergence tolerance of the
-//! bisection-based solvers — so they belong in one place with the
+//! root-finding solvers — so they belong in one place with the
 //! rationale attached. Statistical (Monte-Carlo) comparisons never use
 //! these: they are gated by CLT confidence intervals in
 //! `oracle::differential` instead of fixed epsilons.
@@ -22,11 +22,13 @@ pub const WELFARE_REL: f64 = 1e-9;
 pub const WELFARE_ABS_FLOOR: f64 = 1e-12;
 
 /// Maximum relative deviation of `d_i·φ(x̃_i)` from the common water
-/// level at the relaxed optimum. Looser than [`WELFARE_REL`] because the
-/// outer water-level bisection terminates on the *budget* residual, not
-/// the per-item equilibrium residual; the observed residuals sit around
-/// `1e-8`–`1e-7`.
-pub const EQUILIBRIUM_RESIDUAL: f64 = 1e-6;
+/// level at the relaxed optimum. The water-filling solver converges both
+/// of its searches to `f64` resolution (residuals of a few `1e-15` under
+/// the closed-form families), so what this bounds is `φ` itself: a
+/// `Custom` utility's `φ` is a quadrature with tolerance `1e-10`, and the
+/// residual divides two such values. Looser than [`WELFARE_REL`] for
+/// that reason only.
+pub const EQUILIBRIUM_RESIDUAL: f64 = 1e-8;
 
 /// Tolerance on "exactly zero" discrete quantities that were computed
 /// through floating point (marginal-gain violations of submodularity /

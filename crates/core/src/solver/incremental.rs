@@ -581,7 +581,7 @@ impl DeltaSolver {
     /// Evaluate the staleness certificate at `eps` for the current
     /// (already-updated) demand against the untouched allocation.
     /// `None` when no multiplier is available (no demand at all, a
-    /// bracket failure, or a degenerate water level) — callers treat
+    /// failed relaxed solve, or a degenerate water level) — callers treat
     /// that as a failed certificate and re-solve exactly.
     fn certify(&mut self, eps: f64) -> Option<StalenessCertificate> {
         if !self.rates.iter().any(|&d| d > 0.0) {

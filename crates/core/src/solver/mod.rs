@@ -24,6 +24,8 @@ pub mod het_greedy;
 pub mod incremental;
 pub mod relaxed;
 
+use crate::numeric::BracketError;
+
 /// A solver instance rejected before (or while) solving.
 ///
 /// The panicking entry points ([`greedy::greedy_homogeneous`],
@@ -43,9 +45,22 @@ pub enum SolverError {
     /// The water-level search could not bracket the budget constraint —
     /// demand rates are so extreme the level left `[1e-300, 1e300]`.
     BracketFailed {
-        /// Which side escaped ("above" or "below").
+        /// Which side escaped ("above" or "below"); "inside" if a sign
+        /// change seen at both ends was gone between them.
         bound: &'static str,
     },
+    /// `φ` was NaN or infinite where the water-filling search evaluated
+    /// it — a custom utility whose quadrature did not converge.
+    NotFinite,
+}
+
+impl From<BracketError> for SolverError {
+    fn from(e: BracketError) -> Self {
+        match e {
+            BracketError::NotFinite => SolverError::NotFinite,
+            BracketError::NoSignChange { .. } => SolverError::BracketFailed { bound: "inside" },
+        }
+    }
 }
 
 impl std::fmt::Display for SolverError {
@@ -58,6 +73,9 @@ impl std::fmt::Display for SolverError {
             SolverError::NoDemand => write!(f, "no demand at all: every rate is zero"),
             SolverError::BracketFailed { bound } => {
                 write!(f, "failed to bracket the water level from {bound}")
+            }
+            SolverError::NotFinite => {
+                write!(f, "φ is not finite inside the water-filling search")
             }
         }
     }

@@ -10,8 +10,16 @@
 //! ```
 //!
 //! with `φ(x) = ∫ μ t e^{−μtx} c(t) dt` strictly decreasing. The solver
-//! therefore inverts `φ` per item (inner bisection) and finds the level
-//! `λ` that exhausts the budget `Σ x̃_i = ρ|S|` (outer bisection).
+//! therefore inverts `φ` per item and finds the level `λ` that exhausts
+//! the budget `Σ x̃_i = ρ|S|`, both with [`brent_between`] and both in
+//! log–log coordinates: the inversion solves `ln(d·φ(eᵘ)) − ln λ = 0`
+//! over `u = ln x`, the level search `ln(Σ x̃_i(e^v) / ρ|S|) = 0` over
+//! `v = ln λ`. The coordinates are what makes the interpolation pay:
+//! `φ` of the power family and of neg-log is a power law, so its
+//! inversion is exactly affine in `u` and one secant step solves it
+//! (on raw `x ∈ [1e-9, |S|]`, where that power law hugs both axes, the
+//! same root finder needs some fifteen evaluations); step, exponential
+//! and custom utilities are smooth in `u` and converge superlinearly.
 //!
 //! For the power family the solution is the closed form
 //! `x̃_i ∝ d_i^{1/(2−α)}` (Fig. 2), which the tests verify.
@@ -23,7 +31,7 @@ use impatience_obs::{Recorder, Sink};
 
 use super::SolverError;
 use crate::demand::DemandRates;
-use crate::numeric::bisect;
+use crate::numeric::{brent_between, BracketError};
 use crate::types::SystemModel;
 use crate::utility::DelayUtility;
 
@@ -66,13 +74,25 @@ impl RelaxedAllocation {
 /// The smallest positive count used when inverting φ (φ may diverge at 0).
 const X_FLOOR: f64 = 1e-9;
 
+/// `ln y` for a φ value or an allocation total that is positive in exact
+/// arithmetic: one that underflowed to 0 is read as the smallest normal
+/// number, so a bracket end stays finite. NaN and negative values pass
+/// through to a NaN, which the root finder reports.
+fn ln_positive(y: f64) -> f64 {
+    if y == 0.0 {
+        f64::MIN_POSITIVE.ln()
+    } else {
+        y.ln()
+    }
+}
+
 /// Invert `x ↦ d·φ(x)` at value `level` over `[X_FLOOR, s]`, clamping to
 /// the box when `level` falls outside `φ`'s range.
 ///
 /// `phi_floor` and `phi_cap` are `φ(X_FLOOR)` and `φ(s)`, which depend
 /// only on the utility and system shape — callers evaluate them once per
-/// solve instead of twice per (item, water-level probe); each of those φ
-/// values costs a quadrature under the integral-defined utilities.
+/// solve and every inversion takes them as its bracket's end values; each
+/// φ costs a quadrature under the integral-defined utilities.
 fn invert_phi(
     utility: &dyn DelayUtility,
     mu: f64,
@@ -81,23 +101,27 @@ fn invert_phi(
     d: f64,
     level: f64,
     s: f64,
-) -> f64 {
+) -> Result<f64, BracketError> {
     debug_assert!(d > 0.0 && level > 0.0);
-    let at_floor = d * phi_floor;
-    if !at_floor.is_finite() || at_floor <= level {
+    let (at_floor, at_cap) = (d * phi_floor, d * phi_cap);
+    if at_floor <= level {
         // Even an infinitesimal replica count is not worth the level:
         // boundary solution x = 0 (only possible when φ(0⁺) is finite).
-        if at_floor <= level {
-            return 0.0;
-        }
-        // φ(0⁺) = ∞ (power family): interior solution exists; fall through
-        // with a slightly larger bracket start.
+        return Ok(0.0);
     }
-    if d * phi_cap >= level {
-        return s; // saturates at |S| replicas
+    if at_cap >= level {
+        return Ok(s); // saturates at |S| replicas
     }
-    bisect(|x| d * utility.phi(x, mu) - level, X_FLOOR, s, 1e-12 * s)
-        .expect("φ is continuous and decreasing: the bracket is valid")
+    // A non-finite end (φ(X_FLOOR) = ∞, a NaN quadrature) fails both
+    // tests above and is reported by the root finder.
+    let ln_level = level.ln();
+    let u = brent_between(
+        |u| ln_positive(d * utility.phi(u.exp(), mu)) - ln_level,
+        (X_FLOOR.ln(), ln_positive(at_floor) - ln_level),
+        (s.ln(), ln_positive(at_cap) - ln_level),
+        0.0,
+    )?;
+    Ok(u.exp())
 }
 
 /// Water-filling solution of the relaxed welfare maximization
@@ -125,10 +149,10 @@ pub fn try_relaxed_optimum(
 }
 
 /// [`relaxed_optimum`] with instrumentation: `solver_done` reports how
-/// many water-level probes the outer bisection needed (iterations) and
+/// many water-level probes the level search needed (iterations) and
 /// how many φ-inversions they cost (evaluations); a final `solver_step`
 /// carries the budget residual `|Σx̃ − ρ|S|| / ρ|S|` at the solution —
-/// the convergence residual of the outer bisection. Trivial instances
+/// the convergence residual of the level search. Trivial instances
 /// (zero budget, catalog-saturating budget) emit nothing.
 pub fn relaxed_optimum_observed<S: Sink>(
     system: &SystemModel,
@@ -155,7 +179,7 @@ pub fn try_relaxed_optimum_observed<S: Sink>(
 }
 
 /// [`try_relaxed_optimum`] warm-started from a previous solve's water
-/// level. The outer bisection brackets around `hint` (`[λ₀/4, 4λ₀]`,
+/// level. The level search brackets around `hint` (`[λ₀/4, 4λ₀]`,
 /// expanded geometrically if the level moved further) instead of the
 /// cold `[1e-12, 1]` start, so after a small demand delta the level is
 /// typically re-bracketed in O(1) probes. The solution satisfies the
@@ -221,7 +245,7 @@ fn water_fill_observed<S: Sink>(
 
     let wall_start = rec.is_active().then(Instant::now);
     let probes = Cell::new(0u64);
-    let total_at = |level: f64| -> f64 {
+    let total_at = |level: f64| -> Result<f64, BracketError> {
         probes.set(probes.get() + 1);
         demanded
             .iter()
@@ -236,30 +260,42 @@ fn water_fill_observed<S: Sink>(
         Some(h) if h.is_finite() && h > 0.0 => ((h / 4.0).max(1e-300), (h * 4.0).min(1e300)),
         _ => (1e-12, 1.0),
     };
-    while total_at(hi) > budget {
+    let mut total_hi = total_at(hi)?;
+    while total_hi > budget {
         hi *= 4.0;
         if hi >= 1e300 {
             return Err(SolverError::BracketFailed { bound: "above" });
         }
+        total_hi = total_at(hi)?;
     }
-    while total_at(lo) < budget {
+    let mut total_lo = total_at(lo)?;
+    while total_lo < budget {
         lo /= 4.0;
         if lo <= 1e-300 {
             return Err(SolverError::BracketFailed { bound: "below" });
         }
+        total_lo = total_at(lo)?;
     }
-    let level = bisect(|l| total_at(l) - budget, lo, hi, 0.0)
-        .expect("total_at is monotone decreasing in the level");
+    // The two totals just computed are the search's end values. A failed
+    // inversion reaches the level search as a NaN, which stops it.
+    let excess = |total: f64| ln_positive(total / budget);
+    let level = brent_between(
+        |v| total_at(v.exp()).map_or(f64::NAN, excess),
+        (lo.ln(), excess(total_lo)),
+        (hi.ln(), excess(total_hi)),
+        0.0,
+    )?
+    .exp();
 
-    let x: Vec<f64> = (0..items)
+    let x = (0..items)
         .map(|i| {
             if demand.rate(i) > 0.0 {
                 invert_phi(utility, mu, phi_floor, phi_cap, demand.rate(i), level, s)
             } else {
-                0.0
+                Ok(0.0)
             }
         })
-        .collect();
+        .collect::<Result<Vec<f64>, _>>()?;
     if let Some(start) = wall_start {
         let residual = (x.iter().sum::<f64>() - budget).abs() / budget;
         let iterations = probes.get();
@@ -365,7 +401,8 @@ fn project_capped_simplex(x: &mut [f64], active: &[usize], budget: f64, cap: f64
 mod tests {
     use super::*;
     use crate::demand::Popularity;
-    use crate::utility::{Exponential, NegLog, Power, Step};
+    use crate::numeric::tolerances;
+    use crate::utility::{Custom, Exponential, NegLog, Power, Step, UtilityKind};
     use crate::welfare::social_welfare_homogeneous;
 
     fn fit_exponent(d: &[f64], x: &[f64]) -> f64 {
@@ -422,7 +459,7 @@ mod tests {
             let r = relaxed_optimum(&system, &demand, utility.as_ref());
             let residual = r.equilibrium_residual(&system, &demand, utility.as_ref());
             assert!(
-                residual < 1e-6,
+                residual < tolerances::EQUILIBRIUM_RESIDUAL,
                 "{}: equilibrium residual {residual}",
                 utility.kind()
             );
@@ -573,6 +610,108 @@ mod tests {
             }
             other => panic!("expected [SolverStep, SolverDone], got {other:?}"),
         }
+    }
+
+    /// A utility that counts the φ evaluations made through it.
+    struct CountingPhi<U> {
+        inner: U,
+        calls: std::sync::atomic::AtomicU64,
+    }
+
+    impl<U: DelayUtility> DelayUtility for CountingPhi<U> {
+        fn h(&self, t: f64) -> f64 {
+            self.inner.h(t)
+        }
+        fn h_zero(&self) -> f64 {
+            self.inner.h_zero()
+        }
+        fn h_infinity(&self) -> f64 {
+            self.inner.h_infinity()
+        }
+        fn phi(&self, x: f64, mu: f64) -> f64 {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.phi(x, mu)
+        }
+        fn kind(&self) -> UtilityKind {
+            self.inner.kind()
+        }
+    }
+
+    #[test]
+    fn phi_evaluations_per_item_stay_small() {
+        // The power family is affine in the solver's log–log coordinates:
+        // an inversion is a secant step plus its confirmation, and the
+        // level search a dozen probes. Bisecting both searches instead
+        // would spend some 2500 evaluations per item here.
+        let system = SystemModel::pure_p2p(50, 5, 0.05);
+        let demand = Popularity::pareto(1000, 1.0).demand_rates(1.0);
+        let utility = CountingPhi {
+            inner: Power::new(0.5),
+            calls: Default::default(),
+        };
+        let r = relaxed_optimum(&system, &demand, &utility);
+        assert!((r.total() - 250.0).abs() < 1e-9);
+        let per_item = utility.calls.into_inner() as f64 / 1000.0;
+        assert!(per_item <= 60.0, "{per_item} φ evaluations per item");
+    }
+
+    #[test]
+    fn non_finite_phi_is_a_typed_error() {
+        // A fitted utility whose differential breaks down past t = 40:
+        // every φ quadrature that reaches that far is NaN.
+        let broken = Custom::new(|t| 1.0 / (1.0 + t), 1.0, 0.0).with_derivative(|t| {
+            if t > 40.0 {
+                f64::NAN
+            } else {
+                1.0 / ((1.0 + t) * (1.0 + t))
+            }
+        });
+        let system = SystemModel::pure_p2p(8, 2, 0.05);
+        let demand = Popularity::pareto(6, 1.0).demand_rates(1.0);
+        assert!(broken.phi(1.0, 0.05).is_nan());
+        assert_eq!(
+            try_relaxed_optimum(&system, &demand, &broken),
+            Err(SolverError::NotFinite)
+        );
+        assert_eq!(
+            try_relaxed_optimum_warm(&system, &demand, &broken, Some(0.01)),
+            Err(SolverError::NotFinite)
+        );
+    }
+
+    #[test]
+    fn phi_that_turns_nan_mid_search_is_a_typed_error() {
+        // φ is fine at both ends of the box (1e-9 and |S| = 8) and NaN on
+        // part of the interior, so only the root finder can notice.
+        struct Patchy;
+        impl DelayUtility for Patchy {
+            fn h(&self, t: f64) -> f64 {
+                (-t).exp()
+            }
+            fn h_zero(&self) -> f64 {
+                1.0
+            }
+            fn h_infinity(&self) -> f64 {
+                0.0
+            }
+            fn phi(&self, x: f64, mu: f64) -> f64 {
+                if (0.5..4.0).contains(&x) {
+                    f64::NAN
+                } else {
+                    Exponential::new(1.0).phi(x, mu)
+                }
+            }
+            fn kind(&self) -> UtilityKind {
+                UtilityKind::Custom
+            }
+        }
+        let system = SystemModel::pure_p2p(8, 2, 0.05);
+        let demand = Popularity::pareto(6, 1.0).demand_rates(1.0);
+        assert_eq!(
+            try_relaxed_optimum(&system, &demand, &Patchy),
+            Err(SolverError::NotFinite)
+        );
     }
 
     #[test]

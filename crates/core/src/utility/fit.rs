@@ -82,7 +82,7 @@ impl std::error::Error for FitError {}
 /// from Bernoulli feedback with `P(consumed | t) = e^{−νt}`.
 ///
 /// The log-likelihood `Σ_consumed (−νt_k) + Σ_lost ln(1 − e^{−νt_k})` is
-/// concave in `ν`; the unique stationary point is found by bisection on
+/// concave in `ν`; the unique stationary point is the bracketed root of
 /// its derivative.
 pub fn fit_exponential(data: &[Feedback]) -> Result<f64, FitError> {
     const MIN_OBS: usize = 10;
@@ -136,7 +136,7 @@ pub fn fit_exponential(data: &[Feedback]) -> Result<f64, FitError> {
             return Err(FitError::Degenerate("likelihood maximized at ν = 0"));
         }
     }
-    let nu = crate::numeric::bisect(score, lo, hi, 0.0)
+    let nu = crate::numeric::brent(score, lo, hi, 0.0)
         .expect("score is continuous and changes sign over the bracket");
     Ok(nu)
 }

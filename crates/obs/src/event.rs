@@ -68,7 +68,7 @@ pub enum Event {
         /// Copies transmitted during this contact.
         count: u64,
     },
-    /// One placement step of a solver (greedy iteration, bisection
+    /// One placement step of a solver (greedy iteration, water-level
     /// probe, ...).
     SolverStep {
         /// Which solver.

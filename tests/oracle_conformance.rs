@@ -8,6 +8,7 @@
 //! exhaustive and the true OPT — not a heuristic — anchors every bound.
 
 use impatience_core::demand::{DemandProfile, DemandRates};
+use impatience_core::numeric::tolerances;
 use impatience_core::rng::Xoshiro256;
 use impatience_core::solver::greedy::greedy_homogeneous;
 use impatience_core::solver::het_greedy::greedy_heterogeneous;
@@ -163,8 +164,9 @@ fn property1_equilibrium_residual_below_solver_tolerance() {
         );
         let residual = relaxed.equilibrium_residual(&system, &demand, utility.as_ref());
         assert!(
-            residual < 1e-6,
-            "{name}: equilibrium residual {residual:.3e} above solver tolerance 1e-6"
+            residual < tolerances::EQUILIBRIUM_RESIDUAL,
+            "{name}: equilibrium residual {residual:.3e} above solver tolerance {:e}",
+            tolerances::EQUILIBRIUM_RESIDUAL
         );
     }
 }

@@ -2,7 +2,8 @@
 # Smoke-test the allocation service end to end against a real server
 # process: readiness via the serve.addr file, /healthz, a synchronous
 # solve (plus the machine-readable error envelope), a tiny campaign run
-# to completion, its SSE feed and content-addressed artifact, and a
+# to completion, its SSE feed (snapshot, then a Last-Event-ID resume that
+# must be the snapshot's suffix) and content-addressed artifact, and a
 # /metrics scrape that must parse as Prometheus text exposition
 # (`impatience trace lint-prom`). Finishes with the loadtest's p99
 # latency gate at reduced (--quick) load against the committed
@@ -78,6 +79,19 @@ FRAMES=$(printf '%s' "$SSE" | grep -c '^data:')
 printf '%s' "$SSE" | grep '^event: end' > /dev/null
 echo "SSE snapshot: $FRAMES frames"
 
+# A client that reconnects with Last-Event-ID gets exactly the frames it
+# missed: the reply is the suffix of the first snapshot, line for line.
+IDS=$(printf '%s\n' "$SSE" | grep -c '^id:')
+MID=$((IDS / 2))
+printf '%s\n' "$SSE" | grep -E '^(id|data):' | sed -n "/^id: $((MID + 1))\$/,\$p" > "$DATA/suffix.want"
+curl -fsS -H "Last-Event-ID: $MID" "$BASE/v1/campaigns/$JOB/events?follow=0" \
+    | grep -E '^(id|data):' > "$DATA/suffix.got"
+[ "$(grep -c '^id:' "$DATA/suffix.got")" -eq $((IDS - MID - 1)) ] \
+    || { echo "resume after id $MID returned the wrong number of frames"; exit 1; }
+diff "$DATA/suffix.want" "$DATA/suffix.got" \
+    || { echo "resume after id $MID is not the suffix of the first snapshot"; exit 1; }
+echo "SSE resume after id $MID: suffix matches"
+
 # The result artifact round-trips through its content address.
 HASH=$(curl -fsS "$BASE/v1/campaigns/$JOB" | sed -n 's/.*"artifact":"\([^"]*\)".*/\1/p')
 [ -n "$HASH" ] || { echo "done job had no artifact hash"; exit 1; }
@@ -89,6 +103,12 @@ curl -fsS "$BASE/metrics" -o "$DATA/metrics.prom"
 "$BIN" trace lint-prom "$DATA/metrics.prom"
 grep -q impatience_http_requests_total "$DATA/metrics.prom"
 grep -q impatience_campaigns_total "$DATA/metrics.prom"
+# Frames leave in chunks: some socket writes, far fewer than frames.
+WRITES=$(sed -n 's/^impatience_sse_writes_total \([0-9]*\).*/\1/p' "$DATA/metrics.prom")
+STREAMED=$(sed -n 's/^impatience_sse_events_streamed_total \([0-9]*\).*/\1/p' "$DATA/metrics.prom")
+[ "${WRITES:-0}" -gt 0 ] && [ "$WRITES" -lt "${STREAMED:-0}" ] \
+    || { echo "SSE writes ($WRITES) must be > 0 and < frames streamed ($STREAMED)"; exit 1; }
+echo "SSE: $STREAMED frames in $WRITES socket writes"
 
 kill "$SRV"
 wait "$SRV" 2>/dev/null || true

@@ -60,7 +60,7 @@ pub use registry::{parse_prometheus, HistSnapshot, MetricKind, MetricsRegistry, 
 pub use sink::{JsonlSink, MemorySink, NoopSink, Sink, TallySink};
 pub use span::{PhaseAgg, PhaseReport, PhaseStat, SpanGuard};
 pub use stats::{nearest_rank, percentile, percentile_sorted};
-pub use stream::{EventStream, StreamCursor, StreamProgress, StreamSink};
+pub use stream::{ChunkTail, EventStream, StreamCursor, StreamSink};
 pub use trace::{render_diff, TraceSummary};
 
 /// The common imports: `use impatience_obs::prelude::*;`.

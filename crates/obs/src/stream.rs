@@ -9,6 +9,21 @@
 //! precisely what a Server-Sent-Events endpoint needs for
 //! `Last-Event-ID` reconnect semantics.
 //!
+//! ## The chunk is the unit
+//!
+//! Every drain of the sink becomes one immutable chunk of the stream:
+//! the index of its first line, the lines back to back in one text
+//! buffer, and each line's end offset as a `u32`. The sink notes a
+//! line's end as it serializes the event and hands the buffer over
+//! whole, so publishing neither scans for newlines nor copies or
+//! allocates per line; a retained line costs its own bytes plus four.
+//! A cursor takes the stream lock once per chunk and gets back the rest
+//! of the chunk from its position ([`ChunkTail`]), which it reads
+//! without the lock — also when it subscribed mid-chunk. Line indices
+//! stay dense across chunks, so where the boundaries fall (the batch
+//! threshold, a checkpoint `flush`, a subscriber attaching, drop) never
+//! shows in what a subscriber replays.
+//!
 //! ## Flush on subscriber attach
 //!
 //! Batching alone would hand a fresh SSE client a view up to 64 KiB
@@ -23,23 +38,26 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::event::Event;
 use crate::sink::Sink;
 
-/// What a blocking wait on an [`EventStream`] observed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StreamProgress {
-    /// Total number of published lines at the time of return.
-    pub len: usize,
-    /// Whether the stream has been closed (no more lines will arrive).
-    pub closed: bool,
+/// One drained batch, immutable once published.
+struct Chunk {
+    /// Stream index of the chunk's first line.
+    first: usize,
+    /// The chunk's lines back to back, no separators.
+    text: Box<str>,
+    /// `ends[i]` is the offset in `text` one past the chunk's line `i`.
+    ends: Box<[u32]>,
 }
 
 #[derive(Default)]
 struct StreamState {
-    lines: Vec<Arc<str>>,
+    chunks: Vec<Arc<Chunk>>,
+    /// Lines published so far, over all chunks.
+    len: usize,
     closed: bool,
 }
 
@@ -108,34 +126,16 @@ impl EventStream {
         }
     }
 
-    /// Append one line (no trailing newline) and wake waiting readers.
-    pub fn publish(&self, line: impl Into<Arc<str>>) {
+    /// Append one chunk (the [`StreamSink`] drain path) and wake
+    /// waiting readers: one lock acquisition per batch, no work per line.
+    fn publish(&self, text: Box<str>, ends: Box<[u32]>) {
         let mut st = self.lock();
         if st.closed {
             return;
         }
-        st.lines.push(line.into());
-        drop(st);
-        self.shared.cond.notify_all();
-    }
-
-    /// Append every newline-separated line in `batch`, then wake readers.
-    ///
-    /// This is the [`StreamSink`] drain path: one lock acquisition per
-    /// 64 KiB batch rather than per event.
-    pub fn publish_batch(&self, batch: &str) {
-        if batch.is_empty() {
-            return;
-        }
-        let mut st = self.lock();
-        if st.closed {
-            return;
-        }
-        for line in batch.lines() {
-            if !line.is_empty() {
-                st.lines.push(Arc::from(line));
-            }
-        }
+        let first = st.len;
+        st.len += ends.len();
+        st.chunks.push(Arc::new(Chunk { first, text, ends }));
         drop(st);
         self.shared.cond.notify_all();
     }
@@ -155,7 +155,7 @@ impl EventStream {
 
     /// Number of lines published so far.
     pub fn len(&self) -> usize {
-        self.lock().lines.len()
+        self.lock().len
     }
 
     /// Whether no lines have been published yet.
@@ -163,46 +163,24 @@ impl EventStream {
         self.len() == 0
     }
 
-    /// The line at `idx`, if published.
-    pub fn get(&self, idx: usize) -> Option<Arc<str>> {
-        self.lock().lines.get(idx).cloned()
-    }
-
-    /// A snapshot of lines `[from, len)`.
-    pub fn snapshot_from(&self, from: usize) -> Vec<Arc<str>> {
-        let st = self.lock();
-        if from >= st.lines.len() {
-            return Vec::new();
-        }
-        st.lines[from..].to_vec()
-    }
-
-    /// Block until the stream grows past `idx`, closes, or `timeout`
-    /// elapses; returns the progress observed at wakeup.
-    pub fn wait_beyond(&self, idx: usize, timeout: Duration) -> StreamProgress {
-        let deadline = std::time::Instant::now() + timeout;
+    /// Hold the lock once the stream has grown past `idx` or closed, or
+    /// `timeout` has elapsed.
+    fn wait_locked(&self, idx: usize, timeout: Duration) -> MutexGuard<'_, StreamState> {
+        let deadline = Instant::now() + timeout;
         let mut st = self.lock();
-        loop {
-            if st.lines.len() > idx || st.closed {
-                return StreamProgress {
-                    len: st.lines.len(),
-                    closed: st.closed,
-                };
-            }
-            let now = std::time::Instant::now();
+        while st.len <= idx && !st.closed {
+            let now = Instant::now();
             if now >= deadline {
-                return StreamProgress {
-                    len: st.lines.len(),
-                    closed: st.closed,
-                };
+                break;
             }
-            let (guard, _timed_out) = self
+            st = self
                 .shared
                 .cond
                 .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            st = guard;
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .0;
         }
+        st
     }
 }
 
@@ -210,16 +188,45 @@ impl std::fmt::Debug for EventStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.lock();
         f.debug_struct("EventStream")
-            .field("len", &st.lines.len())
+            .field("len", &st.len)
+            .field("chunks", &st.chunks.len())
             .field("closed", &st.closed)
             .finish()
     }
 }
 
+/// The lines of one chunk from a cursor's position to the chunk's end,
+/// readable without the stream lock.
+pub struct ChunkTail {
+    chunk: Arc<Chunk>,
+    /// Lines of the chunk that lie before the cursor's position.
+    skip: usize,
+}
+
+impl ChunkTail {
+    /// `(index, line)` pairs in publication order; indices are dense.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &str)> + '_ {
+        let chunk = &*self.chunk;
+        let mut start = match self.skip {
+            0 => 0,
+            n => chunk.ends[n - 1] as usize,
+        };
+        let first = chunk.first + self.skip;
+        chunk.ends[self.skip..]
+            .iter()
+            .enumerate()
+            .map(move |(i, &end)| {
+                let line = &chunk.text[start..end as usize];
+                start = end as usize;
+                (first + i, line)
+            })
+    }
+}
+
 /// A subscriber's position in an [`EventStream`].
 ///
-/// Obtained from [`EventStream::subscribe`]; yields `(index, line)`
-/// pairs in publication order, blocking (bounded by a caller-supplied
+/// Obtained from [`EventStream::subscribe`]; yields the stream chunk by
+/// chunk in publication order, blocking (bounded by a caller-supplied
 /// timeout) while the stream is open and drained lines run out.
 pub struct StreamCursor {
     stream: EventStream,
@@ -232,30 +239,32 @@ impl StreamCursor {
         self.next
     }
 
-    /// Next line if one is already published — never blocks.
-    pub fn try_next(&mut self) -> Option<(usize, Arc<str>)> {
-        let line = self.stream.get(self.next)?;
-        let idx = self.next;
-        self.next += 1;
-        Some((idx, line))
-    }
-
-    /// Next line, waiting up to `timeout` for one to be published.
+    /// Every published line from this cursor's position to the end of
+    /// the chunk that holds it, waiting up to `timeout` for that line to
+    /// be published: one lock acquisition however many lines come back.
     ///
     /// Returns `None` on timeout or when the stream is closed and fully
     /// drained — callers distinguish the two via
     /// [`StreamCursor::finished`].
-    pub fn next_timeout(&mut self, timeout: Duration) -> Option<(usize, Arc<str>)> {
-        if let Some(hit) = self.try_next() {
-            return Some(hit);
+    pub fn next_chunk(&mut self, timeout: Duration) -> Option<ChunkTail> {
+        let st = self.stream.wait_locked(self.next, timeout);
+        if self.next >= st.len {
+            return None;
         }
-        self.stream.wait_beyond(self.next, timeout);
-        self.try_next()
+        // Chunks are ordered by `first` and chunk 0 starts at line 0, so
+        // the last chunk starting at or before `next` holds that line.
+        let at = st.chunks.partition_point(|c| c.first <= self.next) - 1;
+        let chunk = Arc::clone(&st.chunks[at]);
+        drop(st);
+        let skip = self.next - chunk.first;
+        self.next = chunk.first + chunk.ends.len();
+        Some(ChunkTail { chunk, skip })
     }
 
     /// Whether the stream is closed and this cursor has read every line.
     pub fn finished(&self) -> bool {
-        self.stream.is_closed() && self.next >= self.stream.len()
+        let st = self.stream.lock();
+        st.closed && self.next >= st.len
     }
 }
 
@@ -270,6 +279,8 @@ impl StreamCursor {
 pub struct StreamSink {
     stream: EventStream,
     buf: String,
+    /// End offset in `buf` of every batched line.
+    ends: Vec<u32>,
     seen_epoch: u64,
 }
 
@@ -277,12 +288,16 @@ impl StreamSink {
     /// Drain the batch buffer into the stream past this size.
     pub const BATCH_BYTES: usize = 64 * 1024;
 
+    /// Room for a full batch plus the event that crosses the threshold.
+    const BUF_CAPACITY: usize = Self::BATCH_BYTES + 4096;
+
     /// Batch events into `stream`.
     pub fn new(stream: EventStream) -> Self {
         let seen_epoch = stream.attach_epoch();
         StreamSink {
             stream,
-            buf: String::with_capacity(Self::BATCH_BYTES + 4096),
+            buf: String::with_capacity(Self::BUF_CAPACITY),
+            ends: Vec::new(),
             seen_epoch,
         }
     }
@@ -297,9 +312,15 @@ impl StreamSink {
         self.buf.len()
     }
 
+    /// Hand the batch over to the stream as one chunk.
     fn drain(&mut self) {
-        self.stream.publish_batch(&self.buf);
-        self.buf.clear();
+        if self.ends.is_empty() {
+            return;
+        }
+        let text = std::mem::replace(&mut self.buf, String::with_capacity(Self::BUF_CAPACITY));
+        let ends = std::mem::take(&mut self.ends);
+        self.stream
+            .publish(text.into_boxed_str(), ends.into_boxed_slice());
     }
 
     /// Drain any remainder and mark the stream closed.
@@ -320,7 +341,13 @@ impl Sink for StreamSink {
             self.drain();
         }
         event.write_jsonl(&mut self.buf);
-        self.buf.push('\n');
+        // A batch drains at BATCH_BYTES, so one event would have to
+        // serialize to 4 GiB for an offset to outgrow a `u32`.
+        assert!(
+            self.buf.len() <= u32::MAX as usize,
+            "event batch outgrew its u32 line offsets"
+        );
+        self.ends.push(self.buf.len() as u32);
         if self.buf.len() >= Self::BATCH_BYTES {
             self.drain();
         }
@@ -349,10 +376,20 @@ impl std::fmt::Debug for StreamSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::thread;
 
     fn contact(t: f64) -> Event {
         Event::Contact { t, a: 0, b: 1 }
+    }
+
+    /// Everything `cursor` can read without waiting, as owned pairs.
+    fn read_available(cursor: &mut StreamCursor) -> Vec<(usize, String)> {
+        let mut seen = Vec::new();
+        while let Some(tail) = cursor.next_chunk(Duration::ZERO) {
+            seen.extend(tail.iter().map(|(idx, line)| (idx, line.to_string())));
+        }
+        seen
     }
 
     #[test]
@@ -364,9 +401,11 @@ mod tests {
         }
         sink.flush();
         assert_eq!(stream.len(), 10);
-        for i in 0..10 {
-            let line = stream.get(i).unwrap();
-            let json = impatience_json::Json::parse(&line).unwrap();
+        let lines = read_available(&mut stream.subscribe(0));
+        assert_eq!(lines.len(), 10);
+        for (i, (idx, line)) in lines.iter().enumerate() {
+            assert_eq!(*idx, i);
+            let json = impatience_json::Json::parse(line).unwrap();
             assert_eq!(json.get("ev").and_then(|k| k.as_str()), Some("contact"));
             assert_eq!(
                 json.get("t").and_then(|t| t.as_f64()),
@@ -387,6 +426,7 @@ mod tests {
         assert!(sink.pending_bytes() > 0);
         sink.flush();
         assert_eq!(stream.len(), 100);
+        assert_eq!(sink.pending_bytes(), 0);
     }
 
     #[test]
@@ -417,7 +457,10 @@ mod tests {
 
         // A fresh SSE subscriber attaches mid-batch...
         let mut cursor = stream.subscribe(0);
-        assert!(cursor.try_next().is_none(), "nothing drained yet");
+        assert!(
+            cursor.next_chunk(Duration::ZERO).is_none(),
+            "nothing drained yet"
+        );
 
         // ...and the very next recorded event drains the stale window.
         sink.record(&contact(5.0));
@@ -426,9 +469,10 @@ mod tests {
             5,
             "attach epoch must force the pre-subscribe batch out"
         );
-        let (idx, first) = cursor.try_next().unwrap();
-        assert_eq!(idx, 0);
-        assert!(first.contains("\"contact\""));
+        let seen = read_available(&mut cursor);
+        assert_eq!(seen.len(), 5);
+        assert_eq!(seen[0].0, 0);
+        assert!(seen[0].1.contains("\"contact\""));
         // The triggering event itself is in the fresh batch; a flush
         // delivers it too.
         sink.flush();
@@ -436,17 +480,22 @@ mod tests {
     }
 
     #[test]
-    fn cursor_replays_from_offset() {
+    fn cursor_replays_from_offset_inside_a_chunk() {
         let stream = EventStream::new();
+        let mut sink = StreamSink::new(stream.clone());
         for i in 0..8 {
-            stream.publish(format!("line-{i}"));
+            sink.record(&contact(i as f64));
         }
+        sink.flush();
+        let all = read_available(&mut stream.subscribe(0));
         let mut cursor = stream.subscribe(5);
-        let (idx, line) = cursor.try_next().unwrap();
-        assert_eq!((idx, &*line), (5, "line-5"));
-        let (idx, line) = cursor.try_next().unwrap();
-        assert_eq!((idx, &*line), (6, "line-6"));
-        assert_eq!(cursor.position(), 7);
+        let tail = cursor.next_chunk(Duration::ZERO).unwrap();
+        let got: Vec<(usize, &str)> = tail.iter().collect();
+        assert_eq!(got.len(), 3);
+        for (k, (idx, line)) in got.into_iter().enumerate() {
+            assert_eq!((idx, line), (5 + k, all[5 + k].1.as_str()));
+        }
+        assert_eq!(cursor.position(), 8);
     }
 
     #[test]
@@ -455,34 +504,31 @@ mod tests {
         let publisher = {
             let stream = stream.clone();
             thread::spawn(move || {
-                stream.publish("a");
-                stream.publish("b");
-                stream.close();
+                let mut sink = StreamSink::new(stream);
+                sink.record(&contact(1.0));
+                sink.flush();
+                sink.record(&contact(2.0));
+                sink.finish();
             })
         };
         let mut cursor = stream.subscribe(0);
         let mut seen = Vec::new();
         while !cursor.finished() {
-            if let Some((_, line)) = cursor.next_timeout(Duration::from_secs(5)) {
-                seen.push(line.to_string());
+            if let Some(tail) = cursor.next_chunk(Duration::from_secs(5)) {
+                seen.extend(tail.iter().map(|(idx, _)| idx));
             }
         }
         publisher.join().unwrap();
-        assert_eq!(seen, vec!["a", "b"]);
+        assert_eq!(seen, vec![0, 1]);
         assert!(cursor.finished());
     }
 
     #[test]
     fn wait_times_out_on_idle_open_stream() {
         let stream = EventStream::new();
-        let progress = stream.wait_beyond(0, Duration::from_millis(10));
-        assert_eq!(
-            progress,
-            StreamProgress {
-                len: 0,
-                closed: false
-            }
-        );
+        let mut cursor = stream.subscribe(0);
+        assert!(cursor.next_chunk(Duration::from_millis(10)).is_none());
+        assert!(!cursor.finished(), "timed out, not closed");
     }
 
     #[test]
@@ -494,7 +540,9 @@ mod tests {
         assert!(stream.is_closed());
         assert_eq!(stream.len(), 1);
         // Publishing after close is a no-op.
-        stream.publish("late");
+        let mut late = StreamSink::new(stream.clone());
+        late.record(&contact(2.0));
+        late.flush();
         assert_eq!(stream.len(), 1);
     }
 
@@ -509,5 +557,134 @@ mod tests {
         assert_eq!(stream.len(), 2);
         let done = rec.into_sink().finish();
         assert!(done.is_closed());
+    }
+
+    fn arb_event() -> impl Strategy<Value = Event> {
+        prop_oneof![
+            (0.0f64..1e6, 0u32..5000, 0u32..5000).prop_map(|(t, a, b)| Event::Contact { t, a, b }),
+            (0.0f64..1e6, 0u32..5000, 0u32..500).prop_map(|(t, node, item)| Event::Request {
+                t,
+                node,
+                item
+            }),
+            (0.0f64..1e6, 0u64..1_000_000).prop_map(|(t, count)| Event::Replication { t, count }),
+        ]
+    }
+
+    /// A subscribe offset drawn from the interesting places of a stream
+    /// of `len` lines cut into chunks at `cuts`.
+    fn pick_offset(pick: usize, len: usize, cuts: &[usize]) -> usize {
+        match pick % 6 {
+            0 => 0,
+            // Just past a chunk boundary, i.e. inside the next chunk.
+            1 => cuts.get(pick / 6 % cuts.len().max(1)).map_or(0, |c| c + 1),
+            2 => len.saturating_sub(1),
+            3 => len,
+            4 => len + 5,
+            _ => pick / 6 % (len + 1),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whatever the chunking (random flushes, the batch threshold,
+        /// subscribers attaching) and wherever a cursor starts, it
+        /// replays exactly the published lines from its offset with
+        /// dense indices, both while the stream is open and after
+        /// `close`, and a follower blocked in `next_chunk` is woken by
+        /// every publish and by the close.
+        #[test]
+        fn cursor_replays_exactly_the_published_lines(
+            events in proptest::collection::vec(arb_event(), 0..4000),
+            flush_every in proptest::collection::vec(1usize..3000, 1..8),
+            picks in proptest::collection::vec(0usize..100_000, 5..6),
+        ) {
+            // The reference: each event rendered on its own.
+            let lines: Vec<String> = events
+                .iter()
+                .map(|e| {
+                    let mut s = String::new();
+                    e.write_jsonl(&mut s);
+                    s
+                })
+                .collect();
+            let n = lines.len();
+            let expect_from = |k: usize| -> Vec<(usize, String)> {
+                lines.iter().cloned().enumerate().skip(k).collect()
+            };
+
+            // Flush points: cumulative sums of `flush_every`, cycled.
+            let mut cuts = Vec::new();
+            let mut at = 0;
+            for step in flush_every.iter().cycle() {
+                at += step;
+                if at >= n {
+                    break;
+                }
+                cuts.push(at);
+            }
+
+            let stream = EventStream::new();
+            // A follower that attaches before anything is published and
+            // only ever blocks in `next_chunk`.
+            let follow_from = pick_offset(picks[0], n, &cuts);
+            let follower = {
+                let mut cursor = stream.subscribe(follow_from);
+                thread::spawn(move || {
+                    let mut seen = Vec::new();
+                    while !cursor.finished() {
+                        if let Some(tail) = cursor.next_chunk(Duration::from_secs(30)) {
+                            seen.extend(tail.iter().map(|(idx, line)| (idx, line.to_string())));
+                        }
+                    }
+                    (seen, cursor.position())
+                })
+            };
+
+            let mut sink = StreamSink::new(stream.clone());
+            let mut open_cursors = Vec::new();
+            for (i, event) in events.iter().enumerate() {
+                if cuts.contains(&i) {
+                    sink.flush();
+                    // Replay what is published so far, from a picked offset.
+                    let published = stream.len();
+                    prop_assert_eq!(published, i);
+                    let k = pick_offset(picks[1] + i, published, &cuts);
+                    let mut cursor = stream.subscribe(k);
+                    let got = read_available(&mut cursor);
+                    let want: Vec<_> = expect_from(k).into_iter().take_while(|(idx, _)| *idx < i).collect();
+                    prop_assert!(got == want, "open stream, offset {k} of {published}");
+                    prop_assert!(!cursor.finished());
+                    prop_assert_eq!(cursor.position(), k.max(published));
+                    open_cursors.push((k.max(published), cursor));
+                }
+                sink.record(event);
+            }
+            let stream = sink.finish();
+            prop_assert_eq!(stream.len(), n);
+
+            // Cursors opened mid-run pick up exactly where they stopped.
+            for (from, mut cursor) in open_cursors {
+                prop_assert_eq!(read_available(&mut cursor), expect_from(from));
+                prop_assert!(cursor.finished());
+            }
+            // Fresh cursors on the closed stream, from every kind of offset.
+            for &pick in &picks {
+                for kind in 0..6 {
+                    let k = pick_offset(pick / 6 * 6 + kind, n, &cuts);
+                    let mut cursor = stream.subscribe(k);
+                    prop_assert!(
+                        read_available(&mut cursor) == expect_from(k),
+                        "closed stream, offset {k} of {n}"
+                    );
+                    prop_assert!(cursor.finished());
+                    prop_assert_eq!(cursor.position(), k.max(n));
+                }
+            }
+            let (seen, position) = follower.join().unwrap();
+            prop_assert_eq!(seen, expect_from(follow_from));
+            prop_assert_eq!(position, follow_from.max(n));
+        }
     }
 }

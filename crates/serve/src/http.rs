@@ -180,45 +180,37 @@ pub fn respond_error(stream: &mut TcpStream, err: &ApiError) -> std::io::Result<
     respond_json(stream, err.http_status(), &err.envelope())
 }
 
-/// Start a streamed (SSE) response: head only, body follows via
-/// [`write_sse_event`]. The connection stays open until the handler
-/// returns and the stream drops.
+/// Start a streamed (SSE) response: head only, the body follows as
+/// frames built with [`push_sse_frame`]. The connection stays open
+/// until the handler returns and the stream drops.
 pub fn start_sse(stream: &mut TcpStream) -> std::io::Result<()> {
     stream.write_all(
         b"HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\ncache-control: no-cache\r\nconnection: close\r\n\r\n",
-    )?;
-    stream.flush()
+    )
 }
 
-/// Write one SSE frame: `id: N`, optional `event:`, one `data:` line.
-pub fn write_sse_event(
-    stream: &mut TcpStream,
-    id: Option<usize>,
-    event: Option<&str>,
-    data: &str,
-) -> std::io::Result<()> {
-    let mut frame = String::new();
+/// Append one SSE frame to `out`: optional `id: N`, optional `event:`,
+/// one `data:` line, a blank line. The caller sends `out` when it holds
+/// as many frames as should share a socket write.
+pub fn push_sse_frame(out: &mut Vec<u8>, id: Option<usize>, event: Option<&str>, data: &str) {
     if let Some(id) = id {
-        frame.push_str("id: ");
-        frame.push_str(&id.to_string());
-        frame.push('\n');
+        // Writing into a `Vec` cannot fail.
+        let _ = writeln!(out, "id: {id}");
     }
     if let Some(event) = event {
-        frame.push_str("event: ");
-        frame.push_str(event);
-        frame.push('\n');
+        out.extend_from_slice(b"event: ");
+        out.extend_from_slice(event.as_bytes());
+        out.push(b'\n');
     }
     // The JSONL payloads are single-line by construction, but split
     // defensively: a bare newline inside `data:` would desynchronize
     // the SSE framing.
     for line in data.lines() {
-        frame.push_str("data: ");
-        frame.push_str(line);
-        frame.push('\n');
+        out.extend_from_slice(b"data: ");
+        out.extend_from_slice(line.as_bytes());
+        out.push(b'\n');
     }
-    frame.push('\n');
-    stream.write_all(frame.as_bytes())?;
-    stream.flush()
+    out.push(b'\n');
 }
 
 #[cfg(test)]
@@ -234,6 +226,21 @@ mod tests {
         let (path, query) = parse_target("/healthz");
         assert_eq!(path, "/healthz");
         assert!(query.is_empty());
+    }
+
+    #[test]
+    fn sse_frames_append_in_wire_format() {
+        let mut out = Vec::new();
+        push_sse_frame(&mut out, Some(41), None, "{\"ev\":\"contact\"}");
+        push_sse_frame(&mut out, None, Some("end"), "{\"state\":\"done\"}");
+        // A stray newline in the payload becomes a second `data:` line.
+        push_sse_frame(&mut out, Some(42), None, "a\nb");
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "id: 41\ndata: {\"ev\":\"contact\"}\n\n\
+             event: end\ndata: {\"state\":\"done\"}\n\n\
+             id: 42\ndata: a\ndata: b\n\n"
+        );
     }
 
     #[test]

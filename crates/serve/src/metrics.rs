@@ -94,16 +94,21 @@ impl ServeMetrics {
         );
     }
 
-    /// Count SSE frames actually written to subscribers.
-    pub fn sse_events(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.lock().registry.counter_add(
+    /// Count one socket write to an SSE subscriber and the data frames
+    /// it carried (none for the lone `end` frame).
+    pub fn sse_write(&self, frames: u64) {
+        let mut inner = self.lock();
+        inner.registry.counter_add(
             "impatience_sse_events_streamed_total",
             "Server-sent event frames delivered to subscribers.",
             &[],
-            n as f64,
+            frames as f64,
+        );
+        inner.registry.counter_add(
+            "impatience_sse_writes_total",
+            "Socket writes that carried those frames (one per stream chunk, plus the end frame).",
+            &[],
+            1.0,
         );
     }
 
@@ -138,7 +143,7 @@ mod tests {
         m.solve(7.0, false);
         m.queue_depth(2);
         m.campaign("done");
-        m.sse_events(17);
+        m.sse_write(17);
         let text = m.render();
         let samples = parse_prometheus(&text).unwrap();
         let has = |name: &str| samples.iter().any(|s| s.name.starts_with(name));
@@ -147,6 +152,7 @@ mod tests {
         assert!(has("impatience_campaign_queue_depth"));
         assert!(has("impatience_campaigns_total"));
         assert!(has("impatience_sse_events_streamed_total"));
+        assert!(has("impatience_sse_writes_total"));
         assert!(has("impatience_solve_latency_ms"));
     }
 }

@@ -1,5 +1,6 @@
 //! The HTTP server: socket lifecycle, routing, and handlers.
 
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,7 +13,7 @@ use impatience_obs::write_atomic;
 
 use crate::artifacts::ArtifactStore;
 use crate::error::ApiError;
-use crate::http::{respond, respond_error, respond_json, start_sse, write_sse_event, Request};
+use crate::http::{push_sse_frame, respond, respond_error, respond_json, start_sse, Request};
 use crate::jobs::{JobManager, JobSpec};
 use crate::metrics::ServeMetrics;
 use crate::pool::ThreadPool;
@@ -44,6 +45,10 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// How long a socket read or write may stall before the peer counts
+/// as gone.
+const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
 
 struct Ctx {
     jobs: JobManager,
@@ -163,7 +168,7 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, threads: usize) {
 
 fn handle_connection(mut stream: TcpStream, ctx: &Arc<Ctx>) {
     // A stalled peer must not wedge a pool worker forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let req = match Request::read_from(&mut stream) {
         Ok(req) => req,
@@ -340,6 +345,10 @@ fn sse_offset(req: &Request) -> usize {
 /// 64 KiB-stale window. Frames carry the published line index as the
 /// SSE `id`, making `Last-Event-ID` reconnects gapless; a terminal
 /// `event: end` frame reports the job's final state.
+///
+/// The unit of work is the stream's chunk: one lock acquisition to
+/// fetch it, one pass to frame it into a reused buffer, one socket
+/// write to send it.
 fn handle_events(
     mut stream: TcpStream,
     id: &str,
@@ -351,53 +360,58 @@ fn handle_events(
         .jobs
         .stream(id)
         .ok_or_else(|| ApiError::NotFound(format!("no job {id}")))?;
-    // SSE connections outlive the read timeout set for parsing; writes
-    // block only as long as the client reads.
+    // SSE connections outlive the read timeout set for parsing. Writes
+    // get the same limit instead: a subscriber that stops reading is
+    // dropped like a closed peer and resumes with `Last-Event-ID`.
     let _ = stream.set_read_timeout(None);
+    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     start_sse(&mut stream).map_err(|e| ApiError::Io(e.to_string()))?;
     let mut cursor = events.subscribe(offset);
-    let mut delivered: u64 = 0;
-    loop {
-        match cursor.next_timeout(Duration::from_millis(250)) {
-            Some((idx, line)) => {
-                if write_sse_event(&mut stream, Some(idx), None, &line).is_err() {
-                    break; // client went away
-                }
-                delivered += 1;
-            }
-            None => {
-                if cursor.finished() {
-                    let state = ctx
-                        .jobs
-                        .status(id)
-                        .map(|s| s.state.as_str())
-                        .unwrap_or("unknown");
-                    let mut data = String::new();
-                    Json::obj([
-                        ("job", Json::from(id)),
-                        ("state", Json::from(state)),
-                        ("events", Json::from(cursor.position())),
-                    ])
-                    .write(&mut data);
-                    let _ = write_sse_event(&mut stream, None, Some("end"), &data);
-                    break;
-                }
-                if !follow {
-                    // Snapshot mode: caught up, don't wait for more.
-                    let mut data = String::new();
-                    Json::obj([
-                        ("job", Json::from(id)),
-                        ("state", Json::from("snapshot")),
-                        ("events", Json::from(cursor.position())),
-                    ])
-                    .write(&mut data);
-                    let _ = write_sse_event(&mut stream, None, Some("end"), &data);
-                    break;
-                }
-            }
+    let mut frames: Vec<u8> = Vec::new();
+    // One socket write per buffer of frames; a failed or timed-out
+    // write means the client went away.
+    let mut send = |frames: &[u8], data_frames: u64| -> bool {
+        let sent = stream.write_all(frames).is_ok();
+        if sent {
+            ctx.metrics.sse_write(data_frames);
         }
-    }
-    ctx.metrics.sse_events(delivered);
+        sent
+    };
+    let end_state = loop {
+        match cursor.next_chunk(Duration::from_millis(250)) {
+            Some(chunk) => {
+                frames.clear();
+                let mut count = 0;
+                for (idx, line) in chunk.iter() {
+                    push_sse_frame(&mut frames, Some(idx), None, line);
+                    count += 1;
+                }
+                if !send(&frames, count) {
+                    return Ok(());
+                }
+            }
+            None if cursor.finished() => {
+                break ctx
+                    .jobs
+                    .status(id)
+                    .map(|s| s.state.as_str())
+                    .unwrap_or("unknown");
+            }
+            // Snapshot mode: caught up, don't wait for more.
+            None if !follow => break "snapshot",
+            None => {}
+        }
+    };
+    let mut data = String::new();
+    Json::obj([
+        ("job", Json::from(id)),
+        ("state", Json::from(end_state)),
+        ("events", Json::from(cursor.position())),
+    ])
+    .write(&mut data);
+    frames.clear();
+    push_sse_frame(&mut frames, None, Some("end"), &data);
+    send(&frames, 0);
     Ok(())
 }
 
@@ -411,6 +425,17 @@ mod tests {
             std::env::temp_dir().join(format!("impatience-serve-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn start_small(dir: &std::path::Path) -> Server {
+        Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            data_dir: dir.to_path_buf(),
+            queue_cap: 2,
+            http_threads: 2,
+            solver_pool_per_key: 2,
+        })
+        .unwrap()
     }
 
     fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
@@ -448,14 +473,7 @@ mod tests {
     #[test]
     fn healthz_solve_metrics_and_404_over_real_socket() {
         let dir = temp_data_dir("unit");
-        let server = Server::start(ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            data_dir: dir.clone(),
-            queue_cap: 2,
-            http_threads: 2,
-            solver_pool_per_key: 2,
-        })
-        .unwrap();
+        let server = start_small(&dir);
         let addr = server.addr();
 
         // serve.addr is discoverable.
@@ -502,6 +520,81 @@ mod tests {
         assert!(samples
             .iter()
             .any(|s| s.name == "impatience_http_requests_total"));
+
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// API.md promises a reconnecting client frames "byte-identical to
+    /// a client that never disconnected": compare the body bytes, from
+    /// offsets at a chunk's start, inside a chunk, at the last line, at
+    /// the end and past it.
+    #[test]
+    fn sse_body_is_the_frame_by_frame_rendering_from_any_offset() {
+        let dir = temp_data_dir("wire");
+        let server = start_small(&dir);
+        let addr = server.addr();
+
+        // Enough events to cross the 64 KiB batch threshold, with
+        // checkpoint flushes in between: several chunks of uneven size.
+        let (status, body) = request(
+            addr,
+            "POST",
+            "/v1/campaigns",
+            Some(
+                r#"{"nodes":20,"mu":0.05,"duration":400.0,"items":6,"rho":2,"trials":4,"seed":5,"checkpoint_every":1}"#,
+            ),
+        );
+        assert_eq!(status, 202, "{body}");
+        let job = Json::parse(body.trim()).unwrap();
+        let job = job.get("job").unwrap().as_str().unwrap();
+        let events = server.ctx.jobs.stream(job).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while !events.is_closed() {
+            assert!(Instant::now() < deadline, "job did not finish");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        // The reference: every line on its own, and where chunks start.
+        let mut lines: Vec<String> = Vec::new();
+        let mut chunk_starts = Vec::new();
+        let mut cursor = events.subscribe(0);
+        while let Some(chunk) = cursor.next_chunk(Duration::ZERO) {
+            chunk_starts.push(lines.len());
+            lines.extend(chunk.iter().map(|(_, line)| line.to_string()));
+        }
+        let len = lines.len();
+        assert!(
+            chunk_starts.len() >= 3,
+            "want several chunks: {chunk_starts:?}"
+        );
+        // Well inside the longest chunk.
+        let mid_chunk = chunk_starts
+            .windows(2)
+            .max_by_key(|w| w[1] - w[0])
+            .map(|w| (w[0] + w[1]) / 2)
+            .unwrap();
+        assert!(!chunk_starts.contains(&mid_chunk));
+
+        for offset in [0, chunk_starts[1], mid_chunk, len - 1, len, len + 5] {
+            let mut expected = String::new();
+            for (idx, line) in lines.iter().enumerate().skip(offset) {
+                expected.push_str(&format!("id: {idx}\ndata: {line}\n\n"));
+            }
+            expected.push_str(&format!(
+                "event: end\ndata: {{\"job\":\"{job}\",\"state\":\"done\",\"events\":{}}}\n\n",
+                offset.max(len)
+            ));
+            let (status, body) = get(
+                addr,
+                &format!("/v1/campaigns/{job}/events?follow=0&offset={offset}"),
+            );
+            assert_eq!(status, 200);
+            assert!(
+                body == expected,
+                "offset {offset} of {len}: body differs from the per-frame rendering"
+            );
+        }
 
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();

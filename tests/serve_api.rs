@@ -2,9 +2,11 @@
 //! over real sockets: solve answers match a from-scratch greedy solve,
 //! campaigns drain in FIFO order, a full queue sheds with 429 while the
 //! server stays healthy, SSE reconnects replay gaplessly from any
-//! offset, artifacts round-trip through their content address, and a
-//! server killed mid-campaign resumes after restart with a
-//! bit-identical result artifact.
+//! offset, a followed stream costs one socket write per chunk, a
+//! subscriber that stops reading is dropped after the write timeout,
+//! artifacts round-trip through their content address, and a server
+//! killed mid-campaign resumes after restart with a bit-identical
+//! result artifact.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -96,16 +98,39 @@ fn wait_for_state(addr: SocketAddr, job: &str, want: &str, timeout: Duration) ->
     }
 }
 
+/// Sum over the samples of `name` on `/metrics` that carry every label
+/// in `labels`; 0 when there is none yet.
+fn metric(addr: SocketAddr, name: &str, labels: &[(&str, &str)]) -> f64 {
+    let (status, text) = request(addr, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    impatience_obs::parse_prometheus(&text)
+        .unwrap()
+        .iter()
+        .filter(|s| s.name == name)
+        .filter(|s| {
+            labels
+                .iter()
+                .all(|(k, v)| s.labels.iter().any(|(sk, sv)| sk == k && sv == v))
+        })
+        .map(|s| s.value)
+        .sum()
+}
+
 /// Read a job's SSE feed from `offset` in snapshot mode (`follow=0`):
 /// returns the frames as (id, data) pairs plus the `end` frame payload.
 fn sse_snapshot(addr: SocketAddr, job: &str, offset: usize) -> (Vec<(usize, String)>, Json) {
+    sse_read(addr, job, &format!("offset={offset}&follow=0"))
+}
+
+/// Read a job's SSE feed, opened with `query`, up to its `end` frame.
+fn sse_read(addr: SocketAddr, job: &str, query: &str) -> (Vec<(usize, String)>, Json) {
     let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
     let mut reader = BufReader::new(stream);
     let head = format!(
-        "GET /v1/campaigns/{job}/events?offset={offset}&follow=0 HTTP/1.1\r\n\
+        "GET /v1/campaigns/{job}/events?{query} HTTP/1.1\r\n\
          Host: e2e\r\nAccept: text/event-stream\r\n\r\n"
     );
     reader.get_mut().write_all(head.as_bytes()).unwrap();
@@ -314,6 +339,112 @@ fn sse_replay_from_offset_is_gapless_after_reconnect() {
         "replay after reconnect must be gapless and byte-identical"
     );
 
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn followed_stream_costs_one_write_per_chunk_not_per_frame() {
+    let dir = temp_dir("writes");
+    let server = start(&dir, 4);
+    let addr = server.addr();
+
+    let (status, reply) = submit(
+        addr,
+        r#"{"nodes":20,"mu":0.05,"duration":400.0,"items":6,"rho":2,"trials":4,"seed":5}"#,
+    );
+    assert_eq!(status, 202, "{reply}");
+    let job = reply.get("job").and_then(Json::as_str).unwrap().to_string();
+
+    // Follow live from the start to the terminal frame.
+    let (frames, end) = sse_read(addr, &job, "offset=0");
+    assert_eq!(end.get("state").and_then(Json::as_str), Some("done"));
+    assert!(
+        frames.len() >= 10_000,
+        "want a long stream, got {} frames",
+        frames.len()
+    );
+    for (expect, (id, _)) in frames.iter().enumerate() {
+        assert_eq!(*id, expect, "frame ids must be contiguous from 0");
+    }
+
+    let streamed = metric(addr, "impatience_sse_events_streamed_total", &[]);
+    let writes = metric(addr, "impatience_sse_writes_total", &[]);
+    assert_eq!(streamed, frames.len() as f64);
+    assert!(writes >= 1.0);
+    assert!(
+        writes * 100.0 <= streamed,
+        "{writes} socket writes for {streamed} frames: the stream must go out chunk by chunk"
+    );
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stalled_subscriber_is_dropped_after_the_write_timeout() {
+    let dir = temp_dir("stall");
+    let server = start(&dir, 4);
+    let addr = server.addr();
+
+    // Some 20 MB of frames: more than the socket buffers of a loopback
+    // connection can absorb for a reader that never reads.
+    let (status, reply) = submit(
+        addr,
+        r#"{"nodes":20,"mu":0.05,"duration":2000.0,"items":6,"rho":2,"trials":12,"seed":5}"#,
+    );
+    assert_eq!(status, 202, "{reply}");
+    let job = reply.get("job").and_then(Json::as_str).unwrap().to_string();
+    wait_for_state(addr, &job, "done", Duration::from_secs(300));
+    let events_route = [("route", "/v1/campaigns/{id}/events")];
+    let handled_before = metric(addr, "impatience_http_requests_total", &events_route);
+    let streamed_before = metric(addr, "impatience_sse_events_streamed_total", &[]);
+
+    // Subscribe, then never read.
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    let head = format!("GET /v1/campaigns/{job}/events?offset=0 HTTP/1.1\r\nHost: e2e\r\n\r\n");
+    stalled.write_all(head.as_bytes()).unwrap();
+
+    // The frame counter moves while the stream is still being served...
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metric(addr, "impatience_sse_events_streamed_total", &[]) == streamed_before {
+        assert!(
+            Instant::now() < deadline,
+            "no frames counted for a subscription in progress"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(
+        metric(addr, "impatience_http_requests_total", &events_route),
+        handled_before,
+        "the handler cannot be done: nobody is reading"
+    );
+
+    // ...and the handler gives the connection up once a write has
+    // stalled for the socket timeout (10 s), not never.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while metric(addr, "impatience_http_requests_total", &events_route) == handled_before {
+        assert!(
+            Instant::now() < deadline,
+            "handler still parked on a subscriber that never reads"
+        );
+        std::thread::sleep(Duration::from_millis(200));
+    }
+    // It gave up part-way: the rest of the stream is still there to
+    // resume from.
+    let streamed = metric(addr, "impatience_sse_events_streamed_total", &[]) - streamed_before;
+    let (rest, _) = sse_snapshot(addr, &job, streamed as usize);
+    assert!(
+        !rest.is_empty(),
+        "all {streamed} frames fit the socket buffers: the job is too small to stall"
+    );
+    assert_eq!(rest[0].0, streamed as usize);
+
+    let (status, health) = get_json(addr, "/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+
+    drop(stalled);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

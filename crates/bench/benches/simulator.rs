@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use impatience_core::demand::Popularity;
-use impatience_core::prelude::uniform;
+use impatience_core::prelude::{dominant, uniform};
 use impatience_core::utility::{DelayUtility, Step};
 use impatience_obs::{JsonlSink, Recorder, TallySink};
 use impatience_sim::config::{ContactSource, SimConfig};
@@ -42,6 +42,15 @@ fn bench_trial_throughput(c: &mut Criterion) {
         let policy = PolicyKind::Static {
             label: "UNI",
             counts: uniform(50, 50, 5),
+        };
+        b.iter(|| black_box(run_trial(&config, &source, policy.clone(), 1)))
+    });
+    // The starved regime: DOM never serves the catalogue's tail, so about
+    // half of all requests stay queued until the horizon.
+    group.bench_function("static_dom", |b| {
+        let policy = PolicyKind::Static {
+            label: "DOM",
+            counts: dominant(&config.demand, 50, 5),
         };
         b.iter(|| black_box(run_trial(&config, &source, policy.clone(), 1)))
     });

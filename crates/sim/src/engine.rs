@@ -9,9 +9,10 @@
 //! * a request whose origin already caches the item is fulfilled
 //!   immediately with gain `h(0⁺)` (the pure-P2P self-service term);
 //! * at each contact, both nodes first fulfill one another's outstanding
-//!   requests (gain `h(wait)` recorded per fulfillment); unfulfilled
-//!   requests increment their query counters; then the policy's
-//!   replication logic runs;
+//!   requests (gain `h(wait)` recorded per fulfillment), each meeting
+//!   with a cache-carrying peer counting as one query for every request
+//!   the node has pending (kept as a per-node count, see
+//!   [`RequestArena::meet`]); then the policy's replication logic runs;
 //! * fulfillment delivers (consumes) the content but does **not** write
 //!   it into the requester's protocol cache — caches change only through
 //!   the replication policy.
@@ -284,7 +285,7 @@ fn run_trial_core<S: Sink>(
         None
     };
 
-    requests.reset(nodes);
+    requests.reset_indexed(nodes, config.items);
     fulfilled.clear();
     let mut next_request = if total_rate > 0.0 {
         rng.exp(total_rate)
@@ -374,52 +375,39 @@ fn run_trial_core<S: Sink>(
             fulfilled.clear();
             let exchange_span = impatience_obs::span!("exchange");
             for (n, m) in [(a, b), (b, a)] {
-                // Split borrows: peer cache is read-only here. Queries
-                // only count against cache-carrying (server) nodes — in a
-                // dedicated population, meeting another client neither
-                // fulfills nor advances the query counter.
-                let cache_m = state.caches.node(m);
-                if cache_m.capacity() == 0 {
-                    continue;
-                }
-                requests.retain(n, |item, created, queries| {
-                    if cache_m.holds(item) {
-                        let wait = e.time - created;
-                        fulfilled.push(Fulfillment {
-                            node: n,
-                            item,
-                            queries: *queries + 1,
-                            wait,
-                        });
-                        false
-                    } else {
-                        *queries += 1;
-                        true
-                    }
+                requests.meet(n, state.caches.node(m), |item, created, queries| {
+                    fulfilled.push(Fulfillment {
+                        node: n,
+                        item,
+                        queries,
+                        wait: e.time - created,
+                    });
                 });
             }
-            for f in fulfilled.iter() {
-                // LRU bookkeeping: serving a request counts as a use of
-                // the peer's copy.
-                let server = if f.node == a { b } else { a };
-                state.caches.node_mut(server).touch(f.item);
-            }
-            // Batched gain evaluation: one virtual `h_batch` call per
-            // meeting instead of one `h` dispatch per fulfillment; the
-            // per-element `w > 0` branch and recording order match the
-            // scalar path exactly.
-            waits.clear();
-            waits.extend(fulfilled.iter().map(|f| f.wait));
-            gains.clear();
-            config.utility.h_batch(waits, gains);
-            for &gain in gains.iter() {
-                metrics.record_fulfillment(e.time, gain);
-            }
-            if rec.is_active() {
+            if !fulfilled.is_empty() {
                 for f in fulfilled.iter() {
-                    rec.fulfillment(e.time, f.node as u32, f.item, f.wait, f.queries as u32);
+                    // LRU bookkeeping: serving a request counts as a use
+                    // of the peer's copy.
+                    let server = if f.node == a { b } else { a };
+                    state.caches.node_mut(server).touch(f.item);
                 }
-                open_requests -= fulfilled.len() as u64;
+                // Batched gain evaluation: one virtual `h_batch` call per
+                // fulfilling meeting instead of one `h` dispatch per
+                // fulfillment; the per-element `w > 0` branch and
+                // recording order match the scalar path exactly.
+                waits.clear();
+                waits.extend(fulfilled.iter().map(|f| f.wait));
+                gains.clear();
+                config.utility.h_batch(waits, gains);
+                for &gain in gains.iter() {
+                    metrics.record_fulfillment(e.time, gain);
+                }
+                if rec.is_active() {
+                    for f in fulfilled.iter() {
+                        rec.fulfillment(e.time, f.node as u32, f.item, f.wait, f.queries as u32);
+                    }
+                    open_requests -= fulfilled.len() as u64;
+                }
             }
             exchange_span.close();
             let _policy_span = impatience_obs::span!("policy");
@@ -713,6 +701,52 @@ mod tests {
             events.last(),
             Some(Event::TrialDone { seed: 7, .. })
         ));
+    }
+
+    #[test]
+    fn starved_queues_do_not_make_meetings_expensive() {
+        // DOM caches only the ρ most popular items, so every request
+        // for the catalogue's tail waits until the horizon. The exchange
+        // must not revisit those entries at every meeting.
+        let (items, nodes, rho) = (20, 20, 2);
+        let config = small_config(items, rho);
+        let source = ContactSource::homogeneous(nodes, 0.05, 2_000.0);
+        let policy = PolicyKind::Static {
+            label: "DOM",
+            counts: impatience_core::prelude::dominant(&config.demand, nodes, rho),
+        };
+        let mut scratch = TrialScratch::new();
+        // A first trial of another shape, so the second reuses storage.
+        run_trial_scratch(
+            &small_config(70, 3),
+            &ContactSource::homogeneous(12, 0.05, 300.0),
+            PolicyKind::qcr_default(),
+            2,
+            &mut scratch,
+        );
+        let out = run_trial_scratch(&config, &source, policy.clone(), 5, &mut scratch);
+        let created = out.metrics.requests_created;
+        assert!(created > 500, "{created} requests");
+        assert!(
+            out.metrics.unfulfilled > created / 3,
+            "tail not starved: {} of {created} unfulfilled",
+            out.metrics.unfulfilled
+        );
+        // Eagerly walked, this trial visits each starved entry at each
+        // of its node's ~1900 meetings: millions of entries.
+        assert!(
+            scratch.requests.walked <= 4 * created,
+            "{} queue entries walked for {created} requests",
+            scratch.requests.walked
+        );
+        let fresh = run_trial(&config, &source, policy, 5);
+        assert_eq!(out.final_replicas, fresh.final_replicas);
+        let (a, b) = (&out.metrics, &fresh.metrics);
+        assert_eq!(a.requests_created, b.requests_created);
+        assert_eq!(a.immediate_hits, b.immediate_hits);
+        assert_eq!(a.unfulfilled, b.unfulfilled);
+        assert_eq!(a.fulfillments(), b.fulfillments());
+        assert_eq!(a.observed_rate_series(), b.observed_rate_series());
     }
 
     #[test]

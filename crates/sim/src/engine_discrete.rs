@@ -171,7 +171,7 @@ pub fn run_trial_discrete_observed_scratch<S: Sink>(
     let snapshot_system = SystemModel::pure_p2p(nodes, config.rho, source.mu);
     let snapshot_every = (config.bin / source.delta).max(1.0) as u64;
 
-    requests.reset(nodes);
+    requests.reset_indexed(nodes, config.items);
     fulfilled.clear();
 
     for slot in 0..source.slots {
@@ -228,43 +228,38 @@ pub fn run_trial_discrete_observed_scratch<S: Sink>(
             fulfilled.clear();
             let exchange_span = impatience_obs::span!("exchange");
             for (n, m) in [(a, b), (b, a)] {
-                let cache_m = state.caches.node(m);
-                requests.retain(n, |item, created_slot, queries| {
-                    if cache_m.holds(item) {
-                        // Waited at least one slot by convention.
-                        let k = (slot - created_slot).max(1);
-                        fulfilled.push(Fulfillment {
-                            node: n,
-                            item,
-                            queries: *queries + 1,
-                            wait: k as f64 * source.delta,
-                        });
-                        false
-                    } else {
-                        *queries += 1;
-                        true
-                    }
+                requests.meet(n, state.caches.node(m), |item, created_slot, queries| {
+                    // Waited at least one slot by convention.
+                    let k = (slot - created_slot).max(1);
+                    fulfilled.push(Fulfillment {
+                        node: n,
+                        item,
+                        queries,
+                        wait: k as f64 * source.delta,
+                    });
                 });
             }
-            for f in fulfilled.iter() {
-                let server = if f.node == a { b } else { a };
-                state.caches.node_mut(server).touch(f.item);
-            }
-            // Batched gain evaluation (waits are k·δ ≥ δ > 0, so the
-            // batch's `w > 0` branch always takes the `h(w)` arm —
-            // identical to the scalar `h(f.wait)` call).
-            waits.clear();
-            waits.extend(fulfilled.iter().map(|f| f.wait));
-            gains.clear();
-            config.utility.h_batch(waits, gains);
-            for &gain in gains.iter() {
-                metrics.record_fulfillment(now, gain);
-            }
-            if rec.is_active() {
+            if !fulfilled.is_empty() {
                 for f in fulfilled.iter() {
-                    rec.fulfillment(now, f.node as u32, f.item, f.wait, f.queries as u32);
+                    let server = if f.node == a { b } else { a };
+                    state.caches.node_mut(server).touch(f.item);
                 }
-                open_requests -= fulfilled.len() as u64;
+                // Batched gain evaluation (waits are k·δ ≥ δ > 0, so the
+                // batch's `w > 0` branch always takes the `h(w)` arm —
+                // identical to the scalar `h(f.wait)` call).
+                waits.clear();
+                waits.extend(fulfilled.iter().map(|f| f.wait));
+                gains.clear();
+                config.utility.h_batch(waits, gains);
+                for &gain in gains.iter() {
+                    metrics.record_fulfillment(now, gain);
+                }
+                if rec.is_active() {
+                    for f in fulfilled.iter() {
+                        rec.fulfillment(now, f.node as u32, f.item, f.wait, f.queries as u32);
+                    }
+                    open_requests -= fulfilled.len() as u64;
+                }
             }
             exchange_span.close();
             let _policy_span = impatience_obs::span!("policy");

@@ -474,6 +474,12 @@ impl CacheMut<'_> {
 /// `next`-link sentinel: end of a queue / end of the free list.
 const NIL: u32 = u32::MAX;
 
+/// Word offset and mask of `item` within one node's pending-item bitset.
+#[inline]
+fn pending_bit(item: u32) -> (usize, u64) {
+    (item as usize / 64, 1 << (item % 64))
+}
+
 /// Flat arena of per-node pending-request queues.
 ///
 /// Replaces the engines' per-node `Vec<Request>` jagged vectors: all
@@ -488,6 +494,28 @@ const NIL: u32 = u32::MAX;
 /// is insertion order, exactly matching `Vec::push` + `retain_mut`, so
 /// fulfillment and settlement sequences — and therefore RNG consumption
 /// and metrics — are bit-identical to the jagged layout.
+///
+/// # The exchange step ([`RequestArena::meet`])
+///
+/// An arena sized with [`RequestArena::reset_indexed`] makes a meeting
+/// cost O(ρ) instead of O(pending), with two per-node structures:
+///
+/// * **Round counter and baseline column.** Property 2's `y` — the
+///   queries a request has made since it was created — is the number of
+///   cache-carrying peers its *node* has met since then. `rounds[node]`
+///   counts those meetings; `queries[entry]` holds the counter's value
+///   at `push`, and the difference is taken at fulfillment. A meeting
+///   that fulfills nothing touches no entry.
+/// * **Pending-item index.** `pending` is a per-node bitset of the items
+///   with at least one queued request (`⌈items/64⌉` words per node). A
+///   meeting tests the peer's ≤ ρ cached items against it and walks the
+///   node's queue only on a hit.
+///
+/// Order is preserved because the index only decides *whether* to walk:
+/// a walk visits the whole queue front to back, as `retain` does, so
+/// fulfillments come out in insertion order and the float sums, the
+/// policy's `Fulfillment` slice and its RNG draws are those of the
+/// eager walk.
 #[derive(Clone, Debug)]
 pub struct RequestArena<P: Copy> {
     /// First pending entry per node ([`NIL`] = empty).
@@ -500,12 +528,27 @@ pub struct RequestArena<P: Copy> {
     item: Vec<u32>,
     /// Creation stamp per entry.
     created: Vec<P>,
-    /// Unanswered-query count per entry (the QCR reaction input).
+    /// Per entry, the QCR reaction input: under [`RequestArena::meet`]
+    /// the node's `rounds` value at push (the baseline), under
+    /// [`RequestArena::retain`] the caller's eager count. Both start a
+    /// fresh request at "zero queries so far".
     queries: Vec<u64>,
     /// Head of the recycled-entry list.
     free: u32,
     /// Live entries across all nodes.
     len: u64,
+    /// Meetings with a cache-carrying peer so far, per node (empty
+    /// unless sized by [`RequestArena::reset_indexed`]).
+    rounds: Vec<u64>,
+    /// Per-node bitset of items with a pending request, `words` words
+    /// per node (empty unless sized by [`RequestArena::reset_indexed`]).
+    pending: Vec<u64>,
+    /// Bitset stride: `⌈items/64⌉`.
+    words: usize,
+    /// Queue entries `meet` has visited (the cost-shape regression tests
+    /// read it).
+    #[cfg(test)]
+    pub(crate) walked: u64,
 }
 
 impl<P: Copy> Default for RequestArena<P> {
@@ -515,7 +558,8 @@ impl<P: Copy> Default for RequestArena<P> {
 }
 
 impl<P: Copy> RequestArena<P> {
-    /// Empty arena for zero nodes; call [`RequestArena::reset`] to size.
+    /// Empty arena for zero nodes; call [`RequestArena::reset_indexed`]
+    /// (or [`RequestArena::reset`]) to size.
     pub fn new() -> Self {
         RequestArena {
             head: Vec::new(),
@@ -526,10 +570,17 @@ impl<P: Copy> RequestArena<P> {
             queries: Vec::new(),
             free: NIL,
             len: 0,
+            rounds: Vec::new(),
+            pending: Vec::new(),
+            words: 0,
+            #[cfg(test)]
+            walked: 0,
         }
     }
 
     /// Clear all queues and size for `nodes`, keeping entry capacity.
+    /// The arena carries no round counters and no pending-item index:
+    /// this is the sizing for [`RequestArena::retain`] callers.
     pub fn reset(&mut self, nodes: usize) {
         self.head.clear();
         self.head.resize(nodes, NIL);
@@ -541,6 +592,23 @@ impl<P: Copy> RequestArena<P> {
         self.queries.clear();
         self.free = NIL;
         self.len = 0;
+        self.rounds.clear();
+        self.pending.clear();
+        self.words = 0;
+        #[cfg(test)]
+        {
+            self.walked = 0;
+        }
+    }
+
+    /// [`RequestArena::reset`] plus zeroed round counters and an empty
+    /// pending-item index over a catalogue of `items`: the sizing for
+    /// [`RequestArena::meet`] callers.
+    pub fn reset_indexed(&mut self, nodes: usize, items: usize) {
+        self.reset(nodes);
+        self.rounds.resize(nodes, 0);
+        self.words = items.div_ceil(64);
+        self.pending.resize(nodes * self.words, 0);
     }
 
     /// Total pending requests across all nodes.
@@ -555,18 +623,28 @@ impl<P: Copy> RequestArena<P> {
 
     /// Append a fresh request (zero queries) to `node`'s queue.
     pub fn push(&mut self, node: usize, item: u32, created: P) {
+        // Without round counters (`reset`) the column starts at 0, which
+        // is where `retain`'s eager count starts.
+        let baseline = match self.rounds.get(node) {
+            Some(&rounds) => {
+                let (word, mask) = pending_bit(item);
+                self.pending[node * self.words + word] |= mask;
+                rounds
+            }
+            None => 0,
+        };
         let slot = if self.free != NIL {
             let slot = self.free as usize;
             self.free = self.next[slot];
             self.item[slot] = item;
             self.created[slot] = created;
-            self.queries[slot] = 0;
+            self.queries[slot] = baseline;
             self.next[slot] = NIL;
             slot as u32
         } else {
             self.item.push(item);
             self.created.push(created);
-            self.queries.push(0);
+            self.queries.push(baseline);
             self.next.push(NIL);
             (self.item.len() - 1) as u32
         };
@@ -579,10 +657,101 @@ impl<P: Copy> RequestArena<P> {
         self.len += 1;
     }
 
+    /// Unlink entry `cur` (whose predecessor in `node`'s queue is `prev`
+    /// and successor `after`) and recycle it.
+    #[inline]
+    fn unlink(&mut self, node: usize, prev: u32, cur: u32, after: u32) {
+        if prev == NIL {
+            self.head[node] = after;
+        } else {
+            self.next[prev as usize] = after;
+        }
+        if self.tail[node] == cur {
+            self.tail[node] = prev;
+        }
+        self.next[cur as usize] = self.free;
+        self.free = cur;
+        self.len -= 1;
+    }
+
+    /// One side of a meeting's exchange: `node` queries `peer`. Every
+    /// pending request of `node` for an item `peer` holds is removed and
+    /// reported, in queue order, as `fulfilled(item, created, queries)`,
+    /// where `queries` counts this meeting.
+    ///
+    /// Queries only count against cache-carrying nodes: in a dedicated
+    /// population, meeting another client (capacity 0) neither fulfills
+    /// nor advances the round counter. Nor does a meeting the fault model
+    /// dropped, for which the engines do not call this at all.
+    ///
+    /// Costs O(ρ) when nothing is fulfilled and one pass over `node`'s
+    /// queue otherwise. Requires [`RequestArena::reset_indexed`].
+    pub fn meet(
+        &mut self,
+        node: usize,
+        peer: CacheRef<'_>,
+        mut fulfilled: impl FnMut(u32, P, u64),
+    ) {
+        if peer.capacity() == 0 {
+            return;
+        }
+        let peer_items = peer.items();
+        self.rounds[node] += 1;
+        let rounds = self.rounds[node];
+        let base = node * self.words;
+        let pending = &self.pending[base..base + self.words];
+        let hit = peer_items.iter().any(|&item| {
+            let (word, mask) = pending_bit(item);
+            pending[word] & mask != 0
+        });
+        if !hit {
+            return;
+        }
+        // Walk the queue front to back, rebuilding the node's bits from
+        // the entries that stay.
+        self.pending[base..base + self.words].fill(0);
+        let mut prev = NIL;
+        let mut cur = self.head[node];
+        while cur != NIL {
+            let i = cur as usize;
+            let after = self.next[i];
+            let item = self.item[i];
+            #[cfg(test)]
+            {
+                self.walked += 1;
+            }
+            if peer_items.contains(&item) {
+                fulfilled(item, self.created[i], rounds - self.queries[i]);
+                self.unlink(node, prev, cur, after);
+            } else {
+                let (word, mask) = pending_bit(item);
+                self.pending[base + word] |= mask;
+                prev = cur;
+            }
+            cur = after;
+        }
+    }
+
     /// Walk `node`'s queue in insertion order; `keep(item, created,
     /// queries)` decides per request whether it stays pending. Removed
     /// entries are recycled. Semantically `Vec::retain_mut`.
+    ///
+    /// This is the eager exchange — every pending entry visited at every
+    /// meeting — and `sim::sharded` is its one caller, for two reasons:
+    ///
+    /// * A phase-B (cross-shard) meeting can be *earlier* than requests
+    ///   phase A already queued (the `created > time` guard in
+    ///   `keep_or_fulfill`), so a per-node round counter would count
+    ///   meetings a request did not yet exist for.
+    /// * Round counters and a pending-item index per node would add
+    ///   megabytes at the 10⁵–10⁶ nodes the sharded engine is for.
+    ///
+    /// The serial and discrete engines use [`RequestArena::meet`].
     pub fn retain(&mut self, node: usize, mut keep: impl FnMut(u32, P, &mut u64) -> bool) {
+        debug_assert!(
+            self.rounds.is_empty(),
+            "retain on an indexed arena would leave the index stale"
+        );
         let mut prev = NIL;
         let mut cur = self.head[node];
         while cur != NIL {
@@ -591,17 +760,7 @@ impl<P: Copy> RequestArena<P> {
             if keep(self.item[i], self.created[i], &mut self.queries[i]) {
                 prev = cur;
             } else {
-                if prev == NIL {
-                    self.head[node] = after;
-                } else {
-                    self.next[prev as usize] = after;
-                }
-                if self.tail[node] == cur {
-                    self.tail[node] = prev;
-                }
-                self.next[i] = self.free;
-                self.free = cur;
-                self.len -= 1;
+                self.unlink(node, prev, cur, after);
             }
             cur = after;
         }
@@ -1139,6 +1298,130 @@ mod tests {
         assert!(arena.is_empty());
         // Steady-state churn must not grow entry storage unboundedly.
         assert!(arena.item.len() <= 2, "entries not recycled");
+    }
+
+    /// The [`RequestArena::meet`] reference model: a `Vec` per node,
+    /// `retain_mut`, and the eager per-entry `+= 1` the lazy counter
+    /// replaced.
+    mod meet_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Catalogue sizes: one-word and multi-word bitsets, on both
+        /// sides of a word boundary.
+        const CATALOGUES: [usize; 5] = [1, 63, 64, 65, 200];
+
+        /// A fulfillment as the engines see it: `(node, item, created,
+        /// queries)`.
+        type Fulfilled = (usize, u32, u64, u64);
+
+        /// One generated step, `(kind, node, item, peer cache)`, folded
+        /// onto the shape under test by `drive`.
+        type Step = (u32, usize, u32, Vec<u32>);
+
+        fn steps() -> impl Strategy<Value = Vec<Step>> {
+            let peer = proptest::collection::vec(0u32..1000, 0..9);
+            proptest::collection::vec((0u32..10, 0usize..4, 0u32..1000, peer), 0..250)
+        }
+
+        /// Fold a raw draw onto `0..items`: two draws in three land in
+        /// the top five items (so requests and caches collide, and the
+        /// bitset's last word is the busy one), the rest anywhere.
+        fn fold(raw: u32, items: usize) -> u32 {
+            let items = items as u32;
+            if raw.is_multiple_of(3) {
+                raw / 3 % items
+            } else {
+                items - 1 - raw / 3 % items.min(5)
+            }
+        }
+
+        /// Run `steps` against `arena` (already reset to the shape) and
+        /// the model. Returns both fulfillment sequences and the model's
+        /// residue as `iter()` reports it.
+        #[allow(clippy::type_complexity)]
+        fn drive(
+            arena: &mut RequestArena<u64>,
+            nodes: usize,
+            items: usize,
+            steps: &[Step],
+        ) -> (Vec<Fulfilled>, Vec<Fulfilled>, Vec<(usize, u32, u64)>) {
+            let mut model: Vec<Vec<(u32, u64, u64)>> = vec![Vec::new(); nodes];
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (stamp, (kind, node, item, peer)) in steps.iter().enumerate() {
+                let (node, stamp) = (node % nodes, stamp as u64);
+                match kind {
+                    0..=4 => {
+                        let item = fold(*item, items);
+                        arena.push(node, item, stamp);
+                        model[node].push((item, stamp, 0));
+                    }
+                    // A meeting the fault model dropped: the engines
+                    // make no call, and it is not a query.
+                    8 => {}
+                    // A peer holding anything from nothing to a full
+                    // cache of eight items; kind 9 is a client, with
+                    // capacity 0, which is not a query either.
+                    _ => {
+                        let mut peer_arena = CacheArena::new(1, usize::from(*kind != 9), 8);
+                        if *kind != 9 {
+                            for &raw in peer {
+                                peer_arena.node_mut(0).fill(fold(raw, items));
+                            }
+                        }
+                        let cache = peer_arena.node(0);
+                        let (walked, served) = (arena.walked, got.len());
+                        arena.meet(node, cache, |item, created, queries| {
+                            got.push((node, item, created, queries));
+                        });
+                        // The index is exact: no walk comes back empty.
+                        assert!(arena.walked == walked || got.len() > served);
+                        if cache.capacity() > 0 {
+                            model[node].retain_mut(|r| {
+                                r.2 += 1;
+                                if cache.holds(r.0) {
+                                    want.push((node, r.0, r.1, r.2));
+                                }
+                                !cache.holds(r.0)
+                            });
+                        }
+                    }
+                }
+            }
+            let residue = model
+                .iter()
+                .enumerate()
+                .flat_map(|(n, q)| q.iter().map(move |&(i, c, _)| (n, i, c)))
+                .collect();
+            (got, want, residue)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn meet_matches_the_eager_vec_model(
+                shapes in ((1usize..5, 0usize..5), (1usize..5, 0usize..5)),
+                first in steps(),
+                second in steps(),
+            ) {
+                // One arena through two trials of different shapes: the
+                // second is the scratch-reuse case.
+                let mut arena: RequestArena<u64> = RequestArena::new();
+                let ((nodes_1, cat_1), (nodes_2, cat_2)) = shapes;
+                for (nodes, items, steps) in [
+                    (nodes_1, CATALOGUES[cat_1], &first),
+                    (nodes_2, CATALOGUES[cat_2], &second),
+                ] {
+                    arena.reset_indexed(nodes, items);
+                    prop_assert!(arena.is_empty());
+                    let (got, want, residue) = drive(&mut arena, nodes, items, steps);
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(arena.iter().collect::<Vec<_>>(), residue.clone());
+                    prop_assert_eq!(arena.len() as usize, residue.len());
+                }
+            }
+        }
     }
 
     #[test]

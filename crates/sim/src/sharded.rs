@@ -8,16 +8,28 @@
 //! spans roughly one per-node inter-meeting time `1/(μ(n−1))`, the
 //! fastest timescale a pending request can resolve on. Within an epoch:
 //!
-//! 1. **boundary (serial)** — at bin starts the welfare snapshot is
-//!    recorded on the summed per-shard replica counts; at every epoch
-//!    boundary the cache-slot faults due by it fire, in schedule order,
-//!    from one RNG;
-//! 2. **phase A (parallel)** — each shard independently processes its
-//!    *intra-shard* contacts and its request arrivals, merged in time
-//!    order, exactly like the serial event loop restricted to the block;
-//! 3. **phase B (parallel)** — the 120 *cross-shard* pair lanes run in 15
-//!    tournament rounds of 8 disjoint shard pairs (the circle method), so
-//!    every lane gets exclusive `&mut` access to its two shard states.
+//! 1. **boundary** — at bin starts the welfare snapshot is recorded on
+//!    the summed per-shard replica counts; at every epoch boundary the
+//!    cache-slot faults due by it fire, in schedule order, from one RNG;
+//! 2. **phase A** — each shard independently processes its *intra-shard*
+//!    contacts and its request arrivals, merged in time order, exactly
+//!    like the serial event loop restricted to the block;
+//! 3. **phase B** — the 120 *cross-shard* pair lanes run in 15 tournament
+//!    rounds of 8 disjoint shard pairs (the circle method), so every lane
+//!    gets exclusive access to its two shard states.
+//!
+//! ## Scheduling: every shard keeps its own clock
+//!
+//! Those 1 + 16 + 120 tasks per epoch form one canonical list
+//! ([`Task::at`]); a trial is that list repeated once per epoch. Each
+//! shard has a step counter, each task a step (boundary 0, phase A 1,
+//! round `r` 2 + `r`, plus 17 per epoch). Workers claim list indices in
+//! order and run a task once every shard it touches stands at the task's
+//! step, then advance those shards by one. A shard therefore sees its
+//! tasks in exactly the listed order whatever the thread count, and a
+//! lane of round `r + 1` starts as soon as its two shards are through
+//! round `r` — nothing waits for the other fourteen. Only the boundary,
+//! which reads or writes every shard, waits for all sixteen.
 //!
 //! ## Determinism at any worker count
 //!
@@ -26,12 +38,12 @@
 //! contact-lane RNG, a request RNG, and a policy RNG, each forked from
 //! the trial master with a fixed stream id in a fixed order at startup.
 //! Worker threads only decide *when* a task runs, never *what* it
-//! computes — tasks share no mutable state and the barriers between
-//! phases are total. Metrics fragments are merged and fault logs
-//! concatenated in fixed (shard, then lane) order after the last epoch,
-//! so every output bit — welfare series, fault log, event digest — is a
-//! pure function of `(config, source, policy, seed)`, independent of
-//! `workers`. `tests::worker_counts_are_bit_identical` and the CI shard
+//! computes — the step counters fix the order of tasks on every shard,
+//! and two tasks that share no shard share no mutable state. Metrics
+//! fragments are merged and fault logs concatenated in fixed (shard,
+//! then lane) order after the last epoch, so every output bit — welfare
+//! series, fault log, event digest — is a pure function of
+//! `(config, source, policy, seed)`, independent of `workers`. `tests::worker_counts_are_bit_identical` and the CI shard
 //! gate enforce exactly that, fault injection included.
 //!
 //! The sharded trajectory is a *different* (equally valid) realization of
@@ -63,7 +75,8 @@
 //! uniform profile matrix would dwarf the node state itself).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use impatience_core::rng::{AliasTable, Xoshiro256};
 use impatience_core::types::SystemModel;
@@ -80,7 +93,7 @@ use crate::state::{CacheArena, RequestArena, SimState};
 
 /// Number of logical shards, fixed regardless of worker count: tasks are
 /// defined per logical shard, workers merely schedule them, which is what
-/// makes `--shards 1/2/8` bit-identical by construction.
+/// makes every `--shards` value bit-identical by construction.
 pub const LOGICAL_SHARDS: usize = 16;
 
 /// Cross-shard lanes: one per unordered shard pair.
@@ -360,6 +373,11 @@ impl LaneContacts {
     }
 
     /// Refill the batch buffer with events strictly before `limit`.
+    // Out of line, once per lane and epoch: with it inlined the
+    // per-contact `peek_before` is too big to inline into the phase
+    // loops, which costs a one-worker pinned trial at n = 10⁵ about 15 %
+    // (20 alternating runs).
+    #[inline(never)]
     fn refill(&mut self, limit: f64) {
         self.buf.clear();
         self.pos = 0;
@@ -392,15 +410,6 @@ impl LaneContacts {
         let e = self.peek_before(limit)?;
         self.pos += RECORD_BYTES;
         Some(e)
-    }
-
-    /// Number of currently buffered events before `limit` (refilling if
-    /// empty) — a cheap work estimate, saturating at one batch.
-    fn buffered(&mut self, limit: f64) -> u64 {
-        if self.peek_before(limit).is_none() {
-            return 0;
-        }
-        ((self.buf.len() - self.pos) / RECORD_BYTES) as u64
     }
 
     /// Fault admission for a sampled contact: truncation first, then one
@@ -957,34 +966,141 @@ fn run_phase_b(
     }
 }
 
-/// Minimum estimated events in a phase before it is worth paying the
-/// scoped-thread spawn cost; below it the tasks run inline on the
-/// calling thread. Purely a scheduling decision — results are identical
-/// either way — but it keeps small populations (whose whole epoch is a
-/// handful of events) faster single-threaded than threaded.
-const PARALLEL_THRESHOLD: u64 = 4096;
+/// Tasks of one epoch, in canonical order: the boundary, phase A of the
+/// sixteen shards, then the eight lanes of each of the fifteen rounds.
+const TASKS_PER_EPOCH: usize = 1 + LOGICAL_SHARDS + CROSS_LANES;
 
-/// Run `f` over every task, spread across at most `workers` scoped
-/// threads. Each task is visited exactly once with exclusive `&mut`
-/// access and owns all state it touches, so the thread assignment cannot
-/// influence any result bit.
-fn parallel_for<T: Send, F: Fn(&mut T) + Sync>(tasks: &mut [T], workers: usize, f: &F) {
-    if workers <= 1 || tasks.len() <= 1 {
-        for t in tasks.iter_mut() {
-            f(t);
+/// Steps a shard takes per epoch: the boundary, phase A, one lane per round.
+const STEPS_PER_EPOCH: usize = 2 + (LOGICAL_SHARDS - 1);
+
+/// One entry of an epoch's canonical task list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Task {
+    /// Snapshot and cache faults; reads or writes every shard.
+    Boundary,
+    /// Phase A of one shard.
+    Intra(usize),
+    /// The cross lane of shard pair `s < t`, in its tournament round.
+    Cross { round: usize, s: usize, t: usize },
+}
+
+impl Task {
+    /// The task at position `k < TASKS_PER_EPOCH` of the list.
+    fn at(k: usize) -> Task {
+        const LANES_PER_ROUND: usize = LOGICAL_SHARDS / 2;
+        match k {
+            0 => Task::Boundary,
+            k if k <= LOGICAL_SHARDS => Task::Intra(k - 1),
+            k => {
+                let lane = k - 1 - LOGICAL_SHARDS;
+                let round = lane / LANES_PER_ROUND;
+                let (s, t) = round_pairs(round)[lane % LANES_PER_ROUND];
+                Task::Cross { round, s, t }
+            }
         }
-        return;
     }
-    let chunk = tasks.len().div_ceil(workers.min(tasks.len()));
-    std::thread::scope(|scope| {
-        for slice in tasks.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for t in slice {
-                    f(t);
-                }
-            });
+
+    /// The step, within its epoch, that every shard this task touches
+    /// must stand at for the task to start.
+    fn step(self) -> usize {
+        match self {
+            Task::Boundary => 0,
+            Task::Intra(_) => 1,
+            Task::Cross { round, .. } => 2 + round,
         }
-    });
+    }
+
+    fn touches(self, shard: usize) -> bool {
+        match self {
+            Task::Boundary => true,
+            Task::Intra(s) => s == shard,
+            Task::Cross { s, t, .. } => s == shard || t == shard,
+        }
+    }
+}
+
+/// Polls of a step counter before a waiting worker starts yielding its
+/// time slice (the awaited task may need this core to finish).
+const SPIN_POLLS: u32 = 128;
+
+/// What the workers of one trial share: the position in the task list
+/// and every shard's step counter.
+///
+/// It cannot deadlock: indices are claimed in order, every task a given
+/// task waits for precedes it in the list, so the lowest unfinished
+/// claimed task always finds its shards ready. And it cannot move a bit:
+/// the counters admit, on each shard, exactly the listed order.
+struct Schedule {
+    tasks: usize,
+    next: AtomicUsize,
+    steps: [AtomicUsize; LOGICAL_SHARDS],
+    /// Raised when a task unwinds: its shards never advance, so every
+    /// worker must stop waiting for them.
+    failed: AtomicBool,
+}
+
+impl Schedule {
+    /// One worker: claim, wait, run, advance, until the list is done or
+    /// a task (here or on another worker) has panicked.
+    fn work(&self, run: &(impl Fn(usize, Task) + Sync)) {
+        struct FailOnUnwind<'a>(&'a AtomicBool);
+        impl Drop for FailOnUnwind<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        let _guard = FailOnUnwind(&self.failed);
+        loop {
+            // Relaxed: the index publishes nothing; task state is handed
+            // over through the step counters below.
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            if index >= self.tasks {
+                return;
+            }
+            let (epoch, task) = (index / TASKS_PER_EPOCH, Task::at(index % TASKS_PER_EPOCH));
+            let step = epoch * STEPS_PER_EPOCH + task.step();
+            let touched = || (0..LOGICAL_SHARDS).filter(|&s| task.touches(s));
+            for s in touched() {
+                if !self.await_step(s, step) {
+                    return;
+                }
+            }
+            run(epoch, task);
+            // Release, paired with the Acquire in `await_step`: the next
+            // task on this shard sees everything this one wrote.
+            for s in touched() {
+                self.steps[s].store(step + 1, Ordering::Release);
+            }
+        }
+    }
+
+    /// Wait until `shard` stands at `step`; `false` if the trial failed.
+    fn await_step(&self, shard: usize, step: usize) -> bool {
+        let mut polls = 0;
+        loop {
+            if self.failed.load(Ordering::Relaxed) {
+                return false;
+            }
+            if self.steps[shard].load(Ordering::Acquire) == step {
+                return true;
+            }
+            if polls < SPIN_POLLS {
+                polls += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// Lock state that the step counters have already made this task's
+/// alone; contention here is a scheduling bug, not something to wait out.
+fn own<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
+    slot.try_lock()
+        .expect("the step counters give each task exclusive access to its state")
 }
 
 /// The Poisson clock of global cache-slot faults, applied serially at
@@ -996,9 +1112,19 @@ struct CacheFaultClock {
     servers: usize,
 }
 
-/// Run one sharded trial. `workers` is the number of OS threads used to
-/// execute the fixed per-shard/per-lane task set; any value produces
-/// bit-identical output (see the module docs).
+/// What only the boundary task touches: the trial-level metrics
+/// (snapshots, cache-fault count), the cache-fault clock and its log.
+struct BoundaryState {
+    metrics: Metrics,
+    faults: Vec<FaultRecord>,
+    clock: Option<CacheFaultClock>,
+    replica_sum: Vec<u32>,
+}
+
+/// Run one sharded trial. `workers` is the number of OS threads (the
+/// caller included, at most [`LOGICAL_SHARDS`]) that execute the fixed
+/// task list; any value produces bit-identical output (see the module
+/// docs).
 ///
 /// # Errors
 /// [`ConfigError`] when the configuration is outside the supported
@@ -1006,7 +1132,8 @@ struct CacheFaultClock {
 ///
 /// # Panics
 /// Panics for trial seeds listed in `FaultConfig::panic_on_seeds`
-/// (the chaos hook), exactly like the serial engine.
+/// (the chaos hook), exactly like the serial engine; a panic inside a
+/// task (a user-supplied utility, say) is re-raised on the caller.
 pub fn run_trial_sharded(
     config: &SimConfig,
     source: &ContactSource,
@@ -1147,7 +1274,7 @@ pub fn run_trial_sharded(
     };
 
     // ---- build tasks ----
-    let mut shards: Vec<Shard> = Vec::with_capacity(LOGICAL_SHARDS);
+    let mut shards: Vec<Mutex<Shard>> = Vec::with_capacity(LOGICAL_SHARDS);
     for (s, arena) in arenas.into_iter().enumerate() {
         let (start, len) = blocks[s];
         let mut replicas = vec![0u32; items];
@@ -1169,7 +1296,7 @@ pub fn run_trial_sharded(
         } else {
             f64::INFINITY
         };
-        shards.push(Shard {
+        shards.push(Mutex::new(Shard {
             state: ShardState {
                 start,
                 len,
@@ -1196,13 +1323,13 @@ pub fn run_trial_sharded(
             req_rng,
             req_rate,
             next_request,
-        });
+        }));
     }
-    let mut lanes: Vec<CrossLane> = Vec::with_capacity(CROSS_LANES);
+    let mut lanes: Vec<Mutex<CrossLane>> = Vec::with_capacity(CROSS_LANES);
     for s in 0..LOGICAL_SHARDS {
         for t in (s + 1)..LOGICAL_SHARDS {
             let j = cross_index(s, t);
-            lanes.push(CrossLane {
+            lanes.push(Mutex::new(CrossLane {
                 contacts: LaneContacts::new(
                     LaneKind::Cross {
                         start_a: blocks[s].0,
@@ -1222,140 +1349,147 @@ pub fn run_trial_sharded(
                     duration,
                     bin,
                 ),
-            });
+            }));
         }
     }
 
-    // ---- epoch loop ----
+    // ---- epochs ----
     // The exchange epoch must be short against the fastest dynamics a
     // request sees — the per-node meeting process, rate μ(n−1) — because
     // within one epoch phase A (intra) is processed before phase B
     // (cross) regardless of event times, so waits can be mis-ordered by
     // up to one epoch width. Subdividing each metrics bin so an epoch
     // spans about one per-node inter-meeting time keeps that reordering
-    // error far below typical fulfillment delays; the cap bounds barrier
-    // overhead when μ·n·bin is huge.
+    // error far below typical fulfillment delays; the cap bounds
+    // scheduling overhead when μ·n·bin is huge.
     let epochs_per_bin =
         ((bin * mu * nodes.saturating_sub(1) as f64).ceil() as usize).clamp(1, 256);
     let epoch_width = bin / epochs_per_bin as f64;
-    let mut metrics = Metrics::new(duration, bin);
-    let mut boundary_faults: Vec<FaultRecord> = Vec::new();
-    let mut cache_clock = cache_clock;
+    let epoch_start = |epoch: usize| {
+        (epoch / epochs_per_bin) as f64 * bin + (epoch % epochs_per_bin) as f64 * epoch_width
+    };
+    // The last epoch is the last one to start before the horizon (its
+    // limit is ∞, so it drains every lane): the rest of a final partial
+    // bin holds no event, and a cache fault dated past `duration` must
+    // not fire, as it never does in the serial engine.
+    let mut total_epochs = (duration / bin).ceil() as usize * epochs_per_bin;
+    while total_epochs > 0 && epoch_start(total_epochs - 1) >= duration {
+        total_epochs -= 1;
+    }
     let snapshot_system = (mu > 0.0).then(|| SystemModel::pure_p2p(nodes, rho, mu));
-    let mut replica_sum = vec![0u32; items];
-    let bins = (duration / bin).ceil() as usize;
-    let total_epochs = bins * epochs_per_bin;
-    for epoch in 0..total_epochs {
-        let (bin_idx, sub) = (epoch / epochs_per_bin, epoch % epochs_per_bin);
-        let boundary = bin_idx as f64 * bin + sub as f64 * epoch_width;
+    let boundary = Mutex::new(BoundaryState {
+        metrics: Metrics::new(duration, bin),
+        faults: Vec::new(),
+        clock: cache_clock,
+        replica_sum: vec![0u32; items],
+    });
+    let run = |epoch: usize, task: Task| {
         let limit = if epoch + 1 == total_epochs {
             f64::INFINITY
         } else {
-            let (nb, ns) = ((epoch + 1) / epochs_per_bin, (epoch + 1) % epochs_per_bin);
-            nb as f64 * bin + ns as f64 * epoch_width
+            epoch_start(epoch + 1)
         };
-        // Serial boundary: at bin starts, snapshot on the summed
-        // replicas (the state every lane saw at the end of the previous
-        // epoch); at every epoch boundary, the global cache faults due
-        // by it.
-        if let Some(system) = snapshot_system.as_ref().filter(|_| sub == 0) {
-            let _span = impatience_obs::span!("snapshot");
-            replica_sum.iter_mut().for_each(|r| *r = 0);
-            for sh in &shards {
-                for (i, &r) in sh.state.replicas.iter().enumerate() {
-                    replica_sum[i] += r;
-                }
-            }
-            metrics.record_snapshot(
-                boundary,
-                &replica_sum,
-                system,
-                &config.demand,
-                config.utility.as_ref(),
-            );
-        }
-        if let Some(clock) = cache_clock.as_mut() {
-            while clock.next <= boundary {
-                let when = clock.next;
-                clock.next += clock.rng.exp(clock.rate);
-                let node = clock.rng.index(clock.servers);
-                let s = blocks.partition_point(|&(start, _)| start <= node) - 1;
-                let state = &mut shards[s].state;
-                let local = node - state.start;
-                if let Some(item) = state
-                    .caches
-                    .node_mut(local)
-                    .drop_random_non_sticky(&mut clock.rng)
+        match task {
+            Task::Boundary => {
+                let now = epoch_start(epoch);
+                let BoundaryState {
+                    metrics,
+                    faults,
+                    clock,
+                    replica_sum,
+                } = &mut *own(&boundary);
+                // At bin starts, snapshot on the summed replicas (the
+                // state every lane left at the end of the previous
+                // epoch); at every boundary, the global cache faults
+                // due by it.
+                if let Some(system) = snapshot_system
+                    .as_ref()
+                    .filter(|_| epoch.is_multiple_of(epochs_per_bin))
                 {
-                    state.replicas[item as usize] -= 1;
-                    metrics.cache_faults += 1;
-                    boundary_faults.push(FaultRecord {
-                        time: when,
-                        kind: "cache_fault",
-                        node: node as u32,
-                        aux: item,
-                    });
+                    let _span = impatience_obs::span!("snapshot");
+                    replica_sum.iter_mut().for_each(|r| *r = 0);
+                    for sh in &shards {
+                        for (i, &r) in own(sh).state.replicas.iter().enumerate() {
+                            replica_sum[i] += r;
+                        }
+                    }
+                    metrics.record_snapshot(
+                        now,
+                        replica_sum,
+                        system,
+                        &config.demand,
+                        config.utility.as_ref(),
+                    );
+                }
+                if let Some(clock) = clock {
+                    while clock.next <= now {
+                        let when = clock.next;
+                        clock.next += clock.rng.exp(clock.rate);
+                        let node = clock.rng.index(clock.servers);
+                        let s = blocks.partition_point(|&(start, _)| start <= node) - 1;
+                        let state = &mut own(&shards[s]).state;
+                        let local = node - state.start;
+                        if let Some(item) = state
+                            .caches
+                            .node_mut(local)
+                            .drop_random_non_sticky(&mut clock.rng)
+                        {
+                            state.replicas[item as usize] -= 1;
+                            metrics.cache_faults += 1;
+                            faults.push(FaultRecord {
+                                time: when,
+                                kind: "cache_fault",
+                                node: node as u32,
+                                aux: item,
+                            });
+                        }
+                    }
                 }
             }
-        }
-        // Phase A: all 16 shards in parallel (inline when the buffered
-        // work would not cover the spawn cost).
-        let mut hint = 0u64;
-        for sh in shards.iter_mut() {
-            hint += sh.contacts.buffered(limit);
-            if sh.req_rate > 0.0 {
-                hint += (sh.req_rate * epoch_width) as u64 + 1;
+            Task::Intra(s) => run_phase_a(&mut own(&shards[s]), &env, limit, duration),
+            Task::Cross { s, t, .. } => {
+                let (mut sa, mut sb) = (own(&shards[s]), own(&shards[t]));
+                let mut lane = own(&lanes[cross_index(s, t)]);
+                run_phase_b(&mut sa.state, &mut sb.state, &mut lane, &env, limit);
             }
         }
-        let phase_a_workers = if hint >= PARALLEL_THRESHOLD {
-            workers
-        } else {
-            1
-        };
-        parallel_for(&mut shards, phase_a_workers, &|sh| {
-            run_phase_a(sh, &env, limit, duration)
-        });
-        // Phase B: 15 rounds of 8 disjoint pairs.
-        let mut lane_slots: Vec<Option<&mut CrossLane>> = lanes.iter_mut().map(Some).collect();
-        let mut state_slots: Vec<Option<&mut ShardState>> =
-            shards.iter_mut().map(|sh| Some(&mut sh.state)).collect();
-        for round in 0..LOGICAL_SHARDS - 1 {
-            let pairs = round_pairs(round);
-            let mut work: Vec<(&mut ShardState, &mut ShardState, &mut CrossLane)> =
-                Vec::with_capacity(pairs.len());
-            let mut hint = 0u64;
-            for &(s, t) in &pairs {
-                let sa = state_slots[s].take().expect("disjoint rounds");
-                let sb = state_slots[t].take().expect("disjoint rounds");
-                let lane = lane_slots[cross_index(s, t)]
-                    .take()
-                    .expect("one round per lane");
-                hint += lane.contacts.buffered(limit);
-                work.push((sa, sb, lane));
-            }
-            let round_workers = if hint >= PARALLEL_THRESHOLD {
-                workers
-            } else {
-                1
-            };
-            parallel_for(&mut work, round_workers, &|w| {
-                run_phase_b(w.0, w.1, w.2, &env, limit)
-            });
-            for (&(s, t), (sa, sb, _)) in pairs.iter().zip(work) {
-                state_slots[s] = Some(sa);
-                state_slots[t] = Some(sb);
+    };
+    // One worker set for the whole trial, the caller among them. More
+    // than sixteen could never all hold a shard.
+    let schedule = Schedule {
+        tasks: total_epochs * TASKS_PER_EPOCH,
+        next: AtomicUsize::new(0),
+        steps: std::array::from_fn(|_| AtomicUsize::new(0)),
+        failed: AtomicBool::new(false),
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.clamp(1, LOGICAL_SHARDS))
+            .map(|_| scope.spawn(|| schedule.work(&run)))
+            .collect();
+        schedule.work(&run);
+        for helper in helpers {
+            // Re-raise a task's own panic, not the scope's summary of it.
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
             }
         }
-    }
+    });
 
     // ---- settlement and fixed-order reduction ----
     let _settle_span = impatience_obs::span!("settle");
+    let BoundaryState {
+        mut metrics,
+        faults: mut fault_log,
+        ..
+    } = boundary
+        .into_inner()
+        .expect("a panicking task has ended the trial above");
     let h_inf = config.utility.h_infinity();
     let mut final_replicas = vec![0u32; items];
     let mut event_digest = FNV_OFFSET;
     let mut contacts_processed = 0;
-    let mut fault_log = boundary_faults;
-    for sh in shards.iter_mut() {
+    for sh in &shards {
+        let sh = &mut *own(sh);
         sh.ctx.metrics.unfulfilled = sh.state.requests.len();
         for (_, _, created) in sh.state.requests.iter() {
             let age = (duration - created).max(f64::MIN_POSITIVE);
@@ -1375,7 +1509,8 @@ pub fn run_trial_sharded(
         contacts_processed += sh.ctx.contacts;
         fault_log.append(&mut sh.ctx.faults);
     }
-    for lane in lanes.iter_mut() {
+    for lane in &lanes {
+        let lane = &mut *own(lane);
         metrics.merge(&lane.ctx.metrics);
         event_digest = fnv(event_digest, lane.ctx.digest);
         contacts_processed += lane.ctx.contacts;
@@ -1446,17 +1581,34 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_visits_every_task_exactly_once() {
-        // Small engines run inline under PARALLEL_THRESHOLD, so the
-        // threaded scheduling mechanics get their own direct check.
-        for workers in [1usize, 3, 8, 32] {
-            let mut tasks: Vec<(usize, u64)> = (0..37).map(|i| (i, 0)).collect();
-            parallel_for(&mut tasks, workers, &|t| t.1 += t.0 as u64 * 2 + 1);
-            assert!(
-                tasks.iter().all(|&(i, v)| v == i as u64 * 2 + 1),
-                "workers={workers}: {tasks:?}"
-            );
+    fn task_list_gives_every_shard_its_steps_in_order() {
+        // Two epochs of the canonical list: each shard meets, per epoch,
+        // the boundary, its phase A, then its lane of rounds 0…14, at
+        // consecutive steps; each of the 120 lanes occurs once per epoch.
+        let mut clock = [0usize; LOGICAL_SHARDS];
+        let mut lanes_seen = vec![0u32; CROSS_LANES];
+        for index in 0..2 * TASKS_PER_EPOCH {
+            let (epoch, task) = (index / TASKS_PER_EPOCH, Task::at(index % TASKS_PER_EPOCH));
+            let touched: Vec<usize> = (0..LOGICAL_SHARDS).filter(|&s| task.touches(s)).collect();
+            match task {
+                Task::Boundary => assert_eq!(touched.len(), LOGICAL_SHARDS),
+                Task::Intra(s) => assert_eq!(touched, [s]),
+                Task::Cross { s, t, .. } => {
+                    assert_eq!(touched, [s, t]);
+                    lanes_seen[cross_index(s, t)] += 1;
+                }
+            }
+            for s in touched {
+                assert_eq!(
+                    clock[s],
+                    epoch * STEPS_PER_EPOCH + task.step(),
+                    "{task:?} is out of turn on shard {s}"
+                );
+                clock[s] += 1;
+            }
         }
+        assert_eq!(clock, [2 * STEPS_PER_EPOCH; LOGICAL_SHARDS]);
+        assert!(lanes_seen.iter().all(|&c| c == 2), "{lanes_seen:?}");
     }
 
     #[test]

@@ -1,23 +1,36 @@
 //! Worker-count bit-identity contracts of the intra-trial sharded
 //! engine, mirroring the discipline of `fault_tolerance.rs`: the same
 //! seed must produce the identical fault log, welfare trajectory, and
-//! event digest at 1, 2, and 8 workers — fault injection included — and
-//! the sharded engine must statistically agree with the serial engine on
-//! the model they both simulate.
+//! event digest at any worker count — fault injection included — the
+//! bits must be the ones recorded before the scheduler was last changed,
+//! and the sharded engine must statistically agree with the serial
+//! engine on the model they both simulate.
 
 use impatience_core::demand::Popularity;
-use impatience_core::utility::Step;
+use impatience_core::solver::fixed::uniform;
+use impatience_core::utility::{DelayUtility, Step, UtilityKind};
 use impatience_sim::config::{ConfigError, ContactSource, SimConfig};
 use impatience_sim::faults::{CacheFaults, Churn, ContactDrop, FaultConfig};
 use impatience_sim::policy::PolicyKind;
 use impatience_sim::runner::{run_trials, run_trials_sharded};
 use impatience_sim::sharded::{run_trial_sharded, ShardedOutcome};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Worker counts every gate compares with one worker: the CI host's two,
+/// a count that divides neither 16 shards nor 8 lanes, one per lane of a
+/// round, and more workers than shards.
+const WORKER_SWEEP: [usize; 4] = [2, 3, 8, 17];
 
 fn config(faults: Option<FaultConfig>) -> SimConfig {
+    config_with(Arc::new(Step::new(15.0)), faults)
+}
+
+fn config_with(utility: Arc<dyn DelayUtility>, faults: Option<FaultConfig>) -> SimConfig {
     let mut builder = SimConfig::builder(12, 2)
         .demand(Popularity::pareto(12, 1.0).demand_rates(0.8))
-        .utility(Arc::new(Step::new(15.0)))
+        .utility(utility)
         .bin(100.0)
         .warmup_fraction(0.25);
     if let Some(fc) = faults {
@@ -64,7 +77,7 @@ fn worker_count_never_changes_any_bit() {
         );
         assert!(baseline.outcome.metrics.contacts_dropped > 0);
         assert!(baseline.contacts_processed > 1_000);
-        for workers in [2, 8] {
+        for workers in WORKER_SWEEP {
             let other = run(workers, Some(all_supported_faults()), seed);
             assert_eq!(
                 other.event_digest, baseline.event_digest,
@@ -96,13 +109,180 @@ fn worker_count_never_changes_any_bit() {
 fn clean_runs_are_worker_stable() {
     let baseline = run(1, None, 11);
     assert!(baseline.fault_log.is_empty());
-    for workers in [2, 8] {
+    for workers in WORKER_SWEEP {
         let other = run(workers, None, 11);
         assert_eq!(other.event_digest, baseline.event_digest);
         assert_eq!(
             other.outcome.metrics.observed_rate_series(),
             baseline.outcome.metrics.observed_rate_series()
         );
+    }
+}
+
+/// Same bits as before, not only the same bits at any width: digest,
+/// contact count, transmissions and final replicas of three cells as
+/// recorded at commit 1ab8887, which joined every worker between two
+/// phases. A scheduler that reorders two tasks on a shard moves them.
+#[test]
+fn outputs_equal_the_recorded_ones() {
+    struct Recorded {
+        name: &'static str,
+        faults: Option<FaultConfig>,
+        policy: PolicyKind,
+        seed: u64,
+        digest: u64,
+        contacts: u64,
+        transmissions: u64,
+        replicas: [u32; 12],
+    }
+    let cells = [
+        Recorded {
+            name: "clean QCR",
+            faults: None,
+            policy: PolicyKind::qcr_default(),
+            seed: 11,
+            digest: 0x42b8_aaad_469c_8373,
+            contacts: 68_589,
+            transmissions: 117,
+            replicas: [25, 26, 15, 14, 15, 18, 11, 9, 14, 12, 16, 17],
+        },
+        Recorded {
+            name: "all supported faults",
+            faults: Some(all_supported_faults()),
+            policy: PolicyKind::qcr_default(),
+            seed: 3,
+            digest: 0x47ed_4a9e_e7c4_fa83,
+            contacts: 45_736,
+            transmissions: 163,
+            replicas: [19, 8, 8, 4, 6, 4, 11, 6, 4, 5, 2, 8],
+        },
+        Recorded {
+            name: "pinned UNI",
+            faults: None,
+            policy: PolicyKind::Static {
+                label: "UNI",
+                counts: uniform(12, 96, 2),
+            },
+            seed: 5,
+            digest: 0x8449_9d36_3eec_b78b,
+            contacts: 68_342,
+            transmissions: 0,
+            replicas: [16; 12],
+        },
+    ];
+    let source = ContactSource::homogeneous(96, 0.01, 1_500.0);
+    for cell in cells {
+        for workers in [1, 3] {
+            let out = run_trial_sharded(
+                &config(cell.faults.clone()),
+                &source,
+                cell.policy.clone(),
+                cell.seed,
+                workers,
+            )
+            .expect("supported configuration");
+            let name = cell.name;
+            assert_eq!(out.event_digest, cell.digest, "{name}, {workers} workers");
+            assert_eq!(out.contacts_processed, cell.contacts, "{name}");
+            assert_eq!(
+                out.outcome.metrics.transmissions, cell.transmissions,
+                "{name}"
+            );
+            assert_eq!(out.outcome.final_replicas, cell.replicas, "{name}");
+        }
+    }
+}
+
+/// A horizon that is not a bin multiple (T 60, bin 100): the trial ends
+/// at T, not at the end of the bin. No cache fault is dated past the
+/// horizon, and the meetings are the recorded ones (digest and contact
+/// count of commit 1ab8887, which ran the empty epochs and fired 29 such
+/// faults).
+#[test]
+fn the_trial_ends_at_the_horizon_not_at_the_end_of_its_bin() {
+    let source = ContactSource::homogeneous(96, 0.05, 60.0);
+    let faults = FaultConfig {
+        seed: 31,
+        cache: Some(CacheFaults { rate: 0.01 }),
+        ..FaultConfig::default()
+    };
+    let cfg = config(Some(faults));
+    let out = run_trial_sharded(&cfg, &source, PolicyKind::qcr_default(), 3, 1).unwrap();
+    assert_eq!(out.event_digest, 0x649d_b29c_0330_52d4);
+    assert_eq!(out.contacts_processed, 13_490);
+    assert!(!out.fault_log.is_empty(), "cache faults must be live");
+    let late: Vec<_> = out.fault_log.iter().filter(|r| r.time > 60.0).collect();
+    assert!(late.is_empty(), "faults after the horizon: {late:?}");
+    let wide = run_trial_sharded(&cfg, &source, PolicyKind::qcr_default(), 3, 3).unwrap();
+    assert_eq!(wide.fault_log, out.fault_log);
+    assert_eq!(wide.outcome.final_replicas, out.outcome.final_replicas);
+}
+
+/// `Step(15)` whose `h_batch` — called once per admitted meeting, from
+/// whichever worker runs the task — panics on its `fuse`-th call.
+struct Exploding {
+    inner: Step,
+    calls: AtomicUsize,
+    fuse: usize,
+}
+
+impl DelayUtility for Exploding {
+    fn h(&self, t: f64) -> f64 {
+        self.inner.h(t)
+    }
+    fn h_zero(&self) -> f64 {
+        self.inner.h_zero()
+    }
+    fn h_infinity(&self) -> f64 {
+        self.inner.h_infinity()
+    }
+    fn gain(&self, lambda: f64) -> f64 {
+        self.inner.gain(lambda)
+    }
+    fn phi(&self, x: f64, mu: f64) -> f64 {
+        self.inner.phi(x, mu)
+    }
+    fn kind(&self) -> UtilityKind {
+        self.inner.kind()
+    }
+    fn h_batch(&self, waits: &[f64], out: &mut Vec<f64>) {
+        if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.fuse {
+            panic!("h_batch blew its fuse");
+        }
+        self.inner.h_batch(waits, out)
+    }
+}
+
+/// A task that panics fails the trial with its own message; it does not
+/// leave the other workers waiting on step counters that will never
+/// advance. The campaign runner's panic isolation relies on the unwind.
+#[test]
+fn a_panicking_task_fails_the_trial_instead_of_hanging_it() {
+    for workers in [2, 3] {
+        let trial = std::thread::spawn(move || {
+            let exploding = Exploding {
+                inner: Step::new(15.0),
+                calls: AtomicUsize::new(0),
+                fuse: 20_000,
+            };
+            let cfg = config_with(Arc::new(exploding), None);
+            let source = ContactSource::homogeneous(96, 0.01, 1_500.0);
+            run_trial_sharded(&cfg, &source, PolicyKind::qcr_default(), 11, workers)
+                .map(|out| out.contacts_processed)
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !trial.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "{workers} workers: the trial hung"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let panic = trial.join().expect_err("the trial must not complete");
+        let message = panic
+            .downcast_ref::<&str>()
+            .expect("the panic payload is the task's own");
+        assert_eq!(*message, "h_batch blew its fuse", "{workers} workers");
     }
 }
 

@@ -11,7 +11,7 @@ use impatience_core::prelude::{dominant, uniform};
 use impatience_core::utility::{DelayUtility, Step};
 use impatience_obs::{JsonlSink, Recorder, TallySink};
 use impatience_sim::config::{ContactSource, SimConfig};
-use impatience_sim::engine::{run_trial, run_trial_materialized, run_trial_observed};
+use impatience_sim::engine::{run_trial, run_trial_observed};
 use impatience_sim::policy::PolicyKind;
 use impatience_sim::sharded::run_trial_sharded;
 
@@ -53,20 +53,6 @@ fn bench_trial_throughput(c: &mut Criterion) {
             counts: dominant(&config.demand, 50, 5),
         };
         b.iter(|| black_box(run_trial(&config, &source, policy.clone(), 1)))
-    });
-    group.finish();
-}
-
-fn bench_trace_realization(c: &mut Criterion) {
-    let (_, source, contacts) = setup(1_000.0);
-    let mut group = c.benchmark_group("contact_generation");
-    group.warm_up_time(Duration::from_millis(800));
-    group.measurement_time(Duration::from_secs(3));
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(contacts));
-    group.bench_function("poisson_homogeneous_50n", |b| {
-        let mut rng = impatience_core::rng::Xoshiro256::seed_from_u64(3);
-        b.iter(|| black_box(source.realize(&mut rng)))
     });
     group.finish();
 }
@@ -142,14 +128,10 @@ fn bench_observability_overhead(c: &mut Criterion) {
 
 /// Streaming vs materialized contact pipeline at growing node counts.
 ///
-/// Three rows per population size, all running the identical event loop:
+/// Two rows per population size, both running the identical event loop:
 ///
 /// * `streaming` — the lazy superposition sampler ([`run_trial`]):
 ///   O(1) trace memory, one `ln` + two bounded draws per contact.
-/// * `collected` — [`run_trial_materialized`]: drains the *same* stream
-///   into a `ContactTrace` first, then replays through a cursor. The
-///   bit-for-bit regression reference; its overhead is pure
-///   materialization (O(contacts) memory + a second pass).
 /// * `materialized` — the pre-streaming pipeline: per-pair exponential
 ///   sequences pushed into one Vec and globally sorted
 ///   (`poisson_homogeneous`), then replayed. This is what every trial
@@ -185,9 +167,6 @@ fn bench_contact_pipeline(c: &mut Criterion) {
         group.throughput(Throughput::Elements(contacts));
         group.bench_function(format!("streaming_n{n}"), |b| {
             b.iter(|| black_box(run_trial(&config, &source, policy.clone(), 1)))
-        });
-        group.bench_function(format!("collected_n{n}"), |b| {
-            b.iter(|| black_box(run_trial_materialized(&config, &source, policy.clone(), 1)))
         });
         group.bench_function(format!("materialized_n{n}"), |b| {
             b.iter(|| {
@@ -250,7 +229,6 @@ fn bench_sharded_engine(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_trial_throughput,
-    bench_trace_realization,
     bench_observability_overhead,
     bench_contact_pipeline,
     bench_sharded_engine

@@ -171,23 +171,18 @@ impl<S: Sink> ExecContext<'_, S> {
 impl Spec {
     /// Compile the spec's simulation configurations and validate them
     /// against the simulator's own rules
-    /// ([`SimConfig::try_validate`]) without running anything.
-    /// Analytic kinds and trace suites (whose node count only exists
-    /// once the trace is generated) validate trivially.
+    /// ([`SimConfig::try_resolved`], as a trial would) without running
+    /// anything. Analytic kinds and trace suites (whose node count only
+    /// exists once the trace is generated) validate trivially.
     pub fn validate(&self) -> Result<(), ExpError> {
-        // Mirror the campaign runner: resolve the run-time-sized profile
-        // before validating (the builder defaults it to one node until
-        // the population is known).
         let check = |config: &SimConfig, nodes: usize| -> Result<(), ExpError> {
-            let result = if config.profile.nodes() == config.clients(nodes) {
-                config.try_validate(nodes)
-            } else {
-                config.for_nodes(nodes).try_validate(nodes)
-            };
-            result.map_err(|source| ExpError::Config {
-                spec: self.name.clone(),
-                source,
-            })
+            config
+                .try_resolved(nodes)
+                .map(drop)
+                .map_err(|source| ExpError::Config {
+                    spec: self.name.clone(),
+                    source,
+                })
         };
         let need_trials = |trials: usize| {
             if trials == 0 {

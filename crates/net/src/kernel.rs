@@ -20,15 +20,15 @@
 //! retry, timeout, and backoff in the node layer exists because of this
 //! transport.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use impatience_core::rng::{AliasTable, Xoshiro256};
 use impatience_obs::{Recorder, Sink};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::contact_bin::BatchedContacts;
+use impatience_sim::engine::settlement_gain;
 use impatience_sim::faults::{FaultState, MsgFaults, MSG_STREAM_ID};
-use impatience_sim::policy::reaction_scale;
+use impatience_sim::policy::QcrRules;
 use impatience_sim::state::SimState;
 use impatience_sim::Metrics;
 
@@ -388,12 +388,9 @@ pub fn run_net_trial_observed<S: Sink>(
     let mut contacts = BatchedContacts::new(source.stream(&mut rng));
     let n_nodes = contacts.nodes();
     let duration = contacts.duration();
-    let config: Cow<'_, SimConfig> = if config.profile.nodes() == config.clients(n_nodes) {
-        Cow::Borrowed(config)
-    } else {
-        Cow::Owned(config.for_nodes(n_nodes))
-    };
-    config.validate(n_nodes);
+    let config = config
+        .try_resolved(n_nodes)
+        .map_err(|e| NetError::Config(e.to_string()))?;
 
     let servers = config.dedicated_servers.unwrap_or(n_nodes);
     let client_base = if config.dedicated_servers.is_some() {
@@ -413,36 +410,22 @@ pub fn run_net_trial_observed<S: Sink>(
         .protocol_utility
         .clone()
         .unwrap_or_else(|| config.utility.clone());
-    let mu_ref = {
-        let m = source.mean_rate();
-        if m > 0.0 {
-            m
-        } else {
-            1.0
-        }
-    };
-    let scale = reaction_scale(
-        &net.qcr,
-        protocol.as_ref(),
+    let rules = QcrRules::new(
+        net.qcr.clone(),
+        protocol,
         servers,
-        mu_ref,
+        source.mean_rate(),
         config.items,
         config.rho,
     );
 
-    if let Some(f) = &config.faults {
-        assert!(
-            !f.panic_on_seeds.contains(&seed),
-            "fault injection: chaos panic for trial seed {seed}"
-        );
-    }
     // The full fault config drives contact admission and cache faults —
     // the *same* streams the engine consumes, so contacts involving
     // churned-down nodes vanish in both runtimes at the same instants.
     let mut faults = config
         .faults
         .as_ref()
-        .filter(|f| f.is_active())
+        .and_then(|f| f.for_trial(seed))
         .map(|f| FaultState::new(f, n_nodes, servers, duration, seed));
     // Churn additionally crashes/restarts the node *tasks* here (the
     // engine only suppresses contacts): same schedule, same seeds.
@@ -561,9 +544,7 @@ pub fn run_net_trial_observed<S: Sink>(
                     timers: &mut timers,
                     rec: &mut *rec,
                     utility: utility.as_ref(),
-                    protocol: protocol.as_ref(),
-                    scale,
-                    mu_ref,
+                    rules: &rules,
                     cfg: net,
                     next_xfer: &mut next_xfer,
                     fatal: &mut fatal,
@@ -591,13 +572,7 @@ pub fn run_net_trial_observed<S: Sink>(
                 r.settled = true;
                 stats.requests_expired += 1;
                 let age = ($t - r.created).max(f64::MIN_POSITIVE);
-                let h_inf = utility.h_infinity();
-                let gain = if h_inf.is_finite() {
-                    h_inf
-                } else {
-                    utility.h(age)
-                };
-                metrics.record_settlement($t, gain);
+                metrics.record_settlement($t, settlement_gain(utility.as_ref(), age));
                 rec.unfulfilled($t, r.node, r.item, age);
             }
         };
@@ -899,15 +874,9 @@ pub fn run_net_trial_observed<S: Sink>(
 
     // --- quiesce: settle, audit, report ---
     metrics.unfulfilled = registry.iter().filter(|r| !r.fulfilled).count() as u64;
-    let h_inf = utility.h_infinity();
     for r in registry.iter_mut().filter(|r| !r.fulfilled && !r.settled) {
         let age = (duration - r.created).max(f64::MIN_POSITIVE);
-        let gain = if h_inf.is_finite() {
-            h_inf
-        } else {
-            utility.h(age)
-        };
-        metrics.record_settlement(duration, gain);
+        metrics.record_settlement(duration, settlement_gain(utility.as_ref(), age));
         rec.unfulfilled(duration, r.node, r.item, age);
         r.settled = true;
     }

@@ -13,6 +13,11 @@
 //!   Losing it degrades welfare (abandoned requests settle as
 //!   unfulfilled) but never corrupts mandate accounting.
 //!
+//! The protocol's decisions are the engines': a fulfillment mints through
+//! [`QcrRules::mint`], a pool is divided by [`share`], every add-with-cap
+//! is [`pool_add`]. Only the odd-leftover tie-break (no shared coin
+//! between two tasks) and the two-phase transfer are this runtime's own.
+//!
 //! Handlers communicate only through [`Ctx`]: outgoing messages, new
 //! timers, metrics, and the kernel-side request registry (the omniscient
 //! "user" that books each request's welfare exactly once, even when a
@@ -24,6 +29,7 @@ use std::collections::BTreeMap;
 use impatience_core::rng::Xoshiro256;
 use impatience_core::utility::DelayUtility;
 use impatience_obs::{Recorder, Sink};
+use impatience_sim::policy::{pool_add, share, Pool, QcrRules};
 use impatience_sim::state::SimState;
 use impatience_sim::Metrics;
 
@@ -129,13 +135,9 @@ pub(crate) struct Ctx<'a, S: Sink> {
     /// The welfare utility (books `h(wait)` gains, like the engine's
     /// `config.utility`).
     pub utility: &'a dyn DelayUtility,
-    /// The protocol utility driving ψ (the engine's `protocol_utility`
-    /// override, falling back to the welfare utility).
-    pub protocol: &'a dyn DelayUtility,
-    /// ψ multiplier shared with the engine ([`impatience_sim::policy::reaction_scale`]).
-    pub scale: f64,
-    /// Reference contact rate fed to ψ (same value the engine passes).
-    pub mu_ref: f64,
+    /// The protocol's decisions, shared with the engines: minting here
+    /// is theirs, built from the same inputs.
+    pub rules: &'a QcrRules,
     /// Runtime knobs.
     pub cfg: &'a NetConfig,
     /// Global transfer-id counter.
@@ -159,7 +161,7 @@ pub(crate) struct Node {
     pub rng: Xoshiro256,
     // --- durable mandate ledger ---
     /// Mandate pool: item → count (≤ mandate cap).
-    pub pool: BTreeMap<u32, u64>,
+    pub pool: Pool,
     /// Un-acked outgoing transfers.
     pub escrow: BTreeMap<u64, Xfer>,
     /// Applied incoming transfers: xfer id → mandates consumed. The
@@ -182,7 +184,7 @@ impl Node {
             stalled: false,
             incarnation: 0,
             rng,
-            pool: BTreeMap::new(),
+            pool: Pool::new(),
             escrow: BTreeMap::new(),
             applied: BTreeMap::new(),
             pending: Vec::new(),
@@ -377,10 +379,11 @@ impl Node {
 
     /// Give away the part of the pool the §5.3 split assigns to `peer`.
     ///
-    /// Each side runs this independently from (its own pool, the peer's
-    /// advertised pool); the deterministic tie-break (the lower node id
-    /// keeps an odd leftover) keeps the two computations consistent, so
-    /// at most one direction transfers custody per item.
+    /// Each side runs the engines' [`share`] independently from (its own
+    /// pool, the peer's advertised pool); where they flip a coin, the
+    /// deterministic tie-break here (the lower node id keeps an odd
+    /// leftover) keeps the two computations consistent, so at most one
+    /// direction transfers custody per item.
     fn route_pool<S: Sink>(&mut self, ctx: &mut Ctx<'_, S>, peer: u32) {
         let items: Vec<u32> = self.pool.keys().copied().collect();
         for item in items {
@@ -400,20 +403,14 @@ impl Node {
         let holds_here = ctx.state.caches.holds(me, item);
         let holds_peer = self.peer_holds(peer, item);
         let sticky = ctx.state.sticky_owner[item as usize];
-        let keep = match (holds_here, holds_peer) {
-            (true, false) => total,
-            (false, true) => 0,
-            _ => {
-                if holds_here && sticky == me {
-                    (total * 2).div_ceil(3)
-                } else if holds_peer && sticky == peer as usize {
-                    total - (total * 2).div_ceil(3)
-                } else {
-                    // Even split; the lower id keeps an odd leftover.
-                    total / 2 + u64::from(total % 2 == 1 && self.id < peer)
-                }
-            }
-        };
+        let keep = share(
+            total,
+            holds_here,
+            holds_peer,
+            sticky == me,
+            sticky == peer as usize,
+            || self.id < peer,
+        );
         if mine > keep {
             let give = mine - keep;
             self.start_xfer(ctx, peer, item, give, false);
@@ -564,43 +561,12 @@ impl Node {
         }
     }
 
-    /// Mint ψ(y)-scaled mandates — the engine's `Qcr::mint` verbatim,
-    /// with the conservation ledger recording what actually entered the
-    /// pool.
+    /// Mint by the engines' rule, the conservation ledger recording what
+    /// actually entered the pool.
     fn mint<S: Sink>(&mut self, ctx: &mut Ctx<'_, S>, item: u32, queries: u64) {
-        if queries == 0 {
-            return;
-        }
-        let servers = ctx.state.caches.cache_nodes() as f64;
-        let raw = match ctx.cfg.qcr.reaction {
-            impatience_sim::policy::Reaction::Psi => {
-                ctx.protocol.psi(queries as f64, servers, ctx.mu_ref) * ctx.scale
-            }
-            impatience_sim::policy::Reaction::Constant(k) => k * ctx.cfg.qcr.gain_scale,
-        };
-        if raw.is_nan() || raw <= 0.0 {
-            return;
-        }
-        let mut count = raw.floor() as u64;
-        if self.rng.bernoulli(raw - count as f64) {
-            count += 1;
-        }
-        let cap = ctx.cfg.qcr.mandate_cap;
-        if count > cap {
-            ctx.metrics.mandate_cap_hits += 1;
-            count = cap;
-        }
-        if count > 0 {
-            let pool = self.pool.entry(item).or_insert(0);
-            let before = *pool;
-            *pool = (*pool + count).min(cap);
-            let added = *pool - before;
-            ctx.metrics.mandates_created += added;
-            ctx.ledger.minted += added;
-            if *pool == 0 {
-                self.pool.remove(&item);
-            }
-        }
+        ctx.ledger.minted +=
+            ctx.rules
+                .mint(&mut self.pool, item, queries, ctx.metrics, &mut self.rng);
     }
 
     /// Phase 1 receiver: apply idempotently, remember the decision, ack.
@@ -632,11 +598,7 @@ impl Node {
             }
         } else {
             let cap = ctx.cfg.qcr.mandate_cap;
-            let pool = self.pool.entry(item).or_insert(0);
-            let before = *pool;
-            *pool = (*pool + count).min(cap);
-            let overflow = count - (*pool - before);
-            ctx.ledger.discarded += overflow;
+            ctx.ledger.discarded += pool_add(&mut self.pool, item, count, cap);
             ctx.stats.handoffs_applied += 1;
             count // custody fully consumed (overflow destroyed here)
         };
@@ -654,11 +616,7 @@ impl Node {
         let returned = x.count.saturating_sub(consumed);
         if returned > 0 {
             let cap = ctx.cfg.qcr.mandate_cap;
-            let pool = self.pool.entry(x.item).or_insert(0);
-            let before = *pool;
-            *pool = (*pool + returned).min(cap);
-            let overflow = returned - (*pool - before);
-            ctx.ledger.discarded += overflow;
+            ctx.ledger.discarded += pool_add(&mut self.pool, x.item, returned, cap);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Parallel multi-trial runner for the distributed kernel.
 //!
-//! One kernel per trial, trials sharded over OS threads with a
-//! work-stealing claim counter (the engine runner's scheme). Trial `k`
+//! One kernel per trial, trials sharded over OS threads by the engine
+//! runner's pool ([`impatience_sim::runner::run_jobs`]). Trial `k`
 //! uses seed `base_seed + k` — the same convention as
 //! [`impatience_sim::runner::run_trials`], so a net batch and an engine
 //! batch on the same `base_seed` run *paired* randomness: identical
@@ -10,13 +10,12 @@
 //! absorbed into the caller's recorder **in trial order**, so all
 //! observability output is independent of the worker count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 use std::time::Instant;
 
 use impatience_obs::stats::percentile_sorted;
-use impatience_obs::{MemorySink, Recorder, Sink};
+use impatience_obs::{Recorder, Sink};
 use impatience_sim::config::{ContactSource, SimConfig};
+use impatience_sim::runner::{default_workers, run_jobs, TrialJob};
 
 use crate::config::NetConfig;
 use crate::error::NetError;
@@ -75,8 +74,30 @@ pub fn run_net_trials(
     )
 }
 
+/// Trial `k` of a batch: one kernel run on seed `base_seed + k`.
+struct SeededNetTrials<'a> {
+    config: &'a SimConfig,
+    source: &'a ContactSource,
+    net: &'a NetConfig,
+    base_seed: u64,
+}
+
+impl TrialJob for SeededNetTrials<'_> {
+    /// The kernel keeps no storage between trials.
+    type Scratch = ();
+    type Output = Result<NetTrialOutcome, NetError>;
+    fn run<K: Sink>(&self, k: usize, _: &mut (), rec: &mut Recorder<K>) -> Self::Output {
+        let seed = self.base_seed + k as u64;
+        run_net_trial_observed(self.config, self.source, self.net, seed, rec)
+    }
+}
+
 /// [`run_net_trials`] with instrumentation and an explicit worker count
 /// (`None` picks one per available core).
+///
+/// # Panics
+/// Re-raises, with its message, the panic of the lowest-numbered trial
+/// that panicked.
 #[allow(clippy::too_many_arguments)]
 pub fn run_net_trials_observed<S: Sink>(
     config: &SimConfig,
@@ -89,50 +110,21 @@ pub fn run_net_trials_observed<S: Sink>(
 ) -> Result<NetAggregate, NetError> {
     assert!(trials > 0, "need at least one trial");
     let batch_start = Instant::now();
-    let workers = workers
-        .unwrap_or_else(|| {
-            thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .max(1)
-        .min(trials);
-
-    let shape = (
-        rec.delay.range(),
-        rec.inter_contact.range(),
-        rec.delay.buckets(),
-    );
-    let live = rec.is_active();
-    let results = shard(trials, workers, &|k| {
-        let seed = base_seed + k as u64;
-        if live {
-            let mut wrec = Recorder::with_shape(MemorySink::new(), shape.0, shape.1, shape.2);
-            let outcome = run_net_trial_observed(config, source, net, seed, &mut wrec);
-            (outcome, Some(wrec))
-        } else {
-            (
-                run_net_trial_observed(config, source, net, seed, &mut Recorder::disabled()),
-                None,
-            )
-        }
-    });
-
-    // Trial-order merge: recorder state stays worker-count independent,
-    // and the first error reported is the lowest-seed one.
-    let mut outcomes: Vec<NetTrialOutcome> = Vec::with_capacity(trials);
-    for (outcome, wrec) in results {
-        let outcome = outcome?;
-        if let Some(wrec) = wrec {
-            rec.absorb(&wrec);
-            if S::WANTS_EVENTS {
-                for event in &wrec.into_sink().events {
-                    rec.sink_mut().record(event);
-                }
-            }
-        }
-        outcomes.push(outcome);
-    }
+    let workers = workers.unwrap_or_else(default_workers).max(1).min(trials);
+    let job = SeededNetTrials {
+        config,
+        source,
+        net,
+        base_seed,
+    };
+    let all: Vec<usize> = (0..trials).collect();
+    // Results come back in trial order, so the first error reported is
+    // the lowest-seed one.
+    let outcomes = run_jobs(&all, workers, &job, rec)
+        .0
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|message| panic!("{message}")))
+        .collect::<Result<Vec<NetTrialOutcome>, NetError>>()?;
 
     let warmup = config.warmup_fraction;
     let rates: Vec<f64> = outcomes
@@ -176,34 +168,5 @@ pub fn run_net_trials_observed<S: Sink>(
         mean_unfulfilled: unfulfilled / trials as f64,
         workers,
         wall_s: batch_start.elapsed().as_secs_f64(),
-    })
-}
-
-/// Work-stealing shard: idle workers claim the next trial index; results
-/// return in trial order.
-fn shard<T: Send>(trials: usize, workers: usize, job: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let next = &next;
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= trials {
-                        break;
-                    }
-                    local.push((k, job(k)));
-                }
-                local
-            }));
-        }
-        let mut all: Vec<(usize, T)> = Vec::with_capacity(trials);
-        for handle in handles {
-            all.extend(handle.join().expect("net trial thread panicked"));
-        }
-        all.sort_by_key(|(k, _)| *k);
-        all.into_iter().map(|(_, r)| r).collect()
     })
 }

@@ -1,5 +1,6 @@
 //! Simulation configuration.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -219,9 +220,7 @@ impl ContactSource {
     /// For the homogeneous source the stream runs on its own generator
     /// forked from `rng` ([`Xoshiro256::split`]); the trace source does
     /// not touch `rng` at all. Either way the caller's generator ends in
-    /// a state independent of how many contacts are later drawn, so the
-    /// same seed yields the same trajectory whether contacts are
-    /// consumed lazily or materialized first.
+    /// a state independent of how many contacts are later drawn.
     pub fn stream(&self, rng: &mut Xoshiro256) -> ContactStream {
         match self {
             ContactSource::Homogeneous {
@@ -262,16 +261,6 @@ impl ContactSource {
             }
         }
         Ok(())
-    }
-
-    /// Materialize the contact events for one trial by draining
-    /// [`ContactSource::stream`] — the same events the lazy path yields,
-    /// collected into a trace (the regression-reference pipeline).
-    pub fn realize(&self, rng: &mut Xoshiro256) -> Arc<ContactTrace> {
-        match self {
-            ContactSource::Homogeneous { .. } => Arc::new(self.stream(rng).collect_trace()),
-            ContactSource::Trace(t) => Arc::clone(t),
-        }
     }
 }
 
@@ -342,12 +331,38 @@ impl SimConfig {
         }
     }
 
-    /// Number of client nodes for a population of `nodes` trace nodes.
+    /// Number of client nodes for a population of `nodes` trace nodes
+    /// (0 when the configured servers do not fit it).
     pub fn clients(&self, nodes: usize) -> usize {
+        nodes.saturating_sub(self.dedicated_servers.unwrap_or(0))
+    }
+
+    /// The dedicated-server split must fit the population; checked before
+    /// anything is sized by it.
+    fn check_population(&self, nodes: usize) -> Result<(), ConfigError> {
         match self.dedicated_servers {
-            Some(servers) => nodes - servers,
-            None => nodes,
+            Some(servers) if !(servers >= 1 && servers < nodes) => {
+                Err(ConfigError::InvalidPopulation { servers, nodes })
+            }
+            _ => Ok(()),
         }
+    }
+
+    /// This config as a trial on `nodes` nodes runs it: the population
+    /// split checked, the demand profile sized to the client count (the
+    /// builder defaults it to one node until the population is known —
+    /// borrowed when it already fits, the common case, instead of
+    /// deep-cloning demand + profile + shifts once per trial), and the
+    /// result validated.
+    pub fn try_resolved(&self, nodes: usize) -> Result<Cow<'_, SimConfig>, ConfigError> {
+        self.check_population(nodes)?;
+        let config = if self.profile.nodes() == self.clients(nodes) {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.for_nodes(nodes))
+        };
+        config.try_validate(nodes)?;
+        Ok(config)
     }
 
     /// Validate against a node count (profile width, utility finiteness).
@@ -391,11 +406,7 @@ impl SimConfig {
                 found: self.profile.items(),
             });
         }
-        if let Some(servers) = self.dedicated_servers {
-            if !(servers >= 1 && servers < nodes) {
-                return Err(ConfigError::InvalidPopulation { servers, nodes });
-            }
-        }
+        self.check_population(nodes)?;
         let servers = self.dedicated_servers.unwrap_or(nodes);
         if self.rho.checked_mul(servers).is_none() {
             return Err(ConfigError::CacheOverflow {
@@ -674,15 +685,15 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_source_realizes_fresh_traces() {
+    fn homogeneous_source_streams_fresh_contacts() {
         let src = ContactSource::homogeneous(5, 0.1, 100.0);
         assert_eq!(src.nodes(), 5);
         assert_eq!(src.duration(), 100.0);
         assert_eq!(src.mean_rate(), 0.1);
         let mut r1 = Xoshiro256::seed_from_u64(1);
         let mut r2 = Xoshiro256::seed_from_u64(2);
-        let t1 = src.realize(&mut r1);
-        let t2 = src.realize(&mut r2);
+        let t1 = src.stream(&mut r1).collect_trace();
+        let t2 = src.stream(&mut r2).collect_trace();
         assert_ne!(t1.events(), t2.events(), "trials should differ");
     }
 
@@ -702,8 +713,8 @@ mod tests {
         // 3 contacts / (3 pairs × 100 min) = 0.01.
         assert!((src.mean_rate() - 0.01).abs() < 1e-12);
         let mut rng = Xoshiro256::seed_from_u64(0);
-        let a = src.realize(&mut rng);
-        let b = src.realize(&mut rng);
+        let a = src.stream(&mut rng).collect_trace();
+        let b = src.stream(&mut rng).collect_trace();
         assert_eq!(a.events(), b.events());
     }
 }

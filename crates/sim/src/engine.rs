@@ -16,24 +16,30 @@
 //! * fulfillment delivers (consumes) the content but does **not** write
 //!   it into the requester's protocol cache — caches change only through
 //!   the replication policy.
+//!
+//! Those mechanics are written once, as the crate-private `Trial` frame
+//! (`begin`, `request`, `meeting`, `finish`), and two drivers feed it
+//! events: the event-merging loop below (Poisson arrivals against a
+//! contact stream, with demand shifts) and the slot loop of
+//! [`crate::engine_discrete`]. [`crate::sharded`] keeps its own frame —
+//! its exchange is the eager walk, for the reasons at
+//! [`RequestArena::retain`].
 
-use std::borrow::Cow;
-
-use impatience_core::rng::Xoshiro256;
+use impatience_core::demand::DemandRates;
+use impatience_core::rng::{AliasTable, Xoshiro256};
 use impatience_core::types::SystemModel;
+use impatience_core::utility::DelayUtility;
 use impatience_obs::{Recorder, Sink};
-use impatience_traces::ContactStream;
 
 use crate::config::{ContactSource, SimConfig};
 use crate::contact_bin::BatchedContacts;
 use crate::faults::FaultState;
 use crate::metrics::Metrics;
-use crate::policy::{Fulfillment, PolicyKind};
+use crate::policy::{Fulfillment, PolicyKind, ReplicationPolicy};
 use crate::state::{RequestArena, SimState};
 
 /// Reusable per-trial working storage: the SoA cache/replica state, the
-/// pending-request arenas of both engines, and the per-contact
-/// fulfillment buffer.
+/// pending-request arena, and the per-contact fulfillment buffers.
 ///
 /// A trial begins by `reset`-ing each piece to its freshly-constructed
 /// state, so results are bit-identical whether a scratch is fresh or
@@ -44,7 +50,6 @@ use crate::state::{RequestArena, SimState};
 pub struct TrialScratch {
     pub(crate) state: SimState,
     pub(crate) requests: RequestArena<f64>,
-    pub(crate) slot_requests: RequestArena<u64>,
     pub(crate) fulfilled: Vec<Fulfillment>,
     pub(crate) waits: Vec<f64>,
     pub(crate) gains: Vec<f64>,
@@ -68,10 +73,31 @@ pub struct TrialOutcome {
     pub label: String,
 }
 
+/// The gain booked for a request still outstanding, `age` after its
+/// creation, when its trial ends (or its deadline expires). For
+/// utilities bounded below (step, exponential: h(∞) finite) the
+/// pessimistic h(∞) is booked — exact for never-fulfillable requests,
+/// slightly conservative otherwise. For unbounded waiting costs (power
+/// α < 1) the cost already accrued, h(age), is booked: h(∞) = −∞ cannot
+/// be, and plain censoring would flatter item-starving allocations like
+/// DOM, which never serve the catalog's tail at all.
+pub fn settlement_gain(utility: &dyn DelayUtility, age: f64) -> f64 {
+    let h_inf = utility.h_infinity();
+    if h_inf.is_finite() {
+        h_inf
+    } else {
+        utility.h(age)
+    }
+}
+
 /// Run one trial of `policy` on the given system and contact source.
 ///
 /// The same `(config, source, policy, seed)` quadruple always reproduces
 /// the same trajectory bit-for-bit.
+///
+/// # Panics
+/// Panics with the [`crate::ConfigError`] message when `config` does not
+/// fit the source's population.
 pub fn run_trial(
     config: &SimConfig,
     source: &ContactSource,
@@ -122,69 +148,245 @@ pub fn run_trial_scratch(
     )
 }
 
-/// [`run_trial_observed`] reusing caller-owned working storage.
+/// The frame of one trial, shared by the event-driven and the slotted
+/// driver: everything that happens *to* a request or *at* a meeting,
+/// whatever clock the events come from. A driver stamps each request
+/// with an `f64` of its own clock (a time, or a slot number — exact in an
+/// `f64`) and converts stamps back to waits and ages.
+pub(crate) struct Trial<'a, S: Sink> {
+    config: &'a SimConfig,
+    rec: &'a mut Recorder<S>,
+    scratch: &'a mut TrialScratch,
+    policy: Box<dyn ReplicationPolicy>,
+    label: String,
+    faults: Option<FaultState>,
+    /// First client node id (dedicated populations: after the servers).
+    client_base: usize,
+    duration: f64,
+    seed: u64,
+    wall_start: Option<std::time::Instant>,
+    open_requests: u64,
+    pub(crate) metrics: Metrics,
+    /// The trial RNG: demand, initial placement and the policy draw from
+    /// it; contacts and faults run on streams of their own.
+    pub(crate) rng: Xoshiro256,
+}
+
+impl<'a, S: Sink> Trial<'a, S> {
+    /// Reset `scratch`, build and initialize the policy, arm the fault
+    /// model. `config` is already resolved for `nodes`
+    /// ([`SimConfig::try_resolved`]); `rng` has already seeded the
+    /// contact stream; `mu_ref` is the source's reference contact rate.
+    #[allow(clippy::too_many_arguments)] // one trial's whole context
+    pub(crate) fn begin(
+        config: &'a SimConfig,
+        policy: &PolicyKind,
+        nodes: usize,
+        mu_ref: f64,
+        duration: f64,
+        mut rng: Xoshiro256,
+        seed: u64,
+        rec: &'a mut Recorder<S>,
+        scratch: &'a mut TrialScratch,
+    ) -> Self {
+        let wall_start = rec.is_active().then(std::time::Instant::now);
+        rec.trial_start();
+        // Population shape: pure P2P (every node serves) or dedicated
+        // (nodes 0..servers carry caches, the rest only request).
+        let servers = config.dedicated_servers.unwrap_or(nodes);
+        scratch
+            .state
+            .reset(nodes, servers, config.items, config.rho);
+        scratch.state.set_eviction(config.eviction);
+        scratch.requests.reset_indexed(nodes, config.items);
+        scratch.fulfilled.clear();
+        let protocol_utility = config
+            .protocol_utility
+            .clone()
+            .unwrap_or_else(|| config.utility.clone());
+        let mut policy_obj = policy.instantiate(
+            protocol_utility,
+            nodes,
+            servers,
+            mu_ref,
+            config.items,
+            config.rho,
+            &config.demand,
+        );
+        policy_obj.initialize(&mut scratch.state, &mut rng);
+        // Fault injection: the schedule runs on RNG streams derived from the
+        // trial seed and the fault seed only, never from `rng` — attaching an
+        // *inactive* FaultConfig leaves the trajectory bit-for-bit unchanged.
+        let faults = config
+            .faults
+            .as_ref()
+            .and_then(|f| f.for_trial(seed))
+            .map(|f| FaultState::new(f, nodes, servers, duration, seed));
+        Trial {
+            config,
+            rec,
+            scratch,
+            policy: policy_obj,
+            label: policy.label(),
+            faults,
+            client_base: config.dedicated_servers.unwrap_or(0),
+            duration,
+            seed,
+            wall_start,
+            open_requests: 0,
+            metrics: Metrics::new(duration, config.bin),
+            rng,
+        }
+    }
+
+    /// Fire the cache-slot faults due by `t`. Drivers call this before
+    /// the event at `t`: an immediate hit, a contact fulfillment or a
+    /// snapshot must see the degraded caches.
+    pub(crate) fn cache_faults(&mut self, t: f64) {
+        if let Some(fs) = self.faults.as_mut() {
+            fs.apply_cache_faults(t, &mut self.scratch.state, &mut self.metrics, self.rec);
+        }
+    }
+
+    /// Record the bin-start snapshot at `t` under `demand`.
+    pub(crate) fn snapshot(&mut self, t: f64, system: &SystemModel, demand: &DemandRates) {
+        let _s = impatience_obs::span!("snapshot");
+        self.metrics.record_snapshot(
+            t,
+            &self.scratch.state.replicas,
+            system,
+            demand,
+            self.config.utility.as_ref(),
+        );
+    }
+
+    /// A request for `item` arrives at time `t`: draw its origin, then
+    /// serve it from the origin's own cache or queue it under `stamp`.
+    pub(crate) fn request(&mut self, t: f64, stamp: f64, item: u32) {
+        let origin = self
+            .config
+            .profile
+            .sample_origin(item as usize, &mut self.rng);
+        let node = self.client_base + origin;
+        self.metrics.requests_created += 1;
+        self.rec.request(t, node as u32, item);
+        if self.scratch.state.caches.holds(node, item) {
+            self.metrics.immediate_hits += 1;
+            self.metrics
+                .record_fulfillment(t, self.config.utility.h_zero());
+            self.rec.immediate_hit(t, node as u32, item);
+        } else {
+            self.scratch.requests.push(node, item, stamp);
+            if self.rec.is_active() {
+                self.open_requests += 1;
+                self.rec.open_requests(self.open_requests);
+            }
+        }
+    }
+
+    /// Nodes `a` and `b` meet at time `t`: unless the fault model drops
+    /// the contact, each serves the other's pending requests (`wait`
+    /// turns a request's stamp into its waiting time), then the policy
+    /// replicates.
+    pub(crate) fn meeting(&mut self, t: f64, a: u32, b: u32, wait: impl Fn(f64) -> f64) {
+        if let Some(fs) = self.faults.as_mut() {
+            if !fs.admit_contact(t, a, b, &mut self.metrics, self.rec) {
+                return;
+            }
+        }
+        self.rec.contact(t, a, b);
+        let TrialScratch {
+            state,
+            requests,
+            fulfilled,
+            waits,
+            gains,
+        } = &mut *self.scratch;
+        let (a, b) = (a as usize, b as usize);
+        fulfilled.clear();
+        let exchange_span = impatience_obs::span!("exchange");
+        for (n, m) in [(a, b), (b, a)] {
+            requests.meet(n, state.caches.node(m), |item, created, queries| {
+                fulfilled.push(Fulfillment {
+                    node: n,
+                    item,
+                    queries,
+                    wait: wait(created),
+                });
+            });
+        }
+        if !fulfilled.is_empty() {
+            for f in fulfilled.iter() {
+                // LRU bookkeeping: serving a request counts as a use
+                // of the peer's copy.
+                let server = if f.node == a { b } else { a };
+                state.caches.node_mut(server).touch(f.item);
+            }
+            // Batched gain evaluation: one virtual `h_batch` call per
+            // fulfilling meeting instead of one `h` dispatch per
+            // fulfillment; the per-element `w > 0` branch and
+            // recording order match the scalar path exactly.
+            waits.clear();
+            waits.extend(fulfilled.iter().map(|f| f.wait));
+            gains.clear();
+            self.config.utility.h_batch(waits, gains);
+            for &gain in gains.iter() {
+                self.metrics.record_fulfillment(t, gain);
+            }
+            if self.rec.is_active() {
+                for f in fulfilled.iter() {
+                    self.rec
+                        .fulfillment(t, f.node as u32, f.item, f.wait, f.queries as u32);
+                }
+                self.open_requests -= fulfilled.len() as u64;
+            }
+        }
+        exchange_span.close();
+        let _policy_span = impatience_obs::span!("policy");
+        let transmissions_before = state.transmissions;
+        self.policy
+            .after_contact(t, a, b, state, fulfilled, &mut self.metrics, &mut self.rng);
+        self.rec
+            .replications(t, state.transmissions - transmissions_before);
+    }
+
+    /// Settle the requests still outstanding at the horizon (`age` turns
+    /// a request's stamp into the time it has waited) and close the books.
+    pub(crate) fn finish(mut self, age: impl Fn(f64) -> f64) -> TrialOutcome {
+        let _settle_span = impatience_obs::span!("settle");
+        let TrialScratch {
+            state, requests, ..
+        } = self.scratch;
+        self.metrics.unfulfilled = requests.len();
+        for (node, item, created) in requests.iter() {
+            let age = age(created).max(f64::MIN_POSITIVE);
+            let gain = settlement_gain(self.config.utility.as_ref(), age);
+            self.metrics.record_settlement(self.duration, gain);
+            self.rec.unfulfilled(self.duration, node as u32, item, age);
+        }
+        self.metrics.transmissions = state.transmissions;
+        if let Some(start) = self.wall_start {
+            self.rec
+                .trial_done(self.seed, start.elapsed().as_secs_f64());
+        }
+        TrialOutcome {
+            metrics: self.metrics,
+            // Clone rather than take: the scratch state stays structurally
+            // sound for the next trial's reset.
+            final_replicas: state.replicas.clone(),
+            label: self.label,
+        }
+    }
+}
+
+/// [`run_trial_observed`] reusing caller-owned working storage: the
+/// event-driven driver of the trial frame — Poisson request arrivals
+/// merged with the contact stream in time order, demand shifts taking
+/// effect in between.
 pub fn run_trial_observed_scratch<S: Sink>(
     config: &SimConfig,
     source: &ContactSource,
     policy: PolicyKind,
-    seed: u64,
-    rec: &mut Recorder<S>,
-    scratch: &mut TrialScratch,
-) -> TrialOutcome {
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let contacts = source.stream(&mut rng);
-    run_trial_core(
-        config,
-        source.mean_rate(),
-        contacts,
-        policy,
-        rng,
-        seed,
-        rec,
-        scratch,
-    )
-}
-
-/// [`run_trial`] through the materialized (seed-era) pipeline: the
-/// trial's contact stream is drained into an in-memory trace first, then
-/// replayed through a zero-copy cursor.
-///
-/// [`ContactSource::stream`] and [`ContactSource::realize`] consume the
-/// trial RNG identically, so this produces **bit-for-bit** the same
-/// [`TrialOutcome`] as [`run_trial`] on the same seed — it exists as the
-/// regression reference for the streaming path and as the comparison
-/// subject of the `contact_pipeline` benchmark.
-pub fn run_trial_materialized(
-    config: &SimConfig,
-    source: &ContactSource,
-    policy: PolicyKind,
-    seed: u64,
-) -> TrialOutcome {
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let trace = source.realize(&mut rng);
-    run_trial_core(
-        config,
-        source.mean_rate(),
-        ContactStream::cursor(trace),
-        policy,
-        rng,
-        seed,
-        &mut Recorder::disabled(),
-        &mut TrialScratch::new(),
-    )
-}
-
-/// The event loop shared by the streaming and materialized entry points:
-/// `rng` has already seeded the contact stream, `mu_ref` is the source's
-/// reference rate for the homogeneous welfare approximation, `scratch`
-/// supplies (and retains for reuse) all per-trial working storage.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by 4 public entry points
-fn run_trial_core<S: Sink>(
-    config: &SimConfig,
-    mu_ref: f64,
-    contacts: ContactStream,
-    policy: PolicyKind,
-    mut rng: Xoshiro256,
     seed: u64,
     rec: &mut Recorder<S>,
     scratch: &mut TrialScratch,
@@ -194,105 +396,47 @@ fn run_trial_core<S: Sink>(
     // are independent of the recorder's sink, so `--profile` attributes
     // wall time even on otherwise-unobserved runs.
     let _trial_span = impatience_obs::span!("trial");
-    let wall_start = rec.is_active().then(std::time::Instant::now);
-    rec.trial_start();
-    let mut open_requests: u64 = 0;
+    let mut rng = Xoshiro256::seed_from_u64(seed);
     // Consume contacts through the compact binary batch format: the
     // sampler encodes `DEFAULT_BATCH` fixed-width records ahead into a
     // reusable buffer, so the hot loop touches no allocator and no
     // enum dispatch per event. Bit-identical to direct consumption —
     // see `contact_bin`.
-    let mut contacts = BatchedContacts::new(contacts);
-    let nodes = contacts.nodes();
-    let duration = contacts.duration();
-    // Borrow the caller's config when its profile already fits `nodes`
-    // (the common case) instead of deep-cloning demand + profile + shifts
-    // once per trial.
-    let config: Cow<'_, SimConfig> = if config.profile.nodes() == config.clients(nodes) {
-        Cow::Borrowed(config)
-    } else {
-        Cow::Owned(config.for_nodes(nodes))
-    };
-    config.validate(nodes);
-
-    // Population shape: pure P2P (every node serves) or dedicated
-    // (nodes 0..servers carry caches, the rest only request).
-    let servers = config.dedicated_servers.unwrap_or(nodes);
-    let client_base = if config.dedicated_servers.is_some() {
-        servers
-    } else {
-        0
-    };
-    let TrialScratch {
-        state,
-        requests,
-        fulfilled,
-        waits,
-        gains,
-        ..
-    } = scratch;
-    state.reset(
-        nodes,
-        config.dedicated_servers.unwrap_or(nodes),
-        config.items,
-        config.rho,
+    let mut contacts = BatchedContacts::new(source.stream(&mut rng));
+    let (nodes, duration) = (contacts.nodes(), contacts.duration());
+    // `mu_ref` is the source's reference rate for the homogeneous
+    // welfare approximation (and QCR's ψ).
+    let mu_ref = source.mean_rate();
+    let config = config.try_resolved(nodes).unwrap_or_else(|e| panic!("{e}"));
+    let mut trial = Trial::begin(
+        &config, &policy, nodes, mu_ref, duration, rng, seed, rec, scratch,
     );
-    state.set_eviction(config.eviction);
-    let protocol_utility = config
-        .protocol_utility
-        .clone()
-        .unwrap_or_else(|| config.utility.clone());
-    let mut policy_obj = policy.instantiate(
-        protocol_utility,
-        nodes,
-        servers,
-        mu_ref,
-        config.items,
-        config.rho,
-        &config.demand,
-    );
-    policy_obj.initialize(state, &mut rng);
 
-    // Fault injection: the schedule runs on RNG streams derived from the
-    // trial seed and the fault seed only, never from `rng` — attaching an
-    // *inactive* FaultConfig leaves the trajectory bit-for-bit unchanged.
-    if let Some(f) = &config.faults {
-        assert!(
-            !f.panic_on_seeds.contains(&seed),
-            "fault injection: chaos panic for trial seed {seed}"
-        );
-    }
-    let mut faults = config
-        .faults
-        .as_ref()
-        .filter(|f| f.is_active())
-        .map(|f| FaultState::new(f, nodes, servers, duration, seed));
-
-    let mut metrics = Metrics::new(duration, config.bin);
     // Demand may shift over time (§7's evolving-demand extension); the
     // active segment drives arrivals, item sampling, and snapshots.
     let mut shifts = config.demand_shifts.iter().peekable();
     let mut current_demand = &config.demand;
     let mut total_rate = current_demand.total();
-    let mut item_sampler =
-        (total_rate > 0.0).then(|| impatience_core::rng::AliasTable::new(current_demand.rates()));
-    let snapshot_system = if mu_ref > 0.0 {
-        Some(match config.dedicated_servers {
-            Some(k) => SystemModel::dedicated(nodes - k, k, config.rho, mu_ref),
-            None => SystemModel::pure_p2p(nodes, config.rho, mu_ref),
-        })
-    } else {
-        None
-    };
-
-    requests.reset_indexed(nodes, config.items);
-    fulfilled.clear();
+    let mut item_sampler = (total_rate > 0.0).then(|| AliasTable::new(current_demand.rates()));
+    let snapshot_system = (mu_ref > 0.0).then(|| match config.dedicated_servers {
+        Some(k) => SystemModel::dedicated(nodes - k, k, config.rho, mu_ref),
+        None => SystemModel::pure_p2p(nodes, config.rho, mu_ref),
+    });
     let mut next_request = if total_rate > 0.0 {
-        rng.exp(total_rate)
+        trial.rng.exp(total_rate)
     } else {
         f64::INFINITY
     };
     let mut next_snapshot = 0.0;
+    // Bin-start snapshots due by `until`.
+    let mut snapshots = |trial: &mut Trial<'_, S>, until: f64, demand: &DemandRates| {
+        while next_snapshot <= until && next_snapshot < duration {
+            if let Some(system) = &snapshot_system {
+                trial.snapshot(next_snapshot, system, demand);
+            }
+            next_snapshot += config.bin;
+        }
+    };
 
     loop {
         // Lazy contact-stream sampling happens inside peek/next.
@@ -308,10 +452,9 @@ fn run_trial_core<S: Sink>(
                 shifts.next();
                 current_demand = rates;
                 total_rate = current_demand.total();
-                item_sampler = (total_rate > 0.0)
-                    .then(|| impatience_core::rng::AliasTable::new(current_demand.rates()));
+                item_sampler = (total_rate > 0.0).then(|| AliasTable::new(current_demand.rates()));
                 next_request = if total_rate > 0.0 {
-                    shift_t + rng.exp(total_rate)
+                    shift_t + trial.rng.exp(total_rate)
                 } else {
                     f64::INFINITY
                 };
@@ -321,148 +464,24 @@ fn run_trial_core<S: Sink>(
         if !t.is_finite() || t > duration {
             break;
         }
-        // Bin-start snapshots due before this event.
-        while next_snapshot <= t && next_snapshot < duration {
-            if let Some(system) = &snapshot_system {
-                let _s = impatience_obs::span!("snapshot");
-                metrics.record_snapshot(
-                    next_snapshot,
-                    &state.replicas,
-                    system,
-                    current_demand,
-                    config.utility.as_ref(),
-                );
-            }
-            next_snapshot += config.bin;
-        }
-        // Cache-slot faults due by this event fire first: an immediate
-        // hit or a contact fulfillment must see the degraded caches.
-        if let Some(fs) = faults.as_mut() {
-            fs.apply_cache_faults(t, state, &mut metrics, rec);
-        }
+        snapshots(&mut trial, t, current_demand);
+        trial.cache_faults(t);
 
         if next_request <= next_contact_t {
-            // --- request creation ---
             let _s = impatience_obs::span!("request");
             let sampler = item_sampler.as_ref().expect("arrivals imply demand");
-            let item = sampler.sample(&mut rng) as u32;
-            let node = client_base + config.profile.sample_origin(item as usize, &mut rng);
-            metrics.requests_created += 1;
-            rec.request(next_request, node as u32, item);
-            if state.caches.holds(node, item) {
-                metrics.immediate_hits += 1;
-                metrics.record_fulfillment(next_request, config.utility.h_zero());
-                rec.immediate_hit(next_request, node as u32, item);
-            } else {
-                requests.push(node, item, next_request);
-                if rec.is_active() {
-                    open_requests += 1;
-                    rec.open_requests(open_requests);
-                }
-            }
-            next_request += rng.exp(total_rate);
+            let item = sampler.sample(&mut trial.rng) as u32;
+            trial.request(next_request, next_request, item);
+            next_request += trial.rng.exp(total_rate);
         } else {
-            // --- contact ---
             let _s = impatience_obs::span!("contact");
             let e = contacts.next().expect("peeked above");
-            if let Some(fs) = faults.as_mut() {
-                if !fs.admit_contact(e.time, e.a, e.b, &mut metrics, rec) {
-                    continue;
-                }
-            }
-            let (a, b) = (e.a as usize, e.b as usize);
-            rec.contact(e.time, e.a, e.b);
-            fulfilled.clear();
-            let exchange_span = impatience_obs::span!("exchange");
-            for (n, m) in [(a, b), (b, a)] {
-                requests.meet(n, state.caches.node(m), |item, created, queries| {
-                    fulfilled.push(Fulfillment {
-                        node: n,
-                        item,
-                        queries,
-                        wait: e.time - created,
-                    });
-                });
-            }
-            if !fulfilled.is_empty() {
-                for f in fulfilled.iter() {
-                    // LRU bookkeeping: serving a request counts as a use
-                    // of the peer's copy.
-                    let server = if f.node == a { b } else { a };
-                    state.caches.node_mut(server).touch(f.item);
-                }
-                // Batched gain evaluation: one virtual `h_batch` call per
-                // fulfilling meeting instead of one `h` dispatch per
-                // fulfillment; the per-element `w > 0` branch and
-                // recording order match the scalar path exactly.
-                waits.clear();
-                waits.extend(fulfilled.iter().map(|f| f.wait));
-                gains.clear();
-                config.utility.h_batch(waits, gains);
-                for &gain in gains.iter() {
-                    metrics.record_fulfillment(e.time, gain);
-                }
-                if rec.is_active() {
-                    for f in fulfilled.iter() {
-                        rec.fulfillment(e.time, f.node as u32, f.item, f.wait, f.queries as u32);
-                    }
-                    open_requests -= fulfilled.len() as u64;
-                }
-            }
-            exchange_span.close();
-            let _policy_span = impatience_obs::span!("policy");
-            let transmissions_before = state.transmissions;
-            policy_obj.after_contact(e.time, a, b, state, fulfilled, &mut metrics, &mut rng);
-            rec.replications(e.time, state.transmissions - transmissions_before);
+            trial.meeting(e.time, e.a, e.b, |created| e.time - created);
         }
     }
-
     // Trailing snapshots after the last event.
-    while next_snapshot < duration {
-        if let Some(system) = &snapshot_system {
-            let _s = impatience_obs::span!("snapshot");
-            metrics.record_snapshot(
-                next_snapshot,
-                &state.replicas,
-                system,
-                current_demand,
-                config.utility.as_ref(),
-            );
-        }
-        next_snapshot += config.bin;
-    }
-
-    let _settle_span = impatience_obs::span!("settle");
-    metrics.unfulfilled = requests.len();
-    // Settle requests still outstanding at the horizon. For utilities
-    // bounded below (step, exponential: h(∞) finite) the pessimistic
-    // h(∞) is booked — exact for never-fulfillable requests, slightly
-    // conservative otherwise. For unbounded waiting costs (power α < 1)
-    // the cost already accrued, h(age), is booked: h(∞) = −∞ cannot be,
-    // and plain censoring would flatter item-starving allocations like
-    // DOM, which never serve the catalog's tail at all.
-    let h_inf = config.utility.h_infinity();
-    for (node, item, created) in requests.iter() {
-        let age = (duration - created).max(f64::MIN_POSITIVE);
-        let gain = if h_inf.is_finite() {
-            h_inf
-        } else {
-            config.utility.h(age)
-        };
-        metrics.record_settlement(duration, gain);
-        rec.unfulfilled(duration, node as u32, item, age);
-    }
-    metrics.transmissions = state.transmissions;
-    if let Some(start) = wall_start {
-        rec.trial_done(seed, start.elapsed().as_secs_f64());
-    }
-    TrialOutcome {
-        metrics,
-        // Clone rather than take: the scratch state stays structurally
-        // sound for the next trial's reset.
-        final_replicas: state.replicas.clone(),
-        label: policy.label(),
-    }
+    snapshots(&mut trial, f64::INFINITY, current_demand);
+    trial.finish(|created| duration - created)
 }
 
 #[cfg(test)]
@@ -499,37 +518,6 @@ mod tests {
             a.metrics.observed_rate_series(),
             c.metrics.observed_rate_series()
         );
-    }
-
-    #[test]
-    fn streaming_matches_materialized_bit_for_bit() {
-        // The tentpole regression: lazily sampled contacts must drive the
-        // exact trajectory a pre-materialized trace does, on every shared
-        // seed, for both source kinds.
-        let config = small_config(10, 2);
-        let homogeneous = ContactSource::homogeneous(10, 0.05, 1_000.0);
-        let mut trace_rng = Xoshiro256::seed_from_u64(99);
-        let fixed = ContactSource::trace(impatience_traces::gen::poisson_homogeneous(
-            10,
-            0.05,
-            1_000.0,
-            &mut trace_rng,
-        ));
-        for source in [&homogeneous, &fixed] {
-            for seed in [0u64, 7, 41] {
-                let lazy = run_trial(&config, source, PolicyKind::qcr_default(), seed);
-                let mat = run_trial_materialized(&config, source, PolicyKind::qcr_default(), seed);
-                assert_eq!(lazy.final_replicas, mat.final_replicas, "seed {seed}");
-                assert_eq!(lazy.label, mat.label);
-                let (a, b) = (&lazy.metrics, &mat.metrics);
-                assert_eq!(a.requests_created, b.requests_created, "seed {seed}");
-                assert_eq!(a.immediate_hits, b.immediate_hits);
-                assert_eq!(a.unfulfilled, b.unfulfilled);
-                assert_eq!(a.transmissions, b.transmissions);
-                assert_eq!(a.fulfillments(), b.fulfillments());
-                assert_eq!(a.observed_rate_series(), b.observed_rate_series());
-            }
-        }
     }
 
     #[test]

@@ -18,13 +18,12 @@ use impatience_obs::{Recorder, Sink};
 use impatience_traces::SlotContactStream;
 
 use crate::config::SimConfig;
+use crate::engine::{Trial, TrialOutcome, TrialScratch};
+use crate::policy::PolicyKind;
 
 /// RNG stream id forking slot-contact randomness off the trial seed
 /// (mirrors the continuous engine's contact-stream fork).
 const SLOT_STREAM_ID: u64 = 0xD15C_2E7E_5107_0001;
-use crate::engine::{TrialOutcome, TrialScratch};
-use crate::metrics::Metrics;
-use crate::policy::{Fulfillment, PolicyKind};
 
 /// Parameters of a slotted homogeneous run.
 #[derive(Clone, Copy, Debug)]
@@ -94,7 +93,9 @@ pub fn run_trial_discrete_observed<S: Sink>(
 }
 
 /// [`run_trial_discrete_observed`] reusing caller-owned working storage
-/// (see [`crate::engine::run_trial_observed_scratch`]).
+/// (see [`crate::engine::run_trial_observed_scratch`]): the slotted
+/// driver of the engine's trial frame. Requests are stamped with their
+/// slot number.
 pub fn run_trial_discrete_observed_scratch<S: Sink>(
     config: &SimConfig,
     source: &DiscreteSource,
@@ -107,9 +108,6 @@ pub fn run_trial_discrete_observed_scratch<S: Sink>(
     // request/contact/exchange/policy children), so phase trees from
     // either engine line up in `trace diff`.
     let _trial_span = impatience_obs::span!("trial");
-    let wall_start = rec.is_active().then(std::time::Instant::now);
-    rec.trial_start();
-    let mut open_requests: u64 = 0;
     assert!(
         source.delta > 0.0 && source.mu * source.delta < 1.0,
         "need μδ < 1 (got {})",
@@ -119,97 +117,45 @@ pub fn run_trial_discrete_observed_scratch<S: Sink>(
         config.dedicated_servers.is_none() && config.demand_shifts.is_empty(),
         "the discrete engine models the paper's plain homogeneous pure-P2P setting"
     );
-    let nodes = source.nodes;
-    let config = config.for_nodes(nodes);
-    config.validate(nodes);
-    let duration = source.duration();
+    let DiscreteSource {
+        nodes,
+        mu,
+        delta,
+        slots,
+    } = *source;
+    let config = config.try_resolved(nodes).unwrap_or_else(|e| panic!("{e}"));
 
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let mut contacts = source.stream(&mut rng);
-    let TrialScratch {
-        state,
-        slot_requests: requests,
-        fulfilled,
-        waits,
-        gains,
-        ..
-    } = scratch;
-    state.reset(nodes, nodes, config.items, config.rho);
-    state.set_eviction(config.eviction);
-    let protocol_utility = config
-        .protocol_utility
-        .clone()
-        .unwrap_or_else(|| config.utility.clone());
-    let mut policy_obj = policy.instantiate(
-        protocol_utility,
+    let mut trial = Trial::begin(
+        &config,
+        &policy,
         nodes,
-        nodes,
-        source.mu,
-        config.items,
-        config.rho,
-        &config.demand,
+        mu,
+        source.duration(),
+        rng,
+        seed,
+        rec,
+        scratch,
     );
-    policy_obj.initialize(state, &mut rng);
-
-    // Fault injection (see the continuous engine): independent RNG
-    // streams, so an inactive model cannot perturb the trajectory.
-    if let Some(f) = &config.faults {
-        assert!(
-            !f.panic_on_seeds.contains(&seed),
-            "fault injection: chaos panic for trial seed {seed}"
-        );
-    }
-    let mut faults = config
-        .faults
-        .as_ref()
-        .filter(|f| f.is_active())
-        .map(|f| crate::faults::FaultState::new(f, nodes, nodes, duration, seed));
-
-    let mut metrics = Metrics::new(duration, config.bin);
     let total_rate = config.demand.total();
     let item_sampler = (total_rate > 0.0).then(|| AliasTable::new(config.demand.rates()));
-    let snapshot_system = SystemModel::pure_p2p(nodes, config.rho, source.mu);
-    let snapshot_every = (config.bin / source.delta).max(1.0) as u64;
+    let snapshot_system = SystemModel::pure_p2p(nodes, config.rho, mu);
+    let snapshot_every = (config.bin / delta).max(1.0) as u64;
 
-    requests.reset_indexed(nodes, config.items);
-    fulfilled.clear();
-
-    for slot in 0..source.slots {
-        let now = slot as f64 * source.delta;
-        if let Some(fs) = faults.as_mut() {
-            fs.apply_cache_faults(now, state, &mut metrics, rec);
-        }
+    for slot in 0..slots {
+        let (now, stamp) = (slot as f64 * delta, slot as f64);
+        trial.cache_faults(now);
         if slot % snapshot_every == 0 {
-            let _s = impatience_obs::span!("snapshot");
-            metrics.record_snapshot(
-                now,
-                &state.replicas,
-                &snapshot_system,
-                &config.demand,
-                config.utility.as_ref(),
-            );
+            trial.snapshot(now, &snapshot_system, &config.demand);
         }
 
         // --- arrivals this slot (Poisson with mean total_rate·δ) ---
         if let Some(sampler) = &item_sampler {
             let _s = impatience_obs::span!("request");
-            let arrivals = rng.poisson(total_rate * source.delta);
-            for _ in 0..arrivals {
-                let item = sampler.sample(&mut rng) as u32;
-                let node = config.profile.sample_origin(item as usize, &mut rng);
-                metrics.requests_created += 1;
-                rec.request(now, node as u32, item);
-                if state.caches.holds(node, item) {
-                    metrics.immediate_hits += 1;
-                    metrics.record_fulfillment(now, config.utility.h_zero());
-                    rec.immediate_hit(now, node as u32, item);
-                } else {
-                    requests.push(node, item, slot);
-                    if rec.is_active() {
-                        open_requests += 1;
-                        rec.open_requests(open_requests);
-                    }
-                }
+            for _ in 0..trial.rng.poisson(total_rate * delta) {
+                let item = sampler.sample(&mut trial.rng) as u32;
+                trial.request(now, stamp, item);
             }
         }
 
@@ -218,79 +164,12 @@ pub fn run_trial_discrete_observed_scratch<S: Sink>(
         while contacts.peek_slot() == Some(slot) {
             let _s = impatience_obs::span!("contact");
             let c = contacts.next().expect("peeked above");
-            if let Some(fs) = faults.as_mut() {
-                if !fs.admit_contact(now, c.a, c.b, &mut metrics, rec) {
-                    continue;
-                }
-            }
-            let (a, b) = (c.a as usize, c.b as usize);
-            rec.contact(now, c.a, c.b);
-            fulfilled.clear();
-            let exchange_span = impatience_obs::span!("exchange");
-            for (n, m) in [(a, b), (b, a)] {
-                requests.meet(n, state.caches.node(m), |item, created_slot, queries| {
-                    // Waited at least one slot by convention.
-                    let k = (slot - created_slot).max(1);
-                    fulfilled.push(Fulfillment {
-                        node: n,
-                        item,
-                        queries,
-                        wait: k as f64 * source.delta,
-                    });
-                });
-            }
-            if !fulfilled.is_empty() {
-                for f in fulfilled.iter() {
-                    let server = if f.node == a { b } else { a };
-                    state.caches.node_mut(server).touch(f.item);
-                }
-                // Batched gain evaluation (waits are k·δ ≥ δ > 0, so the
-                // batch's `w > 0` branch always takes the `h(w)` arm —
-                // identical to the scalar `h(f.wait)` call).
-                waits.clear();
-                waits.extend(fulfilled.iter().map(|f| f.wait));
-                gains.clear();
-                config.utility.h_batch(waits, gains);
-                for &gain in gains.iter() {
-                    metrics.record_fulfillment(now, gain);
-                }
-                if rec.is_active() {
-                    for f in fulfilled.iter() {
-                        rec.fulfillment(now, f.node as u32, f.item, f.wait, f.queries as u32);
-                    }
-                    open_requests -= fulfilled.len() as u64;
-                }
-            }
-            exchange_span.close();
-            let _policy_span = impatience_obs::span!("policy");
-            let transmissions_before = state.transmissions;
-            policy_obj.after_contact(now, a, b, state, fulfilled, &mut metrics, &mut rng);
-            rec.replications(now, state.transmissions - transmissions_before);
+            // Waited at least one slot by convention (so every wait is
+            // ≥ δ > 0 and the gain batch always takes its `h(w)` arm).
+            trial.meeting(now, c.a, c.b, |created| (stamp - created).max(1.0) * delta);
         }
     }
-
-    let _settle_span = impatience_obs::span!("settle");
-    metrics.unfulfilled = requests.len();
-    let h_inf = config.utility.h_infinity();
-    for (node, item, created_slot) in requests.iter() {
-        let age = ((source.slots - created_slot) as f64 * source.delta).max(f64::MIN_POSITIVE);
-        let gain = if h_inf.is_finite() {
-            h_inf
-        } else {
-            config.utility.h(age)
-        };
-        metrics.record_settlement(duration, gain);
-        rec.unfulfilled(duration, node as u32, item, age);
-    }
-    metrics.transmissions = state.transmissions;
-    if let Some(start) = wall_start {
-        rec.trial_done(seed, start.elapsed().as_secs_f64());
-    }
-    TrialOutcome {
-        metrics,
-        final_replicas: state.replicas.clone(),
-        label: policy.label(),
-    }
+    trial.finish(|created| (slots as f64 - created) * delta)
 }
 
 #[cfg(test)]

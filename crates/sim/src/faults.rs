@@ -137,6 +137,20 @@ impl FaultConfig {
             || !self.panic_on_seeds.is_empty()
     }
 
+    /// The model as it applies to the trial with seed `trial_seed`:
+    /// `None` when no fault process is active.
+    ///
+    /// # Panics
+    /// Panics for the seeds in [`FaultConfig::panic_on_seeds`] — the
+    /// chaos hook every runtime honours at trial start.
+    pub fn for_trial(&self, trial_seed: u64) -> Option<&FaultConfig> {
+        assert!(
+            !self.panic_on_seeds.contains(&trial_seed),
+            "fault injection: chaos panic for trial seed {trial_seed}"
+        );
+        self.is_active().then_some(self)
+    }
+
     /// Validate the fault parameters.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let bad = |message: String| Err(ConfigError::InvalidFaults { message });

@@ -11,7 +11,9 @@
 //!
 //! * [`policy::Qcr`] — Query Counting Replication (§5): per-request query
 //!   counters, the reaction function ψ, replication *mandates*, and
-//!   mandate routing (§5.3) with sticky-seed preference;
+//!   mandate routing (§5.3) with sticky-seed preference — the protocol
+//!   itself being [`policy::QcrRules`], which the sharded engine and the
+//!   message-passing runtime run too;
 //! * [`policy::StaticAllocation`] — the perfect-control-channel
 //!   competitors (OPT/UNI/SQRT/PROP/DOM): caches pinned to a precomputed
 //!   allocation, fulfillment only;

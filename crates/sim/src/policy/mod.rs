@@ -5,11 +5,11 @@
 //! distributed scheme and [`StaticAllocation`] for the fixed competitors.
 
 mod hill_climb;
-mod qcr;
+pub(crate) mod qcr;
 mod static_alloc;
 
 pub use hill_climb::HillClimb;
-pub use qcr::{reaction_scale, Qcr, QcrConfig, Reaction};
+pub use qcr::{pool_add, share, MandateHost, Pool, Qcr, QcrConfig, QcrRules, Reaction};
 pub use static_alloc::StaticAllocation;
 
 use std::sync::Arc;
@@ -110,6 +110,19 @@ impl PolicyKind {
         }
     }
 
+    /// The QCR knobs this policy runs the mandate machinery with, if it
+    /// does (passive replication is QCR with a constant reaction).
+    pub fn qcr_config(&self) -> Option<QcrConfig> {
+        match self {
+            PolicyKind::Qcr(cfg) => Some(cfg.clone()),
+            PolicyKind::Passive { replicas } => Some(QcrConfig {
+                reaction: Reaction::Constant(*replicas),
+                ..QcrConfig::default()
+            }),
+            PolicyKind::Static { .. } | PolicyKind::HillClimb { .. } => None,
+        }
+    }
+
     /// Instantiate the policy for one trial on a population of `nodes`
     /// nodes of which `servers` carry caches, with `items` items and
     /// cache capacity `rho`.
@@ -124,24 +137,14 @@ impl PolicyKind {
         rho: usize,
         demand: &impatience_core::demand::DemandRates,
     ) -> Box<dyn ReplicationPolicy> {
+        assert!(servers <= nodes, "need servers ≤ nodes");
+        if let Some(cfg) = self.qcr_config() {
+            let rules = QcrRules::new(cfg, utility, servers, mu_ref, items, rho);
+            return Box::new(Qcr::new(rules, nodes));
+        }
         match self {
-            PolicyKind::Qcr(cfg) => Box::new(Qcr::new(
-                cfg.clone(),
-                utility,
-                nodes,
-                servers,
-                mu_ref,
-                items,
-                rho,
-            )),
+            PolicyKind::Qcr(_) | PolicyKind::Passive { .. } => unreachable!("handled above"),
             PolicyKind::Static { counts, .. } => Box::new(StaticAllocation::new(counts.clone())),
-            PolicyKind::Passive { replicas } => {
-                let cfg = QcrConfig {
-                    reaction: Reaction::Constant(*replicas),
-                    ..QcrConfig::default()
-                };
-                Box::new(Qcr::new(cfg, utility, nodes, servers, mu_ref, items, rho))
-            }
             PolicyKind::HillClimb { moves_per_contact } => {
                 let mu = if mu_ref > 0.0 { mu_ref } else { 1.0 };
                 let system = if servers == nodes {

@@ -71,204 +71,70 @@ impl Default for QcrConfig {
     }
 }
 
-/// A QCR policy instance (per trial).
-pub struct Qcr {
+/// A node's outstanding mandates: item → count (≤ the mandate cap).
+pub type Pool = BTreeMap<u32, u64>;
+
+/// What the protocol needs from the runtime it runs in: who holds which
+/// item, each node's mandate pool, how a copy gets made, and where an
+/// item's sticky seed sits. The serial engine answers from one
+/// [`SimState`], the sharded engine from the one or two shard blocks a
+/// meeting touches — the only QCR code that differs between them.
+pub trait MandateHost {
+    /// Does `node`'s cache hold `item`?
+    fn holds(&self, node: usize, item: u32) -> bool;
+    /// `node`'s mandate pool.
+    fn pool(&self, node: usize) -> &Pool;
+    /// `node`'s mandate pool, mutably.
+    fn pool_mut(&mut self, node: usize) -> &mut Pool;
+    /// Copy `item` into `node`'s cache (evicting by the cache's rule);
+    /// `true` if a new replica now exists.
+    fn replicate(&mut self, node: usize, item: u32, rng: &mut Xoshiro256) -> bool;
+    /// The node holding `item`'s sticky seed (`usize::MAX` = none).
+    fn sticky_owner(&self, item: u32) -> usize;
+}
+
+/// The protocol itself: what is fixed for a trial, and the decisions
+/// every runtime takes by it — in-process engines through a
+/// [`MandateHost`], the message-passing runtime (`impatience-net`)
+/// through [`QcrRules::mint`], [`share`] and [`pool_add`] around its own
+/// two-phase transfers. A welfare difference between two runtimes can
+/// then only come from their transport, never from a drifted constant.
+pub struct QcrRules {
     cfg: QcrConfig,
     utility: Arc<dyn DelayUtility>,
-    servers: usize,
+    servers: f64,
     /// Reference contact rate used to evaluate ψ (the designer's estimate
     /// of μ; the proportionality constant of ψ is free, but its shape in
     /// `y` depends on μ for some families).
     mu_ref: f64,
-    /// Outstanding mandates per node: item → count.
-    mandates: Vec<BTreeMap<u32, u64>>,
-    /// Combined multiplier on the reaction function (gain_scale ×
-    /// normalization).
+    /// Combined multiplier on the reaction function: gain_scale ×
+    /// ψ-normalization × steepness damping.
     scale: f64,
 }
 
-impl Qcr {
-    /// Create a QCR policy for a population of `nodes` nodes of which
-    /// `servers` carry caches (`servers == nodes` in pure P2P), with a
-    /// catalog of `items` items and cache capacity `rho`.
+impl QcrRules {
+    /// Rules for a population of which `servers` nodes carry caches of
+    /// capacity `rho`, over a catalog of `items` items; `utility` is the
+    /// impatience model the protocol believes in. A non-positive `mu_ref`
+    /// (an empty trace) is read as 1.
     pub fn new(
         cfg: QcrConfig,
         utility: Arc<dyn DelayUtility>,
-        nodes: usize,
         servers: usize,
         mu_ref: f64,
         items: usize,
         rho: usize,
     ) -> Self {
         assert!(cfg.gain_scale > 0.0, "gain scale must be positive");
-        assert!(servers > 0 && servers <= nodes, "need 1 ≤ servers ≤ nodes");
+        assert!(servers > 0, "need at least one server");
+        let servers = servers as f64;
         let mu_ref = if mu_ref > 0.0 { mu_ref } else { 1.0 };
-        let scale = reaction_scale(&cfg, utility.as_ref(), servers, mu_ref, items, rho);
-        Qcr {
-            cfg,
-            utility,
-            servers,
-            mu_ref,
-            mandates: vec![BTreeMap::new(); nodes],
-            scale,
-        }
-    }
-
-    /// Total outstanding mandates (diagnostic; diverges without routing).
-    pub fn outstanding_mandates(&self) -> u64 {
-        self.mandates.iter().flat_map(|m| m.values()).sum()
-    }
-
-    /// Mint mandates for a fulfillment after `queries` failed lookups.
-    fn mint(
-        &mut self,
-        node: usize,
-        item: u32,
-        queries: u64,
-        metrics: &mut Metrics,
-        rng: &mut Xoshiro256,
-    ) {
-        if queries == 0 {
-            // Immediate self-cache hit: the item is plentiful where it is
-            // demanded; ψ(0⁺) → 0 for every built-in family.
-            return;
-        }
-        let raw = match self.cfg.reaction {
-            Reaction::Psi => {
-                self.utility
-                    .psi(queries as f64, self.servers as f64, self.mu_ref)
-                    * self.scale
-            }
-            Reaction::Constant(k) => k * self.cfg.gain_scale,
-        };
-        if raw.is_nan() || raw <= 0.0 {
-            return; // nothing to mint
-        }
-        // Stochastic rounding preserves the expected replica count.
-        let mut count = raw.floor() as u64;
-        if rng.bernoulli(raw - count as f64) {
-            count += 1;
-        }
-        if count > self.cfg.mandate_cap {
-            metrics.mandate_cap_hits += 1;
-            count = self.cfg.mandate_cap;
-        }
-        if count > 0 {
-            // The per-item pool at a node is bounded by the same cap:
-            // outstanding mandates beyond it are discarded, which bounds
-            // the overshoot a burst of fulfillments can cause.
-            let pool = self.mandates[node].entry(item).or_insert(0);
-            let before = *pool;
-            *pool = (*pool + count).min(self.cfg.mandate_cap);
-            metrics.mandates_created += *pool - before;
-        }
-    }
-
-    /// Execute eligible mandates held by `carrier` against peer `peer`:
-    /// one copy of each mandated item may be produced per meeting, and
-    /// only when the carrier itself possesses a replica to transmit —
-    /// §5.3's possession requirement ("it could be that, when a replica
-    /// of the item needs to be produced, this item is no longer in the
-    /// possession of the node desiring to replicate it"). Mandates whose
-    /// carrier lacks the item *stall*; mandate routing exists precisely
-    /// to move them to nodes that can execute them.
-    fn execute(&mut self, carrier: usize, peer: usize, state: &mut SimState, rng: &mut Xoshiro256) {
-        let items: Vec<u32> = self.mandates[carrier].keys().copied().collect();
-        for item in items {
-            if !state.caches.holds(carrier, item) {
-                continue; // stalled: replica lost to random replacement
-            }
-            if state.caches.holds(peer, item) {
-                if self.cfg.rewriting {
-                    Self::consume(&mut self.mandates[carrier], item, 1);
-                }
-                continue; // no rewriting: contact simply ignored
-            }
-            if state.replicate(item, peer, rng) {
-                Self::consume(&mut self.mandates[carrier], item, 1);
-            }
-        }
-    }
-
-    fn consume(pool: &mut BTreeMap<u32, u64>, item: u32, n: u64) {
-        if let Some(c) = pool.get_mut(&item) {
-            *c = c.saturating_sub(n);
-            if *c == 0 {
-                pool.remove(&item);
-            }
-        }
-    }
-
-    /// Route mandates between the two meeting nodes (§5.3 / §6.1): give
-    /// them to the copy holder; split when both (or neither) hold the
-    /// item; prefer the sticky seed with a 2/3 share.
-    fn route(&mut self, a: usize, b: usize, state: &SimState, rng: &mut Xoshiro256) {
-        let mut items: Vec<u32> = self.mandates[a]
-            .keys()
-            .chain(self.mandates[b].keys())
-            .copied()
-            .collect();
-        items.sort_unstable();
-        items.dedup();
-        for item in items {
-            let total = (self.mandates[a].get(&item).copied().unwrap_or(0)
-                + self.mandates[b].get(&item).copied().unwrap_or(0))
-            .min(self.cfg.mandate_cap);
-            if total == 0 {
-                continue;
-            }
-            let ha = state.caches.holds(a, item);
-            let hb = state.caches.holds(b, item);
-            let sticky = state.sticky_owner[item as usize];
-            let to_a = match (ha, hb) {
-                (true, false) => total,
-                (false, true) => 0,
-                _ => {
-                    // Both hold (or neither holds): share, preferring the
-                    // sticky seed when it holds a copy.
-                    if ha && sticky == a {
-                        (total * 2).div_ceil(3)
-                    } else if hb && sticky == b {
-                        total - (total * 2).div_ceil(3)
-                    } else {
-                        // Even split; odd leftover assigned by coin flip.
-                        let half = total / 2;
-                        if total % 2 == 1 && rng.bernoulli(0.5) {
-                            half + 1
-                        } else {
-                            half
-                        }
-                    }
-                }
-            };
-            set_mandates(&mut self.mandates[a], item, to_a);
-            set_mandates(&mut self.mandates[b], item, total - to_a);
-        }
-    }
-}
-
-/// The combined reaction multiplier (gain_scale × ψ-normalization ×
-/// steepness damping) a [`Qcr`] built from `cfg` uses when minting.
-///
-/// Exported so the distributed runtime (`impatience-net`) mints from the
-/// *identical* ψ scaling as the in-process engine: a welfare difference
-/// between the two can then only come from the transport, never from a
-/// drifted normalization constant. `mu_ref` must already be positive.
-pub fn reaction_scale(
-    cfg: &QcrConfig,
-    utility: &dyn DelayUtility,
-    servers: usize,
-    mu_ref: f64,
-    items: usize,
-    rho: usize,
-) -> f64 {
-    let mut scale = cfg.gain_scale;
-    if cfg.normalize_reaction {
-        if let Reaction::Psi = cfg.reaction {
+        let mut scale = cfg.gain_scale;
+        if cfg.normalize_reaction && cfg.reaction == Reaction::Psi {
             // Expected query count under the uniform allocation:
             // y* = |S|/x̄ with x̄ = ρ|S|/|I|.
             let y_ref = (items as f64 / rho.max(1) as f64).max(1.0);
-            let psi_ref = utility.psi(y_ref, servers as f64, mu_ref);
+            let psi_ref = utility.psi(y_ref, servers, mu_ref);
             if psi_ref.is_finite() && psi_ref > 0.0 {
                 scale /= psi_ref;
                 // Steepness damping: when ψ grows steeply in y (ratio
@@ -280,22 +146,236 @@ pub fn reaction_scale(
                 // families; see the ablation bench) trades
                 // convergence speed for stability; the equilibrium
                 // itself is scale-free (Property 2).
-                let psi_2ref = utility.psi(2.0 * y_ref, servers as f64, mu_ref);
+                let psi_2ref = utility.psi(2.0 * y_ref, servers, mu_ref);
                 let r = psi_2ref / psi_ref;
                 if r.is_finite() && r > 1.0 {
                     scale /= r * r * r;
                 }
             }
         }
+        QcrRules {
+            cfg,
+            utility,
+            servers,
+            mu_ref,
+            scale,
+        }
     }
-    scale
+
+    /// Mint mandates for `item` into `pool` for a fulfillment after `y`
+    /// queries; returns how many entered the pool.
+    pub fn mint(
+        &self,
+        pool: &mut Pool,
+        item: u32,
+        y: u64,
+        metrics: &mut Metrics,
+        rng: &mut Xoshiro256,
+    ) -> u64 {
+        if y == 0 {
+            // Immediate self-cache hit: the item is plentiful where it is
+            // demanded; ψ(0⁺) → 0 for every built-in family.
+            return 0;
+        }
+        let raw = match self.cfg.reaction {
+            Reaction::Psi => self.utility.psi(y as f64, self.servers, self.mu_ref) * self.scale,
+            Reaction::Constant(k) => k * self.cfg.gain_scale,
+        };
+        if raw.is_nan() || raw <= 0.0 {
+            return 0; // nothing to mint
+        }
+        // Stochastic rounding preserves the expected replica count.
+        let mut count = raw.floor() as u64;
+        if rng.bernoulli(raw - count as f64) {
+            count += 1;
+        }
+        if count > self.cfg.mandate_cap {
+            metrics.mandate_cap_hits += 1;
+            count = self.cfg.mandate_cap;
+        }
+        if count == 0 {
+            return 0;
+        }
+        // The per-item pool at a node is bounded by the same cap:
+        // outstanding mandates beyond it are discarded, which bounds
+        // the overshoot a burst of fulfillments can cause.
+        let added = count - pool_add(pool, item, count, self.cfg.mandate_cap);
+        metrics.mandates_created += added;
+        added
+    }
+
+    /// Execute eligible mandates held by `carrier` against `peer`:
+    /// one copy of each mandated item may be produced per meeting, and
+    /// only when the carrier itself possesses a replica to transmit —
+    /// §5.3's possession requirement ("it could be that, when a replica
+    /// of the item needs to be produced, this item is no longer in the
+    /// possession of the node desiring to replicate it"). Mandates whose
+    /// carrier lacks the item *stall*; mandate routing exists precisely
+    /// to move them to nodes that can execute them.
+    pub fn execute<H: MandateHost>(
+        &self,
+        host: &mut H,
+        carrier: usize,
+        peer: usize,
+        rng: &mut Xoshiro256,
+    ) {
+        let items: Vec<u32> = host.pool(carrier).keys().copied().collect();
+        for item in items {
+            if !host.holds(carrier, item) {
+                continue; // stalled: replica lost to random replacement
+            }
+            // A peer that already holds the item is ignored — or, under
+            // rewriting, burns the mandate without a copy being made.
+            let spent = if host.holds(peer, item) {
+                self.cfg.rewriting
+            } else {
+                host.replicate(peer, item, rng)
+            };
+            if spent {
+                let pool = host.pool_mut(carrier);
+                let left = pool.get(&item).map_or(0, |c| c.saturating_sub(1));
+                set_mandates(pool, item, left);
+            }
+        }
+    }
+
+    /// Route mandates between the two meeting nodes (§5.3 / §6.1) by
+    /// [`share`], the engines' odd leftover going by coin flip.
+    pub fn route<H: MandateHost>(&self, host: &mut H, a: usize, b: usize, rng: &mut Xoshiro256) {
+        let mut items: Vec<u32> = host
+            .pool(a)
+            .keys()
+            .chain(host.pool(b).keys())
+            .copied()
+            .collect();
+        items.sort_unstable();
+        items.dedup();
+        for item in items {
+            let of = |node| host.pool(node).get(&item).copied().unwrap_or(0);
+            let total = (of(a) + of(b)).min(self.cfg.mandate_cap);
+            if total == 0 {
+                continue;
+            }
+            let sticky = host.sticky_owner(item);
+            let to_a = share(
+                total,
+                host.holds(a, item),
+                host.holds(b, item),
+                sticky == a,
+                sticky == b,
+                || rng.bernoulli(0.5),
+            );
+            set_mandates(host.pool_mut(a), item, to_a);
+            set_mandates(host.pool_mut(b), item, total - to_a);
+        }
+    }
+
+    /// The policy step of one meeting between `a` and `b`: mint for its
+    /// fulfillments, execute in both directions, route what remains
+    /// toward replica holders.
+    pub fn after_meeting<H: MandateHost>(
+        &self,
+        host: &mut H,
+        a: usize,
+        b: usize,
+        fulfilled: &[Fulfillment],
+        metrics: &mut Metrics,
+        rng: &mut Xoshiro256,
+    ) {
+        for f in fulfilled {
+            self.mint(host.pool_mut(f.node), f.item, f.queries, metrics, rng);
+        }
+        self.execute(host, a, b, rng);
+        self.execute(host, b, a, rng);
+        if self.cfg.mandate_routing {
+            self.route(host, a, b, rng);
+        }
+    }
 }
 
-fn set_mandates(pool: &mut BTreeMap<u32, u64>, item: u32, count: u64) {
+/// The §5.3 split of `total` pooled mandates between two meeting nodes:
+/// how many go to `a`. They go to the copy holder; when both (or
+/// neither) hold the item they are shared, the sticky seed (it can never
+/// lose its copy) taking 2/3, otherwise evenly — `odd_to_a` is asked,
+/// only when `total` is odd, who gets the leftover.
+pub fn share(
+    total: u64,
+    a_holds: bool,
+    b_holds: bool,
+    a_sticky: bool,
+    b_sticky: bool,
+    odd_to_a: impl FnOnce() -> bool,
+) -> u64 {
+    match (a_holds, b_holds) {
+        (true, false) => total,
+        (false, true) => 0,
+        _ if a_holds && a_sticky => (total * 2).div_ceil(3),
+        _ if b_holds && b_sticky => total - (total * 2).div_ceil(3),
+        _ => total / 2 + u64::from(total % 2 == 1 && odd_to_a()),
+    }
+}
+
+/// Add `count` mandates for `item` to `pool`, clamped at `cap`; returns
+/// the overflow the clamp destroyed.
+pub fn pool_add(pool: &mut Pool, item: u32, count: u64, cap: u64) -> u64 {
+    let slot = pool.entry(item).or_insert(0);
+    let before = *slot;
+    *slot = (before + count).min(cap);
+    count - (*slot - before)
+}
+
+fn set_mandates(pool: &mut Pool, item: u32, count: u64) {
     if count == 0 {
         pool.remove(&item);
     } else {
         pool.insert(item, count);
+    }
+}
+
+/// The serial engine's QCR: the rules plus one pool per node, hosted on
+/// the trial's [`SimState`].
+pub struct Qcr {
+    rules: QcrRules,
+    pools: Vec<Pool>,
+}
+
+impl Qcr {
+    /// QCR by `rules` for a population of `nodes` nodes.
+    pub fn new(rules: QcrRules, nodes: usize) -> Self {
+        Qcr {
+            rules,
+            pools: vec![Pool::new(); nodes],
+        }
+    }
+
+    /// Total outstanding mandates (diagnostic; diverges without routing).
+    pub fn outstanding_mandates(&self) -> u64 {
+        self.pools.iter().flat_map(|m| m.values()).sum()
+    }
+}
+
+/// The serial host: every node's cache in one [`SimState`], every pool
+/// in one slice.
+pub(crate) struct SerialHost<'a> {
+    pub(crate) state: &'a mut SimState,
+    pub(crate) pools: &'a mut [Pool],
+}
+
+impl MandateHost for SerialHost<'_> {
+    fn holds(&self, node: usize, item: u32) -> bool {
+        self.state.caches.holds(node, item)
+    }
+    fn pool(&self, node: usize) -> &Pool {
+        &self.pools[node]
+    }
+    fn pool_mut(&mut self, node: usize) -> &mut Pool {
+        &mut self.pools[node]
+    }
+    fn replicate(&mut self, node: usize, item: u32, rng: &mut Xoshiro256) -> bool {
+        self.state.replicate(item, node, rng)
+    }
+    fn sticky_owner(&self, item: u32) -> usize {
+        self.state.sticky_owner[item as usize]
     }
 }
 
@@ -311,17 +391,12 @@ impl ReplicationPolicy for Qcr {
         metrics: &mut Metrics,
         rng: &mut Xoshiro256,
     ) {
-        // 1. Mint mandates for this meeting's fulfillments.
-        for f in fulfilled {
-            self.mint(f.node, f.item, f.queries, metrics, rng);
-        }
-        // 2. Execute eligible mandates in both directions.
-        self.execute(a, b, state, rng);
-        self.execute(b, a, state, rng);
-        // 3. Route what remains toward replica holders.
-        if self.cfg.mandate_routing {
-            self.route(a, b, state, rng);
-        }
+        let mut host = SerialHost {
+            state,
+            pools: &mut self.pools,
+        };
+        self.rules
+            .after_meeting(&mut host, a, b, fulfilled, metrics, rng);
     }
 }
 
@@ -337,24 +412,32 @@ mod tests {
         (state, rng)
     }
 
-    fn qcr(cfg: QcrConfig) -> Qcr {
-        Qcr::new(cfg, Arc::new(Step::new(10.0)), 4, 4, 0.05, 4, 2)
+    fn rules(cfg: QcrConfig) -> QcrRules {
+        QcrRules::new(cfg, Arc::new(Step::new(10.0)), 4, 0.05, 4, 2)
+    }
+
+    fn outstanding(pools: &[Pool]) -> u64 {
+        pools.iter().flat_map(|m| m.values()).sum()
     }
 
     #[test]
     fn minting_respects_zero_queries_and_cap() {
         let (_, mut rng) = mini_state();
         let mut metrics = Metrics::new(100.0, 10.0);
-        let mut p = qcr(QcrConfig {
+        let p = rules(QcrConfig {
             mandate_cap: 3,
             reaction: Reaction::Constant(10.0),
             ..QcrConfig::default()
         });
-        p.mint(0, 1, 0, &mut metrics, &mut rng);
-        assert_eq!(p.outstanding_mandates(), 0, "y=0 must mint nothing");
-        p.mint(0, 1, 5, &mut metrics, &mut rng);
-        assert_eq!(p.outstanding_mandates(), 3, "cap must clamp");
+        let mut pool = Pool::new();
+        assert_eq!(p.mint(&mut pool, 1, 0, &mut metrics, &mut rng), 0);
+        assert!(pool.is_empty(), "y=0 must mint nothing");
+        assert_eq!(p.mint(&mut pool, 1, 5, &mut metrics, &mut rng), 3);
+        assert_eq!(pool.get(&1), Some(&3), "cap must clamp");
         assert_eq!(metrics.mandate_cap_hits, 1);
+        assert_eq!(metrics.mandates_created, 3);
+        // A full pool takes nothing more, and says so.
+        assert_eq!(p.mint(&mut pool, 1, 5, &mut metrics, &mut rng), 0);
         assert_eq!(metrics.mandates_created, 3);
     }
 
@@ -362,17 +445,18 @@ mod tests {
     fn stochastic_rounding_is_unbiased() {
         let (_, mut rng) = mini_state();
         let mut metrics = Metrics::new(100.0, 10.0);
-        let mut p = qcr(QcrConfig {
+        let p = rules(QcrConfig {
             reaction: Reaction::Constant(0.3),
             // Effectively uncapped so the pool can accumulate the mean.
             mandate_cap: u64::MAX,
             ..QcrConfig::default()
         });
+        let mut pool = Pool::new();
         let n = 20_000;
         for _ in 0..n {
-            p.mint(0, 1, 1, &mut metrics, &mut rng);
+            p.mint(&mut pool, 1, 1, &mut metrics, &mut rng);
         }
-        let mean = p.outstanding_mandates() as f64 / n as f64;
+        let mean = pool[&1] as f64 / n as f64;
         assert!((mean - 0.3).abs() < 0.02, "mean {mean}");
     }
 
@@ -382,16 +466,20 @@ mod tests {
         let mut state = SimState::new(2, 4, 2);
         state.caches.node_mut(0).fill(1);
         state.replicas[1] = 1;
-        let mut p = qcr(QcrConfig::default());
-        p.mandates[0].insert(1, 2);
+        let p = rules(QcrConfig::default());
+        let mut pools = vec![Pool::from([(1, 2)]), Pool::new()];
         // Node 0 holds item 1, node 1 doesn't: one copy per meeting.
-        p.execute(0, 1, &mut state, &mut rng);
-        assert_eq!(state.replicas[1], 2);
-        assert_eq!(p.outstanding_mandates(), 1);
+        let mut host = SerialHost {
+            state: &mut state,
+            pools: &mut pools,
+        };
+        p.execute(&mut host, 0, 1, &mut rng);
+        assert_eq!(host.state.replicas[1], 2);
+        assert_eq!(outstanding(host.pools), 1);
         // Second execution against the same (now holding) peer: ignored.
-        p.execute(0, 1, &mut state, &mut rng);
-        assert_eq!(state.replicas[1], 2);
-        assert_eq!(p.outstanding_mandates(), 1, "no rewriting: mandate kept");
+        p.execute(&mut host, 0, 1, &mut rng);
+        assert_eq!(host.state.replicas[1], 2);
+        assert_eq!(outstanding(host.pools), 1, "no rewriting: mandate kept");
     }
 
     #[test]
@@ -401,14 +489,18 @@ mod tests {
         state.caches.node_mut(0).fill(1);
         state.caches.node_mut(1).fill(1);
         state.replicas[1] = 2;
-        let mut p = qcr(QcrConfig {
+        let p = rules(QcrConfig {
             rewriting: true,
             ..QcrConfig::default()
         });
-        p.mandates[0].insert(1, 2);
-        p.execute(0, 1, &mut state, &mut rng);
+        let mut pools = vec![Pool::from([(1, 2)]), Pool::new()];
+        let mut host = SerialHost {
+            state: &mut state,
+            pools: &mut pools,
+        };
+        p.execute(&mut host, 0, 1, &mut rng);
         assert_eq!(state.replicas[1], 2, "no new copy");
-        assert_eq!(p.outstanding_mandates(), 1, "one mandate burned");
+        assert_eq!(outstanding(&pools), 1, "one mandate burned");
     }
 
     #[test]
@@ -419,12 +511,16 @@ mod tests {
         let mut state = SimState::new(2, 4, 2);
         state.caches.node_mut(1).fill(1);
         state.replicas[1] = 1;
-        let mut p = qcr(QcrConfig::default());
-        p.mandates[0].insert(1, 2);
-        p.execute(0, 1, &mut state, &mut rng);
+        let p = rules(QcrConfig::default());
+        let mut pools = vec![Pool::from([(1, 2)]), Pool::new()];
+        let mut host = SerialHost {
+            state: &mut state,
+            pools: &mut pools,
+        };
+        p.execute(&mut host, 0, 1, &mut rng);
         assert!(!state.caches.node(0).holds(1));
         assert_eq!(state.replicas[1], 1, "no copy may be made");
-        assert_eq!(p.outstanding_mandates(), 2, "mandates stall, not vanish");
+        assert_eq!(outstanding(&pools), 2, "mandates stall, not vanish");
     }
 
     #[test]
@@ -432,10 +528,14 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(5);
         let mut state = SimState::new(2, 4, 2);
         // Node 0 has mandates for item 1 but no copy.
-        let mut p = qcr(QcrConfig::default());
-        p.mandates[0].insert(1, 3);
-        p.execute(0, 1, &mut state, &mut rng);
-        assert_eq!(p.outstanding_mandates(), 3);
+        let p = rules(QcrConfig::default());
+        let mut pools = vec![Pool::from([(1, 3)]), Pool::new()];
+        let mut host = SerialHost {
+            state: &mut state,
+            pools: &mut pools,
+        };
+        p.execute(&mut host, 0, 1, &mut rng);
+        assert_eq!(outstanding(&pools), 3);
         assert_eq!(state.replicas[1], 0);
     }
 
@@ -445,11 +545,15 @@ mod tests {
         let mut state = SimState::new(2, 4, 2);
         state.caches.node_mut(1).fill(2);
         state.replicas[2] = 1;
-        let mut p = qcr(QcrConfig::default());
-        p.mandates[0].insert(2, 5);
-        p.route(0, 1, &state, &mut rng);
-        assert_eq!(p.mandates[0].get(&2), None);
-        assert_eq!(p.mandates[1].get(&2), Some(&5));
+        let p = rules(QcrConfig::default());
+        let mut pools = vec![Pool::from([(2, 5)]), Pool::new()];
+        let mut host = SerialHost {
+            state: &mut state,
+            pools: &mut pools,
+        };
+        p.route(&mut host, 0, 1, &mut rng);
+        assert_eq!(pools[0].get(&2), None);
+        assert_eq!(pools[1].get(&2), Some(&5));
     }
 
     #[test]
@@ -459,11 +563,15 @@ mod tests {
         state.caches.node_mut(0).fill(2);
         state.caches.node_mut(1).fill(2);
         state.replicas[2] = 2;
-        let mut p = qcr(QcrConfig::default());
-        p.mandates[0].insert(2, 6);
-        p.route(0, 1, &state, &mut rng);
-        assert_eq!(p.mandates[0].get(&2), Some(&3));
-        assert_eq!(p.mandates[1].get(&2), Some(&3));
+        let p = rules(QcrConfig::default());
+        let mut pools = vec![Pool::from([(2, 6)]), Pool::new()];
+        let mut host = SerialHost {
+            state: &mut state,
+            pools: &mut pools,
+        };
+        p.route(&mut host, 0, 1, &mut rng);
+        assert_eq!(pools[0].get(&2), Some(&3));
+        assert_eq!(pools[1].get(&2), Some(&3));
     }
 
     #[test]
@@ -474,11 +582,51 @@ mod tests {
         state.caches.node_mut(1).fill(2);
         state.replicas[2] = 2;
         state.sticky_owner[2] = 0;
-        let mut p = qcr(QcrConfig::default());
-        p.mandates[1].insert(2, 6);
-        p.route(0, 1, &state, &mut rng);
-        assert_eq!(p.mandates[0].get(&2), Some(&4), "sticky seed gets 2/3");
-        assert_eq!(p.mandates[1].get(&2), Some(&2));
+        let p = rules(QcrConfig::default());
+        let mut pools = vec![Pool::new(), Pool::from([(2, 6)])];
+        let mut host = SerialHost {
+            state: &mut state,
+            pools: &mut pools,
+        };
+        p.route(&mut host, 0, 1, &mut rng);
+        assert_eq!(pools[0].get(&2), Some(&4), "sticky seed gets 2/3");
+        assert_eq!(pools[1].get(&2), Some(&2));
+    }
+
+    #[test]
+    fn share_follows_the_copy_then_the_sticky_seed_then_halves() {
+        // (total, ⌈2·total/3⌉), odd and even.
+        for (total, two_thirds) in [(7u64, 5u64), (6, 4)] {
+            let (half, odd) = (total / 2, total % 2 == 1);
+            // (a_holds, b_holds, a_sticky, b_sticky) → (to_a, leftover asked)
+            let table = [
+                // A sole holder takes everything, whoever is sticky.
+                ((true, false, false, false), total, false),
+                ((true, false, false, true), total, false),
+                ((false, true, false, false), 0, false),
+                ((false, true, true, false), 0, false),
+                // Both hold: the sticky seed takes 2/3, else halves.
+                ((true, true, true, false), two_thirds, false),
+                ((true, true, false, true), total - two_thirds, false),
+                ((true, true, false, false), half, odd),
+                // Neither holds: a sticky flag without the copy is moot.
+                ((false, false, false, false), half, odd),
+                ((false, false, true, false), half, odd),
+                ((false, false, false, true), half, odd),
+            ];
+            for ((ha, hb, sa, sb), to_a, asks) in table {
+                for leftover_to_a in [false, true] {
+                    let mut asked = false;
+                    let got = share(total, ha, hb, sa, sb, || {
+                        asked = true;
+                        leftover_to_a
+                    });
+                    let case = format!("{total} over {:?}", (ha, hb, sa, sb));
+                    assert_eq!(asked, asks, "{case}: leftover asked");
+                    assert_eq!(got, to_a + u64::from(asks && leftover_to_a), "{case}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -486,11 +634,14 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(9);
         let (mut state, _) = mini_state();
         let mut metrics = Metrics::new(100.0, 10.0);
-        let mut p = qcr(QcrConfig {
-            mandate_routing: false,
-            reaction: Reaction::Constant(4.0),
-            ..QcrConfig::default()
-        });
+        let mut p = Qcr::new(
+            rules(QcrConfig {
+                mandate_routing: false,
+                reaction: Reaction::Constant(4.0),
+                ..QcrConfig::default()
+            }),
+            4,
+        );
         // A fulfillment at node 0 mints 4 mandates; without routing they
         // stay at node 0 no matter how many contacts occur.
         let f = Fulfillment {
@@ -500,21 +651,20 @@ mod tests {
             wait: 1.0,
         };
         p.after_contact(1.0, 0, 1, &mut state, &[f], &mut metrics, &mut rng);
-        let at_zero: u64 = p.mandates[0].values().sum();
-        let elsewhere: u64 = p.mandates[1..].iter().flat_map(|m| m.values()).sum();
-        assert!(at_zero > 0);
-        assert_eq!(elsewhere, 0);
+        assert!(outstanding(&p.pools[..1]) > 0);
+        assert_eq!(outstanding(&p.pools[1..]), 0);
     }
 
     #[test]
     fn constant_reaction_acts_as_passive() {
         let (_, mut rng) = mini_state();
         let mut metrics = Metrics::new(100.0, 10.0);
-        let mut p = qcr(QcrConfig {
+        let p = rules(QcrConfig {
             reaction: Reaction::Constant(1.0),
             ..QcrConfig::default()
         });
-        p.mint(0, 1, 50, &mut metrics, &mut rng);
-        assert_eq!(p.outstanding_mandates(), 1, "one replica per fulfillment");
+        let mut pool = Pool::new();
+        p.mint(&mut pool, 1, 50, &mut metrics, &mut rng);
+        assert_eq!(pool.get(&1), Some(&1), "one replica per fulfillment");
     }
 }

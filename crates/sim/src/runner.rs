@@ -12,11 +12,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
 
-use impatience_obs::{MemorySink, Recorder, Sink, TallySink};
+use impatience_obs::{MemorySink, NoopSink, Recorder, Sink, TallySink};
 
 use crate::checkpoint::{fingerprint, CampaignCheckpoint, CheckpointError, TrialRecord};
 use crate::config::{ConfigError, ContactSource, SimConfig};
-use crate::engine::{run_trial_observed_scratch, run_trial_scratch, TrialOutcome, TrialScratch};
+use crate::engine::{run_trial_observed_scratch, TrialOutcome, TrialScratch};
 use crate::policy::PolicyKind;
 use crate::sharded::run_trial_sharded;
 
@@ -176,68 +176,174 @@ pub fn run_trials(
     )
 }
 
-/// Shard `trials` jobs over `workers` threads with a work-stealing
-/// counter: each idle worker claims the next unclaimed trial index, so a
-/// straggler trial never idles the rest of the pool (the weakness of the
-/// static `k += workers` striping this replaced — visible in the
-/// `worker_utilization` telemetry). Each worker owns one `W` (its
-/// [`TrialScratch`] pool slot) built once by `make_worker` and threaded
-/// through every trial it claims, so steady-state trials allocate
-/// nothing. Results come back in trial order; `busy` is the summed
-/// per-trial wall time.
-fn run_sharded<T: Send, W>(
-    trials: usize,
-    workers: usize,
-    make_worker: &(dyn Fn() -> W + Sync),
-    job: &(dyn Fn(&mut W, usize) -> T + Sync),
-) -> (Vec<T>, f64) {
-    let next = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let next = &next;
-            handles.push(scope.spawn(move || {
-                let mut worker_state = make_worker();
-                let mut local = Vec::new();
-                let mut busy = 0.0f64;
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= trials {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let result = job(&mut worker_state, k);
-                    busy += t0.elapsed().as_secs_f64();
-                    local.push((k, result));
-                }
-                (local, busy)
-            }));
-        }
-        let mut all: Vec<(usize, T)> = Vec::with_capacity(trials);
-        let mut busy_s = 0.0f64;
-        for handle in handles {
-            let (local, busy) = handle.join().expect("trial thread panicked");
-            all.extend(local);
-            busy_s += busy;
-        }
-        all.sort_by_key(|(k, _)| *k);
-        (all.into_iter().map(|(_, r)| r).collect(), busy_s)
-    })
+/// What the worker pool runs: one trial per index, against the claiming
+/// worker's scratch and a recorder of the trial's own. The method is
+/// generic because the pool picks the per-trial sink type.
+pub trait TrialJob: Sync {
+    /// Working storage a worker builds once and threads through every
+    /// trial it claims.
+    type Scratch: Default;
+    /// What one trial yields.
+    type Output: Send;
+    /// Run trial `index`, reporting its events to `rec`.
+    fn run<K: Sink>(
+        &self,
+        index: usize,
+        scratch: &mut Self::Scratch,
+        rec: &mut Recorder<K>,
+    ) -> Self::Output;
 }
 
-/// [`run_trials`] with instrumentation.
+/// Trial `k` of a serial-engine batch: seed `base_seed + k`.
+struct SeededTrials<'a> {
+    config: &'a SimConfig,
+    source: &'a ContactSource,
+    policy: &'a PolicyKind,
+    base_seed: u64,
+}
+
+impl TrialJob for SeededTrials<'_> {
+    type Scratch = TrialScratch;
+    type Output = TrialOutcome;
+    fn run<K: Sink>(
+        &self,
+        k: usize,
+        scratch: &mut TrialScratch,
+        rec: &mut Recorder<K>,
+    ) -> TrialOutcome {
+        let seed = self.base_seed + k as u64;
+        run_trial_observed_scratch(
+            self.config,
+            self.source,
+            self.policy.clone(),
+            seed,
+            rec,
+            scratch,
+        )
+    }
+}
+
+/// The sink of a per-trial recorder, chosen from what the caller's sink
+/// keeps: nothing at all ([`NoopSink`]), tallies only ([`TallySink`]),
+/// or the event stream too ([`MemorySink`]).
+trait TrialSink: Sink + Default + Send {
+    /// Hand the events this sink kept to the caller's sink, in order.
+    fn replay<S: Sink>(self, _into: &mut S) {}
+}
+
+impl TrialSink for NoopSink {}
+impl TrialSink for TallySink {}
+impl TrialSink for MemorySink {
+    fn replay<S: Sink>(self, into: &mut S) {
+        for event in &self.events {
+            into.record(event);
+        }
+    }
+}
+
+/// [`run_jobs`] with the per-trial sink type `K` fixed.
+fn run_jobs_with<K: TrialSink, S: Sink, J: TrialJob>(
+    trials: &[usize],
+    workers: usize,
+    job: &J,
+    rec: &mut Recorder<S>,
+) -> (Vec<Result<J::Output, String>>, f64) {
+    let shape = (
+        rec.delay.range(),
+        rec.inter_contact.range(),
+        rec.delay.buckets(),
+    );
+    // Main-thread profiling spans: "trials" covers dispatch plus the
+    // wait for workers (whose own time lands under the per-worker
+    // "trial" root), "merge" the tally/event absorption.
+    let trials_span = impatience_obs::span!("trials");
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut scratch = J::Scratch::default();
+        let mut local = Vec::new();
+        let mut busy = 0.0f64;
+        while let Some(&k) = trials.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let t0 = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let mut wrec = Recorder::with_shape(K::default(), shape.0, shape.1, shape.2);
+                let output = job.run(k, &mut scratch, &mut wrec);
+                // A disabled recorder holds nothing to merge: it goes
+                // now, not once the whole batch has joined.
+                (output, K::ACTIVE.then_some(wrec))
+            }));
+            busy += t0.elapsed().as_secs_f64();
+            local.push((k, result.map_err(panic_message)));
+        }
+        (local, busy)
+    };
+    let (mut done, busy_s) = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(trials.len()).max(1))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let mut done = Vec::with_capacity(trials.len());
+        let mut busy_s = 0.0f64;
+        for handle in handles {
+            let (local, busy) = handle.join().expect("trial panics are caught");
+            done.extend(local);
+            busy_s += busy;
+        }
+        (done, busy_s)
+    });
+    trials_span.close();
+    let _merge_span = impatience_obs::span!("merge");
+    done.sort_by_key(|&(k, _)| k);
+    let results = done.into_iter().map(|(k, result)| match result {
+        Ok((output, wrec)) => {
+            if let Some(wrec) = wrec {
+                rec.absorb(&wrec);
+                wrec.into_sink().replay(rec.sink_mut());
+            }
+            Ok(output)
+        }
+        Err(message) => {
+            rec.fault(0.0, "trial_panic", k as u32, 0);
+            Err(message)
+        }
+    });
+    (results.collect(), busy_s)
+}
+
+/// Run `job` once per index in `trials` (ascending) on `workers` threads
+/// and merge what the trials recorded into `rec`.
 ///
-/// The batch shards across worker threads whether or not the recorder is
-/// live. Each trial runs against its own per-trial recorder (same
-/// histogram shapes as the caller's); after the join the runner absorbs
-/// the per-trial tallies into `rec` **in trial order**, so counters,
-/// peaks, and histograms are a pure function of `(config, source,
-/// policy, trials, base_seed)` — independent of worker count and
-/// scheduling. Sinks that keep their event stream
-/// ([`Sink::WANTS_EVENTS`], e.g. a JSONL trace) additionally get every
-/// trial's events replayed into `rec`'s sink in trial order, reproducing
-/// the deterministic serial stream; tally-only sinks skip event
-/// buffering entirely. Wall-clock telemetry (total, per-trial, worker
+/// Idle workers claim the next unclaimed index, so a straggler trial
+/// never idles the rest of the pool; each worker owns one scratch (the
+/// engine's [`TrialScratch`]) threaded through every trial it claims, so
+/// steady-state trials allocate nothing. Every trial runs behind
+/// `catch_unwind` against a recorder of its own (same histogram shapes
+/// as `rec`); after the join the per-trial tallies are absorbed into
+/// `rec` **in trial order**, so counters, peaks and histograms are
+/// independent of worker count and scheduling. Sinks that keep their
+/// event stream ([`Sink::WANTS_EVENTS`], e.g. a JSONL trace) additionally
+/// get every trial's events replayed in trial order, reproducing the
+/// deterministic serial stream; tally-only sinks skip event buffering
+/// and a disabled recorder skips the merge. A trial that panicked yields
+/// its message and a `trial_panic` fault event. Returns the results in
+/// trial order and the summed per-trial wall time.
+pub fn run_jobs<S: Sink, J: TrialJob>(
+    trials: &[usize],
+    workers: usize,
+    job: &J,
+    rec: &mut Recorder<S>,
+) -> (Vec<Result<J::Output, String>>, f64) {
+    if !rec.is_active() {
+        run_jobs_with::<NoopSink, S, J>(trials, workers, job, rec)
+    } else if S::WANTS_EVENTS {
+        run_jobs_with::<MemorySink, S, J>(trials, workers, job, rec)
+    } else {
+        run_jobs_with::<TallySink, S, J>(trials, workers, job, rec)
+    }
+}
+
+/// [`run_trials`] with instrumentation: the batch shards across worker
+/// threads whether or not the recorder is live, and what it records is a
+/// pure function of `(config, source, policy, trials, base_seed)` (see
+/// [`run_jobs`]). Wall-clock telemetry (total, per-trial, worker
 /// utilization) is collected on every path.
 pub fn run_trials_observed<S: Sink>(
     config: &SimConfig,
@@ -251,7 +357,7 @@ pub fn run_trials_observed<S: Sink>(
 }
 
 /// One worker per available core (4 if that cannot be queried).
-fn default_workers() -> usize {
+pub fn default_workers() -> usize {
     thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
@@ -259,9 +365,12 @@ fn default_workers() -> usize {
 
 /// [`run_trials_observed`] with an explicit worker count (`None` picks
 /// one per available core). Trial trajectories, tallies, and the event
-/// stream are a pure function of `(config, source, policy, trials,
-/// base_seed)` — independent of the worker count by construction; the
+/// stream are independent of the worker count by construction; the
 /// override exists for determinism tests and for sharing a host.
+///
+/// # Panics
+/// Re-raises, with its message, the panic of the lowest-numbered trial
+/// that panicked.
 pub fn run_trials_observed_with_workers<S: Sink>(
     config: &SimConfig,
     source: &ContactSource,
@@ -274,81 +383,18 @@ pub fn run_trials_observed_with_workers<S: Sink>(
     assert!(trials > 0, "need at least one trial");
     let batch_start = Instant::now();
     let workers = workers.unwrap_or_else(default_workers).max(1).min(trials);
-
-    // Main-thread profiling spans: "trials" covers dispatch plus the
-    // wait for workers (whose own time lands under the per-worker
-    // "trial" root), "merge" the tally/event absorption, "aggregate"
-    // the statistics fold.
-    let (outcomes, busy_s) = if !rec.is_active() {
-        let _s = impatience_obs::span!("trials");
-        run_sharded(trials, workers, &TrialScratch::new, &|scratch, k| {
-            run_trial_scratch(
-                config,
-                source,
-                policy.clone(),
-                base_seed + k as u64,
-                scratch,
-            )
-        })
-    } else {
-        let shape = (
-            rec.delay.range(),
-            rec.inter_contact.range(),
-            rec.delay.buckets(),
-        );
-        if S::WANTS_EVENTS {
-            let trials_span = impatience_obs::span!("trials");
-            let (results, busy_s) =
-                run_sharded(trials, workers, &TrialScratch::new, &|scratch, k| {
-                    let mut wrec =
-                        Recorder::with_shape(MemorySink::new(), shape.0, shape.1, shape.2);
-                    let outcome = run_trial_observed_scratch(
-                        config,
-                        source,
-                        policy.clone(),
-                        base_seed + k as u64,
-                        &mut wrec,
-                        scratch,
-                    );
-                    (outcome, wrec)
-                });
-            trials_span.close();
-            let _merge_span = impatience_obs::span!("merge");
-            let mut outcomes = Vec::with_capacity(trials);
-            for (outcome, wrec) in results {
-                rec.absorb(&wrec);
-                for event in &wrec.into_sink().events {
-                    rec.sink_mut().record(event);
-                }
-                outcomes.push(outcome);
-            }
-            (outcomes, busy_s)
-        } else {
-            let trials_span = impatience_obs::span!("trials");
-            let (results, busy_s) =
-                run_sharded(trials, workers, &TrialScratch::new, &|scratch, k| {
-                    let mut wrec = Recorder::with_shape(TallySink, shape.0, shape.1, shape.2);
-                    let outcome = run_trial_observed_scratch(
-                        config,
-                        source,
-                        policy.clone(),
-                        base_seed + k as u64,
-                        &mut wrec,
-                        scratch,
-                    );
-                    (outcome, wrec)
-                });
-            trials_span.close();
-            let _merge_span = impatience_obs::span!("merge");
-            let mut outcomes = Vec::with_capacity(trials);
-            for (outcome, wrec) in results {
-                rec.absorb(&wrec);
-                outcomes.push(outcome);
-            }
-            (outcomes, busy_s)
-        }
+    let job = SeededTrials {
+        config,
+        source,
+        policy,
+        base_seed,
     };
-
+    let all: Vec<usize> = (0..trials).collect();
+    let (results, busy_s) = run_jobs(&all, workers, &job, rec);
+    let outcomes = results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|message| panic!("{message}")))
+        .collect();
     let telemetry = BatchTelemetry {
         workers,
         wall_s: batch_start.elapsed().as_secs_f64(),
@@ -543,121 +589,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one batch of explicit trial indices, each behind `catch_unwind`,
-/// and absorb the instrumentation of successful trials into `rec` in
-/// trial order. Returns `(trial, outcome-or-panic-message)` per index
-/// plus the summed per-trial wall time.
-fn run_batch_observed<S: Sink>(
-    config: &SimConfig,
-    source: &ContactSource,
-    policy: &PolicyKind,
-    base_seed: u64,
-    batch: &[usize],
-    workers: usize,
-    rec: &mut Recorder<S>,
-) -> (Vec<(usize, TrialRecord)>, f64) {
-    let workers = workers.min(batch.len()).max(1);
-    if !rec.is_active() {
-        let _s = impatience_obs::span!("trials");
-        let (results, busy_s) =
-            run_sharded(batch.len(), workers, &TrialScratch::new, &|scratch, i| {
-                let k = batch[i];
-                catch_unwind(AssertUnwindSafe(|| {
-                    run_trial_scratch(
-                        config,
-                        source,
-                        policy.clone(),
-                        base_seed + k as u64,
-                        scratch,
-                    )
-                }))
-                .map_err(panic_message)
-            });
-        return (batch.iter().copied().zip(results).collect(), busy_s);
-    }
-
-    let shape = (
-        rec.delay.range(),
-        rec.inter_contact.range(),
-        rec.delay.buckets(),
-    );
-    if S::WANTS_EVENTS {
-        let trials_span = impatience_obs::span!("trials");
-        let (results, busy_s) =
-            run_sharded(batch.len(), workers, &TrialScratch::new, &|scratch, i| {
-                let k = batch[i];
-                catch_unwind(AssertUnwindSafe(|| {
-                    let mut wrec =
-                        Recorder::with_shape(MemorySink::new(), shape.0, shape.1, shape.2);
-                    let outcome = run_trial_observed_scratch(
-                        config,
-                        source,
-                        policy.clone(),
-                        base_seed + k as u64,
-                        &mut wrec,
-                        scratch,
-                    );
-                    (outcome, wrec)
-                }))
-                .map_err(panic_message)
-            });
-        trials_span.close();
-        let _merge_span = impatience_obs::span!("merge");
-        let mut out = Vec::with_capacity(batch.len());
-        for (&k, result) in batch.iter().zip(results) {
-            match result {
-                Ok((outcome, wrec)) => {
-                    rec.absorb(&wrec);
-                    for event in &wrec.into_sink().events {
-                        rec.sink_mut().record(event);
-                    }
-                    out.push((k, Ok(outcome)));
-                }
-                Err(message) => {
-                    rec.fault(0.0, "trial_panic", k as u32, 0);
-                    out.push((k, Err(message)));
-                }
-            }
-        }
-        (out, busy_s)
-    } else {
-        let trials_span = impatience_obs::span!("trials");
-        let (results, busy_s) =
-            run_sharded(batch.len(), workers, &TrialScratch::new, &|scratch, i| {
-                let k = batch[i];
-                catch_unwind(AssertUnwindSafe(|| {
-                    let mut wrec = Recorder::with_shape(TallySink, shape.0, shape.1, shape.2);
-                    let outcome = run_trial_observed_scratch(
-                        config,
-                        source,
-                        policy.clone(),
-                        base_seed + k as u64,
-                        &mut wrec,
-                        scratch,
-                    );
-                    (outcome, wrec)
-                }))
-                .map_err(panic_message)
-            });
-        trials_span.close();
-        let _merge_span = impatience_obs::span!("merge");
-        let mut out = Vec::with_capacity(batch.len());
-        for (&k, result) in batch.iter().zip(results) {
-            match result {
-                Ok((outcome, wrec)) => {
-                    rec.absorb(&wrec);
-                    out.push((k, Ok(outcome)));
-                }
-                Err(message) => {
-                    rec.fault(0.0, "trial_panic", k as u32, 0);
-                    out.push((k, Err(message)));
-                }
-            }
-        }
-        (out, busy_s)
-    }
-}
-
 /// Fault-tolerant campaign: [`run_trials_observed`] plus skip-and-report
 /// on panicking trials and checkpoint/resume.
 ///
@@ -700,21 +631,7 @@ pub fn run_campaign<S: Sink>(
         }
         .into());
     }
-    // Like the engines, resolve the run-time-sized profile before
-    // validating (the builder defaults it to one node until the
-    // population is known). The population split must be checked first:
-    // `clients`/`for_nodes` assume it fits.
-    let nodes = source.nodes();
-    if let Some(servers) = config.dedicated_servers {
-        if !(servers >= 1 && servers < nodes) {
-            return Err(ConfigError::InvalidPopulation { servers, nodes }.into());
-        }
-    }
-    if config.profile.nodes() == config.clients(nodes) {
-        config.try_validate(nodes)?;
-    } else {
-        config.for_nodes(nodes).try_validate(nodes)?;
-    }
+    config.try_resolved(source.nodes())?;
     source.try_validate()?;
     let fp = fingerprint(config, source, policy, trials, base_seed);
 
@@ -739,6 +656,12 @@ pub fn run_campaign<S: Sink>(
         options.checkpoint_every
     };
 
+    let job = SeededTrials {
+        config,
+        source,
+        policy,
+        base_seed,
+    };
     let batch_start = Instant::now();
     let mut busy_s = 0.0f64;
     let mut executed = 0usize;
@@ -755,11 +678,10 @@ pub fn run_campaign<S: Sink>(
         }
         let batch = &pending[idx..(idx + chunk).min(pending.len())];
         idx += batch.len();
-        let (records, batch_busy) =
-            run_batch_observed(config, source, policy, base_seed, batch, workers, rec);
+        let (records, batch_busy) = run_jobs(batch, workers, &job, rec);
         busy_s += batch_busy;
         executed += records.len();
-        completed.extend(records);
+        completed.extend(batch.iter().copied().zip(records));
         completed.sort_by_key(|&(k, _)| k);
         // Checkpoint boundary: snapshot progress and drain any events
         // the sink has batched, so a kill between checkpoints loses at

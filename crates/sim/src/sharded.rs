@@ -13,7 +13,11 @@
 //!    cache-slot faults due by it fire, in schedule order, from one RNG;
 //! 2. **phase A** — each shard independently processes its *intra-shard*
 //!    contacts and its request arrivals, merged in time order, exactly
-//!    like the serial event loop restricted to the block;
+//!    like the serial event loop restricted to the block; the policy
+//!    step of a meeting is the serial engine's, [`QcrRules`] — `Ends`
+//!    implements [`MandateHost`] over the shard blocks the meeting
+//!    touches — while the exchange stays the eager
+//!    [`RequestArena::retain`] walk, for the reasons written there;
 //! 3. **phase B** — the 120 *cross-shard* pair lanes run in 15 tournament
 //!    rounds of 8 disjoint shard pairs (the circle method), so every lane
 //!    gets exclusive access to its two shard states.
@@ -74,7 +78,6 @@
 //! materializes a population-sized demand profile (at 10⁶ nodes a
 //! uniform profile matrix would dwarf the node state itself).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -85,10 +88,12 @@ use impatience_traces::{pair_from_index, ContactEvent};
 
 use crate::config::{ConfigError, ContactSource, SimConfig};
 use crate::contact_bin::{decode_record_unchecked, encode_record, DEFAULT_BATCH, RECORD_BYTES};
-use crate::engine::TrialOutcome;
+use crate::engine::{settlement_gain, TrialOutcome};
 use crate::faults::ContactDrop;
 use crate::metrics::Metrics;
-use crate::policy::{Fulfillment, PolicyKind, QcrConfig, Reaction};
+use crate::policy::{
+    Fulfillment, MandateHost, PolicyKind, Pool, QcrRules, ReplicationPolicy, StaticAllocation,
+};
 use crate::state::{CacheArena, RequestArena, SimState};
 
 /// Number of logical shards, fixed regardless of worker count: tasks are
@@ -463,9 +468,43 @@ struct ShardState {
     len: usize,
     caches: CacheArena,
     replicas: Vec<u32>,
-    mandates: Vec<BTreeMap<u32, u64>>,
+    mandates: Vec<Pool>,
     requests: RequestArena<f64>,
     transmissions: u64,
+    /// Sticky-seed node of each item: fixed at seeding, the same
+    /// (global, read-only) table on every shard.
+    sticky_owner: Arc<[usize]>,
+}
+
+impl ShardState {
+    /// The block of `len` nodes from `start` whose (seeded) caches are
+    /// `caches`: replicas counted, no mandates, no requests.
+    fn new(
+        start: usize,
+        len: usize,
+        caches: CacheArena,
+        items: usize,
+        sticky_owner: Arc<[usize]>,
+    ) -> Self {
+        let mut replicas = vec![0u32; items];
+        for cache in caches.iter() {
+            for &item in cache.items() {
+                replicas[item as usize] += 1;
+            }
+        }
+        let mut requests = RequestArena::new();
+        requests.reset(len);
+        ShardState {
+            start,
+            len,
+            caches,
+            replicas,
+            mandates: vec![Pool::new(); len],
+            requests,
+            transmissions: 0,
+            sticky_owner,
+        }
+    }
 }
 
 /// Per-task accumulators: everything a task writes that outlives it,
@@ -518,75 +557,14 @@ struct SimEnv {
     utility: Arc<dyn DelayUtility>,
     h_zero: f64,
     item_sampler: Option<AliasTable>,
-    sticky_owner: Vec<usize>,
-    mode: Mode,
-}
-
-enum Mode {
-    Qcr(QcrParams),
-    Static,
-}
-
-/// The shard-local port of [`crate::policy::Qcr`]: same reaction scaling,
-/// minting, execution and routing arithmetic, but mandate pools live on
-/// the shard states (so phase-A/B tasks own them) and all randomness
-/// comes from the owning task's policy RNG.
-struct QcrParams {
-    routing: bool,
-    rewriting: bool,
-    gain_scale: f64,
-    cap: u64,
-    reaction: Reaction,
-    scale: f64,
-    servers: f64,
-    mu_ref: f64,
-    utility: Arc<dyn DelayUtility>,
-}
-
-impl QcrParams {
-    /// Mirror of `Qcr::new`'s normalization (ψ reference scaling and
-    /// steepness damping) — kept in lockstep with the serial policy.
-    fn new(
-        cfg: &QcrConfig,
-        utility: Arc<dyn DelayUtility>,
-        servers: usize,
-        mu_ref: f64,
-        items: usize,
-        rho: usize,
-    ) -> Self {
-        assert!(cfg.gain_scale > 0.0, "gain scale must be positive");
-        let mu_ref = if mu_ref > 0.0 { mu_ref } else { 1.0 };
-        let mut scale = cfg.gain_scale;
-        if cfg.normalize_reaction {
-            if let Reaction::Psi = cfg.reaction {
-                let y_ref = (items as f64 / rho.max(1) as f64).max(1.0);
-                let psi_ref = utility.psi(y_ref, servers as f64, mu_ref);
-                if psi_ref.is_finite() && psi_ref > 0.0 {
-                    scale /= psi_ref;
-                    let psi_2ref = utility.psi(2.0 * y_ref, servers as f64, mu_ref);
-                    let r = psi_2ref / psi_ref;
-                    if r.is_finite() && r > 1.0 {
-                        scale /= r * r * r;
-                    }
-                }
-            }
-        }
-        QcrParams {
-            routing: cfg.mandate_routing,
-            rewriting: cfg.rewriting,
-            gain_scale: cfg.gain_scale,
-            cap: cfg.mandate_cap,
-            reaction: cfg.reaction,
-            scale,
-            servers: servers as f64,
-            mu_ref,
-            utility,
-        }
-    }
+    /// The protocol, for QCR and passive replication; `None` pins the
+    /// allocation (meetings only fulfill).
+    qcr: Option<QcrRules>,
 }
 
 /// The one or two shard states a meeting touches, with node-id-keyed
-/// accessors so the meeting logic is written once for both phases.
+/// accessors so the meeting logic is written once for both phases (and
+/// the protocol once for every engine: see the [`MandateHost`] impl).
 enum Ends<'a> {
     One(&'a mut ShardState),
     /// Ordered: `.0`'s block precedes `.1`'s.
@@ -617,41 +595,6 @@ impl Ends<'_> {
                     sa
                 }
             }
-        }
-    }
-
-    fn holds(&self, node: usize, item: u32) -> bool {
-        let s = self.state_of(node);
-        s.caches.holds(node - s.start, item)
-    }
-
-    fn pool(&self, node: usize) -> &BTreeMap<u32, u64> {
-        let s = self.state_of(node);
-        &s.mandates[node - s.start]
-    }
-
-    fn pool_mut(&mut self, node: usize) -> &mut BTreeMap<u32, u64> {
-        let s = self.state_of_mut(node);
-        let local = node - s.start;
-        &mut s.mandates[local]
-    }
-
-    /// Copy `item` into `node`'s cache with random replacement, keeping
-    /// the owning shard's replica and transmission books — the port of
-    /// [`SimState::replicate`].
-    fn replicate(&mut self, node: usize, item: u32, rng: &mut Xoshiro256) -> bool {
-        let s = self.state_of_mut(node);
-        let local = node - s.start;
-        match s.caches.node_mut(local).insert_evict(item, rng) {
-            Ok(evicted) => {
-                s.replicas[item as usize] += 1;
-                if let Some(old) = evicted {
-                    s.replicas[old as usize] -= 1;
-                }
-                s.transmissions += 1;
-                true
-            }
-            Err(()) => false,
         }
     }
 
@@ -701,6 +644,49 @@ impl Ends<'_> {
         let s = self.state_of_mut(node);
         let local = node - s.start;
         s.caches.node_mut(local).touch(item);
+    }
+}
+
+/// The protocol runs on shard blocks through these five accessors: pools
+/// live on the shard states (so phase-A/B tasks own them) and a copy
+/// keeps the owning shard's replica and transmission books, as
+/// [`SimState::replicate`] keeps the global ones.
+impl MandateHost for Ends<'_> {
+    fn holds(&self, node: usize, item: u32) -> bool {
+        let s = self.state_of(node);
+        s.caches.holds(node - s.start, item)
+    }
+
+    fn pool(&self, node: usize) -> &Pool {
+        let s = self.state_of(node);
+        &s.mandates[node - s.start]
+    }
+
+    fn pool_mut(&mut self, node: usize) -> &mut Pool {
+        let s = self.state_of_mut(node);
+        let local = node - s.start;
+        &mut s.mandates[local]
+    }
+
+    fn replicate(&mut self, node: usize, item: u32, rng: &mut Xoshiro256) -> bool {
+        let s = self.state_of_mut(node);
+        let local = node - s.start;
+        match s.caches.node_mut(local).insert_evict(item, rng) {
+            Ok(evicted) => {
+                s.replicas[item as usize] += 1;
+                if let Some(old) = evicted {
+                    s.replicas[old as usize] -= 1;
+                }
+                s.transmissions += 1;
+                true
+            }
+            Err(()) => false,
+        }
+    }
+
+    fn sticky_owner(&self, item: u32) -> usize {
+        let (Ends::One(s) | Ends::Two(s, _)) = self;
+        s.sticky_owner[item as usize]
     }
 }
 
@@ -767,141 +753,8 @@ fn process_meeting(
         fnv(fnv(fnv(ctx.digest, time.to_bits()), a as u64), b as u64),
         ctx.fulfilled.len() as u64,
     );
-    if let Mode::Qcr(p) = &env.mode {
-        for i in 0..ctx.fulfilled.len() {
-            let f = ctx.fulfilled[i];
-            mint(p, ends, f.node, f.item, f.queries, ctx);
-        }
-        execute(p, ends, a, b, ctx);
-        execute(p, ends, b, a, ctx);
-        if p.routing {
-            route(p, ends, a, b, ctx, &env.sticky_owner);
-        }
-    }
-}
-
-/// Port of `Qcr::mint` (reaction, stochastic rounding, caps).
-fn mint(
-    p: &QcrParams,
-    ends: &mut Ends<'_>,
-    node: usize,
-    item: u32,
-    queries: u64,
-    ctx: &mut TaskCtx,
-) {
-    if queries == 0 {
-        return;
-    }
-    let raw = match p.reaction {
-        Reaction::Psi => p.utility.psi(queries as f64, p.servers, p.mu_ref) * p.scale,
-        Reaction::Constant(k) => k * p.gain_scale,
-    };
-    if raw.is_nan() || raw <= 0.0 {
-        return;
-    }
-    let mut count = raw.floor() as u64;
-    if ctx.rng.bernoulli(raw - count as f64) {
-        count += 1;
-    }
-    if count > p.cap {
-        ctx.metrics.mandate_cap_hits += 1;
-        count = p.cap;
-    }
-    if count > 0 {
-        let cap = p.cap;
-        let pool = ends.pool_mut(node).entry(item).or_insert(0);
-        let before = *pool;
-        *pool = (*pool + count).min(cap);
-        ctx.metrics.mandates_created += *pool - before;
-    }
-}
-
-/// Port of `Qcr::execute`: the carrier's mandates fire only while it
-/// still possesses the item; peers already holding it stall the mandate
-/// (or burn it under rewriting).
-fn execute(p: &QcrParams, ends: &mut Ends<'_>, carrier: usize, peer: usize, ctx: &mut TaskCtx) {
-    let items: Vec<u32> = ends.pool(carrier).keys().copied().collect();
-    for item in items {
-        if !ends.holds(carrier, item) {
-            continue;
-        }
-        if ends.holds(peer, item) {
-            if p.rewriting {
-                consume(ends.pool_mut(carrier), item);
-            }
-            continue;
-        }
-        if ends.replicate(peer, item, &mut ctx.rng) {
-            consume(ends.pool_mut(carrier), item);
-        }
-    }
-}
-
-fn consume(pool: &mut BTreeMap<u32, u64>, item: u32) {
-    if let Some(c) = pool.get_mut(&item) {
-        *c = c.saturating_sub(1);
-        if *c == 0 {
-            pool.remove(&item);
-        }
-    }
-}
-
-/// Port of `Qcr::route`: mandates migrate toward replica holders,
-/// preferring the sticky seed with a 2/3 share.
-fn route(
-    p: &QcrParams,
-    ends: &mut Ends<'_>,
-    a: usize,
-    b: usize,
-    ctx: &mut TaskCtx,
-    sticky_owner: &[usize],
-) {
-    let mut items: Vec<u32> = ends
-        .pool(a)
-        .keys()
-        .chain(ends.pool(b).keys())
-        .copied()
-        .collect();
-    items.sort_unstable();
-    items.dedup();
-    for item in items {
-        let total = (ends.pool(a).get(&item).copied().unwrap_or(0)
-            + ends.pool(b).get(&item).copied().unwrap_or(0))
-        .min(p.cap);
-        if total == 0 {
-            continue;
-        }
-        let ha = ends.holds(a, item);
-        let hb = ends.holds(b, item);
-        let sticky = sticky_owner[item as usize];
-        let to_a = match (ha, hb) {
-            (true, false) => total,
-            (false, true) => 0,
-            _ => {
-                if ha && sticky == a {
-                    (total * 2).div_ceil(3)
-                } else if hb && sticky == b {
-                    total - (total * 2).div_ceil(3)
-                } else {
-                    let half = total / 2;
-                    if total % 2 == 1 && ctx.rng.bernoulli(0.5) {
-                        half + 1
-                    } else {
-                        half
-                    }
-                }
-            }
-        };
-        set_pool(ends.pool_mut(a), item, to_a);
-        set_pool(ends.pool_mut(b), item, total - to_a);
-    }
-}
-
-fn set_pool(pool: &mut BTreeMap<u32, u64>, item: u32, count: u64) {
-    if count == 0 {
-        pool.remove(&item);
-    } else {
-        pool.insert(item, count);
+    if let Some(rules) = &env.qcr {
+        rules.after_meeting(ends, a, b, &ctx.fulfilled, &mut ctx.metrics, &mut ctx.rng);
     }
 }
 
@@ -1152,13 +1005,7 @@ pub fn run_trial_sharded(
         ContactSource::Trace(_) => unreachable!("validated"),
     };
     let (items, rho, bin) = (config.items, config.rho, config.bin);
-    if let Some(f) = &config.faults {
-        assert!(
-            !f.panic_on_seeds.contains(&seed),
-            "fault injection: chaos panic for trial seed {seed}"
-        );
-    }
-    let faults = config.faults.as_ref().filter(|f| f.is_active());
+    let faults = config.faults.as_ref().and_then(|f| f.for_trial(seed));
     let blocks = shard_blocks(nodes);
 
     // ---- fixed RNG derivation order (independent of everything else) ----
@@ -1218,49 +1065,21 @@ pub fn run_trial_sharded(
         .unwrap_or_else(|| config.utility.clone());
     let mut global = SimState::new(nodes, items, rho);
     global.set_eviction(config.eviction);
-    let mut policy_obj = policy.instantiate(
-        protocol_utility.clone(),
-        nodes,
-        nodes,
-        mu,
-        items,
-        rho,
-        &config.demand,
-    );
-    policy_obj.initialize(&mut global, &mut master);
-    drop(policy_obj);
-    let label = policy.label();
-    let mode = match &policy {
-        PolicyKind::Qcr(cfg) => Mode::Qcr(QcrParams::new(
-            cfg,
-            protocol_utility.clone(),
-            nodes,
-            mu,
-            items,
-            rho,
-        )),
-        PolicyKind::Passive { replicas } => {
-            let cfg = QcrConfig {
-                reaction: Reaction::Constant(*replicas),
-                ..QcrConfig::default()
-            };
-            Mode::Qcr(QcrParams::new(
-                &cfg,
-                protocol_utility,
-                nodes,
-                mu,
-                items,
-                rho,
-            ))
+    match &policy {
+        PolicyKind::Static { counts, .. } => {
+            StaticAllocation::new(counts.clone()).initialize(&mut global, &mut master)
         }
-        PolicyKind::Static { .. } => Mode::Static,
-        PolicyKind::HillClimb { .. } => unreachable!("validated"),
-    };
+        _ => global.seed_sticky_and_fill(&mut master),
+    }
+    let qcr = policy
+        .qcr_config()
+        .map(|cfg| QcrRules::new(cfg, protocol_utility, nodes, mu, items, rho));
     let SimState {
         caches,
         sticky_owner,
         ..
     } = global;
+    let sticky_owner: Arc<[usize]> = sticky_owner.into();
     let sizes: Vec<usize> = blocks.iter().map(|&(_, len)| len).collect();
     let arenas = caches.split_into_blocks(&sizes);
 
@@ -1269,22 +1088,13 @@ pub fn run_trial_sharded(
         utility: config.utility.clone(),
         h_zero: config.utility.h_zero(),
         item_sampler: (total_rate > 0.0).then(|| AliasTable::new(config.demand.rates())),
-        sticky_owner,
-        mode,
+        qcr,
     };
 
     // ---- build tasks ----
     let mut shards: Vec<Mutex<Shard>> = Vec::with_capacity(LOGICAL_SHARDS);
     for (s, arena) in arenas.into_iter().enumerate() {
         let (start, len) = blocks[s];
-        let mut replicas = vec![0u32; items];
-        for cache in arena.iter() {
-            for &item in cache.items() {
-                replicas[item as usize] += 1;
-            }
-        }
-        let mut requests = RequestArena::new();
-        requests.reset(len);
         let req_rate = if nodes > 0 {
             total_rate * len as f64 / nodes as f64
         } else {
@@ -1297,15 +1107,7 @@ pub fn run_trial_sharded(
             f64::INFINITY
         };
         shards.push(Mutex::new(Shard {
-            state: ShardState {
-                start,
-                len,
-                caches: arena,
-                replicas,
-                mandates: vec![BTreeMap::new(); len],
-                requests,
-                transmissions: 0,
-            },
+            state: ShardState::new(start, len, arena, items, sticky_owner.clone()),
             ctx: TaskCtx::new(
                 std::mem::replace(&mut shard_policy_rngs[s], Xoshiro256::seed_from_u64(0)),
                 duration,
@@ -1484,7 +1286,6 @@ pub fn run_trial_sharded(
     } = boundary
         .into_inner()
         .expect("a panicking task has ended the trial above");
-    let h_inf = config.utility.h_infinity();
     let mut final_replicas = vec![0u32; items];
     let mut event_digest = FNV_OFFSET;
     let mut contacts_processed = 0;
@@ -1493,11 +1294,7 @@ pub fn run_trial_sharded(
         sh.ctx.metrics.unfulfilled = sh.state.requests.len();
         for (_, _, created) in sh.state.requests.iter() {
             let age = (duration - created).max(f64::MIN_POSITIVE);
-            let gain = if h_inf.is_finite() {
-                h_inf
-            } else {
-                config.utility.h(age)
-            };
+            let gain = settlement_gain(config.utility.as_ref(), age);
             sh.ctx.metrics.record_settlement(duration, gain);
         }
         sh.ctx.metrics.transmissions = sh.state.transmissions;
@@ -1521,7 +1318,7 @@ pub fn run_trial_sharded(
         outcome: TrialOutcome {
             metrics,
             final_replicas,
-            label,
+            label: policy.label(),
         },
         fault_log,
         event_digest,
@@ -1626,6 +1423,122 @@ mod tests {
                 .iter()
                 .fold((usize::MAX, 0), |(lo, hi), b| (lo.min(b.1), hi.max(b.1)));
             assert!(max - min <= 1, "uneven blocks for {nodes}: {blocks:?}");
+        }
+    }
+
+    #[test]
+    fn hosts_agree() {
+        // One meeting of nodes 0 and 1 — a mint, a copy each way (each
+        // evicting at random), a sticky 2/3 split, an odd split settled by
+        // the coin, a mandate stalled for want of the item — hosted three
+        // ways: on one `SimState`, on one shard block, across two.
+        use crate::policy::qcr::SerialHost;
+        use crate::policy::{QcrConfig, Reaction};
+        let rules = QcrRules::new(
+            QcrConfig {
+                reaction: Reaction::Constant(2.5),
+                ..QcrConfig::default()
+            },
+            Arc::new(Step::new(10.0)),
+            2,
+            0.05,
+            6,
+            3,
+        );
+        let seeded = || {
+            let mut state = SimState::new(2, 6, 3);
+            for (node, sticky, others) in [(0, 0, [1, 2]), (1, 3, [0, 2])] {
+                state.caches.node_mut(node).pin_sticky(sticky);
+                state.sticky_owner[sticky as usize] = node;
+                for item in others {
+                    assert!(state.caches.node_mut(node).fill(item));
+                }
+                for item in others.into_iter().chain([sticky]) {
+                    state.replicas[item as usize] += 1;
+                }
+            }
+            let pools = vec![
+                Pool::from([(0, 3), (1, 2), (2, 5), (4, 3)]),
+                Pool::from([(0, 2), (3, 1)]),
+            ];
+            (state, pools)
+        };
+        let fulfilled = [Fulfillment {
+            node: 1,
+            item: 1,
+            queries: 4,
+            wait: 2.0,
+        }];
+        // What a host leaves behind: caches, pools, replicas,
+        // transmissions, metrics, and the RNG's next draw.
+        type Left = (Vec<Vec<u32>>, Vec<Pool>, Vec<u32>, u64, String, u64);
+        let meet = |host: &mut dyn FnMut(&mut Metrics, &mut Xoshiro256)| {
+            let mut metrics = Metrics::new(100.0, 10.0);
+            let mut rng = Xoshiro256::seed_from_u64(77);
+            host(&mut metrics, &mut rng);
+            (format!("{metrics:?}"), rng.next_u64())
+        };
+
+        let (mut state, mut pools) = seeded();
+        let (metrics, draw) = meet(&mut |metrics, rng| {
+            let mut host = SerialHost {
+                state: &mut state,
+                pools: &mut pools,
+            };
+            rules.after_meeting(&mut host, 0, 1, &fulfilled, metrics, rng);
+        });
+        let caches = state.caches.iter().map(|c| c.items().to_vec()).collect();
+        let serial: Left = (
+            caches,
+            pools,
+            state.replicas.clone(),
+            state.transmissions,
+            metrics,
+            draw,
+        );
+        assert!(serial.3 >= 2, "a copy each way");
+        assert_eq!(serial.1[0][&4] + serial.1[1][&4], 3, "stalled, then split");
+
+        for blocks in [vec![2], vec![1, 1]] {
+            let (state, pools) = seeded();
+            let sticky: Arc<[usize]> = state.sticky_owner.into();
+            let mut shards: Vec<ShardState> = state
+                .caches
+                .split_into_blocks(&blocks)
+                .into_iter()
+                .enumerate()
+                .map(|(s, arena)| {
+                    let mut shard = ShardState::new(s, blocks[s], arena, 6, sticky.clone());
+                    shard.mandates = pools[s..s + blocks[s]].to_vec();
+                    shard
+                })
+                .collect();
+            let (metrics, draw) = meet(&mut |metrics, rng| {
+                let mut ends = match shards.as_mut_slice() {
+                    [one] => Ends::One(one),
+                    [sa, sb] => Ends::Two(sa, sb),
+                    _ => unreachable!(),
+                };
+                rules.after_meeting(&mut ends, 0, 1, &fulfilled, metrics, rng);
+            });
+            let mut replicas = vec![0u32; 6];
+            for shard in &shards {
+                for (sum, r) in replicas.iter_mut().zip(&shard.replicas) {
+                    *sum += r;
+                }
+            }
+            let left: Left = (
+                shards
+                    .iter()
+                    .flat_map(|sh| sh.caches.iter().map(|c| c.items().to_vec()))
+                    .collect(),
+                shards.iter().flat_map(|sh| sh.mandates.clone()).collect(),
+                replicas,
+                shards.iter().map(|sh| sh.transmissions).sum(),
+                metrics,
+                draw,
+            );
+            assert_eq!(left, serial, "shard blocks {blocks:?}");
         }
     }
 

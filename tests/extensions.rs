@@ -46,6 +46,41 @@ fn dedicated_population_runs_time_critical_utilities() {
 }
 
 #[test]
+fn dedicated_population_that_does_not_fit_is_reported_as_such() {
+    // More servers than nodes: every runtime must say so, none may get
+    // as far as sizing a client population of 10 − 20.
+    use impatience_net::{run_net_trial, NetConfig};
+    use impatience_obs::Recorder;
+    use impatience_sim::runner::{run_campaign, CampaignOptions};
+    let mut config = SimConfig::builder(10, 2).build();
+    config.dedicated_servers = Some(20);
+    let source = ContactSource::homogeneous(10, 0.05, 100.0);
+    let message = "dedicated population needs 1 ≤ servers < nodes (got 20 of 10)";
+
+    let engine =
+        std::panic::AssertUnwindSafe(|| run_trial(&config, &source, PolicyKind::qcr_default(), 1));
+    let panic = std::panic::catch_unwind(engine).expect_err("the engine rejects the split");
+    assert_eq!(
+        panic.downcast_ref::<String>().map(String::as_str),
+        Some(message)
+    );
+    let net = run_net_trial(&config, &source, &NetConfig::default(), 1)
+        .expect_err("the kernel rejects the split");
+    assert!(net.to_string().ends_with(message), "{net}");
+    let campaign = run_campaign(
+        &config,
+        &source,
+        &PolicyKind::qcr_default(),
+        2,
+        1,
+        &CampaignOptions::default(),
+        &mut Recorder::disabled(),
+    )
+    .expect_err("the campaign rejects the split");
+    assert!(campaign.to_string().ends_with(message), "{campaign}");
+}
+
+#[test]
 fn dedicated_static_opt_beats_uniform() {
     // The dedicated analytic OPT (Theorem 2, dedicated closed forms)
     // simulated against UNI on throwboxes.

@@ -125,48 +125,6 @@ fn synthesized_trace_preserves_opt_quality_but_not_burstiness() {
 }
 
 #[test]
-fn streaming_matches_materialized_on_a_fixed_imported_trace() {
-    // The zero-copy cursor (`run_trial`) and the realize-then-replay
-    // reference (`run_trial_materialized`) must produce bit-for-bit the
-    // same outcome on a trace that went through the full on-disk
-    // round-trip, across several seeds.
-    use impatience_sim::engine::{run_trial, run_trial_materialized};
-    let mut rng = Xoshiro256::seed_from_u64(11);
-    let original = small_conference(&mut rng);
-    let mut bytes = Vec::new();
-    write_trace(&original, &mut bytes).unwrap();
-    let loaded = read_trace(bytes.as_slice()).unwrap();
-
-    let utility: Arc<dyn DelayUtility> = Arc::new(Step::new(60.0));
-    let config = SimConfig::builder(15, 3)
-        .demand(Popularity::pareto(15, 1.0).demand_rates(1.0))
-        .profile(DemandProfile::uniform(15, loaded.nodes()))
-        .utility(utility)
-        .bin(60.0)
-        .build();
-    let source = ContactSource::trace(loaded);
-    for seed in [1u64, 9, 42] {
-        let lazy = run_trial(&config, &source, PolicyKind::qcr_default(), seed);
-        let mat = run_trial_materialized(&config, &source, PolicyKind::qcr_default(), seed);
-        assert_eq!(lazy.final_replicas, mat.final_replicas, "seed {seed}");
-        assert_eq!(lazy.label, mat.label);
-        assert_eq!(
-            lazy.metrics.requests_created, mat.metrics.requests_created,
-            "seed {seed}"
-        );
-        assert_eq!(lazy.metrics.immediate_hits, mat.metrics.immediate_hits);
-        assert_eq!(lazy.metrics.unfulfilled, mat.metrics.unfulfilled);
-        assert_eq!(lazy.metrics.transmissions, mat.metrics.transmissions);
-        assert_eq!(lazy.metrics.fulfillments(), mat.metrics.fulfillments());
-        assert_eq!(
-            lazy.metrics.observed_rate_series(),
-            mat.metrics.observed_rate_series(),
-            "seed {seed}: observed series diverged"
-        );
-    }
-}
-
-#[test]
 fn discrete_contact_sequence_is_policy_independent() {
     // The slotted engine's contacts come from a generator forked off the
     // trial RNG (`DiscreteSource::stream`), so the contact trajectory is

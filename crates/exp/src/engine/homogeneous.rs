@@ -136,14 +136,8 @@ pub fn mandate_routing<S: Sink>(
             .filter(|p| ["OPT", "UNI", "DOM"].contains(&p.label().as_str())),
     );
 
-    let mut aggregates = Vec::new();
-    for p in &policies {
-        let cell = p.label();
-        let started = Instant::now();
-        let agg = ctx.run_one(spec, &cell, &config, &source, p, s.trials, s.seed, report)?;
-        ctx.cell_done(spec, &cell, 1, started, report);
-        aggregates.push(agg);
-    }
+    let cells: Vec<_> = policies.into_iter().map(|p| (p.label(), p)).collect();
+    let aggregates = ctx.policy_cells(spec, &cells, &config, &source, s.trials, s.seed, report)?;
 
     // Panels (a) and (b): utility series.
     let bins = aggregates[0].expected_series.len();
@@ -284,45 +278,40 @@ pub fn qcr_ablation<S: Sink>(
     for (regime, family) in s.regime_labels.iter().zip(&s.regimes) {
         let utility = utility_of(&spec.name, family)?;
         let (config, source, system) = paper_homogeneous_setting(utility.clone(), s.duration);
-        let opt_counts = greedy_homogeneous(&system, &config.demand, utility.as_ref());
-        let opt_cell = format!("{regime}/OPT");
-        let started = Instant::now();
-        let opt = ctx.run_one(
-            spec,
-            &opt_cell,
-            &config,
-            &source,
-            &PolicyKind::Static {
+        // OPT and every contender share the regime's config, source and
+        // seed: one suite call, each a cell of its own.
+        let mut contenders = vec![(
+            "OPT",
+            PolicyKind::Static {
                 label: "OPT",
-                counts: opt_counts,
+                counts: greedy_homogeneous(&system, &config.demand, utility.as_ref()),
             },
-            s.trials,
-            s.seed,
-            report,
-        )?;
-        ctx.cell_done(spec, &opt_cell, 1, started, report);
-        let mut contenders: Vec<(&str, PolicyKind)> = qcr_variants()
-            .into_iter()
-            .map(|(name, cfg)| (name, PolicyKind::Qcr(cfg)))
-            .collect();
+        )];
+        contenders.extend(
+            qcr_variants()
+                .into_iter()
+                .map(|(name, cfg)| (name, PolicyKind::Qcr(cfg))),
+        );
         contenders.push((
             "hill-climb",
             PolicyKind::HillClimb {
                 moves_per_contact: 1,
             },
         ));
-        for (name, policy) in contenders {
-            let cell = format!("{regime}/{name}");
-            let started = Instant::now();
-            let agg = ctx.run_one(
-                spec, &cell, &config, &source, &policy, s.trials, s.seed, report,
-            )?;
+        let names: Vec<&str> = contenders.iter().map(|&(name, _)| name).collect();
+        let cells: Vec<_> = contenders
+            .into_iter()
+            .map(|(name, policy)| (format!("{regime}/{name}"), policy))
+            .collect();
+        let aggregates =
+            ctx.policy_cells(spec, &cells, &config, &source, s.trials, s.seed, report)?;
+        let opt = &aggregates[0];
+        for (name, agg) in names.iter().zip(&aggregates).skip(1) {
             let loss = 100.0 * (agg.mean_rate - opt.mean_rate) / opt.mean_rate.abs();
             rows.push(format!(
                 "{regime},{name},{},{loss},{}",
                 agg.mean_rate, agg.mean_transmissions
             ));
-            ctx.cell_done(spec, &cell, 1, started, report);
         }
     }
     emit(
@@ -394,14 +383,8 @@ pub fn dynamic_demand<S: Sink>(
         },
     ];
 
-    let mut aggregates = Vec::new();
-    for p in &policies {
-        let cell = p.label();
-        let started = Instant::now();
-        let agg = ctx.run_one(spec, &cell, &config, &source, p, s.trials, s.seed, report)?;
-        ctx.cell_done(spec, &cell, 1, started, report);
-        aggregates.push(agg);
-    }
+    let cells: Vec<_> = policies.into_iter().map(|p| (p.label(), p)).collect();
+    let aggregates = ctx.policy_cells(spec, &cells, &config, &source, s.trials, s.seed, report)?;
 
     let mut header = "time".to_string();
     for a in &aggregates {
@@ -525,7 +508,11 @@ pub fn degraded<S: Sink>(
             }
             None => config,
         };
-        let competitors = homogeneous_competitors(&system, &config.demand, utility.as_ref());
+        // Only the lanes the tables report: QCR, OPT, UNI.
+        let competitors = homogeneous_competitors(&system, &config.demand, utility.as_ref())
+            .into_iter()
+            .filter(|p| ["OPT", "UNI"].contains(&p.label().as_str()))
+            .collect();
         let suite = ctx.policy_suite(
             spec,
             cell,
@@ -538,7 +525,6 @@ pub fn degraded<S: Sink>(
         )?;
         Ok(suite
             .into_iter()
-            .filter(|(label, _)| label == "QCR" || label == "OPT" || label == "UNI")
             .map(|(label, agg)| (label, agg.mean_rate))
             .collect())
     };

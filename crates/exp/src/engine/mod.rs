@@ -2,9 +2,11 @@
 //! invocations and results files.
 //!
 //! Every simulated cell goes through
-//! [`impatience_sim::runner::run_campaign`], which gives
-//! each one panic isolation, optional checkpoint/resume, and fault
-//! injection for free; without a checkpoint or faults the campaign path
+//! [`impatience_sim::runner::run_campaigns`], which gives
+//! each `(cell, policy)` panic isolation, optional checkpoint/resume, and
+//! fault injection for free — and runs the policies a cell compares on
+//! one `(config, source, seed)` as lanes of one contact drain per trial
+//! seed; without a checkpoint or faults the campaign path
 //! is bit-identical to the plain trial runner, so the declarative
 //! pipeline reproduces exactly what the retired per-figure binaries
 //! wrote. Per-cell progress streams through the recorder as
@@ -20,7 +22,7 @@ use std::time::Instant;
 use impatience_obs::{Progress, Recorder, Sink};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::policy::PolicyKind;
-use impatience_sim::runner::{run_campaign, CampaignOptions, TrialAggregate};
+use impatience_sim::runner::{run_campaigns, CampaignOptions, TrialAggregate};
 
 use crate::error::ExpError;
 use crate::spec::{Spec, SpecKind};
@@ -76,6 +78,74 @@ impl<S: Sink> ExecContext<'_, S> {
         }
     }
 
+    /// Run the campaigns of `lanes` — `(cell, policy)` pairs that share
+    /// `(config, source, base_seed)`, hence every contact sequence —
+    /// through the campaign runner as one suite call, returning their
+    /// aggregates in order. Each pair keeps its own checkpoint file.
+    #[allow(clippy::too_many_arguments)]
+    fn run_lanes(
+        &mut self,
+        spec: &Spec,
+        lanes: &[(&str, &PolicyKind)],
+        config: &SimConfig,
+        source: &ContactSource,
+        trials: usize,
+        base_seed: u64,
+        report: &mut ExecReport,
+    ) -> Result<Vec<TrialAggregate>, ExpError> {
+        let _span = impatience_obs::span!("cell");
+        let checkpoints: Vec<Option<PathBuf>> = lanes
+            .iter()
+            .map(|(cell, policy)| {
+                self.checkpoint_dir.as_ref().map(|dir| {
+                    dir.join(format!(
+                        "{}--{}--{}.ckpt",
+                        spec.name,
+                        slug(cell),
+                        slug(&policy.label())
+                    ))
+                })
+            })
+            .collect();
+        let options = CampaignOptions {
+            workers: self.workers,
+            cli_args: self.cli_args.clone(),
+            ..CampaignOptions::default()
+        };
+        let campaigns: Vec<_> = lanes
+            .iter()
+            .zip(&checkpoints)
+            .map(|(&(_, policy), path)| (policy, path.as_deref()))
+            .collect();
+        let failed = |cell: String| {
+            let spec = spec.name.clone();
+            move |source| ExpError::Campaign { spec, cell, source }
+        };
+        let outcomes = run_campaigns(
+            config, source, &campaigns, trials, base_seed, &options, self.rec,
+        )
+        .map_err(failed(lanes[0].0.to_string()))?;
+        let mut aggregates = Vec::with_capacity(lanes.len());
+        for ((outcome, (cell, policy)), checkpoint) in
+            outcomes.into_iter().zip(lanes).zip(checkpoints)
+        {
+            let label = policy.label();
+            let outcome = outcome.map_err(failed(format!("{cell}/{label}")))?;
+            for (k, msg) in outcome.skipped {
+                report
+                    .skipped
+                    .push((format!("{cell}/{label} trial {k}"), msg));
+            }
+            // The checkpoint has served its purpose once the cell completes;
+            // removing it keeps `--resume` directories from accumulating.
+            if let Some(path) = checkpoint {
+                let _ = std::fs::remove_file(path);
+            }
+            aggregates.push(outcome.aggregate);
+        }
+        Ok(aggregates)
+    }
+
     /// Run one `(cell, policy)` through the campaign runner.
     #[allow(clippy::too_many_arguments)]
     fn run_one(
@@ -89,40 +159,10 @@ impl<S: Sink> ExecContext<'_, S> {
         base_seed: u64,
         report: &mut ExecReport,
     ) -> Result<TrialAggregate, ExpError> {
-        let _span = impatience_obs::span!("cell");
-        let label = policy.label();
-        let options = CampaignOptions {
-            checkpoint_path: self.checkpoint_dir.as_ref().map(|dir| {
-                dir.join(format!(
-                    "{}--{}--{}.ckpt",
-                    spec.name,
-                    slug(cell),
-                    slug(&label)
-                ))
-            }),
-            workers: self.workers,
-            cli_args: self.cli_args.clone(),
-            ..CampaignOptions::default()
-        };
-        let outcome = run_campaign(
-            config, source, policy, trials, base_seed, &options, self.rec,
-        )
-        .map_err(|source| ExpError::Campaign {
-            spec: spec.name.clone(),
-            cell: format!("{cell}/{label}"),
-            source,
-        })?;
-        for (k, msg) in outcome.skipped {
-            report
-                .skipped
-                .push((format!("{cell}/{label} trial {k}"), msg));
-        }
-        // The checkpoint has served its purpose once the cell completes;
-        // removing it keeps `--resume` directories from accumulating.
-        if let Some(path) = &options.checkpoint_path {
-            let _ = std::fs::remove_file(path);
-        }
-        Ok(outcome.aggregate)
+        let lanes = [(cell, policy)];
+        let mut aggregates =
+            self.run_lanes(spec, &lanes, config, source, trials, base_seed, report)?;
+        Ok(aggregates.pop().expect("one lane in, one aggregate out"))
     }
 
     /// Run QCR plus a competitor list, returning `(label, aggregate)`
@@ -142,14 +182,36 @@ impl<S: Sink> ExecContext<'_, S> {
     ) -> Result<Vec<(String, TrialAggregate)>, ExpError> {
         let mut policies = vec![PolicyKind::qcr_default()];
         policies.extend(competitors);
-        policies
-            .into_iter()
-            .map(|p| {
-                let agg =
-                    self.run_one(spec, cell, config, source, &p, trials, base_seed, report)?;
-                Ok((p.label(), agg))
-            })
-            .collect()
+        let lanes: Vec<(&str, &PolicyKind)> = policies.iter().map(|p| (cell, p)).collect();
+        let aggregates = self.run_lanes(spec, &lanes, config, source, trials, base_seed, report)?;
+        Ok(policies
+            .iter()
+            .map(PolicyKind::label)
+            .zip(aggregates)
+            .collect())
+    }
+
+    /// One suite call in which every policy is a cell of its own: run
+    /// the `(cell, policy)` pairs together, then close each cell in order
+    /// (their `ExperimentDone` wall times all read the shared call).
+    #[allow(clippy::too_many_arguments)]
+    fn policy_cells(
+        &mut self,
+        spec: &Spec,
+        cells: &[(String, PolicyKind)],
+        config: &SimConfig,
+        source: &ContactSource,
+        trials: usize,
+        base_seed: u64,
+        report: &mut ExecReport,
+    ) -> Result<Vec<TrialAggregate>, ExpError> {
+        let started = Instant::now();
+        let lanes: Vec<(&str, &PolicyKind)> = cells.iter().map(|(c, p)| (c.as_str(), p)).collect();
+        let aggregates = self.run_lanes(spec, &lanes, config, source, trials, base_seed, report)?;
+        for (cell, _) in cells {
+            self.cell_done(spec, cell, 1, started, report);
+        }
+        Ok(aggregates)
     }
 
     /// Close a cell: bump the counter, emit the progress event.

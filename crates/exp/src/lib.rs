@@ -23,7 +23,8 @@
 //!   paper?" into a CI assertion;
 //! * **resilience** — simulated cells run through the campaign runner,
 //!   inheriting panic isolation, checkpoint/resume, and fault injection
-//!   from [`impatience_sim::runner::run_campaign`].
+//!   from [`impatience_sim::runner::run_campaigns`], which also lets the
+//!   policies a cell compares share one contact drain per trial seed.
 //!
 //! ## Flow
 //!

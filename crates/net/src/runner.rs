@@ -86,9 +86,22 @@ impl TrialJob for SeededNetTrials<'_> {
     /// The kernel keeps no storage between trials.
     type Scratch = ();
     type Output = Result<NetTrialOutcome, NetError>;
-    fn run<K: Sink>(&self, k: usize, _: &mut (), rec: &mut Recorder<K>) -> Self::Output {
+    /// One lane: a kernel run is one policy's.
+    fn run<K: Sink>(
+        &self,
+        k: usize,
+        _lanes: &[usize],
+        _: &mut (),
+        recs: &mut [Recorder<K>],
+    ) -> Vec<Result<Self::Output, String>> {
         let seed = self.base_seed + k as u64;
-        run_net_trial_observed(self.config, self.source, self.net, seed, rec)
+        vec![Ok(run_net_trial_observed(
+            self.config,
+            self.source,
+            self.net,
+            seed,
+            &mut recs[0],
+        ))]
     }
 }
 
@@ -123,7 +136,7 @@ pub fn run_net_trials_observed<S: Sink>(
     let outcomes = run_jobs(&all, workers, &job, rec)
         .0
         .into_iter()
-        .map(|r| r.unwrap_or_else(|message| panic!("{message}")))
+        .map(|(_, _, r)| r.unwrap_or_else(|message| panic!("{message}")))
         .collect::<Result<Vec<NetTrialOutcome>, NetError>>()?;
 
     let warmup = config.warmup_fraction;

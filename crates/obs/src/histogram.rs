@@ -13,6 +13,9 @@ use impatience_json::Json;
 #[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     range: f64,
+    /// Bucket count of the shape; `counts` holds this many entries, or
+    /// none at all for a [`Histogram::shape_only`] one.
+    buckets: usize,
     counts: Vec<u64>,
     overflow: u64,
     total: u64,
@@ -27,6 +30,19 @@ impl Histogram {
     /// # Panics
     /// Panics unless `range > 0` and `buckets > 0`.
     pub fn new(range: f64, buckets: usize) -> Self {
+        Histogram {
+            counts: vec![0; buckets],
+            ..Histogram::shape_only(range, buckets)
+        }
+    }
+
+    /// A histogram that reports its shape and owns no bucket storage:
+    /// what a recorder that can never record holds. Recording into it is
+    /// a no-op.
+    ///
+    /// # Panics
+    /// Panics unless `range > 0` and `buckets > 0`.
+    pub(crate) fn shape_only(range: f64, buckets: usize) -> Self {
         assert!(
             range > 0.0 && range.is_finite(),
             "histogram range must be positive"
@@ -34,7 +50,8 @@ impl Histogram {
         assert!(buckets > 0, "histogram needs at least one bucket");
         Histogram {
             range,
-            counts: vec![0; buckets],
+            buckets,
+            counts: Vec::new(),
             overflow: 0,
             total: 0,
             sum: 0.0,
@@ -47,7 +64,7 @@ impl Histogram {
     /// non-finite values are ignored.
     #[inline]
     pub fn record(&mut self, value: f64) {
-        if !value.is_finite() {
+        if !value.is_finite() || self.counts.is_empty() {
             return;
         }
         if value >= self.range {
@@ -75,7 +92,7 @@ impl Histogram {
 
     /// Number of equal buckets below the overflow bucket.
     pub fn buckets(&self) -> usize {
-        self.counts.len()
+        self.buckets
     }
 
     /// Mean of the samples (exact), or `None` if empty.
@@ -162,15 +179,19 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// Fold another histogram of identical shape into this one.
+    /// Fold another histogram of identical shape into this one (a no-op,
+    /// like [`record`](Histogram::record), on one without storage).
     ///
     /// # Panics
     /// Panics if the shapes (range or bucket count) differ.
     pub fn merge(&mut self, other: &Histogram) {
         assert!(
-            self.range == other.range && self.counts.len() == other.counts.len(),
+            self.range == other.range && self.buckets == other.buckets,
             "merging histograms of different shapes"
         );
+        if self.counts.is_empty() {
+            return;
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -263,6 +284,38 @@ mod tests {
             let v = h.quantile(q).unwrap();
             assert!((v - 3.0).abs() <= 0.1, "q={q} -> {v}");
         }
+    }
+
+    #[test]
+    fn an_inactive_recorder_keeps_its_shape_and_no_buckets() {
+        let disabled = crate::Recorder::disabled();
+        let live = crate::Recorder::new(crate::TallySink);
+        for (off, on) in [
+            (&disabled.delay, &live.delay),
+            (&disabled.inter_contact, &live.inter_contact),
+        ] {
+            assert_eq!(off.counts.capacity(), 0, "no heap bytes for buckets");
+            assert_eq!(on.counts.len(), on.buckets());
+            assert_eq!((off.range(), off.buckets()), (on.range(), on.buckets()));
+        }
+        // The shape round-trips through `with_shape`, as the runner's
+        // per-trial recorders take it from a possibly disabled caller.
+        let again = crate::Recorder::with_shape(crate::NoopSink, 7.0, 3.0, 11);
+        assert_eq!(again.delay.range(), 7.0);
+        assert_eq!(again.inter_contact.range(), 3.0);
+        assert_eq!(again.delay.buckets(), 11);
+
+        // Recording and merging are no-ops, not index panics.
+        let mut h = Histogram::shape_only(10.0, 10);
+        h.record(3.0);
+        let mut full = Histogram::new(10.0, 10);
+        full.record(3.0);
+        h.merge(&full);
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.cumulative_below(5.0), 0);
+        full.merge(&h);
+        assert_eq!(full.count(), 1);
     }
 
     #[test]

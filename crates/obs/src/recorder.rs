@@ -56,14 +56,21 @@ impl<S: Sink> Recorder<S> {
         )
     }
 
-    /// A recorder with explicit histogram spans and bucket count.
+    /// A recorder with explicit histogram spans and bucket count. An
+    /// inactive sink can never record, so its histograms carry the shape
+    /// and allocate no buckets.
     pub fn with_shape(sink: S, delay_range: f64, inter_contact_range: f64, buckets: usize) -> Self {
+        let histogram = if S::ACTIVE {
+            Histogram::new
+        } else {
+            Histogram::shape_only
+        };
         Recorder {
             sink,
             counters: Counters::new(),
             peaks: Peaks::new(),
-            delay: Histogram::new(delay_range, buckets),
-            inter_contact: Histogram::new(inter_contact_range, buckets),
+            delay: histogram(delay_range, buckets),
+            inter_contact: histogram(inter_contact_range, buckets),
             last_contact: None,
         }
     }
@@ -301,11 +308,15 @@ impl<S: Sink> Recorder<S> {
 
     /// Fold another recorder's statistics into this one (counters,
     /// peaks, histograms). Sinks are not touched — this is how the
-    /// parallel runner combines per-worker tallies.
+    /// parallel runner combines per-worker tallies. Like every hook, a
+    /// no-op on an inactive recorder.
     ///
     /// # Panics
     /// Panics if the histogram shapes differ.
     pub fn absorb<S2: Sink>(&mut self, other: &Recorder<S2>) {
+        if !S::ACTIVE {
+            return;
+        }
         self.counters.merge(&other.counters);
         self.peaks.merge(&other.peaks);
         self.delay.merge(&other.delay);

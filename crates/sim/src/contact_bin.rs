@@ -8,19 +8,20 @@
 //!
 //! * one contact = one 16-byte record — `f64` time, `u32 a`, `u32 b`,
 //!   all little-endian ([`RECORD_BYTES`]);
-//! * a *batch* is a plain `Vec<u8>` of concatenated records, reused
-//!   across refills so steady-state consumption allocates nothing;
+//! * a *batch* of records is a plain `Vec<u8>` of concatenated records
+//!   (the sharded engine's lanes keep theirs in this form);
 //! * the on-disk form ([`write_contact_bin`]/[`read_contact_bin`])
 //!   prefixes a 20-byte header (magic, node count, duration) so files
 //!   are self-describing and validated on read.
 //!
 //! [`BatchedContacts`] adapts a lazy [`ContactStream`] to batch
-//! consumption: the sampler encodes up to a batch of upcoming events
-//! into the reusable buffer, and the engine decodes them back on
-//! `peek`/`next`. Encoding is lossless (`f64`/`u32` ↔ LE bytes), and the
-//! contact stream runs on its own forked RNG stream, so pulling events
-//! a batch ahead of the simulation clock leaves every trajectory
-//! bit-identical to unbatched consumption.
+//! consumption: a refill pulls up to a batch of upcoming events into one
+//! reusable `Vec<ContactEvent>` (the same 16 bytes per contact, with
+//! nothing to decode), which the serial engine's lane driver takes a
+//! slice at a time ([`BatchedContacts::next_batch`]) and the net kernel
+//! an event at a time (`peek`/`next`). The contact stream runs on its own
+//! forked RNG stream, so pulling events a batch ahead of the simulation
+//! clock leaves every trajectory bit-identical to unbatched consumption.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -199,24 +200,24 @@ pub fn read_contact_bin_file(path: &Path) -> Result<ContactTrace, TraceError> {
     read_contact_bin(std::io::BufReader::new(file)).map_err(|e| e.in_file(path))
 }
 
-/// Batch adapter from a lazy [`ContactStream`] to the binary record
-/// form: refills encode up to `batch` upcoming events into one reusable
-/// byte buffer; `peek`/`next` decode records back out in order.
+/// Batch adapter over a lazy [`ContactStream`]: a refill pulls up to
+/// `batch` upcoming events into one reusable buffer, handed out a slice
+/// at a time ([`next_batch`](BatchedContacts::next_batch)) or an event at
+/// a time (`peek`/`next`).
 ///
 /// Steady-state consumption performs zero allocation — `clear()` keeps
 /// the buffer's capacity across refills. Because the underlying contact
 /// stream draws from its own forked RNG stream, sampling a batch ahead
-/// of the simulation clock cannot perturb any other random draw, and the
-/// LE round-trip is exact, so the event sequence is bit-identical to
-/// consuming the stream directly.
+/// of the simulation clock cannot perturb any other random draw, so the
+/// event sequence is bit-identical to consuming the stream directly.
 #[derive(Debug)]
 pub struct BatchedContacts {
     stream: ContactStream,
     nodes: usize,
     duration: f64,
     batch: usize,
-    buf: Vec<u8>,
-    /// Byte offset of the next undecoded record in `buf`.
+    buf: Vec<ContactEvent>,
+    /// Index of the next unconsumed event in `buf`.
     pos: usize,
     exhausted: bool,
 }
@@ -238,7 +239,7 @@ impl BatchedContacts {
             duration: stream.duration(),
             stream,
             batch,
-            buf: Vec::with_capacity(batch * RECORD_BYTES),
+            buf: Vec::with_capacity(batch),
             pos: 0,
             exhausted: false,
         }
@@ -254,32 +255,34 @@ impl BatchedContacts {
         self.duration
     }
 
-    /// Encode the next batch of events into the reusable buffer.
+    /// Pull the next batch of events into the reusable buffer, unless the
+    /// current one still has events or the stream has ended.
     fn refill(&mut self) {
+        if self.pos < self.buf.len() || self.exhausted {
+            return;
+        }
+        let _s = impatience_obs::span!("stream");
         self.buf.clear();
         self.pos = 0;
-        for _ in 0..self.batch {
-            match self.stream.next() {
-                Some(e) => encode_record(&e, &mut self.buf),
-                None => {
-                    self.exhausted = true;
-                    break;
-                }
-            }
-        }
+        self.buf.extend(self.stream.by_ref().take(self.batch));
+        self.exhausted = self.buf.len() < self.batch;
+    }
+
+    /// Every event not yet consumed of the current batch — a fresh batch
+    /// when there is none — consumed as a whole. Empty once the stream
+    /// has ended.
+    pub fn next_batch(&mut self) -> &[ContactEvent] {
+        self.refill();
+        let batch = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        batch
     }
 
     /// The next event without consuming it (refilling if the current
     /// batch is drained).
     pub fn peek(&mut self) -> Option<ContactEvent> {
-        if self.pos == self.buf.len() {
-            if self.exhausted {
-                return None;
-            }
-            self.refill();
-        }
-        (self.pos < self.buf.len())
-            .then(|| decode_record_unchecked(&self.buf[self.pos..self.pos + RECORD_BYTES]))
+        self.refill();
+        self.buf.get(self.pos).copied()
     }
 }
 
@@ -288,7 +291,7 @@ impl Iterator for BatchedContacts {
 
     fn next(&mut self) -> Option<ContactEvent> {
         let e = self.peek()?;
-        self.pos += RECORD_BYTES;
+        self.pos += 1;
         Some(e)
     }
 }
@@ -344,6 +347,27 @@ mod tests {
             }
             assert_eq!(got, direct, "batch size {batch}");
             assert!(batched.next().is_none());
+
+            // Slice consumption yields the same sequence; a slice taken
+            // after a single event is the rest of that event's batch (a
+            // fresh batch when that was all of it).
+            let mut rng = Xoshiro256::seed_from_u64(11);
+            let stream = ContactStream::poisson(20, 0.02, 1_000.0, rng.split(2));
+            let mut batched = BatchedContacts::with_batch(stream, batch);
+            let mut got = vec![batched.next().unwrap()];
+            let rest = batched.next_batch();
+            assert_eq!(rest.len(), (batch - 1).max(1));
+            got.extend_from_slice(rest);
+            loop {
+                let slice = batched.next_batch();
+                if slice.is_empty() {
+                    break;
+                }
+                assert!(slice.len() <= batch);
+                got.extend_from_slice(slice);
+            }
+            assert_eq!(got, direct, "batch size {batch}, by slices");
+            assert!(batched.peek().is_none() && batched.next_batch().is_empty());
         }
     }
 

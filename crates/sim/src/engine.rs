@@ -19,17 +19,29 @@
 //!
 //! Those mechanics are written once, as the crate-private `Trial` frame
 //! (`begin`, `request`, `meeting`, `finish`), and two drivers feed it
-//! events: the event-merging loop below (Poisson arrivals against a
-//! contact stream, with demand shifts) and the slot loop of
+//! events: the lane driver below (Poisson arrivals merged with a contact
+//! stream, with demand shifts) and the slot loop of
 //! [`crate::engine_discrete`]. [`crate::sharded`] keeps its own frame —
 //! its exchange is the eager walk, for the reasons at
 //! [`RequestArena::retain`].
+//!
+//! The lane driver (`run_lanes`) samples the contact sequence of a trial
+//! seed once and steps any number of *lanes* through it, a batch of
+//! contacts at a time. A lane is one policy's whole trial — its own
+//! `Trial`, RNG, arrival process, fault state, recorder and scratch — so
+//! it ends bit-identical to a trial run alone: lanes share nothing but
+//! the slice of contacts. [`run_trial`] and its variants are the one-lane
+//! call; the campaign runner ([`crate::runner`]) rides every policy of a
+//! comparison on one drain.
 
 use impatience_core::demand::DemandRates;
 use impatience_core::rng::{AliasTable, Xoshiro256};
 use impatience_core::types::SystemModel;
 use impatience_core::utility::DelayUtility;
 use impatience_obs::{Recorder, Sink};
+use impatience_traces::ContactEvent;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 use crate::config::{ContactSource, SimConfig};
 use crate::contact_bin::BatchedContacts;
@@ -352,7 +364,17 @@ impl<'a, S: Sink> Trial<'a, S> {
 
     /// Settle the requests still outstanding at the horizon (`age` turns
     /// a request's stamp into the time it has waited) and close the books.
-    pub(crate) fn finish(mut self, age: impl Fn(f64) -> f64) -> TrialOutcome {
+    pub(crate) fn finish(self, age: impl Fn(f64) -> f64) -> TrialOutcome {
+        let wall_s = self
+            .wall_start
+            .map_or(0.0, |start| start.elapsed().as_secs_f64());
+        self.finish_timed(wall_s, age)
+    }
+
+    /// [`Trial::finish`] for a driver that keeps the trial's clock itself
+    /// (a lane runs interleaved with others: its time is not the time
+    /// since `begin`).
+    fn finish_timed(mut self, wall_s: f64, age: impl Fn(f64) -> f64) -> TrialOutcome {
         let _settle_span = impatience_obs::span!("settle");
         let TrialScratch {
             state, requests, ..
@@ -365,10 +387,7 @@ impl<'a, S: Sink> Trial<'a, S> {
             self.rec.unfulfilled(self.duration, node as u32, item, age);
         }
         self.metrics.transmissions = state.transmissions;
-        if let Some(start) = self.wall_start {
-            self.rec
-                .trial_done(self.seed, start.elapsed().as_secs_f64());
-        }
+        self.rec.trial_done(self.seed, wall_s);
         TrialOutcome {
             metrics: self.metrics,
             // Clone rather than take: the scratch state stays structurally
@@ -380,9 +399,7 @@ impl<'a, S: Sink> Trial<'a, S> {
 }
 
 /// [`run_trial_observed`] reusing caller-owned working storage: the
-/// event-driven driver of the trial frame — Poisson request arrivals
-/// merged with the contact stream in time order, demand shifts taking
-/// effect in between.
+/// one-lane call of the lane driver.
 pub fn run_trial_observed_scratch<S: Sink>(
     config: &SimConfig,
     source: &ContactSource,
@@ -391,97 +408,252 @@ pub fn run_trial_observed_scratch<S: Sink>(
     rec: &mut Recorder<S>,
     scratch: &mut TrialScratch,
 ) -> TrialOutcome {
+    let (outcome, _) = run_lanes(
+        config,
+        source,
+        seed,
+        &[&policy],
+        std::slice::from_mut(rec),
+        std::slice::from_mut(scratch),
+    )
+    .pop()
+    .expect("one lane in, one result out");
+    outcome.unwrap_or_else(|panic| resume_unwind(panic))
+}
+
+/// One policy's trial riding a shared contact sequence: the `Trial` plus
+/// the state of its own arrival process (Poisson request arrivals, demand
+/// shifts taking effect in between) and snapshot clock.
+struct Lane<'a, S: Sink> {
+    trial: Trial<'a, S>,
+    /// Demand may shift over time (§7's evolving-demand extension); the
+    /// active segment drives arrivals, item sampling, and snapshots.
+    shifts: std::iter::Peekable<std::slice::Iter<'a, (f64, DemandRates)>>,
+    current_demand: &'a DemandRates,
+    total_rate: f64,
+    item_sampler: Option<AliasTable>,
+    snapshot_system: Option<SystemModel>,
+    next_request: f64,
+    next_snapshot: f64,
+}
+
+impl<'a, S: Sink> Lane<'a, S> {
+    /// Begin the trial and draw its first arrival. Arguments as for
+    /// [`Trial::begin`].
+    #[allow(clippy::too_many_arguments)] // one trial's whole context
+    fn begin(
+        config: &'a SimConfig,
+        policy: &PolicyKind,
+        nodes: usize,
+        mu_ref: f64,
+        duration: f64,
+        rng: Xoshiro256,
+        seed: u64,
+        rec: &'a mut Recorder<S>,
+        scratch: &'a mut TrialScratch,
+    ) -> Self {
+        let mut trial = Trial::begin(
+            config, policy, nodes, mu_ref, duration, rng, seed, rec, scratch,
+        );
+        let total_rate = config.demand.total();
+        Lane {
+            next_request: if total_rate > 0.0 {
+                trial.rng.exp(total_rate)
+            } else {
+                f64::INFINITY
+            },
+            trial,
+            shifts: config.demand_shifts.iter().peekable(),
+            current_demand: &config.demand,
+            total_rate,
+            item_sampler: (total_rate > 0.0).then(|| AliasTable::new(config.demand.rates())),
+            snapshot_system: (mu_ref > 0.0).then(|| match config.dedicated_servers {
+                Some(k) => SystemModel::dedicated(nodes - k, k, config.rho, mu_ref),
+                None => SystemModel::pure_p2p(nodes, config.rho, mu_ref),
+            }),
+            next_snapshot: 0.0,
+        }
+    }
+
+    /// Bin-start snapshots due by `until`.
+    fn snapshots(&mut self, until: f64) {
+        while self.next_snapshot <= until && self.next_snapshot < self.trial.duration {
+            if let Some(system) = &self.snapshot_system {
+                self.trial
+                    .snapshot(self.next_snapshot, system, self.current_demand);
+            }
+            self.next_snapshot += self.trial.config.bin;
+        }
+    }
+
+    /// Everything this lane does up to and including `contact` — or,
+    /// given none, up to the horizon: demand shifts, snapshots, cache
+    /// faults and the requests that arrive first, then the meeting.
+    fn step(&mut self, contact: Option<&ContactEvent>) {
+        let next_contact_t = contact.map_or(f64::INFINITY, |e| e.time);
+        loop {
+            let t = self.next_request.min(next_contact_t);
+            // Demand shifts due before the next event take effect first: the
+            // arrival process restarts (memorylessly) with the new rates.
+            if let Some(&&(shift_t, ref rates)) = self.shifts.peek() {
+                if shift_t <= t.min(self.trial.duration) {
+                    self.shifts.next();
+                    self.current_demand = rates;
+                    self.total_rate = rates.total();
+                    self.item_sampler =
+                        (self.total_rate > 0.0).then(|| AliasTable::new(rates.rates()));
+                    self.next_request = if self.total_rate > 0.0 {
+                        shift_t + self.trial.rng.exp(self.total_rate)
+                    } else {
+                        f64::INFINITY
+                    };
+                    continue;
+                }
+            }
+            if !t.is_finite() || t > self.trial.duration {
+                return;
+            }
+            self.snapshots(t);
+            self.trial.cache_faults(t);
+
+            if self.next_request <= next_contact_t {
+                let _s = impatience_obs::span!("request");
+                let sampler = self.item_sampler.as_ref().expect("arrivals imply demand");
+                let item = sampler.sample(&mut self.trial.rng) as u32;
+                self.trial
+                    .request(self.next_request, self.next_request, item);
+                self.next_request += self.trial.rng.exp(self.total_rate);
+            } else {
+                let _s = impatience_obs::span!("contact");
+                let e = contact.expect("a finite contact time");
+                self.trial
+                    .meeting(e.time, e.a, e.b, |created| e.time - created);
+                return;
+            }
+        }
+    }
+
+    /// Past the last contact: step to the horizon and take the trailing
+    /// snapshots.
+    fn run_out(&mut self) {
+        self.step(None);
+        self.snapshots(f64::INFINITY);
+    }
+
+    /// Settle what is still outstanding at the horizon; `wall_s` is the
+    /// time spent in this lane.
+    fn finish(self, wall_s: f64) -> TrialOutcome {
+        let duration = self.trial.duration;
+        self.trial
+            .finish_timed(wall_s, |created| duration - created)
+    }
+}
+
+/// A lane behind its panic isolation, with the wall time spent in it.
+struct Guarded<T> {
+    lane: std::thread::Result<T>,
+    busy: Duration,
+}
+
+impl<T> Guarded<T> {
+    /// Build the lane: construction is inside the isolation too.
+    fn begin(build: impl FnOnce() -> T) -> Self {
+        let started = Instant::now();
+        let lane = catch_unwind(AssertUnwindSafe(build));
+        Guarded {
+            lane,
+            busy: started.elapsed(),
+        }
+    }
+
+    /// Run `f` on the lane unless it has died; a panic kills it.
+    fn step(&mut self, f: impl FnOnce(&mut T)) {
+        if let Ok(lane) = &mut self.lane {
+            let started = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| f(lane)));
+            self.busy += started.elapsed();
+            if let Err(panic) = result {
+                self.lane = Err(panic);
+            }
+        }
+    }
+}
+
+/// Run one trial of every policy in `policies` on the contact sequence of
+/// `seed`, sampled once: lane `i` runs `policies[i]` against `recs[i]` and
+/// `scratches[i]`, and yields what `run_trial_observed_scratch` on the same
+/// arguments would, bit for bit — or the payload of the panic that killed
+/// it, which leaves the other lanes running — together with the wall time
+/// spent in it, in seconds.
+///
+/// The trial RNG is seeded once and seeds the contact stream (one
+/// `split`); every lane starts from a copy of it as it stands after that,
+/// and draws demand, initial placement and the policy from its copy.
+/// Contacts and faults run on streams keyed by the seed alone, and each
+/// lane arms its own `FaultState`, so all lanes see the same contacts,
+/// drops and outages. Then, a batch of contacts at a time, each lane in
+/// turn steps through the whole batch.
+///
+/// # Panics
+/// Panics with the [`crate::ConfigError`] message when `config` does not
+/// fit the source's population: that fails every lane alike.
+pub(crate) fn run_lanes<S: Sink>(
+    config: &SimConfig,
+    source: &ContactSource,
+    seed: u64,
+    policies: &[&PolicyKind],
+    recs: &mut [Recorder<S>],
+    scratches: &mut [TrialScratch],
+) -> Vec<(std::thread::Result<TrialOutcome>, f64)> {
+    assert!(policies.len() == recs.len() && policies.len() == scratches.len());
     // Self-profiling spans (impatience_obs::span) are gated process-wide
     // and cost one relaxed atomic load each when profiling is off; they
     // are independent of the recorder's sink, so `--profile` attributes
     // wall time even on otherwise-unobserved runs.
     let _trial_span = impatience_obs::span!("trial");
     let mut rng = Xoshiro256::seed_from_u64(seed);
-    // Consume contacts through the compact binary batch format: the
-    // sampler encodes `DEFAULT_BATCH` fixed-width records ahead into a
-    // reusable buffer, so the hot loop touches no allocator and no
-    // enum dispatch per event. Bit-identical to direct consumption —
-    // see `contact_bin`.
+    // Contacts arrive `DEFAULT_BATCH` at a time in a reusable buffer, so
+    // the hot loop touches no allocator and no enum dispatch per event.
     let mut contacts = BatchedContacts::new(source.stream(&mut rng));
     let (nodes, duration) = (contacts.nodes(), contacts.duration());
     // `mu_ref` is the source's reference rate for the homogeneous
     // welfare approximation (and QCR's ψ).
     let mu_ref = source.mean_rate();
     let config = config.try_resolved(nodes).unwrap_or_else(|e| panic!("{e}"));
-    let mut trial = Trial::begin(
-        &config, &policy, nodes, mu_ref, duration, rng, seed, rec, scratch,
-    );
-
-    // Demand may shift over time (§7's evolving-demand extension); the
-    // active segment drives arrivals, item sampling, and snapshots.
-    let mut shifts = config.demand_shifts.iter().peekable();
-    let mut current_demand = &config.demand;
-    let mut total_rate = current_demand.total();
-    let mut item_sampler = (total_rate > 0.0).then(|| AliasTable::new(current_demand.rates()));
-    let snapshot_system = (mu_ref > 0.0).then(|| match config.dedicated_servers {
-        Some(k) => SystemModel::dedicated(nodes - k, k, config.rho, mu_ref),
-        None => SystemModel::pure_p2p(nodes, config.rho, mu_ref),
-    });
-    let mut next_request = if total_rate > 0.0 {
-        trial.rng.exp(total_rate)
-    } else {
-        f64::INFINITY
-    };
-    let mut next_snapshot = 0.0;
-    // Bin-start snapshots due by `until`.
-    let mut snapshots = |trial: &mut Trial<'_, S>, until: f64, demand: &DemandRates| {
-        while next_snapshot <= until && next_snapshot < duration {
-            if let Some(system) = &snapshot_system {
-                trial.snapshot(next_snapshot, system, demand);
-            }
-            next_snapshot += config.bin;
-        }
-    };
-
+    let config: &SimConfig = &config;
+    let mut lanes: Vec<Guarded<Lane<'_, S>>> = policies
+        .iter()
+        .zip(recs)
+        .zip(scratches)
+        .map(|((policy, rec), scratch)| {
+            let rng = rng.clone();
+            Guarded::begin(move || {
+                Lane::begin(
+                    config, policy, nodes, mu_ref, duration, rng, seed, rec, scratch,
+                )
+            })
+        })
+        .collect();
     loop {
-        // Lazy contact-stream sampling happens inside peek/next.
-        let next_contact_t = {
-            let _s = impatience_obs::span!("stream");
-            contacts.peek().map_or(f64::INFINITY, |e| e.time)
-        };
-        let t = next_request.min(next_contact_t);
-        // Demand shifts due before the next event take effect first: the
-        // arrival process restarts (memorylessly) with the new rates.
-        if let Some(&&(shift_t, ref rates)) = shifts.peek() {
-            if shift_t <= t.min(duration) {
-                shifts.next();
-                current_demand = rates;
-                total_rate = current_demand.total();
-                item_sampler = (total_rate > 0.0).then(|| AliasTable::new(current_demand.rates()));
-                next_request = if total_rate > 0.0 {
-                    shift_t + trial.rng.exp(total_rate)
-                } else {
-                    f64::INFINITY
-                };
-                continue;
-            }
-        }
-        if !t.is_finite() || t > duration {
+        let batch = contacts.next_batch();
+        if batch.is_empty() {
             break;
         }
-        snapshots(&mut trial, t, current_demand);
-        trial.cache_faults(t);
-
-        if next_request <= next_contact_t {
-            let _s = impatience_obs::span!("request");
-            let sampler = item_sampler.as_ref().expect("arrivals imply demand");
-            let item = sampler.sample(&mut trial.rng) as u32;
-            trial.request(next_request, next_request, item);
-            next_request += trial.rng.exp(total_rate);
-        } else {
-            let _s = impatience_obs::span!("contact");
-            let e = contacts.next().expect("peeked above");
-            trial.meeting(e.time, e.a, e.b, |created| e.time - created);
+        for lane in &mut lanes {
+            lane.step(|lane| batch.iter().for_each(|e| lane.step(Some(e))));
         }
     }
-    // Trailing snapshots after the last event.
-    snapshots(&mut trial, f64::INFINITY, current_demand);
-    trial.finish(|created| duration - created)
+    lanes
+        .into_iter()
+        .map(|mut guarded| {
+            guarded.step(Lane::run_out);
+            let wall_s = guarded.busy.as_secs_f64();
+            let outcome = guarded
+                .lane
+                .and_then(|lane| catch_unwind(AssertUnwindSafe(|| lane.finish(wall_s))));
+            (outcome, wall_s)
+        })
+        .collect()
 }
 
 #[cfg(test)]

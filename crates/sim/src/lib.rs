@@ -65,8 +65,8 @@ pub use faults::{CacheFaults, Churn, ContactDrop, FaultConfig, MsgFaults};
 pub use metrics::Metrics;
 pub use policy::PolicyKind;
 pub use runner::{
-    run_campaign, run_trials, run_trials_sharded, CampaignError, CampaignOptions, ShardedAggregate,
-    TrialAggregate,
+    run_campaign, run_campaigns, run_trials, run_trials_sharded, CampaignError, CampaignOptions,
+    ShardedAggregate, TrialAggregate,
 };
 pub use sharded::{
     run_trial_sharded, validate_sharded, FaultRecord, ShardedOutcome, LOGICAL_SHARDS,
@@ -81,8 +81,8 @@ pub mod prelude {
     pub use crate::faults::FaultConfig;
     pub use crate::policy::{PolicyKind, QcrConfig};
     pub use crate::runner::{
-        run_campaign, run_trials, run_trials_observed, CampaignError, CampaignOptions,
-        TrialAggregate,
+        run_campaign, run_campaigns, run_trials, run_trials_observed, CampaignError,
+        CampaignOptions, TrialAggregate,
     };
     pub use crate::sharded::{run_trial_sharded, validate_sharded, ShardedOutcome};
 }

@@ -5,18 +5,19 @@
 //! embarrassingly parallel; the runner shards them across OS threads and
 //! aggregates.
 
+use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
 
 use impatience_obs::{MemorySink, NoopSink, Recorder, Sink, TallySink};
 
-use crate::checkpoint::{fingerprint, CampaignCheckpoint, CheckpointError, TrialRecord};
+use crate::checkpoint::{fingerprint, CampaignCheckpoint, CheckpointError};
 use crate::config::{ConfigError, ContactSource, SimConfig};
-use crate::engine::{run_trial_observed_scratch, TrialOutcome, TrialScratch};
+use crate::engine::{run_lanes, TrialOutcome, TrialScratch};
 use crate::policy::PolicyKind;
 use crate::sharded::run_trial_sharded;
 
@@ -67,7 +68,11 @@ pub struct TrialAggregate {
 struct BatchTelemetry {
     workers: usize,
     wall_s: f64,
+    /// Summed wall time of the pool's jobs.
     busy_s: f64,
+    /// Summed wall time of this policy's `trials` trials: its lanes' share
+    /// of the jobs.
+    trial_s: f64,
     trials: usize,
 }
 
@@ -79,11 +84,12 @@ pub use impatience_obs::stats::{percentile, percentile_sorted};
 
 fn aggregate(
     label: String,
-    outcomes: Vec<TrialOutcome>,
+    outcomes: &[impl Borrow<TrialOutcome>],
     warmup: f64,
     telemetry: BatchTelemetry,
 ) -> TrialAggregate {
     assert!(!outcomes.is_empty());
+    let outcomes: Vec<&TrialOutcome> = outcomes.iter().map(Borrow::borrow).collect();
     let trials = outcomes.len();
     let rates: Vec<f64> = outcomes
         .iter()
@@ -145,7 +151,7 @@ fn aggregate(
         mean_mandate_cap_hits: mean_of(&|o| o.metrics.mandate_cap_hits),
         workers: telemetry.workers,
         wall_s: telemetry.wall_s,
-        mean_trial_wall_s: telemetry.busy_s / telemetry.trials as f64,
+        mean_trial_wall_s: telemetry.trial_s / telemetry.trials as f64,
         worker_utilization: if telemetry.wall_s > 0.0 {
             (telemetry.busy_s / (telemetry.workers as f64 * telemetry.wall_s)).min(1.0)
         } else {
@@ -176,50 +182,80 @@ pub fn run_trials(
     )
 }
 
-/// What the worker pool runs: one trial per index, against the claiming
-/// worker's scratch and a recorder of the trial's own. The method is
-/// generic because the pool picks the per-trial sink type.
+/// What the worker pool runs: one call per trial index, which runs that
+/// trial in every lane the job names for it — one lane unless the job is
+/// a shared contact drain ([`run_campaigns`]) — against the claiming
+/// worker's scratch and a recorder per lane. The method is generic
+/// because the pool picks the per-trial sink type.
 pub trait TrialJob: Sync {
     /// Working storage a worker builds once and threads through every
     /// trial it claims.
     type Scratch: Default;
-    /// What one trial yields.
+    /// What one lane of one trial yields.
     type Output: Send;
-    /// Run trial `index`, reporting its events to `rec`.
+    /// The lanes trial `index` runs, ascending.
+    fn lanes(&self, _index: usize) -> Vec<usize> {
+        vec![0]
+    }
+    /// Run trial `index`, lane `lanes[i]` reporting its events to
+    /// `recs[i]`. One result per lane: the message of its panic for a
+    /// lane that died alone. A panic that escapes fails every lane.
     fn run<K: Sink>(
         &self,
         index: usize,
+        lanes: &[usize],
         scratch: &mut Self::Scratch,
-        rec: &mut Recorder<K>,
-    ) -> Self::Output;
+        recs: &mut [Recorder<K>],
+    ) -> Vec<Result<Self::Output, String>>;
 }
 
-/// Trial `k` of a serial-engine batch: seed `base_seed + k`.
-struct SeededTrials<'a> {
+/// Trial `k` of a serial-engine batch: seed `base_seed + k`, one contact
+/// drain, one lane per policy that does not have the trial yet.
+struct SeededLanes<'a> {
     config: &'a SimConfig,
     source: &'a ContactSource,
-    policy: &'a PolicyKind,
+    policies: &'a [&'a PolicyKind],
+    /// Per policy, the trials it already has.
+    done: &'a [HashSet<usize>],
     base_seed: u64,
 }
 
-impl TrialJob for SeededTrials<'_> {
-    type Scratch = TrialScratch;
-    type Output = TrialOutcome;
+impl TrialJob for SeededLanes<'_> {
+    type Scratch = Vec<TrialScratch>;
+    /// The outcome and the wall time spent in its lane, in seconds.
+    type Output = (TrialOutcome, f64);
+
+    fn lanes(&self, k: usize) -> Vec<usize> {
+        (0..self.policies.len())
+            .filter(|&p| !self.done[p].contains(&k))
+            .collect()
+    }
+
     fn run<K: Sink>(
         &self,
         k: usize,
-        scratch: &mut TrialScratch,
-        rec: &mut Recorder<K>,
-    ) -> TrialOutcome {
-        let seed = self.base_seed + k as u64;
-        run_trial_observed_scratch(
+        lanes: &[usize],
+        scratch: &mut Vec<TrialScratch>,
+        recs: &mut [Recorder<K>],
+    ) -> Vec<Result<Self::Output, String>> {
+        if scratch.len() < lanes.len() {
+            scratch.resize_with(lanes.len(), TrialScratch::new);
+        }
+        let policies: Vec<&PolicyKind> = lanes.iter().map(|&p| self.policies[p]).collect();
+        run_lanes(
             self.config,
             self.source,
-            self.policy.clone(),
-            seed,
-            rec,
-            scratch,
+            self.base_seed + k as u64,
+            &policies,
+            recs,
+            &mut scratch[..lanes.len()],
         )
+        .into_iter()
+        .map(|(outcome, lane_s)| match outcome {
+            Ok(outcome) => Ok((outcome, lane_s)),
+            Err(panic) => Err(panic_message(panic)),
+        })
+        .collect()
     }
 }
 
@@ -241,13 +277,16 @@ impl TrialSink for MemorySink {
     }
 }
 
+/// One lane of one trial out of the pool: `(lane, trial, result)`.
+pub type LaneResult<T> = (usize, usize, Result<T, String>);
+
 /// [`run_jobs`] with the per-trial sink type `K` fixed.
 fn run_jobs_with<K: TrialSink, S: Sink, J: TrialJob>(
     trials: &[usize],
     workers: usize,
     job: &J,
     rec: &mut Recorder<S>,
-) -> (Vec<Result<J::Output, String>>, f64) {
+) -> (Vec<LaneResult<J::Output>>, f64) {
     let shape = (
         rec.delay.range(),
         rec.inter_contact.range(),
@@ -263,16 +302,26 @@ fn run_jobs_with<K: TrialSink, S: Sink, J: TrialJob>(
         let mut local = Vec::new();
         let mut busy = 0.0f64;
         while let Some(&k) = trials.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let lanes = job.lanes(k);
             let t0 = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut wrec = Recorder::with_shape(K::default(), shape.0, shape.1, shape.2);
-                let output = job.run(k, &mut scratch, &mut wrec);
-                // A disabled recorder holds nothing to merge: it goes
-                // now, not once the whole batch has joined.
-                (output, K::ACTIVE.then_some(wrec))
-            }));
+            let mut recs: Vec<Recorder<K>> = lanes
+                .iter()
+                .map(|_| Recorder::with_shape(K::default(), shape.0, shape.1, shape.2))
+                .collect();
+            let results = catch_unwind(AssertUnwindSafe(|| {
+                job.run(k, &lanes, &mut scratch, &mut recs)
+            }))
+            .unwrap_or_else(|panic| {
+                let message = panic_message(panic);
+                lanes.iter().map(|_| Err(message.clone())).collect()
+            });
             busy += t0.elapsed().as_secs_f64();
-            local.push((k, result.map_err(panic_message)));
+            for ((lane, result), wrec) in lanes.into_iter().zip(results).zip(recs) {
+                // Only a live recorder of a lane that finished is merged:
+                // the others go now, not once the whole batch has joined.
+                let wrec = (K::ACTIVE && result.is_ok()).then_some(wrec);
+                local.push((lane, k, result, wrec));
+            }
         }
         (local, busy)
     };
@@ -291,19 +340,16 @@ fn run_jobs_with<K: TrialSink, S: Sink, J: TrialJob>(
     });
     trials_span.close();
     let _merge_span = impatience_obs::span!("merge");
-    done.sort_by_key(|&(k, _)| k);
-    let results = done.into_iter().map(|(k, result)| match result {
-        Ok((output, wrec)) => {
-            if let Some(wrec) = wrec {
-                rec.absorb(&wrec);
-                wrec.into_sink().replay(rec.sink_mut());
-            }
-            Ok(output)
+    done.sort_by_key(|&(lane, k, ..)| (lane, k));
+    let results = done.into_iter().map(|(lane, k, result, wrec)| {
+        if let Some(wrec) = wrec {
+            rec.absorb(&wrec);
+            wrec.into_sink().replay(rec.sink_mut());
         }
-        Err(message) => {
+        if result.is_err() {
             rec.fault(0.0, "trial_panic", k as u32, 0);
-            Err(message)
         }
+        (lane, k, result)
     });
     (results.collect(), busy_s)
 }
@@ -313,24 +359,26 @@ fn run_jobs_with<K: TrialSink, S: Sink, J: TrialJob>(
 ///
 /// Idle workers claim the next unclaimed index, so a straggler trial
 /// never idles the rest of the pool; each worker owns one scratch (the
-/// engine's [`TrialScratch`]) threaded through every trial it claims, so
-/// steady-state trials allocate nothing. Every trial runs behind
-/// `catch_unwind` against a recorder of its own (same histogram shapes
-/// as `rec`); after the join the per-trial tallies are absorbed into
-/// `rec` **in trial order**, so counters, peaks and histograms are
-/// independent of worker count and scheduling. Sinks that keep their
-/// event stream ([`Sink::WANTS_EVENTS`], e.g. a JSONL trace) additionally
-/// get every trial's events replayed in trial order, reproducing the
-/// deterministic serial stream; tally-only sinks skip event buffering
-/// and a disabled recorder skips the merge. A trial that panicked yields
-/// its message and a `trial_panic` fault event. Returns the results in
-/// trial order and the summed per-trial wall time.
+/// engine's [`TrialScratch`], one per lane) threaded through every trial
+/// it claims, so steady-state trials allocate nothing. Every trial runs
+/// behind `catch_unwind`, each of its lanes against a recorder of its own
+/// (same histogram shapes as `rec`); after the join the per-lane tallies
+/// are absorbed into `rec` **lane by lane, in trial order within a
+/// lane**, so counters, peaks and histograms are independent of worker
+/// count and scheduling — and with one lane per trial, in trial order.
+/// Sinks that keep their event stream ([`Sink::WANTS_EVENTS`], e.g. a
+/// JSONL trace) additionally get every lane's events replayed in that
+/// order, reproducing the deterministic serial stream; tally-only sinks
+/// skip event buffering and a disabled recorder skips the merge. A lane
+/// that panicked yields its message and a `trial_panic` fault event in
+/// place of what it recorded. Returns the results in the merge order and
+/// the summed per-trial wall time.
 pub fn run_jobs<S: Sink, J: TrialJob>(
     trials: &[usize],
     workers: usize,
     job: &J,
     rec: &mut Recorder<S>,
-) -> (Vec<Result<J::Output, String>>, f64) {
+) -> (Vec<LaneResult<J::Output>>, f64) {
     if !rec.is_active() {
         run_jobs_with::<NoopSink, S, J>(trials, workers, job, rec)
     } else if S::WANTS_EVENTS {
@@ -383,26 +431,33 @@ pub fn run_trials_observed_with_workers<S: Sink>(
     assert!(trials > 0, "need at least one trial");
     let batch_start = Instant::now();
     let workers = workers.unwrap_or_else(default_workers).max(1).min(trials);
-    let job = SeededTrials {
+    let job = SeededLanes {
         config,
         source,
-        policy,
+        policies: &[policy],
+        done: &[HashSet::new()],
         base_seed,
     };
     let all: Vec<usize> = (0..trials).collect();
     let (results, busy_s) = run_jobs(&all, workers, &job, rec);
-    let outcomes = results
+    let mut trial_s = 0.0;
+    let outcomes: Vec<TrialOutcome> = results
         .into_iter()
-        .map(|r| r.unwrap_or_else(|message| panic!("{message}")))
+        .map(|(_, _, result)| {
+            let (outcome, lane_s) = result.unwrap_or_else(|message| panic!("{message}"));
+            trial_s += lane_s;
+            outcome
+        })
         .collect();
     let telemetry = BatchTelemetry {
         workers,
         wall_s: batch_start.elapsed().as_secs_f64(),
         busy_s,
+        trial_s,
         trials,
     };
     let _agg_span = impatience_obs::span!("aggregate");
-    aggregate(policy.label(), outcomes, config.warmup_fraction, telemetry)
+    aggregate(policy.label(), &outcomes, config.warmup_fraction, telemetry)
 }
 
 /// Aggregate of a batch of *intra-trial sharded* trials
@@ -468,10 +523,11 @@ pub fn run_trials_sharded(
         workers,
         wall_s: batch_start.elapsed().as_secs_f64(),
         busy_s,
+        trial_s: busy_s,
         trials,
     };
     Ok(ShardedAggregate {
-        aggregate: aggregate(policy.label(), outcomes, config.warmup_fraction, telemetry),
+        aggregate: aggregate(policy.label(), &outcomes, config.warmup_fraction, telemetry),
         contacts_processed,
         event_digests,
         fault_events,
@@ -520,6 +576,8 @@ pub enum CampaignError {
     AllTrialsFailed {
         /// Planned trial count.
         trials: usize,
+        /// `(trial index, panic message)` of every trial.
+        skipped: Vec<(usize, String)>,
     },
     /// The [`CampaignOptions::abort_after_chunks`] test hook fired.
     Aborted {
@@ -533,7 +591,7 @@ impl std::fmt::Display for CampaignError {
         match self {
             CampaignError::Config(e) => write!(f, "invalid campaign configuration: {e}"),
             CampaignError::Checkpoint(e) => write!(f, "{e}"),
-            CampaignError::AllTrialsFailed { trials } => {
+            CampaignError::AllTrialsFailed { trials, .. } => {
                 write!(f, "all {trials} trials failed; nothing to aggregate")
             }
             CampaignError::Aborted { completed } => {
@@ -616,6 +674,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// ([`TrialAggregate::wall_s`] and friends) reflects this process, not
 /// the sum over restarts — it is the one part of the aggregate that is
 /// *not* bit-stable across a kill/resume.
+///
+/// This is the one-policy call of [`run_campaigns`].
 pub fn run_campaign<S: Sink>(
     config: &SimConfig,
     source: &ContactSource,
@@ -625,6 +685,53 @@ pub fn run_campaign<S: Sink>(
     options: &CampaignOptions,
     rec: &mut Recorder<S>,
 ) -> Result<CampaignOutcome, CampaignError> {
+    let lanes = [(policy, options.checkpoint_path.as_deref())];
+    run_campaigns(config, source, &lanes, trials, base_seed, options, rec)?
+        .pop()
+        .expect("one policy in, one outcome out")
+}
+
+/// The campaigns of several policies on one `(config, source, base_seed)`
+/// — a paired comparison — run together: trial `k` samples its contact
+/// sequence once and every policy that still misses trial `k` rides it
+/// as a lane (see [`crate::engine`]), instead of each policy's campaign
+/// sampling the identical sequence again.
+///
+/// Each entry of `policies` is a policy and its checkpoint file
+/// ([`CampaignOptions::checkpoint_path`] is not read here), and each is a
+/// campaign of its own as [`run_campaign`] describes it: its own
+/// fingerprint, checkpoint (same bytes, so files written by one-policy
+/// campaigns resume here and vice versa), skipped list and outcome —
+/// every trial outcome bit-identical to the one-policy campaign's. A
+/// directory where some policies are complete, one is partial and the
+/// rest are absent resumes by running, for each trial, only the lanes
+/// that miss it. A panic inside one lane skips that `(policy, trial)`
+/// alone.
+///
+/// The campaigns advance in lock step: an interval is
+/// [`CampaignOptions::checkpoint_every`] trials of the union of what the
+/// policies miss, after which every policy that ran in it writes its
+/// checkpoint. `rec` receives, per interval, what the one-policy
+/// campaigns would have sent it one after another: policy by policy, in
+/// trial order within a policy. [`TrialAggregate::mean_trial_wall_s`]
+/// (and an event stream's `TrialDone`) carry the time spent in that
+/// policy's lanes; `wall_s` and `worker_utilization` describe the shared
+/// run.
+///
+/// # Errors
+/// The outer error is one that stops all campaigns: an invalid
+/// configuration, a checkpoint that cannot be read, written or matched,
+/// the abort hook. The inner one is that policy's
+/// [`CampaignError::AllTrialsFailed`].
+pub fn run_campaigns<S: Sink>(
+    config: &SimConfig,
+    source: &ContactSource,
+    policies: &[(&PolicyKind, Option<&Path>)],
+    trials: usize,
+    base_seed: u64,
+    options: &CampaignOptions,
+    rec: &mut Recorder<S>,
+) -> Result<Vec<Result<CampaignOutcome, CampaignError>>, CampaignError> {
     if trials == 0 {
         return Err(ConfigError::InvalidRate {
             message: "campaign needs at least one trial".to_string(),
@@ -633,21 +740,46 @@ pub fn run_campaign<S: Sink>(
     }
     config.try_resolved(source.nodes())?;
     source.try_validate()?;
-    let fp = fingerprint(config, source, policy, trials, base_seed);
 
-    let mut completed: Vec<(usize, TrialRecord)> = Vec::new();
-    let mut resumed = 0usize;
-    if let Some(path) = &options.checkpoint_path {
-        if path.exists() {
-            let ckpt = CampaignCheckpoint::load(path)?;
-            ckpt.check_identity(&fp, trials, base_seed)?;
-            resumed = ckpt.completed.len();
-            completed = ckpt.completed;
+    /// One policy's campaign in flight. The checkpoint is the state: what
+    /// is saved is what `completed` holds, by reference.
+    struct Campaign<'a> {
+        path: Option<&'a Path>,
+        checkpoint: CampaignCheckpoint,
+        resumed: usize,
+        executed: usize,
+        trial_s: f64,
+    }
+    let mut campaigns = Vec::with_capacity(policies.len());
+    for &(policy, path) in policies {
+        let mut checkpoint = CampaignCheckpoint {
+            fingerprint: fingerprint(config, source, policy, trials, base_seed),
+            base_seed,
+            trials,
+            cli_args: options.cli_args.clone(),
+            completed: Vec::new(),
+        };
+        if let Some(path) = path.filter(|path| path.exists()) {
+            let saved = CampaignCheckpoint::load(path)?;
+            saved.check_identity(&checkpoint.fingerprint, trials, base_seed)?;
+            checkpoint.completed = saved.completed;
         }
+        campaigns.push(Campaign {
+            path,
+            resumed: checkpoint.completed.len(),
+            checkpoint,
+            executed: 0,
+            trial_s: 0.0,
+        });
     }
 
-    let done: HashSet<usize> = completed.iter().map(|&(k, _)| k).collect();
-    let pending: Vec<usize> = (0..trials).filter(|k| !done.contains(k)).collect();
+    let done: Vec<HashSet<usize>> = campaigns
+        .iter()
+        .map(|c| c.checkpoint.completed.iter().map(|&(k, _)| k).collect())
+        .collect();
+    let pending: Vec<usize> = (0..trials)
+        .filter(|k| done.iter().any(|done| !done.contains(k)))
+        .collect();
 
     let workers = options.workers.unwrap_or_else(default_workers).max(1);
     let chunk = if options.checkpoint_every == 0 {
@@ -656,75 +788,79 @@ pub fn run_campaign<S: Sink>(
         options.checkpoint_every
     };
 
-    let job = SeededTrials {
+    let lanes: Vec<&PolicyKind> = policies.iter().map(|&(policy, _)| policy).collect();
+    let job = SeededLanes {
         config,
         source,
-        policy,
+        policies: &lanes,
+        done: &done,
         base_seed,
     };
     let batch_start = Instant::now();
     let mut busy_s = 0.0f64;
-    let mut executed = 0usize;
-    let mut chunks_done = 0usize;
-    let mut idx = 0usize;
-    while idx < pending.len() {
+    for (chunks_done, batch) in pending.chunks(chunk).enumerate() {
         if options
             .abort_after_chunks
             .is_some_and(|limit| chunks_done >= limit)
         {
             return Err(CampaignError::Aborted {
-                completed: completed.len(),
+                completed: campaigns.iter().map(|c| c.checkpoint.completed.len()).sum(),
             });
         }
-        let batch = &pending[idx..(idx + chunk).min(pending.len())];
-        idx += batch.len();
         let (records, batch_busy) = run_jobs(batch, workers, &job, rec);
         busy_s += batch_busy;
-        executed += records.len();
-        completed.extend(batch.iter().copied().zip(records));
-        completed.sort_by_key(|&(k, _)| k);
+        let mut ran = vec![false; campaigns.len()];
+        for (lane, k, record) in records {
+            let campaign = &mut campaigns[lane];
+            ran[lane] = true;
+            campaign.executed += 1;
+            let record = record.map(|(outcome, lane_s)| {
+                campaign.trial_s += lane_s;
+                outcome
+            });
+            campaign.checkpoint.completed.push((k, record));
+        }
         // Checkpoint boundary: snapshot progress and drain any events
         // the sink has batched, so a kill between checkpoints loses at
         // most one interval of trace alongside one interval of trials.
-        if let Some(path) = &options.checkpoint_path {
-            let _s = impatience_obs::span!("checkpoint_save");
-            let ckpt = CampaignCheckpoint {
-                fingerprint: fp.clone(),
-                base_seed,
-                trials,
-                cli_args: options.cli_args.clone(),
-                completed: completed.clone(),
-            };
-            ckpt.save(path)?;
+        for (campaign, _) in campaigns.iter_mut().zip(ran).filter(|&(_, ran)| ran) {
+            campaign.checkpoint.completed.sort_by_key(|&(k, _)| k);
+            if let Some(path) = campaign.path {
+                let _s = impatience_obs::span!("checkpoint_save");
+                campaign.checkpoint.save(path)?;
+            }
         }
         rec.sink_mut().flush();
-        chunks_done += 1;
     }
 
-    let mut outcomes = Vec::new();
-    let mut skipped = Vec::new();
-    for (k, record) in &completed {
-        match record {
-            Ok(outcome) => outcomes.push(outcome.clone()),
-            Err(message) => skipped.push((*k, message.clone())),
+    let wall_s = batch_start.elapsed().as_secs_f64();
+    let outcomes = campaigns.iter().zip(&lanes).map(|(campaign, policy)| {
+        let mut outcomes = Vec::new();
+        let mut skipped = Vec::new();
+        for (k, record) in &campaign.checkpoint.completed {
+            match record {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(message) => skipped.push((*k, message.clone())),
+            }
         }
-    }
-    if outcomes.is_empty() {
-        return Err(CampaignError::AllTrialsFailed { trials });
-    }
-    let telemetry = BatchTelemetry {
-        workers: workers.min(trials),
-        wall_s: batch_start.elapsed().as_secs_f64(),
-        busy_s,
-        trials: executed.max(1),
-    };
-    let aggregate = aggregate(policy.label(), outcomes, config.warmup_fraction, telemetry);
-    Ok(CampaignOutcome {
-        aggregate,
-        skipped,
-        resumed,
-        executed,
-    })
+        if outcomes.is_empty() {
+            return Err(CampaignError::AllTrialsFailed { trials, skipped });
+        }
+        let telemetry = BatchTelemetry {
+            workers: workers.min(trials),
+            wall_s,
+            busy_s,
+            trial_s: campaign.trial_s,
+            trials: campaign.executed.max(1),
+        };
+        Ok(CampaignOutcome {
+            aggregate: aggregate(policy.label(), &outcomes, config.warmup_fraction, telemetry),
+            skipped,
+            resumed: campaign.resumed,
+            executed: campaign.executed,
+        })
+    });
+    Ok(outcomes.collect())
 }
 
 #[cfg(test)]
@@ -972,7 +1108,7 @@ mod tests {
                 &CampaignOptions::default(),
                 &mut Recorder::disabled(),
             ),
-            Err(CampaignError::AllTrialsFailed { trials: 5 })
+            Err(CampaignError::AllTrialsFailed { trials: 5, .. })
         ));
     }
 

@@ -1,19 +1,27 @@
-//! Same bits as before, for the two runtimes nothing else pins: the
-//! serial engine answers to `reproduce --check` and the sharded engine
-//! to the digests in `sharded_engine.rs`; the discrete engine and the
-//! message-passing kernel answer to the constants below.
+//! Same bits as before, for the runtimes nothing else in `cargo test`
+//! pins: the sharded engine answers to the digests in
+//! `sharded_engine.rs`; the serial engine (whose full check,
+//! `reproduce --all --check`, takes a minute), the discrete engine and
+//! the message-passing kernel answer to the constants below.
 //!
-//! Every constant was recorded at commit 0c7b659 (the parent of the
-//! change that put one `QcrRules` and one `Trial` frame under all four
-//! runtimes) by running this file there: a cell whose digest moves has
-//! changed a float sum, an RNG draw or an event order.
+//! The discrete and net constants were recorded at commit 0c7b659 (the
+//! parent of the change that put one `QcrRules` and one `Trial` frame
+//! under all four runtimes), the serial ones at 1ace9c3 (the parent of
+//! the change that made the event-merging loop a lane driver), each by
+//! running this file there: a cell whose digest moves has changed a
+//! float sum, an RNG draw or an event order.
 
 use std::sync::Arc;
 
-use impatience_core::demand::Popularity;
+use impatience_core::demand::{DemandRates, Popularity};
+use impatience_core::rng::Xoshiro256;
+use impatience_core::solver::fixed::dominant;
+use impatience_core::solver::greedy::greedy_homogeneous;
+use impatience_core::types::SystemModel;
 use impatience_core::utility::{DelayUtility, Power, Step};
 use impatience_net::{run_net_trial, NetConfig};
 use impatience_sim::config::{ContactSource, SimConfig};
+use impatience_sim::engine::run_trial;
 use impatience_sim::engine_discrete::{run_trial_discrete, DiscreteSource};
 use impatience_sim::faults::{CacheFaults, ContactDrop, FaultConfig, MsgFaults};
 use impatience_sim::metrics::Metrics;
@@ -37,6 +45,123 @@ fn config(utility: Arc<dyn DelayUtility>, faults: Option<FaultConfig>) -> SimCon
         builder = builder.faults(faults);
     }
     builder.build()
+}
+
+#[test]
+fn serial_engine_outputs_equal_the_recorded_ones() {
+    let (nodes, mu, duration) = (12, 0.05, 1_500.0);
+    let source = ContactSource::homogeneous(nodes, mu, duration);
+    let faulty = FaultConfig {
+        seed: 13,
+        drop: Some(ContactDrop {
+            p: 0.2,
+            mean_burst: 2.0,
+        }),
+        cache: Some(CacheFaults { rate: 0.002 }),
+        ..FaultConfig::default()
+    };
+    let utilities: [(&str, Arc<dyn DelayUtility>); 2] = [
+        ("step", Arc::new(Step::new(10.0))),
+        ("power", Arc::new(Power::new(0.5))),
+    ];
+    let policies = |config: &SimConfig| {
+        let system = SystemModel::pure_p2p(nodes, 2, mu);
+        [
+            PolicyKind::qcr_default(),
+            PolicyKind::Static {
+                label: "OPT",
+                counts: greedy_homogeneous(&system, &config.demand, config.utility.as_ref()),
+            },
+            PolicyKind::Static {
+                label: "DOM",
+                counts: dominant(&config.demand, nodes, 2),
+            },
+        ]
+    };
+
+    // (cell, config, source, policy, seed), in the order of `RECORDED`.
+    let mut cells = Vec::new();
+    for (name, utility) in &utilities {
+        for (f, faults) in [None, Some(faulty.clone())].into_iter().enumerate() {
+            let config = config(utility.clone(), faults);
+            for policy in policies(&config) {
+                for seed in 1..=2u64 {
+                    cells.push((
+                        format!("{name}, faults {f}, {}, seed {seed}", policy.label()),
+                        config.clone(),
+                        source.clone(),
+                        policy.clone(),
+                        seed,
+                    ));
+                }
+            }
+        }
+    }
+    // A replayed trace (the cursor source) under QCR…
+    let step = config(utilities[0].1.clone(), None);
+    let trace = impatience_traces::ContactStream::poisson(
+        nodes,
+        mu,
+        duration,
+        Xoshiro256::seed_from_u64(99),
+    )
+    .collect_trace();
+    cells.push((
+        "trace source".into(),
+        step.clone(),
+        ContactSource::trace(trace),
+        PolicyKind::qcr_default(),
+        3,
+    ));
+    // …and a demand reversal half way, under the pinned pre-shift OPT.
+    let mut shifted = step.clone();
+    shifted.demand_shifts = vec![(
+        duration / 2.0,
+        DemandRates::new(step.demand.rates().iter().rev().copied().collect()),
+    )];
+    let [_, opt, _] = policies(&step);
+    cells.push(("demand shift".into(), shifted, source.clone(), opt, 3));
+
+    const RECORDED: [u64; 26] = [
+        0x72c1_767c_e60b_49ab,
+        0xe70d_277f_16a8_fb7b,
+        0x1d2a_0bf8_21cb_9e71,
+        0xf9a4_c602_74c7_ab46,
+        0xeb94_1c24_56b1_8387,
+        0x48ca_4bf4_4439_885a,
+        0x838e_cc91_cb1b_89eb,
+        0x52b4_a554_7aa2_d065,
+        0xebf0_e687_25d9_2a38,
+        0x8d25_1a5b_c782_1671,
+        0xfd81_887f_701d_dcb2,
+        0x8857_3f97_795f_4665,
+        0x538d_4e34_ad39_de6a,
+        0x4e8c_9d27_ff18_8d86,
+        0x6ef4_2985_3224_724d,
+        0x9479_0936_c158_8ebc,
+        0x4621_11fa_5da5_398b,
+        0xb0b9_f5ba_cf75_1dc7,
+        0xaebe_7870_ff81_61d9,
+        0x484b_527d_525c_941e,
+        0x993a_d4cd_966e_72e4,
+        0xcc37_3ce8_a5f7_904a,
+        0x511f_b516_4f33_0284,
+        0x93d7_8b47_6dca_796c,
+        0x031c_048d_f6bc_b76c,
+        0x0203_87cc_2992_5733,
+    ];
+    assert_eq!(cells.len(), RECORDED.len());
+    let moved: Vec<String> = cells
+        .iter()
+        .zip(RECORDED)
+        .filter_map(|((cell, config, source, policy, seed), recorded)| {
+            let out = run_trial(config, source, policy.clone(), *seed);
+            assert!(out.metrics.fulfillments() > 0, "{cell}: nothing happened");
+            let got = digest(&out.metrics, &out.final_replicas);
+            (got != recorded).then(|| format!("{cell}: {got:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "digests moved:\n{}", moved.join("\n"));
 }
 
 #[test]

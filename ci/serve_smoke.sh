@@ -5,17 +5,15 @@
 # to completion, its SSE feed (snapshot, then a Last-Event-ID resume that
 # must be the snapshot's suffix) and content-addressed artifact, and a
 # /metrics scrape that must parse as Prometheus text exposition
-# (`impatience trace lint-prom`). Finishes with the loadtest's p99
-# latency gate at reduced (--quick) load against the committed
-# BENCH_serve.json.
+# (`impatience trace lint-prom`). Solve and campaign latency under load
+# are the ledger's `solve_service` and `campaign_service` workloads
+# (`sh benchmark/ci.sh`).
 #
 # Usage: ci/serve_smoke.sh   (from the repo root, after a release build)
 #   BIN=...      override the impatience binary (default target/release)
-#   LOADTEST=... override the serve_loadtest binary
 set -euo pipefail
 
 BIN=${BIN:-target/release/impatience}
-LOADTEST=${LOADTEST:-target/release/serve_loadtest}
 DATA=$(mktemp -d)
 SRV=""
 cleanup() {
@@ -113,8 +111,4 @@ echo "SSE: $STREAMED frames in $WRITES socket writes"
 kill "$SRV"
 wait "$SRV" 2>/dev/null || true
 SRV=""
-
-# Latency regression gate: measured solve p99 (at reduced load) must
-# stay within the slack of the committed bench.
-"$LOADTEST" --quick --gate BENCH_serve.json
 echo "serve smoke: all checks passed"

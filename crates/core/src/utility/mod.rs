@@ -27,7 +27,8 @@
 //! forms; [`Custom`] supports arbitrary user-supplied `h` through numeric
 //! differentiation and quadrature. The unit tests cross-validate every
 //! closed form against the numeric path — that *is* the Table 1
-//! reproduction (see also `impatience-bench`'s `table1_closed_forms`).
+//! reproduction (see also `experiments/table1.toml`, whose CSV
+//! `tests/golden_table1.rs` pins).
 
 mod custom;
 mod exponential;

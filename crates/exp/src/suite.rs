@@ -1,9 +1,9 @@
 //! Shared experiment plumbing: competitor construction, the paper's
 //! canonical settings, and normalized-loss tables.
 //!
-//! These helpers are the (former) `impatience-bench` library routines,
-//! kept bit-for-bit compatible so the declarative pipeline regenerates
-//! the same CSVs the figure binaries used to produce.
+//! These helpers began as the library routines of the per-figure
+//! binaries the specs replaced, and are kept bit-for-bit compatible so
+//! the declarative pipeline regenerates the same CSVs.
 
 use std::sync::Arc;
 

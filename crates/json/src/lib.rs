@@ -197,7 +197,8 @@ impl Json {
     /// Serialize with `indent`-space indentation (no trailing newline).
     /// Scalars render exactly as [`Json::write`] does, so a re-parse is
     /// value-identical; only whitespace differs. Used for the committed
-    /// human-diffed documents (`BENCH_*.json`, API examples).
+    /// human-diffed documents (the performance ledger's output, API
+    /// examples).
     pub fn write_pretty(&self, out: &mut String, indent: usize) {
         self.write_pretty_at(out, indent, 0);
     }

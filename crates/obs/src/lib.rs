@@ -11,9 +11,9 @@
 //! through the associated constant [`Sink::ACTIVE`]; every hot-path hook
 //! starts with `if !S::ACTIVE { return; }`, so with [`NoopSink`]
 //! (`ACTIVE = false`) the compiler removes the instrumentation entirely —
-//! the simulator's inner loop pays nothing when tracing is off. This is
-//! checked by the `observability_overhead` group in the `simulator`
-//! criterion bench.
+//! the simulator's inner loop pays nothing when tracing is off. What the
+//! live sinks cost is the performance ledger's `obs.sink.tally_ratio` and
+//! `obs.sink.jsonl_ratio` (`benchmark/`, workload `paper_sweep`).
 //!
 //! Three live sinks cover the use cases:
 //!

@@ -13,9 +13,9 @@
 //! Profiling is off by default. While off, `enter` returns an inert guard
 //! after a single `AtomicBool` relaxed load — no thread-local access, no
 //! clock read, no allocation — so instrumented hot paths stay within
-//! noise of uninstrumented builds (checked by the `observability_overhead`
-//! criterion group and its CI gate). [`enable`] flips the gate
-//! process-wide.
+//! noise of uninstrumented builds; armed, the probes cost the performance
+//! ledger's `obs.span.armed_ratio` (`benchmark/`, workload
+//! `paper_sweep`). [`enable`] flips the gate process-wide.
 //!
 //! ## Aggregation
 //!

@@ -61,7 +61,7 @@ use crate::state::{RequestArena, SimState};
 #[derive(Debug, Default)]
 pub struct TrialScratch {
     pub(crate) state: SimState,
-    pub(crate) requests: RequestArena<f64>,
+    pub(crate) requests: RequestArena,
     pub(crate) fulfilled: Vec<Fulfillment>,
     pub(crate) waits: Vec<f64>,
     pub(crate) gains: Vec<f64>,
@@ -126,8 +126,8 @@ pub fn run_trial(
 /// and the peak outstanding-request depth accumulate there. The hooks
 /// are statically dispatched on the sink type: monomorphized against
 /// `NoopSink` (as [`run_trial`] does) they compile away, so the
-/// uninstrumented path pays nothing — see the `observability_overhead`
-/// criterion group.
+/// uninstrumented path pays nothing; the live sinks cost the performance
+/// ledger's `obs.sink.*` ratios (`benchmark/`).
 pub fn run_trial_observed<S: Sink>(
     config: &SimConfig,
     source: &ContactSource,

@@ -65,6 +65,44 @@ pub struct ContactDrop {
     pub mean_burst: f64,
 }
 
+/// The Gilbert chain behind [`ContactDrop`]: a two-state Markov chain
+/// stepped once per surviving contact, which shares the fate of the
+/// state the step lands in. The serial [`FaultState`] owns one per
+/// trial and the sharded engine one per contact lane.
+#[derive(Clone, Debug)]
+pub(crate) struct GilbertChain {
+    drop: ContactDrop,
+    in_burst: bool,
+    rng: Xoshiro256,
+}
+
+impl GilbertChain {
+    /// A chain warmed with one `bernoulli(p)` draw, so its first
+    /// decision is already stationary.
+    pub(crate) fn new(drop: ContactDrop, mut rng: Xoshiro256) -> Self {
+        let in_burst = rng.bernoulli(drop.p);
+        GilbertChain {
+            drop,
+            in_burst,
+            rng,
+        }
+    }
+
+    /// Take one transition; `true` means this contact is dropped.
+    #[inline]
+    pub(crate) fn step(&mut self) -> bool {
+        let ContactDrop { p, mean_burst } = self.drop;
+        if self.in_burst {
+            if self.rng.bernoulli(1.0 / mean_burst) {
+                self.in_burst = false;
+            }
+        } else if self.rng.bernoulli(p / (mean_burst * (1.0 - p))) {
+            self.in_burst = true;
+        }
+        self.in_burst
+    }
+}
+
 /// Random cache-slot failures.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CacheFaults {
@@ -298,10 +336,7 @@ pub struct FaultState {
     toggles: Vec<Toggle>,
     cursor: usize,
     node_up: Vec<bool>,
-    /// Gilbert chain for contact drops.
-    drop: Option<ContactDrop>,
-    in_burst: bool,
-    drop_rng: Xoshiro256,
+    drop: Option<GilbertChain>,
     /// Next cache-fault time (INFINITY when inactive).
     next_cache_fault: f64,
     cache_rate_total: f64,
@@ -344,7 +379,7 @@ impl FaultState {
             }
             toggles.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.node.cmp(&b.node)));
         }
-        let mut drop_rng = base.split(DROP_STREAM_ID);
+        let drop_rng = base.split(DROP_STREAM_ID);
         let mut cache_rng = base.split(CACHE_STREAM_ID);
         let cache_rate_total = cfg.cache.map_or(0.0, |c| c.rate) * servers as f64;
         let next_cache_fault = if cache_rate_total > 0.0 {
@@ -352,18 +387,11 @@ impl FaultState {
         } else {
             f64::INFINITY
         };
-        // Warm the drop chain so its first decision is already stationary.
-        let mut in_burst = false;
-        if let Some(drop) = cfg.drop {
-            in_burst = drop_rng.bernoulli(drop.p);
-        }
         FaultState {
             toggles,
             cursor: 0,
             node_up: vec![true; nodes],
-            drop: cfg.drop,
-            in_burst,
-            drop_rng,
+            drop: cfg.drop.map(|drop| GilbertChain::new(drop, drop_rng)),
             next_cache_fault,
             cache_rate_total,
             cache_rng,
@@ -415,24 +443,10 @@ impl FaultState {
             metrics.contacts_dropped += 1;
             return false;
         }
-        if let Some(drop) = self.drop {
-            // Gilbert chain: one transition per surviving contact, then
-            // the contact shares the fate of the current state.
-            if self.in_burst {
-                if self.drop_rng.bernoulli(1.0 / drop.mean_burst) {
-                    self.in_burst = false;
-                }
-            } else {
-                let enter = drop.p / (drop.mean_burst * (1.0 - drop.p));
-                if self.drop_rng.bernoulli(enter) {
-                    self.in_burst = true;
-                }
-            }
-            if self.in_burst {
-                metrics.contacts_dropped += 1;
-                rec.fault(t, "contact_drop", a, b);
-                return false;
-            }
+        if self.drop.as_mut().is_some_and(GilbertChain::step) {
+            metrics.contacts_dropped += 1;
+            rec.fault(t, "contact_drop", a, b);
+            return false;
         }
         true
     }

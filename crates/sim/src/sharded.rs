@@ -25,7 +25,7 @@
 //! ## Scheduling: every shard keeps its own clock
 //!
 //! Those 1 + 16 + 120 tasks per epoch form one canonical list
-//! ([`Task::at`]); a trial is that list repeated once per epoch. Each
+//! (`Task::at`); a trial is that list repeated once per epoch. Each
 //! shard has a step counter, each task a step (boundary 0, phase A 1,
 //! round `r` 2 + `r`, plus 17 per epoch). Workers claim list indices in
 //! order and run a task once every shard it touches stands at the task's
@@ -89,7 +89,7 @@ use impatience_traces::{pair_from_index, ContactEvent};
 use crate::config::{ConfigError, ContactSource, SimConfig};
 use crate::contact_bin::{decode_record_unchecked, encode_record, DEFAULT_BATCH, RECORD_BYTES};
 use crate::engine::{settlement_gain, TrialOutcome};
-use crate::faults::ContactDrop;
+use crate::faults::GilbertChain;
 use crate::metrics::Metrics;
 use crate::policy::{
     Fulfillment, MandateHost, PolicyKind, Pool, QcrRules, ReplicationPolicy, StaticAllocation,
@@ -295,9 +295,7 @@ struct LaneContacts {
     buf: Vec<u8>,
     pos: usize,
     // Fault model.
-    drop: Option<ContactDrop>,
-    in_burst: bool,
-    drop_rng: Xoshiro256,
+    drop: Option<GilbertChain>,
     truncate_at: f64,
     truncation_reported: bool,
 }
@@ -308,19 +306,12 @@ impl LaneContacts {
         mu: f64,
         duration: f64,
         rng: Xoshiro256,
-        drop: Option<ContactDrop>,
-        mut drop_rng: Xoshiro256,
+        drop: Option<GilbertChain>,
         truncate_at: f64,
     ) -> Self {
         let pairs = match kind {
             LaneKind::Intra { n, .. } => n * n.saturating_sub(1) / 2,
             LaneKind::Cross { n_a, n_b, .. } => n_a * n_b,
-        };
-        // Warm the Gilbert chain exactly like the serial FaultState: the
-        // first decision is already stationary.
-        let in_burst = match drop {
-            Some(d) => drop_rng.bernoulli(d.p),
-            None => false,
         };
         let mut lane = LaneContacts {
             rng,
@@ -333,8 +324,6 @@ impl LaneContacts {
             buf: Vec::new(),
             pos: 0,
             drop,
-            in_burst,
-            drop_rng,
             truncate_at,
             truncation_reported: false,
         };
@@ -434,27 +423,15 @@ impl LaneContacts {
             ctx.metrics.contacts_dropped += 1;
             return false;
         }
-        if let Some(drop) = self.drop {
-            if self.in_burst {
-                if self.drop_rng.bernoulli(1.0 / drop.mean_burst) {
-                    self.in_burst = false;
-                }
-            } else {
-                let enter = drop.p / (drop.mean_burst * (1.0 - drop.p));
-                if self.drop_rng.bernoulli(enter) {
-                    self.in_burst = true;
-                }
-            }
-            if self.in_burst {
-                ctx.metrics.contacts_dropped += 1;
-                ctx.faults.push(FaultRecord {
-                    time: e.time,
-                    kind: "contact_drop",
-                    node: e.a,
-                    aux: e.b,
-                });
-                return false;
-            }
+        if self.drop.as_mut().is_some_and(GilbertChain::step) {
+            ctx.metrics.contacts_dropped += 1;
+            ctx.faults.push(FaultRecord {
+                time: e.time,
+                kind: "contact_drop",
+                node: e.a,
+                aux: e.b,
+            });
+            return false;
         }
         true
     }
@@ -469,7 +446,7 @@ struct ShardState {
     caches: CacheArena,
     replicas: Vec<u32>,
     mandates: Vec<Pool>,
-    requests: RequestArena<f64>,
+    requests: RequestArena,
     transmissions: u64,
     /// Sticky-seed node of each item: fixed at seeding, the same
     /// (global, read-only) table on every shard.
@@ -1026,11 +1003,16 @@ pub fn run_trial_sharded(
         .map(|j| master.split(LANE_POLICY_STREAM ^ j as u64))
         .collect();
     // Fault streams fork from the fault base, never from the master.
-    let (mut lane_drop_rngs, cache_clock, truncate_at, drop_cfg) = match faults {
+    let (mut lane_chains, cache_clock, truncate_at) = match faults {
         Some(f) => {
             let mut base = Xoshiro256::seed_from_u64(seed ^ f.seed.rotate_left(23));
-            let drops: Vec<Xoshiro256> = (0..LOGICAL_SHARDS + CROSS_LANES)
-                .map(|l| base.split(LANE_DROP_STREAM ^ l as u64))
+            // Every lane's stream forks whether or not drops are on, so
+            // the cache stream below is the same stream either way.
+            let chains: Vec<Option<GilbertChain>> = (0..LOGICAL_SHARDS + CROSS_LANES)
+                .map(|l| {
+                    let rng = base.split(LANE_DROP_STREAM ^ l as u64);
+                    f.drop.map(|drop| GilbertChain::new(drop, rng))
+                })
                 .collect();
             let mut cache_rng = base.split(CACHE_FAULT_STREAM);
             let rate = f.cache.map_or(0.0, |c| c.rate) * nodes as f64;
@@ -1046,17 +1028,11 @@ pub fn run_trial_sharded(
                 servers: nodes,
             };
             let truncate_at = f.truncate_fraction.map_or(f64::INFINITY, |x| x * duration);
-            (drops, Some(clock), truncate_at, f.drop)
+            (chains, Some(clock), truncate_at)
         }
-        None => (Vec::new(), None, f64::INFINITY, None),
+        None => (Vec::new(), None, f64::INFINITY),
     };
-    let mut next_drop_rng = |l: usize| -> Xoshiro256 {
-        if lane_drop_rngs.is_empty() {
-            Xoshiro256::seed_from_u64(0)
-        } else {
-            std::mem::replace(&mut lane_drop_rngs[l], Xoshiro256::seed_from_u64(0))
-        }
-    };
+    let mut lane_chain = |l: usize| lane_chains.get_mut(l).and_then(Option::take);
 
     // ---- global state init (serial), then split into shard blocks ----
     let protocol_utility = config
@@ -1118,8 +1094,7 @@ pub fn run_trial_sharded(
                 mu,
                 duration,
                 std::mem::replace(&mut intra_rngs[s], Xoshiro256::seed_from_u64(0)),
-                drop_cfg,
-                next_drop_rng(s),
+                lane_chain(s),
                 truncate_at,
             ),
             req_rng,
@@ -1142,8 +1117,7 @@ pub fn run_trial_sharded(
                     mu,
                     duration,
                     std::mem::replace(&mut cross_rngs[j], Xoshiro256::seed_from_u64(0)),
-                    drop_cfg,
-                    next_drop_rng(LOGICAL_SHARDS + j),
+                    lane_chain(LOGICAL_SHARDS + j),
                     truncate_at,
                 ),
                 ctx: TaskCtx::new(
@@ -1329,7 +1303,7 @@ pub fn run_trial_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{CacheFaults, Churn, FaultConfig};
+    use crate::faults::{CacheFaults, Churn, ContactDrop, FaultConfig};
     use impatience_core::demand::Popularity;
     use impatience_core::prelude::uniform;
     use impatience_core::utility::Step;

@@ -489,11 +489,9 @@ fn pending_bit(item: u32) -> (usize, u64) {
 /// place with **zero allocation**; across trials the arena is part of
 /// [`crate::engine::TrialScratch`] and is reused outright.
 ///
-/// `P` is the engine-specific creation stamp: `f64` event time for the
-/// continuous engine, `u64` slot index for the discrete one. Queue order
-/// is insertion order, exactly matching `Vec::push` + `retain_mut`, so
-/// fulfillment and settlement sequences — and therefore RNG consumption
-/// and metrics — are bit-identical to the jagged layout.
+/// Queue order is insertion order, exactly matching `Vec::push` +
+/// `retain_mut`, so fulfillment and settlement sequences — and therefore
+/// RNG consumption and metrics — are bit-identical to the jagged layout.
 ///
 /// # The exchange step ([`RequestArena::meet`])
 ///
@@ -517,7 +515,7 @@ fn pending_bit(item: u32) -> (usize, u64) {
 /// policy's `Fulfillment` slice and its RNG draws are those of the
 /// eager walk.
 #[derive(Clone, Debug)]
-pub struct RequestArena<P: Copy> {
+pub struct RequestArena {
     /// First pending entry per node ([`NIL`] = empty).
     head: Vec<u32>,
     /// Last pending entry per node (push target).
@@ -526,8 +524,8 @@ pub struct RequestArena<P: Copy> {
     next: Vec<u32>,
     /// Requested item per entry.
     item: Vec<u32>,
-    /// Creation stamp per entry.
-    created: Vec<P>,
+    /// Creation time per entry.
+    created: Vec<f64>,
     /// Per entry, the QCR reaction input: under [`RequestArena::meet`]
     /// the node's `rounds` value at push (the baseline), under
     /// [`RequestArena::retain`] the caller's eager count. Both start a
@@ -551,13 +549,13 @@ pub struct RequestArena<P: Copy> {
     pub(crate) walked: u64,
 }
 
-impl<P: Copy> Default for RequestArena<P> {
+impl Default for RequestArena {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<P: Copy> RequestArena<P> {
+impl RequestArena {
     /// Empty arena for zero nodes; call [`RequestArena::reset_indexed`]
     /// (or [`RequestArena::reset`]) to size.
     pub fn new() -> Self {
@@ -622,7 +620,7 @@ impl<P: Copy> RequestArena<P> {
     }
 
     /// Append a fresh request (zero queries) to `node`'s queue.
-    pub fn push(&mut self, node: usize, item: u32, created: P) {
+    pub fn push(&mut self, node: usize, item: u32, created: f64) {
         // Without round counters (`reset`) the column starts at 0, which
         // is where `retain`'s eager count starts.
         let baseline = match self.rounds.get(node) {
@@ -690,7 +688,7 @@ impl<P: Copy> RequestArena<P> {
         &mut self,
         node: usize,
         peer: CacheRef<'_>,
-        mut fulfilled: impl FnMut(u32, P, u64),
+        mut fulfilled: impl FnMut(u32, f64, u64),
     ) {
         if peer.capacity() == 0 {
             return;
@@ -747,7 +745,7 @@ impl<P: Copy> RequestArena<P> {
     ///   megabytes at the 10⁵–10⁶ nodes the sharded engine is for.
     ///
     /// The serial and discrete engines use [`RequestArena::meet`].
-    pub fn retain(&mut self, node: usize, mut keep: impl FnMut(u32, P, &mut u64) -> bool) {
+    pub fn retain(&mut self, node: usize, mut keep: impl FnMut(u32, f64, &mut u64) -> bool) {
         debug_assert!(
             self.rounds.is_empty(),
             "retain on an indexed arena would leave the index stale"
@@ -768,7 +766,7 @@ impl<P: Copy> RequestArena<P> {
 
     /// Iterate every pending request as `(node, item, created)` — nodes
     /// ascending, each queue in insertion order (the settlement sweep).
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u32, P)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (usize, u32, f64)> + '_ {
         self.head.iter().enumerate().flat_map(move |(node, &h)| {
             let mut cur = h;
             std::iter::from_fn(move || {
@@ -1241,7 +1239,7 @@ mod tests {
     fn request_arena_matches_vec_retain_semantics() {
         // Mirror a jagged Vec<Vec<(item, created, queries)>> through the
         // same operation sequence and require identical contents/order.
-        let mut arena: RequestArena<f64> = RequestArena::new();
+        let mut arena = RequestArena::new();
         arena.reset(3);
         let mut model: Vec<Vec<(u32, f64, u64)>> = vec![Vec::new(); 3];
         let mut rng = Xoshiro256::seed_from_u64(77);
@@ -1287,11 +1285,11 @@ mod tests {
 
     #[test]
     fn request_arena_recycles_entries() {
-        let mut arena: RequestArena<u64> = RequestArena::new();
+        let mut arena = RequestArena::new();
         arena.reset(1);
-        for round in 0..50u64 {
-            arena.push(0, 1, round);
-            arena.push(0, 2, round);
+        for round in 0..50 {
+            arena.push(0, 1, f64::from(round));
+            arena.push(0, 2, f64::from(round));
             arena.retain(0, |item, _, _| item != 1);
             arena.retain(0, |item, _, _| item != 2);
         }
@@ -1313,7 +1311,7 @@ mod tests {
 
         /// A fulfillment as the engines see it: `(node, item, created,
         /// queries)`.
-        type Fulfilled = (usize, u32, u64, u64);
+        type Fulfilled = (usize, u32, f64, u64);
 
         /// One generated step, `(kind, node, item, peer cache)`, folded
         /// onto the shape under test by `drive`.
@@ -1341,15 +1339,15 @@ mod tests {
         /// residue as `iter()` reports it.
         #[allow(clippy::type_complexity)]
         fn drive(
-            arena: &mut RequestArena<u64>,
+            arena: &mut RequestArena,
             nodes: usize,
             items: usize,
             steps: &[Step],
-        ) -> (Vec<Fulfilled>, Vec<Fulfilled>, Vec<(usize, u32, u64)>) {
-            let mut model: Vec<Vec<(u32, u64, u64)>> = vec![Vec::new(); nodes];
+        ) -> (Vec<Fulfilled>, Vec<Fulfilled>, Vec<(usize, u32, f64)>) {
+            let mut model: Vec<Vec<(u32, f64, u64)>> = vec![Vec::new(); nodes];
             let (mut got, mut want) = (Vec::new(), Vec::new());
             for (stamp, (kind, node, item, peer)) in steps.iter().enumerate() {
-                let (node, stamp) = (node % nodes, stamp as u64);
+                let (node, stamp) = (node % nodes, stamp as f64);
                 match kind {
                     0..=4 => {
                         let item = fold(*item, items);
@@ -1407,7 +1405,7 @@ mod tests {
             ) {
                 // One arena through two trials of different shapes: the
                 // second is the scratch-reuse case.
-                let mut arena: RequestArena<u64> = RequestArena::new();
+                let mut arena = RequestArena::new();
                 let ((nodes_1, cat_1), (nodes_2, cat_2)) = shapes;
                 for (nodes, items, steps) in [
                     (nodes_1, CATALOGUES[cat_1], &first),

@@ -314,13 +314,16 @@ USAGE:
 UTILITY SPECS:  step:<tau> | exp:<nu> | power:<alpha> | neglog
 POLICIES:       qcr | qcr-no-routing | opt | uni | sqrt | prop | dom | passive
 
-OBSERVABILITY:
+OBSERVABILITY (simulate, netrun, verify, reproduce: one reading of three flags):
   --trace-out FILE   write a JSONL event trace; a run manifest (config,
                      seeds, git revision, wall time, percentiles) lands at
-                     FILE with extension .manifest.json. Trials still run
-                     on all workers; events are flushed in trial order, so
-                     the stream is complete, ordered, and deterministic.
-                     Both files commit atomically (write-temp-then-rename).
+                     FILE with extension .manifest.json (verify and
+                     reproduce keep theirs beside their own artifacts).
+                     Trials still run on all workers; events are flushed
+                     in trial order, so the stream is complete, ordered,
+                     and deterministic. Both files commit atomically
+                     (write-temp-then-rename); a run that fails still
+                     commits the events it got to, without a manifest.
   --verbose          print counters, percentiles, and solver/worker
                      telemetry after the run
   --profile          time the run with hierarchical spans (trial, contact,
@@ -898,9 +901,11 @@ fn solve_incremental(
     Ok(())
 }
 
-/// Build a [`FaultConfig`] from the `--drop-p`/`--churn-*`/… flags.
+/// Build a [`FaultConfig`] from the `--drop-p`/`--churn-*`/… flags and,
+/// with `msg` (for `netrun`), the message-layer family
+/// (`--loss-p/--dup-p/--reorder`) that only the net transport consumes.
 /// `None` when no fault flag was given (the clean network).
-fn fault_config(args: &Args) -> Result<Option<FaultConfig>, CliError> {
+fn fault_config(args: &Args, msg: bool) -> Result<Option<FaultConfig>, CliError> {
     let mut fc = FaultConfig {
         seed: args.get("fault-seed", 0)?,
         ..FaultConfig::default()
@@ -933,6 +938,16 @@ fn fault_config(args: &Args) -> Result<Option<FaultConfig>, CliError> {
         fc.cache = Some(CacheFaults { rate });
     }
     fc.truncate_fraction = args.get_opt("truncate")?;
+    if msg {
+        let msg = MsgFaults {
+            loss_p: args.get("loss-p", 0.0)?,
+            dup_p: args.get("dup-p", 0.0)?,
+            reorder_window: args.get("reorder", 0)?,
+        };
+        if msg.is_active() {
+            fc.msg = Some(msg);
+        }
+    }
     if fc.is_active() {
         fc.validate()?;
         Ok(Some(fc))
@@ -941,182 +956,371 @@ fn fault_config(args: &Args) -> Result<Option<FaultConfig>, CliError> {
     }
 }
 
+/// The scenario flags `simulate`, `simulate --shards` and `netrun` share,
+/// parsed once: catalogue, cache size, demand skew, impatience, batch
+/// size and seed, and the fault model.
+struct Scenario {
+    items: usize,
+    rho: usize,
+    omega: f64,
+    trials: usize,
+    seed: u64,
+    utility: Arc<dyn DelayUtility>,
+    demand: DemandRates,
+    faults: Option<FaultConfig>,
+}
+
+impl Scenario {
+    /// `defaults` are the command's `(--items, --rho, --trials)`; `msg`
+    /// admits the message-layer fault flags.
+    fn parse(args: &Args, defaults: (usize, usize, usize), msg: bool) -> Result<Self, CliError> {
+        let items = args.get("items", defaults.0)?;
+        let omega = args.get("omega", 1.0)?;
+        Ok(Scenario {
+            items,
+            rho: args.get("rho", defaults.1)?,
+            omega,
+            trials: args.get("trials", defaults.2)?,
+            seed: args.get("seed", 42)?,
+            utility: args.utility()?,
+            demand: Popularity::pareto(items, omega).demand_rates(1.0),
+            faults: fault_config(args, msg)?,
+        })
+    }
+
+    /// The simulation config every CLI run uses: 60-minute bins, the
+    /// first quarter of the horizon as warm-up. Without a `profile`,
+    /// requests originate uniformly over the source's nodes.
+    fn config(&self, profile: Option<DemandProfile>) -> SimConfig {
+        let mut builder = SimConfig::builder(self.items, self.rho)
+            .demand(self.demand.clone())
+            .utility(self.utility.clone())
+            .bin(60.0)
+            .warmup_fraction(0.25);
+        if let Some(profile) = profile {
+            builder = builder.profile(profile);
+        }
+        if let Some(fc) = self.faults.clone() {
+            builder = builder.faults(fc);
+        }
+        builder.build()
+    }
+
+    /// `--policy` (default `qcr`) over `nodes` nodes. `opt` solves for
+    /// the optimal static allocation — the one arm that depends on the
+    /// contact source.
+    fn policy(
+        &self,
+        args: &Args,
+        nodes: usize,
+        opt: impl FnOnce() -> Result<ReplicaCounts, CliError>,
+    ) -> Result<PolicyKind, CliError> {
+        let (items, rho, demand) = (self.items, self.rho, &self.demand);
+        let fixed = |label, counts| PolicyKind::Static { label, counts };
+        let name = args.options.get("policy").map_or("qcr", String::as_str);
+        Ok(match name {
+            "qcr" => PolicyKind::qcr_default(),
+            "qcr-no-routing" => PolicyKind::Qcr(impatience_sim::policy::QcrConfig {
+                mandate_routing: false,
+                ..Default::default()
+            }),
+            "passive" => PolicyKind::Passive { replicas: 1.0 },
+            "opt" => fixed("OPT", opt()?),
+            "uni" => fixed("UNI", uniform(items, nodes, rho)),
+            "sqrt" => fixed("SQRT", sqrt_proportional(demand, nodes, rho)),
+            "prop" => fixed("PROP", proportional(demand, nodes, rho)),
+            "dom" => fixed("DOM", dominant(demand, nodes, rho)),
+            other => {
+                return Err(CliError::Usage(format!(
+                    "unknown policy `{other}` \
+                     (qcr | qcr-no-routing | opt | uni | sqrt | prop | dom | passive)"
+                )))
+            }
+        })
+    }
+}
+
+/// How a run is observed: the one reading of `--trace-out`, `--verbose`
+/// and `--profile` behind every recording command.
+///
+/// * `--trace-out FILE` streams every event to FILE as JSONL. The file
+///   commits atomically once the body has returned — also when it
+///   failed, so a killed campaign leaves the events it got to (`trace
+///   summarize` is lenient about truncated traces for this reader).
+/// * Without a file, `tally` keeps counters and histograms in memory:
+///   what `--verbose` panels, `.prom` files and manifest `stats` read.
+/// * Otherwise the recorder is disabled and its hooks compile to nothing.
+///
+/// `observe!` binds the recorder; [`Scope::seen`] reads it back.
+struct Scope<'a> {
+    events: Option<&'a str>,
+    tally: bool,
+    profiling: bool,
+    /// The file whose `.profile.json` / `.prom` siblings receive the
+    /// profile; `None` prints the phase tree only.
+    beside: Option<PathBuf>,
+}
+
+/// What the recorder saw, read once the body has run.
+struct Seen {
+    /// Counters, peaks and percentiles; `None` from a disabled recorder.
+    stats: Option<Json>,
+    /// Summed wall time of the root spans; `None` without `--profile`.
+    span_wall: Option<f64>,
+}
+
+impl<'a> Scope<'a> {
+    /// The scope the flags ask for: events to `--trace-out`, tallies for
+    /// `--verbose` or `--profile`, the profile beside the event file.
+    /// `--profile` arms the span probes here, so build the scope before
+    /// anything worth timing runs (`--policy opt`'s solve, spec loading).
+    fn new(args: &'a Args) -> Self {
+        let profiling = args.options.contains_key("profile");
+        if profiling {
+            impatience_obs::span::enable();
+        }
+        let events = args.options.get("trace-out").map(String::as_str);
+        Scope {
+            events,
+            tally: args.verbose() || profiling,
+            profiling,
+            beside: events.map(PathBuf::from),
+        }
+    }
+
+    /// Under `--profile`, drain the span tree and print the phase report;
+    /// with `beside`, also write it as the `.profile.json` sibling and —
+    /// span series plus the recorder's counters and delay histograms —
+    /// as the Prometheus `.prom` sibling. Returns the summed root wall
+    /// time for the manifest's `span_wall_s` cross-reference, or `None`
+    /// when nothing was recorded.
+    fn profile<S: Sink>(
+        &self,
+        rec: &Recorder<S>,
+        beside: Option<&Path>,
+    ) -> Result<Option<f64>, CliError> {
+        if !self.profiling {
+            return Ok(None);
+        }
+        let report = impatience_obs::span::take_report();
+        if report.is_empty() {
+            println!("profile: no spans recorded");
+            return Ok(None);
+        }
+        print!("{}", report.render());
+        if let Some(beside) = beside {
+            let cannot_write =
+                |path: &Path, e| CliError::Io(format!("cannot write {}: {e}", path.display()));
+            let path = beside.with_extension("profile.json");
+            let mut text = report.to_json().to_string();
+            text.push('\n');
+            impatience_obs::write_atomic(&path, text.as_bytes())
+                .map_err(|e| cannot_write(&path, e))?;
+            println!("profile → {}", path.display());
+            let path = beside.with_extension("prom");
+            let mut registry = MetricsRegistry::new();
+            registry.absorb_recorder(rec);
+            registry.absorb_phase_report(&report);
+            registry
+                .write_prom(&path)
+                .map_err(|e| cannot_write(&path, e))?;
+            println!("metrics → {}", path.display());
+        }
+        Ok(Some(report.total_wall_s))
+    }
+
+    /// Read the recorder back at the end of a body: its statistics, and
+    /// the profile drained to [`Scope::beside`].
+    fn seen<S: Sink>(&self, rec: &Recorder<S>) -> Result<Seen, CliError> {
+        Ok(Seen {
+            stats: (self.events.is_some() || self.tally).then(|| rec.summary_json()),
+            span_wall: self.profile(rec, self.beside.as_deref())?,
+        })
+    }
+}
+
+/// A `try` block: a `?` inside `body` ends the body, not the caller.
+fn attempt<T>(body: impl FnOnce() -> Result<T, CliError>) -> Result<T, CliError> {
+    body()
+}
+
+/// Evaluate `$body` — a block ending in a `Result<_, CliError>`, free to
+/// use `?` — with `$rec` bound to a `&mut Recorder<S>`, `S` being the
+/// sink `$scope` calls for, and yield its `Ok` value.
+///
+/// The body is expanded once per sink type rather than handed a `dyn
+/// Sink`: `runner::run_jobs` picks per-trial buffering from the sink's
+/// associated constants, so a dynamic sink would make a plain `simulate`
+/// buffer every event.
+macro_rules! observe {
+    ($scope:expr, |$rec:ident| $body:block) => {
+        match $scope.events {
+            Some(out) => {
+                let file = AtomicFile::create(Path::new(out))
+                    .map_err(|e| CliError::Io(format!("cannot create {out}: {e}")))?;
+                let mut recorder = Recorder::new(JsonlSink::new(file));
+                let $rec = &mut recorder;
+                let result = attempt(|| $body);
+                // Commit, then propagate: a failed body keeps its events.
+                recorder
+                    .into_sink()
+                    .into_inner()
+                    .and_then(AtomicFile::commit)
+                    .map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
+                println!("events  → {out}");
+                result?
+            }
+            None if $scope.tally => {
+                let $rec = &mut Recorder::new(TallySink);
+                attempt(|| $body)?
+            }
+            None => {
+                let $rec = &mut Recorder::disabled();
+                attempt(|| $body)?
+            }
+        }
+    };
+}
+
+/// The one manifest writer: `fill` sets the command's own keys, the
+/// runtime stamp (`rustc`, `peak_rss_bytes`, `span_wall_s` when profiled)
+/// and the recorder's `stats` follow, and the file commits atomically as
+/// the `.manifest.json` sibling of `beside`.
+fn write_manifest(
+    kind: &str,
+    beside: &Path,
+    seen: &Seen,
+    fill: impl FnOnce(&mut Manifest),
+) -> Result<(), CliError> {
+    let mut manifest = Manifest::new(kind);
+    fill(&mut manifest);
+    manifest.stamp_runtime(seen.span_wall);
+    if let Some(stats) = &seen.stats {
+        manifest.set("stats", stats.clone());
+    }
+    let path = Manifest::sibling_path(beside);
+    manifest
+        .write_to(&path)
+        .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))?;
+    println!("manifest→ {}", path.display());
+    Ok(())
+}
+
+/// `impatience simulate TRACE`: a batch of trials of one policy on a
+/// contact trace. With `--checkpoint` the batch is a campaign: trials run
+/// behind a panic barrier (skip-and-report), progress commits to the
+/// checkpoint file after every chunk, and `resume` picks up exactly where
+/// a killed process stopped.
 fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
     if args.options.contains_key("shards") {
         return simulate_sharded(args);
     }
+    let scope = Scope::new(args);
     let trace_file = args.positional.first().cloned().unwrap_or_default();
     let trace = load_trace(args)?;
-    let items: usize = args.get("items", 50)?;
-    let rho: usize = args.get("rho", 5)?;
-    let omega: f64 = args.get("omega", 1.0)?;
-    let trials: usize = args.get("trials", 15)?;
-    let seed: u64 = args.get("seed", 42)?;
-    let utility = args.utility()?;
-    // Arm the span probes before any solver runs so `--policy opt`'s
-    // allocation solve lands in the profile too. (`profiling`, not
-    // `profile`: the demand profile below owns that name.)
-    let profiling = args.options.contains_key("profile");
-    if profiling {
-        impatience_obs::span::enable();
-    }
-    let policy_name = args
-        .options
-        .get("policy")
-        .map(String::as_str)
-        .unwrap_or("qcr");
-
-    let demand = Popularity::pareto(items, omega).demand_rates(1.0);
-    let profile = DemandProfile::uniform(items, trace.nodes());
-    let stats = TraceStats::from_trace(&trace);
+    let s = Scenario::parse(args, (50, 5, 15), false)?;
     let nodes = trace.nodes();
-
-    let policy = match policy_name {
-        "qcr" => PolicyKind::qcr_default(),
-        "qcr-no-routing" => PolicyKind::Qcr(impatience_sim::policy::QcrConfig {
-            mandate_routing: false,
-            ..Default::default()
+    let profile = DemandProfile::uniform(s.items, nodes);
+    // OPT on a trace: heterogeneous greedy on the measured pair rates.
+    let policy = s.policy(args, nodes, || {
+        let rates = TraceStats::from_trace(&trace).rates().clone();
+        let system = HeterogeneousSystem::pure_p2p(rates, s.rho);
+        Ok(greedy_heterogeneous(&system, &s.demand, &profile, s.utility.as_ref()).to_counts())
+    })?;
+    let config = s.config(Some(profile));
+    let source = ContactSource::trace(trace);
+    let workers: Option<usize> = args.get_opt("workers")?;
+    let checkpoint = args.options.get("checkpoint").map(PathBuf::from);
+    let campaign = match &checkpoint {
+        Some(path) => Some(CampaignOptions {
+            checkpoint_path: Some(path.clone()),
+            checkpoint_every: args.get("checkpoint-every", 16)?,
+            workers,
+            // Undocumented test hook: die after N chunks as if killed.
+            abort_after_chunks: args.get_opt("abort-after-chunks")?,
+            cli_args: invocation.to_vec(),
         }),
-        "passive" => PolicyKind::Passive { replicas: 1.0 },
-        "opt" => {
-            let hsys = HeterogeneousSystem::pure_p2p(stats.rates().clone(), rho);
-            let alloc = greedy_heterogeneous(&hsys, &demand, &profile, utility.as_ref());
-            PolicyKind::Static {
-                label: "OPT",
-                counts: alloc.to_counts(),
-            }
-        }
-        "uni" => PolicyKind::Static {
-            label: "UNI",
-            counts: uniform(items, nodes, rho),
-        },
-        "sqrt" => PolicyKind::Static {
-            label: "SQRT",
-            counts: sqrt_proportional(&demand, nodes, rho),
-        },
-        "prop" => PolicyKind::Static {
-            label: "PROP",
-            counts: proportional(&demand, nodes, rho),
-        },
-        "dom" => PolicyKind::Static {
-            label: "DOM",
-            counts: dominant(&demand, nodes, rho),
-        },
-        other => return Err(CliError::Usage(format!("unknown policy `{other}`"))),
+        None => None,
     };
 
-    let faults = fault_config(args)?;
-    let mut builder = SimConfig::builder(items, rho)
-        .demand(demand)
-        .profile(profile)
-        .utility(utility.clone())
-        .bin(60.0)
-        .warmup_fraction(0.25);
-    if let Some(fc) = faults.clone() {
-        builder = builder.faults(fc);
-    }
-    let config = builder.build();
-    let source = ContactSource::trace(trace);
-    let verbose = args.verbose();
-    let workers: Option<usize> = args.get_opt("workers")?;
+    let (outcome, seen) = observe!(scope, |rec| {
+        let (trials, seed) = (s.trials, s.seed);
+        let outcome = match &campaign {
+            Some(options) => run_campaign(&config, &source, &policy, trials, seed, options, rec)?,
+            // A plain batch: a panicking trial takes the process down.
+            None => CampaignOutcome {
+                aggregate: run_trials_observed_with_workers(
+                    &config, &source, &policy, trials, seed, workers, rec,
+                ),
+                skipped: Vec::new(),
+                resumed: 0,
+                executed: trials,
+            },
+        };
+        Ok((outcome, scope.seen(rec)?))
+    });
 
-    if args.options.contains_key("checkpoint") {
-        return campaign(
-            args,
-            invocation,
-            &config,
-            &source,
-            &policy,
-            trials,
-            seed,
-            &utility,
-            &trace_file,
-            faults.as_ref(),
+    let agg = &outcome.aggregate;
+    if let Some(out) = scope.events {
+        let kind = if checkpoint.is_some() {
+            "campaign"
+        } else {
+            "simulate"
+        };
+        write_manifest(kind, Path::new(out), &seen, |m| {
+            m.set("trace", trace_file.as_str());
+            m.set("events_file", out);
+            m.set("policy", agg.label.as_str());
+            m.set("utility", s.utility.kind().to_string());
+            m.set("items", s.items as u64);
+            m.set("rho", s.rho as u64);
+            m.set("omega", s.omega);
+            m.set("trials", s.trials as u64);
+            m.set("base_seed", s.seed);
+            m.set("warmup_fraction", config.warmup_fraction);
+            let faults = s.faults.as_ref();
+            m.set(
+                "faults",
+                faults.map_or_else(|| "none".to_string(), FaultConfig::summary),
+            );
+            m.set("workers", agg.workers as u64);
+            m.set("wall_s", agg.wall_s);
+            m.set("mean_trial_wall_s", agg.mean_trial_wall_s);
+            m.set("worker_utilization", agg.worker_utilization);
+            if let Some(path) = &checkpoint {
+                m.set("checkpoint", path.display().to_string());
+                m.set("trials_resumed", outcome.resumed as u64);
+                m.set("trials_executed", outcome.executed as u64);
+                m.set("trials_skipped", outcome.skipped.len() as u64);
+            }
+        })?;
+    }
+    if outcome.resumed > 0 {
+        println!(
+            "resumed {} trial(s) from checkpoint, executed {} this run",
+            outcome.resumed, outcome.executed
         );
     }
-
-    let (agg, stats) = match args.options.get("trace-out") {
-        Some(out) => {
-            let path = Path::new(out);
-            let file = AtomicFile::create(path)
-                .map_err(|e| CliError::Io(format!("cannot create {out}: {e}")))?;
-            let mut rec = Recorder::new(JsonlSink::new(file));
-            let agg = run_trials_observed_with_workers(
-                &config, &source, &policy, trials, seed, workers, &mut rec,
-            );
-            let stats = rec.summary_json();
-            let span_wall = if profiling {
-                emit_profile(
-                    &rec,
-                    Some(&path.with_extension("profile.json")),
-                    Some(&path.with_extension("prom")),
-                )?
-            } else {
-                None
-            };
-            rec.into_sink()
-                .into_inner()
-                .and_then(AtomicFile::commit)
-                .map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
-
-            let mut manifest = Manifest::new("simulate");
-            fill_manifest(
-                &mut manifest,
-                &trace_file,
-                out,
-                &agg,
-                &utility,
-                items,
-                rho,
-                omega,
-                trials,
-                seed,
-                &config,
-                faults.as_ref(),
-            );
-            manifest.stamp_runtime(span_wall);
-            manifest.set("stats", stats.clone());
-            let mpath = Manifest::sibling_path(path);
-            manifest
-                .write_to(&mpath)
-                .map_err(|e| CliError::Io(format!("cannot write {}: {e}", mpath.display())))?;
-            println!("events  → {out}");
-            println!("manifest→ {}", mpath.display());
-            (agg, Some(stats))
-        }
-        None if verbose || profiling => {
-            // Tallies without the event stream (runs on all workers;
-            // per-trial tallies merge deterministically in trial order).
-            // --profile rides this path so the .prom-able tallies exist
-            // even when nobody asked for the event file.
-            let mut rec = Recorder::new(TallySink);
-            let agg = run_trials_observed_with_workers(
-                &config, &source, &policy, trials, seed, workers, &mut rec,
-            );
-            if profiling {
-                emit_profile(&rec, None, None)?;
-            }
-            (agg, Some(rec.summary_json()))
-        }
-        None => {
-            let mut rec = Recorder::disabled();
-            let agg = run_trials_observed_with_workers(
-                &config, &source, &policy, trials, seed, workers, &mut rec,
-            );
-            (agg, None)
-        }
-    };
-
-    report(&agg, stats.as_ref(), trials, &utility, verbose);
+    if let Some(path) = &checkpoint {
+        println!("checkpoint → {}", path.display());
+    }
+    for (k, msg) in &outcome.skipped {
+        eprintln!("warning: trial {k} skipped: {msg}");
+    }
+    report(
+        agg,
+        seen.stats.as_ref(),
+        s.trials,
+        &s.utility,
+        args.verbose(),
+    );
+    if !outcome.skipped.is_empty() {
+        return Err(CliError::TrialsSkipped {
+            skipped: outcome.skipped.len(),
+            trials: s.trials,
+        });
+    }
     Ok(())
-}
-
-/// Peak resident set size of this process in kilobytes, from
-/// `/proc/self/status` (`None` off Linux or if the field is missing).
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// `impatience simulate --shards W --nodes N --mu F --duration T`: one
@@ -1145,83 +1349,27 @@ fn simulate_sharded(args: &Args) -> Result<(), CliError> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
+    let scope = Scope::new(args);
     let nodes: usize = args.get("nodes", 10_000)?;
     let mu: f64 = args.get("mu", 0.005)?;
     let duration: f64 = args.get("duration", 3_000.0)?;
-    let items: usize = args.get("items", 50)?;
-    let rho: usize = args.get("rho", 5)?;
-    let omega: f64 = args.get("omega", 1.0)?;
-    let trials: usize = args.get("trials", 3)?;
-    let seed: u64 = args.get("seed", 42)?;
-    let utility = args.utility()?;
-    let verbose = args.verbose();
-    let profiling = args.options.contains_key("profile");
-    if profiling {
-        impatience_obs::span::enable();
-    }
-
-    let demand = Popularity::pareto(items, omega).demand_rates(1.0);
-    let policy_name = args
-        .options
-        .get("policy")
-        .map(String::as_str)
-        .unwrap_or("qcr");
-    let policy = match policy_name {
-        "qcr" => PolicyKind::qcr_default(),
-        "qcr-no-routing" => PolicyKind::Qcr(impatience_sim::policy::QcrConfig {
-            mandate_routing: false,
-            ..Default::default()
-        }),
-        "passive" => PolicyKind::Passive { replicas: 1.0 },
-        "opt" => {
-            // The homogeneous greedy optimum — analytic, so it costs the
-            // same at 10⁶ nodes as at 50.
-            let system = SystemModel::pure_p2p(nodes, rho, mu);
-            let counts = try_greedy_homogeneous(&system, &demand, utility.as_ref())?;
-            PolicyKind::Static {
-                label: "OPT",
-                counts,
-            }
-        }
-        "uni" => PolicyKind::Static {
-            label: "UNI",
-            counts: uniform(items, nodes, rho),
-        },
-        "sqrt" => PolicyKind::Static {
-            label: "SQRT",
-            counts: sqrt_proportional(&demand, nodes, rho),
-        },
-        "prop" => PolicyKind::Static {
-            label: "PROP",
-            counts: proportional(&demand, nodes, rho),
-        },
-        "dom" => PolicyKind::Static {
-            label: "DOM",
-            counts: dominant(&demand, nodes, rho),
-        },
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown policy `{other}` (with --shards: qcr, qcr-no-routing, \
-                 passive, opt, uni, sqrt, prop, dom)"
-            )))
-        }
-    };
-
-    let faults = fault_config(args)?;
-    let mut builder = SimConfig::builder(items, rho)
-        .demand(demand)
-        .utility(utility.clone())
-        .bin(60.0)
-        .warmup_fraction(0.25);
-    if let Some(fc) = faults.clone() {
-        builder = builder.faults(fc);
-    }
-    let config = builder.build();
+    let s = Scenario::parse(args, (50, 5, 3), false)?;
+    // OPT on the synthetic source: the homogeneous greedy optimum —
+    // analytic, so it costs the same at 10⁶ nodes as at 50.
+    let policy = s.policy(args, nodes, || {
+        let system = SystemModel::pure_p2p(nodes, s.rho, mu);
+        Ok(try_greedy_homogeneous(
+            &system,
+            &s.demand,
+            s.utility.as_ref(),
+        )?)
+    })?;
+    let config = s.config(None);
     let source = ContactSource::homogeneous(nodes, mu, duration);
 
-    let agg = run_trials_sharded(&config, &source, &policy, trials, seed, Some(shards))?;
+    let agg = run_trials_sharded(&config, &source, &policy, s.trials, s.seed, Some(shards))?;
 
-    report(&agg.aggregate, None, trials, &utility, verbose);
+    report(&agg.aggregate, None, s.trials, &s.utility, args.verbose());
     println!(
         "  shard workers         : {:>10} ({LOGICAL_SHARDS} logical shards)",
         shards
@@ -1235,12 +1383,11 @@ fn simulate_sharded(args: &Args) -> Result<(), CliError> {
     if agg.fault_events > 0 {
         println!("  fault events          : {:>10}", agg.fault_events);
     }
-    if let Some(kb) = peak_rss_kb() {
-        println!("  peak RSS              : {:>10.1} MiB", kb as f64 / 1024.0);
+    if let Some(bytes) = impatience_obs::manifest::peak_rss_bytes() {
+        let mib = bytes as f64 / (1024.0 * 1024.0);
+        println!("  peak RSS              : {mib:>10.1} MiB");
     }
-    if profiling {
-        emit_profile(&Recorder::disabled(), None, None)?;
-    }
+    scope.profile(&Recorder::disabled(), None)?;
     Ok(())
 }
 
@@ -1264,33 +1411,6 @@ fn net_source(args: &Args) -> Result<(ContactSource, usize, String), CliError> {
                 label,
             ))
         }
-    }
-}
-
-/// The engine-side fault model for `netrun`: the shared flags from
-/// [`fault_config`] plus the message-layer family
-/// (`--loss-p/--dup-p/--reorder`) that only the net transport consumes.
-fn net_fault_config(args: &Args) -> Result<Option<FaultConfig>, CliError> {
-    let mut fc = match fault_config(args)? {
-        Some(fc) => fc,
-        None => FaultConfig {
-            seed: args.get("fault-seed", 0)?,
-            ..FaultConfig::default()
-        },
-    };
-    let msg = MsgFaults {
-        loss_p: args.get("loss-p", 0.0)?,
-        dup_p: args.get("dup-p", 0.0)?,
-        reorder_window: args.get("reorder", 0)?,
-    };
-    if msg.is_active() {
-        fc.msg = Some(msg);
-    }
-    if fc.is_active() {
-        fc.validate()?;
-        Ok(Some(fc))
-    } else {
-        Ok(None)
     }
 }
 
@@ -1507,81 +1627,48 @@ fn netrun(args: &Args) -> Result<(), CliError> {
         return netrun_verify(args);
     }
     let (source, nodes, source_label) = net_source(args)?;
-    let items: usize = args.get("items", 20)?;
-    let rho: usize = args.get("rho", 4)?;
-    let omega: f64 = args.get("omega", 1.0)?;
-    let trials: usize = args.get("trials", 10)?;
-    let seed: u64 = args.get("seed", 42)?;
+    let s = Scenario::parse(args, (20, 4, 10), true)?;
     let workers: Option<usize> = args.get_opt("workers")?;
-    let utility = args.utility()?;
-    let verbose = args.verbose();
-
-    let demand = Popularity::pareto(items, omega).demand_rates(1.0);
-    let mut builder = SimConfig::builder(items, rho)
-        .demand(demand)
-        .profile(DemandProfile::uniform(items, nodes))
-        .utility(utility.clone())
-        .bin(60.0)
-        .warmup_fraction(0.25);
-    let faults = net_fault_config(args)?;
-    if let Some(fc) = faults.clone() {
-        builder = builder.faults(fc);
-    }
-    let config = builder.build();
+    let config = s.config(Some(DemandProfile::uniform(s.items, nodes)));
     let net = net_run_config(args)?;
-
-    let agg = match args.options.get("trace-out") {
-        Some(out) => {
-            let path = Path::new(out);
-            let file = AtomicFile::create(path)
-                .map_err(|e| CliError::Io(format!("cannot create {out}: {e}")))?;
-            let mut rec = Recorder::new(JsonlSink::new(file));
-            let agg =
-                run_net_trials_observed(&config, &source, &net, trials, seed, workers, &mut rec)?;
-            let reg = net_registry(&rec, &agg);
-            rec.into_sink()
-                .into_inner()
-                .and_then(AtomicFile::commit)
-                .map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
-            let prom = path.with_extension("prom");
-            reg.write_prom(&prom)
-                .map_err(|e| CliError::Io(format!("cannot write {}: {e}", prom.display())))?;
-
-            let mut manifest = Manifest::new("netrun");
-            manifest.set("source", source_label.as_str());
-            manifest.set("trials", trials as u64);
-            manifest.set("base_seed", seed);
-            manifest.set("mean_rate", agg.mean_rate);
-            manifest.set("degraded_trials", agg.degraded_trials as u64);
-            manifest.set("msgs_sent", agg.stats.msgs_sent);
-            manifest.set("msgs_lost", agg.stats.msgs_lost);
-            manifest.set("retries", agg.stats.retries);
-            manifest.set("mandates_minted", agg.conservation.minted);
-            let mpath = Manifest::sibling_path(path);
-            manifest
-                .write_to(&mpath)
-                .map_err(|e| CliError::Io(format!("cannot write {}: {e}", mpath.display())))?;
-            println!("events  → {out}");
-            println!("metrics → {}", prom.display());
-            println!("manifest→ {}", mpath.display());
-            agg
-        }
-        None => run_net_trials_observed(
-            &config,
-            &source,
-            &net,
-            trials,
-            seed,
-            workers,
-            &mut Recorder::disabled(),
-        )?,
+    // No --profile here, and --verbose prints the aggregate, not the
+    // recorder: without --trace-out nothing is tallied.
+    let scope = Scope {
+        events: args.options.get("trace-out").map(String::as_str),
+        tally: false,
+        profiling: false,
+        beside: None,
     };
 
-    net_report(&agg, &utility, &source_label, verbose);
+    let (agg, registry, seen) = observe!(scope, |rec| {
+        let agg = run_net_trials_observed(&config, &source, &net, s.trials, s.seed, workers, rec)?;
+        let registry = scope.events.map(|_| net_registry(rec, &agg));
+        Ok((agg, registry, scope.seen(rec)?))
+    });
+    if let (Some(out), Some(registry)) = (scope.events, registry) {
+        let prom = Path::new(out).with_extension("prom");
+        registry
+            .write_prom(&prom)
+            .map_err(|e| CliError::Io(format!("cannot write {}: {e}", prom.display())))?;
+        println!("metrics → {}", prom.display());
+        write_manifest("netrun", Path::new(out), &seen, |m| {
+            m.set("source", source_label.as_str());
+            m.set("trials", s.trials as u64);
+            m.set("base_seed", s.seed);
+            m.set("mean_rate", agg.mean_rate);
+            m.set("degraded_trials", agg.degraded_trials as u64);
+            m.set("msgs_sent", agg.stats.msgs_sent);
+            m.set("msgs_lost", agg.stats.msgs_lost);
+            m.set("retries", agg.stats.retries);
+            m.set("mandates_minted", agg.conservation.minted);
+        })?;
+    }
+
+    net_report(&agg, &s.utility, &source_label, args.verbose());
     if agg.degraded_trials > 0 {
         return Err(CliError::NetDegraded {
             degraded: agg.degraded_trials,
-            trials,
+            trials: s.trials,
         });
     }
     Ok(())
@@ -1771,10 +1858,6 @@ fn verify(args: &Args) -> Result<(), CliError> {
         return Err("--quick and --full are mutually exclusive".into());
     }
     let seed: u64 = args.get("seed", 42)?;
-    let profile = args.options.contains_key("profile");
-    if profile {
-        impatience_obs::span::enable();
-    }
     let mut opts = if full {
         MatrixOptions::full(seed)
     } else {
@@ -1789,46 +1872,19 @@ fn verify(args: &Args) -> Result<(), CliError> {
         .cloned()
         .unwrap_or_else(|| "conformance.jsonl".to_string());
     let report_path = PathBuf::from(&out);
-    let profile_paths = (
-        report_path.with_extension("profile.json"),
-        report_path.with_extension("prom"),
-    );
-
-    // Scenario progress streams through the Recorder either way: into a
-    // JSONL event file when asked for, or into in-memory tallies whose
-    // summary lands in the manifest.
-    let (records, stats, span_wall) = match args.options.get("trace-out") {
-        Some(events) => {
-            let path = Path::new(events);
-            let file = AtomicFile::create(path)
-                .map_err(|e| CliError::Io(format!("cannot create {events}: {e}")))?;
-            let mut rec = Recorder::new(JsonlSink::new(file));
-            let records = run_matrix(&opts, &mut rec);
-            let stats = rec.summary_json();
-            let span_wall = if profile {
-                emit_profile(&rec, Some(&profile_paths.0), Some(&profile_paths.1))?
-            } else {
-                None
-            };
-            rec.into_sink()
-                .into_inner()
-                .and_then(AtomicFile::commit)
-                .map_err(|e| CliError::Io(format!("writing {events}: {e}")))?;
-            println!("events  → {events}");
-            (records, stats, span_wall)
-        }
-        None => {
-            let mut rec = Recorder::new(TallySink);
-            let records = run_matrix(&opts, &mut rec);
-            let stats = rec.summary_json();
-            let span_wall = if profile {
-                emit_profile(&rec, Some(&profile_paths.0), Some(&profile_paths.1))?
-            } else {
-                None
-            };
-            (records, stats, span_wall)
-        }
+    // Scenario progress always streams through a recorder — into the
+    // event file when asked for, else into tallies — because its summary
+    // lands in the manifest; the profile goes beside the report.
+    let scope = Scope {
+        tally: true,
+        beside: Some(report_path.clone()),
+        ..Scope::new(args)
     };
+
+    let (records, seen) = observe!(scope, |rec| {
+        let records = run_matrix(&opts, rec);
+        Ok((records, scope.seen(rec)?))
+    });
 
     write_report(&report_path, &records)
         .map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
@@ -1843,26 +1899,19 @@ fn verify(args: &Args) -> Result<(), CliError> {
     }
     let wall_s: f64 = records.iter().map(|r| r.wall_s).sum();
 
-    let mut manifest = Manifest::new("verify");
-    manifest.set("mode", if full { "full" } else { "quick" });
-    manifest.set("base_seed", seed);
-    manifest.set("report", out.as_str());
-    manifest.set("scenarios", scenarios as u64);
-    manifest.set("runnable", runnable as u64);
-    manifest.set("checks_passed", u64::from(passed));
-    manifest.set("checks_failed", u64::from(failed));
-    manifest.set("checks_skipped", u64::from(skipped));
-    manifest.set("wall_s", wall_s);
-    manifest.stamp_runtime(span_wall);
-    manifest.set("stats", stats);
-    let mpath = Manifest::sibling_path(&report_path);
-    manifest
-        .write_to(&mpath)
-        .map_err(|e| CliError::Io(format!("cannot write {}: {e}", mpath.display())))?;
-
     print!("{}", summary_table(&records));
     println!("report  → {out}");
-    println!("manifest→ {}", mpath.display());
+    write_manifest("verify", &report_path, &seen, |m| {
+        m.set("mode", if full { "full" } else { "quick" });
+        m.set("base_seed", seed);
+        m.set("report", out.as_str());
+        m.set("scenarios", scenarios as u64);
+        m.set("runnable", runnable as u64);
+        m.set("checks_passed", u64::from(passed));
+        m.set("checks_failed", u64::from(failed));
+        m.set("checks_skipped", u64::from(skipped));
+        m.set("wall_s", wall_s);
+    })?;
     for r in &records {
         for check in r.results.iter().filter(|c| c.status == CheckStatus::Fail) {
             eprintln!(
@@ -1877,51 +1926,17 @@ fn verify(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Shared by the `--profile` handlers: drain the span tree, print the
-/// phase report, and optionally write it as `.profile.json` and as
-/// Prometheus text exposition (span series plus the recorder's counters
-/// and delay histograms). Returns the summed root wall time for the
-/// manifest's `span_wall_s` cross-reference, or `None` when nothing was
-/// recorded.
-fn emit_profile<S: Sink>(
-    rec: &Recorder<S>,
-    json_path: Option<&Path>,
-    prom_path: Option<&Path>,
-) -> Result<Option<f64>, CliError> {
-    let report = impatience_obs::span::take_report();
-    if report.is_empty() {
-        println!("profile: no spans recorded");
-        return Ok(None);
-    }
-    print!("{}", report.render());
-    if let Some(path) = json_path {
-        let mut text = report.to_json().to_string();
-        text.push('\n');
-        impatience_obs::write_atomic(path, text.as_bytes())
-            .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))?;
-        println!("profile → {}", path.display());
-    }
-    if let Some(path) = prom_path {
-        let mut registry = MetricsRegistry::new();
-        registry.absorb_recorder(rec);
-        registry.absorb_phase_report(&report);
-        registry
-            .write_prom(path)
-            .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))?;
-        println!("metrics → {}", path.display());
-    }
-    Ok(Some(report.total_wall_s))
-}
-
-/// `impatience trace <summarize|diff|export>`: offline analysis of the
-/// JSONL event traces that `simulate`, `verify`, and `reproduce` write
-/// with `--trace-out`. Parsing is lenient — unreadable lines are counted,
-/// not fatal — so a truncated trace from a killed run still summarizes.
+/// `impatience trace <summarize|diff|export|lint-prom>`: offline analysis
+/// of the JSONL event traces that `simulate`, `netrun`, `verify`, and
+/// `reproduce` write with `--trace-out`. Parsing is lenient — unreadable
+/// lines are counted, not fatal — so a truncated trace from a killed run
+/// still summarizes.
 fn trace_cmd(args: &Args) -> Result<(), CliError> {
+    const SUBCOMMANDS: &str = "summarize | diff | export | lint-prom";
     let sub = args
         .positional
         .first()
-        .ok_or("trace needs a subcommand: summarize | diff | export")?;
+        .ok_or_else(|| format!("trace needs a subcommand: {SUBCOMMANDS}"))?;
     let load = |path: &str| -> Result<TraceSummary, CliError> {
         TraceSummary::from_file(Path::new(path))
             .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))
@@ -2000,7 +2015,7 @@ fn trace_cmd(args: &Args) -> Result<(), CliError> {
             Ok(())
         }
         other => Err(CliError::Usage(format!(
-            "unknown trace subcommand `{other}` (summarize | diff | export | lint-prom)"
+            "unknown trace subcommand `{other}` ({SUBCOMMANDS})"
         ))),
     }
 }
@@ -2075,10 +2090,7 @@ fn reproduce(args: &Args, invocation: &[String]) -> Result<(), CliError> {
         .get("specs")
         .map(String::as_str)
         .unwrap_or("experiments");
-    let profile = args.options.contains_key("profile");
-    if profile {
-        impatience_obs::span::enable();
-    }
+    let scope = Scope::new(args);
     let compile_span = impatience_obs::span!("spec.compile");
     let registry = Registry::load_dir(Path::new(specs_dir))?;
     compile_span.close();
@@ -2134,68 +2146,20 @@ fn reproduce(args: &Args, invocation: &[String]) -> Result<(), CliError> {
     } else {
         baseline_dir.clone()
     };
-    let checkpoint_dir = args
-        .options
-        .contains_key("resume")
-        .then(|| run_dir.join(".checkpoints"));
-    let workers: Option<usize> = args.get_opt("workers")?;
-    let verbose = args.verbose();
-
-    let outcome = match args.options.get("trace-out") {
-        Some(out) => {
-            let path = Path::new(out);
-            let file = AtomicFile::create(path)
-                .map_err(|e| CliError::Io(format!("cannot create {out}: {e}")))?;
-            let mut rec = Recorder::new(JsonlSink::new(file));
-            let outcome = reproduce_run(
-                &selected,
-                &run_dir,
-                &baseline_dir,
-                check,
-                checkpoint_dir,
-                workers,
-                invocation,
-                profile,
-                &mut rec,
-            );
-            rec.into_sink()
-                .into_inner()
-                .and_then(AtomicFile::commit)
-                .map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
-            println!("events  → {out}");
-            outcome?
-        }
-        None if verbose || profile => {
-            // --profile rides the tally path so the per-spec .prom has
-            // recorder counters to absorb alongside the span tree.
-            let mut rec = Recorder::new(TallySink);
-            reproduce_run(
-                &selected,
-                &run_dir,
-                &baseline_dir,
-                check,
-                checkpoint_dir,
-                workers,
-                invocation,
-                profile,
-                &mut rec,
-            )?
-        }
-        None => {
-            let mut rec = Recorder::disabled();
-            reproduce_run(
-                &selected,
-                &run_dir,
-                &baseline_dir,
-                check,
-                checkpoint_dir,
-                workers,
-                invocation,
-                profile,
-                &mut rec,
-            )?
-        }
+    let run = ReproRun {
+        scope: &scope,
+        selected: &selected,
+        run_dir: &run_dir,
+        baseline_dir: &baseline_dir,
+        check,
+        checkpoint_dir: args
+            .options
+            .contains_key("resume")
+            .then(|| run_dir.join(".checkpoints")),
+        workers: args.get_opt("workers")?,
+        invocation,
     };
+    let outcome = observe!(scope, |rec| { run.execute(rec) });
 
     if check {
         let _ = std::fs::remove_dir_all(&run_dir);
@@ -2230,241 +2194,89 @@ fn reproduce(args: &Args, invocation: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The sink-generic body of `reproduce`: run every selected spec,
-/// collect artifacts and skipped trials, and (in check mode) compare
-/// each regenerated CSV against its committed baseline.
-#[allow(clippy::too_many_arguments)]
-fn reproduce_run<S: impatience_obs::Sink>(
-    selected: &[&Spec],
-    run_dir: &Path,
-    baseline_dir: &Path,
+/// One `reproduce` invocation, ready to run under whichever recorder its
+/// scope binds.
+struct ReproRun<'a> {
+    scope: &'a Scope<'a>,
+    selected: &'a [&'a Spec],
+    run_dir: &'a Path,
+    baseline_dir: &'a Path,
     check: bool,
     checkpoint_dir: Option<PathBuf>,
     workers: Option<usize>,
-    invocation: &[String],
-    profile: bool,
-    rec: &mut Recorder<S>,
-) -> Result<ReproOutcome, CliError> {
-    let mut outcome = ReproOutcome::default();
-    for spec in selected {
-        println!("── {} — {}", spec.name, spec.title);
-        let plan = spec.plan()?;
-        outcome.trials_total += plan.trials * plan.cells.len().max(1);
-        let mut ctx = ExecContext {
-            out_dir: run_dir.to_path_buf(),
-            checkpoint_dir: checkpoint_dir.clone(),
-            workers,
-            cli_args: invocation.to_vec(),
-            quiet: check,
-            rec,
-            progress: Progress::new(&spec.name, plan.cells.len() as u64),
-        };
-        let report = run_spec(spec, &mut ctx)?;
-        ctx.progress.finish();
-        // One profile per spec, drained right after it ran so the next
-        // spec starts from an empty span tree. Named after the spec's
-        // first artifact: results/fig2_alloc_exponent.{profile.json,prom}.
-        if profile {
-            let stem = report.artifacts.first();
-            let json_path = stem.map(|p| p.with_extension("profile.json"));
-            let prom_path = stem.map(|p| p.with_extension("prom"));
-            emit_profile(ctx.rec, json_path.as_deref(), prom_path.as_deref())?;
-        }
-        outcome.specs += 1;
-        outcome.artifacts += report.artifacts.len();
-        for (cell, msg) in report.skipped {
-            outcome.skipped.push((format!("{}:{cell}", spec.name), msg));
-        }
-        if check {
-            for artifact in &report.artifacts {
-                let name = artifact
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                let baseline = baseline_dir.join(&name);
-                outcome.checked += 1;
-                match impatience_exp::check::compare(&baseline, artifact)? {
-                    CheckOutcome::Match => println!("  check {name} … ok"),
-                    CheckOutcome::MissingBaseline => {
-                        outcome.drifted += 1;
-                        println!("  check {name} … MISSING baseline {}", baseline.display());
-                    }
-                    CheckOutcome::Drift {
-                        first_line,
-                        expected,
-                        actual,
-                    } => {
-                        outcome.drifted += 1;
-                        println!("  check {name} … DRIFT at line {first_line}");
-                        if let Some(e) = expected {
-                            println!("    committed  : {e}");
+    invocation: &'a [String],
+}
+
+impl ReproRun<'_> {
+    /// Run every selected spec, collect artifacts and skipped trials, and
+    /// (in check mode) compare each regenerated CSV against its committed
+    /// baseline.
+    fn execute<S: Sink>(&self, rec: &mut Recorder<S>) -> Result<ReproOutcome, CliError> {
+        let mut outcome = ReproOutcome::default();
+        for spec in self.selected {
+            println!("── {} — {}", spec.name, spec.title);
+            let plan = spec.plan()?;
+            outcome.trials_total += plan.trials * plan.cells.len().max(1);
+            let mut ctx = ExecContext {
+                out_dir: self.run_dir.to_path_buf(),
+                checkpoint_dir: self.checkpoint_dir.clone(),
+                workers: self.workers,
+                cli_args: self.invocation.to_vec(),
+                quiet: self.check,
+                rec: &mut *rec,
+                progress: Progress::new(&spec.name, plan.cells.len() as u64),
+            };
+            let report = run_spec(spec, &mut ctx)?;
+            ctx.progress.finish();
+            // One profile per spec, drained right after it ran so the next
+            // spec starts from an empty span tree. Named after the spec's
+            // first artifact: results/fig2_alloc_exponent.{profile.json,prom}.
+            self.scope
+                .profile(ctx.rec, report.artifacts.first().map(PathBuf::as_path))?;
+            outcome.specs += 1;
+            outcome.artifacts += report.artifacts.len();
+            for (cell, msg) in report.skipped {
+                outcome.skipped.push((format!("{}:{cell}", spec.name), msg));
+            }
+            if self.check {
+                for artifact in &report.artifacts {
+                    let name = artifact
+                        .file_name()
+                        .map(|n| n.to_string_lossy().into_owned())
+                        .unwrap_or_default();
+                    let baseline = self.baseline_dir.join(&name);
+                    outcome.checked += 1;
+                    match impatience_exp::check::compare(&baseline, artifact)? {
+                        CheckOutcome::Match => println!("  check {name} … ok"),
+                        CheckOutcome::MissingBaseline => {
+                            outcome.drifted += 1;
+                            println!("  check {name} … MISSING baseline {}", baseline.display());
                         }
-                        if let Some(a) = actual {
-                            println!("    regenerated: {a}");
+                        CheckOutcome::Drift {
+                            first_line,
+                            expected,
+                            actual,
+                        } => {
+                            outcome.drifted += 1;
+                            println!("  check {name} … DRIFT at line {first_line}");
+                            if let Some(e) = expected {
+                                println!("    committed  : {e}");
+                            }
+                            if let Some(a) = actual {
+                                println!("    regenerated: {a}");
+                            }
                         }
                     }
                 }
             }
         }
-    }
-    // An empty checkpoint directory means every campaign finished and
-    // cleaned up after itself.
-    if let Some(dir) = checkpoint_dir {
-        let _ = std::fs::remove_dir(dir);
-    }
-    Ok(outcome)
-}
-
-/// The checkpointed campaign path of `simulate`: trials run behind a
-/// panic barrier (skip-and-report), progress commits to the checkpoint
-/// file after every chunk, and `resume` picks up exactly where a killed
-/// process stopped.
-#[allow(clippy::too_many_arguments)]
-fn campaign(
-    args: &Args,
-    invocation: &[String],
-    config: &SimConfig,
-    source: &ContactSource,
-    policy: &PolicyKind,
-    trials: usize,
-    seed: u64,
-    utility: &Arc<dyn DelayUtility>,
-    trace_file: &str,
-    faults: Option<&FaultConfig>,
-) -> Result<(), CliError> {
-    let ckpt_path = PathBuf::from(args.options.get("checkpoint").cloned().unwrap_or_default());
-    let options = CampaignOptions {
-        checkpoint_path: Some(ckpt_path.clone()),
-        checkpoint_every: args.get("checkpoint-every", 16)?,
-        workers: args.get_opt("workers")?,
-        // Undocumented test hook: die after N chunks as if killed.
-        abort_after_chunks: args.get_opt("abort-after-chunks")?,
-        cli_args: invocation.to_vec(),
-    };
-    let verbose = args.verbose();
-    let profile = args.options.contains_key("profile");
-
-    let (outcome, stats): (CampaignOutcome, Option<Json>) = match args.options.get("trace-out") {
-        Some(out) => {
-            let path = Path::new(out);
-            let file = AtomicFile::create(path)
-                .map_err(|e| CliError::Io(format!("cannot create {out}: {e}")))?;
-            let mut rec = Recorder::new(JsonlSink::new(file));
-            let outcome = run_campaign(config, source, policy, trials, seed, &options, &mut rec)?;
-            let stats = rec.summary_json();
-            let span_wall = if profile {
-                emit_profile(
-                    &rec,
-                    Some(&path.with_extension("profile.json")),
-                    Some(&path.with_extension("prom")),
-                )?
-            } else {
-                None
-            };
-            rec.into_sink()
-                .into_inner()
-                .and_then(AtomicFile::commit)
-                .map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
-
-            let mut manifest = Manifest::new("campaign");
-            fill_manifest(
-                &mut manifest,
-                trace_file,
-                out,
-                &outcome.aggregate,
-                utility,
-                config.items,
-                config.rho,
-                args.get("omega", 1.0)?,
-                trials,
-                seed,
-                config,
-                faults,
-            );
-            manifest.set("checkpoint", ckpt_path.display().to_string());
-            manifest.set("trials_resumed", outcome.resumed as u64);
-            manifest.set("trials_executed", outcome.executed as u64);
-            manifest.set("trials_skipped", outcome.skipped.len() as u64);
-            manifest.stamp_runtime(span_wall);
-            manifest.set("stats", stats.clone());
-            let mpath = Manifest::sibling_path(path);
-            manifest
-                .write_to(&mpath)
-                .map_err(|e| CliError::Io(format!("cannot write {}: {e}", mpath.display())))?;
-            println!("events  → {out}");
-            println!("manifest→ {}", mpath.display());
-            (outcome, Some(stats))
+        // An empty checkpoint directory means every campaign finished and
+        // cleaned up after itself.
+        if let Some(dir) = &self.checkpoint_dir {
+            let _ = std::fs::remove_dir(dir);
         }
-        None if verbose || profile => {
-            let mut rec = Recorder::new(TallySink);
-            let outcome = run_campaign(config, source, policy, trials, seed, &options, &mut rec)?;
-            let stats = rec.summary_json();
-            if profile {
-                emit_profile(&rec, None, None)?;
-            }
-            (outcome, Some(stats))
-        }
-        None => {
-            let mut rec = Recorder::disabled();
-            let outcome = run_campaign(config, source, policy, trials, seed, &options, &mut rec)?;
-            (outcome, None)
-        }
-    };
-
-    if outcome.resumed > 0 {
-        println!(
-            "resumed {} trial(s) from checkpoint, executed {} this run",
-            outcome.resumed, outcome.executed
-        );
+        Ok(outcome)
     }
-    println!("checkpoint → {}", ckpt_path.display());
-    for (k, msg) in &outcome.skipped {
-        eprintln!("warning: trial {k} skipped: {msg}");
-    }
-    report(&outcome.aggregate, stats.as_ref(), trials, utility, verbose);
-    if !outcome.skipped.is_empty() {
-        return Err(CliError::TrialsSkipped {
-            skipped: outcome.skipped.len(),
-            trials,
-        });
-    }
-    Ok(())
-}
-
-/// The manifest fields shared by plain and campaign simulate runs.
-#[allow(clippy::too_many_arguments)]
-fn fill_manifest(
-    manifest: &mut Manifest,
-    trace_file: &str,
-    events_file: &str,
-    agg: &TrialAggregate,
-    utility: &Arc<dyn DelayUtility>,
-    items: usize,
-    rho: usize,
-    omega: f64,
-    trials: usize,
-    seed: u64,
-    config: &SimConfig,
-    faults: Option<&FaultConfig>,
-) {
-    manifest.set("trace", trace_file);
-    manifest.set("events_file", events_file);
-    manifest.set("policy", agg.label.as_str());
-    manifest.set("utility", utility.kind().to_string());
-    manifest.set("items", items as u64);
-    manifest.set("rho", rho as u64);
-    manifest.set("omega", omega);
-    manifest.set("trials", trials as u64);
-    manifest.set("base_seed", seed);
-    manifest.set("warmup_fraction", config.warmup_fraction);
-    manifest.set(
-        "faults",
-        faults.map_or_else(|| "none".to_string(), FaultConfig::summary),
-    );
-    manifest.set("workers", agg.workers as u64);
-    manifest.set("wall_s", agg.wall_s);
-    manifest.set("mean_trial_wall_s", agg.mean_trial_wall_s);
-    manifest.set("worker_utilization", agg.worker_utilization);
 }
 
 fn report(

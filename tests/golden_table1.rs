@@ -1,7 +1,7 @@
 //! Golden snapshot of the paper's Table 1 closed forms.
 //!
-//! `results/table1_closed_forms.csv` (the `table1_closed_forms` bench
-//! binary) cross-validates each closed form against numeric quadrature;
+//! `results/table1_closed_forms.csv` (spec `experiments/table1.toml`)
+//! cross-validates each closed form against numeric quadrature;
 //! this test pins the *values themselves* so an accidental change to any
 //! `gain`/`φ`/`ψ` implementation — even one that stays self-consistent
 //! with its own numeric integral — trips CI. All values are evaluated at

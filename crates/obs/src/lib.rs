@@ -18,13 +18,16 @@
 //! Three live sinks cover the use cases:
 //!
 //! * [`TallySink`] drops the event stream but leaves the recorder's
-//!   counters and histograms running — what the parallel trial runner
-//!   uses (one recorder per worker, merged at the end via
-//!   [`Recorder::absorb`]).
+//!   counters and histograms running.
 //! * [`JsonlSink`] writes one JSON object per event per line — the
 //!   `impatience simulate --trace-out FILE` format.
 //! * [`MemorySink`] buffers events in a `Vec` for tests and for solver
 //!   telemetry readout in `--verbose` mode.
+//!
+//! A parallel runner gives every trial a recorder of its own over the
+//! per-trial half of the caller's sink ([`Sink::Trial`]) and merges them
+//! in trial order: tallies via [`Recorder::absorb`], events via
+//! [`Sink::splice`], which takes over what the trial already rendered.
 //!
 //! A [`Manifest`] captures run provenance (config, seeds, git revision,
 //! wall time, worker count, peak queue depth, delay percentiles) and is

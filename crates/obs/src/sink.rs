@@ -12,18 +12,22 @@ use crate::event::Event;
 /// code. Implementations that want tallies (counters, histograms) but
 /// not the event stream keep `ACTIVE = true` and discard in `record` —
 /// see [`TallySink`].
+///
+/// A sink has a per-trial half, [`Sink::Trial`]: what a parallel runner
+/// gives each trial so that it records on its own thread, in this sink's
+/// wire format, and hands the result over afterwards ([`Sink::splice`]).
 pub trait Sink {
     /// Whether instrumentation is live for this sink type.
     const ACTIVE: bool = true;
 
-    /// Whether this sink keeps the events it receives (as opposed to
-    /// only driving the recorder's tallies). The parallel trial runner
-    /// consults this: when `false` (e.g. [`TallySink`]) worker shards
-    /// skip event buffering entirely and only their tallies are merged;
-    /// when `true` (e.g. [`JsonlSink`]) workers buffer events in memory
-    /// and the runner replays them into the caller's sink in trial
-    /// order, preserving the deterministic serial event stream.
-    const WANTS_EVENTS: bool = true;
+    /// The sink one trial of a parallel batch records into. It renders
+    /// events the way this sink does, so that [`Sink::splice`] takes the
+    /// result over without a second pass: nothing at all for
+    /// [`NoopSink`] and [`TallySink`], the events for [`MemorySink`],
+    /// JSONL text for [`JsonlSink`], finished stream chunks for
+    /// [`StreamSink`](crate::stream::StreamSink). Its `ACTIVE` is this
+    /// sink's.
+    type Trial: Sink + Default + Send;
 
     /// Receive one event.
     fn record(&mut self, event: &Event);
@@ -33,6 +37,10 @@ pub trait Sink {
     /// campaign — so buffering sinks (see [`JsonlSink`]) can batch
     /// writes between them. The default is a no-op.
     fn flush(&mut self) {}
+
+    /// Take over what `trial` recorded, after everything recorded here
+    /// so far: the same as `record`ing its events one by one, in order.
+    fn splice(&mut self, trial: Self::Trial);
 }
 
 /// The disabled sink: `ACTIVE = false`, all hooks compile away.
@@ -41,25 +49,31 @@ pub struct NoopSink;
 
 impl Sink for NoopSink {
     const ACTIVE: bool = false;
-    const WANTS_EVENTS: bool = false;
+    type Trial = NoopSink;
 
     #[inline(always)]
     fn record(&mut self, _event: &Event) {}
+
+    #[inline(always)]
+    fn splice(&mut self, _trial: NoopSink) {}
 }
 
 /// Keeps the recorder's tallies running but drops the event stream.
 ///
-/// The parallel trial runner uses one per worker: counters and
-/// histograms accumulate cheaply, and the per-event cost is a discarded
-/// call.
+/// Counters and histograms accumulate cheaply, and the per-event cost
+/// is a discarded call; so is the per-trial cost of a parallel batch
+/// (its `Trial` is another `TallySink`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TallySink;
 
 impl Sink for TallySink {
-    const WANTS_EVENTS: bool = false;
+    type Trial = TallySink;
 
     #[inline(always)]
     fn record(&mut self, _event: &Event) {}
+
+    #[inline(always)]
+    fn splice(&mut self, _trial: TallySink) {}
 }
 
 /// Buffers events in memory, for tests and `--verbose` readouts.
@@ -77,10 +91,23 @@ impl MemorySink {
 }
 
 impl Sink for MemorySink {
+    type Trial = MemorySink;
+
     fn record(&mut self, event: &Event) {
         self.events.push(event.clone());
     }
+
+    fn splice(&mut self, mut trial: MemorySink) {
+        self.events.append(&mut trial.events);
+    }
 }
+
+/// Size past which a batch of JSONL text is cut: [`JsonlSink`] drains to
+/// its writer there, [`JsonlLines`] starts a new piece.
+const JSONL_BATCH_BYTES: usize = 64 * 1024;
+
+/// Room for a full batch plus the event that crosses the threshold.
+const JSONL_BUF_CAPACITY: usize = JSONL_BATCH_BYTES + 4096;
 
 /// Writes one JSON object per event per line (JSONL).
 ///
@@ -103,13 +130,13 @@ pub struct JsonlSink<W: Write> {
 
 impl<W: Write> JsonlSink<W> {
     /// Drain the batch buffer to the writer once it exceeds this size.
-    pub const BATCH_BYTES: usize = 64 * 1024;
+    pub const BATCH_BYTES: usize = JSONL_BATCH_BYTES;
 
     /// Stream events to `writer`.
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer,
-            buf: String::with_capacity(Self::BATCH_BYTES + 4096),
+            buf: String::with_capacity(JSONL_BUF_CAPACITY),
             error: None,
         }
     }
@@ -120,13 +147,7 @@ impl<W: Write> JsonlSink<W> {
     }
 
     fn drain(&mut self) {
-        if self.buf.is_empty() || self.error.is_some() {
-            self.buf.clear();
-            return;
-        }
-        if let Err(e) = self.writer.write_all(self.buf.as_bytes()) {
-            self.error = Some(e);
-        }
+        write_unless_failed(&mut self.writer, &mut self.error, &self.buf);
         self.buf.clear();
     }
 
@@ -141,7 +162,20 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
+/// Send `text` to `writer`, unless an earlier write failed; keep the
+/// first error.
+fn write_unless_failed<W: Write>(writer: &mut W, error: &mut Option<std::io::Error>, text: &str) {
+    if text.is_empty() || error.is_some() {
+        return;
+    }
+    if let Err(e) = writer.write_all(text.as_bytes()) {
+        *error = Some(e);
+    }
+}
+
 impl<W: Write> Sink for JsonlSink<W> {
+    type Trial = JsonlLines;
+
     fn record(&mut self, event: &Event) {
         if self.error.is_some() {
             return;
@@ -161,6 +195,45 @@ impl<W: Write> Sink for JsonlSink<W> {
             }
         }
     }
+
+    fn splice(&mut self, trial: JsonlLines) {
+        self.drain();
+        for piece in &trial.pieces {
+            write_unless_failed(&mut self.writer, &mut self.error, piece);
+        }
+    }
+}
+
+/// The per-trial half of [`JsonlSink`]: the lines the trial's events
+/// render to, newline-terminated, held as text in pieces of about
+/// [`JsonlSink::BATCH_BYTES`] — one growing `String` would copy itself
+/// at every doubling and hold up to twice its length.
+#[derive(Debug, Default)]
+pub struct JsonlLines {
+    /// Each piece ends on a line end; the last one is being written.
+    pieces: Vec<String>,
+}
+
+impl Sink for JsonlLines {
+    type Trial = JsonlLines;
+
+    fn record(&mut self, event: &Event) {
+        if self
+            .pieces
+            .last()
+            .is_none_or(|piece| piece.len() >= JSONL_BATCH_BYTES)
+        {
+            self.pieces.push(String::with_capacity(JSONL_BUF_CAPACITY));
+        }
+        if let Some(piece) = self.pieces.last_mut() {
+            event.write_jsonl(piece);
+            piece.push('\n');
+        }
+    }
+
+    fn splice(&mut self, trial: JsonlLines) {
+        self.pieces.extend(trial.pieces);
+    }
 }
 
 #[cfg(test)]
@@ -173,15 +246,25 @@ mod tests {
         const { assert!(<TallySink as Sink>::ACTIVE) };
         const { assert!(<MemorySink as Sink>::ACTIVE) };
         const { assert!(<JsonlSink<Vec<u8>> as Sink>::ACTIVE) };
+        // A trial of a disabled recorder is disabled too.
+        const { assert!(!<<NoopSink as Sink>::Trial as Sink>::ACTIVE) };
     }
 
     #[test]
-    fn wants_events_flags() {
-        // Tally-only sinks let the parallel runner skip event buffering.
-        const { assert!(!<NoopSink as Sink>::WANTS_EVENTS) };
-        const { assert!(!<TallySink as Sink>::WANTS_EVENTS) };
-        const { assert!(<MemorySink as Sink>::WANTS_EVENTS) };
-        const { assert!(<JsonlSink<Vec<u8>> as Sink>::WANTS_EVENTS) };
+    fn jsonl_trial_holds_its_text_in_pieces() {
+        let mut trial = JsonlLines::default();
+        let n = 3 * JSONL_BATCH_BYTES / 20;
+        for i in 0..n {
+            trial.record(&Event::Replication {
+                t: i as f64,
+                count: i as u64,
+            });
+        }
+        assert!(trial.pieces.len() >= 3, "one piece per batch of text");
+        assert!(trial.pieces.iter().all(|p| p.len() < JSONL_BUF_CAPACITY));
+        assert!(trial.pieces.iter().all(|p| p.ends_with('\n')));
+        let lines: usize = trial.pieces.iter().map(|p| p.lines().count()).sum();
+        assert_eq!(lines, n);
     }
 
     #[test]

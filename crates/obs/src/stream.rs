@@ -11,18 +11,23 @@
 //!
 //! ## The chunk is the unit
 //!
-//! Every drain of the sink becomes one immutable chunk of the stream:
-//! the index of its first line, the lines back to back in one text
-//! buffer, and each line's end offset as a `u32`. The sink notes a
-//! line's end as it serializes the event and hands the buffer over
-//! whole, so publishing neither scans for newlines nor copies or
-//! allocates per line; a retained line costs its own bytes plus four.
+//! The stream is a sequence of immutable chunks: the index of a chunk's
+//! first line, the lines back to back in one text buffer, and each
+//! line's end offset as a `u32`. Whoever records an event builds the
+//! chunk it lands in: the sink for events recorded straight into it,
+//! one chunk per drain, and a trial of a parallel batch for its own
+//! ([`StreamTrial`], the sink's per-trial half), on the trial's thread,
+//! cut at the same threshold. Either notes a line's end as it
+//! serializes the event and hands the buffer over whole, so publishing
+//! neither scans for newlines nor copies or allocates per line; a
+//! retained line costs its own bytes plus four, and is written once, by
+//! the thread that produced it.
 //! A cursor takes the stream lock once per chunk and gets back the rest
 //! of the chunk from its position ([`ChunkTail`]), which it reads
 //! without the lock — also when it subscribed mid-chunk. Line indices
 //! stay dense across chunks, so where the boundaries fall (the batch
-//! threshold, a checkpoint `flush`, a subscriber attaching, drop) never
-//! shows in what a subscriber replays.
+//! threshold, a checkpoint `flush`, a subscriber attaching, the end of
+//! a trial, drop) never shows in what a subscriber replays.
 //!
 //! ## Flush on subscriber attach
 //!
@@ -53,11 +58,59 @@ struct Chunk {
     ends: Box<[u32]>,
 }
 
+/// A chunk before it has a place in a stream: its text and line ends.
+type ChunkParts = (Box<str>, Box<[u32]>);
+
+/// A chunk in the making: serialized lines and where each one ends.
+#[derive(Default)]
+struct Batch {
+    buf: String,
+    /// End offset in `buf` of every batched line.
+    ends: Vec<u32>,
+}
+
+impl Batch {
+    /// Cut a chunk past this size.
+    const BYTES: usize = 64 * 1024;
+
+    /// Room for a full batch plus the event that crosses the threshold.
+    const BUF_CAPACITY: usize = Self::BYTES + 4096;
+
+    /// Serialize `event` onto the batch; whether it is now due a cut.
+    fn push(&mut self, event: &Event) -> bool {
+        if self.buf.capacity() == 0 {
+            self.buf.reserve(Self::BUF_CAPACITY);
+        }
+        event.write_jsonl(&mut self.buf);
+        // A batch is cut at `BYTES`, so one event would have to
+        // serialize to 4 GiB for an offset to outgrow a `u32`.
+        assert!(
+            self.buf.len() <= u32::MAX as usize,
+            "event batch outgrew its u32 line offsets"
+        );
+        self.ends.push(self.buf.len() as u32);
+        self.buf.len() >= Self::BYTES
+    }
+
+    /// The batched lines as a chunk, leaving the batch empty; `None` if
+    /// it held no line.
+    fn cut(&mut self) -> Option<ChunkParts> {
+        if self.ends.is_empty() {
+            return None;
+        }
+        let text = std::mem::take(&mut self.buf);
+        let ends = std::mem::take(&mut self.ends);
+        Some((text.into_boxed_str(), ends.into_boxed_slice()))
+    }
+}
+
 #[derive(Default)]
 struct StreamState {
     chunks: Vec<Arc<Chunk>>,
     /// Lines published so far, over all chunks.
     len: usize,
+    /// Bytes the chunks hold: their text and line-end indices.
+    bytes: usize,
     closed: bool,
 }
 
@@ -126,16 +179,19 @@ impl EventStream {
         }
     }
 
-    /// Append one chunk (the [`StreamSink`] drain path) and wake
-    /// waiting readers: one lock acquisition per batch, no work per line.
-    fn publish(&self, text: Box<str>, ends: Box<[u32]>) {
+    /// Append `chunks` in order and wake waiting readers: one lock
+    /// acquisition however many there are, no work per line.
+    fn publish(&self, chunks: impl IntoIterator<Item = ChunkParts>) {
         let mut st = self.lock();
         if st.closed {
             return;
         }
-        let first = st.len;
-        st.len += ends.len();
-        st.chunks.push(Arc::new(Chunk { first, text, ends }));
+        for (text, ends) in chunks {
+            let first = st.len;
+            st.len += ends.len();
+            st.bytes += text.len() + std::mem::size_of_val(&*ends);
+            st.chunks.push(Arc::new(Chunk { first, text, ends }));
+        }
         drop(st);
         self.shared.cond.notify_all();
     }
@@ -161,6 +217,13 @@ impl EventStream {
     /// Whether no lines have been published yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes the published lines hold in memory: their text plus four
+    /// bytes of line-end index each. A stream keeps every line for
+    /// replay, so this only grows.
+    pub fn retained_bytes(&self) -> usize {
+        self.lock().bytes
     }
 
     /// Hold the lock once the stream has grown past `idx` or closed, or
@@ -278,26 +341,20 @@ impl StreamCursor {
 /// fresh subscribers never sit behind a stale 64 KiB window.
 pub struct StreamSink {
     stream: EventStream,
-    buf: String,
-    /// End offset in `buf` of every batched line.
-    ends: Vec<u32>,
+    batch: Batch,
     seen_epoch: u64,
 }
 
 impl StreamSink {
     /// Drain the batch buffer into the stream past this size.
-    pub const BATCH_BYTES: usize = 64 * 1024;
-
-    /// Room for a full batch plus the event that crosses the threshold.
-    const BUF_CAPACITY: usize = Self::BATCH_BYTES + 4096;
+    pub const BATCH_BYTES: usize = Batch::BYTES;
 
     /// Batch events into `stream`.
     pub fn new(stream: EventStream) -> Self {
         let seen_epoch = stream.attach_epoch();
         StreamSink {
             stream,
-            buf: String::with_capacity(Self::BUF_CAPACITY),
-            ends: Vec::new(),
+            batch: Batch::default(),
             seen_epoch,
         }
     }
@@ -309,18 +366,12 @@ impl StreamSink {
 
     /// Bytes currently batched but not yet published.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.batch.buf.len()
     }
 
     /// Hand the batch over to the stream as one chunk.
     fn drain(&mut self) {
-        if self.ends.is_empty() {
-            return;
-        }
-        let text = std::mem::replace(&mut self.buf, String::with_capacity(Self::BUF_CAPACITY));
-        let ends = std::mem::take(&mut self.ends);
-        self.stream
-            .publish(text.into_boxed_str(), ends.into_boxed_slice());
+        self.stream.publish(self.batch.cut());
     }
 
     /// Drain any remainder and mark the stream closed.
@@ -332,6 +383,8 @@ impl StreamSink {
 }
 
 impl Sink for StreamSink {
+    type Trial = StreamTrial;
+
     fn record(&mut self, event: &Event) {
         // Flush-on-attach: a subscriber arriving between checkpoints
         // bumps the epoch; drain the stale batch before appending.
@@ -340,21 +393,46 @@ impl Sink for StreamSink {
             self.seen_epoch = epoch;
             self.drain();
         }
-        event.write_jsonl(&mut self.buf);
-        // A batch drains at BATCH_BYTES, so one event would have to
-        // serialize to 4 GiB for an offset to outgrow a `u32`.
-        assert!(
-            self.buf.len() <= u32::MAX as usize,
-            "event batch outgrew its u32 line offsets"
-        );
-        self.ends.push(self.buf.len() as u32);
-        if self.buf.len() >= Self::BATCH_BYTES {
+        if self.batch.push(event) {
             self.drain();
         }
     }
 
     fn flush(&mut self) {
         self.drain();
+    }
+
+    /// The trial's chunks become the stream's, as they are: no line is
+    /// rendered, scanned or copied again.
+    fn splice(&mut self, mut trial: StreamTrial) {
+        let last = trial.batch.cut();
+        self.stream
+            .publish(self.batch.cut().into_iter().chain(trial.chunks).chain(last));
+    }
+}
+
+/// The per-trial half of [`StreamSink`]: builds the stream's own chunks
+/// (same text, same line ends, same [`StreamSink::BATCH_BYTES`] cut) away
+/// from the stream, for [`Sink::splice`] to publish in order.
+#[derive(Default)]
+pub struct StreamTrial {
+    chunks: Vec<ChunkParts>,
+    batch: Batch,
+}
+
+impl Sink for StreamTrial {
+    type Trial = StreamTrial;
+
+    fn record(&mut self, event: &Event) {
+        if self.batch.push(event) {
+            self.chunks.extend(self.batch.cut());
+        }
+    }
+
+    fn splice(&mut self, mut trial: StreamTrial) {
+        self.chunks.extend(self.batch.cut());
+        self.chunks.append(&mut trial.chunks);
+        self.batch = trial.batch;
     }
 }
 
@@ -367,7 +445,7 @@ impl Drop for StreamSink {
 impl std::fmt::Debug for StreamSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamSink")
-            .field("pending_bytes", &self.buf.len())
+            .field("pending_bytes", &self.pending_bytes())
             .field("stream", &self.stream)
             .finish()
     }

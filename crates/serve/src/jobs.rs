@@ -403,6 +403,15 @@ impl JobManager {
         lock(&self.shared).jobs.get(id).map(|e| e.stream.clone())
     }
 
+    /// What the event streams of all listed jobs hold for replay:
+    /// `(bytes, lines)`.
+    pub fn events_retained(&self) -> (usize, usize) {
+        let st = lock(&self.shared);
+        st.jobs.values().fold((0, 0), |(bytes, lines), e| {
+            (bytes + e.stream.retained_bytes(), lines + e.stream.len())
+        })
+    }
+
     /// All jobs (sorted by id) plus the terminal completion order.
     pub fn list(&self) -> (Vec<JobStatus>, Vec<String>) {
         let st = lock(&self.shared);

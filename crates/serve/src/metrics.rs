@@ -83,6 +83,23 @@ impl ServeMetrics {
         );
     }
 
+    /// Track what the jobs' event streams hold for replay.
+    pub fn events_retained(&self, bytes: usize, lines: usize) {
+        let mut inner = self.lock();
+        inner.registry.gauge_set(
+            "impatience_events_retained_bytes",
+            "Memory held by the event streams of all listed jobs (line text plus index).",
+            &[],
+            bytes as f64,
+        );
+        inner.registry.gauge_set(
+            "impatience_events_retained_lines",
+            "Event lines held for replay by the streams of all listed jobs.",
+            &[],
+            lines as f64,
+        );
+    }
+
     /// Count one campaign reaching a terminal disposition
     /// (`done` / `failed` / `shed`).
     pub fn campaign(&self, disposition: &str) {
@@ -144,6 +161,7 @@ mod tests {
         m.queue_depth(2);
         m.campaign("done");
         m.sse_write(17);
+        m.events_retained(4096, 64);
         let text = m.render();
         let samples = parse_prometheus(&text).unwrap();
         let has = |name: &str| samples.iter().any(|s| s.name.starts_with(name));
@@ -153,6 +171,8 @@ mod tests {
         assert!(has("impatience_campaigns_total"));
         assert!(has("impatience_sse_events_streamed_total"));
         assert!(has("impatience_sse_writes_total"));
+        assert!(has("impatience_events_retained_bytes"));
+        assert!(has("impatience_events_retained_lines"));
         assert!(has("impatience_solve_latency_ms"));
     }
 }

@@ -204,25 +204,14 @@ fn route(mut stream: TcpStream, req: Request, ctx: &Arc<Ctx>) {
                 handle_artifact(&mut stream, path, ctx),
             ),
             ("GET", path) => match campaign_route(path) {
-                Some((id, true)) => {
-                    // SSE long-polls; hand the connection its own thread
-                    // so pool workers stay available for short requests.
-                    let id = id.to_string();
-                    let ctx2 = Arc::clone(ctx);
-                    let offset = sse_offset(&req);
-                    let follow = req.query.get("follow").map(String::as_str) != Some("0");
-                    let _ = std::thread::Builder::new()
-                        .name("serve-sse".into())
-                        .spawn(move || {
-                            let status = match handle_events(stream, &id, offset, follow, &ctx2) {
-                                Ok(()) => 200,
-                                Err(e) => e.http_status(),
-                            };
-                            ctx2.metrics
-                                .http_request("/v1/campaigns/{id}/events", status);
-                        });
-                    return;
-                }
+                Some((id, true)) => match sse_offset(&req) {
+                    Ok(offset) => {
+                        let follow = req.query.get("follow").map(String::as_str) != Some("0");
+                        spawn_events(stream, id.to_string(), offset, follow, Arc::clone(ctx));
+                        return;
+                    }
+                    Err(e) => ("/v1/campaigns/{id}/events", Err(e)),
+                },
                 Some((id, false)) => ("/v1/campaigns/{id}", handle_status(&mut stream, id, ctx)),
                 None => ("*", Err(ApiError::NotFound(format!("no route {path}")))),
             },
@@ -251,6 +240,21 @@ fn route(mut stream: TcpStream, req: Request, ctx: &Arc<Ctx>) {
     }
 }
 
+/// SSE long-polls; hand the connection its own thread so pool workers
+/// stay available for short requests.
+fn spawn_events(stream: TcpStream, id: String, offset: usize, follow: bool, ctx: Arc<Ctx>) {
+    let _ = std::thread::Builder::new()
+        .name("serve-sse".into())
+        .spawn(move || {
+            let status = match handle_events(stream, &id, offset, follow, &ctx) {
+                Ok(()) => 200,
+                Err(e) => e.http_status(),
+            };
+            ctx.metrics
+                .http_request("/v1/campaigns/{id}/events", status);
+        });
+}
+
 fn handle_healthz(stream: &mut TcpStream, ctx: &Arc<Ctx>) -> Result<(), ApiError> {
     let body = Json::obj([
         ("status", Json::from("ok")),
@@ -263,6 +267,8 @@ fn handle_healthz(stream: &mut TcpStream, ctx: &Arc<Ctx>) -> Result<(), ApiError
 }
 
 fn handle_metrics(stream: &mut TcpStream, ctx: &Arc<Ctx>) -> Result<(), ApiError> {
+    let (bytes, lines) = ctx.jobs.events_retained();
+    ctx.metrics.events_retained(bytes, lines);
     let text = ctx.metrics.render();
     respond(stream, 200, "text/plain; version=0.0.4", text.as_bytes())
         .map_err(|e| ApiError::Io(e.to_string()))
@@ -325,17 +331,21 @@ fn handle_artifact(stream: &mut TcpStream, path: &str, ctx: &Arc<Ctx>) -> Result
 
 /// Starting index for an SSE subscription: `?offset=N` wins, else
 /// `Last-Event-ID + 1` (the header names the last frame the client
-/// *received*), else 0.
-fn sse_offset(req: &Request) -> usize {
+/// *received*), else 0. An `offset` that is not a number is the
+/// client's mistake and is refused; a `Last-Event-ID` that is not one is
+/// ignored, as the SSE specification has it.
+fn sse_offset(req: &Request) -> Result<usize, ApiError> {
     if let Some(off) = req.query.get("offset") {
-        return off.parse().unwrap_or(0);
+        return off
+            .parse()
+            .map_err(|_| ApiError::BadRequest(format!("offset `{off}` is not a line index")));
     }
     if let Some(last) = req.headers.get("last-event-id") {
         if let Ok(n) = last.parse::<usize>() {
-            return n + 1;
+            return Ok(n.saturating_add(1));
         }
     }
-    0
+    Ok(0)
 }
 
 /// Stream a job's recorder events as SSE frames.

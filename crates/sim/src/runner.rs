@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
 
-use impatience_obs::{MemorySink, NoopSink, Recorder, Sink, TallySink};
+use impatience_obs::{Recorder, Sink};
 
 use crate::checkpoint::{fingerprint, CampaignCheckpoint, CheckpointError};
 use crate::config::{ConfigError, ContactSource, SimConfig};
@@ -186,7 +186,7 @@ pub fn run_trials(
 /// trial in every lane the job names for it — one lane unless the job is
 /// a shared contact drain ([`run_campaigns`]) — against the claiming
 /// worker's scratch and a recorder per lane. The method is generic
-/// because the pool picks the per-trial sink type.
+/// because the per-trial sink type follows the caller's ([`Sink::Trial`]).
 pub trait TrialJob: Sync {
     /// Working storage a worker builds once and threads through every
     /// trial it claims.
@@ -259,34 +259,36 @@ impl TrialJob for SeededLanes<'_> {
     }
 }
 
-/// The sink of a per-trial recorder, chosen from what the caller's sink
-/// keeps: nothing at all ([`NoopSink`]), tallies only ([`TallySink`]),
-/// or the event stream too ([`MemorySink`]).
-trait TrialSink: Sink + Default + Send {
-    /// Hand the events this sink kept to the caller's sink, in order.
-    fn replay<S: Sink>(self, _into: &mut S) {}
-}
-
-impl TrialSink for NoopSink {}
-impl TrialSink for TallySink {}
-impl TrialSink for MemorySink {
-    fn replay<S: Sink>(self, into: &mut S) {
-        for event in &self.events {
-            into.record(event);
-        }
-    }
-}
-
 /// One lane of one trial out of the pool: `(lane, trial, result)`.
 pub type LaneResult<T> = (usize, usize, Result<T, String>);
 
-/// [`run_jobs`] with the per-trial sink type `K` fixed.
-fn run_jobs_with<K: TrialSink, S: Sink, J: TrialJob>(
+/// Run `job` once per index in `trials` (ascending) on `workers` threads
+/// and merge what the trials recorded into `rec`.
+///
+/// Idle workers claim the next unclaimed index, so a straggler trial
+/// never idles the rest of the pool; each worker owns one scratch (the
+/// engine's [`TrialScratch`], one per lane) threaded through every trial
+/// it claims, so steady-state trials allocate nothing. Every trial runs
+/// behind `catch_unwind`, each of its lanes against a recorder of its own
+/// (same histogram shapes as `rec`) over the per-trial half of the
+/// caller's sink ([`Sink::Trial`]), so a lane renders its events on the
+/// worker's thread, in the form the caller's sink keeps them. After the
+/// join the lanes are merged into `rec` **lane by lane, in trial order
+/// within a lane** — tallies absorbed, events handed over as they are
+/// ([`Sink::splice`]) — so counters, peaks, histograms and the event
+/// stream are those of the deterministic serial run, independent of
+/// worker count and scheduling, and with one lane per trial in trial
+/// order. A disabled recorder skips the merge. A lane that panicked
+/// yields its message and a `trial_panic` fault event in place of what it
+/// recorded. Returns the results in the merge order and the summed
+/// per-trial wall time.
+pub fn run_jobs<S: Sink, J: TrialJob>(
     trials: &[usize],
     workers: usize,
     job: &J,
     rec: &mut Recorder<S>,
 ) -> (Vec<LaneResult<J::Output>>, f64) {
+    const { assert!(<S::Trial as Sink>::ACTIVE == S::ACTIVE) };
     let shape = (
         rec.delay.range(),
         rec.inter_contact.range(),
@@ -294,7 +296,7 @@ fn run_jobs_with<K: TrialSink, S: Sink, J: TrialJob>(
     );
     // Main-thread profiling spans: "trials" covers dispatch plus the
     // wait for workers (whose own time lands under the per-worker
-    // "trial" root), "merge" the tally/event absorption.
+    // "trial" root), "merge" the tally absorption and event hand-off.
     let trials_span = impatience_obs::span!("trials");
     let next = AtomicUsize::new(0);
     let work = || {
@@ -304,9 +306,9 @@ fn run_jobs_with<K: TrialSink, S: Sink, J: TrialJob>(
         while let Some(&k) = trials.get(next.fetch_add(1, Ordering::Relaxed)) {
             let lanes = job.lanes(k);
             let t0 = Instant::now();
-            let mut recs: Vec<Recorder<K>> = lanes
+            let mut recs: Vec<Recorder<S::Trial>> = lanes
                 .iter()
-                .map(|_| Recorder::with_shape(K::default(), shape.0, shape.1, shape.2))
+                .map(|_| Recorder::with_shape(S::Trial::default(), shape.0, shape.1, shape.2))
                 .collect();
             let results = catch_unwind(AssertUnwindSafe(|| {
                 job.run(k, &lanes, &mut scratch, &mut recs)
@@ -319,7 +321,7 @@ fn run_jobs_with<K: TrialSink, S: Sink, J: TrialJob>(
             for ((lane, result), wrec) in lanes.into_iter().zip(results).zip(recs) {
                 // Only a live recorder of a lane that finished is merged:
                 // the others go now, not once the whole batch has joined.
-                let wrec = (K::ACTIVE && result.is_ok()).then_some(wrec);
+                let wrec = (S::ACTIVE && result.is_ok()).then_some(wrec);
                 local.push((lane, k, result, wrec));
             }
         }
@@ -344,7 +346,7 @@ fn run_jobs_with<K: TrialSink, S: Sink, J: TrialJob>(
     let results = done.into_iter().map(|(lane, k, result, wrec)| {
         if let Some(wrec) = wrec {
             rec.absorb(&wrec);
-            wrec.into_sink().replay(rec.sink_mut());
+            rec.sink_mut().splice(wrec.into_sink());
         }
         if result.is_err() {
             rec.fault(0.0, "trial_panic", k as u32, 0);
@@ -352,40 +354,6 @@ fn run_jobs_with<K: TrialSink, S: Sink, J: TrialJob>(
         (lane, k, result)
     });
     (results.collect(), busy_s)
-}
-
-/// Run `job` once per index in `trials` (ascending) on `workers` threads
-/// and merge what the trials recorded into `rec`.
-///
-/// Idle workers claim the next unclaimed index, so a straggler trial
-/// never idles the rest of the pool; each worker owns one scratch (the
-/// engine's [`TrialScratch`], one per lane) threaded through every trial
-/// it claims, so steady-state trials allocate nothing. Every trial runs
-/// behind `catch_unwind`, each of its lanes against a recorder of its own
-/// (same histogram shapes as `rec`); after the join the per-lane tallies
-/// are absorbed into `rec` **lane by lane, in trial order within a
-/// lane**, so counters, peaks and histograms are independent of worker
-/// count and scheduling — and with one lane per trial, in trial order.
-/// Sinks that keep their event stream ([`Sink::WANTS_EVENTS`], e.g. a
-/// JSONL trace) additionally get every lane's events replayed in that
-/// order, reproducing the deterministic serial stream; tally-only sinks
-/// skip event buffering and a disabled recorder skips the merge. A lane
-/// that panicked yields its message and a `trial_panic` fault event in
-/// place of what it recorded. Returns the results in the merge order and
-/// the summed per-trial wall time.
-pub fn run_jobs<S: Sink, J: TrialJob>(
-    trials: &[usize],
-    workers: usize,
-    job: &J,
-    rec: &mut Recorder<S>,
-) -> (Vec<LaneResult<J::Output>>, f64) {
-    if !rec.is_active() {
-        run_jobs_with::<NoopSink, S, J>(trials, workers, job, rec)
-    } else if S::WANTS_EVENTS {
-        run_jobs_with::<MemorySink, S, J>(trials, workers, job, rec)
-    } else {
-        run_jobs_with::<TallySink, S, J>(trials, workers, job, rec)
-    }
 }
 
 /// [`run_trials`] with instrumentation: the batch shards across worker
@@ -1172,5 +1140,59 @@ mod tests {
             })
             .collect();
         assert_eq!(seeds, vec![33, 34, 35, 36]);
+    }
+
+    #[test]
+    fn worker_count_shows_in_neither_jsonl_bytes_nor_stream_lines() {
+        use impatience_obs::{EventStream, JsonlSink, StreamSink};
+        use std::time::Duration;
+
+        /// The batch under test: five trials from seed 70.
+        fn batch<S: Sink>(workers: usize, rec: &mut Recorder<S>) {
+            let (config, source) = quick_setup();
+            let policy = PolicyKind::qcr_default();
+            run_trials_observed_with_workers(&config, &source, &policy, 5, 70, Some(workers), rec);
+        }
+        // `wall_s` is real time and the last field of the lines that
+        // carry it: cut it off.
+        let masked = |line: &str| line.split("\"wall_s\":").next().unwrap().to_string();
+        let observed = |workers: usize| -> (Vec<String>, Vec<String>) {
+            let mut jsonl = Recorder::new(JsonlSink::new(Vec::new()));
+            batch(workers, &mut jsonl);
+            let text = String::from_utf8(jsonl.into_sink().into_inner().unwrap()).unwrap();
+            assert!(text.ends_with('\n'));
+
+            let stream = EventStream::new();
+            let mut streamed = Recorder::new(StreamSink::new(stream.clone()));
+            batch(workers, &mut streamed);
+            streamed.into_sink().finish();
+            let mut cursor = stream.subscribe(0);
+            let mut lines = Vec::new();
+            while let Some(tail) = cursor.next_chunk(Duration::ZERO) {
+                for (idx, line) in tail.iter() {
+                    assert_eq!(idx, lines.len(), "indices are dense");
+                    lines.push(masked(line));
+                }
+            }
+            (text.lines().map(masked).collect(), lines)
+        };
+
+        // The reference: one sink fed trial by trial on this thread.
+        let (config, source) = quick_setup();
+        let policy = PolicyKind::qcr_default();
+        let mut serial = Recorder::new(JsonlSink::new(Vec::new()));
+        for k in 0..5u64 {
+            let _ = run_trial_observed(&config, &source, policy.clone(), 70 + k, &mut serial);
+        }
+        let serial = String::from_utf8(serial.into_sink().into_inner().unwrap()).unwrap();
+        let serial: Vec<String> = serial.lines().map(masked).collect();
+        // Every trial is several 64 KiB pieces of text.
+        assert!(serial.iter().map(String::len).sum::<usize>() > 5 * 64 * 1024);
+
+        for workers in [1, 3] {
+            let (jsonl, lines) = observed(workers);
+            assert!(jsonl == serial, "JSONL bytes at {workers} workers");
+            assert!(lines == serial, "stream lines at {workers} workers");
+        }
     }
 }

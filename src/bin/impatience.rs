@@ -1149,9 +1149,10 @@ fn attempt<T>(body: impl FnOnce() -> Result<T, CliError>) -> Result<T, CliError>
 /// sink `$scope` calls for, and yield its `Ok` value.
 ///
 /// The body is expanded once per sink type rather than handed a `dyn
-/// Sink`: `runner::run_jobs` picks per-trial buffering from the sink's
-/// associated constants, so a dynamic sink would make a plain `simulate`
-/// buffer every event.
+/// Sink`: `runner::run_jobs` gives each trial the sink type's per-trial
+/// half (`Sink::Trial`: nothing for a disabled or tally-only recorder,
+/// JSONL text for an event file), so a dynamic sink would make a plain
+/// `simulate` render every event.
 macro_rules! observe {
     ($scope:expr, |$rec:ident| $body:block) => {
         match $scope.events {

@@ -124,6 +124,16 @@ fn sse_snapshot(addr: SocketAddr, job: &str, offset: usize) -> (Vec<(usize, Stri
 
 /// Read a job's SSE feed, opened with `query`, up to its `end` frame.
 fn sse_read(addr: SocketAddr, job: &str, query: &str) -> (Vec<(usize, String)>, Json) {
+    sse_read_with(addr, job, query, "")
+}
+
+/// [`sse_read`] with extra request header lines (each ending in `\r\n`).
+fn sse_read_with(
+    addr: SocketAddr,
+    job: &str,
+    query: &str,
+    headers: &str,
+) -> (Vec<(usize, String)>, Json) {
     let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -131,7 +141,7 @@ fn sse_read(addr: SocketAddr, job: &str, query: &str) -> (Vec<(usize, String)>, 
     let mut reader = BufReader::new(stream);
     let head = format!(
         "GET /v1/campaigns/{job}/events?{query} HTTP/1.1\r\n\
-         Host: e2e\r\nAccept: text/event-stream\r\n\r\n"
+         Host: e2e\r\nAccept: text/event-stream\r\n{headers}\r\n"
     );
     reader.get_mut().write_all(head.as_bytes()).unwrap();
 
@@ -337,6 +347,30 @@ fn sse_replay_from_offset_is_gapless_after_reconnect() {
         tail,
         full[k + 1..],
         "replay after reconnect must be gapless and byte-identical"
+    );
+    let (resumed, _) = sse_read_with(addr, &job, "follow=0", &format!("Last-Event-ID: {k}\r\n"));
+    assert_eq!(resumed, tail, "Last-Event-ID: k is ?offset=k+1");
+
+    // An `offset` that is no number is refused, not read as 0 (a silent
+    // replay of the whole stream); a `Last-Event-ID` that is none is
+    // ignored, as the SSE specification asks.
+    let (status, body) = get_json(addr, &format!("/v1/campaigns/{job}/events?offset=abc"));
+    assert_eq!(status, 400, "{body}");
+    let err = body.get("error").expect("error envelope");
+    assert_eq!(err.get("kind").unwrap().as_str(), Some("bad_request"));
+    let (ignored, _) = sse_read_with(addr, &job, "follow=0", "Last-Event-ID: abc\r\n");
+    assert_eq!(ignored, full);
+
+    // What the stream holds for replay is on /metrics: every line, at
+    // its own bytes plus four of index.
+    let text_bytes: usize = full.iter().map(|(_, line)| line.len()).sum();
+    assert_eq!(
+        metric(addr, "impatience_events_retained_lines", &[]),
+        full.len() as f64
+    );
+    assert_eq!(
+        metric(addr, "impatience_events_retained_bytes", &[]),
+        (text_bytes + 4 * full.len()) as f64
     );
 
     server.shutdown();

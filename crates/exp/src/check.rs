@@ -6,7 +6,7 @@
 //! comparison is *byte equality* — no tolerances, no parsing. A drift
 //! report points at the first differing line to make the diff findable.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::error::ExpError;
 
@@ -27,17 +27,6 @@ pub enum CheckOutcome {
     },
     /// The baseline file does not exist yet.
     MissingBaseline,
-}
-
-/// One artifact's check verdict, with the paths involved.
-#[derive(Clone, Debug)]
-pub struct CheckReport {
-    /// The committed baseline path.
-    pub baseline: PathBuf,
-    /// The freshly regenerated path.
-    pub candidate: PathBuf,
-    /// The verdict.
-    pub outcome: CheckOutcome,
 }
 
 /// Byte-compare `candidate` (fresh) against `baseline` (committed).
@@ -88,6 +77,7 @@ pub fn compare(baseline: &Path, candidate: &Path) -> Result<CheckOutcome, ExpErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn scratch(name: &str, text: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("exp-check-{}", std::process::id()));

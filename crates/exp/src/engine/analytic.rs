@@ -16,44 +16,57 @@ use impatience_core::welfare::{
 };
 use impatience_obs::Sink;
 
-use super::{emit, ExecContext, ExecReport};
+use super::{Cell, Kind, Run, Table};
 use crate::error::ExpError;
 use crate::spec::{
-    utility_of, AllocExponentSpec, ClosedFormsSpec, MixedCatalogSpec, Spec, UtilityCurvesSpec,
+    utility_of, AllocExponentSpec, ClosedFormsSpec, MixedCatalogSpec, UtilityCurvesSpec,
 };
 
-/// Fig. 1: sample `h(t)` for each panel's utility families.
-pub fn utility_curves<S: Sink>(
-    spec: &Spec,
-    s: &UtilityCurvesSpec,
-    ctx: &mut ExecContext<'_, S>,
-    report: &mut ExecReport,
-) -> Result<(), ExpError> {
-    for panel in &s.panels {
-        let started = Instant::now();
-        let utilities: Vec<Arc<dyn DelayUtility>> = panel
-            .utilities
-            .iter()
-            .map(|u| utility_of(&spec.name, u))
-            .collect::<Result<_, _>>()?;
-        let mut header = "t".to_string();
-        for name in &panel.labels {
-            header.push(',');
-            header.push_str(name);
-        }
-        let mut rows = Vec::new();
-        for k in 1..=s.points {
-            let t = s.t_step * k as f64;
-            let mut row = format!("{t}");
-            for u in &utilities {
-                row.push_str(&format!(",{}", u.h(t)));
-            }
-            rows.push(row);
-        }
-        emit(spec, ctx, report, &panel.file, &header, &rows, &[], 0)?;
-        ctx.cell_done(spec, &panel.file, rows.len() as u64, started, report);
+/// Fig. 1: sample `h(t)` for each panel's utility families. One cell and
+/// one CSV per panel.
+impl Kind for UtilityCurvesSpec {
+    type What = ();
+
+    fn outputs(&self) -> Vec<String> {
+        self.panels.iter().map(|p| p.file.clone()).collect()
     }
-    Ok(())
+
+    fn cells(&self, _spec: &str) -> Result<Vec<Cell>, ExpError> {
+        Ok(self
+            .panels
+            .iter()
+            .map(|p| Cell::analytic(&p.file))
+            .collect())
+    }
+
+    fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {
+        for (panel, cell) in self.panels.iter().zip(self.cells(&run.spec.name)?) {
+            let started = Instant::now();
+            let utilities: Vec<Arc<dyn DelayUtility>> = panel
+                .utilities
+                .iter()
+                .map(|u| utility_of(&run.spec.name, u))
+                .collect::<Result<_, _>>()?;
+            let mut header = "t".to_string();
+            for name in &panel.labels {
+                header.push(',');
+                header.push_str(name);
+            }
+            let mut rows = Vec::new();
+            for k in 1..=self.points {
+                let t = self.t_step * k as f64;
+                let mut row = format!("{t}");
+                for u in &utilities {
+                    row.push_str(&format!(",{}", u.h(t)));
+                }
+                rows.push(row);
+            }
+            let table = Table { header, rows };
+            run.emit(&panel.file, &table, &[], 0)?;
+            run.cell_done(&cell.label, table.rows.len() as u64, started);
+        }
+        Ok(())
+    }
 }
 
 /// Least-squares slope of `ln x` against `ln d`, skipping clamped points.
@@ -78,42 +91,42 @@ fn fit_slope(d: &[f64], x: &[f64]) -> f64 {
 /// (Property 1 water-filling); fit the log-log slope and compare with
 /// the analytic exponent. The α grid is carried as integer tenths so the
 /// swept values are bit-exact; α = 1 is realized by NegLog.
-pub fn alloc_exponent<S: Sink>(
-    spec: &Spec,
-    s: &AllocExponentSpec,
-    ctx: &mut ExecContext<'_, S>,
-    report: &mut ExecReport,
-) -> Result<(), ExpError> {
-    let started = Instant::now();
-    let system = SystemModel::dedicated(s.clients, s.servers, s.rho, s.mu);
-    let demand = Popularity::pareto(s.items, s.omega).demand_rates(1.0);
-    let mut rows = Vec::new();
-    for k in s.alpha_tenths.0..=s.alpha_tenths.1 {
-        if k == 10 {
-            continue; // α = 1 diverges for the power family; NegLog covers it below.
-        }
-        let alpha = 0.1 * k as f64;
-        let utility = Power::new(alpha);
-        let relaxed = relaxed_optimum(&system, &demand, &utility);
-        let fitted = fit_slope(demand.rates(), &relaxed.x);
-        let expect = 1.0 / (2.0 - alpha);
-        rows.push(format!("{alpha},{fitted},{expect}"));
+impl Kind for AllocExponentSpec {
+    type What = ();
+
+    fn outputs(&self) -> Vec<String> {
+        vec![self.file.clone()]
     }
-    let relaxed = relaxed_optimum(&system, &demand, &NegLog::new());
-    let fitted = fit_slope(demand.rates(), &relaxed.x);
-    rows.push(format!("1,{fitted},1"));
-    emit(
-        spec,
-        ctx,
-        report,
-        &s.file,
-        "alpha,fitted_exponent,analytic_exponent",
-        &rows,
-        &[],
-        0,
-    )?;
-    ctx.cell_done(spec, &s.file, rows.len() as u64, started, report);
-    Ok(())
+
+    fn cells(&self, _spec: &str) -> Result<Vec<Cell>, ExpError> {
+        Ok(vec![Cell::analytic(&self.file)])
+    }
+
+    fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {
+        let started = Instant::now();
+        let cell = &self.cells(&run.spec.name)?[0];
+        let system = SystemModel::dedicated(self.clients, self.servers, self.rho, self.mu);
+        let demand = Popularity::pareto(self.items, self.omega).demand_rates(1.0);
+        let mut rows = Vec::new();
+        for k in self.alpha_tenths.0..=self.alpha_tenths.1 {
+            if k == 10 {
+                continue; // α = 1 diverges for the power family; NegLog covers it below.
+            }
+            let alpha = 0.1 * k as f64;
+            let utility = Power::new(alpha);
+            let relaxed = relaxed_optimum(&system, &demand, &utility);
+            let fitted = fit_slope(demand.rates(), &relaxed.x);
+            let expect = 1.0 / (2.0 - alpha);
+            rows.push(format!("{alpha},{fitted},{expect}"));
+        }
+        let relaxed = relaxed_optimum(&system, &demand, &NegLog::new());
+        let fitted = fit_slope(demand.rates(), &relaxed.x);
+        rows.push(format!("1,{fitted},1"));
+        let table = Table::new("alpha,fitted_exponent,analytic_exponent", rows);
+        run.emit(&self.file, &table, &[], 0)?;
+        run.cell_done(&cell.label, table.rows.len() as u64, started);
+        Ok(())
+    }
 }
 
 fn rel_err(closed: f64, numeric: f64) -> f64 {
@@ -126,130 +139,127 @@ fn rel_err(closed: f64, numeric: f64) -> f64 {
 /// Table 1: for every family, cross-validate the closed-form gain `G`,
 /// equilibrium transform `φ` and reaction function `ψ` against direct
 /// numerical integration.
-pub fn closed_forms<S: Sink>(
-    spec: &Spec,
-    s: &ClosedFormsSpec,
-    ctx: &mut ExecContext<'_, S>,
-    report: &mut ExecReport,
-) -> Result<(), ExpError> {
-    let mu = s.mu;
-    let mut rows = Vec::new();
-    for (name, family) in s.labels.iter().zip(&s.families) {
-        let started = Instant::now();
-        let u = utility_of(&spec.name, family)?;
-        for &x in &s.gain_points {
-            let lambda = mu * x;
-            let closed = u.gain(lambda);
-            let numeric = u.gain_numeric(lambda).map_err(|e| {
-                ExpError::spec(&spec.name, format!("{name}: gain integral failed: {e}"))
-            })?;
-            let e = rel_err(closed, numeric);
-            rows.push(format!("{name},gain,{x},{closed},{numeric},{e}"));
-        }
-        // φ(x): the step family's differential utility is a Dirac
-        // measure, so its numeric column uses a finite-difference of the
-        // (already verified) gain.
-        for &x in &s.phi_points {
-            let closed = u.phi(x, mu);
-            let numeric = match u.kind() {
-                UtilityKind::Step { .. } => {
-                    let eps = 1e-6 * x;
-                    (u.gain(mu * (x + eps)) - u.gain(mu * (x - eps))) / (2.0 * eps)
-                }
-                _ => u.phi_numeric(x, mu).map_err(|e| {
-                    ExpError::spec(&spec.name, format!("{name}: phi integral failed: {e}"))
-                })?,
-            };
-            let e = rel_err(closed, numeric);
-            rows.push(format!("{name},phi,{x},{closed},{numeric},{e}"));
-        }
-        // ψ(y) against the defining relation (s/y)·φ(s/y).
-        for &y in &s.psi_points {
-            let closed = u.psi(y, s.servers, mu);
-            let x = s.servers / y;
-            let numeric = x * u.phi(x, mu);
-            let e = rel_err(closed, numeric);
-            rows.push(format!("{name},psi,{y},{closed},{numeric},{e}"));
-        }
-        ctx.cell_done(
-            spec,
-            name,
-            (s.gain_points.len() + s.phi_points.len() + s.psi_points.len()) as u64,
-            started,
-            report,
-        );
+impl Kind for ClosedFormsSpec {
+    type What = ();
+
+    fn outputs(&self) -> Vec<String> {
+        vec![self.file.clone()]
     }
-    emit(
-        spec,
-        ctx,
-        report,
-        &s.file,
-        "family,quantity,point,closed,numeric,rel_err",
-        &rows,
-        &[],
-        0,
-    )?;
-    Ok(())
+
+    fn cells(&self, _spec: &str) -> Result<Vec<Cell>, ExpError> {
+        Ok(self.labels.iter().map(|l| Cell::analytic(l)).collect())
+    }
+
+    fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {
+        let mu = self.mu;
+        let mut rows = Vec::new();
+        for (family, cell) in self.families.iter().zip(self.cells(&run.spec.name)?) {
+            let started = Instant::now();
+            let name = &cell.label;
+            let u = utility_of(&run.spec.name, family)?;
+            for &x in &self.gain_points {
+                let lambda = mu * x;
+                let closed = u.gain(lambda);
+                let numeric = u.gain_numeric(lambda).map_err(|e| {
+                    ExpError::spec(&run.spec.name, format!("{name}: gain integral failed: {e}"))
+                })?;
+                let e = rel_err(closed, numeric);
+                rows.push(format!("{name},gain,{x},{closed},{numeric},{e}"));
+            }
+            // φ(x): the step family's differential utility is a Dirac
+            // measure, so its numeric column uses a finite-difference of the
+            // (already verified) gain.
+            for &x in &self.phi_points {
+                let closed = u.phi(x, mu);
+                let numeric = match u.kind() {
+                    UtilityKind::Step { .. } => {
+                        let eps = 1e-6 * x;
+                        (u.gain(mu * (x + eps)) - u.gain(mu * (x - eps))) / (2.0 * eps)
+                    }
+                    _ => u.phi_numeric(x, mu).map_err(|e| {
+                        ExpError::spec(&run.spec.name, format!("{name}: phi integral failed: {e}"))
+                    })?,
+                };
+                let e = rel_err(closed, numeric);
+                rows.push(format!("{name},phi,{x},{closed},{numeric},{e}"));
+            }
+            // ψ(y) against the defining relation (s/y)·φ(s/y).
+            for &y in &self.psi_points {
+                let closed = u.psi(y, self.servers, mu);
+                let x = self.servers / y;
+                let numeric = x * u.phi(x, mu);
+                let e = rel_err(closed, numeric);
+                rows.push(format!("{name},psi,{y},{closed},{numeric},{e}"));
+            }
+            let points = self.gain_points.len() + self.phi_points.len() + self.psi_points.len();
+            run.cell_done(name, points as u64, started);
+        }
+        let table = Table::new("family,quantity,point,closed,numeric,rel_err", rows);
+        run.emit(&self.file, &table, &[], 0)
+    }
 }
 
 /// Mixed-catalog extension: even items urgent, odd items patient; every
 /// allocation strategy evaluated under the true per-item welfare.
-pub fn mixed_catalog<S: Sink>(
-    spec: &Spec,
-    s: &MixedCatalogSpec,
-    ctx: &mut ExecContext<'_, S>,
-    report: &mut ExecReport,
-) -> Result<(), ExpError> {
-    let started = Instant::now();
-    let system = SystemModel::pure_p2p(s.nodes, s.rho, s.mu);
-    let demand: DemandRates = Popularity::pareto(s.items, 1.0).demand_rates(1.0);
-    let catalog = UtilityCatalog::new(
-        (0..s.items)
-            .map(|i| -> Arc<dyn DelayUtility> {
-                if i % 2 == 0 {
-                    Arc::new(Exponential::new(s.urgent_nu))
-                } else {
-                    Arc::new(Exponential::new(s.patient_nu))
-                }
-            })
-            .collect(),
-    );
-    let evaluate = |counts: &[u32]| {
-        let xs: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
-        social_welfare_homogeneous_mixed(&system, &demand, &catalog, &xs)
-    };
-    let mixed_opt = greedy_homogeneous_mixed(&system, &demand, &catalog);
-    let w_star = evaluate(mixed_opt.counts());
+impl Kind for MixedCatalogSpec {
+    type What = ();
 
-    let mut rows = Vec::new();
-    let mut push = |name: &str, counts: &[u32]| {
-        let w = evaluate(counts);
-        let loss = 100.0 * (w - w_star) / w_star.abs();
-        rows.push(format!("{name},{w},{loss}"));
-    };
-    push("mixed-aware greedy", mixed_opt.counts());
-    for (name, nu) in [
-        ("assume-all-urgent", s.urgent_nu),
-        ("assume-all-patient", s.patient_nu),
-        ("assume-average", (s.urgent_nu * s.patient_nu).sqrt()),
-    ] {
-        let counts = greedy_homogeneous(&system, &demand, &Exponential::new(nu));
-        push(name, counts.counts());
+    fn outputs(&self) -> Vec<String> {
+        vec![self.file.clone()]
     }
-    push("UNI", uniform(s.items, s.nodes, s.rho).counts());
-    push("SQRT", sqrt_proportional(&demand, s.nodes, s.rho).counts());
-    push("PROP", proportional(&demand, s.nodes, s.rho).counts());
 
-    emit(
-        spec,
-        ctx,
-        report,
-        &s.file,
-        "strategy,welfare,loss_vs_mixed_pct",
-        &rows,
-        &[],
-        0,
-    )?;
-    ctx.cell_done(spec, &s.file, rows.len() as u64, started, report);
-    Ok(())
+    fn cells(&self, _spec: &str) -> Result<Vec<Cell>, ExpError> {
+        Ok(vec![Cell::analytic(&self.file)])
+    }
+
+    fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {
+        let started = Instant::now();
+        let cell = &self.cells(&run.spec.name)?[0];
+        let system = SystemModel::pure_p2p(self.nodes, self.rho, self.mu);
+        let demand: DemandRates = Popularity::pareto(self.items, 1.0).demand_rates(1.0);
+        let catalog = UtilityCatalog::new(
+            (0..self.items)
+                .map(|i| -> Arc<dyn DelayUtility> {
+                    if i % 2 == 0 {
+                        Arc::new(Exponential::new(self.urgent_nu))
+                    } else {
+                        Arc::new(Exponential::new(self.patient_nu))
+                    }
+                })
+                .collect(),
+        );
+        let evaluate = |counts: &[u32]| {
+            let xs: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+            social_welfare_homogeneous_mixed(&system, &demand, &catalog, &xs)
+        };
+        let mixed_opt = greedy_homogeneous_mixed(&system, &demand, &catalog);
+        let w_star = evaluate(mixed_opt.counts());
+
+        let mut rows = Vec::new();
+        let mut push = |name: &str, counts: &[u32]| {
+            let w = evaluate(counts);
+            let loss = 100.0 * (w - w_star) / w_star.abs();
+            rows.push(format!("{name},{w},{loss}"));
+        };
+        push("mixed-aware greedy", mixed_opt.counts());
+        for (name, nu) in [
+            ("assume-all-urgent", self.urgent_nu),
+            ("assume-all-patient", self.patient_nu),
+            ("assume-average", (self.urgent_nu * self.patient_nu).sqrt()),
+        ] {
+            let counts = greedy_homogeneous(&system, &demand, &Exponential::new(nu));
+            push(name, counts.counts());
+        }
+        push("UNI", uniform(self.items, self.nodes, self.rho).counts());
+        push(
+            "SQRT",
+            sqrt_proportional(&demand, self.nodes, self.rho).counts(),
+        );
+        push("PROP", proportional(&demand, self.nodes, self.rho).counts());
+
+        let table = Table::new("strategy,welfare,loss_vs_mixed_pct", rows);
+        run.emit(&self.file, &table, &[], 0)?;
+        run.cell_done(&cell.label, table.rows.len() as u64, started);
+        Ok(())
+    }
 }

@@ -6,214 +6,198 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use impatience_core::demand::{DemandProfile, DemandRates};
-use impatience_core::solver::fixed::uniform;
 use impatience_core::solver::greedy::greedy_homogeneous;
 use impatience_core::solver::incremental::{Delta, DeltaSolver};
 use impatience_core::types::SystemModel;
-use impatience_core::utility::{DelayUtility, Power};
+use impatience_core::utility::DelayUtility;
 use impatience_obs::Sink;
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::faults::{Churn, ContactDrop, FaultConfig};
 use impatience_sim::policy::{PolicyKind, QcrConfig, Reaction};
-use impatience_sim::state::EvictionPolicy;
+use impatience_sim::runner::TrialAggregate;
 
-use super::{emit, ExecContext, ExecReport};
+use super::{accepted, Cell, Kind, Run, Table};
 use crate::error::ExpError;
 use crate::spec::{
-    family_utility, utility_of, DegradedSpec, DynamicDemandSpec, EvictionSpec, LossSweepSpec,
-    MandateRoutingSpec, QcrAblationSpec, Spec,
+    eviction_rule, family_utility, utility_of, DegradedSpec, DynamicDemandSpec, EvictionSpec,
+    LossSweepSpec, MandateRoutingSpec, QcrAblationSpec,
 };
 use crate::suite::{
-    homogeneous_competitors, loss_header, loss_row, normalized_losses, paper_homogeneous_setting,
-    pareto_demand,
+    homogeneous_competitors, normalized_losses, paper_homogeneous_setting, pareto_demand,
 };
 
-/// Build the (config, source, system) triple of a [`LossSweepSpec`]
-/// setting for one utility. `servers = 0` is the paper's pure-P2P §6.2
-/// setting; `servers > 0` is the dedicated-population extension (the
-/// first `servers` trace nodes are throwboxes, the rest clients).
-pub(super) fn sweep_setting(
-    s: &LossSweepSpec,
-    utility: Arc<dyn DelayUtility>,
-) -> (SimConfig, ContactSource, SystemModel) {
-    if s.servers == 0 {
-        let system = SystemModel::pure_p2p(s.nodes, s.rho, s.mu);
-        let config = SimConfig::builder(s.items, s.rho)
-            .demand(pareto_demand(s.items))
+/// `(label, series)` columns of a [`Table::series`], one per aggregate.
+fn series_of(
+    aggregates: &[TrialAggregate],
+    pick: fn(&TrialAggregate) -> &Vec<f64>,
+) -> Vec<(&str, &[f64])> {
+    aggregates
+        .iter()
+        .map(|a| (a.label.as_str(), pick(a).as_slice()))
+        .collect()
+}
+
+/// `agg`'s mean utility against the regime's simulated OPT, in percent.
+fn loss_vs(opt: f64, agg: f64) -> f64 {
+    100.0 * (agg - opt) / opt.abs()
+}
+
+impl LossSweepSpec {
+    /// The setting of one utility, and the population its competitors are
+    /// solved for. `servers = 0` is the paper's pure-P2P §6.2 setting;
+    /// `servers > 0` is the dedicated-population extension (the first
+    /// `servers` trace nodes are throwboxes, the rest clients).
+    fn setting(&self, utility: Arc<dyn DelayUtility>) -> ((SimConfig, ContactSource), SystemModel) {
+        let builder = SimConfig::builder(self.items, self.rho)
+            .demand(pareto_demand(self.items))
             .utility(utility)
-            .bin(s.bin)
-            .warmup_fraction(s.warmup_fraction)
-            .build();
-        let source = ContactSource::homogeneous(s.nodes, s.mu, s.duration);
-        (config, source, system)
-    } else {
-        let clients = s.nodes - s.servers;
-        let system = SystemModel::dedicated(clients, s.servers, s.rho, s.mu);
-        let config = SimConfig::builder(s.items, s.rho)
-            .demand(pareto_demand(s.items))
-            .profile(DemandProfile::uniform(s.items, clients))
-            .utility(utility)
-            .dedicated_servers(s.servers)
-            .bin(s.bin)
-            .warmup_fraction(s.warmup_fraction)
-            .build();
-        let source = ContactSource::homogeneous(s.nodes, s.mu, s.duration);
-        (config, source, system)
+            .bin(self.bin)
+            .warmup_fraction(self.warmup_fraction);
+        let source = ContactSource::homogeneous(self.nodes, self.mu, self.duration);
+        if self.servers == 0 {
+            let system = SystemModel::pure_p2p(self.nodes, self.rho, self.mu);
+            ((builder.build(), source), system)
+        } else {
+            let clients = self.nodes - self.servers;
+            let config = builder
+                .profile(DemandProfile::uniform(self.items, clients))
+                .dedicated_servers(self.servers)
+                .build();
+            let system = SystemModel::dedicated(clients, self.servers, self.rho, self.mu);
+            ((config, source), system)
+        }
     }
 }
 
 /// Figs. 4 / dedicated extension: normalized loss vs the swept utility
-/// parameter, one CSV per sweep axis.
-pub fn loss_sweep<S: Sink>(
-    spec: &Spec,
-    s: &LossSweepSpec,
-    ctx: &mut ExecContext<'_, S>,
-    report: &mut ExecReport,
-) -> Result<(), ExpError> {
-    for sweep in &s.sweeps {
-        let mut rows = Vec::new();
-        let mut header = String::new();
-        for &value in &sweep.values {
-            let cell = format!("{}={value}", sweep.param);
-            let started = Instant::now();
-            let utility = family_utility(&spec.name, &sweep.family, value)?;
-            let (config, source, system) = sweep_setting(s, utility.clone());
-            let competitors = homogeneous_competitors(&system, &config.demand, utility.as_ref());
-            let suite = ctx.policy_suite(
-                spec,
-                &cell,
-                &config,
-                &source,
-                competitors,
-                s.trials,
-                sweep.seed,
-                report,
-            )?;
-            let losses = normalized_losses(&suite);
-            if header.is_empty() {
-                header = loss_header(&sweep.param, &losses);
-            }
-            rows.push(loss_row(value, &losses));
-            ctx.cell_done(spec, &cell, suite.len() as u64, started, report);
-        }
-        emit(
-            spec,
-            ctx,
-            report,
-            &sweep.file,
-            &header,
-            &rows,
-            &[sweep.seed],
-            s.trials,
-        )?;
+/// parameter. One cell per swept value, one CSV per sweep axis.
+impl Kind for LossSweepSpec {
+    type What = SystemModel;
+
+    fn outputs(&self) -> Vec<String> {
+        self.sweeps.iter().map(|sweep| sweep.file.clone()).collect()
     }
-    Ok(())
+
+    fn cells(&self, spec: &str) -> Result<Vec<Cell<SystemModel>>, ExpError> {
+        let mut cells = Vec::new();
+        for sweep in &self.sweeps {
+            for &value in &sweep.values {
+                let utility = family_utility(spec, &sweep.family, value)?;
+                let (setting, system) = self.setting(utility);
+                let label = format!("{}={value}", sweep.param);
+                let trials = (sweep.seed, self.trials);
+                cells.push(Cell::simulated(label, trials, Some(setting), system));
+            }
+        }
+        Ok(cells)
+    }
+
+    fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {
+        let mut cells = self.cells(&run.spec.name)?.into_iter();
+        for sweep in &self.sweeps {
+            let mut table = Table::sweep(&sweep.param);
+            for (&value, cell) in sweep.values.iter().zip(cells.by_ref()) {
+                let suite = run.suite(&cell, |config| {
+                    homogeneous_competitors(&cell.what, &config.demand, config.utility.as_ref())
+                })?;
+                table.point(value, &normalized_losses(&suite));
+            }
+            let seeds = [sweep.seed];
+            run.emit(&sweep.file, &table, &seeds, self.trials)?;
+        }
+        Ok(())
+    }
+}
+
+/// What a Fig. 3 cell runs: `policy` over every trial for the utility
+/// series, or — with a `panel` — one representative trial whose top-5
+/// replica series is that CSV.
+pub(super) struct Fig3Run {
+    policy: PolicyKind,
+    panel: Option<String>,
 }
 
 /// Fig. 3: the effect of mandate routing. Expected/observed utility
 /// series for QCR, QCR-without-routing, OPT, UNI, DOM, plus top-5 item
 /// replica series from one representative trial of each QCR variant.
-pub fn mandate_routing<S: Sink>(
-    spec: &Spec,
-    s: &MandateRoutingSpec,
-    ctx: &mut ExecContext<'_, S>,
-    report: &mut ExecReport,
-) -> Result<(), ExpError> {
-    let utility: Arc<dyn DelayUtility> = Arc::new(Power::new(s.alpha));
-    let (config, source, system) = paper_homogeneous_setting(utility.clone(), s.duration);
+impl Kind for MandateRoutingSpec {
+    type What = Fig3Run;
 
-    let competitors = homogeneous_competitors(&system, &config.demand, utility.as_ref());
-    let mut policies: Vec<PolicyKind> = vec![
-        PolicyKind::qcr_default(),
-        PolicyKind::Qcr(QcrConfig {
-            mandate_routing: false,
-            ..QcrConfig::default()
-        }),
-    ];
-    policies.extend(
-        competitors
+    fn outputs(&self) -> Vec<String> {
+        [
+            &self.expected_file,
+            &self.observed_file,
+            &self.routing_file,
+            &self.noroute_file,
+        ]
+        .map(String::clone)
+        .to_vec()
+    }
+
+    fn cells(&self, spec: &str) -> Result<Vec<Cell<Fig3Run>>, ExpError> {
+        // The paper uses α = 0, `h(t) = −t`.
+        let utility = family_utility(spec, "power", self.alpha)?;
+        let (config, source, system) = paper_homogeneous_setting(utility.clone(), self.duration);
+        accepted(spec, &config, &source)?;
+        let qcr = |mandate_routing| {
+            PolicyKind::Qcr(QcrConfig {
+                mandate_routing,
+                ..QcrConfig::default()
+            })
+        };
+        let pinned = homogeneous_competitors(&system, &config.demand, utility.as_ref())
             .into_iter()
-            .filter(|p| ["OPT", "UNI", "DOM"].contains(&p.label().as_str())),
-    );
-
-    let cells: Vec<_> = policies.into_iter().map(|p| (p.label(), p)).collect();
-    let aggregates = ctx.policy_cells(spec, &cells, &config, &source, s.trials, s.seed, report)?;
-
-    // Panels (a) and (b): utility series.
-    let bins = aggregates[0].expected_series.len();
-    let mut expected_rows = Vec::new();
-    let mut observed_rows = Vec::new();
-    for b in 0..bins {
-        let t = b as f64 * config.bin;
-        let mut er = format!("{t}");
-        let mut or = format!("{t}");
-        for agg in &aggregates {
-            er.push_str(&format!(",{}", agg.expected_series[b]));
-            or.push_str(&format!(",{}", agg.observed_series[b]));
-        }
-        expected_rows.push(er);
-        observed_rows.push(or);
+            .filter(|p| ["OPT", "UNI", "DOM"].contains(&p.label().as_str()));
+        let series = [qcr(true), qcr(false)]
+            .into_iter()
+            .chain(pinned)
+            .map(|policy| (policy.label(), self.trials, policy, None));
+        let panels = [(&self.routing_file, true), (&self.noroute_file, false)]
+            .map(|(file, routing)| (file.clone(), 1, qcr(routing), Some(file.clone())));
+        Ok(series
+            .chain(panels)
+            .map(|(label, trials, policy, panel)| {
+                let setting = Some((config.clone(), source.clone()));
+                let what = Fig3Run { policy, panel };
+                Cell::simulated(label, (self.seed, trials), setting, what)
+            })
+            .collect())
     }
-    let header = {
-        let mut h = "time".to_string();
-        for agg in &aggregates {
-            h.push_str(&format!(",{}", agg.label));
-        }
-        h
-    };
-    emit(
-        spec,
-        ctx,
-        report,
-        &s.expected_file,
-        &header,
-        &expected_rows,
-        &[s.seed],
-        s.trials,
-    )?;
-    emit(
-        spec,
-        ctx,
-        report,
-        &s.observed_file,
-        &header,
-        &observed_rows,
-        &[s.seed],
-        s.trials,
-    )?;
 
-    // Panels (c)/(d): top-5 item replica series from a single
-    // representative trial of each QCR variant.
-    for (name, routing) in [(&s.routing_file, true), (&s.noroute_file, false)] {
-        let started = Instant::now();
-        let policy = PolicyKind::Qcr(QcrConfig {
-            mandate_routing: routing,
-            ..QcrConfig::default()
-        });
-        let out = impatience_sim::engine::run_trial(&config, &source, policy, s.seed);
-        let mut rows = Vec::new();
-        let series: Vec<Vec<u32>> = (0..5).map(|i| out.metrics.replica_series_of(i)).collect();
-        for b in 0..series[0].len() {
-            let t = b as f64 * config.bin;
-            let mut row = format!("{t}");
-            for sr in &series {
-                row.push_str(&format!(",{}", sr[b]));
-            }
-            rows.push(row);
+    fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {
+        let (panels, series): (Vec<_>, Vec<_>) = self
+            .cells(&run.spec.name)?
+            .into_iter()
+            .partition(|cell| cell.what.panel.is_some());
+        let seeds = [self.seed];
+
+        // Panels (a) and (b): utility series.
+        let aggregates = run.policy_cells(&series, |what| &what.policy)?;
+        let bin = series[0].campaign().0.bin;
+        let expected = Table::series(bin, &series_of(&aggregates, |a| &a.expected_series));
+        run.emit(&self.expected_file, &expected, &seeds, self.trials)?;
+        let observed = Table::series(bin, &series_of(&aggregates, |a| &a.observed_series));
+        run.emit(&self.observed_file, &observed, &seeds, self.trials)?;
+
+        // Panels (c)/(d): top-5 item replica series from a single
+        // representative trial of each QCR variant.
+        for cell in &panels {
+            let started = Instant::now();
+            let (config, source, seed) = cell.campaign();
+            let out =
+                impatience_sim::engine::run_trial(config, source, cell.what.policy.clone(), seed);
+            let series: Vec<Vec<u32>> = (0..5).map(|i| out.metrics.replica_series_of(i)).collect();
+            let columns: Vec<(&str, &[u32])> = ["msg1", "msg2", "msg3", "msg4", "msg5"]
+                .into_iter()
+                .zip(&series)
+                .map(|(label, series)| (label, series.as_slice()))
+                .collect();
+            let table = Table::series(config.bin, &columns);
+            run.emit(&cell.label, &table, &seeds, cell.trials)?;
+            run.cell_done(&cell.label, table.rows.len() as u64, started);
         }
-        emit(
-            spec,
-            ctx,
-            report,
-            name,
-            "time,msg1,msg2,msg3,msg4,msg5",
-            &rows,
-            &[s.seed],
-            1,
-        )?;
-        ctx.cell_done(spec, name, rows.len() as u64, started, report);
+        Ok(())
     }
-    Ok(())
 }
 
 /// The QCR knob variants DESIGN.md calls out, in the ablation's fixed
@@ -266,346 +250,285 @@ fn qcr_variants() -> Vec<(&'static str, QcrConfig)> {
     ]
 }
 
+/// A cell that pins one policy in one impatience regime, and the two CSV
+/// columns that name it.
+pub(super) struct Contender {
+    regime: String,
+    name: String,
+    policy: PolicyKind,
+}
+
+impl Contender {
+    fn cell(
+        self,
+        trials: (u64, usize),
+        config: &SimConfig,
+        source: &ContactSource,
+    ) -> Cell<Contender> {
+        let label = format!("{}/{}", self.regime, self.name);
+        let setting = Some((config.clone(), source.clone()));
+        Cell::simulated(label, trials, setting, self)
+    }
+}
+
 /// QCR ablation: every knob variant (plus the §4.1 hill climber as a
 /// local-moves upper reference) against simulated OPT, per regime.
-pub fn qcr_ablation<S: Sink>(
-    spec: &Spec,
-    s: &QcrAblationSpec,
-    ctx: &mut ExecContext<'_, S>,
-    report: &mut ExecReport,
-) -> Result<(), ExpError> {
-    let mut rows = Vec::new();
-    for (regime, family) in s.regime_labels.iter().zip(&s.regimes) {
-        let utility = utility_of(&spec.name, family)?;
-        let (config, source, system) = paper_homogeneous_setting(utility.clone(), s.duration);
-        // OPT and every contender share the regime's config, source and
-        // seed: one suite call, each a cell of its own.
-        let mut contenders = vec![(
-            "OPT",
-            PolicyKind::Static {
+impl Kind for QcrAblationSpec {
+    type What = Contender;
+
+    fn outputs(&self) -> Vec<String> {
+        vec![self.file.clone()]
+    }
+
+    fn cells(&self, spec: &str) -> Result<Vec<Cell<Contender>>, ExpError> {
+        let mut cells = Vec::new();
+        for (regime, family) in self.regime_labels.iter().zip(&self.regimes) {
+            let utility = utility_of(spec, family)?;
+            let (config, source, system) =
+                paper_homogeneous_setting(utility.clone(), self.duration);
+            accepted(spec, &config, &source)?;
+            let opt = PolicyKind::Static {
                 label: "OPT",
                 counts: greedy_homogeneous(&system, &config.demand, utility.as_ref()),
-            },
-        )];
-        contenders.extend(
-            qcr_variants()
+            };
+            let variants = qcr_variants()
                 .into_iter()
-                .map(|(name, cfg)| (name, PolicyKind::Qcr(cfg))),
-        );
-        contenders.push((
-            "hill-climb",
-            PolicyKind::HillClimb {
+                .map(|(name, cfg)| (name, PolicyKind::Qcr(cfg)));
+            let hill = PolicyKind::HillClimb {
                 moves_per_contact: 1,
-            },
-        ));
-        let names: Vec<&str> = contenders.iter().map(|&(name, _)| name).collect();
-        let cells: Vec<_> = contenders
-            .into_iter()
-            .map(|(name, policy)| (format!("{regime}/{name}"), policy))
-            .collect();
-        let aggregates =
-            ctx.policy_cells(spec, &cells, &config, &source, s.trials, s.seed, report)?;
-        let opt = &aggregates[0];
-        for (name, agg) in names.iter().zip(&aggregates).skip(1) {
-            let loss = 100.0 * (agg.mean_rate - opt.mean_rate) / opt.mean_rate.abs();
-            rows.push(format!(
-                "{regime},{name},{},{loss},{}",
-                agg.mean_rate, agg.mean_transmissions
-            ));
+            };
+            let contenders = std::iter::once(("OPT", opt))
+                .chain(variants)
+                .chain([("hill-climb", hill)]);
+            cells.extend(contenders.map(|(name, policy)| {
+                let contender = Contender {
+                    regime: regime.clone(),
+                    name: name.to_string(),
+                    policy,
+                };
+                contender.cell((self.seed, self.trials), &config, &source)
+            }));
         }
+        Ok(cells)
     }
-    emit(
-        spec,
-        ctx,
-        report,
-        &s.file,
-        "regime,variant,utility,loss_vs_opt_pct,transmissions",
-        &rows,
-        &[s.seed],
-        s.trials,
-    )?;
-    Ok(())
+
+    fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {
+        let cells = self.cells(&run.spec.name)?;
+        let mut rows = Vec::new();
+        // OPT and every contender share the regime's config, source and
+        // seed: one suite call, each a cell of its own.
+        for regime in cells.chunks(qcr_variants().len() + 2) {
+            let aggregates = run.policy_cells(regime, |c| &c.policy)?;
+            let opt = aggregates[0].mean_rate;
+            for (cell, agg) in regime.iter().zip(&aggregates).skip(1) {
+                let Contender { regime, name, .. } = &cell.what;
+                let loss = loss_vs(opt, agg.mean_rate);
+                rows.push(format!(
+                    "{regime},{name},{},{loss},{}",
+                    agg.mean_rate, agg.mean_transmissions
+                ));
+            }
+        }
+        let table = Table::new("regime,variant,utility,loss_vs_opt_pct,transmissions", rows);
+        run.emit(&self.file, &table, &[self.seed], self.trials)
+    }
 }
 
 /// Dynamic-demand extension: the popularity ranking reverses at
 /// `duration / 2`; QCR adapts, pinned allocations cannot.
-pub fn dynamic_demand<S: Sink>(
-    spec: &Spec,
-    s: &DynamicDemandSpec,
-    ctx: &mut ExecContext<'_, S>,
-    report: &mut ExecReport,
-) -> Result<(), ExpError> {
-    let utility = utility_of(&spec.name, &s.utility)?;
-    let before = pareto_demand(s.items);
-    let after = DemandRates::new(before.rates().iter().rev().copied().collect());
+impl Kind for DynamicDemandSpec {
+    type What = PolicyKind;
 
-    let config = SimConfig::builder(s.items, s.rho)
-        .demand(before.clone())
-        .utility(utility.clone())
-        .demand_shift(s.duration / 2.0, after.clone())
-        .bin(100.0)
-        .warmup_fraction(0.0)
-        .build();
-    let source = ContactSource::homogeneous(s.nodes, s.mu, s.duration);
-    let system = SystemModel::pure_p2p(s.nodes, s.rho, s.mu);
-
-    // One incremental solver carries the allocation across the epoch
-    // boundary: its initial solve is OPT for the pre-shift demand, and
-    // absorbing the shift as per-item deltas re-solves for the post-shift
-    // demand — each bit-identical to a from-scratch greedy solve, at a
-    // fraction of the work.
-    let mut resolver = DeltaSolver::new(system, &before, utility.clone());
-    let stale_counts = resolver.counts().clone();
-    let shift: Vec<Delta> = after
-        .rates()
-        .iter()
-        .enumerate()
-        .map(|(item, &rate)| Delta::Demand { item, rate })
-        .collect();
-    resolver
-        .apply(&shift)
-        .map_err(|e| ExpError::spec(&spec.name, format!("re-solving the demand shift: {e}")))?;
-    let fresh_counts = resolver.counts().clone();
-
-    let policies = vec![
-        PolicyKind::qcr_default(),
-        PolicyKind::Static {
-            label: "OPT-stale",
-            counts: stale_counts,
-        },
-        PolicyKind::Static {
-            label: "OPT-fresh",
-            counts: fresh_counts,
-        },
-        PolicyKind::Static {
-            label: "UNI",
-            counts: uniform(s.items, s.nodes, s.rho),
-        },
-    ];
-
-    let cells: Vec<_> = policies.into_iter().map(|p| (p.label(), p)).collect();
-    let aggregates = ctx.policy_cells(spec, &cells, &config, &source, s.trials, s.seed, report)?;
-
-    let mut header = "time".to_string();
-    for a in &aggregates {
-        header.push_str(&format!(",{}", a.label));
+    fn outputs(&self) -> Vec<String> {
+        vec![self.file.clone()]
     }
-    let mut rows = Vec::new();
-    for b in 0..aggregates[0].observed_series.len() {
-        let mut row = format!("{}", b as f64 * config.bin);
-        for a in &aggregates {
-            row.push_str(&format!(",{}", a.observed_series[b]));
-        }
-        rows.push(row);
+
+    fn cells(&self, spec: &str) -> Result<Vec<Cell<PolicyKind>>, ExpError> {
+        let utility = utility_of(spec, &self.utility)?;
+        let before = pareto_demand(self.items);
+        let after = DemandRates::new(before.rates().iter().rev().copied().collect());
+        let config = SimConfig::builder(self.items, self.rho)
+            .demand(before.clone())
+            .utility(utility.clone())
+            .demand_shift(self.duration / 2.0, after.clone())
+            .bin(100.0)
+            .warmup_fraction(0.0)
+            .build();
+        let source = ContactSource::homogeneous(self.nodes, self.mu, self.duration);
+        accepted(spec, &config, &source)?;
+
+        // One incremental solver carries the allocation across the epoch
+        // boundary: its initial solve is OPT for the pre-shift demand, and
+        // absorbing the shift as per-item deltas re-solves for the post-shift
+        // demand — each bit-identical to a from-scratch greedy solve, at a
+        // fraction of the work.
+        let system = SystemModel::pure_p2p(self.nodes, self.rho, self.mu);
+        let mut resolver = DeltaSolver::new(system, &before, utility);
+        let stale = resolver.counts().clone();
+        let shift: Vec<Delta> = after
+            .rates()
+            .iter()
+            .enumerate()
+            .map(|(item, &rate)| Delta::Demand { item, rate })
+            .collect();
+        resolver
+            .apply(&shift)
+            .map_err(|e| ExpError::spec(spec, format!("re-solving the demand shift: {e}")))?;
+        let fresh = resolver.counts().clone();
+
+        let pinned = |label, counts| PolicyKind::Static { label, counts };
+        let uni = PolicyKind::fixed("uni", &before, self.nodes, self.rho);
+        let policies = [
+            PolicyKind::qcr_default(),
+            pinned("OPT-stale", stale),
+            pinned("OPT-fresh", fresh),
+        ];
+        Ok(policies
+            .into_iter()
+            .chain(uni)
+            .map(|policy| {
+                let setting = Some((config.clone(), source.clone()));
+                Cell::simulated(policy.label(), (self.seed, self.trials), setting, policy)
+            })
+            .collect())
     }
-    emit(
-        spec,
-        ctx,
-        report,
-        &s.file,
-        &header,
-        &rows,
-        &[s.seed],
-        s.trials,
-    )?;
-    Ok(())
+
+    fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {
+        let cells = self.cells(&run.spec.name)?;
+        let aggregates = run.policy_cells(&cells, |policy| policy)?;
+        let bin = cells[0].campaign().0.bin;
+        let table = Table::series(bin, &series_of(&aggregates, |a| &a.observed_series));
+        run.emit(&self.file, &table, &[self.seed], self.trials)
+    }
 }
 
 /// Eviction ablation: QCR under random/LRU/FIFO replacement vs OPT, per
-/// impatience regime.
-pub fn eviction<S: Sink>(
-    spec: &Spec,
-    s: &EvictionSpec,
-    ctx: &mut ExecContext<'_, S>,
-    report: &mut ExecReport,
-) -> Result<(), ExpError> {
-    let mut rows = Vec::new();
-    for (regime, family) in s.regime_labels.iter().zip(&s.regimes) {
-        let utility = utility_of(&spec.name, family)?;
-        let (base_config, source, system) = paper_homogeneous_setting(utility.clone(), s.duration);
-        let opt_counts = greedy_homogeneous(&system, &base_config.demand, utility.as_ref());
-        let opt_cell = format!("{regime}/OPT");
-        let started = Instant::now();
-        let opt = ctx.run_one(
-            spec,
-            &opt_cell,
-            &base_config,
-            &source,
-            &PolicyKind::Static {
-                label: "OPT",
-                counts: opt_counts,
-            },
-            s.trials,
-            s.seed,
-            report,
-        )?;
-        ctx.cell_done(spec, &opt_cell, 1, started, report);
-        for name in &s.rules {
-            let rule = match name.as_str() {
-                "random" => EvictionPolicy::Random,
-                "lru" => EvictionPolicy::Lru,
-                "fifo" => EvictionPolicy::Fifo,
-                other => {
-                    return Err(ExpError::spec(
-                        &spec.name,
-                        format!("unknown eviction rule `{other}`"),
-                    ))
-                }
-            };
-            let mut config = base_config.clone();
-            config.eviction = rule;
-            let cell = format!("{regime}/{name}");
-            let started = Instant::now();
-            let agg = ctx.run_one(
-                spec,
-                &cell,
-                &config,
-                &source,
-                &PolicyKind::qcr_default(),
-                s.trials,
-                s.seed,
-                report,
-            )?;
-            let loss = 100.0 * (agg.mean_rate - opt.mean_rate) / opt.mean_rate.abs();
-            rows.push(format!("{regime},{name},{},{loss}", agg.mean_rate));
-            ctx.cell_done(spec, &cell, 1, started, report);
-        }
+/// impatience regime. The runs differ in config, so each cell is a
+/// campaign of its own.
+impl Kind for EvictionSpec {
+    type What = Contender;
+
+    fn outputs(&self) -> Vec<String> {
+        vec![self.file.clone()]
     }
-    emit(
-        spec,
-        ctx,
-        report,
-        &s.file,
-        "regime,eviction,utility,loss_vs_opt_pct",
-        &rows,
-        &[s.seed],
-        s.trials,
-    )?;
-    Ok(())
+
+    fn cells(&self, spec: &str) -> Result<Vec<Cell<Contender>>, ExpError> {
+        let trials = (self.seed, self.trials);
+        let mut cells = Vec::new();
+        for (regime, family) in self.regime_labels.iter().zip(&self.regimes) {
+            let utility = utility_of(spec, family)?;
+            let (mut config, source, system) =
+                paper_homogeneous_setting(utility.clone(), self.duration);
+            accepted(spec, &config, &source)?;
+            let contender = |name: &str, policy| Contender {
+                regime: regime.clone(),
+                name: name.to_string(),
+                policy,
+            };
+            let opt = PolicyKind::Static {
+                label: "OPT",
+                counts: greedy_homogeneous(&system, &config.demand, utility.as_ref()),
+            };
+            cells.push(contender("OPT", opt).cell(trials, &config, &source));
+            for name in &self.rules {
+                config.eviction = eviction_rule(spec, name)?;
+                let qcr = contender(name, PolicyKind::qcr_default());
+                cells.push(qcr.cell(trials, &config, &source));
+            }
+        }
+        Ok(cells)
+    }
+
+    fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {
+        let cells = self.cells(&run.spec.name)?;
+        let mut rows = Vec::new();
+        for regime in cells.chunks(1 + self.rules.len()) {
+            let mut rates = Vec::new();
+            for cell in regime {
+                let cell = std::slice::from_ref(cell);
+                let aggregates = run.policy_cells(cell, |c| &c.policy)?;
+                rates.push(aggregates[0].mean_rate);
+            }
+            for (cell, &rate) in regime.iter().zip(&rates).skip(1) {
+                let Contender { regime, name, .. } = &cell.what;
+                let loss = loss_vs(rates[0], rate);
+                rows.push(format!("{regime},{name},{rate},{loss}"));
+            }
+        }
+        let table = Table::new("regime,eviction,utility,loss_vs_opt_pct", rows);
+        run.emit(&self.file, &table, &[self.seed], self.trials)
+    }
 }
 
 /// Degraded-network experiment: QCR/OPT/UNI mean observed utility under
-/// bursty contact drops and exponential server churn.
-pub fn degraded<S: Sink>(
-    spec: &Spec,
-    s: &DegradedSpec,
-    ctx: &mut ExecContext<'_, S>,
-    report: &mut ExecReport,
-) -> Result<(), ExpError> {
-    let utility = utility_of(&spec.name, &s.utility)?;
+/// bursty contact drops, then under exponential server churn over a
+/// fixed mean cycle. One cell per swept value, one CSV per fault axis.
+impl Kind for DegradedSpec {
+    type What = SystemModel;
 
-    let run_point = |ctx: &mut ExecContext<'_, S>,
-                     report: &mut ExecReport,
-                     cell: &str,
-                     faults: Option<FaultConfig>|
-     -> Result<Vec<(String, f64)>, ExpError> {
-        let (config, source, system) = paper_homogeneous_setting(utility.clone(), s.duration);
-        let config = match faults {
-            Some(fc) => {
-                let mut c = config;
-                c.faults = Some(fc);
-                c
-            }
-            None => config,
-        };
-        // Only the lanes the tables report: QCR, OPT, UNI.
-        let competitors = homogeneous_competitors(&system, &config.demand, utility.as_ref())
-            .into_iter()
-            .filter(|p| ["OPT", "UNI"].contains(&p.label().as_str()))
-            .collect();
-        let suite = ctx.policy_suite(
-            spec,
-            cell,
-            &config,
-            &source,
-            competitors,
-            s.trials,
-            s.seed,
-            report,
-        )?;
-        Ok(suite
-            .into_iter()
-            .map(|(label, agg)| (label, agg.mean_rate))
-            .collect())
-    };
+    fn outputs(&self) -> Vec<String> {
+        vec![self.drop.file.clone(), self.churn.file.clone()]
+    }
 
-    let header_for = |points: &[(String, f64)], param: &str| {
-        let mut h = param.to_string();
-        for (label, _) in points {
-            h.push_str(&format!(",{label}"));
-        }
-        h
-    };
-    let row_for = |param: f64, points: &[(String, f64)]| {
-        let mut row = format!("{param}");
-        for (_, u) in points {
-            row.push_str(&format!(",{u}"));
-        }
-        row
-    };
-
-    // Sweep 1: bursty contact loss.
-    let mut rows = Vec::new();
-    let mut header = String::new();
-    for &p in &s.drop.values {
-        let cell = format!("{}={p}", s.drop.param);
-        let started = Instant::now();
-        let faults = (p > 0.0).then(|| FaultConfig {
-            seed: s.drop.fault_seed,
+    fn cells(&self, spec: &str) -> Result<Vec<Cell<SystemModel>>, ExpError> {
+        let utility = utility_of(spec, &self.utility)?;
+        let drop = |p: f64| FaultConfig {
+            seed: self.drop.fault_seed,
             drop: Some(ContactDrop {
                 p,
-                mean_burst: s.drop_mean_burst,
+                mean_burst: self.drop_mean_burst,
             }),
             ..FaultConfig::default()
-        });
-        let points = run_point(ctx, report, &cell, faults)?;
-        if header.is_empty() {
-            header = header_for(&points, &s.drop.param);
-        }
-        rows.push(row_for(p, &points));
-        ctx.cell_done(spec, &cell, points.len() as u64, started, report);
-    }
-    emit(
-        spec,
-        ctx,
-        report,
-        &s.drop.file,
-        &header,
-        &rows,
-        &[s.seed],
-        s.trials,
-    )?;
-
-    // Sweep 2: exponential server churn over a fixed mean cycle.
-    let mut rows = Vec::new();
-    let mut header = String::new();
-    for &f in &s.churn.values {
-        let cell = format!("{}={f}", s.churn.param);
-        let started = Instant::now();
-        let faults = (f > 0.0).then(|| FaultConfig {
-            seed: s.churn.fault_seed,
+        };
+        let churn = |down: f64| FaultConfig {
+            seed: self.churn.fault_seed,
             churn: Some(Churn {
-                mean_up: s.churn_cycle * (1.0 - f),
-                mean_down: s.churn_cycle * f,
+                mean_up: self.churn_cycle * (1.0 - down),
+                mean_down: self.churn_cycle * down,
             }),
             ..FaultConfig::default()
-        });
-        let points = run_point(ctx, report, &cell, faults)?;
-        if header.is_empty() {
-            header = header_for(&points, &s.churn.param);
+        };
+        let axes: [(_, &dyn Fn(f64) -> FaultConfig); 2] =
+            [(&self.drop, &drop), (&self.churn, &churn)];
+        let mut cells = Vec::new();
+        for (axis, fault) in axes {
+            for &value in &axis.values {
+                let (mut config, source, system) =
+                    paper_homogeneous_setting(utility.clone(), self.duration);
+                config.faults = (value > 0.0).then(|| fault(value));
+                let label = format!("{}={value}", axis.param);
+                let trials = (self.seed, self.trials);
+                cells.push(Cell::simulated(
+                    label,
+                    trials,
+                    Some((config, source)),
+                    system,
+                ));
+            }
         }
-        rows.push(row_for(f, &points));
-        ctx.cell_done(spec, &cell, points.len() as u64, started, report);
+        Ok(cells)
     }
-    emit(
-        spec,
-        ctx,
-        report,
-        &s.churn.file,
-        &header,
-        &rows,
-        &[s.seed],
-        s.trials,
-    )?;
-    Ok(())
+
+    fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {
+        let mut cells = self.cells(&run.spec.name)?.into_iter();
+        for axis in [&self.drop, &self.churn] {
+            let mut table = Table::sweep(&axis.param);
+            for (&value, cell) in axis.values.iter().zip(cells.by_ref()) {
+                // Only the lanes the tables report: QCR, OPT, UNI.
+                let suite = run.suite(&cell, |config| {
+                    homogeneous_competitors(&cell.what, &config.demand, config.utility.as_ref())
+                        .into_iter()
+                        .filter(|p| ["OPT", "UNI"].contains(&p.label().as_str()))
+                        .collect()
+                })?;
+                let rates: Vec<(String, f64)> = suite
+                    .into_iter()
+                    .map(|(label, agg)| (label, agg.mean_rate))
+                    .collect();
+                table.point(value, &rates);
+            }
+            run.emit(&axis.file, &table, &[self.seed], self.trials)?;
+        }
+        Ok(())
+    }
 }

@@ -1,6 +1,14 @@
 //! The experiment executor: compiles a parsed [`Spec`] into campaign
 //! invocations and results files.
 //!
+//! Each kind is written once, as a `Kind` beside its engine: its
+//! output stems and one enumeration of its `Cell`s — label, seed,
+//! trials and the `(SimConfig, ContactSource)` pair exactly as it will
+//! run. [`Spec::plan`] (hence `--list` and the progress meter) and
+//! [`Spec::validate`] fold over that enumeration, and the kind's
+//! `Kind::run` iterates it, so what is listed and validated is what
+//! runs.
+//!
 //! Every simulated cell goes through
 //! [`impatience_sim::runner::run_campaigns`], which gives
 //! each `(cell, policy)` panic isolation, optional checkpoint/resume, and
@@ -16,6 +24,7 @@ mod analytic;
 mod homogeneous;
 mod trace;
 
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -25,8 +34,7 @@ use impatience_sim::policy::PolicyKind;
 use impatience_sim::runner::{run_campaigns, CampaignOptions, TrialAggregate};
 
 use crate::error::ExpError;
-use crate::spec::{Spec, SpecKind};
-use crate::suite;
+use crate::spec::{Plan, Spec, SpecKind};
 
 /// Where and how a spec executes.
 pub struct ExecContext<'a, S: Sink> {
@@ -59,6 +67,175 @@ pub struct ExecReport {
     pub skipped: Vec<(String, String)>,
 }
 
+/// One cell of a spec: what `--list` counts, [`Spec::validate`] resolves,
+/// the progress meter ticks and the kind's engine runs, closing it with
+/// one `ExperimentDone` event.
+struct Cell<T = ()> {
+    /// The label of its event, its progress tick and its checkpoints.
+    label: String,
+    /// Base seed of its trials (`None`: analytic, nothing is simulated).
+    seed: Option<u64>,
+    /// How many trials it runs from that seed on.
+    trials: usize,
+    /// The setting exactly as its trials run it — eviction rule, fault
+    /// model and demand shift attached. `None` for analytic cells, and
+    /// for a trace suite's until its trace has been generated.
+    setting: Option<(SimConfig, ContactSource)>,
+    /// What the kind's engine needs besides (the policy a cell pins, the
+    /// CSV row it fills); `()` where the label, seed and setting say all.
+    what: T,
+}
+
+impl Cell {
+    fn analytic(label: &str) -> Self {
+        Cell {
+            label: label.to_string(),
+            seed: None,
+            trials: 0,
+            setting: None,
+            what: (),
+        }
+    }
+}
+
+impl<T> Cell<T> {
+    fn simulated(
+        label: String,
+        (seed, trials): (u64, usize),
+        setting: Option<(SimConfig, ContactSource)>,
+        what: T,
+    ) -> Self {
+        Cell {
+            label,
+            seed: Some(seed),
+            trials,
+            setting,
+            what,
+        }
+    }
+
+    /// What a simulated cell hands the campaign runner.
+    fn campaign(&self) -> (&SimConfig, &ContactSource, u64) {
+        match (&self.setting, self.seed) {
+            (Some((config, source)), Some(seed)) => (config, source, seed),
+            _ => panic!("`{}` is not a simulated cell with its setting", self.label),
+        }
+    }
+}
+
+/// An experiment kind, written once: each `spec::*Spec` payload
+/// implements this beside its engine, and [`Spec::plan`],
+/// [`Spec::validate`] and [`run_spec`] are the three readers.
+trait Kind {
+    /// What [`Cell::what`] carries for this kind.
+    type What;
+
+    /// The CSV stems [`Kind::run`] writes, in order.
+    fn outputs(&self) -> Vec<String>;
+
+    /// Every cell in execution order, without running anything.
+    /// [`Kind::run`] walks this same list: it formats no label and builds
+    /// no setting of its own.
+    fn cells(&self, spec: &str) -> Result<Vec<Cell<Self::What>>, ExpError>;
+
+    /// Run the cells and write the outputs.
+    fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError>;
+}
+
+/// The one place a kind name meets its payload: evaluate `$body` with
+/// `$k` bound to the spec's [`Kind`].
+macro_rules! each_kind {
+    ($kind:expr, $k:ident => $body:expr) => {
+        match $kind {
+            SpecKind::UtilityCurves($k) => $body,
+            SpecKind::AllocExponent($k) => $body,
+            SpecKind::ClosedForms($k) => $body,
+            SpecKind::MixedCatalog($k) => $body,
+            SpecKind::LossSweep($k) => $body,
+            SpecKind::MandateRouting($k) => $body,
+            SpecKind::TraceSuite($k) => $body,
+            SpecKind::QcrAblation($k) => $body,
+            SpecKind::DynamicDemand($k) => $body,
+            SpecKind::Eviction($k) => $body,
+            SpecKind::Degraded($k) => $body,
+        }
+    };
+}
+
+/// The gate a campaign applies before its first trial
+/// (`run_campaigns`: config resolved on the source's population, then
+/// the source itself), as a spec error.
+fn accepted(spec: &str, config: &SimConfig, source: &ContactSource) -> Result<(), ExpError> {
+    config
+        .try_resolved(source.nodes())
+        .and_then(|_| source.try_validate())
+        .map_err(|source| ExpError::Config {
+            spec: spec.to_string(),
+            source,
+        })
+}
+
+fn plan_of<K: Kind>(kind: &K, spec: &str) -> Result<Plan, ExpError> {
+    let cells = kind.cells(spec)?;
+    let mut seeds = Vec::new();
+    for seed in cells.iter().filter_map(|cell| cell.seed) {
+        if !seeds.contains(&seed) {
+            seeds.push(seed);
+        }
+    }
+    Ok(Plan {
+        outputs: kind.outputs(),
+        seeds,
+        trials: cells.iter().map(|cell| cell.trials).max().unwrap_or(0),
+        cells: cells.into_iter().map(|cell| cell.label).collect(),
+    })
+}
+
+fn validate_of<K: Kind>(kind: &K, spec: &str) -> Result<(), ExpError> {
+    for cell in kind.cells(spec)? {
+        if cell.seed.is_some() && cell.trials == 0 {
+            return Err(ExpError::spec(spec, "trials must be at least 1"));
+        }
+        if let Some((config, source)) = &cell.setting {
+            accepted(spec, config, source)?;
+        }
+    }
+    Ok(())
+}
+
+impl Spec {
+    /// Derive the execution plan — outputs, cell labels, distinct seeds
+    /// in first-use order, trials — from the kind's cell enumeration,
+    /// without running anything.
+    pub fn plan(&self) -> Result<Plan, ExpError> {
+        each_kind!(&self.kind, k => plan_of(k, &self.name))
+    }
+
+    /// Hold every cell's setting to the simulator's own rules
+    /// ([`SimConfig::try_resolved`] on the source's population, as a
+    /// campaign does before its first trial) without running anything.
+    /// Analytic cells have no setting, and a trace suite's only exist
+    /// once its trace is generated; those check their trial count alone.
+    pub fn validate(&self) -> Result<(), ExpError> {
+        each_kind!(&self.kind, k => validate_of(k, &self.name))
+    }
+}
+
+/// Execute one spec, writing its artifacts into `ctx.out_dir`.
+pub fn run_spec<S: Sink>(
+    spec: &Spec,
+    ctx: &mut ExecContext<'_, S>,
+) -> Result<ExecReport, ExpError> {
+    let _span = impatience_obs::span!("spec");
+    let mut run = Run {
+        spec,
+        ctx,
+        report: ExecReport::default(),
+    };
+    each_kind!(&spec.kind, k => k.run(&mut run))?;
+    Ok(run.report)
+}
+
 fn slug(s: &str) -> String {
     s.chars()
         .map(|c| {
@@ -71,36 +248,34 @@ fn slug(s: &str) -> String {
         .collect()
 }
 
-impl<S: Sink> ExecContext<'_, S> {
-    fn note(&self, msg: &str) {
-        if !self.quiet {
-            println!("{msg}");
-        }
-    }
+/// One spec being executed: the spec, the caller's context, and what the
+/// execution has produced so far.
+struct Run<'a, 'c, S: Sink> {
+    spec: &'a Spec,
+    ctx: &'a mut ExecContext<'c, S>,
+    report: ExecReport,
+}
 
-    /// Run the campaigns of `lanes` — `(cell, policy)` pairs that share
-    /// `(config, source, base_seed)`, hence every contact sequence —
+impl<S: Sink> Run<'_, '_, S> {
+    /// Run the campaigns of `lanes` — `(cell label, policy)` pairs that
+    /// share `at`'s setting and seed, hence every contact sequence —
     /// through the campaign runner as one suite call, returning their
     /// aggregates in order. Each pair keeps its own checkpoint file.
-    #[allow(clippy::too_many_arguments)]
-    fn run_lanes(
+    fn run_lanes<T>(
         &mut self,
-        spec: &Spec,
+        at: &Cell<T>,
         lanes: &[(&str, &PolicyKind)],
-        config: &SimConfig,
-        source: &ContactSource,
-        trials: usize,
-        base_seed: u64,
-        report: &mut ExecReport,
     ) -> Result<Vec<TrialAggregate>, ExpError> {
         let _span = impatience_obs::span!("cell");
+        let (config, source, base_seed) = at.campaign();
+        let ctx = &mut *self.ctx;
         let checkpoints: Vec<Option<PathBuf>> = lanes
             .iter()
             .map(|(cell, policy)| {
-                self.checkpoint_dir.as_ref().map(|dir| {
+                ctx.checkpoint_dir.as_ref().map(|dir| {
                     dir.join(format!(
                         "{}--{}--{}.ckpt",
-                        spec.name,
+                        self.spec.name,
                         slug(cell),
                         slug(&policy.label())
                     ))
@@ -108,8 +283,8 @@ impl<S: Sink> ExecContext<'_, S> {
             })
             .collect();
         let options = CampaignOptions {
-            workers: self.workers,
-            cli_args: self.cli_args.clone(),
+            workers: ctx.workers,
+            cli_args: ctx.cli_args.clone(),
             ..CampaignOptions::default()
         };
         let campaigns: Vec<_> = lanes
@@ -118,11 +293,11 @@ impl<S: Sink> ExecContext<'_, S> {
             .map(|(&(_, policy), path)| (policy, path.as_deref()))
             .collect();
         let failed = |cell: String| {
-            let spec = spec.name.clone();
+            let spec = self.spec.name.clone();
             move |source| ExpError::Campaign { spec, cell, source }
         };
         let outcomes = run_campaigns(
-            config, source, &campaigns, trials, base_seed, &options, self.rec,
+            config, source, &campaigns, at.trials, base_seed, &options, ctx.rec,
         )
         .map_err(failed(lanes[0].0.to_string()))?;
         let mut aggregates = Vec::with_capacity(lanes.len());
@@ -132,7 +307,7 @@ impl<S: Sink> ExecContext<'_, S> {
             let label = policy.label();
             let outcome = outcome.map_err(failed(format!("{cell}/{label}")))?;
             for (k, msg) in outcome.skipped {
-                report
+                self.report
                     .skipped
                     .push((format!("{cell}/{label} trial {k}"), msg));
             }
@@ -146,44 +321,21 @@ impl<S: Sink> ExecContext<'_, S> {
         Ok(aggregates)
     }
 
-    /// Run one `(cell, policy)` through the campaign runner.
-    #[allow(clippy::too_many_arguments)]
-    fn run_one(
+    /// One cell that compares policies: run QCR plus the `competitors`
+    /// of its config as lanes of one suite call — they share the cell's
+    /// seed, so their contact and demand realizations match trial for
+    /// trial — close the cell, and return `(label, aggregate)` pairs.
+    fn suite<T>(
         &mut self,
-        spec: &Spec,
-        cell: &str,
-        config: &SimConfig,
-        source: &ContactSource,
-        policy: &PolicyKind,
-        trials: usize,
-        base_seed: u64,
-        report: &mut ExecReport,
-    ) -> Result<TrialAggregate, ExpError> {
-        let lanes = [(cell, policy)];
-        let mut aggregates =
-            self.run_lanes(spec, &lanes, config, source, trials, base_seed, report)?;
-        Ok(aggregates.pop().expect("one lane in, one aggregate out"))
-    }
-
-    /// Run QCR plus a competitor list, returning `(label, aggregate)`
-    /// pairs. All policies share `base_seed` (paired randomness) so
-    /// their contact and demand realizations match trial-for-trial.
-    #[allow(clippy::too_many_arguments)]
-    fn policy_suite(
-        &mut self,
-        spec: &Spec,
-        cell: &str,
-        config: &SimConfig,
-        source: &ContactSource,
-        competitors: Vec<PolicyKind>,
-        trials: usize,
-        base_seed: u64,
-        report: &mut ExecReport,
+        cell: &Cell<T>,
+        competitors: impl FnOnce(&SimConfig) -> Vec<PolicyKind>,
     ) -> Result<Vec<(String, TrialAggregate)>, ExpError> {
+        let started = Instant::now();
         let mut policies = vec![PolicyKind::qcr_default()];
-        policies.extend(competitors);
-        let lanes: Vec<(&str, &PolicyKind)> = policies.iter().map(|p| (cell, p)).collect();
-        let aggregates = self.run_lanes(spec, &lanes, config, source, trials, base_seed, report)?;
+        policies.extend(competitors(cell.campaign().0));
+        let lanes: Vec<_> = policies.iter().map(|p| (cell.label.as_str(), p)).collect();
+        let aggregates = self.run_lanes(cell, &lanes)?;
+        self.cell_done(&cell.label, policies.len() as u64, started);
         Ok(policies
             .iter()
             .map(PolicyKind::label)
@@ -191,174 +343,110 @@ impl<S: Sink> ExecContext<'_, S> {
             .collect())
     }
 
-    /// One suite call in which every policy is a cell of its own: run
-    /// the `(cell, policy)` pairs together, then close each cell in order
-    /// (their `ExperimentDone` wall times all read the shared call).
-    #[allow(clippy::too_many_arguments)]
-    fn policy_cells(
+    /// Cells that are one policy each, on one setting and seed: run them
+    /// together as one suite call, then close each in order (their
+    /// `ExperimentDone` wall times all read the shared call).
+    fn policy_cells<T>(
         &mut self,
-        spec: &Spec,
-        cells: &[(String, PolicyKind)],
-        config: &SimConfig,
-        source: &ContactSource,
-        trials: usize,
-        base_seed: u64,
-        report: &mut ExecReport,
+        cells: &[Cell<T>],
+        policy: impl Fn(&T) -> &PolicyKind,
     ) -> Result<Vec<TrialAggregate>, ExpError> {
         let started = Instant::now();
-        let lanes: Vec<(&str, &PolicyKind)> = cells.iter().map(|(c, p)| (c.as_str(), p)).collect();
-        let aggregates = self.run_lanes(spec, &lanes, config, source, trials, base_seed, report)?;
-        for (cell, _) in cells {
-            self.cell_done(spec, cell, 1, started, report);
+        let lanes: Vec<_> = cells
+            .iter()
+            .map(|cell| (cell.label.as_str(), policy(&cell.what)))
+            .collect();
+        let aggregates = self.run_lanes(&cells[0], &lanes)?;
+        for cell in cells {
+            self.cell_done(&cell.label, 1, started);
         }
         Ok(aggregates)
     }
 
     /// Close a cell: bump the counter, emit the progress event.
-    fn cell_done(
+    fn cell_done(&mut self, cell: &str, rows: u64, started: Instant) {
+        let spec = &self.spec.name;
+        self.report.cells += 1;
+        let wall_s = started.elapsed().as_secs_f64();
+        self.ctx.rec.experiment_done(spec, cell, rows, wall_s);
+        self.ctx.progress.tick(&format!("{spec}: {cell}"));
+    }
+
+    /// Write `table` as `name.csv` beside its manifest, and note it.
+    fn emit(
         &mut self,
-        spec: &Spec,
-        cell: &str,
-        rows: u64,
-        started: Instant,
-        report: &mut ExecReport,
-    ) {
-        report.cells += 1;
-        self.rec
-            .experiment_done(&spec.name, cell, rows, started.elapsed().as_secs_f64());
-        self.progress.tick(&format!("{}: {cell}", spec.name));
+        name: &str,
+        table: &Table,
+        seeds: &[u64],
+        trials: usize,
+    ) -> Result<(), ExpError> {
+        let meta = crate::artifact::ArtifactMeta {
+            spec: self.spec,
+            seeds,
+            trials,
+        };
+        let write_span = impatience_obs::span!("write_csv");
+        let path =
+            crate::artifact::write_csv(&self.ctx.out_dir, name, &table.header, &table.rows, &meta)?;
+        write_span.close();
+        if !self.ctx.quiet {
+            println!("wrote {}", path.display());
+        }
+        self.report.artifacts.push(path);
+        Ok(())
     }
 }
 
-impl Spec {
-    /// Compile the spec's simulation configurations and validate them
-    /// against the simulator's own rules
-    /// ([`SimConfig::try_resolved`], as a trial would) without running
-    /// anything. Analytic kinds and trace suites (whose node count only
-    /// exists once the trace is generated) validate trivially.
-    pub fn validate(&self) -> Result<(), ExpError> {
-        let check = |config: &SimConfig, nodes: usize| -> Result<(), ExpError> {
-            config
-                .try_resolved(nodes)
-                .map(drop)
-                .map_err(|source| ExpError::Config {
-                    spec: self.name.clone(),
-                    source,
-                })
-        };
-        let need_trials = |trials: usize| {
-            if trials == 0 {
-                Err(ExpError::spec(&self.name, "trials must be at least 1"))
-            } else {
-                Ok(())
-            }
-        };
-        match &self.kind {
-            SpecKind::LossSweep(s) => {
-                need_trials(s.trials)?;
-                for sweep in &s.sweeps {
-                    let utility =
-                        crate::spec::family_utility(&self.name, &sweep.family, sweep.values[0])?;
-                    let (config, source, _) = homogeneous::sweep_setting(s, utility);
-                    check(&config, source.nodes())?;
-                }
-                Ok(())
-            }
-            SpecKind::MandateRouting(s) => {
-                need_trials(s.trials)?;
-                let utility: std::sync::Arc<dyn impatience_core::utility::DelayUtility> =
-                    std::sync::Arc::new(impatience_core::utility::Power::new(s.alpha));
-                let (config, source, _) = suite::paper_homogeneous_setting(utility, s.duration);
-                check(&config, source.nodes())
-            }
-            SpecKind::QcrAblation(s) => {
-                need_trials(s.trials)?;
-                for family in &s.regimes {
-                    let utility = crate::spec::utility_of(&self.name, family)?;
-                    let (config, source, _) = suite::paper_homogeneous_setting(utility, s.duration);
-                    check(&config, source.nodes())?;
-                }
-                Ok(())
-            }
-            SpecKind::Eviction(s) => {
-                need_trials(s.trials)?;
-                for family in &s.regimes {
-                    let utility = crate::spec::utility_of(&self.name, family)?;
-                    let (config, source, _) = suite::paper_homogeneous_setting(utility, s.duration);
-                    check(&config, source.nodes())?;
-                }
-                Ok(())
-            }
-            SpecKind::Degraded(s) => {
-                need_trials(s.trials)?;
-                let utility = crate::spec::utility_of(&self.name, &s.utility)?;
-                let (config, source, _) = suite::paper_homogeneous_setting(utility, s.duration);
-                check(&config, source.nodes())
-            }
-            SpecKind::DynamicDemand(s) => {
-                need_trials(s.trials)?;
-                let utility = crate::spec::utility_of(&self.name, &s.utility)?;
-                let config = SimConfig::builder(s.items, s.rho)
-                    .demand(suite::pareto_demand(s.items))
-                    .utility(utility)
-                    .bin(100.0)
-                    .warmup_fraction(0.0)
-                    .build();
-                check(&config, s.nodes)
-            }
-            SpecKind::TraceSuite(s) => need_trials(s.trials),
-            SpecKind::UtilityCurves(_)
-            | SpecKind::AllocExponent(_)
-            | SpecKind::ClosedForms(_)
-            | SpecKind::MixedCatalog(_) => Ok(()),
+/// A CSV in the making. The simulated kinds write two shapes, each built
+/// here and nowhere else; every number goes through `Display`.
+struct Table {
+    header: String,
+    rows: Vec<String>,
+}
+
+impl Table {
+    fn new(header: &str, rows: Vec<String>) -> Table {
+        Table {
+            header: header.to_string(),
+            rows,
         }
     }
-}
 
-/// Execute one spec, writing its artifacts into `ctx.out_dir`.
-pub fn run_spec<S: Sink>(
-    spec: &Spec,
-    ctx: &mut ExecContext<'_, S>,
-) -> Result<ExecReport, ExpError> {
-    let _span = impatience_obs::span!("spec");
-    let mut report = ExecReport::default();
-    match &spec.kind {
-        SpecKind::UtilityCurves(s) => analytic::utility_curves(spec, s, ctx, &mut report)?,
-        SpecKind::AllocExponent(s) => analytic::alloc_exponent(spec, s, ctx, &mut report)?,
-        SpecKind::ClosedForms(s) => analytic::closed_forms(spec, s, ctx, &mut report)?,
-        SpecKind::MixedCatalog(s) => analytic::mixed_catalog(spec, s, ctx, &mut report)?,
-        SpecKind::LossSweep(s) => homogeneous::loss_sweep(spec, s, ctx, &mut report)?,
-        SpecKind::MandateRouting(s) => homogeneous::mandate_routing(spec, s, ctx, &mut report)?,
-        SpecKind::QcrAblation(s) => homogeneous::qcr_ablation(spec, s, ctx, &mut report)?,
-        SpecKind::DynamicDemand(s) => homogeneous::dynamic_demand(spec, s, ctx, &mut report)?,
-        SpecKind::Eviction(s) => homogeneous::eviction(spec, s, ctx, &mut report)?,
-        SpecKind::Degraded(s) => homogeneous::degraded(spec, s, ctx, &mut report)?,
-        SpecKind::TraceSuite(s) => trace::trace_suite(spec, s, ctx, &mut report)?,
+    /// `time,<label>…`: one row per metrics bin of width `bin`, one
+    /// column per `(label, series)`.
+    fn series<D: Display>(bin: f64, columns: &[(&str, &[D])]) -> Table {
+        let mut header = "time".to_string();
+        for (label, _) in columns {
+            header.push_str(&format!(",{label}"));
+        }
+        let bins = columns.first().map_or(0, |(_, series)| series.len());
+        let rows = (0..bins)
+            .map(|b| {
+                let mut row = format!("{}", b as f64 * bin);
+                for (_, series) in columns {
+                    row.push_str(&format!(",{}", series[b]));
+                }
+                row
+            })
+            .collect();
+        Table { header, rows }
     }
-    Ok(report)
-}
 
-/// Shared by the engines: write a CSV + manifest and note it.
-#[allow(clippy::too_many_arguments)]
-fn emit<S: Sink>(
-    spec: &Spec,
-    ctx: &ExecContext<'_, S>,
-    report: &mut ExecReport,
-    name: &str,
-    header: &str,
-    rows: &[String],
-    seeds: &[u64],
-    trials: usize,
-) -> Result<(), ExpError> {
-    let meta = crate::artifact::ArtifactMeta {
-        spec,
-        seeds,
-        trials,
-    };
-    let write_span = impatience_obs::span!("write_csv");
-    let path = crate::artifact::write_csv(&ctx.out_dir, name, header, rows, &meta)?;
-    write_span.close();
-    ctx.note(&format!("wrote {}", path.display()));
-    report.artifacts.push(path);
-    Ok(())
+    /// `<param>,<label>…`: one row per swept value, added by
+    /// [`Table::point`]; the first point names the columns.
+    fn sweep(param: &str) -> Table {
+        Table::new(param, Vec::new())
+    }
+
+    /// The row of swept `value`: one `(label, number)` per column.
+    fn point(&mut self, value: f64, points: &[(String, f64)]) {
+        let mut row = format!("{value}");
+        for (label, number) in points {
+            if self.rows.is_empty() {
+                self.header.push_str(&format!(",{label}"));
+            }
+            row.push_str(&format!(",{number}"));
+        }
+        self.rows.push(row);
+    }
 }

@@ -29,11 +29,11 @@
 //! ## Flow
 //!
 //! [`Registry::load_dir`] discovers specs; [`Spec::parse`] type-checks
-//! one document into a [`spec::SpecKind`] payload; [`Spec::plan`]
-//! derives outputs/cells/seeds without running anything;
-//! [`engine::run_spec`] executes, streaming per-cell progress through
-//! an [`impatience_obs::Recorder`] as `ExperimentDone` events and
-//! committing artifacts atomically.
+//! one document into a [`spec::SpecKind`] payload; [`Spec::plan`] and
+//! [`Spec::validate`] read the kind's cell enumeration without running
+//! anything; [`engine::run_spec`] executes those cells, streaming
+//! progress through an [`impatience_obs::Recorder`] as `ExperimentDone`
+//! events and committing artifacts atomically.
 //!
 //! ```
 //! use impatience_exp::Spec;
@@ -73,7 +73,7 @@ pub mod spec;
 pub mod suite;
 pub mod toml;
 
-pub use check::{CheckOutcome, CheckReport};
+pub use check::CheckOutcome;
 pub use engine::{run_spec, ExecContext, ExecReport};
 pub use error::ExpError;
 pub use registry::Registry;

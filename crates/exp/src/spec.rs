@@ -49,6 +49,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use impatience_core::utility::{parse_utility, DelayUtility, Exponential, Power, Step};
+use impatience_sim::state::EvictionPolicy;
 
 use crate::error::ExpError;
 use crate::toml::{self, Table, Value};
@@ -434,98 +435,70 @@ fn req<'a>(t: &'a Table, spec: &str, at: &str, key: &str) -> Result<&'a Value, E
         .ok_or_else(|| ExpError::spec(spec, format!("missing `{key}` in {at}")))
 }
 
-fn req_str(t: &Table, spec: &str, at: &str, key: &str) -> Result<String, ExpError> {
+/// `key` of `t` read through `read`, or a spec error saying `what` it
+/// must be.
+fn req_as<'a, T>(
+    t: &'a Table,
+    (spec, at, key): (&str, &str, &str),
+    what: &str,
+    read: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<T, ExpError> {
     let v = req(t, spec, at, key)?;
-    v.as_str().map(str::to_string).ok_or_else(|| {
-        ExpError::spec(
-            spec,
-            format!("`{key}` in {at} must be a string, got {}", v.type_name()),
-        )
+    read(v).ok_or_else(|| {
+        let found = v.type_name();
+        ExpError::spec(spec, format!("`{key}` in {at} must be {what}, got {found}"))
+    })
+}
+
+fn req_str(t: &Table, spec: &str, at: &str, key: &str) -> Result<String, ExpError> {
+    req_as(t, (spec, at, key), "a string", |v| {
+        v.as_str().map(str::to_string)
     })
 }
 
 fn req_f64(t: &Table, spec: &str, at: &str, key: &str) -> Result<f64, ExpError> {
-    let v = req(t, spec, at, key)?;
-    v.as_f64().ok_or_else(|| {
-        ExpError::spec(
-            spec,
-            format!("`{key}` in {at} must be a number, got {}", v.type_name()),
-        )
-    })
+    req_as(t, (spec, at, key), "a number", Value::as_f64)
 }
 
 fn req_usize(t: &Table, spec: &str, at: &str, key: &str) -> Result<usize, ExpError> {
-    let v = req(t, spec, at, key)?;
-    v.as_int()
-        .and_then(|n| usize::try_from(n).ok())
-        .ok_or_else(|| {
-            ExpError::spec(
-                spec,
-                format!(
-                    "`{key}` in {at} must be a non-negative integer, got {}",
-                    v.type_name()
-                ),
-            )
-        })
-}
-
-fn req_u64(t: &Table, spec: &str, at: &str, key: &str) -> Result<u64, ExpError> {
-    let v = req(t, spec, at, key)?;
-    v.as_int()
-        .and_then(|n| u64::try_from(n).ok())
-        .ok_or_else(|| {
-            ExpError::spec(
-                spec,
-                format!(
-                    "`{key}` in {at} must be a non-negative integer, got {}",
-                    v.type_name()
-                ),
-            )
-        })
-}
-
-fn req_i64(t: &Table, spec: &str, at: &str, key: &str) -> Result<i64, ExpError> {
-    let v = req(t, spec, at, key)?;
-    v.as_int().ok_or_else(|| {
-        ExpError::spec(
-            spec,
-            format!("`{key}` in {at} must be an integer, got {}", v.type_name()),
-        )
+    req_as(t, (spec, at, key), "a non-negative integer", |v| {
+        v.as_int().and_then(|n| usize::try_from(n).ok())
     })
 }
 
-fn req_f64_array(t: &Table, spec: &str, at: &str, key: &str) -> Result<Vec<f64>, ExpError> {
-    let v = req(t, spec, at, key)?;
-    let arr = v.as_array().ok_or_else(|| {
-        ExpError::spec(
-            spec,
-            format!("`{key}` in {at} must be an array, got {}", v.type_name()),
-        )
-    })?;
-    arr.iter()
-        .map(|x| {
-            x.as_f64().ok_or_else(|| {
-                ExpError::spec(spec, format!("`{key}` in {at} must contain only numbers"))
-            })
-        })
+fn req_u64(t: &Table, spec: &str, at: &str, key: &str) -> Result<u64, ExpError> {
+    req_as(t, (spec, at, key), "a non-negative integer", |v| {
+        v.as_int().and_then(|n| u64::try_from(n).ok())
+    })
+}
+
+fn req_i64(t: &Table, spec: &str, at: &str, key: &str) -> Result<i64, ExpError> {
+    req_as(t, (spec, at, key), "an integer", Value::as_int)
+}
+
+/// An array under `key` whose every element reads through `read`, or a
+/// spec error saying it must contain only `what`.
+fn req_array<'a, T>(
+    t: &'a Table,
+    (spec, at, key): (&str, &str, &str),
+    what: &str,
+    read: impl Fn(&'a Value) -> Option<T>,
+) -> Result<Vec<T>, ExpError> {
+    let only = || ExpError::spec(spec, format!("`{key}` in {at} must contain only {what}"));
+    req_as(t, (spec, at, key), "an array", Value::as_array)?
+        .iter()
+        .map(|x| read(x).ok_or_else(only))
         .collect()
 }
 
+fn req_f64_array(t: &Table, spec: &str, at: &str, key: &str) -> Result<Vec<f64>, ExpError> {
+    req_array(t, (spec, at, key), "numbers", Value::as_f64)
+}
+
 fn req_str_array(t: &Table, spec: &str, at: &str, key: &str) -> Result<Vec<String>, ExpError> {
-    let v = req(t, spec, at, key)?;
-    let arr = v.as_array().ok_or_else(|| {
-        ExpError::spec(
-            spec,
-            format!("`{key}` in {at} must be an array, got {}", v.type_name()),
-        )
-    })?;
-    arr.iter()
-        .map(|x| {
-            x.as_str().map(str::to_string).ok_or_else(|| {
-                ExpError::spec(spec, format!("`{key}` in {at} must contain only strings"))
-            })
-        })
-        .collect()
+    req_array(t, (spec, at, key), "strings", |v| {
+        v.as_str().map(str::to_string)
+    })
 }
 
 fn req_table<'a>(t: &'a Table, spec: &str, key: &str) -> Result<&'a Table, ExpError> {
@@ -554,6 +527,19 @@ fn req_table_array<'a>(t: &'a Table, spec: &str, key: &str) -> Result<Vec<&'a Ta
 /// Parse + validate a utility spec string, with spec context on failure.
 pub fn utility_of(spec: &str, s: &str) -> Result<Arc<dyn DelayUtility>, ExpError> {
     parse_utility(s).map_err(|e| ExpError::spec(spec, e.to_string()))
+}
+
+/// The cache-eviction rule a spec calls `rule`.
+pub(crate) fn eviction_rule(spec: &str, rule: &str) -> Result<EvictionPolicy, ExpError> {
+    match rule {
+        "random" => Ok(EvictionPolicy::Random),
+        "lru" => Ok(EvictionPolicy::Lru),
+        "fifo" => Ok(EvictionPolicy::Fifo),
+        other => Err(ExpError::spec(
+            spec,
+            format!("unknown eviction rule `{other}` (expected random|lru|fifo)"),
+        )),
+    }
 }
 
 /// Build a swept utility directly from (family, value) so the parameter
@@ -876,12 +862,7 @@ impl Spec {
                 }
                 let rules = req_str_array(s, name, "[setting]", "rules")?;
                 for r in &rules {
-                    if !matches!(r.as_str(), "random" | "lru" | "fifo") {
-                        return Err(ExpError::spec(
-                            name,
-                            format!("unknown eviction rule `{r}` (expected random|lru|fifo)"),
-                        ));
-                    }
+                    eviction_rule(name, r)?;
                 }
                 Ok(SpecKind::Eviction(EvictionSpec {
                     trials: req_usize(s, name, "[setting]", "trials")?,
@@ -935,124 +916,6 @@ impl Spec {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         format!("fnv1a:{h:016x}")
-    }
-
-    /// Derive the execution plan: outputs, cell labels, seeds, trials.
-    pub fn plan(&self) -> Result<Plan, ExpError> {
-        let mut outputs = Vec::new();
-        let mut cells = Vec::new();
-        let mut seeds: Vec<u64> = Vec::new();
-        let push_seed = |seeds: &mut Vec<u64>, s: u64| {
-            if !seeds.contains(&s) {
-                seeds.push(s);
-            }
-        };
-        let trials = match &self.kind {
-            SpecKind::UtilityCurves(s) => {
-                for p in &s.panels {
-                    outputs.push(p.file.clone());
-                    cells.push(p.file.clone());
-                }
-                0
-            }
-            SpecKind::AllocExponent(s) => {
-                outputs.push(s.file.clone());
-                cells.push(s.file.clone());
-                0
-            }
-            SpecKind::ClosedForms(s) => {
-                outputs.push(s.file.clone());
-                for l in &s.labels {
-                    cells.push(l.clone());
-                }
-                0
-            }
-            SpecKind::MixedCatalog(s) => {
-                outputs.push(s.file.clone());
-                cells.push(s.file.clone());
-                0
-            }
-            SpecKind::LossSweep(s) => {
-                for sw in &s.sweeps {
-                    outputs.push(sw.file.clone());
-                    push_seed(&mut seeds, sw.seed);
-                    for v in &sw.values {
-                        cells.push(format!("{}={v}", sw.param));
-                    }
-                }
-                s.trials
-            }
-            SpecKind::MandateRouting(s) => {
-                outputs.extend([
-                    s.expected_file.clone(),
-                    s.observed_file.clone(),
-                    s.routing_file.clone(),
-                    s.noroute_file.clone(),
-                ]);
-                for label in ["QCR", "QCR-no-routing", "OPT", "UNI", "DOM"] {
-                    cells.push(label.to_string());
-                }
-                cells.push("replicas".to_string());
-                push_seed(&mut seeds, s.seed);
-                s.trials
-            }
-            SpecKind::TraceSuite(s) => {
-                if let Some(ts) = &s.timeseries {
-                    outputs.push(ts.file.clone());
-                    cells.push(format!("{} timeseries", ts.file));
-                    push_seed(&mut seeds, ts.seed);
-                }
-                for sw in &s.sweeps {
-                    outputs.push(sw.axis.file.clone());
-                    push_seed(&mut seeds, sw.axis.seed);
-                    for v in &sw.axis.values {
-                        let tag = if sw.synthesized { " (synthesized)" } else { "" };
-                        cells.push(format!("{}={v}{tag}", sw.axis.param));
-                    }
-                }
-                s.trials
-            }
-            SpecKind::QcrAblation(s) => {
-                outputs.push(s.file.clone());
-                for r in &s.regime_labels {
-                    cells.push(r.clone());
-                }
-                push_seed(&mut seeds, s.seed);
-                s.trials
-            }
-            SpecKind::DynamicDemand(s) => {
-                outputs.push(s.file.clone());
-                for label in ["QCR", "OPT-stale", "OPT-fresh", "UNI"] {
-                    cells.push(label.to_string());
-                }
-                push_seed(&mut seeds, s.seed);
-                s.trials
-            }
-            SpecKind::Eviction(s) => {
-                outputs.push(s.file.clone());
-                for r in &s.regime_labels {
-                    cells.push(r.clone());
-                }
-                push_seed(&mut seeds, s.seed);
-                s.trials
-            }
-            SpecKind::Degraded(s) => {
-                for axis in [&s.drop, &s.churn] {
-                    outputs.push(axis.file.clone());
-                    for v in &axis.values {
-                        cells.push(format!("{}={v}", axis.param));
-                    }
-                }
-                push_seed(&mut seeds, s.seed);
-                s.trials
-            }
-        };
-        Ok(Plan {
-            outputs,
-            cells,
-            seeds,
-            trials,
-        })
     }
 }
 

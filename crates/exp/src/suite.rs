@@ -1,5 +1,5 @@
 //! Shared experiment plumbing: competitor construction, the paper's
-//! canonical settings, and normalized-loss tables.
+//! canonical settings, and normalized losses.
 //!
 //! These helpers began as the library routines of the per-figure
 //! binaries the specs replaced, and are kept bit-for-bit compatible so
@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use impatience_core::demand::{DemandProfile, DemandRates, Popularity};
-use impatience_core::solver::fixed::{dominant, proportional, sqrt_proportional, uniform};
 use impatience_core::solver::greedy::greedy_homogeneous;
 use impatience_core::solver::het_greedy::greedy_heterogeneous;
 use impatience_core::types::SystemModel;
@@ -34,28 +33,24 @@ pub fn homogeneous_competitors(
 ) -> Vec<PolicyKind> {
     let servers = system.servers();
     let rho = system.cache_capacity;
-    vec![
-        PolicyKind::Static {
-            label: "OPT",
-            counts: greedy_homogeneous(system, demand, utility),
-        },
-        PolicyKind::Static {
-            label: "UNI",
-            counts: uniform(demand.items(), servers, rho),
-        },
-        PolicyKind::Static {
-            label: "SQRT",
-            counts: sqrt_proportional(demand, servers, rho),
-        },
-        PolicyKind::Static {
-            label: "PROP",
-            counts: proportional(demand, servers, rho),
-        },
-        PolicyKind::Static {
-            label: "DOM",
-            counts: dominant(demand, servers, rho),
-        },
-    ]
+    let opt = PolicyKind::Static {
+        label: "OPT",
+        counts: greedy_homogeneous(system, demand, utility),
+    };
+    with_rate_blind(opt, demand, servers, rho)
+}
+
+/// `opt` followed by the four rate-blind allocations of §6.1.
+fn with_rate_blind(
+    opt: PolicyKind,
+    demand: &DemandRates,
+    servers: usize,
+    rho: usize,
+) -> Vec<PolicyKind> {
+    let fixed = PolicyKind::FIXED
+        .iter()
+        .filter_map(|name| PolicyKind::fixed(name, demand, servers, rho));
+    std::iter::once(opt).chain(fixed).collect()
 }
 
 /// The competitor suite for a *trace* setting: OPT is the submodular
@@ -88,28 +83,11 @@ pub fn trace_competitors(
     }
     let hsys = HeterogeneousSystem::pure_p2p(rates, rho);
     let opt_matrix = greedy_heterogeneous(&hsys, demand, profile, utility);
-    vec![
-        PolicyKind::Static {
-            label: "OPT",
-            counts: opt_matrix.to_counts(),
-        },
-        PolicyKind::Static {
-            label: "UNI",
-            counts: uniform(demand.items(), nodes, rho),
-        },
-        PolicyKind::Static {
-            label: "SQRT",
-            counts: sqrt_proportional(demand, nodes, rho),
-        },
-        PolicyKind::Static {
-            label: "PROP",
-            counts: proportional(demand, nodes, rho),
-        },
-        PolicyKind::Static {
-            label: "DOM",
-            counts: dominant(demand, nodes, rho),
-        },
-    ]
+    let opt = PolicyKind::Static {
+        label: "OPT",
+        counts: opt_matrix.to_counts(),
+    };
+    with_rate_blind(opt, demand, nodes, rho)
 }
 
 /// Extract `(U − U_OPT)/|U_OPT|` in percent for every non-OPT policy,
@@ -155,24 +133,6 @@ pub fn paper_homogeneous_setting(
     (config, source, system)
 }
 
-/// Format one CSV row of a loss table.
-pub fn loss_row(param: f64, losses: &[(String, f64)]) -> String {
-    let mut row = format!("{param}");
-    for (_, loss) in losses {
-        row.push_str(&format!(",{loss}"));
-    }
-    row
-}
-
-/// Header matching [`loss_row`].
-pub fn loss_header(param_name: &str, losses: &[(String, f64)]) -> String {
-    let mut h = param_name.to_string();
-    for (label, _) in losses {
-        h.push_str(&format!(",{label}"));
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,12 +150,5 @@ mod tests {
                 assert_eq!(counts.total(), 20);
             }
         }
-    }
-
-    #[test]
-    fn loss_table_formatting() {
-        let losses = vec![("QCR".to_string(), -1.5), ("UNI".to_string(), -20.0)];
-        assert_eq!(loss_header("tau", &losses), "tau,QCR,UNI");
-        assert_eq!(loss_row(2.0, &losses), "2,-1.5,-20");
     }
 }

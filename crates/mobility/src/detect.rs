@@ -80,7 +80,7 @@ pub fn detect_contacts<M: Mobility>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Field, RandomWaypoint, Vec2};
+    use crate::{Field, GridTaxi, Vec2};
 
     /// Two nodes oscillating toward and away from each other.
     struct PingPong {
@@ -167,9 +167,9 @@ mod tests {
     fn ordering_and_pair_normalization() {
         let mut rng = Xoshiro256::seed_from_u64(21);
         let field = Field::new(200.0, 200.0);
-        let mut m = RandomWaypoint::new(10, field, 5.0..10.0, 0.0..1.0, &mut rng);
+        let mut m = GridTaxi::new(10, field, 50.0, 5.0..10.0, 0.0..1.0, &mut rng);
         let sightings = detect_contacts(&mut m, 500.0, 0.5, 20.0, &mut rng);
-        assert!(!sightings.is_empty(), "10 nodes on a small field must meet");
+        assert!(!sightings.is_empty(), "10 taxis on a small grid must meet");
         for w in sightings.windows(2) {
             assert!(w[0].time <= w[1].time);
         }
@@ -183,7 +183,7 @@ mod tests {
         let run = |n: usize| {
             let mut rng = Xoshiro256::seed_from_u64(33);
             let field = Field::new(300.0, 300.0);
-            let mut m = RandomWaypoint::new(n, field, 5.0..10.0, 0.0..1.0, &mut rng);
+            let mut m = GridTaxi::new(n, field, 50.0, 5.0..10.0, 0.0..1.0, &mut rng);
             detect_contacts(&mut m, 300.0, 0.5, 15.0, &mut rng).len()
         };
         assert!(run(20) > run(5));
@@ -194,7 +194,7 @@ mod tests {
     fn rejects_nonpositive_radius() {
         let mut rng = Xoshiro256::seed_from_u64(0);
         let field = Field::new(10.0, 10.0);
-        let mut m = RandomWaypoint::new(2, field, 1.0..2.0, 0.0..1.0, &mut rng);
+        let mut m = GridTaxi::new(2, field, 5.0, 1.0..2.0, 0.0..1.0, &mut rng);
         let _ = detect_contacts(&mut m, 1.0, 0.1, 0.0, &mut rng);
     }
 }

@@ -1,6 +1,6 @@
 //! # impatience-mobility
 //!
-//! 2-D mobility models and geometric contact detection for opportunistic-
+//! A 2-D mobility model and geometric contact detection for opportunistic-
 //! network simulation.
 //!
 //! The paper evaluates its replication schemes on two real traces —
@@ -9,8 +9,6 @@
 //! provides the *mobility substrate* from which equivalent synthetic
 //! traces are generated (see `impatience-traces::gen::vehicular`):
 //!
-//! * [`RandomWaypoint`] — the classic random-waypoint model on a
-//!   rectangular field, with per-trip speeds and pause times;
 //! * [`GridTaxi`] — vehicles driving L-shaped routes on a Manhattan road
 //!   grid (a Cabspotting stand-in: strongly heterogeneous meeting rates
 //!   driven by geography, corridor re-meeting bursts, long disconnections);
@@ -19,7 +17,7 @@
 //!
 //! ```
 //! use impatience_core::rng::Xoshiro256;
-//! use impatience_mobility::{detect_contacts, Field, GridTaxi, RandomWaypoint};
+//! use impatience_mobility::{detect_contacts, Field, GridTaxi};
 //!
 //! let mut rng = Xoshiro256::seed_from_u64(7);
 //! let field = Field::new(5_000.0, 5_000.0);
@@ -29,7 +27,6 @@
 //! for s in &sightings {
 //!     assert!(s.a != s.b && s.time <= 3_600.0);
 //! }
-//! # let _ = RandomWaypoint::new(3, field, 1.0..2.0, 0.0..1.0, &mut rng);
 //! ```
 
 #![warn(missing_docs)]
@@ -40,16 +37,12 @@ mod detect;
 mod field;
 mod grid;
 mod grid_index;
-mod levy;
-mod rwp;
 mod vec2;
 
 pub use detect::{detect_contacts, Sighting};
 pub use field::Field;
 pub use grid::GridTaxi;
 pub use grid_index::SpatialGrid;
-pub use levy::LevyWalk;
-pub use rwp::RandomWaypoint;
 pub use vec2::Vec2;
 
 use impatience_core::rng::Xoshiro256;

@@ -35,7 +35,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use impatience_core::demand::{DemandProfile, Popularity};
-use impatience_core::solver::fixed::{dominant, proportional, sqrt_proportional, uniform};
 use impatience_core::utility::parse_utility;
 use impatience_json::Json;
 use impatience_obs::stream::{EventStream, StreamSink};
@@ -152,13 +151,9 @@ impl JobSpec {
         if self.trials == 0 {
             return Err(ApiError::Config("`trials` must be ≥ 1".into()));
         }
-        parse_utility(&self.utility).map_err(|e| ApiError::Config(e.to_string()))?;
-        match self.policy.as_str() {
-            "qcr" | "passive" | "uni" | "sqrt" | "prop" | "dom" => Ok(()),
-            other => Err(ApiError::Config(format!(
-                "unknown policy `{other}` (expected qcr, passive, uni, sqrt, prop, dom)"
-            ))),
-        }
+        // The utility grammar and the policy names are `build`'s to know:
+        // what it accepts is what a job can run.
+        self.build().map(drop)
     }
 
     /// Serialize for persistence and status reports.
@@ -186,23 +181,11 @@ impl JobSpec {
         let policy = match self.policy.as_str() {
             "qcr" => PolicyKind::qcr_default(),
             "passive" => PolicyKind::Passive { replicas: 1.0 },
-            "uni" => PolicyKind::Static {
-                label: "UNI",
-                counts: uniform(self.items, self.nodes, self.rho),
-            },
-            "sqrt" => PolicyKind::Static {
-                label: "SQRT",
-                counts: sqrt_proportional(&demand, self.nodes, self.rho),
-            },
-            "prop" => PolicyKind::Static {
-                label: "PROP",
-                counts: proportional(&demand, self.nodes, self.rho),
-            },
-            "dom" => PolicyKind::Static {
-                label: "DOM",
-                counts: dominant(&demand, self.nodes, self.rho),
-            },
-            other => return Err(ApiError::Config(format!("unknown policy `{other}`"))),
+            name => PolicyKind::fixed(name, &demand, self.nodes, self.rho).ok_or_else(|| {
+                ApiError::Config(format!(
+                    "unknown policy `{name}` (expected qcr, passive, uni, sqrt, prop, dom)"
+                ))
+            })?,
         };
         let config = SimConfig::builder(self.items, self.rho)
             .demand(demand)

@@ -15,7 +15,9 @@ pub use static_alloc::StaticAllocation;
 use std::sync::Arc;
 
 use impatience_core::allocation::ReplicaCounts;
+use impatience_core::demand::DemandRates;
 use impatience_core::rng::Xoshiro256;
+use impatience_core::solver::fixed::{dominant, proportional, sqrt_proportional, uniform};
 use impatience_core::utility::DelayUtility;
 
 use crate::metrics::Metrics;
@@ -94,6 +96,36 @@ impl PolicyKind {
         PolicyKind::Qcr(QcrConfig::default())
     }
 
+    /// The names [`PolicyKind::fixed`] knows, in §6.1's reporting order.
+    pub const FIXED: [&'static str; 4] = ["uni", "sqrt", "prop", "dom"];
+
+    /// The rate-blind allocation called `name` (§6.1's UNI, SQRT, PROP,
+    /// DOM) pinned over `servers` caches of `rho` slots; `None` for any
+    /// other name. Every front end that takes a policy name — the CLI,
+    /// the job API, the experiment suites — reads these four from here.
+    pub fn fixed(name: &str, demand: &DemandRates, servers: usize, rho: usize) -> Option<Self> {
+        let items = demand.items();
+        Some(match name {
+            "uni" => PolicyKind::Static {
+                label: "UNI",
+                counts: uniform(items, servers, rho),
+            },
+            "sqrt" => PolicyKind::Static {
+                label: "SQRT",
+                counts: sqrt_proportional(demand, servers, rho),
+            },
+            "prop" => PolicyKind::Static {
+                label: "PROP",
+                counts: proportional(demand, servers, rho),
+            },
+            "dom" => PolicyKind::Static {
+                label: "DOM",
+                counts: dominant(demand, servers, rho),
+            },
+            _ => return None,
+        })
+    }
+
     /// Label for reports.
     pub fn label(&self) -> String {
         match self {
@@ -135,7 +167,7 @@ impl PolicyKind {
         mu_ref: f64,
         items: usize,
         rho: usize,
-        demand: &impatience_core::demand::DemandRates,
+        demand: &DemandRates,
     ) -> Box<dyn ReplicationPolicy> {
         assert!(servers <= nodes, "need servers ≤ nodes");
         if let Some(cfg) = self.qcr_config() {
@@ -186,5 +218,23 @@ mod tests {
         };
         assert_eq!(s.label(), "UNI");
         assert_eq!(PolicyKind::Passive { replicas: 1.0 }.label(), "PASSIVE(1)");
+    }
+
+    #[test]
+    fn fixed_names_pin_the_whole_budget() {
+        let demand = impatience_core::demand::Popularity::pareto(6, 1.0).demand_rates(1.0);
+        let labels: Vec<String> = PolicyKind::FIXED
+            .iter()
+            .map(|name| {
+                let policy = PolicyKind::fixed(name, &demand, 10, 2).expect(name);
+                let PolicyKind::Static { counts, .. } = &policy else {
+                    panic!("{name} is not a static allocation");
+                };
+                assert_eq!(counts.total(), 20, "{name}");
+                policy.label()
+            })
+            .collect();
+        assert_eq!(labels, ["UNI", "SQRT", "PROP", "DOM"]);
+        assert!(PolicyKind::fixed("opt", &demand, 10, 2).is_none());
     }
 }

@@ -455,7 +455,9 @@ REPRODUCTION (reproduce; deterministic, seeds live in the specs):
   and writes each results/NAME.csv atomically with a provenance manifest
   sibling (spec hash, seeds, trials, git revision) at
   NAME.manifest.json. Select specs by name (`reproduce fig4 table1`), by
-  figure (`--fig 4`), or all of them (`--all`).
+  figure (`--fig 4`), or all of them (`--all`). Every selected spec is
+  held to the simulator's config rules before the first one runs; a
+  setting it refuses exits 3 with no artifact written.
   --list             show every spec with its outputs instead of running
   --check            regenerate into a scratch directory and byte-compare
                      against the committed CSVs; any drift exits 11
@@ -1015,8 +1017,6 @@ impl Scenario {
         nodes: usize,
         opt: impl FnOnce() -> Result<ReplicaCounts, CliError>,
     ) -> Result<PolicyKind, CliError> {
-        let (items, rho, demand) = (self.items, self.rho, &self.demand);
-        let fixed = |label, counts| PolicyKind::Static { label, counts };
         let name = args.options.get("policy").map_or("qcr", String::as_str);
         Ok(match name {
             "qcr" => PolicyKind::qcr_default(),
@@ -1025,17 +1025,16 @@ impl Scenario {
                 ..Default::default()
             }),
             "passive" => PolicyKind::Passive { replicas: 1.0 },
-            "opt" => fixed("OPT", opt()?),
-            "uni" => fixed("UNI", uniform(items, nodes, rho)),
-            "sqrt" => fixed("SQRT", sqrt_proportional(demand, nodes, rho)),
-            "prop" => fixed("PROP", proportional(demand, nodes, rho)),
-            "dom" => fixed("DOM", dominant(demand, nodes, rho)),
-            other => {
-                return Err(CliError::Usage(format!(
+            "opt" => PolicyKind::Static {
+                label: "OPT",
+                counts: opt()?,
+            },
+            other => PolicyKind::fixed(other, &self.demand, nodes, self.rho).ok_or_else(|| {
+                CliError::Usage(format!(
                     "unknown policy `{other}` \
                      (qcr | qcr-no-routing | opt | uni | sqrt | prop | dom | passive)"
-                )))
-            }
+                ))
+            })?,
         })
     }
 }
@@ -2132,6 +2131,11 @@ fn reproduce(args: &Args, invocation: &[String]) -> Result<(), CliError> {
         }
         return Ok(());
     }
+    // A setting the simulator would refuse fails here, before the first
+    // trial of the first spec, not at the cell that reaches it.
+    for spec in &selected {
+        spec.validate()?;
+    }
 
     let check = args.options.contains_key("check");
     let baseline_dir = PathBuf::from(
@@ -2217,7 +2221,6 @@ impl ReproRun<'_> {
         for spec in self.selected {
             println!("── {} — {}", spec.name, spec.title);
             let plan = spec.plan()?;
-            outcome.trials_total += plan.trials * plan.cells.len().max(1);
             let mut ctx = ExecContext {
                 out_dir: self.run_dir.to_path_buf(),
                 checkpoint_dir: self.checkpoint_dir.clone(),
@@ -2236,6 +2239,7 @@ impl ReproRun<'_> {
                 .profile(ctx.rec, report.artifacts.first().map(PathBuf::as_path))?;
             outcome.specs += 1;
             outcome.artifacts += report.artifacts.len();
+            outcome.trials_total += plan.trials * report.cells;
             for (cell, msg) in report.skipped {
                 outcome.skipped.push((format!("{}:{cell}", spec.name), msg));
             }

@@ -8,7 +8,7 @@
 //!
 //! * [`core`] (`impatience-core`) — delay-utility functions, social
 //!   welfare, and optimal cache-allocation solvers;
-//! * [`mobility`] (`impatience-mobility`) — 2-D mobility models and
+//! * [`mobility`] (`impatience-mobility`) — grid-road taxi mobility and
 //!   geometric contact detection;
 //! * [`traces`] (`impatience-traces`) — contact-trace generation,
 //!   statistics, resynthesis, and I/O;

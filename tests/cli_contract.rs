@@ -434,6 +434,31 @@ fn reproduce_verbose() {
     case.finish();
 }
 
+/// What `--list` says is what runs: one row per fixture spec, its cell
+/// count the kind's own enumeration (`crates/exp/tests/cells.rs` holds
+/// the runs to it). Listing validates nothing, so `bad_degraded` is a row.
+#[test]
+fn reproduce_list() {
+    let mut case = Case::new("reproduce_list");
+    case.run("reproduce --list --specs FIXTURE_SPECS");
+    case.finish();
+}
+
+/// A setting the simulator refuses fails before the first trial, as a
+/// config error: no CSV, no event file, nothing under `out/`.
+#[test]
+fn reproduce_refuses_a_bad_fault_sweep() {
+    let mut case = Case::new("reproduce_refuses_a_bad_fault_sweep");
+    let run = case
+        .run("reproduce tiny bad_degraded --trace-out events.jsonl --specs FIXTURE_SPECS -o out");
+    let mut left = Vec::new();
+    list_files(&case.dir, &case.dir, &mut left);
+    case.finish();
+    assert_eq!(run.code, 3, "{}", run.stderr);
+    assert!(run.stderr.contains("drop probability 0.995 exceeds"));
+    assert!(left.is_empty(), "{left:?}");
+}
+
 /// Each usage error names every valid choice, and says it once.
 #[test]
 fn usage_messages() {

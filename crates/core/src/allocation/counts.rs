@@ -83,11 +83,6 @@ impl ReplicaCounts {
         self.counts[i] -= 1;
     }
 
-    /// Whether the allocation satisfies the global budget `Σ x_i ≤ ρ|S|`.
-    pub fn fits_budget(&self, rho: usize) -> bool {
-        self.total() <= (rho * self.servers) as u64
-    }
-
     /// Fraction of the total slot budget in use.
     pub fn utilization(&self, rho: usize) -> f64 {
         let budget = (rho * self.servers) as f64;
@@ -136,10 +131,8 @@ mod tests {
     }
 
     #[test]
-    fn budget_and_utilization() {
+    fn utilization_is_the_budget_share() {
         let x = ReplicaCounts::new(vec![5, 3, 2], 5);
-        assert!(x.fits_budget(2)); // budget 10, total 10
-        assert!(!x.fits_budget(1)); // budget 5
         assert!((x.utilization(2) - 1.0).abs() < 1e-12);
         assert!((x.utilization(4) - 0.5).abs() < 1e-12);
     }

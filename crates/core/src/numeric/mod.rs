@@ -12,7 +12,5 @@ mod roots;
 pub mod tolerances;
 
 pub use gamma::gamma;
-pub use quadrature::{
-    integrate, integrate_semi_infinite, integrate_semi_infinite_singular, QuadratureError,
-};
+pub use quadrature::{integrate, integrate_semi_infinite_singular, QuadratureError};
 pub use roots::{brent, brent_between, BracketError};

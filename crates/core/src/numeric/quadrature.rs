@@ -93,26 +93,9 @@ pub fn integrate(
     Ok(sign * v)
 }
 
-/// Integrate `f` over `[0, ∞)` assuming `f` eventually decays fast enough
-/// for dyadic window sums to converge (true for `e^{−λt}` envelopes).
-///
-/// `scale` sets the width of the first window — pass a characteristic time
-/// of the integrand (e.g. `1/λ`); the result is insensitive to the exact
-/// choice. `tol` is the absolute tolerance.
-pub fn integrate_semi_infinite(
-    f: impl FnMut(f64) -> f64,
-    scale: f64,
-    tol: f64,
-) -> Result<f64, QuadratureError> {
-    let scale = if scale.is_finite() && scale > 0.0 {
-        scale
-    } else {
-        1.0
-    };
-    integrate_tail(f, 0.0, scale, tol)
-}
-
-/// Dyadic-window integration of `f` over `[start, ∞)`.
+/// Dyadic-window integration of `f` over `[start, ∞)`, assuming `f`
+/// eventually decays fast enough for the window sums to converge (true
+/// for `e^{−λt}` envelopes); `scale` is the first window's width.
 fn integrate_tail(
     mut f: impl FnMut(f64) -> f64,
     start: f64,
@@ -153,6 +136,10 @@ fn integrate_tail(
 /// smooth tail `[scale, ∞)` is integrated without substitution so that
 /// exponential decay is resolved at its natural width. The point `t = 0`
 /// contributes zero and is short-circuited.
+///
+/// `scale` should be a characteristic time of the integrand (e.g. `1/λ`);
+/// the result is insensitive to the exact choice. `tol` is the absolute
+/// tolerance.
 pub fn integrate_semi_infinite_singular(
     mut f: impl FnMut(f64) -> f64,
     scale: f64,
@@ -220,7 +207,8 @@ mod tests {
     #[test]
     fn semi_infinite_exponential() {
         for lambda in [0.1, 1.0, 5.0, 40.0] {
-            let v = integrate_semi_infinite(|t| (-lambda * t).exp(), 1.0 / lambda, 1e-10).unwrap();
+            let v = integrate_semi_infinite_singular(|t| (-lambda * t).exp(), 1.0 / lambda, 1e-10)
+                .unwrap();
             close(v, 1.0 / lambda, 1e-7);
         }
     }
@@ -228,18 +216,18 @@ mod tests {
     #[test]
     fn semi_infinite_gamma_like() {
         // ∫ t e^{−t} dt = 1
-        let v = integrate_semi_infinite(|t| t * (-t).exp(), 1.0, 1e-10).unwrap();
+        let v = integrate_semi_infinite_singular(|t| t * (-t).exp(), 1.0, 1e-10).unwrap();
         close(v, 1.0, 1e-8);
         // ∫ t² e^{−2t} dt = 2/8 = 0.25
-        let v = integrate_semi_infinite(|t| t * t * (-2.0 * t).exp(), 0.5, 1e-10).unwrap();
+        let v = integrate_semi_infinite_singular(|t| t * t * (-2.0 * t).exp(), 0.5, 1e-10).unwrap();
         close(v, 0.25, 1e-8);
     }
 
     #[test]
     fn semi_infinite_handles_bad_scale() {
-        let v = integrate_semi_infinite(|t| (-t).exp(), f64::NAN, 1e-9).unwrap();
+        let v = integrate_semi_infinite_singular(|t| (-t).exp(), f64::NAN, 1e-9).unwrap();
         close(v, 1.0, 1e-6);
-        let v = integrate_semi_infinite(|t| (-t).exp(), 0.0, 1e-9).unwrap();
+        let v = integrate_semi_infinite_singular(|t| (-t).exp(), 0.0, 1e-9).unwrap();
         close(v, 1.0, 1e-6);
     }
 
@@ -257,13 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn singular_matches_regular_for_smooth_integrands() {
-        let a = integrate_semi_infinite(|t| t * (-2.0 * t).exp(), 0.5, 1e-10).unwrap();
-        let b = integrate_semi_infinite_singular(|t| t * (-2.0 * t).exp(), 0.5, 1e-10).unwrap();
-        close(a, b, 1e-7);
-    }
-
-    #[test]
     fn nan_integrand_reports_error() {
         let err = integrate(|t| if t > 0.5 { f64::NAN } else { 1.0 }, 0.0, 1.0, 1e-9);
         assert_eq!(err.unwrap_err(), QuadratureError::NotFinite);
@@ -271,7 +252,7 @@ mod tests {
 
     #[test]
     fn nonconvergent_tail_reports_error() {
-        let err = integrate_semi_infinite(|_| 1.0, 1.0, 1e-9);
+        let err = integrate_semi_infinite_singular(|_| 1.0, 1.0, 1e-9);
         assert_eq!(err.unwrap_err(), QuadratureError::TailDiverged);
     }
 

@@ -82,11 +82,6 @@ impl ContactRates {
         let total: f64 = self.rates.iter().sum();
         total / (self.nodes * (self.nodes - 1)) as f64
     }
-
-    /// Total meeting rate of node `a` with all others.
-    pub fn node_degree(&self, a: usize) -> f64 {
-        (0..self.nodes).map(|b| self.rate(a, b)).sum()
-    }
 }
 
 /// A heterogeneous system: which nodes serve, which request, at what rates.
@@ -227,7 +222,6 @@ mod tests {
         assert_eq!(r.rate(1, 2), 0.1);
         r.set_rate(1, 2, 0.5);
         assert_eq!(r.rate(2, 1), 0.5);
-        assert!((r.node_degree(1) - (0.1 + 0.5 + 0.1)).abs() < 1e-12);
         let mean = r.mean_rate();
         assert!(mean > 0.1 && mean < 0.2);
     }

@@ -116,7 +116,7 @@ impl Kind for AllocExponentSpec {
             let utility = Power::new(alpha);
             let relaxed = relaxed_optimum(&system, &demand, &utility);
             let fitted = fit_slope(demand.rates(), &relaxed.x);
-            let expect = 1.0 / (2.0 - alpha);
+            let expect = utility.allocation_exponent();
             rows.push(format!("{alpha},{fitted},{expect}"));
         }
         let relaxed = relaxed_optimum(&system, &demand, &NegLog::new());

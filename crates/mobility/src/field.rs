@@ -1,7 +1,6 @@
 //! The rectangular simulation area.
 
 use crate::Vec2;
-use impatience_core::rng::Xoshiro256;
 
 /// An axis-aligned rectangular field `[0, width] × [0, height]`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,11 +42,6 @@ impl Field {
         Vec2::new(p.x.clamp(0.0, self.width), p.y.clamp(0.0, self.height))
     }
 
-    /// A uniformly random point inside the field.
-    pub fn random_point(&self, rng: &mut Xoshiro256) -> Vec2 {
-        Vec2::new(rng.range(0.0, self.width), rng.range(0.0, self.height))
-    }
-
     /// The field diagonal (an upper bound on any pairwise distance).
     pub fn diagonal(&self) -> f64 {
         self.width.hypot(self.height)
@@ -67,15 +61,6 @@ mod tests {
         assert!(!f.contains(Vec2::new(1.0, -0.1)));
         assert_eq!(f.clamp(Vec2::new(12.0, -3.0)), Vec2::new(10.0, 0.0));
         assert_eq!(f.diagonal(), (125.0f64).sqrt());
-    }
-
-    #[test]
-    fn random_points_are_inside() {
-        let f = Field::new(3.0, 7.0);
-        let mut rng = Xoshiro256::seed_from_u64(1);
-        for _ in 0..1000 {
-            assert!(f.contains(f.random_point(&mut rng)));
-        }
     }
 
     #[test]

@@ -49,16 +49,6 @@ impl Vec2 {
             self / n
         }
     }
-
-    /// Dot product.
-    pub fn dot(self, other: Vec2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
-    /// Linear interpolation: `self + t·(other − self)`.
-    pub fn lerp(self, other: Vec2, t: f64) -> Vec2 {
-        self + (other - self) * t
-    }
 }
 
 impl Add for Vec2 {
@@ -137,7 +127,6 @@ mod tests {
         assert_eq!(a.norm_sq(), 25.0);
         assert_eq!(a.distance(Vec2::ZERO), 5.0);
         assert_eq!(a.distance_sq(Vec2::ZERO), 25.0);
-        assert_eq!(a.dot(Vec2::new(1.0, 1.0)), 7.0);
     }
 
     #[test]
@@ -146,14 +135,5 @@ mod tests {
         let u = Vec2::new(0.0, -9.0).normalized();
         assert!((u.norm() - 1.0).abs() < 1e-15);
         assert_eq!(u, Vec2::new(0.0, -1.0));
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Vec2::new(0.0, 0.0);
-        let b = Vec2::new(2.0, 4.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec2::new(1.0, 2.0));
     }
 }

@@ -4,13 +4,15 @@
 //! crate: one kernel runs one trial on one thread, driving independent
 //! node state machines (`node::Node`) through a single
 //! time-ordered event queue — message deliveries, link closures, node
-//! timers, churn toggles, chaos injections, and supervisor sweeps. All
-//! nondeterminism comes from seeded RNG streams (the trial RNG for
-//! demand, one forked stream per node, and the PR 3 fault-seed
-//! discipline for transport chaos), so a trial is a pure function of
-//! `(config, source, net, seed)` — the same property the in-process
-//! engine has, which is what makes differential verification against it
-//! meaningful.
+//! timers, churn toggles, chaos injections, and supervisor sweeps.
+//!
+//! Around the protocol the kernel runs the engine's code, as a third
+//! driver of its [`Frame`]: seeding, [`Demand`], admission, contact and
+//! cache faults, settlement. Its own are the queue, the transport, the
+//! node tasks and their request registry, churn and chaos, the
+//! supervisor, the deadline sweeps and the conservation audit. So a
+//! trial is a pure function of `(config, source, net, seed)`, like the
+//! engine's, which is what makes differential verification meaningful.
 //!
 //! The transport is an *unreliable link* abstraction: a contact from the
 //! [`ContactSource`] opens a link for [`NetConfig::window`] minutes;
@@ -22,15 +24,13 @@
 
 use std::collections::{BTreeMap, BinaryHeap};
 
-use impatience_core::rng::{AliasTable, Xoshiro256};
+use impatience_core::rng::Xoshiro256;
 use impatience_obs::{Recorder, Sink};
 use impatience_sim::config::{ContactSource, SimConfig};
-use impatience_sim::contact_bin::BatchedContacts;
-use impatience_sim::engine::settlement_gain;
-use impatience_sim::faults::{FaultState, MsgFaults, MSG_STREAM_ID};
-use impatience_sim::policy::QcrRules;
+use impatience_sim::engine::{seed_trial, Demand, Frame, TrialOutcome};
+use impatience_sim::faults::{MsgFaults, MSG_STREAM_ID};
+use impatience_sim::policy::{PolicyKind, QcrRules};
 use impatience_sim::state::SimState;
-use impatience_sim::Metrics;
 
 use crate::config::{ChaosKind, NetConfig};
 use crate::error::NetError;
@@ -168,10 +168,9 @@ pub struct ReqRecord {
 /// Result of one distributed trial.
 #[derive(Clone, Debug)]
 pub struct NetTrialOutcome {
-    /// The same welfare accounting the engine produces.
-    pub metrics: Metrics,
-    /// Replica counts at quiesce.
-    pub final_replicas: Vec<u32>,
+    /// What the engine's trial yields: its metrics, the replica counts at
+    /// quiesce, the policy label.
+    pub outcome: TrialOutcome,
     /// Transport and protocol counters.
     pub stats: NetStats,
     /// The (passing) mandate audit.
@@ -241,6 +240,16 @@ impl Queue {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(QEntry { t, seq, ev });
+    }
+
+    /// Arm `timer` of `node`'s `incarnation` to fire at `t`.
+    fn timer(&mut self, t: f64, node: u32, incarnation: u32, timer: Timer) {
+        let ev = Ev::Timer {
+            node,
+            incarnation,
+            timer,
+        };
+        self.push(t, ev);
     }
 }
 
@@ -366,13 +375,14 @@ pub fn run_net_trial(
 
 /// Run one distributed trial with instrumentation.
 ///
-/// Deterministic by `(config, source, net, seed)`: the trial RNG seeds
-/// the contact stream and sticky fill in the engine's order, per-node
-/// RNGs fork off it, and transport chaos runs on the PR 3 fault-seed
-/// discipline — so results are independent of how many worker threads a
+/// Deterministic by `(config, source, net, seed)`: the trial begins as the
+/// engine's QCR trial on the same seed does ([`seed_trial`],
+/// [`Frame::begin`], [`Demand::arrivals`]), then forks one RNG stream per
+/// node off the trial RNG; transport chaos runs on streams keyed by the
+/// fault seed — so results are independent of how many worker threads a
 /// batch uses.
 #[allow(clippy::too_many_lines)]
-pub fn run_net_trial_observed<S: Sink>(
+pub(crate) fn run_net_trial_observed<S: Sink>(
     config: &SimConfig,
     source: &ContactSource,
     net: &NetConfig,
@@ -380,55 +390,32 @@ pub fn run_net_trial_observed<S: Sink>(
     rec: &mut Recorder<S>,
 ) -> Result<NetTrialOutcome, NetError> {
     net.validate()?;
-    let wall_start = rec.is_active().then(std::time::Instant::now);
-    rec.trial_start();
-
-    // --- mirror the engine's trial initialization order exactly ---
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let mut contacts = BatchedContacts::new(source.stream(&mut rng));
-    let n_nodes = contacts.nodes();
-    let duration = contacts.duration();
+    let (rng, mut contacts) = seed_trial(source, seed);
+    let (n_nodes, duration) = (contacts.nodes(), contacts.duration());
     let config = config
         .try_resolved(n_nodes)
         .map_err(|e| NetError::Config(e.to_string()))?;
-
-    let servers = config.dedicated_servers.unwrap_or(n_nodes);
-    let client_base = if config.dedicated_servers.is_some() {
-        servers
-    } else {
-        0
-    };
-    let mut state = match config.dedicated_servers {
-        Some(k) => SimState::new_dedicated(n_nodes, k, config.items, config.rho),
-        None => SimState::new(n_nodes, config.items, config.rho),
-    };
-    state.set_eviction(config.eviction);
-    state.seed_sticky_and_fill(&mut rng);
-
-    let utility = config.utility.clone();
-    let protocol = config
-        .protocol_utility
-        .clone()
-        .unwrap_or_else(|| config.utility.clone());
-    let rules = QcrRules::new(
-        net.qcr.clone(),
-        protocol,
-        servers,
+    let mut state = SimState::default();
+    let (mut frame, _) = Frame::begin(
+        &config,
+        &PolicyKind::Qcr(net.qcr.clone()),
+        n_nodes,
         source.mean_rate(),
-        config.items,
-        config.rho,
+        duration,
+        rng,
+        seed,
+        rec,
+        &mut state,
     );
+    let mut demand = Demand::arrivals(&config, &mut frame.rng);
 
-    // The full fault config drives contact admission and cache faults —
-    // the *same* streams the engine consumes, so contacts involving
-    // churned-down nodes vanish in both runtimes at the same instants.
-    let mut faults = config
-        .faults
-        .as_ref()
-        .and_then(|f| f.for_trial(seed))
-        .map(|f| FaultState::new(f, n_nodes, servers, duration, seed));
-    // Churn additionally crashes/restarts the node *tasks* here (the
-    // engine only suppresses contacts): same schedule, same seeds.
+    let rules = QcrRules::for_trial(net.qcr.clone(), &config, n_nodes, source.mean_rate());
+
+    // The frame's fault state drives contact admission and cache faults
+    // on the engine's own streams, so contacts involving churned-down
+    // nodes vanish in both runtimes at the same instants. Churn
+    // additionally crashes/restarts the node *tasks* here (the engine
+    // only suppresses contacts): same schedule, same seeds.
     let churn_toggles = config
         .faults
         .as_ref()
@@ -443,20 +430,9 @@ pub fn run_net_trial_observed<S: Sink>(
     let fault_rng =
         Xoshiro256::seed_from_u64(seed ^ fault_seed.rotate_left(23)).split(MSG_STREAM_ID);
 
-    let mut metrics = Metrics::new(duration, config.bin);
-    let mut shifts = config.demand_shifts.iter().peekable();
-    let mut current_demand = &config.demand;
-    let mut total_rate = current_demand.total();
-    let mut item_sampler = (total_rate > 0.0).then(|| AliasTable::new(current_demand.rates()));
-    let mut next_request = if total_rate > 0.0 {
-        rng.exp(total_rate)
-    } else {
-        f64::INFINITY
-    };
-
     // --- node tasks ---
     let mut nodes: Vec<Node> = (0..n_nodes)
-        .map(|i| Node::new(i as u32, rng.split(NODE_STREAM_ID ^ i as u64)))
+        .map(|i| Node::new(i as u32, frame.rng.split(NODE_STREAM_ID ^ i as u64)))
         .collect();
     let mut q = Queue {
         heap: BinaryHeap::new(),
@@ -484,22 +460,8 @@ pub fn run_net_trial_observed<S: Sink>(
     for node in nodes.iter_mut() {
         let hb = net.heartbeat_every * (0.5 + 0.5 * node.rng.f64());
         let ck = net.checkpoint_every * (0.5 + 0.5 * node.rng.f64());
-        q.push(
-            hb,
-            Ev::Timer {
-                node: node.id,
-                incarnation: 0,
-                timer: Timer::Heartbeat,
-            },
-        );
-        q.push(
-            ck,
-            Ev::Timer {
-                node: node.id,
-                incarnation: 0,
-                timer: Timer::Checkpoint,
-            },
-        );
+        q.timer(hb, node.id, 0, Timer::Heartbeat);
+        q.timer(ck, node.id, 0, Timer::Checkpoint);
     }
 
     let mut transport = Transport {
@@ -536,14 +498,14 @@ pub fn run_net_trial_observed<S: Sink>(
                 let mut c = Ctx {
                     t: $t,
                     state: &mut state,
-                    metrics: &mut metrics,
+                    metrics: &mut frame.metrics,
                     stats: &mut stats,
                     ledger: &mut ledger,
                     registry: &mut registry,
                     out: &mut out,
                     timers: &mut timers,
-                    rec: &mut *rec,
-                    utility: utility.as_ref(),
+                    rec: &mut *frame.rec,
+                    utility: config.utility.as_ref(),
                     rules: &rules,
                     cfg: net,
                     next_xfer: &mut next_xfer,
@@ -552,11 +514,11 @@ pub fn run_net_trial_observed<S: Sink>(
                 nodes[id].$call(&mut c, $($arg),*);
             }
             for (to, msg) in out.drain(..) {
-                transport.send($t, $node, to, &msg, &mut q, &mut stats, rec, &mut fatal);
+                transport.send($t, $node, to, &msg, &mut q, &mut stats, frame.rec, &mut fatal);
             }
             let inc = nodes[id].incarnation;
             for (ft, timer) in timers.drain(..) {
-                q.push(ft, Ev::Timer { node: $node, incarnation: inc, timer });
+                q.timer(ft, $node, inc, timer);
             }
         }};
     }
@@ -565,17 +527,33 @@ pub fn run_net_trial_observed<S: Sink>(
         ($t:expr, $ids:expr) => {
             for id in $ids {
                 let r = &mut registry[id as usize];
-                if r.fulfilled || r.settled {
-                    continue;
+                if !r.fulfilled && !r.settled {
+                    r.lost = true;
+                    r.settled = true;
+                    stats.requests_expired += 1;
+                    frame.settle($t, r.node, r.item, $t - r.created);
                 }
-                r.lost = true;
-                r.settled = true;
-                stats.requests_expired += 1;
-                let age = ($t - r.created).max(f64::MIN_POSITIVE);
-                metrics.record_settlement($t, settlement_gain(utility.as_ref(), age));
-                rec.unfulfilled($t, r.node, r.item, age);
             }
         };
+    }
+
+    // A node task crashes (churn schedule or chaos kill) unless it is
+    // down or condemned already; its unsaved requests are lost.
+    macro_rules! crash {
+        ($t:expr, $node:expr) => {{
+            let idx = $node as usize;
+            if nodes[idx].alive && !condemned[idx] {
+                nodes[idx].stalled = false;
+                let lost = nodes[idx].crash();
+                for id in &lost {
+                    registry[*id as usize].lost = true;
+                }
+                stats.crashes += 1;
+                frame
+                    .rec
+                    .fault($t, "net_node_crash", $node, lost.len() as u32);
+            }
+        }};
     }
 
     loop {
@@ -584,74 +562,47 @@ pub fn run_net_trial_observed<S: Sink>(
         }
         let next_contact_t = contacts.peek().map_or(f64::INFINITY, |e| e.time);
         let next_heap_t = q.heap.peek().map_or(f64::INFINITY, |e| e.t);
+        let next_request =
+            demand.next_arrival(next_contact_t.min(next_heap_t), duration, &mut frame.rng);
         let t = next_request.min(next_contact_t).min(next_heap_t);
-        if let Some(&&(shift_t, ref rates)) = shifts.peek() {
-            if shift_t <= t.min(duration) {
-                shifts.next();
-                current_demand = rates;
-                total_rate = current_demand.total();
-                item_sampler = (total_rate > 0.0).then(|| AliasTable::new(current_demand.rates()));
-                next_request = if total_rate > 0.0 {
-                    shift_t + rng.exp(total_rate)
-                } else {
-                    f64::INFINITY
-                };
-                continue;
-            }
-        }
         if !t.is_finite() || t > duration {
             break;
         }
         events += 1;
         if events > event_cap {
             degraded = true;
-            rec.fault(t, "net_event_cap", 0, 0);
+            frame.rec.fault(t, "net_event_cap", 0, 0);
             break;
         }
-        if let Some(fs) = faults.as_mut() {
-            fs.apply_cache_faults(t, &mut state, &mut metrics, rec);
-        }
+        frame.cache_faults(t, &mut state);
 
         if next_request <= next_contact_t && next_request <= next_heap_t {
-            // --- request arrival (the engine's demand process verbatim) ---
-            let sampler = item_sampler.as_ref().expect("arrivals imply demand");
-            let item = sampler.sample(&mut rng) as u32;
-            let origin = client_base + config.profile.sample_origin(item as usize, &mut rng);
-            metrics.requests_created += 1;
-            rec.request(next_request, origin as u32, item);
-            if state.caches.holds(origin, item) {
-                metrics.immediate_hits += 1;
-                metrics.record_fulfillment(next_request, utility.h_zero());
-                rec.immediate_hit(next_request, origin as u32, item);
-            } else {
+            // --- request arrival: the engine's; a waiting request is
+            // handed to its origin's task ---
+            if let Some((created, origin, item)) = frame.arrival(&mut demand, &state) {
                 let req_id = registry.len() as u64;
+                let n = &mut nodes[origin];
+                let alive = n.alive && !n.stalled;
+                if alive {
+                    n.on_request_arrival(req_id, item, created);
+                }
                 registry.push(ReqRecord {
-                    created: next_request,
+                    created,
                     node: origin as u32,
                     item,
                     fulfilled: false,
-                    lost: false,
+                    // With the origin task down nobody will ever query
+                    // for the request: it settles at the horizon.
+                    lost: !alive,
                     settled: false,
                 });
-                let n = &mut nodes[origin];
-                if n.alive && !n.stalled {
-                    n.on_request_arrival(req_id, item, next_request);
-                } else {
-                    // The origin task is down: nobody will ever query
-                    // for this request; it settles at the horizon.
-                    registry[req_id as usize].lost = true;
-                }
             }
-            next_request += rng.exp(total_rate);
         } else if next_contact_t <= next_heap_t {
             // --- contact: open a window, wake both endpoints ---
             let e = contacts.next().expect("peeked above");
-            if let Some(fs) = faults.as_mut() {
-                if !fs.admit_contact(e.time, e.a, e.b, &mut metrics, rec) {
-                    continue;
-                }
+            if !frame.contact(e.time, e.a, e.b) {
+                continue;
             }
-            rec.contact(e.time, e.a, e.b);
             let window = next_window;
             next_window += 1;
             transport.open(e.time, e.a, e.b, window, e.time + net.window);
@@ -713,25 +664,11 @@ pub fn run_net_trial_observed<S: Sink>(
                         Timer::Heartbeat => {
                             last_seen[node as usize] = t;
                             stats.heartbeats += 1;
-                            q.push(
-                                t + net.heartbeat_every,
-                                Ev::Timer {
-                                    node,
-                                    incarnation,
-                                    timer,
-                                },
-                            );
+                            q.timer(t + net.heartbeat_every, node, incarnation, timer);
                         }
                         Timer::Checkpoint => {
                             nodes[node as usize].checkpoint();
-                            q.push(
-                                t + net.checkpoint_every,
-                                Ev::Timer {
-                                    node,
-                                    incarnation,
-                                    timer,
-                                },
-                            );
+                            q.timer(t + net.checkpoint_every, node, incarnation, timer);
                         }
                         Timer::WindowRetry { peer, .. } => {
                             let up = transport.link_up(t, node, peer);
@@ -747,42 +684,17 @@ pub fn run_net_trial_observed<S: Sink>(
                         }
                     }
                 }
-                Ev::ChurnDown { node } => {
-                    let idx = node as usize;
-                    if nodes[idx].alive && !condemned[idx] {
-                        nodes[idx].stalled = false;
-                        let lost = nodes[idx].crash();
-                        for id in &lost {
-                            registry[*id as usize].lost = true;
-                        }
-                        stats.crashes += 1;
-                        rec.fault(t, "net_node_crash", node, lost.len() as u32);
-                    }
-                }
+                Ev::ChurnDown { node } => crash!(t, node),
                 Ev::ChurnUp { node } => {
                     let idx = node as usize;
                     if !nodes[idx].alive && !condemned[idx] {
                         nodes[idx].restart();
                         last_seen[idx] = t;
                         stats.restarts += 1;
-                        rec.fault(t, "net_node_restart", node, 0);
+                        frame.rec.fault(t, "net_node_restart", node, 0);
                         let inc = nodes[idx].incarnation;
-                        q.push(
-                            t + net.heartbeat_every * 0.5,
-                            Ev::Timer {
-                                node,
-                                incarnation: inc,
-                                timer: Timer::Heartbeat,
-                            },
-                        );
-                        q.push(
-                            t + net.checkpoint_every,
-                            Ev::Timer {
-                                node,
-                                incarnation: inc,
-                                timer: Timer::Checkpoint,
-                            },
-                        );
+                        q.timer(t + net.heartbeat_every * 0.5, node, inc, Timer::Heartbeat);
+                        q.timer(t + net.checkpoint_every, node, inc, Timer::Checkpoint);
                         // Re-arm retries for escrow that survived the
                         // crash; the next contact with each peer also
                         // re-drives them.
@@ -793,13 +705,11 @@ pub fn run_net_trial_observed<S: Sink>(
                             .map(|(&id, _)| id)
                             .collect();
                         for x in xfers {
-                            q.push(
+                            q.timer(
                                 t + net.rto_cap * 0.75,
-                                Ev::Timer {
-                                    node,
-                                    incarnation: inc,
-                                    timer: Timer::XferRetry { xfer: x },
-                                },
+                                node,
+                                inc,
+                                Timer::XferRetry { xfer: x },
                             );
                         }
                     }
@@ -809,21 +719,13 @@ pub fn run_net_trial_observed<S: Sink>(
                     let target = c.node as usize;
                     match c.kind {
                         ChaosKind::Kill { down_for } => {
-                            if nodes[target].alive && !condemned[target] {
-                                nodes[target].stalled = false;
-                                let lost = nodes[target].crash();
-                                for id in &lost {
-                                    registry[*id as usize].lost = true;
-                                }
-                                stats.crashes += 1;
-                                rec.fault(t, "net_node_crash", c.node, lost.len() as u32);
-                            }
+                            crash!(t, c.node);
                             q.push(t + down_for, Ev::ChurnUp { node: c.node });
                         }
                         ChaosKind::Stall => {
                             if nodes[target].alive && !nodes[target].stalled {
                                 nodes[target].stalled = true;
-                                rec.fault(t, "net_node_stall", c.node, 0);
+                                frame.rec.fault(t, "net_node_stall", c.node, 0);
                             }
                         }
                     }
@@ -841,7 +743,7 @@ pub fn run_net_trial_observed<S: Sink>(
                             condemned[idx] = true;
                             degraded = true;
                             stats.stalls += 1;
-                            rec.fault(t, "net_node_stalled", idx as u32, 0);
+                            frame.rec.fault(t, "net_node_stalled", idx as u32, 0);
                         }
                     }
                     q.push(t + net.heartbeat_every, Ev::Supervise);
@@ -873,14 +775,10 @@ pub fn run_net_trial_observed<S: Sink>(
     }
 
     // --- quiesce: settle, audit, report ---
-    metrics.unfulfilled = registry.iter().filter(|r| !r.fulfilled).count() as u64;
-    for r in registry.iter_mut().filter(|r| !r.fulfilled && !r.settled) {
-        let age = (duration - r.created).max(f64::MIN_POSITIVE);
-        metrics.record_settlement(duration, settlement_gain(utility.as_ref(), age));
-        rec.unfulfilled(duration, r.node, r.item, age);
-        r.settled = true;
+    frame.metrics.unfulfilled = registry.iter().filter(|r| !r.fulfilled).count() as u64;
+    for r in registry.iter().filter(|r| !r.fulfilled && !r.settled) {
+        frame.settle(duration, r.node, r.item, duration - r.created);
     }
-    metrics.transmissions = state.transmissions;
 
     let pooled: u64 = nodes.iter().flat_map(|n| n.pool.values()).sum();
     let mut escrowed: u64 = 0;
@@ -907,12 +805,8 @@ pub fn run_net_trial_observed<S: Sink>(
         });
     }
 
-    if let Some(start) = wall_start {
-        rec.trial_done(seed, start.elapsed().as_secs_f64());
-    }
     Ok(NetTrialOutcome {
-        metrics,
-        final_replicas: state.replicas.clone(),
+        outcome: frame.finish(&state, None),
         stats,
         conservation,
         degraded,
@@ -939,12 +833,12 @@ mod tests {
         let config = small_config(10, 2);
         let source = ContactSource::homogeneous(10, 0.1, 2_000.0);
         let out = run_net_trial(&config, &source, &NetConfig::default(), 1).unwrap();
-        assert!(out.metrics.requests_created > 500);
+        assert!(out.outcome.metrics.requests_created > 500);
         assert!(
-            out.metrics.fulfillments() > out.metrics.requests_created / 2,
+            out.outcome.metrics.fulfillments() > out.outcome.metrics.requests_created / 2,
             "most requests should be fulfilled ({} of {})",
-            out.metrics.fulfillments(),
-            out.metrics.requests_created
+            out.outcome.metrics.fulfillments(),
+            out.outcome.metrics.requests_created
         );
         assert!(out.stats.msgs_sent > 0);
         assert!(out.stats.handoffs_started > 0, "mandates should move");
@@ -953,9 +847,9 @@ mod tests {
         assert!(!out.degraded);
         assert_eq!(out.stats.msgs_lost, 0, "clean transport loses nothing");
         // The global cache budget and sticky replicas survive.
-        let total: u32 = out.final_replicas.iter().sum();
+        let total: u32 = out.outcome.final_replicas.iter().sum();
         assert_eq!(total, 20, "global cache must stay full");
-        for (i, &r) in out.final_replicas.iter().enumerate() {
+        for (i, &r) in out.outcome.final_replicas.iter().enumerate() {
             assert!(r >= 1, "item {i} lost despite sticky replica");
         }
     }
@@ -967,17 +861,17 @@ mod tests {
         let net = NetConfig::default();
         let a = run_net_trial(&config, &source, &net, 7).unwrap();
         let b = run_net_trial(&config, &source, &net, 7).unwrap();
-        assert_eq!(a.final_replicas, b.final_replicas);
+        assert_eq!(a.outcome.final_replicas, b.outcome.final_replicas);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.conservation, b.conservation);
         assert_eq!(
-            a.metrics.observed_rate_series(),
-            b.metrics.observed_rate_series()
+            a.outcome.metrics.observed_rate_series(),
+            b.outcome.metrics.observed_rate_series()
         );
         let c = run_net_trial(&config, &source, &net, 8).unwrap();
         assert_ne!(
-            a.metrics.observed_rate_series(),
-            c.metrics.observed_rate_series()
+            a.outcome.metrics.observed_rate_series(),
+            c.outcome.metrics.observed_rate_series()
         );
     }
 
@@ -1001,10 +895,10 @@ mod tests {
         assert!(out.stats.retries > 0, "loss should force retries");
         assert!(out.conservation.holds());
         assert!(
-            out.metrics.fulfillments() > out.metrics.requests_created / 3,
+            out.outcome.metrics.fulfillments() > out.outcome.metrics.requests_created / 3,
             "lossy transport still mostly works ({} of {})",
-            out.metrics.fulfillments(),
-            out.metrics.requests_created
+            out.outcome.metrics.fulfillments(),
+            out.outcome.metrics.requests_created
         );
     }
 
@@ -1022,11 +916,11 @@ mod tests {
         let net = NetConfig::default();
         let a = run_net_trial(&clean, &source, &net, 5).unwrap();
         let b = run_net_trial(&zeroed, &source, &net, 5).unwrap();
-        assert_eq!(a.final_replicas, b.final_replicas);
+        assert_eq!(a.outcome.final_replicas, b.outcome.final_replicas);
         assert_eq!(a.stats, b.stats);
         assert_eq!(
-            a.metrics.observed_rate_series(),
-            b.metrics.observed_rate_series()
+            a.outcome.metrics.observed_rate_series(),
+            b.outcome.metrics.observed_rate_series()
         );
     }
 

@@ -1,21 +1,22 @@
 //! Parallel multi-trial runner for the distributed kernel.
 //!
 //! One kernel per trial, trials sharded over OS threads by the engine
-//! runner's pool ([`impatience_sim::runner::run_jobs`]). Trial `k`
-//! uses seed `base_seed + k` — the same convention as
-//! [`impatience_sim::runner::run_trials`], so a net batch and an engine
-//! batch on the same `base_seed` run *paired* randomness: identical
-//! contact streams, sticky fills, and demand arrivals, which is what the
-//! differential oracle leans on. Per-trial tallies and event streams are
-//! absorbed into the caller's recorder **in trial order**, so all
-//! observability output is independent of the worker count.
+//! runner's pool ([`impatience_sim::runner::run_jobs`]). Trial `k` uses
+//! seed `base_seed + k`, as [`impatience_sim::runner::run_trials`] does:
+//! a net and an engine trial on one seed share the contacts, the faults
+//! that drop them, the sticky fill and the first arrival time, not the
+//! rest of the demand (see `impatience_oracle::netdiff`). Tallies and
+//! events reach the caller's recorder **in trial order**, whatever the
+//! worker count.
 
 use std::time::Instant;
 
-use impatience_obs::stats::percentile_sorted;
 use impatience_obs::{Recorder, Sink};
 use impatience_sim::config::{ContactSource, SimConfig};
-use impatience_sim::runner::{default_workers, run_jobs, TrialJob};
+use impatience_sim::engine::TrialOutcome;
+use impatience_sim::runner::{
+    aggregate, default_workers, run_jobs, BatchTelemetry, TrialAggregate, TrialJob,
+};
 
 use crate::config::NetConfig;
 use crate::error::NetError;
@@ -24,16 +25,10 @@ use crate::kernel::{run_net_trial_observed, Conservation, NetStats, NetTrialOutc
 /// Aggregate of many independent distributed trials.
 #[derive(Clone, Debug)]
 pub struct NetAggregate {
-    /// Number of trials.
-    pub trials: usize,
-    /// Post-warm-up average observed gain rate, one entry per trial.
-    pub rates: Vec<f64>,
-    /// Mean of `rates`.
-    pub mean_rate: f64,
-    /// 5th percentile of `rates` (nearest rank).
-    pub p5_rate: f64,
-    /// 95th percentile of `rates` (nearest rank).
-    pub p95_rate: f64,
+    /// The engine's statistics of the trials' outcomes: rates and their
+    /// percentile bands, mean final replicas and counters, batch
+    /// telemetry ([`impatience_sim::runner::aggregate`]).
+    pub aggregate: TrialAggregate,
     /// Transport/protocol counters summed over trials.
     pub stats: NetStats,
     /// Conservation terms summed over trials (each trial already passed
@@ -41,14 +36,6 @@ pub struct NetAggregate {
     pub conservation: Conservation,
     /// Trials that finished degraded (supervisor kill / event cap).
     pub degraded_trials: usize,
-    /// Mean final replica count per item.
-    pub mean_final_replicas: Vec<f64>,
-    /// Mean requests still unfulfilled at the horizon per trial.
-    pub mean_unfulfilled: f64,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Wall-clock seconds for the whole batch.
-    pub wall_s: f64,
 }
 
 /// Run `trials` distributed trials in parallel and aggregate.
@@ -133,27 +120,21 @@ pub fn run_net_trials_observed<S: Sink>(
     let all: Vec<usize> = (0..trials).collect();
     // Results come back in trial order, so the first error reported is
     // the lowest-seed one.
-    let outcomes = run_jobs(&all, workers, &job, rec)
-        .0
+    let (results, busy_s) = run_jobs(&all, workers, &job, rec);
+    let outcomes = results
         .into_iter()
         .map(|(_, _, r)| r.unwrap_or_else(|message| panic!("{message}")))
         .collect::<Result<Vec<NetTrialOutcome>, NetError>>()?;
-
-    let warmup = config.warmup_fraction;
-    let rates: Vec<f64> = outcomes
-        .iter()
-        .map(|o| o.metrics.average_observed_rate(warmup))
-        .collect();
-    let mean_rate = rates.iter().sum::<f64>() / trials as f64;
-    let mut sorted = rates.clone();
-    sorted.sort_by(f64::total_cmp);
+    let telemetry = BatchTelemetry {
+        workers,
+        wall_s: batch_start.elapsed().as_secs_f64(),
+        busy_s,
+        trial_s: busy_s,
+        trials,
+    };
 
     let mut stats = NetStats::default();
     let mut conservation = Conservation::default();
-    let mut degraded_trials = 0;
-    let items = outcomes[0].final_replicas.len();
-    let mut mean_final_replicas = vec![0.0; items];
-    let mut unfulfilled = 0.0;
     for o in &outcomes {
         stats.merge(&o.stats);
         conservation.minted += o.conservation.minted;
@@ -161,25 +142,17 @@ pub fn run_net_trials_observed<S: Sink>(
         conservation.discarded += o.conservation.discarded;
         conservation.pooled += o.conservation.pooled;
         conservation.escrowed += o.conservation.escrowed;
-        degraded_trials += usize::from(o.degraded);
-        for (acc, &r) in mean_final_replicas.iter_mut().zip(&o.final_replicas) {
-            *acc += r as f64 / trials as f64;
-        }
-        unfulfilled += o.metrics.unfulfilled as f64;
     }
-
+    let engine: Vec<&TrialOutcome> = outcomes.iter().map(|o| &o.outcome).collect();
     Ok(NetAggregate {
-        trials,
-        mean_rate,
-        p5_rate: percentile_sorted(&sorted, 0.05),
-        p95_rate: percentile_sorted(&sorted, 0.95),
-        rates,
+        aggregate: aggregate(
+            engine[0].label.clone(),
+            &engine,
+            config.warmup_fraction,
+            telemetry,
+        ),
         stats,
         conservation,
-        degraded_trials,
-        mean_final_replicas,
-        mean_unfulfilled: unfulfilled / trials as f64,
-        workers,
-        wall_s: batch_start.elapsed().as_secs_f64(),
+        degraded_trials: outcomes.iter().filter(|o| o.degraded).count(),
     })
 }

@@ -1,14 +1,18 @@
 //! Distributed-runtime differential: the message-passing QCR kernel
 //! (`impatience-net`) against the in-process engine on paired seeds.
 //!
-//! Both runtimes seed trial `k` with `base_seed + k` and fork their
-//! streams in the same order, so a pair of trials shares its contact
-//! stream, sticky fill, and demand arrivals exactly. The comparison
-//! therefore runs on the *paired differences* of the per-trial welfare
-//! rates — a much tighter interval than two independent CLT widths,
-//! and the honest one: any systematic gap between the runtimes shows up
-//! directly in the mean difference instead of being washed out by
-//! between-seed variance.
+//! Both runtimes seed trial `k` with `base_seed + k` and begin it with
+//! the engine's own seeding (`impatience_sim::engine::seed_trial`), so a
+//! pair of trials shares its contacts, the faults that drop them, its
+//! sticky fill and the time of its first arrival. The rest of the demand
+//! stream is not shared: right after drawing that time the kernel forks
+//! one RNG stream per node off the trial RNG, and the engine's QCR draws
+//! from the RNG its arrivals come from, so items, origins and later
+//! arrival times differ. (Sharing them would take another RNG stream and
+//! change every recorded digest.) The comparison runs on the *paired
+//! differences* of the per-trial welfare rates: the shared contacts make
+//! them tighter than two independent CLT widths, and any systematic gap
+//! between the runtimes shows up directly in the mean difference.
 //!
 //! The deterministic [`Comparison::allowance`] covers the two documented
 //! biases of the distributed runtime:
@@ -88,6 +92,7 @@ pub fn net_vs_engine(
         );
         distributed.push(
             run_net_trial(config, source, net, seed)?
+                .outcome
                 .metrics
                 .average_observed_rate(warmup),
         );

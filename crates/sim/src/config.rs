@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use impatience_core::demand::{DemandProfile, DemandRates, Popularity};
 use impatience_core::rng::Xoshiro256;
+use impatience_core::types::SystemModel;
 use impatience_core::utility::{DelayUtility, Step};
 use impatience_traces::{ContactStream, ContactTrace};
 
@@ -328,6 +329,22 @@ impl SimConfig {
             protocol_utility: None,
             eviction: crate::state::EvictionPolicy::Random,
             faults: None,
+        }
+    }
+
+    /// The impatience model the replication protocol believes in: the
+    /// protocol utility if one is set, else the true one.
+    pub(crate) fn protocol(&self) -> Arc<dyn DelayUtility> {
+        self.protocol_utility
+            .clone()
+            .unwrap_or_else(|| self.utility.clone())
+    }
+
+    /// The homogeneous system model of `nodes` nodes meeting at rate `mu`.
+    pub(crate) fn system(&self, nodes: usize, mu: f64) -> SystemModel {
+        match self.dedicated_servers {
+            Some(k) => SystemModel::dedicated(nodes - k, k, self.rho, mu),
+            None => SystemModel::pure_p2p(nodes, self.rho, mu),
         }
     }
 

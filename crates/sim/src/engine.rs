@@ -17,13 +17,15 @@
 //!   it into the requester's protocol cache — caches change only through
 //!   the replication policy.
 //!
-//! Those mechanics are written once, as the crate-private `Trial` frame
-//! (`begin`, `request`, `meeting`, `finish`), and two drivers feed it
-//! events: the lane driver below (Poisson arrivals merged with a contact
-//! stream, with demand shifts) and the slot loop of
-//! [`crate::engine_discrete`]. [`crate::sharded`] keeps its own frame —
-//! its exchange is the eager walk, for the reasons at
-//! [`RequestArena::retain`].
+//! Those mechanics are written once. [`Frame`] is what every runtime
+//! shares around its exchange: the seeding order ([`seed_trial`]), the
+//! arrivals ([`Demand`]), faults, admission, settlement and the books.
+//! The crate-private `Trial` adds the engine's exchange (request arena,
+//! `meeting`, policy) and has two drivers: the lane driver below and the
+//! slot loop of [`crate::engine_discrete`]. The kernel of `impatience-net`
+//! is the third driver of a `Frame`; its requests wait at node tasks.
+//! [`crate::sharded`] keeps its own frame — its exchange is the eager
+//! walk, for the reasons at [`RequestArena::retain`].
 //!
 //! The lane driver (`run_lanes`) samples the contact sequence of a trial
 //! seed once and steps any number of *lanes* through it, a batch of
@@ -93,7 +95,7 @@ pub struct TrialOutcome {
 /// α < 1) the cost already accrued, h(age), is booked: h(∞) = −∞ cannot
 /// be, and plain censoring would flatter item-starving allocations like
 /// DOM, which never serve the catalog's tail at all.
-pub fn settlement_gain(utility: &dyn DelayUtility, age: f64) -> f64 {
+pub(crate) fn settlement_gain(utility: &dyn DelayUtility, age: f64) -> f64 {
     let h_inf = utility.h_infinity();
     if h_inf.is_finite() {
         h_inf
@@ -160,37 +162,116 @@ pub fn run_trial_scratch(
     )
 }
 
-/// The frame of one trial, shared by the event-driven and the slotted
-/// driver: everything that happens *to* a request or *at* a meeting,
-/// whatever clock the events come from. A driver stamps each request
-/// with an `f64` of its own clock (a time, or a slot number — exact in an
-/// `f64`) and converts stamps back to waits and ages.
-pub(crate) struct Trial<'a, S: Sink> {
+/// A trial's seeding order starts here: the trial RNG seeds the contact
+/// stream (one `split`), then [`Frame::begin`] places the initial caches
+/// from it and [`Demand::arrivals`] draws the first arrival — the same
+/// contacts, placement and first arrival in every runtime on `seed`.
+pub fn seed_trial(source: &ContactSource, seed: u64) -> (Xoshiro256, BatchedContacts) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let contacts = BatchedContacts::new(source.stream(&mut rng));
+    (rng, contacts)
+}
+
+/// A trial's demand: Poisson arrivals of total rate `Σ_i d_i`, items drawn
+/// through an alias table; a demand shift (§7) restarts the process,
+/// memorylessly, with its rates.
+pub struct Demand<'a> {
+    shifts: std::iter::Peekable<std::slice::Iter<'a, (f64, DemandRates)>>,
+    rates: &'a DemandRates,
+    total: f64,
+    sampler: Option<AliasTable>,
+    /// Time of the next arrival (∞ without demand).
+    next: f64,
+}
+
+impl<'a> Demand<'a> {
+    /// `config`'s demand, no arrival drawn (the slot loop draws counts).
+    pub(crate) fn new(config: &'a SimConfig) -> Self {
+        let total = config.demand.total();
+        Demand {
+            shifts: config.demand_shifts.iter().peekable(),
+            rates: &config.demand,
+            total,
+            sampler: (total > 0.0).then(|| AliasTable::new(config.demand.rates())),
+            next: f64::INFINITY,
+        }
+    }
+
+    /// The event-driven process: the first arrival drawn from `rng`.
+    pub fn arrivals(config: &'a SimConfig, rng: &mut Xoshiro256) -> Self {
+        let mut demand = Demand::new(config);
+        demand.next = demand.after(0.0, rng);
+        demand
+    }
+
+    /// An arrival time after `t` at the active total rate.
+    #[inline]
+    fn after(&self, t: f64, rng: &mut Xoshiro256) -> f64 {
+        if self.total > 0.0 {
+            t + rng.exp(self.total)
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// The next arrival time, once the shifts due by it, by the driver's
+    /// next event `other` and by `horizon` have taken effect.
+    #[inline]
+    pub fn next_arrival(&mut self, other: f64, horizon: f64, rng: &mut Xoshiro256) -> f64 {
+        while let Some(&&(t, ref rates)) = self.shifts.peek() {
+            if t > self.next.min(other).min(horizon) {
+                break;
+            }
+            self.shifts.next();
+            self.rates = rates;
+            self.total = rates.total();
+            self.sampler = (self.total > 0.0).then(|| AliasTable::new(rates.rates()));
+            self.next = self.after(t, rng);
+        }
+        self.next
+    }
+
+    /// The active rates.
+    pub(crate) fn rates(&self) -> &'a DemandRates {
+        self.rates
+    }
+
+    /// An item drawn from the active rates.
+    #[inline]
+    pub(crate) fn sample(&self, rng: &mut Xoshiro256) -> u32 {
+        let sampler = self.sampler.as_ref().expect("arrivals imply demand");
+        sampler.sample(rng) as u32
+    }
+}
+
+/// What every runtime of a trial shares around its exchange: the trial
+/// RNG, the fault model, request admission, settlement and the books.
+pub struct Frame<'a, S: Sink> {
     config: &'a SimConfig,
-    rec: &'a mut Recorder<S>,
-    scratch: &'a mut TrialScratch,
-    policy: Box<dyn ReplicationPolicy>,
-    label: String,
     faults: Option<FaultState>,
     /// First client node id (dedicated populations: after the servers).
     client_base: usize,
     duration: f64,
     seed: u64,
-    wall_start: Option<std::time::Instant>,
-    open_requests: u64,
-    pub(crate) metrics: Metrics,
-    /// The trial RNG: demand, initial placement and the policy draw from
+    label: String,
+    wall_start: Option<Instant>,
+    /// The trial's measurements.
+    pub metrics: Metrics,
+    /// Where the trial's events go.
+    pub rec: &'a mut Recorder<S>,
+    /// The trial RNG: initial placement, demand and the policy draw from
     /// it; contacts and faults run on streams of their own.
-    pub(crate) rng: Xoshiro256,
+    pub rng: Xoshiro256,
 }
 
-impl<'a, S: Sink> Trial<'a, S> {
-    /// Reset `scratch`, build and initialize the policy, arm the fault
-    /// model. `config` is already resolved for `nodes`
-    /// ([`SimConfig::try_resolved`]); `rng` has already seeded the
-    /// contact stream; `mu_ref` is the source's reference contact rate.
+impl<'a, S: Sink> Frame<'a, S> {
+    /// Begin a trial of `policy` on `state`, reset for `nodes` nodes: the
+    /// policy places the caches from `rng` as [`seed_trial`] left it, and
+    /// comes back for the engine's exchange (a runtime with a protocol of
+    /// its own drops it). `config` is resolved for `nodes`
+    /// ([`SimConfig::try_resolved`]); `mu_ref` is the reference rate.
     #[allow(clippy::too_many_arguments)] // one trial's whole context
-    pub(crate) fn begin(
+    pub fn begin(
         config: &'a SimConfig,
         policy: &PolicyKind,
         nodes: usize,
@@ -199,33 +280,17 @@ impl<'a, S: Sink> Trial<'a, S> {
         mut rng: Xoshiro256,
         seed: u64,
         rec: &'a mut Recorder<S>,
-        scratch: &'a mut TrialScratch,
-    ) -> Self {
-        let wall_start = rec.is_active().then(std::time::Instant::now);
+        state: &mut SimState,
+    ) -> (Self, Box<dyn ReplicationPolicy>) {
+        let wall_start = rec.is_active().then(Instant::now);
         rec.trial_start();
         // Population shape: pure P2P (every node serves) or dedicated
         // (nodes 0..servers carry caches, the rest only request).
         let servers = config.dedicated_servers.unwrap_or(nodes);
-        scratch
-            .state
-            .reset(nodes, servers, config.items, config.rho);
-        scratch.state.set_eviction(config.eviction);
-        scratch.requests.reset_indexed(nodes, config.items);
-        scratch.fulfilled.clear();
-        let protocol_utility = config
-            .protocol_utility
-            .clone()
-            .unwrap_or_else(|| config.utility.clone());
-        let mut policy_obj = policy.instantiate(
-            protocol_utility,
-            nodes,
-            servers,
-            mu_ref,
-            config.items,
-            config.rho,
-            &config.demand,
-        );
-        policy_obj.initialize(&mut scratch.state, &mut rng);
+        state.reset(nodes, servers, config.items, config.rho);
+        state.set_eviction(config.eviction);
+        let mut placed = policy.instantiate(config, nodes, mu_ref);
+        placed.initialize(state, &mut rng);
         // Fault injection: the schedule runs on RNG streams derived from the
         // trial seed and the fault seed only, never from `rng` — attaching an
         // *inactive* FaultConfig leaves the trajectory bit-for-bit unchanged.
@@ -234,47 +299,45 @@ impl<'a, S: Sink> Trial<'a, S> {
             .as_ref()
             .and_then(|f| f.for_trial(seed))
             .map(|f| FaultState::new(f, nodes, servers, duration, seed));
-        Trial {
+        let frame = Frame {
             config,
-            rec,
-            scratch,
-            policy: policy_obj,
-            label: policy.label(),
             faults,
             client_base: config.dedicated_servers.unwrap_or(0),
             duration,
             seed,
+            label: policy.label(),
             wall_start,
-            open_requests: 0,
             metrics: Metrics::new(duration, config.bin),
+            rec,
             rng,
-        }
+        };
+        (frame, placed)
     }
 
     /// Fire the cache-slot faults due by `t`. Drivers call this before
     /// the event at `t`: an immediate hit, a contact fulfillment or a
     /// snapshot must see the degraded caches.
-    pub(crate) fn cache_faults(&mut self, t: f64) {
+    pub fn cache_faults(&mut self, t: f64, state: &mut SimState) {
         if let Some(fs) = self.faults.as_mut() {
-            fs.apply_cache_faults(t, &mut self.scratch.state, &mut self.metrics, self.rec);
+            fs.apply_cache_faults(t, state, &mut self.metrics, self.rec);
         }
     }
 
-    /// Record the bin-start snapshot at `t` under `demand`.
-    pub(crate) fn snapshot(&mut self, t: f64, system: &SystemModel, demand: &DemandRates) {
-        let _s = impatience_obs::span!("snapshot");
-        self.metrics.record_snapshot(
-            t,
-            &self.scratch.state.replicas,
-            system,
-            demand,
-            self.config.utility.as_ref(),
-        );
+    /// Nodes `a` and `b` meet at `t`: recorded, unless the fault model
+    /// drops the contact (false).
+    pub fn contact(&mut self, t: f64, a: u32, b: u32) -> bool {
+        if let Some(fs) = self.faults.as_mut() {
+            if !fs.admit_contact(t, a, b, &mut self.metrics, self.rec) {
+                return false;
+            }
+        }
+        self.rec.contact(t, a, b);
+        true
     }
 
-    /// A request for `item` arrives at time `t`: draw its origin, then
-    /// serve it from the origin's own cache or queue it under `stamp`.
-    pub(crate) fn request(&mut self, t: f64, stamp: f64, item: u32) {
+    /// A request for `item` arrives at `t`: draw its origin, serve it from
+    /// the origin's own cache if it can, else return the origin.
+    pub(crate) fn admit(&mut self, t: f64, item: u32, state: &SimState) -> Option<usize> {
         let origin = self
             .config
             .profile
@@ -282,17 +345,114 @@ impl<'a, S: Sink> Trial<'a, S> {
         let node = self.client_base + origin;
         self.metrics.requests_created += 1;
         self.rec.request(t, node as u32, item);
-        if self.scratch.state.caches.holds(node, item) {
-            self.metrics.immediate_hits += 1;
-            self.metrics
-                .record_fulfillment(t, self.config.utility.h_zero());
-            self.rec.immediate_hit(t, node as u32, item);
-        } else {
-            self.scratch.requests.push(node, item, stamp);
-            if self.rec.is_active() {
-                self.open_requests += 1;
-                self.rec.open_requests(self.open_requests);
-            }
+        if !state.caches.holds(node, item) {
+            return Some(node);
+        }
+        self.metrics.immediate_hits += 1;
+        self.metrics
+            .record_fulfillment(t, self.config.utility.h_zero());
+        self.rec.immediate_hit(t, node as u32, item);
+        None
+    }
+
+    /// Admit the arrival `demand` has due, then draw the next one; returns
+    /// `(time, origin, item)` of a request that must wait.
+    pub fn arrival(
+        &mut self,
+        demand: &mut Demand<'_>,
+        state: &SimState,
+    ) -> Option<(f64, usize, u32)> {
+        let t = demand.next;
+        let item = demand.sample(&mut self.rng);
+        let waiting = self.admit(t, item, state);
+        demand.next = demand.after(t, &mut self.rng);
+        waiting.map(|node| (t, node, item))
+    }
+
+    /// Settle a request still open at `t` (horizon or deadline), `age`
+    /// after its creation.
+    pub fn settle(&mut self, t: f64, node: u32, item: u32, age: f64) {
+        let age = age.max(f64::MIN_POSITIVE);
+        let gain = settlement_gain(self.config.utility.as_ref(), age);
+        self.metrics.record_settlement(t, gain);
+        self.rec.unfulfilled(t, node, item, age);
+    }
+
+    /// Close the books once the open requests are settled. `wall_s` is for
+    /// a driver that keeps the trial's clock (a lane runs interleaved);
+    /// else it is the time since [`Frame::begin`].
+    pub fn finish(mut self, state: &SimState, wall_s: Option<f64>) -> TrialOutcome {
+        let since_begin = self.wall_start.map(|t| t.elapsed().as_secs_f64());
+        self.metrics.transmissions = state.transmissions;
+        self.rec
+            .trial_done(self.seed, wall_s.or(since_begin).unwrap_or(0.0));
+        TrialOutcome {
+            metrics: self.metrics,
+            // Clone rather than take: a scratch state stays structurally
+            // sound for the next trial's reset.
+            final_replicas: state.replicas.clone(),
+            label: self.label,
+        }
+    }
+}
+
+/// The engine's trial: a [`Frame`] plus the request arena and the policy.
+/// A driver stamps each request with an `f64` of its own clock (a time, or
+/// a slot number) and converts stamps back to waits and ages.
+pub(crate) struct Trial<'a, S: Sink> {
+    pub(crate) frame: Frame<'a, S>,
+    scratch: &'a mut TrialScratch,
+    policy: Box<dyn ReplicationPolicy>,
+    open_requests: u64,
+}
+
+impl<'a, S: Sink> Trial<'a, S> {
+    /// The trial `frame` began on `scratch.state` for `policy`.
+    pub(crate) fn new(
+        frame: Frame<'a, S>,
+        policy: Box<dyn ReplicationPolicy>,
+        scratch: &'a mut TrialScratch,
+    ) -> Self {
+        let nodes = scratch.state.nodes();
+        scratch.requests.reset_indexed(nodes, frame.config.items);
+        scratch.fulfilled.clear();
+        Trial {
+            frame,
+            scratch,
+            policy,
+            open_requests: 0,
+        }
+    }
+
+    /// [`Frame::cache_faults`] on the trial's caches.
+    pub(crate) fn cache_faults(&mut self, t: f64) {
+        self.frame.cache_faults(t, &mut self.scratch.state);
+    }
+
+    /// Record the bin-start snapshot at `t` under `demand`.
+    pub(crate) fn snapshot(&mut self, t: f64, system: &SystemModel, demand: &DemandRates) {
+        let _s = impatience_obs::span!("snapshot");
+        self.frame.metrics.record_snapshot(
+            t,
+            &self.scratch.state.replicas,
+            system,
+            demand,
+            self.frame.config.utility.as_ref(),
+        );
+    }
+
+    /// Admit a request for `item` at `t`; queue it under `stamp`.
+    pub(crate) fn request(&mut self, t: f64, stamp: f64, item: u32) {
+        if let Some(node) = self.frame.admit(t, item, &self.scratch.state) {
+            self.queue(node, item, stamp);
+        }
+    }
+
+    fn queue(&mut self, node: usize, item: u32, stamp: f64) {
+        self.scratch.requests.push(node, item, stamp);
+        if self.frame.rec.is_active() {
+            self.open_requests += 1;
+            self.frame.rec.open_requests(self.open_requests);
         }
     }
 
@@ -301,12 +461,9 @@ impl<'a, S: Sink> Trial<'a, S> {
     /// turns a request's stamp into its waiting time), then the policy
     /// replicates.
     pub(crate) fn meeting(&mut self, t: f64, a: u32, b: u32, wait: impl Fn(f64) -> f64) {
-        if let Some(fs) = self.faults.as_mut() {
-            if !fs.admit_contact(t, a, b, &mut self.metrics, self.rec) {
-                return;
-            }
+        if !self.frame.contact(t, a, b) {
+            return;
         }
-        self.rec.contact(t, a, b);
         let TrialScratch {
             state,
             requests,
@@ -314,6 +471,13 @@ impl<'a, S: Sink> Trial<'a, S> {
             waits,
             gains,
         } = &mut *self.scratch;
+        let Frame {
+            config,
+            metrics,
+            rec,
+            rng,
+            ..
+        } = &mut self.frame;
         let (a, b) = (a as usize, b as usize);
         fulfilled.clear();
         let exchange_span = impatience_obs::span!("exchange");
@@ -341,14 +505,13 @@ impl<'a, S: Sink> Trial<'a, S> {
             waits.clear();
             waits.extend(fulfilled.iter().map(|f| f.wait));
             gains.clear();
-            self.config.utility.h_batch(waits, gains);
+            config.utility.h_batch(waits, gains);
             for &gain in gains.iter() {
-                self.metrics.record_fulfillment(t, gain);
+                metrics.record_fulfillment(t, gain);
             }
-            if self.rec.is_active() {
+            if rec.is_active() {
                 for f in fulfilled.iter() {
-                    self.rec
-                        .fulfillment(t, f.node as u32, f.item, f.wait, f.queries as u32);
+                    rec.fulfillment(t, f.node as u32, f.item, f.wait, f.queries as u32);
                 }
                 self.open_requests -= fulfilled.len() as u64;
             }
@@ -357,50 +520,28 @@ impl<'a, S: Sink> Trial<'a, S> {
         let _policy_span = impatience_obs::span!("policy");
         let transmissions_before = state.transmissions;
         self.policy
-            .after_contact(t, a, b, state, fulfilled, &mut self.metrics, &mut self.rng);
-        self.rec
-            .replications(t, state.transmissions - transmissions_before);
+            .after_contact(t, a, b, state, fulfilled, metrics, rng);
+        rec.replications(t, state.transmissions - transmissions_before);
     }
 
-    /// Settle the requests still outstanding at the horizon (`age` turns
-    /// a request's stamp into the time it has waited) and close the books.
-    pub(crate) fn finish(self, age: impl Fn(f64) -> f64) -> TrialOutcome {
-        let wall_s = self
-            .wall_start
-            .map_or(0.0, |start| start.elapsed().as_secs_f64());
-        self.finish_timed(wall_s, age)
-    }
-
-    /// [`Trial::finish`] for a driver that keeps the trial's clock itself
-    /// (a lane runs interleaved with others: its time is not the time
-    /// since `begin`).
-    fn finish_timed(mut self, wall_s: f64, age: impl Fn(f64) -> f64) -> TrialOutcome {
+    /// Settle what is open at the horizon (`age` turns a stamp into the
+    /// time waited) and close the books.
+    pub(crate) fn finish(mut self, wall_s: Option<f64>, age: impl Fn(f64) -> f64) -> TrialOutcome {
         let _settle_span = impatience_obs::span!("settle");
         let TrialScratch {
             state, requests, ..
         } = self.scratch;
-        self.metrics.unfulfilled = requests.len();
+        let duration = self.frame.duration;
+        self.frame.metrics.unfulfilled = requests.len();
         for (node, item, created) in requests.iter() {
-            let age = age(created).max(f64::MIN_POSITIVE);
-            let gain = settlement_gain(self.config.utility.as_ref(), age);
-            self.metrics.record_settlement(self.duration, gain);
-            self.rec.unfulfilled(self.duration, node as u32, item, age);
+            self.frame.settle(duration, node as u32, item, age(created));
         }
-        self.metrics.transmissions = state.transmissions;
-        self.rec.trial_done(self.seed, wall_s);
-        TrialOutcome {
-            metrics: self.metrics,
-            // Clone rather than take: the scratch state stays structurally
-            // sound for the next trial's reset.
-            final_replicas: state.replicas.clone(),
-            label: self.label,
-        }
+        self.frame.finish(state, wall_s)
     }
 }
 
-/// [`run_trial_observed`] reusing caller-owned working storage: the
-/// one-lane call of the lane driver.
-pub fn run_trial_observed_scratch<S: Sink>(
+/// The one-lane call of the lane driver.
+fn run_trial_observed_scratch<S: Sink>(
     config: &SimConfig,
     source: &ContactSource,
     policy: PolicyKind,
@@ -421,68 +562,34 @@ pub fn run_trial_observed_scratch<S: Sink>(
     outcome.unwrap_or_else(|panic| resume_unwind(panic))
 }
 
-/// One policy's trial riding a shared contact sequence: the `Trial` plus
-/// the state of its own arrival process (Poisson request arrivals, demand
-/// shifts taking effect in between) and snapshot clock.
+/// One policy's trial riding a shared contact sequence.
 struct Lane<'a, S: Sink> {
     trial: Trial<'a, S>,
-    /// Demand may shift over time (§7's evolving-demand extension); the
-    /// active segment drives arrivals, item sampling, and snapshots.
-    shifts: std::iter::Peekable<std::slice::Iter<'a, (f64, DemandRates)>>,
-    current_demand: &'a DemandRates,
-    total_rate: f64,
-    item_sampler: Option<AliasTable>,
+    demand: Demand<'a>,
     snapshot_system: Option<SystemModel>,
-    next_request: f64,
     next_snapshot: f64,
 }
 
 impl<'a, S: Sink> Lane<'a, S> {
-    /// Begin the trial and draw its first arrival. Arguments as for
-    /// [`Trial::begin`].
-    #[allow(clippy::too_many_arguments)] // one trial's whole context
-    fn begin(
-        config: &'a SimConfig,
-        policy: &PolicyKind,
-        nodes: usize,
-        mu_ref: f64,
-        duration: f64,
-        rng: Xoshiro256,
-        seed: u64,
-        rec: &'a mut Recorder<S>,
-        scratch: &'a mut TrialScratch,
-    ) -> Self {
-        let mut trial = Trial::begin(
-            config, policy, nodes, mu_ref, duration, rng, seed, rec, scratch,
-        );
-        let total_rate = config.demand.total();
+    /// Ride `trial`, its first arrival drawn.
+    fn new(mut trial: Trial<'a, S>, nodes: usize, mu_ref: f64) -> Self {
+        let config = trial.frame.config;
         Lane {
-            next_request: if total_rate > 0.0 {
-                trial.rng.exp(total_rate)
-            } else {
-                f64::INFINITY
-            },
+            demand: Demand::arrivals(config, &mut trial.frame.rng),
             trial,
-            shifts: config.demand_shifts.iter().peekable(),
-            current_demand: &config.demand,
-            total_rate,
-            item_sampler: (total_rate > 0.0).then(|| AliasTable::new(config.demand.rates())),
-            snapshot_system: (mu_ref > 0.0).then(|| match config.dedicated_servers {
-                Some(k) => SystemModel::dedicated(nodes - k, k, config.rho, mu_ref),
-                None => SystemModel::pure_p2p(nodes, config.rho, mu_ref),
-            }),
+            snapshot_system: (mu_ref > 0.0).then(|| config.system(nodes, mu_ref)),
             next_snapshot: 0.0,
         }
     }
 
-    /// Bin-start snapshots due by `until`.
+    /// Bin-start snapshots due by `until`, under the active demand.
     fn snapshots(&mut self, until: f64) {
-        while self.next_snapshot <= until && self.next_snapshot < self.trial.duration {
+        while self.next_snapshot <= until && self.next_snapshot < self.trial.frame.duration {
             if let Some(system) = &self.snapshot_system {
                 self.trial
-                    .snapshot(self.next_snapshot, system, self.current_demand);
+                    .snapshot(self.next_snapshot, system, self.demand.rates());
             }
-            self.next_snapshot += self.trial.config.bin;
+            self.next_snapshot += self.trial.frame.config.bin;
         }
     }
 
@@ -491,38 +598,26 @@ impl<'a, S: Sink> Lane<'a, S> {
     /// faults and the requests that arrive first, then the meeting.
     fn step(&mut self, contact: Option<&ContactEvent>) {
         let next_contact_t = contact.map_or(f64::INFINITY, |e| e.time);
+        let duration = self.trial.frame.duration;
         loop {
-            let t = self.next_request.min(next_contact_t);
-            // Demand shifts due before the next event take effect first: the
-            // arrival process restarts (memorylessly) with the new rates.
-            if let Some(&&(shift_t, ref rates)) = self.shifts.peek() {
-                if shift_t <= t.min(self.trial.duration) {
-                    self.shifts.next();
-                    self.current_demand = rates;
-                    self.total_rate = rates.total();
-                    self.item_sampler =
-                        (self.total_rate > 0.0).then(|| AliasTable::new(rates.rates()));
-                    self.next_request = if self.total_rate > 0.0 {
-                        shift_t + self.trial.rng.exp(self.total_rate)
-                    } else {
-                        f64::INFINITY
-                    };
-                    continue;
-                }
-            }
-            if !t.is_finite() || t > self.trial.duration {
+            let next_request =
+                self.demand
+                    .next_arrival(next_contact_t, duration, &mut self.trial.frame.rng);
+            let t = next_request.min(next_contact_t);
+            if !t.is_finite() || t > duration {
                 return;
             }
             self.snapshots(t);
             self.trial.cache_faults(t);
 
-            if self.next_request <= next_contact_t {
+            if next_request <= next_contact_t {
                 let _s = impatience_obs::span!("request");
-                let sampler = self.item_sampler.as_ref().expect("arrivals imply demand");
-                let item = sampler.sample(&mut self.trial.rng) as u32;
-                self.trial
-                    .request(self.next_request, self.next_request, item);
-                self.next_request += self.trial.rng.exp(self.total_rate);
+                let trial = &mut self.trial;
+                if let Some((t, node, item)) =
+                    trial.frame.arrival(&mut self.demand, &trial.scratch.state)
+                {
+                    trial.queue(node, item, t);
+                }
             } else {
                 let _s = impatience_obs::span!("contact");
                 let e = contact.expect("a finite contact time");
@@ -543,9 +638,9 @@ impl<'a, S: Sink> Lane<'a, S> {
     /// Settle what is still outstanding at the horizon; `wall_s` is the
     /// time spent in this lane.
     fn finish(self, wall_s: f64) -> TrialOutcome {
-        let duration = self.trial.duration;
+        let duration = self.trial.frame.duration;
         self.trial
-            .finish_timed(wall_s, |created| duration - created)
+            .finish(Some(wall_s), |created| duration - created)
     }
 }
 
@@ -581,18 +676,18 @@ impl<T> Guarded<T> {
 
 /// Run one trial of every policy in `policies` on the contact sequence of
 /// `seed`, sampled once: lane `i` runs `policies[i]` against `recs[i]` and
-/// `scratches[i]`, and yields what `run_trial_observed_scratch` on the same
+/// `scratches[i]`, and yields what [`run_trial_observed`] on the same
 /// arguments would, bit for bit — or the payload of the panic that killed
 /// it, which leaves the other lanes running — together with the wall time
 /// spent in it, in seconds.
 ///
-/// The trial RNG is seeded once and seeds the contact stream (one
-/// `split`); every lane starts from a copy of it as it stands after that,
-/// and draws demand, initial placement and the policy from its copy.
-/// Contacts and faults run on streams keyed by the seed alone, and each
-/// lane arms its own `FaultState`, so all lanes see the same contacts,
-/// drops and outages. Then, a batch of contacts at a time, each lane in
-/// turn steps through the whole batch.
+/// The trial is seeded once ([`seed_trial`]); every lane starts from a
+/// copy of the trial RNG as the contact stream left it, and draws demand,
+/// initial placement and the policy from its copy. Contacts and faults
+/// run on streams keyed by the seed alone, and each lane arms its own
+/// `FaultState`, so all lanes see the same contacts, drops and outages.
+/// Then, a batch of contacts at a time, each lane in turn steps through
+/// the whole batch.
 ///
 /// # Panics
 /// Panics with the [`crate::ConfigError`] message when `config` does not
@@ -611,10 +706,9 @@ pub(crate) fn run_lanes<S: Sink>(
     // are independent of the recorder's sink, so `--profile` attributes
     // wall time even on otherwise-unobserved runs.
     let _trial_span = impatience_obs::span!("trial");
-    let mut rng = Xoshiro256::seed_from_u64(seed);
     // Contacts arrive `DEFAULT_BATCH` at a time in a reusable buffer, so
     // the hot loop touches no allocator and no enum dispatch per event.
-    let mut contacts = BatchedContacts::new(source.stream(&mut rng));
+    let (rng, mut contacts) = seed_trial(source, seed);
     let (nodes, duration) = (contacts.nodes(), contacts.duration());
     // `mu_ref` is the source's reference rate for the homogeneous
     // welfare approximation (and QCR's ψ).
@@ -628,9 +722,11 @@ pub(crate) fn run_lanes<S: Sink>(
         .map(|((policy, rec), scratch)| {
             let rng = rng.clone();
             Guarded::begin(move || {
-                Lane::begin(
-                    config, policy, nodes, mu_ref, duration, rng, seed, rec, scratch,
-                )
+                let state = &mut scratch.state;
+                let (frame, policy) = Frame::begin(
+                    config, policy, nodes, mu_ref, duration, rng, seed, rec, state,
+                );
+                Lane::new(Trial::new(frame, policy, scratch), nodes, mu_ref)
             })
         })
         .collect();

@@ -12,13 +12,13 @@
 //! the paper's analysis); trace replay and dedicated populations use the
 //! event-driven [`crate::engine`].
 
-use impatience_core::rng::{AliasTable, Xoshiro256};
+use impatience_core::rng::Xoshiro256;
 use impatience_core::types::SystemModel;
 use impatience_obs::{Recorder, Sink};
 use impatience_traces::SlotContactStream;
 
 use crate::config::SimConfig;
-use crate::engine::{Trial, TrialOutcome, TrialScratch};
+use crate::engine::{Demand, Frame, Trial, TrialOutcome, TrialScratch};
 use crate::policy::PolicyKind;
 
 /// RNG stream id forking slot-contact randomness off the trial seed
@@ -81,28 +81,15 @@ pub fn run_trial_discrete(
 
 /// [`run_trial_discrete`] with instrumentation, mirroring
 /// [`crate::engine::run_trial_observed`]: the same hooks, statically
-/// compiled away when `rec` carries a `NoopSink`.
+/// compiled away when `rec` carries a `NoopSink`. This is the slotted
+/// driver of the engine's trial frame; requests are stamped with their
+/// slot number.
 pub fn run_trial_discrete_observed<S: Sink>(
     config: &SimConfig,
     source: &DiscreteSource,
     policy: PolicyKind,
     seed: u64,
     rec: &mut Recorder<S>,
-) -> TrialOutcome {
-    run_trial_discrete_observed_scratch(config, source, policy, seed, rec, &mut TrialScratch::new())
-}
-
-/// [`run_trial_discrete_observed`] reusing caller-owned working storage
-/// (see [`crate::engine::run_trial_observed_scratch`]): the slotted
-/// driver of the engine's trial frame. Requests are stamped with their
-/// slot number.
-pub fn run_trial_discrete_observed_scratch<S: Sink>(
-    config: &SimConfig,
-    source: &DiscreteSource,
-    policy: PolicyKind,
-    seed: u64,
-    rec: &mut Recorder<S>,
-    scratch: &mut TrialScratch,
 ) -> TrialOutcome {
     // Same span vocabulary as the continuous engine (root "trial" with
     // request/contact/exchange/policy children), so phase trees from
@@ -127,7 +114,8 @@ pub fn run_trial_discrete_observed_scratch<S: Sink>(
 
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let mut contacts = source.stream(&mut rng);
-    let mut trial = Trial::begin(
+    let mut scratch = TrialScratch::new();
+    let (frame, policy) = Frame::begin(
         &config,
         &policy,
         nodes,
@@ -136,10 +124,10 @@ pub fn run_trial_discrete_observed_scratch<S: Sink>(
         rng,
         seed,
         rec,
-        scratch,
+        &mut scratch.state,
     );
-    let total_rate = config.demand.total();
-    let item_sampler = (total_rate > 0.0).then(|| AliasTable::new(config.demand.rates()));
+    let mut trial = Trial::new(frame, policy, &mut scratch);
+    let (demand, total_rate) = (Demand::new(&config), config.demand.total());
     let snapshot_system = SystemModel::pure_p2p(nodes, config.rho, mu);
     let snapshot_every = (config.bin / delta).max(1.0) as u64;
 
@@ -147,14 +135,14 @@ pub fn run_trial_discrete_observed_scratch<S: Sink>(
         let (now, stamp) = (slot as f64 * delta, slot as f64);
         trial.cache_faults(now);
         if slot % snapshot_every == 0 {
-            trial.snapshot(now, &snapshot_system, &config.demand);
+            trial.snapshot(now, &snapshot_system, demand.rates());
         }
 
         // --- arrivals this slot (Poisson with mean total_rate·δ) ---
-        if let Some(sampler) = &item_sampler {
+        if total_rate > 0.0 {
             let _s = impatience_obs::span!("request");
-            for _ in 0..trial.rng.poisson(total_rate * delta) {
-                let item = sampler.sample(&mut trial.rng) as u32;
+            for _ in 0..trial.frame.rng.poisson(total_rate * delta) {
+                let item = demand.sample(&mut trial.frame.rng);
                 trial.request(now, stamp, item);
             }
         }
@@ -169,7 +157,7 @@ pub fn run_trial_discrete_observed_scratch<S: Sink>(
             trial.meeting(now, c.a, c.b, |created| (stamp - created).max(1.0) * delta);
         }
     }
-    trial.finish(|created| (slots as f64 - created) * delta)
+    trial.finish(None, |created| (slots as f64 - created) * delta)
 }
 
 #[cfg(test)]

@@ -81,8 +81,7 @@ pub mod prelude {
     pub use crate::faults::FaultConfig;
     pub use crate::policy::{PolicyKind, QcrConfig};
     pub use crate::runner::{
-        run_campaign, run_campaigns, run_trials, run_trials_observed, CampaignError,
-        CampaignOptions, TrialAggregate,
+        run_campaign, run_campaigns, run_trials, CampaignError, CampaignOptions, TrialAggregate,
     };
     pub use crate::sharded::{run_trial_sharded, validate_sharded, ShardedOutcome};
 }

@@ -184,24 +184,6 @@ impl Metrics {
         used.iter().sum::<f64>() / time.min(self.duration)
     }
 
-    /// Mean of the recorded expected-utility snapshots after warm-up.
-    ///
-    /// # Panics
-    /// Panics unless `warmup_fraction` is in `[0, 1)` (see
-    /// [`Metrics::average_observed_rate`]).
-    pub fn average_expected_utility(&self, warmup_fraction: f64) -> f64 {
-        let skip = self.warmup_bins(warmup_fraction);
-        let vals: Vec<f64> = self.expected_utility[skip..]
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .collect();
-        if vals.is_empty() {
-            return f64::NAN;
-        }
-        vals.iter().sum::<f64>() / vals.len() as f64
-    }
-
     /// Encode every field — including NaN snapshot slots — for the
     /// campaign checkpoint. [`Metrics::from_json`] restores the value
     /// bit-for-bit.
@@ -435,13 +417,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside [0, 1)")]
-    fn warmup_above_one_is_rejected_for_expected_utility() {
-        let m = Metrics::new(100.0, 10.0);
-        let _ = m.average_expected_utility(1.5);
-    }
-
-    #[test]
     fn snapshots_record_welfare() {
         let mut m = Metrics::new(100.0, 50.0);
         let system = SystemModel::pure_p2p(10, 2, 0.05);
@@ -454,8 +429,6 @@ mod tests {
         assert!(series[1].is_finite());
         assert_eq!(m.replica_series_of(0), vec![2, 1]);
         assert_eq!(m.replica_series_of(2), vec![0, 1]);
-        let avg = m.average_expected_utility(0.0);
-        assert!(avg.is_finite());
     }
 
     #[test]

@@ -12,14 +12,12 @@ pub use hill_climb::HillClimb;
 pub use qcr::{pool_add, share, MandateHost, Pool, Qcr, QcrConfig, QcrRules, Reaction};
 pub use static_alloc::StaticAllocation;
 
-use std::sync::Arc;
-
 use impatience_core::allocation::ReplicaCounts;
 use impatience_core::demand::DemandRates;
 use impatience_core::rng::Xoshiro256;
 use impatience_core::solver::fixed::{dominant, proportional, sqrt_proportional, uniform};
-use impatience_core::utility::DelayUtility;
 
+use crate::config::SimConfig;
 use crate::metrics::Metrics;
 use crate::state::SimState;
 
@@ -155,23 +153,20 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiate the policy for one trial on a population of `nodes`
-    /// nodes of which `servers` carry caches, with `items` items and
-    /// cache capacity `rho`.
-    #[allow(clippy::too_many_arguments)] // one scalar per system dimension
+    /// Instantiate the policy for one trial of `config` on a population
+    /// of `nodes` nodes, at reference contact rate `mu_ref`.
     pub fn instantiate(
         &self,
-        utility: Arc<dyn DelayUtility>,
+        config: &SimConfig,
         nodes: usize,
-        servers: usize,
         mu_ref: f64,
-        items: usize,
-        rho: usize,
-        demand: &DemandRates,
     ) -> Box<dyn ReplicationPolicy> {
-        assert!(servers <= nodes, "need servers ≤ nodes");
+        assert!(
+            config.dedicated_servers.unwrap_or(nodes) <= nodes,
+            "need servers ≤ nodes"
+        );
         if let Some(cfg) = self.qcr_config() {
-            let rules = QcrRules::new(cfg, utility, servers, mu_ref, items, rho);
+            let rules = QcrRules::for_trial(cfg, config, nodes, mu_ref);
             return Box::new(Qcr::new(rules, nodes));
         }
         match self {
@@ -179,20 +174,10 @@ impl PolicyKind {
             PolicyKind::Static { counts, .. } => Box::new(StaticAllocation::new(counts.clone())),
             PolicyKind::HillClimb { moves_per_contact } => {
                 let mu = if mu_ref > 0.0 { mu_ref } else { 1.0 };
-                let system = if servers == nodes {
-                    impatience_core::types::SystemModel::pure_p2p(nodes, rho, mu)
-                } else {
-                    impatience_core::types::SystemModel::dedicated(
-                        nodes - servers,
-                        servers,
-                        rho,
-                        mu,
-                    )
-                };
                 Box::new(HillClimb::new(
-                    system,
-                    demand.clone(),
-                    utility,
+                    config.system(nodes, mu),
+                    config.demand.clone(),
+                    config.protocol(),
                     *moves_per_contact,
                 ))
             }

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use impatience_core::rng::Xoshiro256;
 use impatience_core::utility::DelayUtility;
 
+use crate::config::SimConfig;
 use crate::metrics::Metrics;
 use crate::policy::{Fulfillment, ReplicationPolicy};
 use crate::state::SimState;
@@ -160,6 +161,21 @@ impl QcrRules {
             mu_ref,
             scale,
         }
+    }
+
+    /// The rules a trial of `config` on `nodes` nodes runs, at reference
+    /// contact rate `mu_ref`: its servers, catalog, cache size and
+    /// protocol utility.
+    pub fn for_trial(cfg: QcrConfig, config: &SimConfig, nodes: usize, mu_ref: f64) -> Self {
+        let servers = config.dedicated_servers.unwrap_or(nodes);
+        QcrRules::new(
+            cfg,
+            config.protocol(),
+            servers,
+            mu_ref,
+            config.items,
+            config.rho,
+        )
     }
 
     /// Mint mandates for `item` into `pool` for a fulfillment after `y`
@@ -346,11 +362,6 @@ impl Qcr {
             rules,
             pools: vec![Pool::new(); nodes],
         }
-    }
-
-    /// Total outstanding mandates (diagnostic; diverges without routing).
-    pub fn outstanding_mandates(&self) -> u64 {
-        self.pools.iter().flat_map(|m| m.values()).sum()
     }
 }
 

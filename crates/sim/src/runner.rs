@@ -63,17 +63,20 @@ pub struct TrialAggregate {
     pub worker_utilization: f64,
 }
 
-/// Wall-clock telemetry collected while sharding trials.
+/// Wall-clock telemetry of a batch, for [`aggregate`].
 #[derive(Clone, Copy, Debug)]
-struct BatchTelemetry {
-    workers: usize,
-    wall_s: f64,
+pub struct BatchTelemetry {
+    /// Worker threads used.
+    pub workers: usize,
+    /// Wall-clock seconds for the whole batch.
+    pub wall_s: f64,
     /// Summed wall time of the pool's jobs.
-    busy_s: f64,
+    pub busy_s: f64,
     /// Summed wall time of this policy's `trials` trials: its lanes' share
-    /// of the jobs.
-    trial_s: f64,
-    trials: usize,
+    /// of the jobs (all of them when a trial is one lane).
+    pub trial_s: f64,
+    /// Trials `trial_s` covers.
+    pub trials: usize,
 }
 
 // Nearest-rank percentiles. One shared implementation serves both the
@@ -82,7 +85,10 @@ struct BatchTelemetry {
 // callers keep working.
 pub use impatience_obs::stats::{percentile, percentile_sorted};
 
-fn aggregate(
+/// The cross-trial statistics of one policy's outcomes, in trial order —
+/// rates with their mean and 5 %/95 % bands, mean series, replicas and
+/// counters — for every runtime's batch (serial, sharded, net).
+pub fn aggregate(
     label: String,
     outcomes: &[impl Borrow<TrialOutcome>],
     warmup: f64,
@@ -172,12 +178,13 @@ pub fn run_trials(
     trials: usize,
     base_seed: u64,
 ) -> TrialAggregate {
-    run_trials_observed(
+    run_trials_observed_with_workers(
         config,
         source,
         policy,
         trials,
         base_seed,
+        None,
         &mut Recorder::disabled(),
     )
 }
@@ -356,22 +363,6 @@ pub fn run_jobs<S: Sink, J: TrialJob>(
     (results.collect(), busy_s)
 }
 
-/// [`run_trials`] with instrumentation: the batch shards across worker
-/// threads whether or not the recorder is live, and what it records is a
-/// pure function of `(config, source, policy, trials, base_seed)` (see
-/// [`run_jobs`]). Wall-clock telemetry (total, per-trial, worker
-/// utilization) is collected on every path.
-pub fn run_trials_observed<S: Sink>(
-    config: &SimConfig,
-    source: &ContactSource,
-    policy: &PolicyKind,
-    trials: usize,
-    base_seed: u64,
-    rec: &mut Recorder<S>,
-) -> TrialAggregate {
-    run_trials_observed_with_workers(config, source, policy, trials, base_seed, None, rec)
-}
-
 /// One worker per available core (4 if that cannot be queried).
 pub fn default_workers() -> usize {
     thread::available_parallelism()
@@ -379,10 +370,14 @@ pub fn default_workers() -> usize {
         .unwrap_or(4)
 }
 
-/// [`run_trials_observed`] with an explicit worker count (`None` picks
-/// one per available core). Trial trajectories, tallies, and the event
-/// stream are independent of the worker count by construction; the
-/// override exists for determinism tests and for sharing a host.
+/// [`run_trials`] with instrumentation and an explicit worker count
+/// (`None` picks one per available core). The batch shards across worker
+/// threads whether or not the recorder is live, and what it records is a
+/// pure function of `(config, source, policy, trials, base_seed)` (see
+/// [`run_jobs`]): trial trajectories, tallies, and the event stream are
+/// independent of the worker count by construction; the override exists
+/// for determinism tests and for sharing a host. Wall-clock telemetry
+/// (total, per-trial, worker utilization) is collected on every path.
 ///
 /// # Panics
 /// Re-raises, with its message, the panic of the lowest-numbered trial
@@ -615,7 +610,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fault-tolerant campaign: [`run_trials_observed`] plus skip-and-report
+/// Fault-tolerant campaign: [`run_trials_observed_with_workers`] plus skip-and-report
 /// on panicking trials and checkpoint/resume.
 ///
 /// If [`CampaignOptions::checkpoint_path`] names an existing checkpoint
@@ -940,7 +935,8 @@ mod tests {
         let policy = PolicyKind::qcr_default();
         let plain = run_trials(&config, &source, &policy, 5, 42);
         let mut rec = Recorder::new(TallySink);
-        let observed = run_trials_observed(&config, &source, &policy, 5, 42, &mut rec);
+        let observed =
+            run_trials_observed_with_workers(&config, &source, &policy, 5, 42, None, &mut rec);
 
         // The observed run must reproduce the plain run trial for trial
         // (seeds are position-based, not worker-based), and a live
@@ -982,7 +978,8 @@ mod tests {
         let policy = PolicyKind::qcr_default();
 
         let mut sharded = Recorder::new(TallySink);
-        let _ = run_trials_observed(&config, &source, &policy, 6, 21, &mut sharded);
+        let _ =
+            run_trials_observed_with_workers(&config, &source, &policy, 6, 21, None, &mut sharded);
 
         // Manual serial reference: one recorder fed trial by trial.
         let mut serial = Recorder::new(TallySink);
@@ -1107,7 +1104,8 @@ mod tests {
         let policy = PolicyKind::qcr_default();
 
         let mut parallel = Recorder::new(MemorySink::new());
-        let _ = run_trials_observed(&config, &source, &policy, 4, 33, &mut parallel);
+        let _ =
+            run_trials_observed_with_workers(&config, &source, &policy, 4, 33, None, &mut parallel);
 
         let mut serial = Recorder::new(MemorySink::new());
         for k in 0..4u64 {

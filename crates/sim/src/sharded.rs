@@ -1035,10 +1035,6 @@ pub fn run_trial_sharded(
     let mut lane_chain = |l: usize| lane_chains.get_mut(l).and_then(Option::take);
 
     // ---- global state init (serial), then split into shard blocks ----
-    let protocol_utility = config
-        .protocol_utility
-        .clone()
-        .unwrap_or_else(|| config.utility.clone());
     let mut global = SimState::new(nodes, items, rho);
     global.set_eviction(config.eviction);
     match &policy {
@@ -1049,7 +1045,7 @@ pub fn run_trial_sharded(
     }
     let qcr = policy
         .qcr_config()
-        .map(|cfg| QcrRules::new(cfg, protocol_utility, nodes, mu, items, rho));
+        .map(|cfg| QcrRules::for_trial(cfg, config, nodes, mu));
     let SimState {
         caches,
         sticky_owner,

@@ -40,17 +40,6 @@ impl ContactEvent {
         self.a == node || self.b == node
     }
 
-    /// The other endpoint of the contact, if `node` participates.
-    pub fn peer_of(&self, node: u32) -> Option<u32> {
-        if self.a == node {
-            Some(self.b)
-        } else if self.b == node {
-            Some(self.a)
-        } else {
-            None
-        }
-    }
-
     /// JSON form: `{"time": t, "a": a, "b": b}`.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -98,14 +87,11 @@ mod tests {
     }
 
     #[test]
-    fn involvement_and_peer() {
+    fn involvement() {
         let e = ContactEvent::new(1.0, 3, 7);
         assert!(e.involves(3));
         assert!(e.involves(7));
         assert!(!e.involves(5));
-        assert_eq!(e.peer_of(3), Some(7));
-        assert_eq!(e.peer_of(7), Some(3));
-        assert_eq!(e.peer_of(1), None);
     }
 
     #[test]

@@ -227,14 +227,6 @@ pub fn read_trace_file(path: impl AsRef<Path>) -> Result<ContactTrace, TraceErro
     read_trace(file).map_err(annotate)
 }
 
-/// Read a JSON trace from `path`; errors carry the path.
-pub fn read_trace_json_file(path: impl AsRef<Path>) -> Result<ContactTrace, TraceError> {
-    let path = path.as_ref();
-    let annotate = |e: TraceError| e.in_file(path);
-    let file = std::fs::File::open(path).map_err(|e| annotate(e.into()))?;
-    read_trace_json(file).map_err(annotate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,16 +328,6 @@ mod tests {
         let err = read_trace_file(&bad).unwrap_err();
         assert!(err.to_string().contains("bad.txt"), "{err}");
         assert!(err.to_string().contains("self-contact"), "{err}");
-
-        let bad_json = dir.join("bad.json");
-        std::fs::write(&bad_json, "{ nope").unwrap();
-        let err = read_trace_json_file(&bad_json).unwrap_err();
-        assert!(
-            matches!(&err, TraceError::File { source, .. }
-                if matches!(**source, TraceError::Json(_))),
-            "{err}"
-        );
         std::fs::remove_file(&bad).ok();
-        std::fs::remove_file(&bad_json).ok();
     }
 }

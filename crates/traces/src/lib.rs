@@ -51,8 +51,8 @@ mod trace;
 pub use event::ContactEvent;
 pub use import::{read_interval_trace, read_interval_trace_file, ImportOptions, IntervalColumns};
 pub use io::{
-    read_trace, read_trace_file, read_trace_json, read_trace_json_file, write_trace,
-    write_trace_json, TraceError, TraceIoError,
+    read_trace, read_trace_file, read_trace_json, write_trace, write_trace_json, TraceError,
+    TraceIoError,
 };
 pub use stats::TraceStats;
 pub use stream::{

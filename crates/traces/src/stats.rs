@@ -85,11 +85,6 @@ impl TraceStats {
         &self.rates
     }
 
-    /// All observed inter-contact times (pooled across pairs).
-    pub fn intercontact_times(&self) -> &[f64] {
-        &self.intercontact
-    }
-
     /// Mean of the pooled inter-contact times (`NaN` if none observed).
     pub fn mean_intercontact(&self) -> f64 {
         if self.intercontact.is_empty() {
@@ -141,16 +136,6 @@ impl TraceStats {
         var.sqrt() / mean
     }
 
-    /// Empirical CCDF of the inter-contact times evaluated at `t`
-    /// (`P(ICT > t)`).
-    pub fn intercontact_ccdf(&self, t: f64) -> f64 {
-        if self.intercontact.is_empty() {
-            return f64::NAN;
-        }
-        let above = self.intercontact.iter().filter(|&&x| x > t).count();
-        above as f64 / self.intercontact.len() as f64
-    }
-
     /// Heterogeneity of pairwise rates: coefficient of variation of the
     /// off-diagonal rate entries. 0 for homogeneous contacts.
     pub fn rate_cv(&self) -> f64 {
@@ -198,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn intercontact_times_per_pair() {
+    fn mean_intercontact_per_pair() {
         let trace = ContactTrace::new(
             2,
             100.0,
@@ -209,7 +194,6 @@ mod tests {
             ],
         );
         let stats = TraceStats::from_trace(&trace);
-        assert_eq!(stats.intercontact_times(), &[15.0, 30.0]);
         assert!((stats.mean_intercontact() - 22.5).abs() < 1e-12);
     }
 
@@ -231,29 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn ccdf_is_monotone() {
-        let trace = ContactTrace::new(
-            2,
-            100.0,
-            vec![
-                ContactEvent::new(0.0, 0, 1),
-                ContactEvent::new(5.0, 0, 1),
-                ContactEvent::new(30.0, 0, 1),
-            ],
-        );
-        let stats = TraceStats::from_trace(&trace);
-        assert_eq!(stats.intercontact_ccdf(0.0), 1.0);
-        assert_eq!(stats.intercontact_ccdf(10.0), 0.5);
-        assert_eq!(stats.intercontact_ccdf(50.0), 0.0);
-    }
-
-    #[test]
     fn empty_trace_statistics() {
         let trace = ContactTrace::new(3, 10.0, vec![]);
         let stats = TraceStats::from_trace(&trace);
         assert!(stats.mean_intercontact().is_nan());
         assert!(stats.intercontact_cv().is_nan());
-        assert!(stats.intercontact_ccdf(1.0).is_nan());
         assert_eq!(stats.rates().mean_rate(), 0.0);
     }
 }

@@ -1573,19 +1573,18 @@ fn net_registry<S: Sink>(rec: &Recorder<S>, agg: &NetAggregate) -> MetricsRegist
 
 /// Result panel for a distributed batch.
 fn net_report(agg: &NetAggregate, utility: &Arc<dyn DelayUtility>, source: &str, verbose: bool) {
-    let s = &agg.stats;
-    let c = &agg.conservation;
+    let (s, c, a) = (&agg.stats, &agg.conservation, &agg.aggregate);
     println!(
         "distributed QCR over {} trials (utility {}, source {source}):",
-        agg.trials,
+        a.trials,
         utility.kind()
     );
-    println!("  mean observed utility : {:>10.5} /min", agg.mean_rate);
+    println!("  mean observed utility : {:>10.5} /min", a.mean_rate);
     println!(
         "  5–95% band            : {:>10.5} … {:.5}",
-        agg.p5_rate, agg.p95_rate
+        a.p5_rate, a.p95_rate
     );
-    println!("  unfulfilled/trial     : {:>10.1}", agg.mean_unfulfilled);
+    println!("  unfulfilled/trial     : {:>10.1}", a.mean_unfulfilled);
     println!(
         "  messages              : {:>10} sent · {} delivered · {} lost · {} dup",
         s.msgs_sent, s.msgs_delivered, s.msgs_lost, s.msgs_duplicated
@@ -1612,8 +1611,8 @@ fn net_report(agg: &NetAggregate, utility: &Arc<dyn DelayUtility>, source: &str,
         println!("  degraded trials       : {:>10}", agg.degraded_trials);
     }
     if verbose {
-        println!("  workers               : {:>10}", agg.workers);
-        println!("  wall time             : {:>10.3} s", agg.wall_s);
+        println!("  workers               : {:>10}", a.workers);
+        println!("  wall time             : {:>10.3} s", a.wall_s);
     }
 }
 
@@ -1655,7 +1654,7 @@ fn netrun(args: &Args) -> Result<(), CliError> {
             m.set("source", source_label.as_str());
             m.set("trials", s.trials as u64);
             m.set("base_seed", s.seed);
-            m.set("mean_rate", agg.mean_rate);
+            m.set("mean_rate", agg.aggregate.mean_rate);
             m.set("degraded_trials", agg.degraded_trials as u64);
             m.set("msgs_sent", agg.stats.msgs_sent);
             m.set("msgs_lost", agg.stats.msgs_lost);
@@ -1800,8 +1799,8 @@ fn netrun_verify(args: &Args) -> Result<(), CliError> {
         println!(
             "{:<6} {:>11.5} {:>7.3} {:>9} {:>9} {:>9}",
             format!("{:.0}%", loss * 100.0),
-            agg.mean_rate,
-            agg.mean_rate / clean_rate,
+            agg.aggregate.mean_rate,
+            agg.aggregate.mean_rate / clean_rate,
             agg.stats.retries,
             agg.stats.msgs_lost,
             agg.degraded_trials

@@ -138,7 +138,7 @@ fn lossy_churn_soak_terminates_conserving_on_every_seed() {
             .unwrap_or_else(|e| panic!("seed {seed} failed: {e}"));
         assert!(out.conservation.holds(), "seed {seed} leaked mandates");
         assert!(
-            out.metrics.fulfillments() > 0,
+            out.outcome.metrics.fulfillments() > 0,
             "seed {seed} fulfilled nothing"
         );
     }

@@ -4,19 +4,20 @@
 //! engine (bit-identical trajectories with or without it attached); the
 //! distributed batch is deterministic per seed and independent of the
 //! worker count; message loss degrades welfare boundedly instead of
-//! wedging; and the clean-transport runtime statistically matches the
-//! engine under the oracle's paired-seed differential.
+//! wedging; paired seeds share exactly the contacts the two runtimes
+//! see; and the clean-transport runtime statistically matches the engine
+//! under the oracle's paired-seed differential.
 
 use std::sync::Arc;
 
 use impatience_core::demand::Popularity;
 use impatience_core::utility::Step;
 use impatience_net::{run_net_trials_observed, Msg, NetConfig, WireError};
-use impatience_obs::Recorder;
+use impatience_obs::{Event, MemorySink, Recorder};
 use impatience_oracle::net_vs_engine;
 use impatience_sim::config::{ContactSource, SimConfig};
-use impatience_sim::engine::run_trial;
-use impatience_sim::faults::{FaultConfig, MsgFaults};
+use impatience_sim::engine::{run_trial, run_trial_observed};
+use impatience_sim::faults::{ContactDrop, FaultConfig, MsgFaults};
 use impatience_sim::policy::PolicyKind;
 use proptest::prelude::*;
 
@@ -152,7 +153,7 @@ fn batch(config: &SimConfig, source: &ContactSource, workers: usize) -> (Vec<f64
     )
     .expect("batch must conserve");
     let stats = format!("{:?} {:?}", agg.stats, agg.conservation);
-    (agg.rates, stats)
+    (agg.aggregate.rates, stats)
 }
 
 #[test]
@@ -197,6 +198,62 @@ fn loss_degrades_welfare_boundedly() {
         l > 0.5 * c,
         "10% loss should be mostly masked by retries, got {l} vs clean {c}"
     );
+}
+
+// ------------------------------------------ what paired seeds share
+
+/// The `contact` events of a recording, in order (times as bits).
+fn contact_events(events: &[Event]) -> Vec<(u64, u32, u32)> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            Event::Contact { t, a, b } => Some((t.to_bits(), a, b)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn paired_seeds_share_the_contacts_each_runtime_sees() {
+    // The kernel begins a trial with the engine's seeding: the same
+    // contact stream, and the same fault streams dropping from it. (The
+    // demand is shared only up to the first arrival time; see
+    // `impatience_oracle::netdiff`.)
+    let source = ContactSource::homogeneous(12, 0.08, 1_000.0);
+    let mut dropping = small_config(10, 2);
+    dropping.faults = Some(FaultConfig {
+        seed: 13,
+        drop: Some(ContactDrop {
+            p: 0.2,
+            mean_burst: 2.0,
+        }),
+        ..FaultConfig::default()
+    });
+    let mut seen = Vec::new();
+    for config in [small_config(10, 2), dropping] {
+        let mut net = Recorder::new(MemorySink::new());
+        let agg = run_net_trials_observed(
+            &config,
+            &source,
+            &NetConfig::default(),
+            1,
+            7,
+            None,
+            &mut net,
+        )
+        .expect("the audit passes");
+        assert!(agg.aggregate.trials == 1 && agg.conservation.holds());
+        let mut engine = Recorder::new(MemorySink::new());
+        let qcr = run_trial_observed(&config, &source, PolicyKind::qcr_default(), 7, &mut engine);
+        let contacts = contact_events(&engine.sink().events);
+        assert!(!contacts.is_empty());
+        assert_eq!(contact_events(&net.sink().events), contacts);
+        seen.push((contacts.len(), qcr.metrics.contacts_dropped));
+    }
+    let [(clean, 0), (dropped, lost)] = seen[..] else {
+        panic!("contact drops on a clean config: {seen:?}");
+    };
+    assert!(lost > 0 && dropped + lost as usize == clean, "{seen:?}");
 }
 
 // ----------------------------------------------- differential agreement

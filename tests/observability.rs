@@ -192,8 +192,8 @@ proptest! {
         }
 
         let mut sharded = Recorder::new(TallySink);
-        let agg = impatience_sim::runner::run_trials_observed(
-            &config, &source, &policy, trials, base_seed, &mut sharded,
+        let agg = impatience_sim::runner::run_trials_observed_with_workers(
+            &config, &source, &policy, trials, base_seed, None, &mut sharded,
         );
         prop_assert_eq!(agg.trials, trials);
 

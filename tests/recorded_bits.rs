@@ -4,12 +4,15 @@
 //! `reproduce --all --check`, takes a minute), the discrete engine and
 //! the message-passing kernel answer to the constants below.
 //!
-//! The discrete and net constants were recorded at commit 0c7b659 (the
-//! parent of the change that put one `QcrRules` and one `Trial` frame
-//! under all four runtimes), the serial ones at 1ace9c3 (the parent of
-//! the change that made the event-merging loop a lane driver), each by
-//! running this file there: a cell whose digest moves has changed a
-//! float sum, an RNG draw or an event order.
+//! The discrete and clean/lossy net constants were recorded at commit
+//! 0c7b659 (the parent of the change that put one `QcrRules` and one
+//! `Trial` frame under all four runtimes), the serial ones at 1ace9c3
+//! (the parent of the change that made the event-merging loop a lane
+//! driver), the net path cells (shift, dedicated, drops, churn, deadline,
+//! chaos) at 6c1534d (the parent of the change that made the net kernel
+//! call the engine's seeding, demand, admission and settlement), each by
+//! running this file there, in debug and in release: a cell whose digest
+//! moves has changed a float sum, an RNG draw or an event order.
 
 use std::sync::Arc;
 
@@ -19,11 +22,11 @@ use impatience_core::solver::fixed::dominant;
 use impatience_core::solver::greedy::greedy_homogeneous;
 use impatience_core::types::SystemModel;
 use impatience_core::utility::{DelayUtility, Power, Step};
-use impatience_net::{run_net_trial, NetConfig};
+use impatience_net::{run_net_trial, ChaosEvent, ChaosKind, NetConfig};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::engine::run_trial;
 use impatience_sim::engine_discrete::{run_trial_discrete, DiscreteSource};
-use impatience_sim::faults::{CacheFaults, ContactDrop, FaultConfig, MsgFaults};
+use impatience_sim::faults::{CacheFaults, Churn, ContactDrop, FaultConfig, MsgFaults};
 use impatience_sim::metrics::Metrics;
 use impatience_sim::policy::PolicyKind;
 
@@ -265,8 +268,8 @@ fn net_kernel_outputs_equal_the_recorded_ones() {
             assert!(out.conservation.minted > 0 && out.stats.handoffs_applied > 0);
             assert_eq!(out.stats.msgs_lost > 0, f == 1, "loss fires iff injected");
             let got = digest(
-                &out.metrics,
-                &(&out.final_replicas, out.stats, out.conservation),
+                &out.outcome.metrics,
+                &(&out.outcome.final_replicas, out.stats, out.conservation),
             );
             assert_eq!(
                 got,
@@ -275,4 +278,105 @@ fn net_kernel_outputs_equal_the_recorded_ones() {
             );
         }
     }
+}
+
+#[test]
+fn net_kernel_paths_equal_the_recorded_ones() {
+    let source = ContactSource::homogeneous(12, 0.08, 1_500.0);
+    let step = || config(Arc::new(Step::new(10.0)), None);
+    let faulty = |faults| config(Arc::new(Step::new(10.0)), Some(faults));
+    let mut shifted = step();
+    shifted.demand_shifts = vec![(
+        750.0,
+        DemandRates::new(shifted.demand.rates().iter().rev().copied().collect()),
+    )];
+    let dedicated = SimConfig::builder(12, 4)
+        .demand(Popularity::pareto(12, 1.0).demand_rates(0.8))
+        .utility(Arc::new(Step::new(10.0)))
+        .bin(100.0)
+        .dedicated_servers(4)
+        .build();
+    let drops = faulty(FaultConfig {
+        seed: 13,
+        drop: Some(ContactDrop {
+            p: 0.2,
+            mean_burst: 2.0,
+        }),
+        cache: Some(CacheFaults { rate: 0.002 }),
+        ..FaultConfig::default()
+    });
+    let churn = faulty(FaultConfig {
+        seed: 17,
+        churn: Some(Churn {
+            mean_up: 300.0,
+            mean_down: 60.0,
+        }),
+        ..FaultConfig::default()
+    });
+    let chaos = |t: f64, node: u32, kind: ChaosKind| NetConfig {
+        chaos: vec![ChaosEvent { t, node, kind }],
+        ..NetConfig::default()
+    };
+    // Power(0.5) is unbounded below: expired and horizon requests settle
+    // at h(age), the arm Step's h(∞) = 0 never reaches.
+    let deadline = NetConfig {
+        deadline: Some(30.0),
+        ..NetConfig::default()
+    };
+    type Check = fn(&impatience_net::NetTrialOutcome) -> bool;
+    // (cell, config, net, what must have happened), all on seed 3.
+    let cells: [(&str, SimConfig, NetConfig, Check); 7] = [
+        ("demand shift", shifted, NetConfig::default(), |_| true),
+        ("dedicated 4", dedicated, NetConfig::default(), |o| {
+            o.outcome.metrics.immediate_hits == 0
+        }),
+        ("drop + cache faults", drops, NetConfig::default(), |o| {
+            o.outcome.metrics.contacts_dropped > 0 && o.outcome.metrics.cache_faults > 0
+        }),
+        ("churn", churn, NetConfig::default(), |o| {
+            o.stats.crashes > 0
+        }),
+        (
+            "deadline",
+            config(Arc::new(Power::new(0.5)), None),
+            deadline,
+            |o| o.stats.requests_expired > 0,
+        ),
+        (
+            "chaos kill",
+            step(),
+            chaos(500.0, 3, ChaosKind::Kill { down_for: 200.0 }),
+            |o| o.stats.crashes == 1 && o.stats.restarts == 1,
+        ),
+        (
+            "chaos stall",
+            step(),
+            chaos(300.0, 2, ChaosKind::Stall),
+            |o| o.degraded && o.stats.stalls == 1,
+        ),
+    ];
+    const RECORDED: [u64; 7] = [
+        0x5d96_b4cf_0b97_f93f,
+        0x4a39_6004_df55_b7ca,
+        0xa637_9e6f_daed_be55,
+        0x6b52_c0b5_09ba_fa02,
+        0x20d4_2da7_e3ea_21a6,
+        0x6961_9238_0ffd_2ae5,
+        0x5942_cd3d_c5fd_799e,
+    ];
+    let moved: Vec<String> = cells
+        .iter()
+        .zip(RECORDED)
+        .filter_map(|((cell, config, net, check), recorded)| {
+            let out =
+                run_net_trial(config, &source, net, 3).expect("the conservation audit passes");
+            assert!(check(&out), "{cell}: the path was not taken");
+            let got = digest(
+                &out.outcome.metrics,
+                &(&out.outcome.final_replicas, out.stats, out.conservation),
+            );
+            (got != recorded).then(|| format!("{cell}: {got:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "digests moved:\n{}", moved.join("\n"));
 }

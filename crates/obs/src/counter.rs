@@ -1,39 +1,44 @@
 //! Monotonic counters and high-water marks.
 //!
-//! Both structures keep their entries sorted by name, so two instances
-//! that have seen the same data compare equal regardless of insertion
-//! order, and [`Counters::merge`] / [`Peaks::merge`] are associative and
-//! commutative — the property the parallel runner relies on when it
-//! combines per-worker recorders (verified by a proptest in
+//! Both are one sorted name table, [`NameTable`], that differs only in how a
+//! value folds in: [`Counters`] add, [`Peaks`] keep the maximum. Entries
+//! stay sorted by name, so two tables that have seen the same data
+//! compare equal regardless of insertion order, and `merge` is
+//! associative and commutative — the property the parallel runner relies
+//! on when it combines per-worker recorders (verified by a proptest in
 //! `tests/observability.rs`).
 
 use impatience_json::Json;
 
-/// A set of named monotonic `u64` counters.
+/// A set of named `u64`s, sorted by name. `PEAK` picks the fold: a sum
+/// ([`Counters`]) or a maximum ([`Peaks`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counters {
+pub struct NameTable<const PEAK: bool> {
     entries: Vec<(&'static str, u64)>,
 }
 
-impl Counters {
+/// A set of named monotonic `u64` counters.
+pub type Counters = NameTable<false>;
+
+/// A set of named high-water marks (e.g. peak queue depth).
+pub type Peaks = NameTable<true>;
+
+impl<const PEAK: bool> NameTable<PEAK> {
     /// An empty set.
     pub fn new() -> Self {
-        Counters::default()
+        NameTable::default()
     }
 
-    /// Add `n` to `name` (creating it at zero).
+    /// Fold `value` into `name` (which starts at zero).
     #[inline]
-    pub fn add(&mut self, name: &'static str, n: u64) {
+    fn fold(&mut self, name: &'static str, value: u64) {
         match self.entries.binary_search_by_key(&name, |(k, _)| k) {
-            Ok(i) => self.entries[i].1 += n,
-            Err(i) => self.entries.insert(i, (name, n)),
+            Ok(i) => {
+                let old = self.entries[i].1;
+                self.entries[i].1 = if PEAK { old.max(value) } else { old + value };
+            }
+            Err(i) => self.entries.insert(i, (name, value)),
         }
-    }
-
-    /// Increment `name` by one.
-    #[inline]
-    pub fn incr(&mut self, name: &'static str) {
-        self.add(name, 1);
     }
 
     /// Current value of `name` (zero if never touched).
@@ -44,10 +49,10 @@ impl Counters {
             .unwrap_or(0)
     }
 
-    /// Fold another set into this one (sums per name).
-    pub fn merge(&mut self, other: &Counters) {
-        for &(name, n) in &other.entries {
-            self.add(name, n);
+    /// Fold another set into this one, name by name.
+    pub fn merge(&mut self, other: &Self) {
+        for &(name, v) in &other.entries {
+            self.fold(name, v);
         }
     }
 
@@ -56,7 +61,7 @@ impl Counters {
         &self.entries
     }
 
-    /// Whether nothing has been counted.
+    /// Whether nothing has been folded in.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -72,58 +77,25 @@ impl Counters {
     }
 }
 
-/// A set of named high-water marks (e.g. peak queue depth).
-///
-/// Merging takes the elementwise maximum, which is likewise associative
-/// and commutative.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Peaks {
-    entries: Vec<(&'static str, u64)>,
+impl Counters {
+    /// Add `n` to `name`.
+    #[inline]
+    pub fn add(&mut self, name: &'static str, n: u64) {
+        self.fold(name, n);
+    }
+
+    /// Increment `name` by one.
+    #[inline]
+    pub fn incr(&mut self, name: &'static str) {
+        self.add(name, 1);
+    }
 }
 
 impl Peaks {
-    /// An empty set.
-    pub fn new() -> Self {
-        Peaks::default()
-    }
-
     /// Raise `name` to `value` if larger.
     #[inline]
     pub fn update(&mut self, name: &'static str, value: u64) {
-        match self.entries.binary_search_by_key(&name, |(k, _)| k) {
-            Ok(i) => self.entries[i].1 = self.entries[i].1.max(value),
-            Err(i) => self.entries.insert(i, (name, value)),
-        }
-    }
-
-    /// Current peak for `name` (zero if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.entries
-            .binary_search_by_key(&name, |(k, _)| k)
-            .map(|i| self.entries[i].1)
-            .unwrap_or(0)
-    }
-
-    /// Fold another set into this one (maximum per name).
-    pub fn merge(&mut self, other: &Peaks) {
-        for &(name, v) in &other.entries {
-            self.update(name, v);
-        }
-    }
-
-    /// All `(name, peak)` pairs, sorted by name.
-    pub fn entries(&self) -> &[(&'static str, u64)] {
-        &self.entries
-    }
-
-    /// Encode as a JSON object, names sorted.
-    pub fn to_json(&self) -> Json {
-        Json::Object(
-            self.entries
-                .iter()
-                .map(|&(k, v)| (k.to_string(), Json::from(v)))
-                .collect(),
-        )
+        self.fold(name, value);
     }
 }
 

@@ -91,13 +91,6 @@ pub enum Event {
         /// Wall-clock seconds.
         wall_s: f64,
     },
-    /// A named timed phase completed.
-    Span {
-        /// Phase name.
-        name: &'static str,
-        /// Wall-clock seconds.
-        wall_s: f64,
-    },
     /// One simulation trial completed.
     TrialDone {
         /// The trial's RNG seed.
@@ -159,7 +152,6 @@ impl Event {
             Event::Replication { .. } => "replication",
             Event::SolverStep { .. } => "solver_step",
             Event::SolverDone { .. } => "solver_done",
-            Event::Span { .. } => "span",
             Event::TrialDone { .. } => "trial_done",
             Event::ScenarioDone { .. } => "scenario",
             Event::ExperimentDone { .. } => "experiment",
@@ -230,10 +222,6 @@ impl Event {
                 push("solver", solver.into());
                 push("iterations", iterations.into());
                 push("evaluations", evaluations.into());
-                push("wall_s", wall_s.into());
-            }
-            Event::Span { name, wall_s } => {
-                push("name", name.into());
                 push("wall_s", wall_s.into());
             }
             Event::TrialDone { seed, wall_s } => {
@@ -377,10 +365,6 @@ impl Event {
                 uint(out, "evaluations", evaluations);
                 float(out, "wall_s", wall_s);
             }
-            Event::Span { name, wall_s } => {
-                string(out, "name", name);
-                float(out, "wall_s", wall_s);
-            }
             Event::TrialDone { seed, wall_s } => {
                 uint(out, "seed", seed);
                 float(out, "wall_s", wall_s);
@@ -481,10 +465,6 @@ mod tests {
                 iterations: 10,
                 evaluations: 40,
                 wall_s: 0.01,
-            },
-            Event::Span {
-                name: "solve",
-                wall_s: 0.02,
             },
             Event::TrialDone {
                 seed: 7,

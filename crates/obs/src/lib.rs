@@ -59,26 +59,9 @@ pub use histogram::Histogram;
 pub use manifest::{git_revision, Manifest};
 pub use progress::Progress;
 pub use recorder::Recorder;
-pub use registry::{parse_prometheus, HistSnapshot, MetricKind, MetricsRegistry, PromSample};
+pub use registry::{parse_prometheus, MetricsRegistry, PromSample};
 pub use sink::{JsonlSink, MemorySink, NoopSink, Sink, TallySink};
 pub use span::{PhaseAgg, PhaseReport, PhaseStat, SpanGuard};
 pub use stats::{nearest_rank, percentile, percentile_sorted};
 pub use stream::{ChunkTail, EventStream, StreamCursor, StreamSink};
 pub use trace::{render_diff, TraceSummary};
-
-/// The common imports: `use impatience_obs::prelude::*;`.
-pub mod prelude {
-    pub use crate::atomic::{write_atomic, AtomicFile};
-    pub use crate::counter::{Counters, Peaks};
-    pub use crate::event::Event;
-    pub use crate::histogram::Histogram;
-    pub use crate::manifest::{git_revision, Manifest};
-    pub use crate::progress::Progress;
-    pub use crate::recorder::Recorder;
-    pub use crate::registry::{parse_prometheus, MetricsRegistry, PromSample};
-    pub use crate::sink::{JsonlSink, MemorySink, NoopSink, Sink, TallySink};
-    pub use crate::span::{PhaseAgg, PhaseReport, PhaseStat, SpanGuard};
-    pub use crate::stats::{nearest_rank, percentile, percentile_sorted};
-    pub use crate::stream::{EventStream, StreamCursor, StreamSink};
-    pub use crate::trace::{render_diff, TraceSummary};
-}

@@ -88,7 +88,7 @@ impl Manifest {
 }
 
 /// Seconds since the unix epoch.
-pub fn unix_now() -> u64 {
+fn unix_now() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())

@@ -35,7 +35,7 @@ impl Progress {
 
     /// A meter with the TTY decision made by the caller (tests force
     /// `enabled` without a terminal).
-    pub fn with_enabled(label: &str, total: u64, enabled: bool) -> Self {
+    fn with_enabled(label: &str, total: u64, enabled: bool) -> Self {
         Progress {
             enabled,
             label: label.to_string(),
@@ -92,7 +92,7 @@ impl Progress {
 
     /// The status line for the current state (separated from printing
     /// for testability).
-    pub fn render_line(&self, detail: &str, elapsed_s: f64) -> String {
+    fn render_line(&self, detail: &str, elapsed_s: f64) -> String {
         let pct = if self.total > 0 {
             100.0 * self.done as f64 / self.total as f64
         } else {
@@ -116,13 +116,16 @@ impl Progress {
     }
 }
 
+/// `42s`, `1m30s` or `1h02m`: rounded to whole seconds once, then split,
+/// so no field reads 60.
 fn fmt_eta(s: f64) -> String {
-    if s >= 3600.0 {
-        format!("{:.0}h{:02.0}m", (s / 3600.0).floor(), (s % 3600.0) / 60.0)
-    } else if s >= 60.0 {
-        format!("{:.0}m{:02.0}s", (s / 60.0).floor(), s % 60.0)
+    let secs = s.round_ties_even() as u64;
+    if secs >= 3600 {
+        format!("{}h{:02}m", secs / 3600, secs % 3600 / 60)
+    } else if secs >= 60 {
+        format!("{}m{:02}s", secs / 60, secs % 60)
     } else {
-        format!("{s:.0}s")
+        format!("{secs}s")
     }
 }
 
@@ -163,5 +166,11 @@ mod tests {
         assert_eq!(fmt_eta(42.0), "42s");
         assert_eq!(fmt_eta(90.0), "1m30s");
         assert_eq!(fmt_eta(3720.0), "1h02m");
+    }
+
+    #[test]
+    fn eta_rounds_before_it_splits() {
+        assert_eq!(fmt_eta(119.6), "2m00s");
+        assert_eq!(fmt_eta(3599.6), "1h00m");
     }
 }

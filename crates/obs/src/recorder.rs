@@ -1,7 +1,5 @@
 //! The recorder: the single object instrumented code talks to.
 
-use std::time::Instant;
-
 use impatience_json::Json;
 
 use crate::counter::{Counters, Peaks};
@@ -32,11 +30,11 @@ pub struct Recorder<S: Sink> {
 }
 
 /// Default histogram span for fulfillment delays (simulation minutes).
-pub const DEFAULT_DELAY_RANGE: f64 = 4_096.0;
+const DEFAULT_DELAY_RANGE: f64 = 4_096.0;
 /// Default histogram span for inter-contact gaps (simulation minutes).
-pub const DEFAULT_INTER_CONTACT_RANGE: f64 = 512.0;
+const DEFAULT_INTER_CONTACT_RANGE: f64 = 512.0;
 /// Default bucket count for both histograms.
-pub const DEFAULT_BUCKETS: usize = 4_096;
+const DEFAULT_BUCKETS: usize = 4_096;
 
 impl Recorder<NoopSink> {
     /// The zero-cost recorder: hooks compile to nothing.
@@ -225,26 +223,6 @@ impl<S: Sink> Recorder<S> {
         });
     }
 
-    /// Record a completed named phase of `wall_s` seconds.
-    #[inline]
-    pub fn span(&mut self, name: &'static str, wall_s: f64) {
-        if !S::ACTIVE {
-            return;
-        }
-        self.sink.record(&Event::Span { name, wall_s });
-    }
-
-    /// Time `f` as a named span (when active; otherwise just run it).
-    pub fn time<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        if !S::ACTIVE {
-            return f();
-        }
-        let start = Instant::now();
-        let result = f();
-        self.span(name, start.elapsed().as_secs_f64());
-        result
-    }
-
     /// One verification-oracle scenario finished with the given
     /// per-invariant tallies.
     #[inline]
@@ -414,17 +392,6 @@ mod tests {
         assert_eq!(a.counters.get("fulfillments"), 2);
         assert_eq!(a.delay.count(), 2);
         assert_eq!(a.peaks.get("open_requests"), 9);
-    }
-
-    #[test]
-    fn time_spans_are_emitted() {
-        let mut r = Recorder::new(MemorySink::new());
-        let answer = r.time("phase", || 41 + 1);
-        assert_eq!(answer, 42);
-        assert!(matches!(
-            r.sink().events[0],
-            Event::Span { name: "phase", .. }
-        ));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A process-wide metrics registry with Prometheus text exposition.
+//! A metrics registry with Prometheus text exposition.
 //!
 //! [`MetricsRegistry`] stores counter, gauge, and histogram families
 //! keyed by metric name, each holding labeled series. [`Recorder`]
@@ -6,20 +6,18 @@
 //! phase trees through [`MetricsRegistry::absorb_phase_report`], and the
 //! whole registry serializes as Prometheus text exposition format
 //! (version 0.0.4) via [`MetricsRegistry::render`] — written crash-safely
-//! to `results/*.prom` by [`MetricsRegistry::write_prom`]. This is the
-//! designated data source for the planned `impatience serve` `/metrics`
-//! endpoint (ROADMAP item 3).
+//! to `results/*.prom` by [`MetricsRegistry::write_prom`], and served by
+//! `impatience serve` on `GET /metrics`.
 //!
 //! Exposition output is deterministic: families sort by name, series by
 //! label set, and histogram buckets export on a fixed power-of-two edge
 //! grid, so two runs with identical tallies produce byte-identical
 //! `.prom` files. A minimal parser ([`parse_prometheus`]) supports the
-//! round-trip tests and `impatience trace export --prom` consumers.
+//! round-trip tests and `impatience trace lint-prom`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
 
 use crate::atomic::write_atomic;
 use crate::histogram::Histogram;
@@ -27,49 +25,16 @@ use crate::recorder::Recorder;
 use crate::sink::Sink;
 use crate::span::PhaseReport;
 
-/// What a metric family measures, per the Prometheus data model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotonically increasing total.
-    Counter,
-    /// Point-in-time value.
-    Gauge,
-    /// Cumulative-bucket distribution.
-    Histogram,
-}
-
-impl MetricKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        }
-    }
-}
-
-/// A histogram series snapshot: cumulative counts at ascending edges,
-/// plus exact sum and count.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistSnapshot {
-    /// `(upper_edge, cumulative_count)` pairs, edges ascending. The
-    /// implicit `+Inf` bucket is `count`.
-    pub buckets: Vec<(f64, u64)>,
-    /// Exact sum of samples.
-    pub sum: f64,
-    /// Total samples.
-    pub count: u64,
-}
-
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 enum Series {
     Value(f64),
-    Hist(HistSnapshot),
+    Hist(Histogram),
 }
 
 #[derive(Debug)]
 struct Family {
-    kind: MetricKind,
+    /// `counter`, `gauge` or `histogram`, per the Prometheus data model.
+    kind: &'static str,
     help: String,
     /// Keyed by rendered label set (`{a="x",b="y"}` or empty).
     series: BTreeMap<String, Series>,
@@ -92,54 +57,45 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// True when no families are registered.
-    pub fn is_empty(&self) -> bool {
-        self.families.is_empty()
-    }
-
-    fn family(&mut self, name: &str, kind: MetricKind, help: &str) -> &mut Family {
-        self.families
+    fn series(
+        &mut self,
+        name: &str,
+        kind: &'static str,
+        help: &str,
+    ) -> &mut BTreeMap<String, Series> {
+        &mut self
+            .families
             .entry(name.to_string())
             .or_insert_with(|| Family {
                 kind,
                 help: help.to_string(),
                 series: BTreeMap::new(),
             })
+            .series
     }
 
     /// Add `v` to a counter series (creating it at zero).
     pub fn counter_add(&mut self, name: &str, help: &str, labels: &[(&str, &str)], v: f64) {
-        let key = label_key(labels);
-        let fam = self.family(name, MetricKind::Counter, help);
-        match fam.series.entry(key).or_insert(Series::Value(0.0)) {
-            Series::Value(total) => *total += v,
-            Series::Hist(_) => {}
+        let series = self.series(name, "counter", help);
+        if let Series::Value(total) = series
+            .entry(label_key(labels))
+            .or_insert(Series::Value(0.0))
+        {
+            *total += v;
         }
     }
 
     /// Set a gauge series to `v`.
     pub fn gauge_set(&mut self, name: &str, help: &str, labels: &[(&str, &str)], v: f64) {
-        let key = label_key(labels);
-        let fam = self.family(name, MetricKind::Gauge, help);
-        fam.series.insert(key, Series::Value(v));
+        self.series(name, "gauge", help)
+            .insert(label_key(labels), Series::Value(v));
     }
 
-    /// Install a histogram series snapshot (replacing any previous one
-    /// under the same labels).
-    pub fn histogram_set(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        snapshot: HistSnapshot,
-    ) {
-        let key = label_key(labels);
-        let fam = self.family(name, MetricKind::Histogram, help);
-        fam.series.insert(key, Series::Hist(snapshot));
-    }
-
-    /// Snapshot an obs [`Histogram`] onto the export edge grid
-    /// (power-of-two multiples of its bucket width) and install it.
+    /// Install a copy of `hist` as a histogram series (replacing any
+    /// previous one under the same labels); [`render`] exports it on
+    /// power-of-two multiples of its bucket width.
+    ///
+    /// [`render`]: MetricsRegistry::render
     pub fn histogram_observe(
         &mut self,
         name: &str,
@@ -147,25 +103,8 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         hist: &Histogram,
     ) {
-        let width = hist.range() / hist.buckets() as f64;
-        let mut buckets = Vec::with_capacity(EXPORT_EDGES);
-        for k in 0..EXPORT_EDGES {
-            let edge = width * (1u64 << k) as f64;
-            if edge > hist.range() {
-                break;
-            }
-            buckets.push((edge, hist.cumulative_below(edge)));
-        }
-        self.histogram_set(
-            name,
-            help,
-            labels,
-            HistSnapshot {
-                buckets,
-                sum: hist.sum(),
-                count: hist.count(),
-            },
-        );
+        self.series(name, "histogram", help)
+            .insert(label_key(labels), Series::Hist(hist.clone()));
     }
 
     /// Fold a recorder's tallies in: counters as `impatience_<name>_total`,
@@ -247,26 +186,26 @@ impl MetricsRegistry {
             if !fam.help.is_empty() {
                 let _ = writeln!(out, "# HELP {name} {}", fam.help.replace('\n', " "));
             }
-            let _ = writeln!(out, "# TYPE {name} {}", fam.kind.as_str());
+            let _ = writeln!(out, "# TYPE {name} {}", fam.kind);
             for (labels, series) in &fam.series {
                 match series {
                     Series::Value(v) => {
                         let _ = writeln!(out, "{name}{labels} {}", fmt_value(*v));
                     }
                     Series::Hist(h) => {
-                        for &(edge, cum) in &h.buckets {
-                            let le = fmt_value(edge);
-                            let _ =
-                                writeln!(out, "{name}_bucket{} {cum}", merge_labels(labels, &le));
+                        let width = h.range() / h.buckets() as f64;
+                        for k in 0..EXPORT_EDGES {
+                            let edge = width * (1u64 << k) as f64;
+                            if edge > h.range() {
+                                break;
+                            }
+                            let le = merge_labels(labels, &fmt_value(edge));
+                            let _ = writeln!(out, "{name}_bucket{le} {}", h.cumulative_below(edge));
                         }
-                        let _ = writeln!(
-                            out,
-                            "{name}_bucket{} {}",
-                            merge_labels(labels, "+Inf"),
-                            h.count
-                        );
-                        let _ = writeln!(out, "{name}_sum{labels} {}", fmt_value(h.sum));
-                        let _ = writeln!(out, "{name}_count{labels} {}", h.count);
+                        let inf = merge_labels(labels, "+Inf");
+                        let _ = writeln!(out, "{name}_bucket{inf} {}", h.count());
+                        let _ = writeln!(out, "{name}_sum{labels} {}", fmt_value(h.sum()));
+                        let _ = writeln!(out, "{name}_count{labels} {}", h.count());
                     }
                 }
             }
@@ -278,21 +217,6 @@ impl MetricsRegistry {
     pub fn write_prom(&self, path: &Path) -> std::io::Result<()> {
         write_atomic(path, self.render().as_bytes())
     }
-
-    /// Every concrete sample the exposition would contain, flattened —
-    /// for tests and diffing.
-    pub fn samples(&self) -> Vec<PromSample> {
-        // Parsing our own render keeps the two views definitionally
-        // consistent; the format is ours, so this cannot fail.
-        parse_prometheus(&self.render()).unwrap_or_default()
-    }
-}
-
-/// Shared process-wide registry (for long-lived collectors like the
-/// planned `impatience serve`).
-pub fn global() -> &'static Mutex<MetricsRegistry> {
-    static GLOBAL: OnceLock<Mutex<MetricsRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(MetricsRegistry::new()))
 }
 
 fn label_key(labels: &[(&str, &str)]) -> String {
@@ -540,8 +464,6 @@ mod tests {
         let text = reg.render();
         let parsed = parse_prometheus(&text).expect("own output must parse");
         assert!(!parsed.is_empty());
-        // Every sample line survives: render(parse(render)) is stable.
-        assert_eq!(parsed, reg.samples());
         // Spot-check a labeled sample.
         let span_wall = parsed
             .iter()

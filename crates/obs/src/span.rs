@@ -23,9 +23,10 @@
 //! arena of nodes keyed by `(parent, name)`, so re-entering the same
 //! phase is two hash lookups and no allocation. When a thread exits
 //! (scoped worker threads run thread-local destructors before the scope
-//! returns) its tallies flush into a process-wide table; [`take_report`]
-//! drains the calling thread plus that table into a [`PhaseReport`] —
-//! a deterministic per-run phase tree with wall, self, call counts and
+//! returns) its tallies flush into a process-wide [`PhaseAgg`];
+//! [`take_aggregate`] drains the calling thread plus that table, and
+//! [`PhaseAgg::report`] turns the result into a [`PhaseReport`] — a
+//! deterministic per-run phase tree with wall, self, call counts and
 //! bucketed percentiles. Merging is commutative up to floating-point
 //! rounding, so reports do not depend on worker scheduling.
 //!
@@ -47,8 +48,8 @@ use crate::histogram::Histogram;
 /// bookkeeping, never data the simulation reads.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Tallies flushed from exited threads, keyed by slash-joined path.
-static DRAINED: Mutex<BTreeMap<String, PathStat>> = Mutex::new(BTreeMap::new());
+/// Tallies flushed from exited threads.
+static DRAINED: Mutex<PhaseAgg> = Mutex::new(PhaseAgg::new());
 
 /// Histogram shape for span durations, in microseconds.
 const SPAN_HIST_RANGE_US: f64 = 67_108_864.0; // 2^26 µs ≈ 67 s
@@ -138,7 +139,10 @@ struct LocalCell {
 
 impl Drop for LocalCell {
     fn drop(&mut self) {
-        self.profiler.get_mut().flush_into_drained();
+        let agg = self.profiler.get_mut().take();
+        if !agg.is_empty() {
+            lock_drained().merge(&agg);
+        }
     }
 }
 
@@ -148,14 +152,48 @@ thread_local! {
     };
 }
 
-/// One node of a thread's span tree.
+fn lock_drained() -> std::sync::MutexGuard<'static, PhaseAgg> {
+    DRAINED.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Completed occurrences of one span: how many, their summed wall time,
+/// and their durations in microseconds.
 #[derive(Clone, Debug)]
-struct Node {
-    parent: usize,
-    name: &'static str,
+struct Tally {
     calls: u64,
     wall_s: f64,
     hist: Histogram,
+}
+
+impl Tally {
+    fn new() -> Self {
+        Tally {
+            calls: 0,
+            wall_s: 0.0,
+            hist: Histogram::new(SPAN_HIST_RANGE_US, SPAN_HIST_BUCKETS),
+        }
+    }
+
+    /// One occurrence lasting `wall_s` seconds.
+    fn record(&mut self, wall_s: f64) {
+        self.calls += 1;
+        self.wall_s += wall_s;
+        self.hist.record(wall_s * 1e6);
+    }
+
+    /// Fold `other` in; the histograms merge losslessly.
+    fn merge(&mut self, other: &Tally) {
+        self.calls += other.calls;
+        self.wall_s += other.wall_s;
+        self.hist.merge(&other.hist);
+    }
+}
+
+/// One node of a thread's span tree.
+struct Node {
+    parent: usize,
+    name: &'static str,
+    tally: Tally,
 }
 
 const NO_PARENT: usize = usize::MAX;
@@ -197,9 +235,7 @@ impl LocalProfiler {
                 self.nodes.push(Node {
                     parent,
                     name,
-                    calls: 0,
-                    wall_s: 0.0,
-                    hist: Histogram::new(SPAN_HIST_RANGE_US, SPAN_HIST_BUCKETS),
+                    tally: Tally::new(),
                 });
                 self.index.insert((parent, name), id);
                 id
@@ -220,9 +256,7 @@ impl LocalProfiler {
             }
         }
         if let Some(node) = self.nodes.get_mut(id) {
-            node.calls += 1;
-            node.wall_s += elapsed_s;
-            node.hist.record(elapsed_s * 1e6);
+            node.tally.record(elapsed_s);
         }
     }
 
@@ -238,65 +272,22 @@ impl LocalProfiler {
             } else {
                 format!("{}/{}", paths[node.parent], node.name)
             };
-            paths.push(path.clone());
-            if node.calls > 0 {
-                agg.absorb_path(
-                    path,
-                    PathStat {
-                        calls: node.calls,
-                        wall_s: node.wall_s,
-                        hist: node.hist.clone(),
-                    },
-                );
+            if node.tally.calls > 0 {
+                agg.tally(path.clone()).merge(&node.tally);
             }
+            paths.push(path);
         }
         agg
     }
 
-    /// Zero the tallies while keeping the node arena and the open-span
-    /// stack intact, so a drain mid-span cannot orphan the stack.
-    pub fn reset_tallies(&mut self) {
-        for node in &mut self.nodes {
-            node.calls = 0;
-            node.wall_s = 0.0;
-            node.hist = Histogram::new(SPAN_HIST_RANGE_US, SPAN_HIST_BUCKETS);
-        }
-    }
-
-    fn flush_into_drained(&mut self) {
+    /// The tallies so far, zeroed here. The node arena and the open-span
+    /// stack stay, so a drain mid-span cannot orphan the stack.
+    fn take(&mut self) -> PhaseAgg {
         let agg = self.aggregate();
-        if agg.is_empty() {
-            return;
+        for node in &mut self.nodes {
+            node.tally = Tally::new();
         }
-        self.reset_tallies();
-        let mut drained = DRAINED.lock().unwrap_or_else(|e| e.into_inner());
-        for (path, stat) in agg.map {
-            merge_path(&mut drained, path, stat);
-        }
-    }
-}
-
-/// Accumulated tallies for one span path.
-#[derive(Clone, Debug)]
-pub struct PathStat {
-    /// Completed occurrences.
-    pub calls: u64,
-    /// Total wall time across occurrences, seconds.
-    pub wall_s: f64,
-    /// Duration distribution in microseconds.
-    pub hist: Histogram,
-}
-
-fn merge_path(map: &mut BTreeMap<String, PathStat>, path: String, stat: PathStat) {
-    match map.get_mut(&path) {
-        Some(existing) => {
-            existing.calls += stat.calls;
-            existing.wall_s += stat.wall_s;
-            existing.hist.merge(&stat.hist);
-        }
-        None => {
-            map.insert(path, stat);
-        }
+        agg
     }
 }
 
@@ -304,12 +295,12 @@ fn merge_path(map: &mut BTreeMap<String, PathStat>, path: String, stat: PathStat
 /// per-thread profilers and a rendered [`PhaseReport`].
 #[derive(Clone, Debug, Default)]
 pub struct PhaseAgg {
-    map: BTreeMap<String, PathStat>,
+    map: BTreeMap<String, Tally>,
 }
 
 impl PhaseAgg {
     /// An empty aggregate.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         PhaseAgg {
             map: BTreeMap::new(),
         }
@@ -320,90 +311,87 @@ impl PhaseAgg {
         self.map.is_empty()
     }
 
-    /// Number of distinct span paths.
-    pub fn len(&self) -> usize {
-        self.map.len()
+    fn tally(&mut self, path: String) -> &mut Tally {
+        self.map.entry(path).or_insert_with(Tally::new)
     }
 
     /// Record one synthetic occurrence of `path` lasting `wall_s`
     /// seconds — the entry point for trace import and tests.
     pub fn record(&mut self, path: &str, wall_s: f64) {
-        match self.map.get_mut(path) {
-            Some(stat) => {
-                stat.calls += 1;
-                stat.wall_s += wall_s;
-                stat.hist.record(wall_s * 1e6);
-            }
-            None => {
-                let mut hist = Histogram::new(SPAN_HIST_RANGE_US, SPAN_HIST_BUCKETS);
-                hist.record(wall_s * 1e6);
-                self.map.insert(
-                    path.to_string(),
-                    PathStat {
-                        calls: 1,
-                        wall_s,
-                        hist,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Fold a path's tallies in (merging histograms losslessly).
-    pub fn absorb_path(&mut self, path: String, stat: PathStat) {
-        merge_path(&mut self.map, path, stat);
+        self.tally(path.to_string()).record(wall_s);
     }
 
     /// Fold `other` in. Commutative and associative up to f64 rounding
     /// of the wall-time sums.
     pub fn merge(&mut self, other: &PhaseAgg) {
-        for (path, stat) in &other.map {
-            merge_path(&mut self.map, path.clone(), stat.clone());
+        for (path, tally) in &other.map {
+            self.tally(path.clone()).merge(tally);
         }
     }
 
-    /// Iterate `(path, stat)` in lexicographic path order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &PathStat)> {
-        self.map.iter().map(|(p, s)| (p.as_str(), s))
-    }
-
     /// Render into the final report: compute depth and self time
-    /// (wall minus direct children) per path.
+    /// (wall minus direct children) per path, and the root wall time
+    /// named child spans cover.
     pub fn report(&self) -> PhaseReport {
         // Lexicographic order on slash paths puts every parent before
         // its children, which is also the preorder the report prints.
         let mut phases: Vec<PhaseStat> = Vec::with_capacity(self.map.len());
+        // Per row: whether a nested path lies below it.
+        let mut covered = vec![false; self.map.len()];
         let mut index: HashMap<&str, usize> = HashMap::with_capacity(self.map.len());
         let mut total_wall_s = 0.0;
-        for (path, stat) in &self.map {
-            let (parent, depth) = match path.rfind('/') {
-                Some(cut) => (index.get(&path[..cut]).copied(), path.matches('/').count()),
-                None => (None, 0),
-            };
+        for (path, tally) in &self.map {
             // A path whose parent never recorded (possible for synthetic
             // aggregates) counts as a root for self-time purposes.
-            let depth = if parent.is_none() { 0 } else { depth };
-            if let Some(p) = parent {
-                phases[p].self_s -= stat.wall_s;
-            } else {
-                total_wall_s += stat.wall_s;
-            }
+            let parent = path
+                .rfind('/')
+                .and_then(|cut| index.get(&path[..cut]).copied());
+            let depth = match parent {
+                Some(p) => {
+                    phases[p].self_s -= tally.wall_s;
+                    for (cut, _) in path.match_indices('/') {
+                        if let Some(&above) = index.get(&path[..cut]) {
+                            covered[above] = true;
+                        }
+                    }
+                    path.matches('/').count()
+                }
+                None => {
+                    total_wall_s += tally.wall_s;
+                    0
+                }
+            };
             index.insert(path.as_str(), phases.len());
+            let secs = |us: Option<f64>| us.map(|us| us / 1e6);
             phases.push(PhaseStat {
                 path: path.clone(),
                 depth,
-                calls: stat.calls,
-                wall_s: stat.wall_s,
-                self_s: stat.wall_s,
-                mean_s: stat.hist.mean().map(|us| us / 1e6),
-                p50_s: stat.hist.p50().map(|us| us / 1e6),
-                p95_s: stat.hist.p95().map(|us| us / 1e6),
-                max_s: stat.hist.max().map(|us| us / 1e6),
+                calls: tally.calls,
+                wall_s: tally.wall_s,
+                self_s: tally.wall_s,
+                mean_s: secs(tally.hist.mean()),
+                p50_s: secs(tally.hist.p50()),
+                p95_s: secs(tally.hist.p95()),
+                max_s: secs(tally.hist.max()),
             });
         }
+        // Roots with nested spans leave their self time unattributed;
+        // a root with none attributes fully to its own name.
+        let unattributed: f64 = phases
+            .iter()
+            .zip(&covered)
+            .filter(|(p, _)| p.depth == 0 && p.wall_s > 0.0)
+            .map(|(p, &covered)| if covered { p.self_s.max(0.0) } else { 0.0 })
+            .sum();
+        let attributed_fraction = if total_wall_s <= 0.0 {
+            1.0
+        } else {
+            (1.0 - unattributed / total_wall_s).clamp(0.0, 1.0)
+        };
         PhaseReport {
             phases,
             total_wall_s,
+            attributed_fraction,
         }
     }
 }
@@ -434,45 +422,22 @@ pub struct PhaseStat {
 
 /// The per-run phase tree: every span path with wall/self/call tallies,
 /// parents before children.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PhaseReport {
     /// Rows in preorder (lexicographic path order).
     pub phases: Vec<PhaseStat>,
     /// Summed wall time of root spans, seconds.
     pub total_wall_s: f64,
+    /// Fraction of root wall time attributed to named child spans (1.0
+    /// when every root's children cover it fully, and for leaf-only
+    /// roots).
+    pub attributed_fraction: f64,
 }
 
 impl PhaseReport {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.phases.is_empty()
-    }
-
-    /// Fraction of root wall time attributed to named child spans
-    /// (1.0 when every root's children cover it fully; equals 1.0
-    /// trivially for leaf-only roots).
-    pub fn attributed_fraction(&self) -> f64 {
-        if self.total_wall_s <= 0.0 {
-            return 1.0;
-        }
-        let unattributed: f64 = self
-            .phases
-            .iter()
-            .filter(|p| p.depth == 0 && p.wall_s > 0.0)
-            .map(|p| {
-                // Roots with no children self-attribute fully.
-                let has_children = self
-                    .phases
-                    .iter()
-                    .any(|c| c.depth > 0 && c.path.starts_with(&format!("{}/", p.path)));
-                if has_children {
-                    p.self_s.max(0.0)
-                } else {
-                    0.0
-                }
-            })
-            .sum();
-        (1.0 - unattributed / self.total_wall_s).clamp(0.0, 1.0)
     }
 
     /// Human-readable phase tree.
@@ -485,7 +450,7 @@ impl PhaseReport {
         out.push_str(&format!(
             "phase tree  (root wall {:.3} s, {:.1}% attributed to named spans)\n",
             self.total_wall_s,
-            100.0 * self.attributed_fraction()
+            100.0 * self.attributed_fraction
         ));
         out.push_str(&format!(
             "  {:<38} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9}\n",
@@ -521,10 +486,7 @@ impl PhaseReport {
         Json::obj([
             ("schema", Json::from("impatience-profile/1")),
             ("total_wall_s", Json::from(self.total_wall_s)),
-            (
-                "attributed_fraction",
-                Json::from(self.attributed_fraction()),
-            ),
+            ("attributed_fraction", Json::from(self.attributed_fraction)),
             (
                 "phases",
                 Json::Array(
@@ -566,24 +528,13 @@ fn fmt_secs(s: f64) -> String {
 }
 
 /// Drain the calling thread's tallies plus everything flushed by exited
-/// threads into one merged report, leaving collection state empty (open
-/// spans on the calling thread survive and keep timing).
-pub fn take_report() -> PhaseReport {
-    take_aggregate().report()
-}
-
-/// Like [`take_report`] but returns the mergeable aggregate.
+/// threads into one merged aggregate, leaving collection state empty
+/// (open spans on the calling thread survive and keep timing).
 pub fn take_aggregate() -> PhaseAgg {
-    let mut agg = PhaseAgg::new();
-    let _ = LOCAL.try_with(|cell| {
-        let mut local = cell.profiler.borrow_mut();
-        agg.merge(&local.aggregate());
-        local.reset_tallies();
-    });
-    let mut drained = DRAINED.lock().unwrap_or_else(|e| e.into_inner());
-    for (path, stat) in std::mem::take(&mut *drained) {
-        agg.absorb_path(path, stat);
-    }
+    let mut agg = LOCAL
+        .try_with(|cell| cell.profiler.borrow_mut().take())
+        .unwrap_or_default();
+    agg.merge(&std::mem::take(&mut *lock_drained()));
     agg
 }
 
@@ -609,7 +560,7 @@ mod tests {
             {
                 let _g = enter("idle");
             }
-            assert!(take_report().is_empty());
+            assert!(take_aggregate().report().is_empty());
         });
     }
 
@@ -623,7 +574,7 @@ mod tests {
                     let _inner = enter("inner");
                 }
             }
-            let report = take_report();
+            let report = take_aggregate().report();
             let paths: Vec<&str> = report.phases.iter().map(|p| p.path.as_str()).collect();
             assert_eq!(paths, ["outer", "outer/inner"]);
             assert_eq!(report.phases[0].calls, 1);
@@ -664,14 +615,14 @@ mod tests {
     }
 
     #[test]
-    fn take_report_drains() {
+    fn take_aggregate_drains() {
         run_serial(|| {
             enable();
             {
                 let _g = enter("once");
             }
-            assert!(!take_report().is_empty());
-            assert!(take_report().is_empty());
+            assert!(!take_aggregate().report().is_empty());
+            assert!(take_aggregate().report().is_empty());
         });
     }
 
@@ -702,11 +653,11 @@ mod tests {
         agg.record("root", 10.0);
         agg.record("root/child", 9.0);
         let report = agg.report();
-        assert!((report.attributed_fraction() - 0.9).abs() < 1e-12);
+        assert!((report.attributed_fraction - 0.9).abs() < 1e-12);
         // A leaf-only root is fully attributed to its own name.
         let mut leaf = PhaseAgg::new();
         leaf.record("solo", 5.0);
-        assert!((leaf.report().attributed_fraction() - 1.0).abs() < 1e-12);
+        assert!((leaf.report().attributed_fraction - 1.0).abs() < 1e-12);
     }
 
     #[test]

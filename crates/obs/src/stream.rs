@@ -160,7 +160,7 @@ impl EventStream {
     }
 
     /// Current attach-epoch value (bumped by [`EventStream::subscribe`]).
-    pub fn attach_epoch(&self) -> u64 {
+    fn attach_epoch(&self) -> u64 {
         self.shared.attach_epoch.load(Ordering::Acquire)
     }
 
@@ -365,7 +365,7 @@ impl StreamSink {
     }
 
     /// Bytes currently batched but not yet published.
-    pub fn pending_bytes(&self) -> usize {
+    fn pending_bytes(&self) -> usize {
         self.batch.buf.len()
     }
 

@@ -4,8 +4,8 @@
 //! `impatience simulate --trace-out`, `verify --trace-out`, reproduce
 //! traces — is one JSON object per line tagged with an `"ev"`
 //! discriminant. [`TraceSummary`] folds such a stream into event counts,
-//! the simulation-time range, a span/solver phase aggregate, and top-k
-//! slow trials/cells/scenarios; [`render_diff`] compares two summaries
+//! the simulation-time range, a phase aggregate of solver completions,
+//! and top-k slow trials/cells/scenarios; [`render_diff`] compares two summaries
 //! (the before/after workflow for perf PRs); and
 //! [`TraceSummary::to_registry`] re-exports a trace as Prometheus text
 //! exposition. The `impatience trace` subcommand is a thin shell over
@@ -28,40 +28,29 @@ use crate::registry::MetricsRegistry;
 use crate::span::PhaseAgg;
 
 /// One completed trial observed in a trace.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TrialRecord {
-    /// The trial's RNG seed.
-    pub seed: u64,
-    /// Wall-clock seconds the trial took.
-    pub wall_s: f64,
+#[derive(Clone, Debug)]
+struct TrialRecord {
+    seed: u64,
+    wall_s: f64,
 }
 
 /// One completed experiment cell observed in a trace.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CellRecord {
-    /// Spec name (e.g. `fig4`).
-    pub spec: String,
-    /// Cell label within the spec.
-    pub cell: String,
-    /// CSV rows contributed.
-    pub rows: u64,
-    /// Wall-clock seconds.
-    pub wall_s: f64,
+#[derive(Clone, Debug)]
+struct CellRecord {
+    spec: String,
+    cell: String,
+    rows: u64,
+    wall_s: f64,
 }
 
 /// One verification scenario observed in a trace.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScenarioRecord {
-    /// Scenario index within the conformance matrix.
-    pub index: u64,
-    /// Invariants passed / failed / skipped.
-    pub passed: u64,
-    /// Invariants failed.
-    pub failed: u64,
-    /// Invariants skipped.
-    pub skipped: u64,
-    /// Wall-clock seconds.
-    pub wall_s: f64,
+#[derive(Clone, Debug)]
+struct ScenarioRecord {
+    index: u64,
+    passed: u64,
+    failed: u64,
+    skipped: u64,
+    wall_s: f64,
 }
 
 /// Aggregated view of one JSONL trace.
@@ -77,15 +66,15 @@ pub struct TraceSummary {
     pub t_min: Option<f64>,
     /// Latest simulation time seen in any timed event.
     pub t_max: Option<f64>,
-    /// Named spans (from `span` events) and solver completions (under
+    /// Solver completions (from `solver_done` events, under
     /// `solver/<name>`), aggregated like a phase tree.
     pub spans: PhaseAgg,
     /// Every completed trial, in stream order.
-    pub trials: Vec<TrialRecord>,
+    trials: Vec<TrialRecord>,
     /// Every completed experiment cell, in stream order.
-    pub cells: Vec<CellRecord>,
+    cells: Vec<CellRecord>,
     /// Every verification scenario, in stream order.
-    pub scenarios: Vec<ScenarioRecord>,
+    scenarios: Vec<ScenarioRecord>,
 }
 
 impl TraceSummary {
@@ -94,7 +83,7 @@ impl TraceSummary {
     /// # Errors
     /// Propagates reader I/O errors; malformed lines are tallied, not
     /// fatal.
-    pub fn from_reader(reader: impl BufRead) -> std::io::Result<TraceSummary> {
+    fn from_reader(reader: impl BufRead) -> std::io::Result<TraceSummary> {
         let mut s = TraceSummary::default();
         for line in reader.lines() {
             let line = line?;
@@ -138,12 +127,6 @@ impl TraceSummary {
                 .to_string()
         };
         match kind {
-            "span" => {
-                let name = text("name");
-                if !name.is_empty() {
-                    self.spans.record(&name, f("wall_s"));
-                }
-            }
             "solver_done" => {
                 let solver = text("solver");
                 if !solver.is_empty() {
@@ -177,7 +160,7 @@ impl TraceSummary {
     }
 
     /// Summed wall time of completed trials, seconds.
-    pub fn total_trial_wall_s(&self) -> f64 {
+    fn total_trial_wall_s(&self) -> f64 {
         self.trials.iter().map(|t| t.wall_s).sum()
     }
 
@@ -206,29 +189,27 @@ impl TraceSummary {
             out.push_str(&indent(&phase.render(), "  "));
         }
         if !self.trials.is_empty() {
-            let mut slow = self.trials.clone();
-            slow.sort_by(|a, b| b.wall_s.total_cmp(&a.wall_s));
+            let slow = slowest(&self.trials, k, |t| t.wall_s);
             let _ = writeln!(
                 out,
                 "trials: {} totalling {:.3} s wall; slowest {}:",
                 self.trials.len(),
                 self.total_trial_wall_s(),
-                k.min(slow.len())
+                slow.len()
             );
-            for t in slow.iter().take(k) {
+            for t in slow {
                 let _ = writeln!(out, "  seed {:<12} {:>9.4} s", t.seed, t.wall_s);
             }
         }
         if !self.cells.is_empty() {
-            let mut slow = self.cells.clone();
-            slow.sort_by(|a, b| b.wall_s.total_cmp(&a.wall_s));
+            let slow = slowest(&self.cells, k, |c| c.wall_s);
             let _ = writeln!(
                 out,
                 "experiment cells: {}; slowest {}:",
                 self.cells.len(),
-                k.min(slow.len())
+                slow.len()
             );
-            for c in slow.iter().take(k) {
+            for c in slow {
                 let _ = writeln!(
                     out,
                     "  {:<40} {:>9.3} s  ({} rows)",
@@ -240,16 +221,15 @@ impl TraceSummary {
         }
         if !self.scenarios.is_empty() {
             let failed: u64 = self.scenarios.iter().map(|s| s.failed).sum();
-            let mut slow = self.scenarios.clone();
-            slow.sort_by(|a, b| b.wall_s.total_cmp(&a.wall_s));
+            let slow = slowest(&self.scenarios, k, |s| s.wall_s);
             let _ = writeln!(
                 out,
                 "verification scenarios: {} ({} invariant failures); slowest {}:",
                 self.scenarios.len(),
                 failed,
-                k.min(slow.len())
+                slow.len()
             );
-            for s in slow.iter().take(k) {
+            for s in slow {
                 let _ = writeln!(
                     out,
                     "  scenario {:<4} {:>9.3} s  ({} passed, {} failed, {} skipped)",
@@ -417,6 +397,14 @@ pub fn render_diff(a: &TraceSummary, b: &TraceSummary, label_a: &str, label_b: &
     out
 }
 
+/// The `k` rows of largest `wall`, largest first; ties keep stream order.
+fn slowest<T>(rows: &[T], k: usize, wall: impl Fn(&T) -> f64) -> Vec<&T> {
+    let mut slow: Vec<&T> = rows.iter().collect();
+    slow.sort_by(|a, b| wall(b).total_cmp(&wall(a)));
+    slow.truncate(k);
+    slow
+}
+
 fn indent(text: &str, prefix: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for line in text.lines() {
@@ -447,10 +435,6 @@ mod tests {
             item: 2,
             wait: 1.5,
             queries: 1,
-        });
-        sink.record(&Event::Span {
-            name: "exchange",
-            wall_s: 0.25,
         });
         sink.record(&Event::SolverDone {
             solver: "greedy",
@@ -528,15 +512,17 @@ mod tests {
     fn diff_reports_span_deltas() {
         let mk = |wall: f64| {
             let mut sink = JsonlSink::new(Vec::new());
-            sink.record(&Event::Span {
-                name: "exchange",
+            sink.record(&Event::SolverDone {
+                solver: "relaxed",
+                iterations: 1,
+                evaluations: 1,
                 wall_s: wall,
             });
             let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
             TraceSummary::from_reader(text.as_bytes()).unwrap()
         };
         let text = render_diff(&mk(1.0), &mk(1.5), "a", "b");
-        assert!(text.contains("exchange"));
+        assert!(text.contains("solver/relaxed"));
         assert!(text.contains("+50.0%"), "got: {text}");
     }
 

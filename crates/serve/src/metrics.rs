@@ -1,10 +1,9 @@
 //! The server's shared [`MetricsRegistry`] and the metric names it owns.
 //!
-//! One registry per [`Server`](crate::Server) instance (not the
-//! process-global one, so parallel tests don't cross-contaminate),
-//! rendered on demand by `GET /metrics` in Prometheus text exposition
-//! format — the same format `impatience trace lint-prom` and
-//! `obs::parse_prometheus` consume.
+//! One registry per [`Server`](crate::Server) instance, so parallel
+//! tests don't cross-contaminate, rendered on demand by `GET /metrics`
+//! in Prometheus text exposition format — the same format
+//! `impatience trace lint-prom` and `obs::parse_prometheus` consume.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 

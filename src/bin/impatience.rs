@@ -1101,7 +1101,7 @@ impl<'a> Scope<'a> {
         if !self.profiling {
             return Ok(None);
         }
-        let report = impatience_obs::span::take_report();
+        let report = impatience_obs::span::take_aggregate().report();
         if report.is_empty() {
             println!("profile: no spans recorded");
             return Ok(None);

@@ -8,7 +8,9 @@ use std::path::Path;
 use impatience_core::demand::Popularity;
 use impatience_core::utility::Step;
 use impatience_obs::span::{LocalProfiler, PhaseAgg};
-use impatience_obs::{parse_prometheus, render_diff, Recorder, TallySink, TraceSummary};
+use impatience_obs::{
+    parse_prometheus, render_diff, Histogram, MetricsRegistry, Recorder, TallySink, TraceSummary,
+};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::policy::PolicyKind;
 use impatience_sim::runner::{run_trials_observed_with_workers, TrialAggregate};
@@ -167,7 +169,7 @@ fn profiling_on_off_bit_identical_across_workers() {
         impatience_obs::span::disable();
         // Drain whatever the profiled run recorded so later tests (and
         // reruns) start clean.
-        let report = impatience_obs::span::take_report();
+        let report = impatience_obs::span::take_aggregate().report();
         assert_eq!(off, on, "profiling changed results at {workers} workers");
         assert_eq!(off, baseline, "results depend on worker count {workers}");
         assert!(
@@ -179,32 +181,93 @@ fn profiling_on_off_bit_identical_across_workers() {
 
 // ---------------------------------------------------- prometheus
 
-/// The Prometheus text we write must survive our own parser: every
-/// rendered sample (including histogram buckets, sums, counts, and
-/// labels) comes back with the same name, labels, and value.
+/// A trace's exposition says what its summary says: the samples parsed
+/// back from `trace_a.jsonl`'s registry carry the summary's own event
+/// counts per kind, trial count and `solver/greedy` wall. And one
+/// labelled histogram series renders to pinned text, so the
+/// power-of-two edge grid, the cumulative counts and the label order
+/// cannot drift.
 #[test]
 fn prometheus_exposition_round_trips() {
     let summary = TraceSummary::from_file(Path::new("tests/fixtures/trace_a.jsonl")).unwrap();
-    let registry = summary.to_registry();
-    let text = registry.render();
-    let parsed = parse_prometheus(&text).expect("our own exposition must parse");
-    let expected = registry.samples();
-    assert_eq!(
-        parsed.len(),
-        expected.len(),
-        "sample count mismatch:\n{text}"
-    );
-    for (p, e) in parsed.iter().zip(expected.iter()) {
-        assert_eq!(p.name, e.name);
-        assert_eq!(p.labels, e.labels);
-        assert!(
-            (p.value - e.value).abs() <= 1e-9 * e.value.abs().max(1.0),
-            "{}: {} vs {}",
-            p.name,
-            p.value,
-            e.value
+    let text = summary.to_registry().render();
+    let samples = parse_prometheus(&text).expect("our own exposition must parse");
+    let value = |name: &str, labels: &[(&str, &str)]| -> f64 {
+        let hits: Vec<f64> = samples
+            .iter()
+            .filter(|s| {
+                s.name == name
+                    && s.labels.len() == labels.len()
+                    && s.labels
+                        .iter()
+                        .zip(labels)
+                        .all(|(a, b)| (a.0.as_str(), a.1.as_str()) == *b)
+            })
+            .map(|s| s.value)
+            .collect();
+        assert_eq!(hits.len(), 1, "one {name} {labels:?} sample in:\n{text}");
+        hits[0]
+    };
+    let per_kind = samples
+        .iter()
+        .filter(|s| s.name == "impatience_trace_events_total")
+        .count();
+    assert_eq!(per_kind, summary.events.len());
+    for (kind, &count) in &summary.events {
+        assert_eq!(
+            value("impatience_trace_events_total", &[("kind", kind)]),
+            count as f64
         );
     }
+    let trials = summary.events["trial_done"];
+    assert_eq!(trials, 2);
+    assert_eq!(value("impatience_trace_trials_total", &[]), trials as f64);
+    let report = summary.spans.report();
+    let greedy = report
+        .phases
+        .iter()
+        .find(|p| p.path == "solver/greedy")
+        .expect("fixture A has a greedy solve");
+    assert_eq!(greedy.wall_s, 0.002);
+    let path = [("path", "solver/greedy")];
+    assert_eq!(
+        value("impatience_span_wall_seconds_total", &path),
+        greedy.wall_s
+    );
+    assert_eq!(
+        value("impatience_span_calls_total", &path),
+        greedy.calls as f64
+    );
+
+    let mut hist = Histogram::new(1024.0, 1024);
+    for v in [0.5, 1.5, 3.0, 100.25, 2000.0] {
+        hist.record(v);
+    }
+    let mut registry = MetricsRegistry::new();
+    registry.histogram_observe(
+        "lat_ms",
+        "Latency.",
+        &[("path", "a\"b"), ("kind", "x")],
+        &hist,
+    );
+    let expected = r#"# HELP lat_ms Latency.
+# TYPE lat_ms histogram
+lat_ms_bucket{kind="x",path="a\"b",le="1"} 1
+lat_ms_bucket{kind="x",path="a\"b",le="2"} 2
+lat_ms_bucket{kind="x",path="a\"b",le="4"} 3
+lat_ms_bucket{kind="x",path="a\"b",le="8"} 3
+lat_ms_bucket{kind="x",path="a\"b",le="16"} 3
+lat_ms_bucket{kind="x",path="a\"b",le="32"} 3
+lat_ms_bucket{kind="x",path="a\"b",le="64"} 3
+lat_ms_bucket{kind="x",path="a\"b",le="128"} 4
+lat_ms_bucket{kind="x",path="a\"b",le="256"} 4
+lat_ms_bucket{kind="x",path="a\"b",le="512"} 4
+lat_ms_bucket{kind="x",path="a\"b",le="1024"} 4
+lat_ms_bucket{kind="x",path="a\"b",le="+Inf"} 5
+lat_ms_sum{kind="x",path="a\"b"} 2105.25
+lat_ms_count{kind="x",path="a\"b"} 5
+"#;
+    assert_eq!(registry.render(), expected);
 }
 
 // ---------------------------------------------------- trace diff
@@ -230,7 +293,11 @@ fn trace_diff_on_committed_fixtures() {
 
     // The reconstructed span tree sees the solver_done events.
     assert!(
-        a.spans.iter().any(|(path, _)| path == "solver/greedy"),
+        a.spans
+            .report()
+            .phases
+            .iter()
+            .any(|p| p.path == "solver/greedy"),
         "fixture A should reconstruct a solver span"
     );
 }

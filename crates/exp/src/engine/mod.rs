@@ -31,7 +31,7 @@ use std::time::Instant;
 use impatience_obs::{Progress, Recorder, Sink};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::policy::PolicyKind;
-use impatience_sim::runner::{run_campaigns, CampaignOptions, TrialAggregate};
+use impatience_sim::runner::{campaign_gate, run_campaigns, CampaignOptions, TrialAggregate};
 
 use crate::error::ExpError;
 use crate::spec::{Plan, Spec, SpecKind};
@@ -162,17 +162,12 @@ macro_rules! each_kind {
     };
 }
 
-/// The gate a campaign applies before its first trial
-/// (`run_campaigns`: config resolved on the source's population, then
-/// the source itself), as a spec error.
+/// The campaign gate ([`campaign_gate`]) as a spec error.
 fn accepted(spec: &str, config: &SimConfig, source: &ContactSource) -> Result<(), ExpError> {
-    config
-        .try_resolved(source.nodes())
-        .and_then(|_| source.try_validate())
-        .map_err(|source| ExpError::Config {
-            spec: spec.to_string(),
-            source,
-        })
+    campaign_gate(config, source).map_err(|source| ExpError::Config {
+        spec: spec.to_string(),
+        source,
+    })
 }
 
 fn plan_of<K: Kind>(kind: &K, spec: &str) -> Result<Plan, ExpError> {
@@ -211,9 +206,9 @@ impl Spec {
         each_kind!(&self.kind, k => plan_of(k, &self.name))
     }
 
-    /// Hold every cell's setting to the simulator's own rules
-    /// ([`SimConfig::try_resolved`] on the source's population, as a
-    /// campaign does before its first trial) without running anything.
+    /// Hold every cell's setting to the simulator's own rules (the
+    /// [`campaign_gate`] a campaign applies before its first trial)
+    /// without running anything.
     /// Analytic cells have no setting, and a trace suite's only exist
     /// once its trace is generated; those check their trial count alone.
     pub fn validate(&self) -> Result<(), ExpError> {

@@ -48,53 +48,38 @@ pub enum ApiError {
 }
 
 impl ApiError {
-    /// The HTTP status code this error renders as.
-    pub fn http_status(&self) -> u16 {
+    /// API.md's taxonomy row: HTTP status, the exit code the equivalent
+    /// CLI failure reports (2 usage, 3 config, 4 solver, 6 checkpoint,
+    /// 7 campaign, 8 io, 9 degraded) and the envelope's kind tag.
+    fn class(&self) -> (u16, i32, &'static str) {
         match self {
-            ApiError::BadRequest(_) => 400,
-            ApiError::Config(_) | ApiError::Solver(_) => 422,
-            ApiError::NotFound(_) => 404,
-            ApiError::MethodNotAllowed(_) => 405,
-            ApiError::QueueFull { .. } => 429,
-            ApiError::TooLarge { .. } => 413,
-            ApiError::Checkpoint(_) | ApiError::Campaign(_) | ApiError::Io(_) => 500,
-            ApiError::ShuttingDown => 503,
+            ApiError::BadRequest(_) => (400, 2, "bad_request"),
+            ApiError::Config(_) => (422, 3, "config"),
+            ApiError::Solver(_) => (422, 4, "solver"),
+            ApiError::NotFound(_) => (404, 2, "not_found"),
+            ApiError::MethodNotAllowed(_) => (405, 2, "method_not_allowed"),
+            ApiError::QueueFull { .. } => (429, 9, "queue_full"),
+            ApiError::TooLarge { .. } => (413, 2, "too_large"),
+            ApiError::Checkpoint(_) => (500, 6, "checkpoint"),
+            ApiError::Campaign(_) => (500, 7, "campaign"),
+            ApiError::Io(_) => (500, 8, "io"),
+            ApiError::ShuttingDown => (503, 9, "shutting_down"),
         }
     }
 
-    /// The exit code the equivalent CLI failure reports (the PR 3
-    /// taxonomy: 2 usage, 3 config, 4 solver, 6 checkpoint, 7 campaign,
-    /// 8 io, 9 degraded).
+    /// The HTTP status code this error renders as.
+    pub fn http_status(&self) -> u16 {
+        self.class().0
+    }
+
+    /// The exit code the equivalent CLI failure reports.
     pub fn exit_code(&self) -> i32 {
-        match self {
-            ApiError::BadRequest(_)
-            | ApiError::NotFound(_)
-            | ApiError::MethodNotAllowed(_)
-            | ApiError::TooLarge { .. } => 2,
-            ApiError::Config(_) => 3,
-            ApiError::Solver(_) => 4,
-            ApiError::Checkpoint(_) => 6,
-            ApiError::Campaign(_) => 7,
-            ApiError::Io(_) => 8,
-            ApiError::QueueFull { .. } | ApiError::ShuttingDown => 9,
-        }
+        self.class().1
     }
 
     /// Stable machine-readable kind tag used in the envelope.
     pub fn kind(&self) -> &'static str {
-        match self {
-            ApiError::BadRequest(_) => "bad_request",
-            ApiError::Config(_) => "config",
-            ApiError::Solver(_) => "solver",
-            ApiError::NotFound(_) => "not_found",
-            ApiError::MethodNotAllowed(_) => "method_not_allowed",
-            ApiError::QueueFull { .. } => "queue_full",
-            ApiError::TooLarge { .. } => "too_large",
-            ApiError::Checkpoint(_) => "checkpoint",
-            ApiError::Campaign(_) => "campaign",
-            ApiError::Io(_) => "io",
-            ApiError::ShuttingDown => "shutting_down",
-        }
+        self.class().2
     }
 
     /// Human-readable message for the envelope.

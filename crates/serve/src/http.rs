@@ -7,15 +7,18 @@
 //! no-dependency discipline applied to the wire.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+
+use impatience_json::Json;
 
 use crate::error::ApiError;
 
 /// Maximum accepted header block size (request line included).
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Maximum accepted request body size.
-pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug)]
@@ -105,12 +108,58 @@ impl Request {
     }
 
     /// The request body as UTF-8 JSON.
-    pub fn json(&self) -> Result<impatience_json::Json, ApiError> {
+    pub fn json(&self) -> Result<Json, ApiError> {
         let text = std::str::from_utf8(&self.body)
             .map_err(|_| ApiError::BadRequest("body is not UTF-8".into()))?;
-        impatience_json::Json::parse(text)
-            .map_err(|e| ApiError::BadRequest(format!("body is not valid JSON: {e}")))
+        Json::parse(text).map_err(|e| ApiError::BadRequest(format!("body is not valid JSON: {e}")))
     }
+}
+
+/// A JSON type a request field is read as, and how a 400 names it.
+pub trait Typed<'a>: Sized {
+    /// The type as the message names it: "a number", ….
+    const WHAT: &'static str;
+    /// `json` as this type, if it is one.
+    fn from_json(json: &'a Json) -> Option<Self>;
+}
+
+/// `impl Typed` for each `type => "what", reader;`.
+macro_rules! typed {
+    ($($t:ty => $what:literal, $read:expr;)*) => {$(
+        impl<'a> Typed<'a> for $t {
+            const WHAT: &'static str = $what;
+            fn from_json(json: &'a Json) -> Option<Self> {
+                $read(json)
+            }
+        }
+    )*};
+}
+
+typed! {
+    u64 => "a non-negative integer", Json::as_u64;
+    usize => "a non-negative integer", |json: &Json| json.as_u64().map(|n| n as usize);
+    f64 => "a number", Json::as_f64;
+    &'a str => "a string", Json::as_str;
+    &'a [Json] => "an array", Json::as_array;
+}
+
+/// A request body is a JSON object.
+pub fn expect_object(body: &Json) -> Result<(), ApiError> {
+    let message = "request body must be an object";
+    body.as_object()
+        .map(drop)
+        .ok_or_else(|| ApiError::BadRequest(message.into()))
+}
+
+/// `json[key]` as a `T`: `None` when absent, a 400 when of another type.
+pub fn field<'a, T: Typed<'a>>(json: &'a Json, key: &str) -> Result<Option<T>, ApiError> {
+    json.get(key).map(|value| typed(value, key)).transpose()
+}
+
+/// `value` as a `T`, or a 400 that calls it `name`. The message is built
+/// only on failure: `/v1/solve` reads every field through here.
+pub fn typed<'a, T: Typed<'a>>(value: &'a Json, name: impl Display) -> Result<T, ApiError> {
+    T::from_json(value).ok_or_else(|| ApiError::BadRequest(format!("`{name}` must be {}", T::WHAT)))
 }
 
 fn parse_target(target: &str) -> (String, BTreeMap<String, String>) {
@@ -144,40 +193,47 @@ fn status_text(code: u16) -> &'static str {
     }
 }
 
-/// Write head + body for a fixed-length response (`Connection: close`).
-pub fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-) -> std::io::Result<()> {
+/// A fixed-length response: what a handler answers with.
+pub struct Reply {
+    /// HTTP status code.
+    pub status: u16,
+    /// The `content-type` header.
+    pub content_type: &'static str,
+    /// The body bytes.
+    pub body: Vec<u8>,
+}
+
+impl Reply {
+    /// `json` and a newline, as `application/json`.
+    pub fn json(status: u16, json: &Json) -> Reply {
+        let mut body = String::new();
+        json.write(&mut body);
+        body.push('\n');
+        Reply {
+            status,
+            content_type: "application/json",
+            body: body.into_bytes(),
+        }
+    }
+
+    /// The error envelope for `err`.
+    pub fn error(err: &ApiError) -> Reply {
+        Reply::json(err.http_status(), &err.envelope())
+    }
+}
+
+/// Write `reply` with its head (`Connection: close`).
+pub fn respond(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
     let head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        status,
-        status_text(status),
-        content_type,
-        body.len()
+        reply.status,
+        status_text(reply.status),
+        reply.content_type,
+        reply.body.len()
     );
     stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    stream.write_all(&reply.body)?;
     stream.flush()
-}
-
-/// Serialize `json` and send it with the given status.
-pub fn respond_json(
-    stream: &mut TcpStream,
-    status: u16,
-    json: &impatience_json::Json,
-) -> std::io::Result<()> {
-    let mut body = String::new();
-    json.write(&mut body);
-    body.push('\n');
-    respond(stream, status, "application/json", body.as_bytes())
-}
-
-/// Send the error envelope for `err`.
-pub fn respond_error(stream: &mut TcpStream, err: &ApiError) -> std::io::Result<()> {
-    respond_json(stream, err.http_status(), &err.envelope())
 }
 
 /// Start a streamed (SSE) response: head only, the body follows as
@@ -263,10 +319,9 @@ mod tests {
         assert_eq!(req.query.get("x").map(String::as_str), Some("1"));
         assert_eq!(req.body, b"{}");
         assert!(req.json().unwrap().as_object().unwrap().is_empty());
-        respond_json(
+        respond(
             &mut conn,
-            200,
-            &impatience_json::Json::obj([("ok", true.into())]),
+            &Reply::json(200, &Json::obj([("ok", true.into())])),
         )
         .unwrap();
         drop(conn);
@@ -294,7 +349,7 @@ mod tests {
         let (mut conn, _) = listener.accept().unwrap();
         let err = Request::read_from(&mut conn).unwrap_err();
         assert_eq!(err.http_status(), 413);
-        respond_error(&mut conn, &err).unwrap();
+        respond(&mut conn, &Reply::error(&err)).unwrap();
         drop(conn);
         let reply = client.join().unwrap();
         assert!(reply.starts_with("HTTP/1.1 413"));

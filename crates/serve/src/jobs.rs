@@ -3,19 +3,22 @@
 //!
 //! ## Lifecycle
 //!
-//! `queued → running → done | failed`. Submission persists the job spec
-//! to `jobs/<id>.json` (atomic write) *before* acknowledging, then
-//! enqueues; a single runner thread drains the queue in submission
-//! order, so concurrently accepted campaigns complete FIFO. A full
-//! queue sheds with 429 ([`ApiError::QueueFull`]) — the job is not
-//! persisted, the client retries.
+//! `queued → running → done | failed`, one [`JobState`] per job.
+//! Submission validates the spec (the campaign gate included, so what is
+//! accepted is what the runner will run), persists it to
+//! `jobs/<id>.json` (atomic write) *before* acknowledging, then enqueues;
+//! a single runner thread drains the queue in submission order, so
+//! concurrently accepted campaigns complete FIFO. A full queue sheds with
+//! 429 ([`ApiError::QueueFull`]) — the job is not persisted, the client
+//! retries.
 //!
 //! ## Crash recovery
 //!
 //! Each job runs under [`run_campaign`] with a checkpoint at
 //! `jobs/<id>.ckpt`. On startup the manager rescans the directory: any
 //! spec without a matching `<id>.result.json` is re-enqueued and
-//! resumes from its checkpoint (the fingerprint is re-verified), so a
+//! resumes from its checkpoint (the fingerprint is re-verified) — unless
+//! it no longer validates, which lists it as failed — so a
 //! `kill -9` mid-campaign costs at most one checkpoint interval of
 //! work. The result document excludes wall-clock telemetry — the one
 //! non-bit-stable part of a [`TrialAggregate`] — so a resumed job
@@ -29,9 +32,9 @@
 //! `GET /v1/campaigns/{id}/events` while the job runs; the stream
 //! closes when the job reaches a terminal state.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use impatience_core::demand::{DemandProfile, Popularity};
@@ -39,11 +42,13 @@ use impatience_core::utility::parse_utility;
 use impatience_json::Json;
 use impatience_obs::stream::{EventStream, StreamSink};
 use impatience_obs::{write_atomic, Recorder, Sink as _};
-use impatience_sim::runner::{run_campaign, CampaignOptions, CampaignOutcome};
+use impatience_sim::runner::{campaign_gate, run_campaign, CampaignOptions};
 use impatience_sim::{CampaignError, ContactSource, PolicyKind, SimConfig, TrialAggregate};
 
 use crate::artifacts::ArtifactStore;
 use crate::error::ApiError;
+use crate::http::{expect_object, field};
+use crate::lock;
 use crate::metrics::ServeMetrics;
 
 /// A validated campaign job specification.
@@ -76,57 +81,27 @@ pub struct JobSpec {
 impl JobSpec {
     /// Parse and validate a submission body.
     pub fn from_json(body: &Json) -> Result<JobSpec, ApiError> {
-        if body.as_object().is_none() {
-            return Err(ApiError::BadRequest(
-                "request body must be an object".into(),
-            ));
-        }
-        let usize_or = |key: &str, default: usize| -> Result<usize, ApiError> {
-            match body.get(key) {
-                None => Ok(default),
-                Some(v) => v.as_u64().map(|n| n as usize).ok_or_else(|| {
-                    ApiError::BadRequest(format!("`{key}` must be a non-negative integer"))
-                }),
-            }
-        };
-        let f64_or = |key: &str, default: f64| -> Result<f64, ApiError> {
-            match body.get(key) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_f64()
-                    .ok_or_else(|| ApiError::BadRequest(format!("`{key}` must be a number"))),
-            }
-        };
-        let str_or = |key: &str, default: &str| -> Result<String, ApiError> {
-            match body.get(key) {
-                None => Ok(default.to_string()),
-                Some(v) => v
-                    .as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ApiError::BadRequest(format!("`{key}` must be a string"))),
-            }
-        };
-
-        let spec = JobSpec {
-            nodes: usize_or("nodes", 40)?,
-            mu: f64_or("mu", 0.05)?,
-            duration: f64_or("duration", 2000.0)?,
-            items: usize_or("items", 20)?,
-            rho: usize_or("rho", 2)?,
-            omega: f64_or("omega", 1.0)?,
-            utility: str_or("utility", "step:10")?,
-            policy: str_or("policy", "qcr")?,
-            trials: usize_or("trials", 8)?,
-            seed: match body.get("seed") {
-                None => 42,
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| ApiError::BadRequest("`seed` must be an integer".into()))?,
-            },
-            checkpoint_every: usize_or("checkpoint_every", 4)?,
-        };
+        let spec = JobSpec::parse(body)?;
         spec.validate()?;
         Ok(spec)
+    }
+
+    /// Read a submission body's fields, defaults filled in.
+    fn parse(body: &Json) -> Result<JobSpec, ApiError> {
+        expect_object(body)?;
+        Ok(JobSpec {
+            nodes: field(body, "nodes")?.unwrap_or(40),
+            mu: field(body, "mu")?.unwrap_or(0.05),
+            duration: field(body, "duration")?.unwrap_or(2000.0),
+            items: field(body, "items")?.unwrap_or(20),
+            rho: field(body, "rho")?.unwrap_or(2),
+            omega: field(body, "omega")?.unwrap_or(1.0),
+            utility: field(body, "utility")?.unwrap_or("step:10").to_string(),
+            policy: field(body, "policy")?.unwrap_or("qcr").to_string(),
+            trials: field(body, "trials")?.unwrap_or(8),
+            seed: field(body, "seed")?.unwrap_or(42),
+            checkpoint_every: field(body, "checkpoint_every")?.unwrap_or(4),
+        })
     }
 
     fn validate(&self) -> Result<(), ApiError> {
@@ -151,13 +126,15 @@ impl JobSpec {
         if self.trials == 0 {
             return Err(ApiError::Config("`trials` must be ≥ 1".into()));
         }
-        // The utility grammar and the policy names are `build`'s to know:
-        // what it accepts is what a job can run.
-        self.build().map(drop)
+        // The utility grammar and the policy names are `build`'s to know,
+        // the rest is the campaign gate's: what both accept is what the
+        // runner will run.
+        let (config, source, _) = self.build()?;
+        campaign_gate(&config, &source).map_err(|e| ApiError::Config(e.to_string()))
     }
 
     /// Serialize for persistence and status reports.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("nodes", Json::from(self.nodes)),
             ("mu", Json::from(self.mu)),
@@ -199,66 +176,117 @@ impl JobSpec {
     }
 }
 
-/// Where a job is in its lifecycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JobState {
+/// Where a job is in its lifecycle (DESIGN §17), with what it knows
+/// there.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum JobState {
     /// Accepted and persisted, waiting for the runner.
     Queued,
     /// The runner thread is executing it.
     Running,
-    /// Completed; the result artifact is stored.
-    Done,
-    /// Terminal failure (config, checkpoint, or campaign error).
-    Failed,
+    /// Completed: the result artifact's hash (`None` when a recovered
+    /// marker names none), the trials restored from a checkpoint and the
+    /// trials this process executed.
+    Done {
+        artifact: Option<String>,
+        resumed: usize,
+        executed: usize,
+    },
+    /// The run failed (config, checkpoint or campaign error), or the
+    /// persisted spec no longer validates.
+    Failed { error: String },
 }
 
 impl JobState {
     /// Lower-case tag used in the API.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
+            JobState::Done { .. } => "done",
+            JobState::Failed { .. } => "failed",
         }
     }
 }
 
-/// Everything the server tracks about one job.
-#[derive(Clone)]
-pub struct JobStatus {
-    /// Job id (`j0001`, …).
-    pub id: String,
-    /// Lifecycle state.
-    pub state: JobState,
-    /// The submitted spec.
-    pub spec: JobSpec,
-    /// Result artifact hash once done.
-    pub artifact: Option<String>,
-    /// Failure message once failed.
-    pub error: Option<String>,
-    /// Trials restored from a checkpoint rather than re-run.
-    pub resumed: usize,
-    /// Trials executed by this process.
-    pub executed: usize,
-}
-
-struct JobEntry {
+/// Everything the server keeps about one job.
+struct Job {
     spec: JobSpec,
     state: JobState,
+    /// What its runs record, for SSE subscribers.
     stream: EventStream,
-    artifact: Option<String>,
-    error: Option<String>,
-    resumed: usize,
-    executed: usize,
 }
 
+impl Job {
+    /// A job in `state`. A restored `done` or `failed` job's stream is
+    /// closed: there is no replay across restarts, so its subscribers get
+    /// the terminal frame at once.
+    fn new(spec: JobSpec, state: JobState) -> Job {
+        let stream = EventStream::new();
+        if state != JobState::Queued {
+            stream.close();
+        }
+        Job {
+            spec,
+            state,
+            stream,
+        }
+    }
+
+    /// Serialize for `GET /v1/campaigns[/{id}]`.
+    fn to_json(&self, id: &str) -> Json {
+        let mut fields = vec![
+            ("job", Json::from(id)),
+            ("state", Json::from(self.state.as_str())),
+            ("spec", self.spec.to_json()),
+            ("events", Json::from(events_url(id))),
+        ];
+        let (resumed, executed) = match &self.state {
+            JobState::Queued | JobState::Running => (0, 0),
+            JobState::Done {
+                artifact,
+                resumed,
+                executed,
+            } => {
+                if let Some(hash) = artifact {
+                    fields.push(("artifact", Json::from(hash.as_str())));
+                    fields.push(("artifact_url", Json::from(format!("/v1/artifacts/{hash}"))));
+                }
+                (*resumed, *executed)
+            }
+            JobState::Failed { error } => {
+                fields.push(("error", Json::from(error.as_str())));
+                (0, 0)
+            }
+        };
+        fields.push(("resumed", Json::from(resumed)));
+        fields.push(("executed", Json::from(executed)));
+        Json::obj(fields)
+    }
+}
+
+fn events_url(id: &str) -> String {
+    format!("/v1/campaigns/{id}/events")
+}
+
+/// The `202` body of an accepted submission.
+pub(crate) fn receipt(id: &str) -> Json {
+    Json::obj([
+        ("job", Json::from(id)),
+        ("state", Json::from(JobState::Queued.as_str())),
+        ("events", Json::from(events_url(id))),
+        ("status_url", Json::from(format!("/v1/campaigns/{id}"))),
+    ])
+}
+
+#[derive(Default)]
 struct ManagerState {
-    jobs: HashMap<String, JobEntry>,
+    jobs: BTreeMap<String, Job>,
     queue: VecDeque<String>,
     /// Terminal completion order — what the FIFO e2e test asserts on.
     completed: Vec<String>,
-    next_id: u64,
+    /// The highest job number issued or recovered.
+    last_id: u64,
     draining: bool,
 }
 
@@ -277,13 +305,6 @@ pub struct JobManager {
     runner: Mutex<Option<JoinHandle<()>>>,
 }
 
-fn lock(shared: &Shared) -> MutexGuard<'_, ManagerState> {
-    shared
-        .state
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 impl JobManager {
     /// Open the manager over `dir` (`<data_dir>/jobs`), recovering any
     /// interrupted jobs, and start the runner thread.
@@ -295,13 +316,7 @@ impl JobManager {
     ) -> Result<JobManager, ApiError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| ApiError::Io(format!("cannot create job dir {dir:?}: {e}")))?;
-        let mut state = ManagerState {
-            jobs: HashMap::new(),
-            queue: VecDeque::new(),
-            completed: Vec::new(),
-            next_id: 1,
-            draining: false,
-        };
+        let mut state = ManagerState::default();
         recover(dir, &mut state)?;
         let shared = Arc::new(Shared {
             state: Mutex::new(state),
@@ -328,7 +343,7 @@ impl JobManager {
     /// Sheds with [`ApiError::QueueFull`] when the queue is at capacity.
     pub fn submit(&self, spec: JobSpec) -> Result<String, ApiError> {
         let id = {
-            let mut st = lock(&self.shared);
+            let mut st = lock(&self.shared.state);
             if st.draining {
                 return Err(ApiError::ShuttingDown);
             }
@@ -338,27 +353,14 @@ impl JobManager {
                     capacity: self.shared.queue_cap,
                 });
             }
-            let id = format!("j{:04}", st.next_id);
-            st.next_id += 1;
+            st.last_id += 1;
+            let id = format!("j{:04}", st.last_id);
             // Persist before acknowledging: an accepted job survives a
             // crash even if it never started.
-            let mut doc = String::new();
-            spec.to_json().write(&mut doc);
-            doc.push('\n');
+            let doc = format!("{}\n", spec.to_json());
             write_atomic(&self.shared.dir.join(format!("{id}.json")), doc.as_bytes())
                 .map_err(|e| ApiError::Io(format!("cannot persist job spec: {e}")))?;
-            st.jobs.insert(
-                id.clone(),
-                JobEntry {
-                    spec,
-                    state: JobState::Queued,
-                    stream: EventStream::new(),
-                    artifact: None,
-                    error: None,
-                    resumed: 0,
-                    executed: 0,
-                },
-            );
+            st.jobs.insert(id.clone(), Job::new(spec, JobState::Queued));
             st.queue.push_back(id.clone());
             self.shared.metrics.queue_depth(st.queue.len());
             id
@@ -367,78 +369,65 @@ impl JobManager {
         Ok(id)
     }
 
-    /// Status of one job.
-    pub fn status(&self, id: &str) -> Option<JobStatus> {
-        let st = lock(&self.shared);
-        st.jobs.get(id).map(|e| JobStatus {
-            id: id.to_string(),
-            state: e.state,
-            spec: e.spec.clone(),
-            artifact: e.artifact.clone(),
-            error: e.error.clone(),
-            resumed: e.resumed,
-            executed: e.executed,
-        })
+    /// Read job `id` under the jobs lock.
+    fn with<R>(&self, id: &str, read: impl FnOnce(&Job) -> R) -> Option<R> {
+        lock(&self.shared.state).jobs.get(id).map(read)
+    }
+
+    /// One job's state.
+    pub fn state(&self, id: &str) -> Option<JobState> {
+        self.with(id, |job| job.state.clone())
+    }
+
+    /// `GET /v1/campaigns/{id}`'s body.
+    pub fn status(&self, id: &str) -> Option<Json> {
+        self.with(id, |job| job.to_json(id))
     }
 
     /// The live event stream for a job (for SSE subscribers).
     pub fn stream(&self, id: &str) -> Option<EventStream> {
-        lock(&self.shared).jobs.get(id).map(|e| e.stream.clone())
+        self.with(id, |job| job.stream.clone())
     }
 
     /// What the event streams of all listed jobs hold for replay:
     /// `(bytes, lines)`.
     pub fn events_retained(&self) -> (usize, usize) {
-        let st = lock(&self.shared);
-        st.jobs.values().fold((0, 0), |(bytes, lines), e| {
-            (bytes + e.stream.retained_bytes(), lines + e.stream.len())
+        let st = lock(&self.shared.state);
+        st.jobs.values().fold((0, 0), |(bytes, lines), job| {
+            (
+                bytes + job.stream.retained_bytes(),
+                lines + job.stream.len(),
+            )
         })
     }
 
-    /// All jobs (sorted by id) plus the terminal completion order.
-    pub fn list(&self) -> (Vec<JobStatus>, Vec<String>) {
-        let st = lock(&self.shared);
-        let mut jobs: Vec<JobStatus> = st
-            .jobs
-            .iter()
-            .map(|(id, e)| JobStatus {
-                id: id.clone(),
-                state: e.state,
-                spec: e.spec.clone(),
-                artifact: e.artifact.clone(),
-                error: e.error.clone(),
-                resumed: e.resumed,
-                executed: e.executed,
-            })
-            .collect();
-        jobs.sort_by(|a, b| a.id.cmp(&b.id));
-        (jobs, st.completed.clone())
+    /// `GET /v1/campaigns`' body: all jobs (by id) plus the terminal
+    /// completion order.
+    pub fn list(&self) -> Json {
+        let st = lock(&self.shared.state);
+        let jobs = st.jobs.iter().map(|(id, job)| job.to_json(id)).collect();
+        let completed = st.completed.iter().map(|id| Json::from(id.as_str()));
+        Json::obj([
+            ("jobs", Json::Array(jobs)),
+            ("completed_order", Json::Array(completed.collect())),
+        ])
     }
 
-    /// Queue depth (jobs accepted but not yet running).
-    pub fn queued(&self) -> usize {
-        lock(&self.shared).queue.len()
-    }
-
-    /// Whether a job is currently executing.
-    pub fn running(&self) -> bool {
-        lock(&self.shared)
-            .jobs
-            .values()
-            .any(|e| e.state == JobState::Running)
+    /// The queue depth (jobs accepted but not yet running), and whether a
+    /// job is executing.
+    pub fn load(&self) -> (usize, bool) {
+        let st = lock(&self.shared.state);
+        let running = st.jobs.values().any(|job| job.state == JobState::Running);
+        (st.queue.len(), running)
     }
 
     /// Stop accepting work and join the runner once the current job (if
     /// any) finishes. Queued jobs stay persisted and recover on the
     /// next start.
     pub fn shutdown(&self) {
-        lock(&self.shared).draining = true;
+        lock(&self.shared.state).draining = true;
         self.shared.cond.notify_all();
-        let handle = self
-            .runner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .take();
+        let handle = lock(&self.runner).take();
         if let Some(h) = handle {
             let _ = h.join();
         }
@@ -452,12 +441,12 @@ impl Drop for JobManager {
 }
 
 /// Startup scan: load every persisted spec; jobs with a result file are
-/// restored as done, the rest re-enqueue in id order (their checkpoints,
-/// if any, make the re-run resume instead of restart).
-fn recover(dir: &Path, state: &mut ManagerState) -> Result<(), ApiError> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(_) => return Ok(()), // fresh directory
+/// restored as done, specs that no longer validate as failed, and the
+/// rest re-enqueue in id order (their checkpoints, if any, make the
+/// re-run resume instead of restart).
+fn recover(dir: &Path, st: &mut ManagerState) -> Result<(), ApiError> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Ok(()); // fresh directory
     };
     let mut pending: Vec<String> = Vec::new();
     for entry in entries.flatten() {
@@ -472,51 +461,39 @@ fn recover(dir: &Path, state: &mut ManagerState) -> Result<(), ApiError> {
             .map_err(|e| ApiError::Io(format!("cannot read job spec {name}: {e}")))?;
         let json = Json::parse(&text)
             .map_err(|e| ApiError::Checkpoint(format!("corrupt job spec {name}: {e}")))?;
-        let spec = JobSpec::from_json(&json)?;
+        let spec = JobSpec::parse(&json)?;
         if let Ok(n) = id[1..].parse::<u64>() {
-            state.next_id = state.next_id.max(n + 1);
+            st.last_id = st.last_id.max(n);
         }
         let result_path = dir.join(format!("{id}.result.json"));
-        let (jstate, artifact) = if result_path.exists() {
+        let state = if result_path.exists() {
             let text = std::fs::read_to_string(&result_path)
                 .map_err(|e| ApiError::Io(format!("cannot read job result: {e}")))?;
-            let artifact = Json::parse(&text).ok().and_then(|j| {
-                j.get("artifact")
-                    .and_then(|a| a.as_str().map(str::to_string))
-            });
-            (JobState::Done, artifact)
-        } else {
-            pending.push(id.to_string());
-            (JobState::Queued, None)
-        };
-        let stream = EventStream::new();
-        if jstate == JobState::Done {
-            // No replay across restarts: subscribers of a finished job
-            // get an immediate terminal frame.
-            stream.close();
-        }
-        state.jobs.insert(
-            id.to_string(),
-            JobEntry {
-                spec,
-                state: jstate,
-                stream,
+            let artifact = Json::parse(&text)
+                .ok()
+                .and_then(|j| j.get("artifact")?.as_str().map(str::to_string));
+            JobState::Done {
                 artifact,
-                error: None,
                 resumed: 0,
                 executed: 0,
-            },
-        );
+            }
+        } else if let Err(e) = spec.validate() {
+            JobState::Failed { error: e.message() }
+        } else {
+            pending.push(id.to_string());
+            JobState::Queued
+        };
+        st.jobs.insert(id.to_string(), Job::new(spec, state));
     }
     pending.sort();
-    state.queue.extend(pending);
+    st.queue.extend(pending);
     Ok(())
 }
 
 fn runner_loop(shared: &Shared) {
     loop {
         let (id, spec, stream) = {
-            let mut st = lock(shared);
+            let mut st = lock(&shared.state);
             loop {
                 // Draining wins over queued work: queued specs are
                 // already persisted and recover on the next start.
@@ -525,11 +502,11 @@ fn runner_loop(shared: &Shared) {
                 }
                 if let Some(id) = st.queue.pop_front() {
                     shared.metrics.queue_depth(st.queue.len());
-                    let Some(entry) = st.jobs.get_mut(&id) else {
+                    let Some(job) = st.jobs.get_mut(&id) else {
                         continue;
                     };
-                    entry.state = JobState::Running;
-                    break (id, entry.spec.clone(), entry.stream.clone());
+                    job.state = JobState::Running;
+                    break (id, job.spec.clone(), job.stream.clone());
                 }
                 st = shared
                     .cond
@@ -538,25 +515,12 @@ fn runner_loop(shared: &Shared) {
             }
         };
 
-        let result = execute(shared, &id, &spec, &stream);
-        let mut st = lock(shared);
-        let disposition = match &result {
-            Ok(_) => "done",
-            Err(_) => "failed",
-        };
-        if let Some(entry) = st.jobs.get_mut(&id) {
-            match result {
-                Ok((hash, outcome)) => {
-                    entry.state = JobState::Done;
-                    entry.artifact = Some(hash);
-                    entry.resumed = outcome.resumed;
-                    entry.executed = outcome.executed;
-                }
-                Err(e) => {
-                    entry.state = JobState::Failed;
-                    entry.error = Some(e.message());
-                }
-            }
+        let state = execute(shared, &id, &spec, &stream)
+            .unwrap_or_else(|e| JobState::Failed { error: e.message() });
+        let disposition = state.as_str();
+        let mut st = lock(&shared.state);
+        if let Some(job) = st.jobs.get_mut(&id) {
+            job.state = state;
         }
         st.completed.push(id);
         drop(st);
@@ -565,15 +529,14 @@ fn runner_loop(shared: &Shared) {
     }
 }
 
-/// Run one job to a terminal state: campaign → deterministic result
-/// document → artifact store → `<id>.result.json` marker → checkpoint
-/// cleanup.
+/// Run one job to `done`: campaign → deterministic result document →
+/// artifact store → `<id>.result.json` marker → checkpoint cleanup.
 fn execute(
     shared: &Shared,
     id: &str,
     spec: &JobSpec,
     stream: &EventStream,
-) -> Result<(String, CampaignOutcome), ApiError> {
+) -> Result<JobState, ApiError> {
     let (config, source, policy) = spec.build()?;
     let ckpt_path = shared.dir.join(format!("{id}.ckpt"));
     let options = CampaignOptions {
@@ -601,27 +564,25 @@ fn execute(
     rec.sink_mut().flush();
 
     let doc = result_document(id, spec, &outcome.aggregate, &outcome.skipped);
-    let mut bytes = String::new();
-    doc.write(&mut bytes);
-    bytes.push('\n');
-    let hash = shared.store.put(bytes.as_bytes())?;
+    let hash = shared.store.put(format!("{doc}\n").as_bytes())?;
 
-    let mut marker = String::new();
-    Json::obj([
+    let marker = Json::obj([
         ("job", Json::from(id)),
         ("artifact", Json::from(hash.as_str())),
-    ])
-    .write(&mut marker);
-    marker.push('\n');
+    ]);
     write_atomic(
         &shared.dir.join(format!("{id}.result.json")),
-        marker.as_bytes(),
+        format!("{marker}\n").as_bytes(),
     )
     .map_err(|e| ApiError::Io(format!("cannot write result marker: {e}")))?;
     // The checkpoint has served its purpose; a stale one would block
     // nothing (the result marker wins) but tidy up anyway.
     let _ = std::fs::remove_file(&ckpt_path);
-    Ok((hash, outcome))
+    Ok(JobState::Done {
+        artifact: Some(hash),
+        resumed: outcome.resumed,
+        executed: outcome.executed,
+    })
 }
 
 fn f64_array(xs: &[f64]) -> Json {
@@ -681,31 +642,6 @@ fn result_document(
     ])
 }
 
-impl JobStatus {
-    /// Serialize for `GET /v1/campaigns[/{id}]`.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("job", Json::from(self.id.as_str())),
-            ("state", Json::from(self.state.as_str())),
-            ("spec", self.spec.to_json()),
-            (
-                "events",
-                Json::from(format!("/v1/campaigns/{}/events", self.id)),
-            ),
-        ];
-        if let Some(hash) = &self.artifact {
-            fields.push(("artifact", Json::from(hash.as_str())));
-            fields.push(("artifact_url", Json::from(format!("/v1/artifacts/{hash}"))));
-        }
-        if let Some(err) = &self.error {
-            fields.push(("error", Json::from(err.as_str())));
-        }
-        fields.push(("resumed", Json::from(self.resumed)));
-        fields.push(("executed", Json::from(self.executed)));
-        Json::obj(fields)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -723,6 +659,17 @@ mod tests {
             trials: 2,
             seed: 7,
             checkpoint_every: 1,
+        }
+    }
+
+    /// The job's artifact hash once it is done.
+    fn artifact(mgr: &JobManager, id: &str) -> String {
+        match mgr.state(id) {
+            Some(JobState::Done {
+                artifact: Some(hash),
+                ..
+            }) => hash,
+            other => panic!("job {id} is not done with an artifact: {other:?}"),
         }
     }
 
@@ -750,6 +697,10 @@ mod tests {
             r#"{"policy":"warp"}"#,
             r#"{"utility":"warp:9"}"#,
             r#"{"duration":0}"#,
+            // Utilities with h(0⁺) = ∞ need dedicated servers, which a
+            // job's pure-P2P population does not have: the campaign gate.
+            r#"{"utility":"neglog"}"#,
+            r#"{"utility":"power:1.5"}"#,
         ];
         for body in bad {
             let err = JobSpec::from_json(&Json::parse(body).unwrap()).unwrap_err();
@@ -771,9 +722,7 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "job did not finish");
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
-        let status = mgr.status(&id).unwrap();
-        assert_eq!(status.state, JobState::Done);
-        let hash = status.artifact.unwrap();
+        let hash = artifact(&mgr, &id);
         let doc = store.get(&hash).unwrap();
         let json = Json::parse(std::str::from_utf8(&doc).unwrap()).unwrap();
         assert_eq!(
@@ -823,16 +772,14 @@ mod tests {
         while !stream.is_closed() {
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
-        let first_hash = mgr.status(&id).unwrap().artifact.unwrap();
+        let first_hash = artifact(&mgr, &id);
         mgr.shutdown();
         drop(mgr);
 
         // Second manager over the same directory: the job is restored
         // done with the same artifact, and new ids don't collide.
         let mgr2 = JobManager::start(&jobs_dir, store, ServeMetrics::new(), 4).unwrap();
-        let status = mgr2.status(&id).unwrap();
-        assert_eq!(status.state, JobState::Done);
-        assert_eq!(status.artifact.as_deref(), Some(first_hash.as_str()));
+        assert_eq!(artifact(&mgr2, &id), first_hash);
         let id2 = mgr2.submit(tiny_spec()).unwrap();
         assert_ne!(id, id2);
         mgr2.shutdown();

@@ -57,18 +57,29 @@
 #![deny(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod artifacts;
-pub mod error;
-pub mod http;
-pub mod jobs;
-pub mod metrics;
-pub mod pool;
-pub mod server;
-pub mod solve;
+mod artifacts;
+mod error;
+mod http;
+mod jobs;
+mod metrics;
+mod pool;
+mod server;
+mod solve;
 
-pub use artifacts::{fnv1a_hash, ArtifactStore};
+use std::sync::{Mutex, MutexGuard};
+
+pub use artifacts::fnv1a_hash;
 pub use error::ApiError;
-pub use jobs::{JobManager, JobSpec, JobState, JobStatus};
-pub use metrics::ServeMetrics;
+pub use jobs::JobSpec;
 pub use server::{ServeConfig, Server};
 pub use solve::{SolveReply, SolveRequest, SolverPool};
+
+/// Lock `mutex`, taking over the data of one whose holder panicked. What
+/// the server guards changes by single inserts, pops and assignments,
+/// each leaving it valid, so a panic on one connection or job must not
+/// fail every later one.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}

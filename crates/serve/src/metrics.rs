@@ -5,9 +5,11 @@
 //! in Prometheus text exposition format — the same format
 //! `impatience trace lint-prom` and `obs::parse_prometheus` consume.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use impatience_obs::{Histogram, MetricsRegistry};
+
+use crate::lock;
 
 /// Solve-latency histogram range (milliseconds). With 4096 buckets the
 /// exported power-of-two edge grid is 1 ms, 2 ms, …, 4096 ms.
@@ -25,12 +27,6 @@ struct Inner {
     solve_latency: Histogram,
 }
 
-impl Default for ServeMetrics {
-    fn default() -> Self {
-        ServeMetrics::new()
-    }
-}
-
 impl ServeMetrics {
     /// A fresh, empty registry.
     pub fn new() -> Self {
@@ -42,16 +38,10 @@ impl ServeMetrics {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Count one handled HTTP request by route template and status.
     pub fn http_request(&self, route: &str, status: u16) {
         let status = status.to_string();
-        self.lock().registry.counter_add(
+        lock(&self.inner).registry.counter_add(
             "impatience_http_requests_total",
             "HTTP requests handled, by route template and status code.",
             &[("route", route), ("status", &status)],
@@ -61,7 +51,7 @@ impl ServeMetrics {
 
     /// Record one synchronous solve: wall latency plus pool reuse.
     pub fn solve(&self, latency_ms: f64, pool_hit: bool) {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.solve_latency.record(latency_ms);
         let outcome = if pool_hit { "hit" } else { "miss" };
         inner.registry.counter_add(
@@ -74,7 +64,7 @@ impl ServeMetrics {
 
     /// Track the campaign queue depth gauge.
     pub fn queue_depth(&self, depth: usize) {
-        self.lock().registry.gauge_set(
+        lock(&self.inner).registry.gauge_set(
             "impatience_campaign_queue_depth",
             "Campaign jobs currently queued (accepted, not yet running).",
             &[],
@@ -84,7 +74,7 @@ impl ServeMetrics {
 
     /// Track what the jobs' event streams hold for replay.
     pub fn events_retained(&self, bytes: usize, lines: usize) {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.registry.gauge_set(
             "impatience_events_retained_bytes",
             "Memory held by the event streams of all listed jobs (line text plus index).",
@@ -102,7 +92,7 @@ impl ServeMetrics {
     /// Count one campaign reaching a terminal disposition
     /// (`done` / `failed` / `shed`).
     pub fn campaign(&self, disposition: &str) {
-        self.lock().registry.counter_add(
+        lock(&self.inner).registry.counter_add(
             "impatience_campaigns_total",
             "Campaign jobs by terminal disposition.",
             &[("disposition", disposition)],
@@ -113,7 +103,7 @@ impl ServeMetrics {
     /// Count one socket write to an SSE subscriber and the data frames
     /// it carried (none for the lone `end` frame).
     pub fn sse_write(&self, frames: u64) {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.registry.counter_add(
             "impatience_sse_events_streamed_total",
             "Server-sent event frames delivered to subscribers.",
@@ -131,7 +121,7 @@ impl ServeMetrics {
     /// Render the Prometheus exposition, folding in the latency
     /// histogram snapshot.
     pub fn render(&self) -> String {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         if inner.solve_latency.count() > 0 {
             let hist = inner.solve_latency.clone();
             inner.registry.histogram_observe(

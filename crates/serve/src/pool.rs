@@ -9,6 +9,8 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use crate::lock;
+
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed pool of worker threads consuming closures in FIFO order.
@@ -50,10 +52,7 @@ impl ThreadPool {
 
 fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>) {
     loop {
-        let job = {
-            let guard = rx.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            guard.recv()
-        };
+        let job = lock(rx).recv();
         match job {
             Ok(job) => job(),
             Err(_) => return, // sender dropped: pool shutting down

@@ -13,8 +13,9 @@ use impatience_obs::write_atomic;
 
 use crate::artifacts::ArtifactStore;
 use crate::error::ApiError;
-use crate::http::{push_sse_frame, respond, respond_error, respond_json, start_sse, Request};
-use crate::jobs::{JobManager, JobSpec};
+use crate::http::{push_sse_frame, respond, start_sse, Reply, Request};
+use crate::jobs::{receipt, JobManager, JobSpec};
+use crate::lock;
 use crate::metrics::ServeMetrics;
 use crate::pool::ThreadPool;
 use crate::solve::{SolveRequest, SolverPool};
@@ -136,11 +137,7 @@ impl Server {
         self.ctx.shutting_down.store(true, Ordering::SeqCst);
         // Poke the accept loop out of `accept()`.
         let _ = TcpStream::connect(self.addr);
-        let handle = self
-            .accept
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .take();
+        let handle = lock(&self.accept).take();
         if let Some(h) = handle {
             let _ = h.join();
         }
@@ -162,171 +159,181 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, threads: usize) {
         }
         let Ok(stream) = conn else { continue };
         let ctx = Arc::clone(ctx);
-        pool.execute(move || handle_connection(stream, &ctx));
+        pool.execute(move || route(stream, &ctx));
     }
 }
 
-fn handle_connection(mut stream: TcpStream, ctx: &Arc<Ctx>) {
+/// The routes of API.md.
+#[derive(Clone, Copy, PartialEq)]
+enum Route {
+    Healthz,
+    Metrics,
+    Solve,
+    Campaigns,
+    Campaign,
+    Events,
+    Artifact,
+}
+
+/// Each route's template: what a path is matched against, and the route's
+/// `route` label on `impatience_http_requests_total`.
+const ROUTES: [(Route, &str); 7] = [
+    (Route::Healthz, "/healthz"),
+    (Route::Metrics, "/metrics"),
+    (Route::Solve, "/v1/solve"),
+    (Route::Campaigns, "/v1/campaigns"),
+    (Route::Campaign, "/v1/campaigns/{id}"),
+    (Route::Events, "/v1/campaigns/{id}/events"),
+    (Route::Artifact, "/v1/artifacts/{hash}"),
+];
+
+/// The route `path` names, its template and its `{…}` parameter (`""`
+/// for none). An `{id}` is one non-empty path segment; a `{hash}` is the
+/// rest of the path, for the artifact store to judge.
+fn parse_route(path: &str) -> Option<(Route, &'static str, &str)> {
+    ROUTES.into_iter().find_map(|(route, template)| {
+        let Some((prefix, rest)) = template.split_once('{') else {
+            return (path == template).then_some((route, template, ""));
+        };
+        let (_, suffix) = rest.split_once('}')?;
+        let param = path.strip_prefix(prefix)?.strip_suffix(suffix)?;
+        let segment = !param.is_empty() && !param.contains('/');
+        (route == Route::Artifact || segment).then_some((route, template, param))
+    })
+}
+
+/// What a request is answered with.
+enum Answer {
+    /// A fixed-length reply.
+    Reply(Reply),
+    /// A job's event stream from line `offset`, as SSE.
+    Events {
+        id: String,
+        offset: usize,
+        follow: bool,
+    },
+}
+
+/// Read one request, answer it, and count it: the one place a reply is
+/// written and `impatience_http_requests_total` recorded. A request that
+/// does not parse, names no route or uses a method its route does not
+/// take counts under `*`. A handled request counts as 200 (a 202
+/// included), or as 500 when its reply cannot be written.
+fn route(mut stream: TcpStream, ctx: &Arc<Ctx>) {
     // A stalled peer must not wedge a pool worker forever.
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let req = match Request::read_from(&mut stream) {
-        Ok(req) => req,
-        Err(err) => {
-            ctx.metrics.http_request("*", err.http_status());
-            let _ = respond_error(&mut stream, &err);
+    let (template, answer) = match Request::read_from(&mut stream) {
+        Ok(req) => dispatch(&req, ctx),
+        Err(err) => ("*", Err(err)),
+    };
+    let status = match answer {
+        Ok(Answer::Reply(reply)) => match respond(&mut stream, &reply) {
+            Ok(()) => 200,
+            Err(_) => 500,
+        },
+        Ok(Answer::Events { id, offset, follow }) => {
+            // SSE long-polls: it gets a thread of its own so pool workers
+            // stay available for short requests. Counted before the
+            // connection closes, like every other request.
+            let ctx = Arc::clone(ctx);
+            let _ = std::thread::Builder::new()
+                .name("serve-sse".into())
+                .spawn(move || {
+                    let status = match handle_events(&mut stream, &id, offset, follow, &ctx) {
+                        Ok(()) => 200,
+                        Err(e) => e.http_status(),
+                    };
+                    ctx.metrics.http_request(template, status);
+                });
             return;
         }
-    };
-    route(stream, req, ctx);
-}
-
-/// Split `/v1/campaigns/{id}[/events]` into its parts.
-fn campaign_route(path: &str) -> Option<(&str, bool)> {
-    let rest = path.strip_prefix("/v1/campaigns/")?;
-    match rest.strip_suffix("/events") {
-        Some(id) if !id.is_empty() && !id.contains('/') => Some((id, true)),
-        None if !rest.is_empty() && !rest.contains('/') => Some((rest, false)),
-        _ => None,
-    }
-}
-
-fn route(mut stream: TcpStream, req: Request, ctx: &Arc<Ctx>) {
-    let (template, result): (&str, Result<(), ApiError>) =
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/healthz") => ("/healthz", handle_healthz(&mut stream, ctx)),
-            ("GET", "/metrics") => ("/metrics", handle_metrics(&mut stream, ctx)),
-            ("POST", "/v1/solve") => ("/v1/solve", handle_solve(&mut stream, &req, ctx)),
-            ("POST", "/v1/campaigns") => ("/v1/campaigns", handle_submit(&mut stream, &req, ctx)),
-            ("GET", "/v1/campaigns") => ("/v1/campaigns", handle_list(&mut stream, ctx)),
-            ("GET", path) if path.starts_with("/v1/artifacts/") => (
-                "/v1/artifacts/{hash}",
-                handle_artifact(&mut stream, path, ctx),
-            ),
-            ("GET", path) => match campaign_route(path) {
-                Some((id, true)) => match sse_offset(&req) {
-                    Ok(offset) => {
-                        let follow = req.query.get("follow").map(String::as_str) != Some("0");
-                        spawn_events(stream, id.to_string(), offset, follow, Arc::clone(ctx));
-                        return;
-                    }
-                    Err(e) => ("/v1/campaigns/{id}/events", Err(e)),
-                },
-                Some((id, false)) => ("/v1/campaigns/{id}", handle_status(&mut stream, id, ctx)),
-                None => ("*", Err(ApiError::NotFound(format!("no route {path}")))),
-            },
-            (method, path) => {
-                let known = matches!(
-                    path,
-                    "/healthz" | "/metrics" | "/v1/solve" | "/v1/campaigns"
-                ) || campaign_route(path).is_some()
-                    || path.starts_with("/v1/artifacts/");
-                if known {
-                    (
-                        "*",
-                        Err(ApiError::MethodNotAllowed(format!("{method} {path}"))),
-                    )
-                } else {
-                    ("*", Err(ApiError::NotFound(format!("no route {path}"))))
-                }
-            }
-        };
-    match result {
-        Ok(()) => ctx.metrics.http_request(template, 200),
         Err(err) => {
-            ctx.metrics.http_request(template, err.http_status());
-            let _ = respond_error(&mut stream, &err);
+            let _ = respond(&mut stream, &Reply::error(&err));
+            err.http_status()
         }
-    }
+    };
+    ctx.metrics.http_request(template, status);
 }
 
-/// SSE long-polls; hand the connection its own thread so pool workers
-/// stay available for short requests.
-fn spawn_events(stream: TcpStream, id: String, offset: usize, follow: bool, ctx: Arc<Ctx>) {
-    let _ = std::thread::Builder::new()
-        .name("serve-sse".into())
-        .spawn(move || {
-            let status = match handle_events(stream, &id, offset, follow, &ctx) {
-                Ok(()) => 200,
-                Err(e) => e.http_status(),
-            };
-            ctx.metrics
-                .http_request("/v1/campaigns/{id}/events", status);
-        });
+/// The answer to `req`, and the template it counts under.
+fn dispatch(req: &Request, ctx: &Ctx) -> (&'static str, Result<Answer, ApiError>) {
+    let path = &req.path;
+    let Some((route, template, param)) = parse_route(path) else {
+        return ("*", Err(ApiError::NotFound(format!("no route {path}"))));
+    };
+    let reply = match (req.method.as_str(), route) {
+        ("GET", Route::Healthz) => Ok(healthz(ctx)),
+        ("GET", Route::Metrics) => Ok(metrics(ctx)),
+        ("POST", Route::Solve) => solve(req, ctx),
+        ("POST", Route::Campaigns) => submit(req, ctx),
+        ("GET", Route::Campaigns) => Ok(Reply::json(200, &ctx.jobs.list())),
+        ("GET", Route::Campaign) => ctx
+            .jobs
+            .status(param)
+            .map(|status| Reply::json(200, &status))
+            .ok_or_else(|| ApiError::NotFound(format!("no job {param}"))),
+        ("GET", Route::Events) => {
+            let answer = sse_offset(req).map(|offset| Answer::Events {
+                id: param.to_string(),
+                offset,
+                follow: req.query.get("follow").map(String::as_str) != Some("0"),
+            });
+            return (template, answer);
+        }
+        ("GET", Route::Artifact) => ctx.store.get(param).map(|body| Reply {
+            status: 200,
+            content_type: "application/json",
+            body,
+        }),
+        (method, _) => {
+            let err = ApiError::MethodNotAllowed(format!("{method} {path}"));
+            return ("*", Err(err));
+        }
+    };
+    (template, reply.map(Answer::Reply))
 }
 
-fn handle_healthz(stream: &mut TcpStream, ctx: &Arc<Ctx>) -> Result<(), ApiError> {
+fn healthz(ctx: &Ctx) -> Reply {
+    let (queued, running) = ctx.jobs.load();
     let body = Json::obj([
         ("status", Json::from("ok")),
-        ("queued", Json::from(ctx.jobs.queued())),
-        ("running", Json::from(ctx.jobs.running())),
+        ("queued", Json::from(queued)),
+        ("running", Json::from(running)),
         ("solver_pool_idle", Json::from(ctx.solvers.idle())),
         ("uptime_s", Json::from(ctx.started.elapsed().as_secs_f64())),
     ]);
-    respond_json(stream, 200, &body).map_err(|e| ApiError::Io(e.to_string()))
+    Reply::json(200, &body)
 }
 
-fn handle_metrics(stream: &mut TcpStream, ctx: &Arc<Ctx>) -> Result<(), ApiError> {
+fn metrics(ctx: &Ctx) -> Reply {
     let (bytes, lines) = ctx.jobs.events_retained();
     ctx.metrics.events_retained(bytes, lines);
-    let text = ctx.metrics.render();
-    respond(stream, 200, "text/plain; version=0.0.4", text.as_bytes())
-        .map_err(|e| ApiError::Io(e.to_string()))
+    Reply {
+        status: 200,
+        content_type: "text/plain; version=0.0.4",
+        body: ctx.metrics.render().into_bytes(),
+    }
 }
 
-fn handle_solve(stream: &mut TcpStream, req: &Request, ctx: &Arc<Ctx>) -> Result<(), ApiError> {
+fn solve(req: &Request, ctx: &Ctx) -> Result<Reply, ApiError> {
     let t0 = Instant::now();
     let body = req.json()?;
     let solve_req = SolveRequest::from_json(&body)?;
     let reply = ctx.solvers.solve(&solve_req)?;
     ctx.metrics
         .solve(t0.elapsed().as_secs_f64() * 1e3, reply.pool_hit);
-    respond_json(stream, 200, &reply.to_json()).map_err(|e| ApiError::Io(e.to_string()))
+    Ok(Reply::json(200, &reply.to_json()))
 }
 
-fn handle_submit(stream: &mut TcpStream, req: &Request, ctx: &Arc<Ctx>) -> Result<(), ApiError> {
+fn submit(req: &Request, ctx: &Ctx) -> Result<Reply, ApiError> {
     if ctx.shutting_down.load(Ordering::SeqCst) {
         return Err(ApiError::ShuttingDown);
     }
     let body = req.json()?;
     let spec = JobSpec::from_json(&body)?;
     let id = ctx.jobs.submit(spec)?;
-    let reply = Json::obj([
-        ("job", Json::from(id.as_str())),
-        ("state", Json::from("queued")),
-        ("events", Json::from(format!("/v1/campaigns/{id}/events"))),
-        ("status_url", Json::from(format!("/v1/campaigns/{id}"))),
-    ]);
-    respond_json(stream, 202, &reply).map_err(|e| ApiError::Io(e.to_string()))
-}
-
-fn handle_list(stream: &mut TcpStream, ctx: &Arc<Ctx>) -> Result<(), ApiError> {
-    let (jobs, completed) = ctx.jobs.list();
-    let body = Json::obj([
-        (
-            "jobs",
-            Json::Array(jobs.iter().map(|j| j.to_json()).collect()),
-        ),
-        (
-            "completed_order",
-            Json::Array(completed.iter().map(|id| Json::from(id.as_str())).collect()),
-        ),
-    ]);
-    respond_json(stream, 200, &body).map_err(|e| ApiError::Io(e.to_string()))
-}
-
-fn handle_status(stream: &mut TcpStream, id: &str, ctx: &Arc<Ctx>) -> Result<(), ApiError> {
-    let status = ctx
-        .jobs
-        .status(id)
-        .ok_or_else(|| ApiError::NotFound(format!("no job {id}")))?;
-    respond_json(stream, 200, &status.to_json()).map_err(|e| ApiError::Io(e.to_string()))
-}
-
-fn handle_artifact(stream: &mut TcpStream, path: &str, ctx: &Arc<Ctx>) -> Result<(), ApiError> {
-    let hash = path.trim_start_matches("/v1/artifacts/");
-    let bytes = ctx.store.get(hash)?;
-    respond(stream, 200, "application/json", &bytes).map_err(|e| ApiError::Io(e.to_string()))
+    Ok(Reply::json(202, &receipt(&id)))
 }
 
 /// Starting index for an SSE subscription: `?offset=N` wins, else
@@ -360,11 +367,11 @@ fn sse_offset(req: &Request) -> Result<usize, ApiError> {
 /// fetch it, one pass to frame it into a reused buffer, one socket
 /// write to send it.
 fn handle_events(
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     id: &str,
     offset: usize,
     follow: bool,
-    ctx: &Arc<Ctx>,
+    ctx: &Ctx,
 ) -> Result<(), ApiError> {
     let events = ctx
         .jobs
@@ -375,7 +382,7 @@ fn handle_events(
     // dropped like a closed peer and resumes with `Last-Event-ID`.
     let _ = stream.set_read_timeout(None);
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    start_sse(&mut stream).map_err(|e| ApiError::Io(e.to_string()))?;
+    start_sse(stream).map_err(|e| ApiError::Io(e.to_string()))?;
     let mut cursor = events.subscribe(offset);
     let mut frames: Vec<u8> = Vec::new();
     // One socket write per buffer of frames; a failed or timed-out
@@ -401,24 +408,19 @@ fn handle_events(
                 }
             }
             None if cursor.finished() => {
-                break ctx
-                    .jobs
-                    .status(id)
-                    .map(|s| s.state.as_str())
-                    .unwrap_or("unknown");
+                break ctx.jobs.state(id).map_or("unknown", |state| state.as_str());
             }
             // Snapshot mode: caught up, don't wait for more.
             None if !follow => break "snapshot",
             None => {}
         }
     };
-    let mut data = String::new();
-    Json::obj([
+    let data = Json::obj([
         ("job", Json::from(id)),
         ("state", Json::from(end_state)),
         ("events", Json::from(cursor.position())),
     ])
-    .write(&mut data);
+    .to_string();
     frames.clear();
     push_sse_frame(&mut frames, None, Some("end"), &data);
     send(&frames, 0);
@@ -522,6 +524,9 @@ mod tests {
         let (status, _) = get(addr, "/v1/nope");
         assert_eq!(status, 404);
         let (status, _) = request(addr, "POST", "/healthz", None);
+        assert_eq!(status, 405);
+        // A route under a method it does not take is a 405, never a 404.
+        let (status, _) = get(addr, "/v1/solve");
         assert_eq!(status, 405);
 
         let (status, text) = get(addr, "/metrics");

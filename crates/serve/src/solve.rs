@@ -16,7 +16,7 @@
 //! exported as `impatience_solver_pool_total`.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use impatience_core::demand::{DemandRates, Popularity};
 use impatience_core::solver::incremental::{Delta, DeltaOutcome, DeltaSolver};
@@ -25,6 +25,8 @@ use impatience_core::utility::{parse_utility, DelayUtility};
 use impatience_json::Json;
 
 use crate::error::ApiError;
+use crate::http::{expect_object, field, typed};
+use crate::lock;
 
 /// A validated solve request.
 #[derive(Debug)]
@@ -37,26 +39,6 @@ pub struct SolveRequest {
     deltas: Vec<Delta>,
 }
 
-fn get_usize(json: &Json, key: &str) -> Result<Option<usize>, ApiError> {
-    match json.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(|n| Some(n as usize))
-            .ok_or_else(|| ApiError::BadRequest(format!("`{key}` must be a non-negative integer"))),
-    }
-}
-
-fn get_f64(json: &Json, key: &str) -> Result<Option<f64>, ApiError> {
-    match json.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| ApiError::BadRequest(format!("`{key}` must be a number"))),
-    }
-}
-
 impl SolveRequest {
     /// Parse and validate the request body.
     ///
@@ -64,24 +46,17 @@ impl SolveRequest {
     /// [`DeltaSolver::apply`] contract is panic-on-malformed: nothing
     /// invalid may reach the solver thread.
     pub fn from_json(body: &Json) -> Result<SolveRequest, ApiError> {
-        if body.as_object().is_none() {
-            return Err(ApiError::BadRequest(
-                "request body must be an object".into(),
-            ));
-        }
-        let nodes = get_usize(body, "nodes")?
-            .ok_or_else(|| ApiError::BadRequest("`nodes` is required".into()))?;
-        let rho = get_usize(body, "rho")?
-            .ok_or_else(|| ApiError::BadRequest("`rho` is required".into()))?;
-        let mu =
-            get_f64(body, "mu")?.ok_or_else(|| ApiError::BadRequest("`mu` is required".into()))?;
+        expect_object(body)?;
+        let required = |key: &str| ApiError::BadRequest(format!("`{key}` is required"));
+        let nodes: usize = field(body, "nodes")?.ok_or_else(|| required("nodes"))?;
+        let rho: usize = field(body, "rho")?.ok_or_else(|| required("rho"))?;
+        let mu: f64 = field(body, "mu")?.ok_or_else(|| required("mu"))?;
         if !(mu.is_finite() && mu > 0.0) {
             return Err(ApiError::Config(format!(
                 "`mu` must be finite and > 0, got {mu}"
             )));
         }
-        let servers = get_usize(body, "servers")?;
-        let system = match servers {
+        let system = match field(body, "servers")? {
             None | Some(0) => {
                 if nodes == 0 {
                     return Err(ApiError::Config("`nodes` must be ≥ 1".into()));
@@ -98,25 +73,14 @@ impl SolveRequest {
             }
         };
 
-        let utility_spec = match body.get("utility") {
-            None => "step:10".to_string(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| ApiError::BadRequest("`utility` must be a string".into()))?
-                .to_string(),
-        };
+        let utility_spec = field(body, "utility")?.unwrap_or("step:10").to_string();
         let utility = parse_utility(&utility_spec).map_err(|e| ApiError::Config(e.to_string()))?;
 
-        let demand: Vec<f64> = match body.get("demand") {
-            Some(v) => {
-                let arr = v
-                    .as_array()
-                    .ok_or_else(|| ApiError::BadRequest("`demand` must be an array".into()))?;
+        let demand: Vec<f64> = match field::<&[Json]>(body, "demand")? {
+            Some(arr) => {
                 let mut rates = Vec::with_capacity(arr.len());
                 for (i, r) in arr.iter().enumerate() {
-                    let r = r.as_f64().ok_or_else(|| {
-                        ApiError::BadRequest(format!("`demand[{i}]` must be a number"))
-                    })?;
+                    let r: f64 = typed(r, format_args!("demand[{i}]"))?;
                     if !(r.is_finite() && r >= 0.0) {
                         return Err(ApiError::Config(format!(
                             "`demand[{i}]` must be finite and ≥ 0, got {r}"
@@ -127,13 +91,13 @@ impl SolveRequest {
                 rates
             }
             None => {
-                let items = get_usize(body, "items")?.ok_or_else(|| {
+                let items: usize = field(body, "items")?.ok_or_else(|| {
                     ApiError::BadRequest("either `demand` or `items` is required".into())
                 })?;
                 if items == 0 {
                     return Err(ApiError::Config("`items` must be ≥ 1".into()));
                 }
-                let omega = get_f64(body, "omega")?.unwrap_or(1.0);
+                let omega = field(body, "omega")?.unwrap_or(1.0);
                 if !(omega.is_finite() && omega > 0.0) {
                     return Err(ApiError::Config(format!(
                         "`omega` must be finite and > 0, got {omega}"
@@ -149,7 +113,7 @@ impl SolveRequest {
             return Err(ApiError::Config("demand catalog must be non-empty".into()));
         }
 
-        let stale_eps = get_f64(body, "stale_eps")?;
+        let stale_eps: Option<f64> = field(body, "stale_eps")?;
         if let Some(eps) = stale_eps {
             if !(eps.is_finite() && eps >= 0.0) {
                 return Err(ApiError::Config(format!(
@@ -158,47 +122,12 @@ impl SolveRequest {
             }
         }
 
-        let mut deltas = Vec::new();
-        if let Some(v) = body.get("deltas") {
-            let arr = v
-                .as_array()
-                .ok_or_else(|| ApiError::BadRequest("`deltas` must be an array".into()))?;
-            for (i, d) in arr.iter().enumerate() {
-                if let Some(item) = d.get("item") {
-                    let item = item.as_u64().ok_or_else(|| {
-                        ApiError::BadRequest(format!("`deltas[{i}].item` must be an integer"))
-                    })? as usize;
-                    if item >= demand.len() {
-                        return Err(ApiError::Config(format!(
-                            "`deltas[{i}].item` {item} out of range (catalog size {})",
-                            demand.len()
-                        )));
-                    }
-                    let rate = get_f64(d, "rate")?.ok_or_else(|| {
-                        ApiError::BadRequest(format!("`deltas[{i}]` needs a `rate`"))
-                    })?;
-                    if !(rate.is_finite() && rate >= 0.0) {
-                        return Err(ApiError::Config(format!(
-                            "`deltas[{i}].rate` must be finite and ≥ 0, got {rate}"
-                        )));
-                    }
-                    deltas.push(Delta::Demand { item, rate });
-                } else if let Some(mu) = get_f64(d, "mu")? {
-                    if !(mu.is_finite() && mu > 0.0) {
-                        return Err(ApiError::Config(format!(
-                            "`deltas[{i}].mu` must be finite and > 0, got {mu}"
-                        )));
-                    }
-                    deltas.push(Delta::ContactRate(mu));
-                } else if let Some(rho) = get_usize(d, "rho")? {
-                    deltas.push(Delta::CacheBudget(rho));
-                } else {
-                    return Err(ApiError::BadRequest(format!(
-                        "`deltas[{i}]` must be {{item,rate}}, {{mu}}, or {{rho}}"
-                    )));
-                }
-            }
-        }
+        let deltas = field::<&[Json]>(body, "deltas")?
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+            .map(|(i, d)| delta(i, d, demand.len()))
+            .collect::<Result<_, _>>()?;
 
         Ok(SolveRequest {
             system,
@@ -208,6 +137,45 @@ impl SolveRequest {
             stale_eps,
             deltas,
         })
+    }
+}
+
+/// `deltas[i]`, one of `{item,rate}`, `{mu}` or `{rho}`, on a catalog of
+/// `items`.
+fn delta(i: usize, d: &Json, items: usize) -> Result<Delta, ApiError> {
+    if let Some(item) = d.get("item") {
+        // An item index keeps its own wording ("an integer"), so it is
+        // read here rather than by `typed`.
+        let item = item
+            .as_u64()
+            .ok_or_else(|| ApiError::BadRequest(format!("`deltas[{i}].item` must be an integer")))?
+            as usize;
+        if item >= items {
+            return Err(ApiError::Config(format!(
+                "`deltas[{i}].item` {item} out of range (catalog size {items})"
+            )));
+        }
+        let rate: f64 = field(d, "rate")?
+            .ok_or_else(|| ApiError::BadRequest(format!("`deltas[{i}]` needs a `rate`")))?;
+        if !(rate.is_finite() && rate >= 0.0) {
+            return Err(ApiError::Config(format!(
+                "`deltas[{i}].rate` must be finite and ≥ 0, got {rate}"
+            )));
+        }
+        Ok(Delta::Demand { item, rate })
+    } else if let Some(mu) = field::<f64>(d, "mu")? {
+        if !(mu.is_finite() && mu > 0.0) {
+            return Err(ApiError::Config(format!(
+                "`deltas[{i}].mu` must be finite and > 0, got {mu}"
+            )));
+        }
+        Ok(Delta::ContactRate(mu))
+    } else if let Some(rho) = field(d, "rho")? {
+        Ok(Delta::CacheBudget(rho))
+    } else {
+        Err(ApiError::BadRequest(format!(
+            "`deltas[{i}]` must be {{item,rate}}, {{mu}}, or {{rho}}"
+        )))
     }
 }
 
@@ -229,7 +197,6 @@ fn key_of(system: &SystemModel, utility_spec: &str, items: usize) -> String {
 /// survives) or builds a fresh one (**miss**: pays the quadrature).
 /// Check-in re-keys from the solver's *current* system, so a request
 /// whose deltas moved μ or ρ parks the solver under its new shape.
-#[derive(Default)]
 pub struct SolverPool {
     pools: Mutex<HashMap<String, Vec<DeltaSolver>>>,
     /// Cap on idle solvers kept per key (memory bound under fan-in).
@@ -263,16 +230,10 @@ impl SolverPool {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, Vec<DeltaSolver>>> {
-        self.pools
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Serve one request end to end.
     pub fn solve(&self, req: &SolveRequest) -> Result<SolveReply, ApiError> {
         let key = key_of(&req.system, &req.utility_spec, req.demand.len());
-        let warm = self.lock().get_mut(&key).and_then(Vec::pop);
+        let warm = lock(&self.pools).get_mut(&key).and_then(Vec::pop);
         let pool_hit = warm.is_some();
         let mut solver = match warm {
             Some(s) => s,
@@ -325,7 +286,7 @@ impl SolverPool {
         // into the next request's baseline.
         solver.set_staleness(None);
         let park_key = key_of(solver.system(), &req.utility_spec, solver.rates().len());
-        let mut pools = self.lock();
+        let mut pools = lock(&self.pools);
         let slot = pools.entry(park_key).or_default();
         if slot.len() < self.per_key {
             slot.push(solver);
@@ -335,7 +296,7 @@ impl SolverPool {
 
     /// Total idle solvers currently parked (for health reporting).
     pub fn idle(&self) -> usize {
-        self.lock().values().map(Vec::len).sum()
+        lock(&self.pools).values().map(Vec::len).sum()
     }
 }
 

@@ -654,6 +654,15 @@ pub fn run_campaign<S: Sink>(
         .expect("one policy in, one outcome out")
 }
 
+/// The gate a campaign applies before its first trial: `config` resolved
+/// on the source's population, then the source itself. A caller that
+/// queues or plans campaigns calls it too, to refuse up front what
+/// [`run_campaigns`] would refuse later.
+pub fn campaign_gate(config: &SimConfig, source: &ContactSource) -> Result<(), ConfigError> {
+    config.try_resolved(source.nodes())?;
+    source.try_validate()
+}
+
 /// The campaigns of several policies on one `(config, source, base_seed)`
 /// — a paired comparison — run together: trial `k` samples its contact
 /// sequence once and every policy that still misses trial `k` rides it
@@ -701,8 +710,7 @@ pub fn run_campaigns<S: Sink>(
         }
         .into());
     }
-    config.try_resolved(source.nodes())?;
-    source.try_validate()?;
+    campaign_gate(config, source)?;
 
     /// One policy's campaign in flight. The checkpoint is the state: what
     /// is saved is what `completed` holds, by reference.

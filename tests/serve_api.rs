@@ -4,9 +4,11 @@
 //! server stays healthy, SSE reconnects replay gaplessly from any
 //! offset, a followed stream costs one socket write per chunk, a
 //! subscriber that stops reading is dropped after the write timeout,
-//! artifacts round-trip through their content address, and a server
+//! artifacts round-trip through their content address, a server
 //! killed mid-campaign resumes after restart with a bit-identical
-//! result artifact.
+//! result artifact, a spec the campaign gate refuses never becomes a
+//! job, and the bytes of job states, router refusals, field errors and
+//! the request counter stay as pinned.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -309,6 +311,57 @@ fn full_queue_sheds_with_429_and_stays_healthy() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// What the campaign gate refuses never becomes a job: a submission is a
+/// 422 `config` with nothing persisted, and a spec persisted before the
+/// gate applied at submit is listed as failed instead of stopping the
+/// server from starting.
+#[test]
+fn campaign_gate_refuses_at_submit_and_lists_a_persisted_refusal_as_failed() {
+    let dir = temp_dir("gate");
+    let jobs = dir.join("jobs");
+    std::fs::create_dir_all(&jobs).unwrap();
+    std::fs::write(
+        jobs.join("j0001.json"),
+        r#"{"nodes":14,"mu":0.05,"duration":200.0,"items":6,"rho":2,"utility":"neglog","trials":2,"seed":1}"#,
+    )
+    .unwrap();
+    let server = start(&dir, 4);
+    let addr = server.addr();
+
+    let (status, job) = get_json(addr, "/v1/campaigns/j0001");
+    assert_eq!(status, 200);
+    assert_eq!(job.get("state").and_then(Json::as_str), Some("failed"));
+    let error = job.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("use a dedicated population"), "{error}");
+    assert_eq!(
+        job.get("spec").and_then(|s| s.get("utility")),
+        Some(&Json::from("neglog"))
+    );
+    let (frames, end) = sse_snapshot(addr, "j0001", 0);
+    assert!(frames.is_empty());
+    assert_eq!(end.get("state").and_then(Json::as_str), Some("failed"));
+
+    for utility in ["neglog", "power:1.5"] {
+        let (status, reply) = submit(addr, &format!(r#"{{"utility":"{utility}"}}"#));
+        assert_eq!(status, 422, "{reply}");
+        let err = reply.get("error").unwrap();
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("config"));
+        assert_eq!(err.get("exit_code").and_then(Json::as_i64), Some(3));
+        let message = err.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("use a dedicated population"), "{message}");
+    }
+    let persisted: Vec<String> = std::fs::read_dir(&jobs)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(persisted, ["j0001.json"]);
+    let (_, health) = get_json(addr, "/healthz");
+    assert_eq!(health.get("queued").and_then(Json::as_u64), Some(0));
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ------------------------------------------------------------------ SSE
 
 #[test]
@@ -518,6 +571,257 @@ fn artifact_roundtrip_and_unknown_hash_404s() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+// -------------------------------------------------------------- the wire
+
+/// One exchange appended to `wire` as `METHOD path`, then `status body`.
+fn exchange(wire: &mut String, addr: SocketAddr, method: &str, path: &str, body: Option<&str>) {
+    let (status, reply) = request(addr, method, path, body);
+    wire.push_str(&format!("{method} {path}\n{status} {reply}"));
+}
+
+/// The bytes the server writes for job states, router refusals, typed
+/// body fields and its request counter, pinned over a data dir with one
+/// job restored as done from its marker, one re-run onto a checkpoint
+/// that no longer reads (it fails), and one submitted over HTTP (it runs
+/// to done). The data dir's path reads `<data>`, `uptime_s` reads 0.
+#[test]
+fn wire_bytes_of_job_states_routes_fields_and_request_counts() {
+    let dir = temp_dir("wire");
+    let jobs = dir.join("jobs");
+    std::fs::create_dir_all(&jobs).unwrap();
+    let spec = |seed: u64| {
+        format!(
+            r#"{{"nodes":14,"mu":0.05,"duration":200.0,"items":6,"rho":2,"trials":2,"seed":{seed}}}"#
+        )
+    };
+    let put = |name: &str, text: &str| std::fs::write(jobs.join(name), text).unwrap();
+    put("j0001.json", &spec(1));
+    put(
+        "j0001.result.json",
+        r#"{"job":"j0001","artifact":"fnv1a:00000000000000aa"}"#,
+    );
+    put("j0002.json", &spec(2));
+    put("j0002.ckpt", "not a checkpoint\n");
+    let server = start(&dir, 4);
+    let addr = server.addr();
+
+    let mut wire = String::new();
+    exchange(&mut wire, addr, "POST", "/v1/campaigns", Some(TINY_SPEC));
+    // One followed subscription waits for the job (the queue runs j0002
+    // first), so the request counts do not depend on polling.
+    let (_, end) = sse_read(addr, "j0003", "offset=0");
+    assert_eq!(end.get("state").and_then(Json::as_str), Some("done"));
+
+    exchange(&mut wire, addr, "GET", "/v1/campaigns", None);
+    for job in ["j0001", "j0002", "j0003"] {
+        exchange(
+            &mut wire,
+            addr,
+            "GET",
+            &format!("/v1/campaigns/{job}"),
+            None,
+        );
+        let path = format!("/v1/campaigns/{job}/events?follow=0");
+        let (status, body) = request(addr, "GET", &path, None);
+        let end = body.find("event: end").map_or(&body[..], |at| &body[at..]);
+        wire.push_str(&format!("GET {path}\n{status} …{end}"));
+    }
+    let solve = |body: &str| format!(r#"{{"nodes":20,"rho":2,"mu":0.05,"items":6{body}}}"#);
+    exchange(&mut wire, addr, "POST", "/v1/solve", Some(&solve("")));
+    let (status, health) = request(addr, "GET", "/healthz", None);
+    let uptime = health.find(r#""uptime_s":"#).unwrap();
+    wire.push_str(&format!(
+        "GET /healthz\n{status} {}\"uptime_s\":0}}\n",
+        &health[..uptime]
+    ));
+
+    for (method, path) in [
+        ("POST", "/healthz"),
+        ("POST", "/metrics"),
+        ("DELETE", "/v1/solve"),
+        ("DELETE", "/v1/campaigns"),
+        ("POST", "/v1/campaigns/j0001"),
+        ("PUT", "/v1/campaigns/j0001/events"),
+        ("POST", "/v1/artifacts/fnv1a:00000000000000aa"),
+        ("GET", "/v1/nope"),
+        ("POST", "/v1/nope"),
+        ("GET", "/v1/campaigns/"),
+        ("GET", "/v1/campaigns/a/b"),
+        ("GET", "/v1/campaigns//events"),
+        ("GET", "/v1/campaigns/nope"),
+        ("GET", "/v1/artifacts/"),
+        ("GET", "/v1/artifacts/a/b"),
+        ("GET", "/v1/artifacts/fnv1a:00000000000000aa"),
+        ("GET", "/v1/campaigns/j0003/events?offset=abc"),
+    ] {
+        exchange(&mut wire, addr, method, path, None);
+    }
+
+    for body in [
+        "[1]".to_string(),
+        r#"{"nodes":"20","rho":2,"mu":0.05,"items":6}"#.to_string(),
+        r#"{"nodes":20,"rho":2,"mu":"x","items":6}"#.to_string(),
+        solve(r#","utility":5"#),
+        solve(r#","omega":"x""#),
+        solve(r#","stale_eps":[]"#),
+        solve(r#","servers":-1"#),
+        r#"{"nodes":20,"rho":2,"mu":0.05,"demand":{}}"#.to_string(),
+        r#"{"nodes":20,"rho":2,"mu":0.05,"demand":[1,"x"]}"#.to_string(),
+        solve(r#","deltas":5"#),
+        solve(r#","deltas":[{"item":-1,"rate":1}]"#),
+        solve(r#","deltas":[{"item":0}]"#),
+        solve(r#","deltas":[{"item":0,"rate":"x"}]"#),
+        solve(r#","deltas":[{"mu":"x"}]"#),
+        solve(r#","deltas":[{"rho":-1}]"#),
+        solve(r#","deltas":[{"x":1}]"#),
+    ] {
+        exchange(&mut wire, addr, "POST", "/v1/solve", Some(&body));
+    }
+    for body in [
+        "[1]",
+        r#"{"nodes":-1}"#,
+        r#"{"mu":"x"}"#,
+        r#"{"utility":5}"#,
+        r#"{"policy":null}"#,
+        r#"{"trials":1.5}"#,
+    ] {
+        exchange(&mut wire, addr, "POST", "/v1/campaigns", Some(body));
+    }
+
+    let (_, text) = request(addr, "GET", "/metrics", None);
+    for line in text.lines() {
+        if line.contains("impatience_http_requests_total") {
+            wire.push_str(line);
+            wire.push('\n');
+        }
+    }
+    server.shutdown();
+    let wire = wire.replace(dir.to_str().unwrap(), "<data>");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(wire == WIRE, "the wire moved; it reads\n{wire}");
+}
+
+const WIRE: &str = r##"POST /v1/campaigns
+202 {"job":"j0003","state":"queued","events":"/v1/campaigns/j0003/events","status_url":"/v1/campaigns/j0003"}
+GET /v1/campaigns
+200 {"jobs":[{"job":"j0001","state":"done","spec":{"nodes":14,"mu":0.05,"duration":200.0,"items":6,"rho":2,"omega":1.0,"utility":"step:10","policy":"qcr","trials":2,"seed":1,"checkpoint_every":4},"events":"/v1/campaigns/j0001/events","artifact":"fnv1a:00000000000000aa","artifact_url":"/v1/artifacts/fnv1a:00000000000000aa","resumed":0,"executed":0},{"job":"j0002","state":"failed","spec":{"nodes":14,"mu":0.05,"duration":200.0,"items":6,"rho":2,"omega":1.0,"utility":"step:10","policy":"qcr","trials":2,"seed":2,"checkpoint_every":4},"events":"/v1/campaigns/j0002/events","error":"checkpoint <data>/jobs/j0002.ckpt: not valid JSON: expected 'null' at offset 0","resumed":0,"executed":0},{"job":"j0003","state":"done","spec":{"nodes":14,"mu":0.05,"duration":200.0,"items":6,"rho":2,"omega":1.0,"utility":"step:10","policy":"qcr","trials":2,"seed":11,"checkpoint_every":4},"events":"/v1/campaigns/j0003/events","artifact":"fnv1a:24647c2c9d954b54","artifact_url":"/v1/artifacts/fnv1a:24647c2c9d954b54","resumed":0,"executed":2}],"completed_order":["j0002","j0003"]}
+GET /v1/campaigns/j0001
+200 {"job":"j0001","state":"done","spec":{"nodes":14,"mu":0.05,"duration":200.0,"items":6,"rho":2,"omega":1.0,"utility":"step:10","policy":"qcr","trials":2,"seed":1,"checkpoint_every":4},"events":"/v1/campaigns/j0001/events","artifact":"fnv1a:00000000000000aa","artifact_url":"/v1/artifacts/fnv1a:00000000000000aa","resumed":0,"executed":0}
+GET /v1/campaigns/j0001/events?follow=0
+200 …event: end
+data: {"job":"j0001","state":"done","events":0}
+
+GET /v1/campaigns/j0002
+200 {"job":"j0002","state":"failed","spec":{"nodes":14,"mu":0.05,"duration":200.0,"items":6,"rho":2,"omega":1.0,"utility":"step:10","policy":"qcr","trials":2,"seed":2,"checkpoint_every":4},"events":"/v1/campaigns/j0002/events","error":"checkpoint <data>/jobs/j0002.ckpt: not valid JSON: expected 'null' at offset 0","resumed":0,"executed":0}
+GET /v1/campaigns/j0002/events?follow=0
+200 …event: end
+data: {"job":"j0002","state":"failed","events":0}
+
+GET /v1/campaigns/j0003
+200 {"job":"j0003","state":"done","spec":{"nodes":14,"mu":0.05,"duration":200.0,"items":6,"rho":2,"omega":1.0,"utility":"step:10","policy":"qcr","trials":2,"seed":11,"checkpoint_every":4},"events":"/v1/campaigns/j0003/events","artifact":"fnv1a:24647c2c9d954b54","artifact_url":"/v1/artifacts/fnv1a:24647c2c9d954b54","resumed":0,"executed":2}
+GET /v1/campaigns/j0003/events?follow=0
+200 …event: end
+data: {"job":"j0003","state":"done","events":2726}
+
+POST /v1/solve
+200 {"welfare":0.9802406467427265,"counts":[9,7,7,6,6,5],"total_replicas":40,"outcome":"resolved","moved":0,"pool":"miss"}
+GET /healthz
+200 {"status":"ok","queued":0,"running":false,"solver_pool_idle":1,"uptime_s":0}
+POST /healthz
+405 {"error":{"kind":"method_not_allowed","message":"POST /healthz","status":405,"exit_code":2}}
+POST /metrics
+405 {"error":{"kind":"method_not_allowed","message":"POST /metrics","status":405,"exit_code":2}}
+DELETE /v1/solve
+405 {"error":{"kind":"method_not_allowed","message":"DELETE /v1/solve","status":405,"exit_code":2}}
+DELETE /v1/campaigns
+405 {"error":{"kind":"method_not_allowed","message":"DELETE /v1/campaigns","status":405,"exit_code":2}}
+POST /v1/campaigns/j0001
+405 {"error":{"kind":"method_not_allowed","message":"POST /v1/campaigns/j0001","status":405,"exit_code":2}}
+PUT /v1/campaigns/j0001/events
+405 {"error":{"kind":"method_not_allowed","message":"PUT /v1/campaigns/j0001/events","status":405,"exit_code":2}}
+POST /v1/artifacts/fnv1a:00000000000000aa
+405 {"error":{"kind":"method_not_allowed","message":"POST /v1/artifacts/fnv1a:00000000000000aa","status":405,"exit_code":2}}
+GET /v1/nope
+404 {"error":{"kind":"not_found","message":"no route /v1/nope","status":404,"exit_code":2}}
+POST /v1/nope
+404 {"error":{"kind":"not_found","message":"no route /v1/nope","status":404,"exit_code":2}}
+GET /v1/campaigns/
+404 {"error":{"kind":"not_found","message":"no route /v1/campaigns/","status":404,"exit_code":2}}
+GET /v1/campaigns/a/b
+404 {"error":{"kind":"not_found","message":"no route /v1/campaigns/a/b","status":404,"exit_code":2}}
+GET /v1/campaigns//events
+404 {"error":{"kind":"not_found","message":"no route /v1/campaigns//events","status":404,"exit_code":2}}
+GET /v1/campaigns/nope
+404 {"error":{"kind":"not_found","message":"no job nope","status":404,"exit_code":2}}
+GET /v1/artifacts/
+400 {"error":{"kind":"bad_request","message":"malformed artifact hash ``","status":400,"exit_code":2}}
+GET /v1/artifacts/a/b
+400 {"error":{"kind":"bad_request","message":"malformed artifact hash `a/b`","status":400,"exit_code":2}}
+GET /v1/artifacts/fnv1a:00000000000000aa
+404 {"error":{"kind":"not_found","message":"no artifact fnv1a:00000000000000aa","status":404,"exit_code":2}}
+GET /v1/campaigns/j0003/events?offset=abc
+400 {"error":{"kind":"bad_request","message":"offset `abc` is not a line index","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"request body must be an object","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`nodes` must be a non-negative integer","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`mu` must be a number","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`utility` must be a string","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`omega` must be a number","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`stale_eps` must be a number","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`servers` must be a non-negative integer","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`demand` must be an array","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`demand[1]` must be a number","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`deltas` must be an array","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`deltas[0].item` must be an integer","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`deltas[0]` needs a `rate`","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`rate` must be a number","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`mu` must be a number","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`rho` must be a non-negative integer","status":400,"exit_code":2}}
+POST /v1/solve
+400 {"error":{"kind":"bad_request","message":"`deltas[0]` must be {item,rate}, {mu}, or {rho}","status":400,"exit_code":2}}
+POST /v1/campaigns
+400 {"error":{"kind":"bad_request","message":"request body must be an object","status":400,"exit_code":2}}
+POST /v1/campaigns
+400 {"error":{"kind":"bad_request","message":"`nodes` must be a non-negative integer","status":400,"exit_code":2}}
+POST /v1/campaigns
+400 {"error":{"kind":"bad_request","message":"`mu` must be a number","status":400,"exit_code":2}}
+POST /v1/campaigns
+400 {"error":{"kind":"bad_request","message":"`utility` must be a string","status":400,"exit_code":2}}
+POST /v1/campaigns
+400 {"error":{"kind":"bad_request","message":"`policy` must be a string","status":400,"exit_code":2}}
+POST /v1/campaigns
+400 {"error":{"kind":"bad_request","message":"`trials` must be a non-negative integer","status":400,"exit_code":2}}
+# HELP impatience_http_requests_total HTTP requests handled, by route template and status code.
+# TYPE impatience_http_requests_total counter
+impatience_http_requests_total{route="*",status="404"} 5
+impatience_http_requests_total{route="*",status="405"} 7
+impatience_http_requests_total{route="/healthz",status="200"} 1
+impatience_http_requests_total{route="/v1/artifacts/{hash}",status="400"} 2
+impatience_http_requests_total{route="/v1/artifacts/{hash}",status="404"} 1
+impatience_http_requests_total{route="/v1/campaigns",status="200"} 2
+impatience_http_requests_total{route="/v1/campaigns",status="400"} 6
+impatience_http_requests_total{route="/v1/campaigns/{id}",status="200"} 3
+impatience_http_requests_total{route="/v1/campaigns/{id}",status="404"} 1
+impatience_http_requests_total{route="/v1/campaigns/{id}/events",status="200"} 4
+impatience_http_requests_total{route="/v1/campaigns/{id}/events",status="400"} 1
+impatience_http_requests_total{route="/v1/solve",status="200"} 1
+impatience_http_requests_total{route="/v1/solve",status="400"} 16
+"##;
 
 // ------------------------------------------------- crash-recovery (e2e)
 

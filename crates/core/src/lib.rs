@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::solver::het_greedy::greedy_heterogeneous;
     pub use crate::solver::relaxed::{relaxed_optimum, try_relaxed_optimum};
     pub use crate::solver::SolverError;
-    pub use crate::types::{ItemId, NodeId, Population, SystemModel};
+    pub use crate::types::{Population, SystemModel};
     pub use crate::utility::{Custom, DelayUtility, Exponential, NegLog, Power, Step, UtilityKind};
     pub use crate::welfare::{
         expected_gain_continuous, social_welfare_heterogeneous, social_welfare_homogeneous,

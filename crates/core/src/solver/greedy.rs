@@ -13,23 +13,22 @@ use std::time::Instant;
 
 use impatience_obs::{Recorder, Sink};
 
-use super::{HeapKey, SolverError};
+use super::{check_population, HeapKey, SolverError};
 use crate::allocation::ReplicaCounts;
 use crate::demand::DemandRates;
 use crate::types::SystemModel;
 use crate::utility::DelayUtility;
-use crate::welfare::{expected_gain_continuous, expected_gain_pure_p2p};
+use crate::welfare::item_gain;
 
 /// Lazily memoized table of the per-unit-demand expected gain `G(x)`.
 ///
 /// The gain of holding `x` replicas depends only on the system shape and
 /// the utility — not on which item holds them — yet each evaluation runs
-/// adaptive quadrature. The greedy solver used to recompute the marginal
-/// `G(x+1) − G(x)` once per *(item, count)*; this table computes each
-/// `G(x)` once per *count* (at most `|S| + 1` quadratures for the whole
-/// solve, down from O(|I|·ρ|S|)) and replays the cached value thereafter.
-/// Quadrature is deterministic, so the memoized marginals are
-/// bit-identical to the recomputed ones.
+/// adaptive quadrature. This table computes each `G(x)` once per *count*
+/// (at most `|S| + 1` quadratures for the whole solve, against
+/// O(|I|·ρ|S|) for a marginal recomputed per *(item, count)*) and replays
+/// the cached value thereafter. Quadrature is deterministic, so the
+/// memoized gains are bit-identical to the recomputed ones.
 ///
 /// The memo is decoupled from any one solve so [`crate::solver::incremental`]
 /// can carry it across delta re-solves: demand changes leave `G` untouched
@@ -72,26 +71,60 @@ impl GainMemo {
             return cached;
         }
         self.evaluations.set(self.evaluations.get() + 1);
-        let value = if system.population.is_pure_p2p() {
-            expected_gain_pure_p2p(utility, x as f64, system.clients(), system.contact_rate)
-        } else {
-            expected_gain_continuous(utility, x as f64, system.contact_rate)
-        };
+        let value = item_gain(system, utility, f64::from(x));
         slot.set(Some(value));
         value
     }
+}
 
-    /// Marginal welfare of going from `x` to `x+1` replicas, per unit
-    /// demand.
-    pub(crate) fn marginal(&self, system: &SystemModel, utility: &dyn DelayUtility, x: u32) -> f64 {
-        let next = self.gain(system, utility, x + 1);
-        let curr = self.gain(system, utility, x);
-        if curr == f64::NEG_INFINITY {
-            // First replica of a cost-type utility: infinitely valuable.
-            return f64::INFINITY;
-        }
+/// The greedy's heap key for an item of demand `d` holding `x` replicas,
+/// from its per-unit gain `G`: the marginal `d·(G(x+1) − G(x))`, where the
+/// first replica under a cost-type utility (`G(x) = −∞`) is worth `+∞`.
+/// [`super::incremental`] keys its entries with this same function, so its
+/// exchange orders entries exactly as the scratch greedy pops them.
+pub(crate) fn greedy_key(gain: impl Fn(u32) -> f64, x: u32, d: f64) -> HeapKey {
+    let next = gain(x + 1);
+    let curr = gain(x);
+    let marginal = if curr == f64::NEG_INFINITY {
+        f64::INFINITY
+    } else {
         next - curr
+    };
+    HeapKey::gain(marginal * d, d)
+}
+
+/// Theorem 2's fill, for one utility or one per item: a heap entry per
+/// demanded item, keyed by [`greedy_key`] over that item's gain
+/// `gain(i, ·)`; each of the `ρ|S|` pops adds a replica, emits a
+/// `solver_step` with the key taken, and re-keys the item at its next
+/// count below `|S|`.
+pub(crate) fn greedy_fill<S: Sink>(
+    system: &SystemModel,
+    demand: &DemandRates,
+    gain: impl Fn(usize, u32) -> f64,
+    rec: &mut Recorder<S>,
+) -> ReplicaCounts {
+    let servers = system.servers();
+    let mut counts = ReplicaCounts::zero(demand.items(), servers);
+    let budget = system.total_slots() as u64;
+    if budget == 0 {
+        return counts;
     }
+    let key_for = |x: u32, i: usize| greedy_key(|x| gain(i, x), x, demand.rate(i));
+    let mut heap: BinaryHeap<(HeapKey, usize)> = (0..demand.items())
+        .filter(|&i| demand.rate(i) > 0.0)
+        .map(|i| (key_for(0, i), i))
+        .collect();
+    for placed in 0..budget {
+        let Some((key, i)) = heap.pop() else { break };
+        counts.add(i);
+        rec.solver_step("greedy", placed, i as u32, key.primary);
+        let x = counts.count(i);
+        if (x as usize) < servers {
+            heap.push((key_for(x, i), i));
+        }
+    }
+    counts
 }
 
 /// Exact optimal integer allocation under homogeneous contacts
@@ -145,54 +178,15 @@ pub fn try_greedy_homogeneous_observed<S: Sink>(
     rec: &mut Recorder<S>,
 ) -> Result<ReplicaCounts, SolverError> {
     let _span = impatience_obs::span!("solve.greedy");
-    if utility.requires_dedicated() && system.population.is_pure_p2p() {
-        return Err(SolverError::RequiresDedicated {
-            utility: utility.kind().to_string(),
-        });
-    }
-    let items = demand.items();
-    let servers = system.servers();
-    let mut counts = ReplicaCounts::zero(items, servers);
-    let budget = system.total_slots();
-    if budget == 0 || servers == 0 {
-        return Ok(counts);
-    }
-
-    // Key: d_i·ΔG_i(x). Infinite marginals (first replica under a
-    // cost-type utility) all sort to the top and are ordered among
-    // themselves by demand, which is the limit order of d_i·ΔG as the
-    // marginals diverge.
-    let gains = GainMemo::new(servers);
-    let key_for = |x: u32, i: usize| {
-        let m = gains.marginal(system, utility, x);
-        if m.is_infinite() {
-            HeapKey::new(f64::INFINITY, demand.rate(i))
-        } else {
-            HeapKey::new(m * demand.rate(i), demand.rate(i))
-        }
-    };
-
-    let mut heap: BinaryHeap<(HeapKey, usize)> = (0..items)
-        .filter(|&i| demand.rate(i) > 0.0)
-        .map(|i| (key_for(0, i), i))
-        .collect();
-
-    let wall_start = rec.is_active().then(Instant::now);
-    let mut placed: u64 = 0;
-    for _ in 0..budget {
-        let Some((key, i)) = heap.pop() else { break };
-        counts.add(i);
-        rec.solver_step("greedy", placed, i as u32, key.primary);
-        placed += 1;
-        let x = counts.count(i);
-        if (x as usize) < servers {
-            heap.push((key_for(x, i), i));
-        }
-    }
+    check_population(system, utility)?;
+    // A zero budget places nothing and reports nothing.
+    let wall_start = (rec.is_active() && system.total_slots() > 0).then(Instant::now);
+    let gains = GainMemo::new(system.servers());
+    let counts = greedy_fill(system, demand, |_, x| gains.gain(system, utility, x), rec);
     if let Some(start) = wall_start {
         rec.solver_done(
             "greedy",
-            placed,
+            counts.total(),
             gains.evaluations(),
             start.elapsed().as_secs_f64(),
         );
@@ -454,32 +448,33 @@ mod tests {
     fn gain_table_matches_uncached_quadrature() {
         // The memoized table must replay bit-identical values: quadrature
         // is deterministic, so a cache hit and a recomputation agree
-        // exactly, and the marginal difference is taken on the same pair
-        // of G values either way.
+        // exactly.
+        use crate::welfare::{expected_gain_continuous, expected_gain_pure_p2p};
         let utility = Step::new(1.0);
         for system in [
             SystemModel::pure_p2p(8, 3, 0.05),
             SystemModel::dedicated(40, 8, 3, 0.05),
         ] {
             let table = GainMemo::new(system.servers());
-            for x in 0..system.servers() as u32 {
+            for x in 0..=system.servers() as u32 {
                 let uncached = if system.population.is_pure_p2p() {
-                    let at = |v: f64| {
-                        expected_gain_pure_p2p(&utility, v, system.clients(), system.contact_rate)
-                    };
-                    at(x as f64 + 1.0) - at(x as f64)
+                    expected_gain_pure_p2p(
+                        &utility,
+                        f64::from(x),
+                        system.clients(),
+                        system.contact_rate,
+                    )
                 } else {
-                    let at = |v: f64| expected_gain_continuous(&utility, v, system.contact_rate);
-                    at(x as f64 + 1.0) - at(x as f64)
+                    expected_gain_continuous(&utility, f64::from(x), system.contact_rate)
                 };
                 assert_eq!(
-                    table.marginal(&system, &utility, x).to_bits(),
+                    table.gain(&system, &utility, x).to_bits(),
                     uncached.to_bits(),
-                    "memoized marginal at x={x} must be bit-identical"
+                    "memoized gain at x={x} must be bit-identical"
                 );
                 // Second call hits the cache and must not drift.
                 assert_eq!(
-                    table.marginal(&system, &utility, x).to_bits(),
+                    table.gain(&system, &utility, x).to_bits(),
                     uncached.to_bits()
                 );
             }

@@ -109,13 +109,8 @@ pub fn greedy_heterogeneous_observed<S: Sink>(
         }
         for server in 0..servers {
             let g = gain_of(item, server, &[], item_value[item]);
-            let key = if g.is_infinite() {
-                HeapKey::new(f64::INFINITY, demand.rate(item))
-            } else {
-                HeapKey::new(g, demand.rate(item))
-            };
             heap.push((
-                key,
+                HeapKey::gain(g, demand.rate(item)),
                 Candidate {
                     item,
                     server,
@@ -161,11 +156,7 @@ pub fn greedy_heterogeneous_observed<S: Sink>(
                 &holders[cand.item],
                 item_value[cand.item],
             );
-            let key = if g.is_infinite() {
-                HeapKey::new(f64::INFINITY, demand.rate(cand.item))
-            } else {
-                HeapKey::new(g, demand.rate(cand.item))
-            };
+            let key = HeapKey::gain(g, demand.rate(cand.item));
             heap.push((key, Candidate { round, ..cand }));
         }
     }

@@ -33,14 +33,15 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use super::greedy::GainMemo;
+use super::greedy::{greedy_key, GainMemo};
 use super::relaxed::try_relaxed_optimum_warm;
-use super::{HeapKey, SolverError};
+use super::{check_population, HeapKey, SolverError};
 use crate::allocation::ReplicaCounts;
 use crate::demand::DemandRates;
 use crate::numeric::tolerances;
 use crate::types::SystemModel;
 use crate::utility::DelayUtility;
+use crate::welfare::welfare_sum;
 
 /// One change to the instance a [`DeltaSolver`] is tracking.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -187,11 +188,7 @@ impl DeltaSolver {
         demand: &DemandRates,
         utility: Arc<dyn DelayUtility>,
     ) -> Result<Self, SolverError> {
-        if utility.requires_dedicated() && system.population.is_pure_p2p() {
-            return Err(SolverError::RequiresDedicated {
-                utility: utility.kind().to_string(),
-            });
-        }
+        check_population(&system, utility.as_ref())?;
         let items = demand.items();
         let mut solver = DeltaSolver {
             gains: GainMemo::new(system.servers()),
@@ -301,24 +298,14 @@ impl DeltaSolver {
     }
 
     /// Social welfare of the current allocation under the current demand
-    /// (same accumulation as
+    /// (the sum of
     /// [`social_welfare_homogeneous`](crate::welfare::social_welfare_homogeneous),
     /// served from the gain memo).
     pub fn welfare(&self) -> f64 {
-        let mut total = 0.0;
-        for (i, &d) in self.rates.iter().enumerate() {
-            if d == 0.0 {
-                continue;
-            }
-            let g = self
-                .gains
-                .gain(&self.system, self.utility.as_ref(), self.counts.count(i));
-            if g == f64::NEG_INFINITY {
-                return f64::NEG_INFINITY;
-            }
-            total += d * g;
-        }
-        total
+        welfare_sum(&self.rates, |i| {
+            self.gains
+                .gain(&self.system, self.utility.as_ref(), self.counts.count(i))
+        })
     }
 
     /// Apply a batch of deltas and re-optimize.
@@ -411,16 +398,11 @@ impl DeltaSolver {
         Ok(DeltaOutcome::Resolved { moved })
     }
 
-    /// The scratch solver's heap key, computed from the *current* rates:
-    /// same float expressions as `greedy_homogeneous`, so a cached gain
-    /// replay yields bit-identical keys.
+    /// The scratch solver's heap key ([`greedy_key`]), computed from the
+    /// *current* rates, so a cached gain replay yields bit-identical keys.
     fn key_for(&self, x: u32, i: usize) -> HeapKey {
-        let m = self.gains.marginal(&self.system, self.utility.as_ref(), x);
-        if m.is_infinite() {
-            HeapKey::new(f64::INFINITY, self.rates[i])
-        } else {
-            HeapKey::new(m * self.rates[i], self.rates[i])
-        }
+        let gain = |x| self.gains.gain(&self.system, self.utility.as_ref(), x);
+        greedy_key(gain, x, self.rates[i])
     }
 
     /// Budget actually reachable: the greedy stops early once every

@@ -25,6 +25,8 @@ pub mod incremental;
 pub mod relaxed;
 
 use crate::numeric::BracketError;
+use crate::types::SystemModel;
+use crate::utility::DelayUtility;
 
 /// A solver instance rejected before (or while) solving.
 ///
@@ -83,6 +85,20 @@ impl std::fmt::Display for SolverError {
 
 impl std::error::Error for SolverError {}
 
+/// Refuse a utility with `h(0⁺) = ∞` on a pure-P2P population, where a
+/// zero-replica item would contribute `−∞` welfare.
+pub(crate) fn check_population(
+    system: &SystemModel,
+    utility: &dyn DelayUtility,
+) -> Result<(), SolverError> {
+    if utility.requires_dedicated() && system.population.is_pure_p2p() {
+        return Err(SolverError::RequiresDedicated {
+            utility: utility.kind().to_string(),
+        });
+    }
+    Ok(())
+}
+
 /// Totally ordered `f64` key with tie-breakers, for solver heaps.
 ///
 /// NaN keys are rejected at construction so the ordering is total in
@@ -102,6 +118,19 @@ impl HeapKey {
             "heap keys must not be NaN"
         );
         HeapKey { primary, tie }
+    }
+
+    /// The key of a placement worth `gain` to an item of demand `demand`.
+    /// An infinite gain keys as `+∞`, so the first replicas of a
+    /// cost-type utility sort above every finite gain and among
+    /// themselves by demand: the limit order of `d_i·ΔG` as the marginals
+    /// diverge.
+    pub fn gain(gain: f64, demand: f64) -> Self {
+        if gain.is_infinite() {
+            HeapKey::new(f64::INFINITY, demand)
+        } else {
+            HeapKey::new(gain, demand)
+        }
     }
 }
 

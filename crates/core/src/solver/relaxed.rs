@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use impatience_obs::{Recorder, Sink};
 
-use super::SolverError;
+use super::{check_population, SolverError};
 use crate::demand::DemandRates;
 use crate::numeric::{brent_between, BracketError};
 use crate::types::SystemModel;
@@ -145,7 +145,7 @@ pub fn try_relaxed_optimum(
     demand: &DemandRates,
     utility: &dyn DelayUtility,
 ) -> Result<RelaxedAllocation, SolverError> {
-    try_relaxed_optimum_observed(system, demand, utility, &mut Recorder::disabled())
+    water_fill_observed(system, demand, utility, &mut Recorder::disabled(), None)
 }
 
 /// [`relaxed_optimum`] with instrumentation: `solver_done` reports how
@@ -160,22 +160,10 @@ pub fn relaxed_optimum_observed<S: Sink>(
     utility: &dyn DelayUtility,
     rec: &mut Recorder<S>,
 ) -> RelaxedAllocation {
-    match try_relaxed_optimum_observed(system, demand, utility, rec) {
+    match water_fill_observed(system, demand, utility, rec, None) {
         Ok(allocation) => allocation,
         Err(e) => panic!("{e}"),
     }
-}
-
-/// [`relaxed_optimum_observed`] returning a typed [`SolverError`]
-/// instead of panicking on invalid inputs or a failed water-level
-/// bracket.
-pub fn try_relaxed_optimum_observed<S: Sink>(
-    system: &SystemModel,
-    demand: &DemandRates,
-    utility: &dyn DelayUtility,
-    rec: &mut Recorder<S>,
-) -> Result<RelaxedAllocation, SolverError> {
-    water_fill_observed(system, demand, utility, rec, None)
 }
 
 /// [`try_relaxed_optimum`] warm-started from a previous solve's water
@@ -204,11 +192,7 @@ fn water_fill_observed<S: Sink>(
     hint: Option<f64>,
 ) -> Result<RelaxedAllocation, SolverError> {
     let _span = impatience_obs::span!("solve.relaxed");
-    if utility.requires_dedicated() && system.population.is_pure_p2p() {
-        return Err(SolverError::RequiresDedicated {
-            utility: utility.kind().to_string(),
-        });
-    }
+    check_population(system, utility)?;
     let items = demand.items();
     let s = system.servers() as f64;
     let mu = system.contact_rate;

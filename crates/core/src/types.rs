@@ -1,4 +1,4 @@
-//! Fundamental identifiers and system descriptors.
+//! System descriptors.
 //!
 //! The paper distinguishes two node populations (§3.1): *dedicated nodes*
 //! (disjoint client and server sets, e.g. throwboxes or kiosks) and *pure
@@ -6,56 +6,6 @@
 //! [`SystemModel`] captures the population shape together with the cache
 //! capacity `ρ` and — for the homogeneous analysis — the pairwise contact
 //! rate `μ`.
-
-use std::fmt;
-
-/// Identifier of a content item (`i ∈ I`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct ItemId(pub u32);
-
-/// Identifier of a node (client and/or server).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct NodeId(pub u32);
-
-impl ItemId {
-    /// Index into item-indexed vectors.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl NodeId {
-    /// Index into node-indexed vectors.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for ItemId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "item#{}", self.0)
-    }
-}
-
-impl fmt::Display for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "node#{}", self.0)
-    }
-}
-
-impl From<u32> for ItemId {
-    fn from(v: u32) -> Self {
-        ItemId(v)
-    }
-}
-
-impl From<u32> for NodeId {
-    fn from(v: u32) -> Self {
-        NodeId(v)
-    }
-}
 
 /// Shape of the client/server populations (§3.1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -168,17 +118,6 @@ impl SystemModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ids_roundtrip_and_display() {
-        let i = ItemId::from(7);
-        let n = NodeId::from(3);
-        assert_eq!(i.index(), 7);
-        assert_eq!(n.index(), 3);
-        assert_eq!(i.to_string(), "item#7");
-        assert_eq!(n.to_string(), "node#3");
-        assert!(ItemId(1) < ItemId(2));
-    }
 
     #[test]
     fn populations() {

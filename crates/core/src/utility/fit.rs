@@ -12,8 +12,6 @@
 //! Provided estimators:
 //!
 //! * [`fit_exponential`] — maximum-likelihood `ν` for `h(t) = e^{−νt}`;
-//! * [`fit_step`] — maximum-likelihood deadline `τ` for `h(t) = 1{t≤τ}`
-//!   under a symmetric label-noise rate;
 //! * [`fit_empirical`] — distribution-free: a monotone (isotonic-
 //!   regression) estimate of `h`, returned as a [`Custom`] utility usable
 //!   with every solver and with QCR's numeric ψ.
@@ -141,52 +139,6 @@ pub fn fit_exponential(data: &[Feedback]) -> Result<f64, FitError> {
     Ok(nu)
 }
 
-/// Maximum-likelihood deadline `τ` for the step family under symmetric
-/// label noise `ε` (`P(consumed | t ≤ τ) = 1 − ε`,
-/// `P(consumed | t > τ) = ε`): the τ maximizing the label agreement,
-/// scanned over the observed delays (the likelihood is piecewise
-/// constant between them).
-pub fn fit_step(data: &[Feedback]) -> Result<f64, FitError> {
-    const MIN_OBS: usize = 10;
-    if data.len() < MIN_OBS {
-        return Err(FitError::TooFewObservations {
-            got: data.len(),
-            need: MIN_OBS,
-        });
-    }
-    let mut sorted: Vec<&Feedback> = data.iter().collect();
-    sorted.sort_by(|a, b| a.delay.total_cmp(&b.delay));
-    // Agreement(τ) = #{consumed with t ≤ τ} + #{lost with t > τ}.
-    // Sweep τ through each observed delay; prefix sums make it O(n log n).
-    let total_lost = sorted.iter().filter(|f| !f.consumed).count();
-    if total_lost == 0 || total_lost == sorted.len() {
-        return Err(FitError::Degenerate(
-            "all labels identical; τ is unidentifiable",
-        ));
-    }
-    let mut best_agreement = 0usize;
-    let mut best_tau = sorted[0].delay;
-    let mut consumed_prefix = 0usize;
-    let mut lost_prefix = 0usize;
-    for (k, f) in sorted.iter().enumerate() {
-        if f.consumed {
-            consumed_prefix += 1;
-        } else {
-            lost_prefix += 1;
-        }
-        // τ just after this delay (and any ties).
-        if k + 1 < sorted.len() && sorted[k + 1].delay == f.delay {
-            continue;
-        }
-        let agreement = consumed_prefix + (total_lost - lost_prefix);
-        if agreement > best_agreement {
-            best_agreement = agreement;
-            best_tau = f.delay;
-        }
-    }
-    Ok(best_tau)
-}
-
 /// Distribution-free estimate of a non-increasing `h` via binned means +
 /// isotonic regression (pool-adjacent-violators), returned as a
 /// [`Custom`] utility that linearly interpolates between bin centers.
@@ -296,7 +248,7 @@ pub fn fit_empirical(data: &[Feedback], bins: usize) -> Result<Arc<dyn DelayUtil
 mod tests {
     use super::*;
     use crate::rng::Xoshiro256;
-    use crate::utility::{DelayUtility, Exponential, Step};
+    use crate::utility::{DelayUtility, Exponential};
 
     fn synth_feedback(
         truth: &dyn DelayUtility,
@@ -324,29 +276,6 @@ mod tests {
                 "ν̂ = {nu} vs truth {truth}"
             );
         }
-    }
-
-    #[test]
-    fn step_fit_recovers_tau() {
-        let truth = 3.0;
-        let data = synth_feedback(&Step::new(truth), 5_000, 10.0, 8);
-        let tau = fit_step(&data).unwrap();
-        assert!((tau - truth).abs() < 0.05, "τ̂ = {tau}");
-    }
-
-    #[test]
-    fn step_fit_survives_label_noise() {
-        // 10 % of labels flipped.
-        let truth = 3.0;
-        let mut rng = Xoshiro256::seed_from_u64(9);
-        let mut data = synth_feedback(&Step::new(truth), 5_000, 10.0, 9);
-        for f in data.iter_mut() {
-            if rng.bernoulli(0.1) {
-                f.consumed = !f.consumed;
-            }
-        }
-        let tau = fit_step(&data).unwrap();
-        assert!((tau - truth).abs() < 0.2, "τ̂ = {tau} under noise");
     }
 
     #[test]
@@ -396,7 +325,6 @@ mod tests {
             fit_exponential(&all_yes),
             Err(FitError::Degenerate(_))
         ));
-        assert!(matches!(fit_step(&all_yes), Err(FitError::Degenerate(_))));
         let all_no = vec![Feedback::new(1.0, false); 100];
         assert!(matches!(
             fit_exponential(&all_no),

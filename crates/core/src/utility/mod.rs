@@ -39,7 +39,7 @@ mod step;
 
 pub use custom::Custom;
 pub use exponential::Exponential;
-pub use fit::{fit_empirical, fit_exponential, fit_step, Feedback, FitError};
+pub use fit::{fit_empirical, fit_exponential, Feedback, FitError};
 pub use power::{NegLog, Power};
 pub use spec::{parse_utility, UtilitySpecError};
 pub use step::Step;
@@ -119,15 +119,7 @@ pub trait DelayUtility: Send + Sync {
     /// valid as long as `h` is integrable against the exponential density.
     fn gain(&self, lambda: f64) -> f64 {
         debug_assert!(lambda >= 0.0);
-        if lambda == 0.0 {
-            return self.h_infinity();
-        }
-        integrate_semi_infinite_singular(
-            |t| self.h(t) * lambda * (-lambda * t).exp(),
-            1.0 / lambda,
-            1e-10,
-        )
-        .unwrap_or(f64::NAN)
+        self.gain_numeric(lambda).unwrap_or(f64::NAN)
     }
 
     /// The equilibrium transform of Property 1:
@@ -136,12 +128,7 @@ pub trait DelayUtility: Send + Sync {
     /// `c`.
     fn phi(&self, x: f64, mu: f64) -> f64 {
         debug_assert!(x > 0.0 && mu > 0.0);
-        integrate_semi_infinite_singular(
-            |t| mu * t * (-mu * t * x).exp() * self.c(t),
-            1.0 / (mu * x),
-            1e-10,
-        )
-        .unwrap_or(f64::NAN)
+        self.phi_numeric(x, mu).unwrap_or(f64::NAN)
     }
 
     /// The QCR reaction function of Property 2 (up to the free
@@ -186,7 +173,8 @@ pub trait DelayUtility: Send + Sync {
     /// Family label for reporting.
     fn kind(&self) -> UtilityKind;
 
-    /// Numeric fallback for `gain` exposed for cross-validation in tests.
+    /// The integral of the default [`Self::gain`], also the numeric column
+    /// the closed forms are cross-validated against.
     fn gain_numeric(&self, lambda: f64) -> Result<f64, QuadratureError> {
         if lambda == 0.0 {
             return Ok(self.h_infinity());
@@ -198,7 +186,8 @@ pub trait DelayUtility: Send + Sync {
         )
     }
 
-    /// Numeric fallback for `phi` exposed for cross-validation in tests.
+    /// The integral of the default [`Self::phi`], also the numeric column
+    /// the closed forms are cross-validated against.
     fn phi_numeric(&self, x: f64, mu: f64) -> Result<f64, QuadratureError> {
         integrate_semi_infinite_singular(
             |t| mu * t * (-mu * t * x).exp() * self.c(t),

@@ -50,6 +50,36 @@ pub fn expected_gain_pure_p2p(
     self_prob * utility.h_zero() + (1.0 - self_prob) * gain
 }
 
+/// Per-request expected gain of an item holding `x` replicas under
+/// homogeneous contacts in continuous time: the inner term of Eq. 5 on a
+/// pure-P2P population, of Eq. 3 on a dedicated one. The continuous twin
+/// of [`item_gain_discrete`]; `x` may be fractional.
+pub fn item_gain(system: &SystemModel, utility: &dyn DelayUtility, x: f64) -> f64 {
+    if system.population.is_pure_p2p() {
+        expected_gain_pure_p2p(utility, x, system.clients(), system.contact_rate)
+    } else {
+        expected_gain_continuous(utility, x, system.contact_rate)
+    }
+}
+
+/// `Σ_i d_i·g_i` with `g_i = gain(i)`: an item without demand contributes
+/// nothing (even at `g_i = −∞`), and a demanded `−∞` term makes the
+/// total `−∞`.
+pub(crate) fn welfare_sum(demand: &[f64], gain: impl Fn(usize) -> f64) -> f64 {
+    let mut total = 0.0;
+    for (i, &d) in demand.iter().enumerate() {
+        if d == 0.0 {
+            continue;
+        }
+        let g = gain(i);
+        if g == f64::NEG_INFINITY {
+            return f64::NEG_INFINITY;
+        }
+        total += d * g;
+    }
+    total
+}
+
 /// Social welfare under homogeneous contacts, continuous time
 /// (Eq. 3 dedicated / Eq. 5 pure P2P): `U(x) = Σ_i d_i·G_i(x_i)`.
 ///
@@ -66,24 +96,7 @@ pub fn social_welfare_homogeneous(
         demand.items(),
         "allocation and demand catalog sizes differ"
     );
-    let mu = system.contact_rate;
-    let mut total = 0.0;
-    for (i, &x) in counts.iter().enumerate() {
-        let d = demand.rate(i);
-        if d == 0.0 {
-            continue; // no demand ⇒ no welfare contribution, even at x = 0
-        }
-        let g = if system.population.is_pure_p2p() {
-            expected_gain_pure_p2p(utility, x, system.clients(), mu)
-        } else {
-            expected_gain_continuous(utility, x, mu)
-        };
-        if g == f64::NEG_INFINITY {
-            return f64::NEG_INFINITY;
-        }
-        total += d * g;
-    }
-    total
+    welfare_sum(demand.rates(), |i| item_gain(system, utility, counts[i]))
 }
 
 /// Per-request expected gain under the discrete-time contact model with
@@ -135,31 +148,22 @@ pub fn social_welfare_homogeneous_discrete(
     assert_eq!(counts.len(), demand.items());
     let mu = system.contact_rate;
     let n = system.clients() as f64;
-    let mut total = 0.0;
-    for (i, &x) in counts.iter().enumerate() {
-        let d = demand.rate(i);
-        if d == 0.0 {
-            continue;
+    let pure_p2p = system.population.is_pure_p2p();
+    welfare_sum(demand.rates(), |i| {
+        let x = counts[i];
+        if !pure_p2p {
+            return item_gain_discrete(utility, x, mu, delta);
         }
-        let g = if system.population.is_pure_p2p() {
-            debug_assert!(!utility.requires_dedicated());
-            let self_prob = (x / n).min(1.0);
-            let wait_term = utility.h(delta) - item_gain_discrete(utility, x, mu, delta);
-            // Eq. 4: h(δ) − (1 − x/N)·Σ…
-            if wait_term.is_infinite() && self_prob >= 1.0 {
-                utility.h(delta)
-            } else {
-                utility.h(delta) - (1.0 - self_prob) * wait_term
-            }
+        debug_assert!(!utility.requires_dedicated());
+        let self_prob = (x / n).min(1.0);
+        let wait_term = utility.h(delta) - item_gain_discrete(utility, x, mu, delta);
+        // Eq. 4: h(δ) − (1 − x/N)·Σ…
+        if wait_term.is_infinite() && self_prob >= 1.0 {
+            utility.h(delta)
         } else {
-            item_gain_discrete(utility, x, mu, delta)
-        };
-        if g == f64::NEG_INFINITY {
-            return f64::NEG_INFINITY;
+            utility.h(delta) - (1.0 - self_prob) * wait_term
         }
-        total += d * g;
-    }
-    total
+    })
 }
 
 #[cfg(test)]

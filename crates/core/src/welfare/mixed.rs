@@ -9,12 +9,15 @@
 
 use std::sync::Arc;
 
+use impatience_obs::Recorder;
+
+use super::homogeneous::{item_gain, welfare_sum};
 use crate::allocation::ReplicaCounts;
 use crate::demand::DemandRates;
-use crate::solver::HeapKey;
+use crate::solver::check_population;
+use crate::solver::greedy::greedy_fill;
 use crate::types::SystemModel;
 use crate::utility::DelayUtility;
-use crate::welfare::{expected_gain_continuous, expected_gain_pure_p2p};
 
 /// A catalog assigning each item its own delay-utility.
 #[derive(Clone)]
@@ -49,11 +52,6 @@ impl UtilityCatalog {
     pub fn utility(&self, i: usize) -> &dyn DelayUtility {
         self.utilities[i].as_ref()
     }
-
-    /// Whether any item's utility requires a dedicated population.
-    pub fn requires_dedicated(&self) -> bool {
-        self.utilities.iter().any(|u| u.requires_dedicated())
-    }
 }
 
 impl std::fmt::Debug for UtilityCatalog {
@@ -65,7 +63,9 @@ impl std::fmt::Debug for UtilityCatalog {
 }
 
 /// Social welfare with per-item utilities under homogeneous contacts
-/// (the mixed-`h_i` generalization of Eqs. 3/5).
+/// (the mixed-`h_i` generalization of Eqs. 3/5): the sum of
+/// [`social_welfare_homogeneous`](super::social_welfare_homogeneous)
+/// over each item's own gain.
 pub fn social_welfare_homogeneous_mixed(
     system: &SystemModel,
     demand: &DemandRates,
@@ -78,29 +78,19 @@ pub fn social_welfare_homogeneous_mixed(
         "catalog/demand size mismatch"
     );
     assert_eq!(counts.len(), demand.items(), "allocation size mismatch");
-    let mu = system.contact_rate;
-    let mut total = 0.0;
-    for (i, &x) in counts.iter().enumerate() {
-        let d = demand.rate(i);
-        if d == 0.0 {
-            continue;
-        }
-        let u = catalog.utility(i);
-        let g = if system.population.is_pure_p2p() {
-            expected_gain_pure_p2p(u, x, system.clients(), mu)
-        } else {
-            expected_gain_continuous(u, x, mu)
-        };
-        if g == f64::NEG_INFINITY {
-            return f64::NEG_INFINITY;
-        }
-        total += d * g;
-    }
-    total
+    welfare_sum(demand.rates(), |i| {
+        item_gain(system, catalog.utility(i), counts[i])
+    })
 }
 
 /// Exact greedy optimum with per-item utilities (Theorem 2 still applies:
-/// the objective is a sum of per-item concave functions of the counts).
+/// the objective is a sum of per-item concave functions of the counts):
+/// the fill of [`greedy_homogeneous`](crate::solver::greedy::greedy_homogeneous)
+/// over each item's own gain.
+///
+/// # Panics
+/// Panics if some item's utility requires a dedicated population but
+/// `system` is pure P2P.
 pub fn greedy_homogeneous_mixed(
     system: &SystemModel,
     demand: &DemandRates,
@@ -108,52 +98,14 @@ pub fn greedy_homogeneous_mixed(
 ) -> ReplicaCounts {
     assert_eq!(catalog.items(), demand.items());
     assert!(
-        !(catalog.requires_dedicated() && system.population.is_pure_p2p()),
+        catalog
+            .utilities
+            .iter()
+            .all(|u| check_population(system, u.as_ref()).is_ok()),
         "catalog contains h(0+)=∞ utilities: use a dedicated population"
     );
-    let items = demand.items();
-    let servers = system.servers();
-    let mut counts = ReplicaCounts::zero(items, servers);
-    let budget = system.total_slots();
-    if budget == 0 || servers == 0 {
-        return counts;
-    }
-
-    let gain = |i: usize, x: f64| {
-        let u = catalog.utility(i);
-        if system.population.is_pure_p2p() {
-            expected_gain_pure_p2p(u, x, system.clients(), system.contact_rate)
-        } else {
-            expected_gain_continuous(u, x, system.contact_rate)
-        }
-    };
-    let key_for = |i: usize, x: u32| {
-        let curr = gain(i, x as f64);
-        let m = if curr == f64::NEG_INFINITY {
-            f64::INFINITY
-        } else {
-            (gain(i, (x + 1) as f64) - curr) * demand.rate(i)
-        };
-        if m.is_infinite() {
-            HeapKey::new(f64::INFINITY, demand.rate(i))
-        } else {
-            HeapKey::new(m, demand.rate(i))
-        }
-    };
-
-    let mut heap: std::collections::BinaryHeap<(HeapKey, usize)> = (0..items)
-        .filter(|&i| demand.rate(i) > 0.0)
-        .map(|i| (key_for(i, 0), i))
-        .collect();
-    for _ in 0..budget {
-        let Some((_, i)) = heap.pop() else { break };
-        counts.add(i);
-        let x = counts.count(i);
-        if (x as usize) < servers {
-            heap.push((key_for(i, x), i));
-        }
-    }
-    counts
+    let gain = |i: usize, x: u32| item_gain(system, catalog.utility(i), f64::from(x));
+    greedy_fill(system, demand, gain, &mut Recorder::disabled())
 }
 
 #[cfg(test)]
@@ -169,20 +121,25 @@ mod tests {
 
     #[test]
     fn homogeneous_catalog_matches_single_utility_paths() {
+        // A one-utility catalog is the plain greedy and welfare, bit for
+        // bit, on both populations.
         let demand = Popularity::pareto(10, 1.0).demand_rates(1.0);
         let single = Step::new(5.0);
         let catalog = UtilityCatalog::homogeneous(10, Arc::new(Step::new(5.0)));
         let counts: Vec<f64> = (0..10).map(|i| 1.0 + i as f64 % 4.0).collect();
-        let mixed = social_welfare_homogeneous_mixed(&system(), &demand, &catalog, &counts);
-        let plain = social_welfare_homogeneous(&system(), &demand, &single, &counts);
-        assert!((mixed - plain).abs() < 1e-12);
+        for system in [system(), SystemModel::dedicated(40, 8, 3, 0.05)] {
+            let mixed = social_welfare_homogeneous_mixed(&system, &demand, &catalog, &counts);
+            let plain = social_welfare_homogeneous(&system, &demand, &single, &counts);
+            assert_eq!(mixed.to_bits(), plain.to_bits());
 
-        let g_mixed = greedy_homogeneous_mixed(&system(), &demand, &catalog);
-        let g_plain = crate::solver::greedy::greedy_homogeneous(&system(), &demand, &single);
-        let w_mixed =
-            social_welfare_homogeneous_mixed(&system(), &demand, &catalog, &g_mixed.as_f64());
-        let w_plain = social_welfare_homogeneous(&system(), &demand, &single, &g_plain.as_f64());
-        assert!((w_mixed - w_plain).abs() < 1e-12);
+            let g_mixed = greedy_homogeneous_mixed(&system, &demand, &catalog);
+            let g_plain = crate::solver::greedy::greedy_homogeneous(&system, &demand, &single);
+            assert_eq!(g_mixed, g_plain);
+            let w_mixed =
+                social_welfare_homogeneous_mixed(&system, &demand, &catalog, &g_mixed.as_f64());
+            let w_plain = social_welfare_homogeneous(&system, &demand, &single, &g_plain.as_f64());
+            assert_eq!(w_mixed.to_bits(), w_plain.to_bits());
+        }
     }
 
     #[test]
@@ -245,7 +202,17 @@ mod tests {
         let s = format!("{catalog:?}");
         assert!(s.contains("Step") && s.contains("Exponential"));
         assert_eq!(catalog.items(), 2);
-        assert!(!catalog.requires_dedicated());
+    }
+
+    #[test]
+    #[should_panic(expected = "catalog contains h(0+)=∞ utilities")]
+    fn rejects_a_dedicated_only_item_in_pure_p2p() {
+        let catalog = UtilityCatalog::new(vec![
+            Arc::new(Step::new(1.0)),
+            Arc::new(crate::utility::Power::new(1.5)),
+        ]);
+        let demand = crate::demand::DemandRates::new(vec![1.0, 1.0]);
+        let _ = greedy_homogeneous_mixed(&system(), &demand, &catalog);
     }
 
     #[test]

@@ -22,8 +22,9 @@ mod mixed;
 pub use heterogeneous::{
     item_welfare_heterogeneous, social_welfare_heterogeneous, ContactRates, HeterogeneousSystem,
 };
+pub(crate) use homogeneous::welfare_sum;
 pub use homogeneous::{
-    expected_gain_continuous, expected_gain_pure_p2p, item_gain_discrete,
+    expected_gain_continuous, expected_gain_pure_p2p, item_gain, item_gain_discrete,
     social_welfare_homogeneous, social_welfare_homogeneous_discrete,
 };
 pub use mixed::{greedy_homogeneous_mixed, social_welfare_homogeneous_mixed, UtilityCatalog};

@@ -69,6 +69,27 @@ impl Kind for UtilityCurvesSpec {
     }
 }
 
+/// Refuse a count that `SystemModel` or `Popularity` asserts is at least 1.
+fn at_least_one(spec: &str, counts: &[(&str, usize)]) -> Result<(), ExpError> {
+    match counts.iter().find(|(_, n)| *n == 0) {
+        Some((name, _)) => Err(ExpError::spec(spec, format!("{name} must be at least 1"))),
+        None => Ok(()),
+    }
+}
+
+/// Refuse a rate that `SystemModel` or `Exponential` asserts is positive
+/// and finite.
+fn positive(spec: &str, name: &str, value: f64) -> Result<(), ExpError> {
+    if value > 0.0 && value.is_finite() {
+        Ok(())
+    } else {
+        Err(ExpError::spec(
+            spec,
+            format!("{name} must be positive and finite, got {value}"),
+        ))
+    }
+}
+
 /// Least-squares slope of `ln x` against `ln d`, skipping clamped points.
 fn fit_slope(d: &[f64], x: &[f64]) -> f64 {
     let pts: Vec<(f64, f64)> = d
@@ -100,6 +121,30 @@ impl Kind for AllocExponentSpec {
 
     fn cells(&self, _spec: &str) -> Result<Vec<Cell>, ExpError> {
         Ok(vec![Cell::analytic(&self.file)])
+    }
+
+    fn check(&self, spec: &str) -> Result<(), ExpError> {
+        let counts = [
+            ("clients", self.clients),
+            ("servers", self.servers),
+            ("items", self.items),
+        ];
+        at_least_one(spec, &counts)?;
+        positive(spec, "mu", self.mu)?;
+        // Pareto weights (i+1)^(−ω): the largest is 1 or items^(−ω).
+        if !self.omega.is_finite() || !(self.items as f64).powf(-self.omega).is_finite() {
+            let message = format!(
+                "omega {} gives a Pareto weight that is not finite",
+                self.omega
+            );
+            return Err(ExpError::spec(spec, message));
+        }
+        let (min, max) = self.alpha_tenths;
+        if min <= max && max >= 20 {
+            let message = format!("alpha_tenths_max must be below 20 (α < 2), got {max}");
+            return Err(ExpError::spec(spec, message));
+        }
+        Ok(())
     }
 
     fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {
@@ -210,6 +255,19 @@ impl Kind for MixedCatalogSpec {
 
     fn cells(&self, _spec: &str) -> Result<Vec<Cell>, ExpError> {
         Ok(vec![Cell::analytic(&self.file)])
+    }
+
+    fn check(&self, spec: &str) -> Result<(), ExpError> {
+        at_least_one(spec, &[("items", self.items), ("nodes", self.nodes)])?;
+        positive(spec, "mu", self.mu)?;
+        positive(spec, "urgent_nu", self.urgent_nu)?;
+        positive(spec, "patient_nu", self.patient_nu)?;
+        let average = (self.urgent_nu * self.patient_nu).sqrt();
+        positive(
+            spec,
+            "the geometric mean of urgent_nu and patient_nu",
+            average,
+        )
     }
 
     fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError> {

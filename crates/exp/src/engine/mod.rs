@@ -138,6 +138,13 @@ trait Kind {
     /// no setting of its own.
     fn cells(&self, spec: &str) -> Result<Vec<Cell<Self::What>>, ExpError>;
 
+    /// Refuse what the core constructors [`Kind::run`] calls would assert
+    /// on. An analytic kind has no cell setting for the campaign gate to
+    /// judge, so it states its own rules here.
+    fn check(&self, _spec: &str) -> Result<(), ExpError> {
+        Ok(())
+    }
+
     /// Run the cells and write the outputs.
     fn run<S: Sink>(&self, run: &mut Run<'_, '_, S>) -> Result<(), ExpError>;
 }
@@ -187,6 +194,7 @@ fn plan_of<K: Kind>(kind: &K, spec: &str) -> Result<Plan, ExpError> {
 }
 
 fn validate_of<K: Kind>(kind: &K, spec: &str) -> Result<(), ExpError> {
+    kind.check(spec)?;
     for cell in kind.cells(spec)? {
         if cell.seed.is_some() && cell.trials == 0 {
             return Err(ExpError::spec(spec, "trials must be at least 1"));
@@ -209,8 +217,9 @@ impl Spec {
     /// Hold every cell's setting to the simulator's own rules (the
     /// [`campaign_gate`] a campaign applies before its first trial)
     /// without running anything.
-    /// Analytic cells have no setting, and a trace suite's only exist
-    /// once its trace is generated; those check their trial count alone.
+    /// Analytic cells have no setting: their kind refuses what the core
+    /// constructors would assert on instead. A trace suite's settings only
+    /// exist once its trace is generated; it checks its trial count alone.
     pub fn validate(&self) -> Result<(), ExpError> {
         each_kind!(&self.kind, k => validate_of(k, &self.name))
     }

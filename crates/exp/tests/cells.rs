@@ -140,3 +140,55 @@ fn validate_sees_the_demand_shift_a_cell_attaches() {
         "{message}"
     );
 }
+
+/// A committed spec under `experiments/`, with one replacement.
+fn committed_with(file: &str, from: &str, to: &str) -> Spec {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../experiments")
+        .join(file);
+    let committed = Spec::load(&path).expect("the committed spec loads");
+    let text = committed.raw.replace(from, to);
+    assert_ne!(text, committed.raw);
+    Spec::parse(&text, &path).expect("the edited spec still parses")
+}
+
+/// An analytic kind's own message, from what its core constructors would
+/// assert on. It still lists: the refusal is `validate`'s alone.
+fn analytic_refusal(spec: &Spec) -> String {
+    assert_eq!(spec.plan().expect("it still plans").cells.len(), 1);
+    match spec.validate() {
+        Err(ExpError::Spec { message, .. }) => message,
+        other => panic!("{}: expected a spec error, got {other:?}", spec.name),
+    }
+}
+
+#[test]
+fn validate_refuses_a_mixed_catalog_without_contacts() {
+    let spec = committed_with("ext_mixed_catalog.toml", "mu = 0.05", "mu = 0.0");
+    let message = analytic_refusal(&spec);
+    assert!(
+        message.contains("mu must be positive and finite"),
+        "{message}"
+    );
+}
+
+#[test]
+fn validate_refuses_an_empty_mixed_catalog() {
+    let spec = committed_with("ext_mixed_catalog.toml", "items = 50", "items = 0");
+    let message = analytic_refusal(&spec);
+    assert!(message.contains("items must be at least 1"), "{message}");
+}
+
+#[test]
+fn validate_refuses_an_alpha_the_power_family_has_not() {
+    let spec = committed_with(
+        "fig2.toml",
+        "alpha_tenths_max = 18",
+        "alpha_tenths_max = 20",
+    );
+    let message = analytic_refusal(&spec);
+    assert!(
+        message.contains("alpha_tenths_max must be below 20"),
+        "{message}"
+    );
+}

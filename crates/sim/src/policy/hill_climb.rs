@@ -19,7 +19,7 @@ use impatience_core::demand::DemandRates;
 use impatience_core::rng::Xoshiro256;
 use impatience_core::types::SystemModel;
 use impatience_core::utility::DelayUtility;
-use impatience_core::welfare::{expected_gain_continuous, expected_gain_pure_p2p};
+use impatience_core::welfare::item_gain;
 
 use crate::metrics::Metrics;
 use crate::policy::{Fulfillment, ReplicationPolicy};
@@ -64,16 +64,7 @@ impl HillClimb {
     }
 
     fn item_gain(&self, x: u32) -> f64 {
-        if self.system.population.is_pure_p2p() {
-            expected_gain_pure_p2p(
-                self.utility.as_ref(),
-                x as f64,
-                self.system.clients(),
-                self.system.contact_rate,
-            )
-        } else {
-            expected_gain_continuous(self.utility.as_ref(), x as f64, self.system.contact_rate)
-        }
+        item_gain(&self.system, self.utility.as_ref(), f64::from(x))
     }
 
     /// Perform the best improving single-slot replacement available at

@@ -459,6 +459,24 @@ fn reproduce_refuses_a_bad_fault_sweep() {
     assert!(left.is_empty(), "{left:?}");
 }
 
+/// An analytic setting a core constructor would assert on fails the same
+/// way: exit 3 before anything runs, nothing written beside the spec.
+#[test]
+fn reproduce_refuses_a_bad_analytic_setting() {
+    let mut case = Case::new("reproduce_refuses_a_bad_analytic_setting");
+    let committed = std::fs::read_to_string(format!("{REPO}/experiments/ext_mixed_catalog.toml"));
+    let spec = committed.unwrap().replace("mu = 0.05", "mu = 0.0");
+    std::fs::create_dir_all(case.dir.join("specs")).unwrap();
+    std::fs::write(case.dir.join("specs/ext_mixed_catalog.toml"), spec).unwrap();
+    let run = case.run("reproduce ext_mixed_catalog --specs specs -o out");
+    let mut left = Vec::new();
+    list_files(&case.dir, &case.dir, &mut left);
+    case.finish();
+    assert_eq!(run.code, 3, "{}", run.stderr);
+    assert!(run.stderr.contains("mu must be positive and finite"));
+    assert_eq!(left, ["specs/ext_mixed_catalog.toml"]);
+}
+
 /// Each usage error names every valid choice, and says it once.
 #[test]
 fn usage_messages() {

@@ -10,18 +10,28 @@
 //! (the parent of the change that made the event-merging loop a lane
 //! driver), the net path cells (shift, dedicated, drops, churn, deadline,
 //! chaos) at 6c1534d (the parent of the change that made the net kernel
-//! call the engine's seeding, demand, admission and settlement), each by
-//! running this file there, in debug and in release: a cell whose digest
-//! moves has changed a float sum, an RNG draw or an event order.
+//! call the engine's seeding, demand, admission and settlement), the core
+//! solver and welfare cells at c55b17a (the parent of the change that left
+//! one greedy fill, one welfare sum and one gain dispatch in the core),
+//! each by running this file there, in debug and in release: a cell whose
+//! digest moves has changed a float sum, an RNG draw or an event order.
 
 use std::sync::Arc;
 
-use impatience_core::demand::{DemandRates, Popularity};
+use impatience_core::demand::{DemandProfile, DemandRates, Popularity};
 use impatience_core::rng::Xoshiro256;
-use impatience_core::solver::fixed::dominant;
+use impatience_core::solver::fixed::{dominant, uniform};
 use impatience_core::solver::greedy::greedy_homogeneous;
+use impatience_core::solver::het_greedy::greedy_heterogeneous;
+use impatience_core::solver::incremental::{Delta, DeltaSolver};
+use impatience_core::solver::relaxed::relaxed_optimum;
 use impatience_core::types::SystemModel;
-use impatience_core::utility::{DelayUtility, Power, Step};
+use impatience_core::utility::{parse_utility, Custom, DelayUtility, Power, Step};
+use impatience_core::welfare::{
+    greedy_homogeneous_mixed, social_welfare_heterogeneous, social_welfare_homogeneous,
+    social_welfare_homogeneous_discrete, social_welfare_homogeneous_mixed, ContactRates,
+    HeterogeneousSystem, UtilityCatalog,
+};
 use impatience_net::{run_net_trial, ChaosEvent, ChaosKind, NetConfig};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::engine::run_trial;
@@ -161,6 +171,131 @@ fn serial_engine_outputs_equal_the_recorded_ones() {
             let out = run_trial(config, source, policy.clone(), *seed);
             assert!(out.metrics.fulfillments() > 0, "{cell}: nothing happened");
             let got = digest(&out.metrics, &out.final_replicas);
+            (got != recorded).then(|| format!("{cell}: {got:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "digests moved:\n{}", moved.join("\n"));
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fold(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The allocation's counts, one word each.
+fn count_words(counts: &[u32]) -> impl Iterator<Item = u64> + '_ {
+    counts.iter().map(|&c| u64::from(c))
+}
+
+#[test]
+fn core_outputs_equal_the_recorded_ones() {
+    let p2p = SystemModel::pure_p2p(12, 3, 0.05);
+    let dedicated = SystemModel::dedicated(10, 6, 3, 0.05);
+    let demand = Popularity::pareto(10, 1.0).demand_rates(1.0);
+    let items = demand.items();
+    let mut cells: Vec<(String, Vec<u64>)> = Vec::new();
+
+    // Per utility: the greedy and relaxed optima, the continuous welfare of
+    // OPT and UNI, the discrete welfare of OPT, and a `DeltaSolver` after
+    // each of four seeded demand deltas.
+    for (spec, system) in [
+        ("step:5", p2p),
+        ("exp:0.5", p2p),
+        ("power:0.5", p2p),
+        ("neglog", dedicated),
+        ("power:1.5", dedicated),
+    ] {
+        let utility = parse_utility(spec).unwrap();
+        let u = utility.as_ref();
+        let mut words = Vec::new();
+        let opt = greedy_homogeneous(&system, &demand, u);
+        words.extend(count_words(opt.counts()));
+        let relaxed = relaxed_optimum(&system, &demand, u);
+        words.extend(relaxed.x.iter().map(|x| x.to_bits()));
+        words.push(relaxed.level.to_bits());
+        let uni = uniform(items, system.servers(), system.cache_capacity);
+        for counts in [&opt, &uni] {
+            let w = social_welfare_homogeneous(&system, &demand, u, &counts.as_f64());
+            words.push(w.to_bits());
+        }
+        let w = social_welfare_homogeneous_discrete(&system, &demand, u, &opt.as_f64(), 0.5);
+        words.push(w.to_bits());
+        let mut solver = DeltaSolver::new(system, &demand, utility.clone());
+        let mut rng = Xoshiro256::seed_from_u64(7);
+        for _ in 0..4 {
+            let (item, rate) = (rng.index(items), rng.range(0.0, 2.0));
+            solver.apply(&[Delta::Demand { item, rate }]).unwrap();
+            words.extend(count_words(solver.counts().counts()));
+            words.push(solver.welfare().to_bits());
+        }
+        cells.push((spec.to_string(), words));
+    }
+
+    // The numeric quadratures of a family without closed forms.
+    let custom = Custom::new(|t| 1.0 / (1.0 + t), 1.0, 0.0);
+    let words = [0.05, 0.5, 2.0]
+        .iter()
+        .flat_map(|&v| [custom.gain(v).to_bits(), custom.phi(v, 0.05).to_bits()])
+        .collect();
+    cells.push(("custom 1/(1+t)".into(), words));
+
+    // A catalog alternating an urgent and a patient utility.
+    let catalog = UtilityCatalog::new(
+        (0..items)
+            .map(|i| parse_utility(if i % 2 == 0 { "exp:2" } else { "exp:0.01" }).unwrap())
+            .collect(),
+    );
+    let mixed = greedy_homogeneous_mixed(&p2p, &demand, &catalog);
+    let mut words: Vec<u64> = count_words(mixed.counts()).collect();
+    for counts in [&mixed, &uniform(items, 12, 3)] {
+        let w = social_welfare_homogeneous_mixed(&p2p, &demand, &catalog, &counts.as_f64());
+        words.push(w.to_bits());
+    }
+    cells.push(("mixed catalog".into(), words));
+
+    // The heterogeneous greedy on a seeded 8-node rate matrix, with a
+    // bounded utility and with one unbounded below.
+    let mut rng = Xoshiro256::seed_from_u64(11);
+    let rates = ContactRates::from_fn(8, |_, _| rng.range(0.0, 0.2));
+    let system = HeterogeneousSystem::pure_p2p(rates, 2);
+    let demand6 = Popularity::pareto(6, 1.0).demand_rates(1.0);
+    let profile = DemandProfile::uniform(6, 8);
+    for spec in ["step:5", "power:0.5"] {
+        let utility = parse_utility(spec).unwrap();
+        let u = utility.as_ref();
+        let alloc = greedy_heterogeneous(&system, &demand6, &profile, u);
+        let mut words: Vec<u64> = (0..6)
+            .flat_map(|i| (0..8).map(move |s| (i, s)))
+            .map(|(i, s)| u64::from(alloc.holds(i, s)))
+            .collect();
+        words.extend(count_words(alloc.to_counts().counts()));
+        let w = social_welfare_heterogeneous(&system, &alloc, &demand6, &profile, u);
+        words.push(w.to_bits());
+        cells.push((format!("het {spec}"), words));
+    }
+
+    const RECORDED: [u64; 9] = [
+        0x0663_f126_f7fb_b747,
+        0x51f7_86ab_9a4b_f181,
+        0xdc82_9aeb_1ec8_62ec,
+        0xdfa8_3883_6dae_7633,
+        0xf6e8_7f84_7351_5cfc,
+        0xbd5a_bcfc_ecee_0f0d,
+        0xb552_20e3_4cce_9a26,
+        0x3d36_5af7_8484_3aa2,
+        0xd532_54cd_0721_e389,
+    ];
+    assert_eq!(cells.len(), RECORDED.len());
+    let moved: Vec<String> = cells
+        .iter()
+        .zip(RECORDED)
+        .filter_map(|((cell, words), recorded)| {
+            let got = fold(words);
             (got != recorded).then(|| format!("{cell}: {got:#018x}"))
         })
         .collect();

@@ -152,6 +152,15 @@ fn committed_with(file: &str, from: &str, to: &str) -> Spec {
     Spec::parse(&text, &path).expect("the edited spec still parses")
 }
 
+/// ρ = 0 leaves nothing to place: refused at validate, not by a panic in
+/// every trial.
+#[test]
+fn validate_refuses_a_zero_cache() {
+    let spec = committed_with("fig4.toml", "\nrho = 5\n", "\nrho = 0\n");
+    let message = refusal(&spec);
+    assert!(message.contains("ρ must be at least 1"), "{message}");
+}
+
 /// An analytic kind's own message, from what its core constructors would
 /// assert on. It still lists: the refusal is `validate`'s alone.
 fn analytic_refusal(spec: &Spec) -> String {

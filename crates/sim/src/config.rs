@@ -14,8 +14,8 @@ use crate::faults::FaultConfig;
 
 /// A rejected simulation configuration: what is wrong and with which
 /// value, surfaced at construction/validation time instead of a panic
-/// mid-campaign. The `Display` strings are stable — the panicking
-/// [`SimConfig::validate`] forwards them verbatim.
+/// mid-campaign. The `Display` strings are stable: the engines that
+/// panic on a config they cannot run forward them verbatim.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// A rates/profile vector disagrees with the catalog size.
@@ -29,6 +29,9 @@ pub enum ConfigError {
     },
     /// The catalog is empty.
     ZeroItems,
+    /// The per-server cache capacity ρ is zero: no node could hold a
+    /// replica, so there is nothing to place.
+    ZeroCapacity,
     /// A demand rate is negative or non-finite.
     InvalidDemand {
         /// Item index of the offending rate.
@@ -107,6 +110,7 @@ impl fmt::Display for ConfigError {
                 "{what} catalog size mismatch (catalog {expected}, got {found})"
             ),
             ConfigError::ZeroItems => write!(f, "catalog must contain at least one item"),
+            ConfigError::ZeroCapacity => write!(f, "cache capacity ρ must be at least 1"),
             ConfigError::InvalidDemand { item, rate } => write!(
                 f,
                 "demand rate of item {item} must be finite and ≥ 0 (got {rate})"
@@ -354,15 +358,24 @@ impl SimConfig {
         nodes.saturating_sub(self.dedicated_servers.unwrap_or(0))
     }
 
-    /// The dedicated-server split must fit the population; checked before
-    /// anything is sized by it.
-    fn check_population(&self, nodes: usize) -> Result<(), ConfigError> {
-        match self.dedicated_servers {
+    /// The population checks, which need the node count but size
+    /// nothing by it: the dedicated-server split must fit the population,
+    /// and the global cache budget `ρ·|S|` must not overflow.
+    pub(crate) fn check_population(&self, nodes: usize) -> Result<(), ConfigError> {
+        let servers = match self.dedicated_servers {
             Some(servers) if !(servers >= 1 && servers < nodes) => {
-                Err(ConfigError::InvalidPopulation { servers, nodes })
+                return Err(ConfigError::InvalidPopulation { servers, nodes })
             }
-            _ => Ok(()),
+            Some(servers) => servers,
+            None => nodes,
+        };
+        if self.rho.checked_mul(servers).is_none() {
+            return Err(ConfigError::CacheOverflow {
+                rho: self.rho,
+                servers,
+            });
         }
+        Ok(())
     }
 
     /// This config as a trial on `nodes` nodes runs it: the population
@@ -373,32 +386,44 @@ impl SimConfig {
     /// result validated.
     pub fn try_resolved(&self, nodes: usize) -> Result<Cow<'_, SimConfig>, ConfigError> {
         self.check_population(nodes)?;
-        let config = if self.profile.nodes() == self.clients(nodes) {
+        let clients = self.clients(nodes);
+        let config = if self.profile.nodes() == clients {
             Cow::Borrowed(self)
         } else {
-            Cow::Owned(self.for_nodes(nodes))
+            let mut resized = self.clone();
+            resized.profile = DemandProfile::uniform(self.items, clients);
+            Cow::Owned(resized)
         };
         config.try_validate(nodes)?;
         Ok(config)
     }
 
-    /// Validate against a node count (profile width, utility finiteness).
-    ///
-    /// # Panics
-    /// Panics with the [`ConfigError`] message on the first violation;
-    /// fallible callers (the CLI, the campaign runner) use
-    /// [`SimConfig::try_validate`] instead.
-    pub fn validate(&self, nodes: usize) {
-        if let Err(e) = self.try_validate(nodes) {
-            panic!("{e}");
+    /// Validate against a node count, returning the first violation as a
+    /// typed [`ConfigError`]: the checks that need no node count, the
+    /// population checks, and the profile's width.
+    pub fn try_validate(&self, nodes: usize) -> Result<(), ConfigError> {
+        self.check_setting()?;
+        self.check_population(nodes)?;
+        if self.profile.nodes() != self.clients(nodes) {
+            return Err(ConfigError::ProfileWidth {
+                expected: self.clients(nodes),
+                found: self.profile.nodes(),
+            });
         }
+        Ok(())
     }
 
-    /// Validate against a node count, returning the first violation as a
-    /// typed [`ConfigError`] instead of panicking.
-    pub fn try_validate(&self, nodes: usize) -> Result<(), ConfigError> {
+    /// The checks that need no node count: catalog and cache size, the
+    /// demand and its shifts, the utility against the population kind,
+    /// metrics binning and the fault model. The sharded engine runs these
+    /// without resolving the config, which would size a profile by its
+    /// 10⁶ nodes.
+    pub(crate) fn check_setting(&self) -> Result<(), ConfigError> {
         if self.items == 0 {
             return Err(ConfigError::ZeroItems);
+        }
+        if self.rho == 0 {
+            return Err(ConfigError::ZeroCapacity);
         }
         if self.demand.items() != self.items {
             return Err(ConfigError::CatalogMismatch {
@@ -421,20 +446,6 @@ impl SimConfig {
                 what: "profile",
                 expected: self.items,
                 found: self.profile.items(),
-            });
-        }
-        self.check_population(nodes)?;
-        let servers = self.dedicated_servers.unwrap_or(nodes);
-        if self.rho.checked_mul(servers).is_none() {
-            return Err(ConfigError::CacheOverflow {
-                rho: self.rho,
-                servers,
-            });
-        }
-        if self.profile.nodes() != self.clients(nodes) {
-            return Err(ConfigError::ProfileWidth {
-                expected: self.clients(nodes),
-                found: self.profile.nodes(),
             });
         }
         if self.utility.requires_dedicated() && self.dedicated_servers.is_none() {
@@ -553,8 +564,7 @@ impl SimConfigBuilder {
     }
 
     /// Finish building. A missing profile defaults to uniform over the
-    /// node count implied at `run_trial` time; here we default to the
-    /// catalog-size-free uniform profile lazily via `nodes`.
+    /// node count implied at `run_trial` time ([`SimConfig::try_resolved`]).
     pub fn build(self) -> SimConfig {
         let demand = self
             .demand
@@ -563,9 +573,7 @@ impl SimConfigBuilder {
             items: self.items,
             rho: self.rho,
             demand,
-            // Placeholder 1-node profile replaced by `with_nodes` /
-            // validated at run time; most callers set it explicitly or
-            // rely on `for_nodes`.
+            // Placeholder 1-node profile, resized by `try_resolved`.
             profile: self
                 .profile
                 .unwrap_or_else(|| DemandProfile::uniform(self.items, 1)),
@@ -581,22 +589,6 @@ impl SimConfigBuilder {
                 shifts.sort_by(|a, b| a.0.total_cmp(&b.0));
                 shifts
             },
-        }
-    }
-}
-
-impl SimConfig {
-    /// Return a copy whose profile is uniform over `nodes` nodes if the
-    /// current profile width disagrees (convenience for default-built
-    /// configs).
-    pub fn for_nodes(&self, nodes: usize) -> SimConfig {
-        let clients = self.clients(nodes);
-        if self.profile.nodes() == clients {
-            self.clone()
-        } else {
-            let mut c = self.clone();
-            c.profile = DemandProfile::uniform(self.items, clients);
-            c
         }
     }
 }
@@ -618,25 +610,40 @@ mod tests {
     }
 
     #[test]
-    fn for_nodes_fixes_profile() {
-        let c = SimConfig::builder(5, 2).build().for_nodes(8);
-        assert_eq!(c.profile.nodes(), 8);
-        c.validate(8);
+    fn try_resolved_sizes_the_profile() {
+        let c = SimConfig::builder(5, 2).build();
+        let resolved = c.try_resolved(8).unwrap();
+        assert_eq!(resolved.profile.nodes(), 8);
+        assert!(matches!(resolved, Cow::Owned(_)));
+        assert!(matches!(resolved.try_resolved(8), Ok(Cow::Borrowed(_))));
     }
 
     #[test]
-    #[should_panic(expected = "dedicated population")]
-    fn validate_rejects_dedicated_only_utility() {
+    fn try_resolved_rejects_dedicated_only_utility() {
         let c = SimConfig::builder(5, 2)
             .utility(Arc::new(Power::new(1.5)))
-            .build()
-            .for_nodes(4);
-        c.validate(4);
+            .build();
+        let err = c.try_resolved(4).err().expect("refused");
+        assert!(matches!(err, ConfigError::RequiresDedicated { .. }));
+        assert!(err.to_string().contains("dedicated population"), "{err}");
+    }
+
+    #[test]
+    fn zero_capacity_is_refused_without_a_node_count() {
+        let c = SimConfig::builder(5, 0).build();
+        assert_eq!(c.check_setting(), Err(ConfigError::ZeroCapacity));
+        assert_eq!(c.try_resolved(8).err(), Some(ConfigError::ZeroCapacity));
+        let err = ConfigError::ZeroCapacity.to_string();
+        assert_eq!(err, "cache capacity ρ must be at least 1");
     }
 
     #[test]
     fn try_validate_returns_typed_errors() {
-        let c = SimConfig::builder(5, 2).build().for_nodes(8);
+        let c = SimConfig::builder(5, 2)
+            .build()
+            .try_resolved(8)
+            .unwrap()
+            .into_owned();
         c.try_validate(8).unwrap();
 
         let mut bad = c.clone();

@@ -25,7 +25,8 @@
 //! slot loop of [`crate::engine_discrete`]. The kernel of `impatience-net`
 //! is the third driver of a `Frame`; its requests wait at node tasks.
 //! [`crate::sharded`] keeps its own frame — its exchange is the eager
-//! walk, for the reasons at [`RequestArena::retain`].
+//! walk, for the reasons at [`RequestArena::retain`] — and calls the same
+//! placement, replica book, fault clock and gain booking.
 //!
 //! The lane driver (`run_lanes`) samples the contact sequence of a trial
 //! seed once and steps any number of *lanes* through it, a batch of
@@ -39,7 +40,6 @@
 use impatience_core::demand::DemandRates;
 use impatience_core::rng::{AliasTable, Xoshiro256};
 use impatience_core::types::SystemModel;
-use impatience_core::utility::DelayUtility;
 use impatience_obs::{Recorder, Sink};
 use impatience_traces::ContactEvent;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -85,23 +85,6 @@ pub struct TrialOutcome {
     pub final_replicas: Vec<u32>,
     /// The policy label (e.g. "QCR", "OPT").
     pub label: String,
-}
-
-/// The gain booked for a request still outstanding, `age` after its
-/// creation, when its trial ends (or its deadline expires). For
-/// utilities bounded below (step, exponential: h(∞) finite) the
-/// pessimistic h(∞) is booked — exact for never-fulfillable requests,
-/// slightly conservative otherwise. For unbounded waiting costs (power
-/// α < 1) the cost already accrued, h(age), is booked: h(∞) = −∞ cannot
-/// be, and plain censoring would flatter item-starving allocations like
-/// DOM, which never serve the catalog's tail at all.
-pub(crate) fn settlement_gain(utility: &dyn DelayUtility, age: f64) -> f64 {
-    let h_inf = utility.h_infinity();
-    if h_inf.is_finite() {
-        h_inf
-    } else {
-        utility.h(age)
-    }
 }
 
 /// Run one trial of `policy` on the given system and contact source.
@@ -289,8 +272,8 @@ impl<'a, S: Sink> Frame<'a, S> {
         let servers = config.dedicated_servers.unwrap_or(nodes);
         state.reset(nodes, servers, config.items, config.rho);
         state.set_eviction(config.eviction);
-        let mut placed = policy.instantiate(config, nodes, mu_ref);
-        placed.initialize(state, &mut rng);
+        policy.place(state, &mut rng);
+        let placed = policy.instantiate(config, nodes, mu_ref);
         // Fault injection: the schedule runs on RNG streams derived from the
         // trial seed and the fault seed only, never from `rng` — attaching an
         // *inactive* FaultConfig leaves the trajectory bit-for-bit unchanged.
@@ -343,14 +326,13 @@ impl<'a, S: Sink> Frame<'a, S> {
             .profile
             .sample_origin(item as usize, &mut self.rng);
         let node = self.client_base + origin;
-        self.metrics.requests_created += 1;
+        let hit = state.caches.holds(node, item);
+        self.metrics
+            .record_request(t, hit, self.config.utility.as_ref());
         self.rec.request(t, node as u32, item);
-        if !state.caches.holds(node, item) {
+        if !hit {
             return Some(node);
         }
-        self.metrics.immediate_hits += 1;
-        self.metrics
-            .record_fulfillment(t, self.config.utility.h_zero());
         self.rec.immediate_hit(t, node as u32, item);
         None
     }
@@ -372,9 +354,7 @@ impl<'a, S: Sink> Frame<'a, S> {
     /// Settle a request still open at `t` (horizon or deadline), `age`
     /// after its creation.
     pub fn settle(&mut self, t: f64, node: u32, item: u32, age: f64) {
-        let age = age.max(f64::MIN_POSITIVE);
-        let gain = settlement_gain(self.config.utility.as_ref(), age);
-        self.metrics.record_settlement(t, gain);
+        let age = self.metrics.settle(t, self.config.utility.as_ref(), age);
         self.rec.unfulfilled(t, node, item, age);
     }
 
@@ -498,17 +478,7 @@ impl<'a, S: Sink> Trial<'a, S> {
                 let server = if f.node == a { b } else { a };
                 state.caches.node_mut(server).touch(f.item);
             }
-            // Batched gain evaluation: one virtual `h_batch` call per
-            // fulfilling meeting instead of one `h` dispatch per
-            // fulfillment; the per-element `w > 0` branch and
-            // recording order match the scalar path exactly.
-            waits.clear();
-            waits.extend(fulfilled.iter().map(|f| f.wait));
-            gains.clear();
-            config.utility.h_batch(waits, gains);
-            for &gain in gains.iter() {
-                metrics.record_fulfillment(t, gain);
-            }
+            metrics.record_meeting(t, config.utility.as_ref(), fulfilled, waits, gains);
             if rec.is_active() {
                 for f in fulfilled.iter() {
                     rec.fulfillment(t, f.node as u32, f.item, f.wait, f.queries as u32);

@@ -276,6 +276,11 @@ impl FaultConfig {
         parts.join(",")
     }
 
+    /// The base every fault stream of trial `trial_seed` forks from.
+    pub(crate) fn base_rng(&self, trial_seed: u64) -> Xoshiro256 {
+        Xoshiro256::seed_from_u64(trial_seed ^ self.seed.rotate_left(23))
+    }
+
     /// The precomputed churn toggle schedule for one trial, as
     /// `(time, node, up)` triples sorted by time. This is exactly the
     /// schedule [`FaultState`] plays back inside the engines, exported so
@@ -289,39 +294,91 @@ impl FaultConfig {
         duration: f64,
         trial_seed: u64,
     ) -> Vec<(f64, u32, bool)> {
-        let mut base = Xoshiro256::seed_from_u64(trial_seed ^ self.seed.rotate_left(23));
-        let mut toggles = Vec::new();
-        if let Some(churn) = self.churn {
-            let up_rate = 1.0 / churn.mean_up;
-            let down_rate = 1.0 / churn.mean_down;
-            for node in 0..nodes {
-                let mut rng = base.split(CHURN_STREAM_ID ^ node as u64);
-                let mut t = rng.exp(up_rate);
-                let mut up = false; // first toggle goes down
-                while t < duration && toggles.len() < MAX_TOGGLES {
-                    toggles.push((t, node as u32, up));
-                    t += rng.exp(if up { up_rate } else { down_rate });
-                    up = !up;
-                }
-            }
-            toggles.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        }
-        toggles
+        churn_toggles(self.churn, nodes, duration, &mut self.base_rng(trial_seed))
     }
-}
-
-/// One node's precomputed churn toggle.
-#[derive(Clone, Copy, Debug)]
-struct Toggle {
-    time: f64,
-    node: u32,
-    up: bool,
 }
 
 /// Safety cap on the total precomputed churn toggles per trial: beyond
 /// it a node simply stays in its last state (pathological mean times
 /// would otherwise eat the heap).
 const MAX_TOGGLES: usize = 200_000;
+
+/// `churn`'s toggles over `nodes` nodes before `duration`, as time-ordered
+/// `(time, node, up)`: each node alternates exponential up and down
+/// periods on its own stream, forked off `base` in node order (which
+/// advances `base`). No churn, no toggles and no fork.
+fn churn_toggles(
+    churn: Option<Churn>,
+    nodes: usize,
+    duration: f64,
+    base: &mut Xoshiro256,
+) -> Vec<(f64, u32, bool)> {
+    let mut toggles = Vec::new();
+    let Some(churn) = churn else {
+        return toggles;
+    };
+    let up_rate = 1.0 / churn.mean_up;
+    let down_rate = 1.0 / churn.mean_down;
+    for node in 0..nodes {
+        let mut rng = base.split(CHURN_STREAM_ID ^ node as u64);
+        let mut t = rng.exp(up_rate);
+        let mut up = false; // first toggle goes down
+        while t < duration && toggles.len() < MAX_TOGGLES {
+            toggles.push((t, node as u32, up));
+            t += rng.exp(if up { up_rate } else { down_rate });
+            up = !up;
+        }
+    }
+    toggles.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    toggles
+}
+
+/// The Poisson clock of cache-slot faults: arrivals at `rate` per server
+/// per minute, each on a uniformly random server, whose slot is then
+/// erased with the clock's own RNG. The serial [`FaultState`] owns one
+/// per trial; the sharded engine owns one and drives it at its epoch
+/// boundaries.
+#[derive(Clone, Debug)]
+pub(crate) struct SlotFaultClock {
+    /// Time of the next fault (∞ when inactive).
+    next: f64,
+    /// Total rate over all servers.
+    rate: f64,
+    rng: Xoshiro256,
+    servers: usize,
+}
+
+impl SlotFaultClock {
+    /// The clock of `cache` faults over `servers` servers, its first
+    /// arrival drawn from `rng`.
+    pub(crate) fn new(cache: Option<CacheFaults>, servers: usize, mut rng: Xoshiro256) -> Self {
+        let rate = cache.map_or(0.0, |c| c.rate) * servers as f64;
+        let next = if rate > 0.0 {
+            rng.exp(rate)
+        } else {
+            f64::INFINITY
+        };
+        SlotFaultClock {
+            next,
+            rate,
+            rng,
+            servers,
+        }
+    }
+
+    /// The next fault due by `t`, if any: its time and server, and the
+    /// RNG that picks the slot it erases. The clock advances past it.
+    #[inline]
+    pub(crate) fn due(&mut self, t: f64) -> Option<(f64, usize, &mut Xoshiro256)> {
+        if self.next > t {
+            return None;
+        }
+        let when = self.next;
+        self.next += self.rng.exp(self.rate);
+        let node = self.rng.index(self.servers);
+        Some((when, node, &mut self.rng))
+    }
+}
 
 /// Per-trial fault state, owned by the engine event loop.
 ///
@@ -332,16 +389,13 @@ const MAX_TOGGLES: usize = 200_000;
 /// identical at any worker count.
 #[derive(Clone, Debug)]
 pub struct FaultState {
-    /// Merged churn schedule, time-ordered; `cursor` advances through it.
-    toggles: Vec<Toggle>,
+    /// Merged churn schedule, `(time, node, up)` in time order; `cursor`
+    /// advances through it.
+    toggles: Vec<(f64, u32, bool)>,
     cursor: usize,
     node_up: Vec<bool>,
     drop: Option<GilbertChain>,
-    /// Next cache-fault time (INFINITY when inactive).
-    next_cache_fault: f64,
-    cache_rate_total: f64,
-    cache_rng: Xoshiro256,
-    servers: usize,
+    cache: SlotFaultClock,
     /// Contacts after this time are lost.
     truncate_at: f64,
     truncation_reported: bool,
@@ -358,44 +412,16 @@ impl FaultState {
         duration: f64,
         trial_seed: u64,
     ) -> FaultState {
-        let mut base = Xoshiro256::seed_from_u64(trial_seed ^ cfg.seed.rotate_left(23));
-        let mut toggles = Vec::new();
-        if let Some(churn) = cfg.churn {
-            let up_rate = 1.0 / churn.mean_up;
-            let down_rate = 1.0 / churn.mean_down;
-            for node in 0..nodes {
-                let mut rng = base.split(CHURN_STREAM_ID ^ node as u64);
-                let mut t = rng.exp(up_rate);
-                let mut up = false; // first toggle goes down
-                while t < duration && toggles.len() < MAX_TOGGLES {
-                    toggles.push(Toggle {
-                        time: t,
-                        node: node as u32,
-                        up,
-                    });
-                    t += rng.exp(if up { up_rate } else { down_rate });
-                    up = !up;
-                }
-            }
-            toggles.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.node.cmp(&b.node)));
-        }
+        let mut base = cfg.base_rng(trial_seed);
+        let toggles = churn_toggles(cfg.churn, nodes, duration, &mut base);
         let drop_rng = base.split(DROP_STREAM_ID);
-        let mut cache_rng = base.split(CACHE_STREAM_ID);
-        let cache_rate_total = cfg.cache.map_or(0.0, |c| c.rate) * servers as f64;
-        let next_cache_fault = if cache_rate_total > 0.0 {
-            cache_rng.exp(cache_rate_total)
-        } else {
-            f64::INFINITY
-        };
+        let cache_rng = base.split(CACHE_STREAM_ID);
         FaultState {
             toggles,
             cursor: 0,
             node_up: vec![true; nodes],
             drop: cfg.drop.map(|drop| GilbertChain::new(drop, drop_rng)),
-            next_cache_fault,
-            cache_rate_total,
-            cache_rng,
-            servers,
+            cache: SlotFaultClock::new(cfg.cache, servers, cache_rng),
             truncate_at: cfg
                 .truncate_fraction
                 .map_or(f64::INFINITY, |f| f * duration),
@@ -405,7 +431,7 @@ impl FaultState {
 
     /// Advance churn to time `t`, emitting the toggles that fired.
     fn advance_churn<S: Sink>(&mut self, t: f64, metrics: &mut Metrics, rec: &mut Recorder<S>) {
-        while let Some(&Toggle { time, node, up }) = self.toggles.get(self.cursor) {
+        while let Some(&(time, node, up)) = self.toggles.get(self.cursor) {
             if time > t {
                 break;
             }
@@ -460,11 +486,8 @@ impl FaultState {
         metrics: &mut Metrics,
         rec: &mut Recorder<S>,
     ) {
-        while self.next_cache_fault <= t {
-            let when = self.next_cache_fault;
-            self.next_cache_fault += self.cache_rng.exp(self.cache_rate_total);
-            let node = self.cache_rng.index(self.servers);
-            if let Some(item) = state.fail_cache_slot(node, &mut self.cache_rng) {
+        while let Some((when, node, rng)) = self.cache.due(t) {
+            if let Some(item) = state.fail_cache_slot(node, rng) {
                 metrics.cache_faults += 1;
                 rec.fault(when, "cache_fault", node as u32, item);
             }

@@ -16,6 +16,8 @@ use impatience_core::utility::DelayUtility;
 use impatience_core::welfare::social_welfare_homogeneous;
 use impatience_json::Json;
 
+use crate::policy::Fulfillment;
+
 /// Encode an `f64` as its 16-hex-digit bit pattern — the checkpoint
 /// codec's float representation. Decimal JSON floats cannot round-trip
 /// NaN (the [`Json`] writer emits `null` for non-finite values) and risk
@@ -114,16 +116,60 @@ impl Metrics {
         self.fulfilled[b] += 1;
     }
 
-    /// Record the truncated gain of a request still outstanding when the
-    /// trial ends: it has waited `age` so far, so it has already incurred
-    /// `h(age)` (a *lower bound* on its final loss for cost-type
-    /// utilities, and ≈ 0 for bounded families). Without this settlement,
-    /// allocations that starve unpopular items (e.g. DOM) would look
-    /// artificially good under waiting-cost utilities — the requests they
-    /// never serve would simply vanish from the books.
-    pub fn record_settlement(&mut self, t: f64, gain: f64) {
+    /// Book a request that arrives at `t`; `hit` when its origin's own
+    /// cache serves it on the spot, with gain `h(0⁺)`.
+    #[inline]
+    pub(crate) fn record_request(&mut self, t: f64, hit: bool, utility: &dyn DelayUtility) {
+        self.requests_created += 1;
+        if hit {
+            self.immediate_hits += 1;
+            self.record_fulfillment(t, utility.h_zero());
+        }
+    }
+
+    /// Book the fulfillments of a meeting at `t`, in order: one batched
+    /// `h` over their waits, then one gain each. `waits` and `gains` are
+    /// the caller's reusable buffers.
+    #[inline]
+    pub(crate) fn record_meeting(
+        &mut self,
+        t: f64,
+        utility: &dyn DelayUtility,
+        fulfilled: &[Fulfillment],
+        waits: &mut Vec<f64>,
+        gains: &mut Vec<f64>,
+    ) {
+        waits.clear();
+        waits.extend(fulfilled.iter().map(|f| f.wait));
+        gains.clear();
+        utility.h_batch(waits, gains);
+        for &gain in gains.iter() {
+            self.record_fulfillment(t, gain);
+        }
+    }
+
+    /// Settle, at `t`, a request still open `age` after its creation (the
+    /// horizon, or a deadline); returns the age booked, at least the
+    /// smallest positive float.
+    ///
+    /// For utilities bounded below (step, exponential: h(∞) finite) the
+    /// pessimistic h(∞) is booked — exact for never-fulfillable requests,
+    /// slightly conservative otherwise. For unbounded waiting costs (power
+    /// α < 1) the cost already accrued, h(age), is booked: h(∞) = −∞
+    /// cannot be, and plain censoring would flatter item-starving
+    /// allocations like DOM, which never serve the catalog's tail at all.
+    #[inline]
+    pub(crate) fn settle(&mut self, t: f64, utility: &dyn DelayUtility, age: f64) -> f64 {
+        let age = age.max(f64::MIN_POSITIVE);
+        let h_inf = utility.h_infinity();
+        let gain = if h_inf.is_finite() {
+            h_inf
+        } else {
+            utility.h(age)
+        };
         let b = self.bin_of(t);
         self.observed_gain[b] += gain;
+        age
     }
 
     /// Record a bin-start snapshot: expected utility of the current

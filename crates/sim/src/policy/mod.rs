@@ -1,8 +1,9 @@
 //! Replication policies: what happens to the caches when nodes meet.
 //!
 //! The engine handles request fulfillment and query counting; a policy
-//! only decides how to *replicate* content. See [`Qcr`] for the paper's
-//! distributed scheme and [`StaticAllocation`] for the fixed competitors.
+//! places the initial caches ([`PolicyKind::place`]) and decides how to
+//! *replicate* content. See [`Qcr`] for the paper's distributed scheme
+//! and [`StaticAllocation`] for the fixed competitors.
 
 mod hill_climb;
 pub(crate) mod qcr;
@@ -12,7 +13,7 @@ pub use hill_climb::HillClimb;
 pub use qcr::{pool_add, share, MandateHost, Pool, Qcr, QcrConfig, QcrRules, Reaction};
 pub use static_alloc::StaticAllocation;
 
-use impatience_core::allocation::ReplicaCounts;
+use impatience_core::allocation::{AllocationMatrix, ReplicaCounts};
 use impatience_core::demand::DemandRates;
 use impatience_core::rng::Xoshiro256;
 use impatience_core::solver::fixed::{dominant, proportional, sqrt_proportional, uniform};
@@ -52,12 +53,6 @@ pub trait ReplicationPolicy {
         metrics: &mut Metrics,
         rng: &mut Xoshiro256,
     );
-
-    /// Initialize caches at trial start. Default: QCR-style sticky seed +
-    /// random fill.
-    fn initialize(&mut self, state: &mut SimState, rng: &mut Xoshiro256) {
-        state.seed_sticky_and_fill(rng);
-    }
 }
 
 /// Cloneable descriptor of a policy, instantiated per trial.
@@ -153,6 +148,31 @@ impl PolicyKind {
         }
     }
 
+    /// Place the initial caches of a trial on `state` (empty, sized for
+    /// it), drawing from `rng`. A pinned allocation is loaded with its
+    /// replicas shuffled over the servers, so each trial materializes it
+    /// afresh; every other policy starts from §6.1's warm start, one
+    /// sticky replica per item and the remaining slots filled at random.
+    ///
+    /// # Panics
+    /// Panics if a pinned allocation is over another catalog or server
+    /// population than `state`'s.
+    pub fn place(&self, state: &mut SimState, rng: &mut Xoshiro256) {
+        let PolicyKind::Static { counts, .. } = self else {
+            state.seed_sticky_and_fill(rng);
+            return;
+        };
+        assert_eq!(counts.items(), state.items(), "catalog size mismatch");
+        assert_eq!(
+            counts.servers(),
+            state.servers(),
+            "allocation is over a different server population"
+        );
+        // Node 0 is a server in every population (servers come first).
+        let rho = state.caches.capacity_of(0);
+        state.load_allocation(&AllocationMatrix::from_counts_shuffled(counts, rho, rng));
+    }
+
     /// Instantiate the policy for one trial of `config` on a population
     /// of `nodes` nodes, at reference contact rate `mu_ref`.
     pub fn instantiate(
@@ -171,7 +191,7 @@ impl PolicyKind {
         }
         match self {
             PolicyKind::Qcr(_) | PolicyKind::Passive { .. } => unreachable!("handled above"),
-            PolicyKind::Static { counts, .. } => Box::new(StaticAllocation::new(counts.clone())),
+            PolicyKind::Static { .. } => Box::new(StaticAllocation),
             PolicyKind::HillClimb { moves_per_contact } => {
                 let mu = if mu_ref > 0.0 { mu_ref } else { 1.0 };
                 Box::new(HillClimb::new(

@@ -4,45 +4,20 @@
 //! control-channel and the ability to set the cache precisely and without
 //! restriction to their desired allocation". Concretely: caches are
 //! pinned to the target allocation at trial start (a fresh random
-//! materialization of the replica counts each trial) and never change.
+//! materialization of the replica counts each trial, by
+//! [`PolicyKind::place`](crate::policy::PolicyKind::place)) and never
+//! change.
 
-use impatience_core::allocation::{AllocationMatrix, ReplicaCounts};
 use impatience_core::rng::Xoshiro256;
 
 use crate::metrics::Metrics;
 use crate::policy::{Fulfillment, ReplicationPolicy};
 use crate::state::SimState;
 
-/// Pin caches to a fixed replica-count allocation.
-pub struct StaticAllocation {
-    counts: ReplicaCounts,
-}
-
-impl StaticAllocation {
-    /// Create the policy for the given allocation.
-    pub fn new(counts: ReplicaCounts) -> Self {
-        StaticAllocation { counts }
-    }
-}
+/// A pinned allocation's meetings: they fulfill requests and move nothing.
+pub struct StaticAllocation;
 
 impl ReplicationPolicy for StaticAllocation {
-    fn initialize(&mut self, state: &mut SimState, rng: &mut Xoshiro256) {
-        assert_eq!(self.counts.items(), state.items(), "catalog size mismatch");
-        assert_eq!(
-            self.counts.servers(),
-            state.servers(),
-            "allocation is over a different server population"
-        );
-        let rho = state
-            .caches
-            .iter()
-            .map(|c| c.capacity())
-            .max()
-            .expect("at least one node");
-        let alloc = AllocationMatrix::from_counts_shuffled(&self.counts, rho, rng);
-        state.load_allocation(&alloc);
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn after_contact(
         &mut self,
@@ -62,14 +37,22 @@ impl ReplicationPolicy for StaticAllocation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicyKind;
+    use impatience_core::allocation::ReplicaCounts;
+
+    fn pinned(counts: ReplicaCounts) -> PolicyKind {
+        PolicyKind::Static {
+            label: "PINNED",
+            counts,
+        }
+    }
 
     #[test]
-    fn initialize_pins_exact_counts() {
+    fn place_pins_exact_counts() {
         let mut rng = Xoshiro256::seed_from_u64(1);
         let counts = ReplicaCounts::new(vec![3, 2, 0, 1], 4);
-        let mut policy = StaticAllocation::new(counts.clone());
         let mut state = SimState::new(4, 4, 2);
-        policy.initialize(&mut state, &mut rng);
+        pinned(counts).place(&mut state, &mut rng);
         assert_eq!(state.replicas, vec![3, 2, 0, 1]);
     }
 
@@ -77,9 +60,8 @@ mod tests {
     fn contacts_do_not_move_content() {
         let mut rng = Xoshiro256::seed_from_u64(2);
         let counts = ReplicaCounts::new(vec![2, 2], 4);
-        let mut policy = StaticAllocation::new(counts);
         let mut state = SimState::new(4, 2, 1);
-        policy.initialize(&mut state, &mut rng);
+        pinned(counts).place(&mut state, &mut rng);
         let snapshot = state.replicas.clone();
         let mut metrics = Metrics::new(10.0, 1.0);
         let f = Fulfillment {
@@ -88,7 +70,7 @@ mod tests {
             queries: 3,
             wait: 2.0,
         };
-        policy.after_contact(1.0, 0, 1, &mut state, &[f], &mut metrics, &mut rng);
+        StaticAllocation.after_contact(1.0, 0, 1, &mut state, &[f], &mut metrics, &mut rng);
         assert_eq!(state.replicas, snapshot);
         assert_eq!(state.transmissions, 0);
     }
@@ -98,9 +80,8 @@ mod tests {
         let counts = ReplicaCounts::new(vec![2, 1, 1], 4);
         let run = |seed| {
             let mut rng = Xoshiro256::seed_from_u64(seed);
-            let mut policy = StaticAllocation::new(counts.clone());
             let mut state = SimState::new(4, 3, 1);
-            policy.initialize(&mut state, &mut rng);
+            pinned(counts.clone()).place(&mut state, &mut rng);
             let holders: Vec<Vec<u32>> = state.caches.iter().map(|c| c.items().to_vec()).collect();
             (state.replicas.clone(), holders)
         };

@@ -22,6 +22,19 @@
 //!    rounds of 8 disjoint shard pairs (the circle method), so every lane
 //!    gets exclusive access to its two shard states.
 //!
+//! ## The serial engine's rules, called
+//!
+//! The frame above is this engine's own; the rules it runs are the serial
+//! engine's. [`validate_sharded`] is the config's node-free checks, this
+//! engine's refusals, then its population checks. Placement is
+//! [`PolicyKind::place`] on one [`SimState`], split into blocks after. A
+//! block is a [`SimState`] too, so a copy is [`SimState::replicate`] and
+//! a slot fault [`SimState::fail_cache_slot`], timed by the serial fault
+//! model's clock. Gains are booked by [`Metrics`]' request, meeting and
+//! settlement rules. What stays here: the schedule, the epochs, contact
+//! admission per lane (no churn, a [`FaultRecord`] log) and the eager
+//! exchange.
+//!
 //! ## Scheduling: every shard keeps its own clock
 //!
 //! Those 1 + 16 + 120 tasks per epoch form one canonical list
@@ -88,13 +101,11 @@ use impatience_traces::{pair_from_index, ContactEvent};
 
 use crate::config::{ConfigError, ContactSource, SimConfig};
 use crate::contact_bin::{decode_record_unchecked, encode_record, DEFAULT_BATCH, RECORD_BYTES};
-use crate::engine::{settlement_gain, TrialOutcome};
-use crate::faults::GilbertChain;
+use crate::engine::TrialOutcome;
+use crate::faults::{GilbertChain, SlotFaultClock};
 use crate::metrics::Metrics;
-use crate::policy::{
-    Fulfillment, MandateHost, PolicyKind, Pool, QcrRules, ReplicationPolicy, StaticAllocation,
-};
-use crate::state::{CacheArena, RequestArena, SimState};
+use crate::policy::{Fulfillment, MandateHost, PolicyKind, Pool, QcrRules};
+use crate::state::{CacheArena, CacheRef, RequestArena, SimState};
 
 /// Number of logical shards, fixed regardless of worker count: tasks are
 /// defined per logical shard, workers merely schedule them, which is what
@@ -149,9 +160,11 @@ pub struct ShardedOutcome {
     pub contacts_processed: u64,
 }
 
-/// Check that `(config, source, policy)` is inside the sharded engine's
-/// supported subset (see the module docs), without materializing any
-/// population-sized state.
+/// Check that `(config, source, policy)` is valid and inside the sharded
+/// engine's supported subset (see the module docs), without materializing
+/// any population-sized state: the source's checks, the config's checks
+/// that need no node count, this engine's refusals, then the config's
+/// population checks.
 pub fn validate_sharded(
     config: &SimConfig,
     source: &ContactSource,
@@ -159,6 +172,7 @@ pub fn validate_sharded(
 ) -> Result<(), ConfigError> {
     let unsupported = |feature: &'static str| Err(ConfigError::UnsupportedSharded { feature });
     source.try_validate()?;
+    config.check_setting()?;
     if !matches!(source, ContactSource::Homogeneous { .. }) {
         return unsupported("trace contact sources (only homogeneous Poisson)");
     }
@@ -171,56 +185,24 @@ pub fn validate_sharded(
     if !config.demand_shifts.is_empty() {
         return unsupported("demand shifts");
     }
-    if config.items == 0 {
-        return Err(ConfigError::ZeroItems);
-    }
-    if config.demand.items() != config.items {
-        return Err(ConfigError::CatalogMismatch {
-            what: "demand",
-            expected: config.items,
-            found: config.demand.items(),
-        });
-    }
     // Origins are sampled uniformly per shard; a non-uniform profile has
     // no per-shard factorization. The comparison below touches only the
     // *configured* profile's width — never `nodes` — so validating a
     // million-node run stays O(existing profile size).
     let uniform = impatience_core::demand::DemandProfile::uniform(
-        config.items.max(1),
+        config.items,
         config.profile.nodes().max(1),
     );
     if config.profile != uniform {
         return unsupported("non-uniform demand profiles");
     }
-    if config.utility.requires_dedicated() {
-        return Err(ConfigError::RequiresDedicated {
-            utility: config.utility.kind().to_string(),
-        });
+    if config.faults.as_ref().is_some_and(|f| f.churn.is_some()) {
+        // Churn gates contacts on a *global* per-node up/down state;
+        // a lane cannot know toggles scheduled by other lanes'
+        // events without a cross-shard barrier per contact.
+        return unsupported("server churn (drop/cache/truncation faults are supported)");
     }
-    if config.bin <= 0.0 || config.bin.is_nan() {
-        return Err(ConfigError::InvalidBin { bin: config.bin });
-    }
-    if !(0.0..0.9).contains(&config.warmup_fraction) {
-        return Err(ConfigError::InvalidWarmup {
-            fraction: config.warmup_fraction,
-        });
-    }
-    if config.rho.checked_mul(source.nodes()).is_none() {
-        return Err(ConfigError::CacheOverflow {
-            rho: config.rho,
-            servers: source.nodes(),
-        });
-    }
-    if let Some(faults) = &config.faults {
-        faults.validate()?;
-        if faults.churn.is_some() {
-            // Churn gates contacts on a *global* per-node up/down state;
-            // a lane cannot know toggles scheduled by other lanes'
-            // events without a cross-shard barrier per contact.
-            return unsupported("server churn (drop/cache/truncation faults are supported)");
-        }
-    }
-    Ok(())
+    config.check_population(source.nodes())
 }
 
 /// The `(start, len)` node block of each logical shard: contiguous,
@@ -437,32 +419,28 @@ impl LaneContacts {
     }
 }
 
-/// One shard's node-owned state: the block's caches, pending requests,
-/// per-item replica counts *within the block*, and QCR mandate pools
-/// (locally indexed).
+/// One shard's node-owned state: the block, pending requests and QCR
+/// mandate pools, locally indexed.
 struct ShardState {
+    /// The block's first node id.
     start: usize,
-    len: usize,
-    caches: CacheArena,
-    replicas: Vec<u32>,
+    /// The block's caches and their books — replica counts *within the
+    /// block*, transmissions into it — kept by the serial engine's rules
+    /// ([`SimState::replicate`], [`SimState::fail_cache_slot`]). Its own
+    /// `sticky_owner` stays empty: the one table is `sticky_owner` below.
+    block: SimState,
     mandates: Vec<Pool>,
     requests: RequestArena,
-    transmissions: u64,
     /// Sticky-seed node of each item: fixed at seeding, the same
     /// (global, read-only) table on every shard.
     sticky_owner: Arc<[usize]>,
 }
 
 impl ShardState {
-    /// The block of `len` nodes from `start` whose (seeded) caches are
-    /// `caches`: replicas counted, no mandates, no requests.
-    fn new(
-        start: usize,
-        len: usize,
-        caches: CacheArena,
-        items: usize,
-        sticky_owner: Arc<[usize]>,
-    ) -> Self {
+    /// The block from `start` whose (seeded) caches are `caches`:
+    /// replicas counted, no mandates, no requests.
+    fn new(start: usize, caches: CacheArena, items: usize, sticky_owner: Arc<[usize]>) -> Self {
+        let len = caches.nodes();
         let mut replicas = vec![0u32; items];
         for cache in caches.iter() {
             for &item in cache.items() {
@@ -473,12 +451,14 @@ impl ShardState {
         requests.reset(len);
         ShardState {
             start,
-            len,
-            caches,
-            replicas,
+            block: SimState {
+                caches,
+                replicas,
+                sticky_owner: Vec::new(),
+                transmissions: 0,
+            },
             mandates: vec![Pool::new(); len],
             requests,
-            transmissions: 0,
             sticky_owner,
         }
     }
@@ -532,7 +512,6 @@ struct CrossLane {
 /// Immutable per-trial context shared (read-only) by every task.
 struct SimEnv {
     utility: Arc<dyn DelayUtility>,
-    h_zero: f64,
     item_sampler: Option<AliasTable>,
     /// The protocol, for QCR and passive replication; `None` pins the
     /// allocation (meetings only fulfill).
@@ -575,43 +554,59 @@ impl Ends<'_> {
         }
     }
 
+    /// Node `n`'s pending requests and its block's first node id, with
+    /// peer `m`'s cache.
+    fn requests_and_peer(
+        &mut self,
+        n: usize,
+        m: usize,
+    ) -> (&mut RequestArena, usize, CacheRef<'_>) {
+        let (sn, sm): (&mut ShardState, &ShardState) = match self {
+            Ends::One(s) => {
+                let s = &mut **s;
+                return (&mut s.requests, s.start, s.block.caches.node(m - s.start));
+            }
+            Ends::Two(sa, sb) => {
+                if n >= sb.start {
+                    (sb, sa)
+                } else {
+                    (sa, sb)
+                }
+            }
+        };
+        (
+            &mut sn.requests,
+            sn.start,
+            sm.block.caches.node(m - sm.start),
+        )
+    }
+
     /// Both-direction request fulfillment at a meeting, exactly as the
     /// serial exchange: pending requests of each side are walked in
-    /// insertion order against the peer's cache; misses increment query
+    /// insertion order against the peer's cache (every node carries one:
+    /// the population is pure P2P and ρ ≥ 1); misses increment query
     /// counters. The `created > time` guard skips requests the owning
     /// shard created *later in the epoch* than this cross-shard meeting
     /// — they do not exist yet at the meeting's own time.
     fn exchange(&mut self, time: f64, a: usize, b: usize, fulfilled: &mut Vec<Fulfillment>) {
         for (n, m) in [(a, b), (b, a)] {
-            match self {
-                Ends::One(s) => {
-                    let ShardState {
-                        start,
-                        caches,
-                        requests,
-                        ..
-                    } = &mut **s;
-                    let cache_m = caches.node(m - *start);
-                    if cache_m.capacity() == 0 {
-                        continue;
-                    }
-                    requests.retain(n - *start, |item, created, queries| {
-                        keep_or_fulfill(cache_m, n, item, created, queries, time, fulfilled)
-                    });
+            let (requests, start, cache_m) = self.requests_and_peer(n, m);
+            requests.retain(n - start, |item, created, queries| {
+                if created > time {
+                    return true; // not yet created at this meeting's time
                 }
-                Ends::Two(sa, sb) => {
-                    let (sn, sm): (&mut ShardState, &ShardState) =
-                        if n >= sb.start { (sb, sa) } else { (sa, sb) };
-                    let cache_m = sm.caches.node(m - sm.start);
-                    if cache_m.capacity() == 0 {
-                        continue;
-                    }
-                    let start_n = sn.start;
-                    sn.requests.retain(n - start_n, |item, created, queries| {
-                        keep_or_fulfill(cache_m, n, item, created, queries, time, fulfilled)
-                    });
+                if !cache_m.holds(item) {
+                    *queries += 1;
+                    return true;
                 }
-            }
+                fulfilled.push(Fulfillment {
+                    node: n,
+                    item,
+                    queries: *queries + 1,
+                    wait: time - created,
+                });
+                false
+            });
         }
     }
 
@@ -620,18 +615,17 @@ impl Ends<'_> {
     fn touch(&mut self, node: usize, item: u32) {
         let s = self.state_of_mut(node);
         let local = node - s.start;
-        s.caches.node_mut(local).touch(item);
+        s.block.caches.node_mut(local).touch(item);
     }
 }
 
 /// The protocol runs on shard blocks through these five accessors: pools
 /// live on the shard states (so phase-A/B tasks own them) and a copy
-/// keeps the owning shard's replica and transmission books, as
-/// [`SimState::replicate`] keeps the global ones.
+/// is the owning block's [`SimState::replicate`].
 impl MandateHost for Ends<'_> {
     fn holds(&self, node: usize, item: u32) -> bool {
         let s = self.state_of(node);
-        s.caches.holds(node - s.start, item)
+        s.block.caches.holds(node - s.start, item)
     }
 
     fn pool(&self, node: usize) -> &Pool {
@@ -648,49 +642,12 @@ impl MandateHost for Ends<'_> {
     fn replicate(&mut self, node: usize, item: u32, rng: &mut Xoshiro256) -> bool {
         let s = self.state_of_mut(node);
         let local = node - s.start;
-        match s.caches.node_mut(local).insert_evict(item, rng) {
-            Ok(evicted) => {
-                s.replicas[item as usize] += 1;
-                if let Some(old) = evicted {
-                    s.replicas[old as usize] -= 1;
-                }
-                s.transmissions += 1;
-                true
-            }
-            Err(()) => false,
-        }
+        s.block.replicate(item, local, rng)
     }
 
     fn sticky_owner(&self, item: u32) -> usize {
         let (Ends::One(s) | Ends::Two(s, _)) = self;
         s.sticky_owner[item as usize]
-    }
-}
-
-/// The retain body shared by both `Ends` variants.
-fn keep_or_fulfill(
-    cache_m: crate::state::CacheRef<'_>,
-    n: usize,
-    item: u32,
-    created: f64,
-    queries: &mut u64,
-    time: f64,
-    fulfilled: &mut Vec<Fulfillment>,
-) -> bool {
-    if created > time {
-        return true; // not yet created at this meeting's time
-    }
-    if cache_m.holds(item) {
-        fulfilled.push(Fulfillment {
-            node: n,
-            item,
-            queries: *queries + 1,
-            wait: time - created,
-        });
-        false
-    } else {
-        *queries += 1;
-        true
     }
 }
 
@@ -718,14 +675,13 @@ fn process_meeting(
         let server = if f.node == a { b } else { a };
         ends.touch(server, f.item);
     }
-    // Batched gain evaluation, identical to the serial engine.
-    ctx.waits.clear();
-    ctx.waits.extend(ctx.fulfilled.iter().map(|f| f.wait));
-    ctx.gains.clear();
-    env.utility.h_batch(&ctx.waits, &mut ctx.gains);
-    for &gain in ctx.gains.iter() {
-        ctx.metrics.record_fulfillment(time, gain);
-    }
+    ctx.metrics.record_meeting(
+        time,
+        env.utility.as_ref(),
+        &ctx.fulfilled,
+        &mut ctx.waits,
+        &mut ctx.gains,
+    );
     ctx.digest = fnv(
         fnv(fnv(fnv(ctx.digest, time.to_bits()), a as u64), b as u64),
         ctx.fulfilled.len() as u64,
@@ -756,12 +712,14 @@ fn run_phase_a(shard: &mut Shard, env: &SimEnv, limit: f64, duration: f64) {
         if rt <= ct {
             let sampler = env.item_sampler.as_ref().expect("arrivals imply demand");
             let item = sampler.sample(&mut shard.req_rng) as u32;
-            let local = shard.req_rng.index(shard.state.len);
-            shard.ctx.metrics.requests_created += 1;
-            if shard.state.caches.holds(local, item) {
-                shard.ctx.metrics.immediate_hits += 1;
-                shard.ctx.metrics.record_fulfillment(rt, env.h_zero);
-            } else {
+            let caches = &shard.state.block.caches;
+            let local = shard.req_rng.index(caches.nodes());
+            let hit = caches.holds(local, item);
+            shard
+                .ctx
+                .metrics
+                .record_request(rt, hit, env.utility.as_ref());
+            if !hit {
                 shard.state.requests.push(local, item, rt);
             }
             shard.next_request = rt + shard.req_rng.exp(shard.req_rate);
@@ -933,21 +891,14 @@ fn own<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
         .expect("the step counters give each task exclusive access to its state")
 }
 
-/// The Poisson clock of global cache-slot faults, applied serially at
-/// epoch boundaries (a global process cannot be owned by any one task).
-struct CacheFaultClock {
-    next: f64,
-    rate: f64,
-    rng: Xoshiro256,
-    servers: usize,
-}
-
 /// What only the boundary task touches: the trial-level metrics
 /// (snapshots, cache-fault count), the cache-fault clock and its log.
+/// The clock is the serial engine's, driven serially here: a global
+/// process cannot be owned by any one task.
 struct BoundaryState {
     metrics: Metrics,
     faults: Vec<FaultRecord>,
-    clock: Option<CacheFaultClock>,
+    clock: Option<SlotFaultClock>,
     replica_sum: Vec<u32>,
 }
 
@@ -1005,7 +956,7 @@ pub fn run_trial_sharded(
     // Fault streams fork from the fault base, never from the master.
     let (mut lane_chains, cache_clock, truncate_at) = match faults {
         Some(f) => {
-            let mut base = Xoshiro256::seed_from_u64(seed ^ f.seed.rotate_left(23));
+            let mut base = f.base_rng(seed);
             // Every lane's stream forks whether or not drops are on, so
             // the cache stream below is the same stream either way.
             let chains: Vec<Option<GilbertChain>> = (0..LOGICAL_SHARDS + CROSS_LANES)
@@ -1014,19 +965,7 @@ pub fn run_trial_sharded(
                     f.drop.map(|drop| GilbertChain::new(drop, rng))
                 })
                 .collect();
-            let mut cache_rng = base.split(CACHE_FAULT_STREAM);
-            let rate = f.cache.map_or(0.0, |c| c.rate) * nodes as f64;
-            let next = if rate > 0.0 {
-                cache_rng.exp(rate)
-            } else {
-                f64::INFINITY
-            };
-            let clock = CacheFaultClock {
-                next,
-                rate,
-                rng: cache_rng,
-                servers: nodes,
-            };
+            let clock = SlotFaultClock::new(f.cache, nodes, base.split(CACHE_FAULT_STREAM));
             let truncate_at = f.truncate_fraction.map_or(f64::INFINITY, |x| x * duration);
             (chains, Some(clock), truncate_at)
         }
@@ -1037,12 +976,7 @@ pub fn run_trial_sharded(
     // ---- global state init (serial), then split into shard blocks ----
     let mut global = SimState::new(nodes, items, rho);
     global.set_eviction(config.eviction);
-    match &policy {
-        PolicyKind::Static { counts, .. } => {
-            StaticAllocation::new(counts.clone()).initialize(&mut global, &mut master)
-        }
-        _ => global.seed_sticky_and_fill(&mut master),
-    }
+    policy.place(&mut global, &mut master);
     let qcr = policy
         .qcr_config()
         .map(|cfg| QcrRules::for_trial(cfg, config, nodes, mu));
@@ -1058,7 +992,6 @@ pub fn run_trial_sharded(
     let total_rate = config.demand.total();
     let env = SimEnv {
         utility: config.utility.clone(),
-        h_zero: config.utility.h_zero(),
         item_sampler: (total_rate > 0.0).then(|| AliasTable::new(config.demand.rates())),
         qcr,
     };
@@ -1079,7 +1012,7 @@ pub fn run_trial_sharded(
             f64::INFINITY
         };
         shards.push(Mutex::new(Shard {
-            state: ShardState::new(start, len, arena, items, sticky_owner.clone()),
+            state: ShardState::new(start, arena, items, sticky_owner.clone()),
             ctx: TaskCtx::new(
                 std::mem::replace(&mut shard_policy_rngs[s], Xoshiro256::seed_from_u64(0)),
                 duration,
@@ -1181,7 +1114,7 @@ pub fn run_trial_sharded(
                     let _span = impatience_obs::span!("snapshot");
                     replica_sum.iter_mut().for_each(|r| *r = 0);
                     for sh in &shards {
-                        for (i, &r) in own(sh).state.replicas.iter().enumerate() {
+                        for (i, &r) in own(sh).state.block.replicas.iter().enumerate() {
                             replica_sum[i] += r;
                         }
                     }
@@ -1194,19 +1127,10 @@ pub fn run_trial_sharded(
                     );
                 }
                 if let Some(clock) = clock {
-                    while clock.next <= now {
-                        let when = clock.next;
-                        clock.next += clock.rng.exp(clock.rate);
-                        let node = clock.rng.index(clock.servers);
+                    while let Some((when, node, rng)) = clock.due(now) {
                         let s = blocks.partition_point(|&(start, _)| start <= node) - 1;
                         let state = &mut own(&shards[s]).state;
-                        let local = node - state.start;
-                        if let Some(item) = state
-                            .caches
-                            .node_mut(local)
-                            .drop_random_non_sticky(&mut clock.rng)
-                        {
-                            state.replicas[item as usize] -= 1;
+                        if let Some(item) = state.block.fail_cache_slot(node - state.start, rng) {
                             metrics.cache_faults += 1;
                             faults.push(FaultRecord {
                                 time: when,
@@ -1263,16 +1187,17 @@ pub fn run_trial_sharded(
         let sh = &mut *own(sh);
         sh.ctx.metrics.unfulfilled = sh.state.requests.len();
         for (_, _, created) in sh.state.requests.iter() {
-            let age = (duration - created).max(f64::MIN_POSITIVE);
-            let gain = settlement_gain(config.utility.as_ref(), age);
-            sh.ctx.metrics.record_settlement(duration, gain);
+            sh.ctx
+                .metrics
+                .settle(duration, config.utility.as_ref(), duration - created);
         }
-        sh.ctx.metrics.transmissions = sh.state.transmissions;
+        let block = &sh.state.block;
+        sh.ctx.metrics.transmissions = block.transmissions;
         metrics.merge(&sh.ctx.metrics);
-        for (i, &r) in sh.state.replicas.iter().enumerate() {
+        for (i, &r) in block.replicas.iter().enumerate() {
             final_replicas[i] += r;
         }
-        event_digest = fnv(fnv(event_digest, sh.ctx.digest), sh.state.transmissions);
+        event_digest = fnv(fnv(event_digest, sh.ctx.digest), block.transmissions);
         contacts_processed += sh.ctx.contacts;
         fault_log.append(&mut sh.ctx.faults);
     }
@@ -1478,7 +1403,7 @@ mod tests {
                 .into_iter()
                 .enumerate()
                 .map(|(s, arena)| {
-                    let mut shard = ShardState::new(s, blocks[s], arena, 6, sticky.clone());
+                    let mut shard = ShardState::new(s, arena, 6, sticky.clone());
                     shard.mandates = pools[s..s + blocks[s]].to_vec();
                     shard
                 })
@@ -1493,18 +1418,18 @@ mod tests {
             });
             let mut replicas = vec![0u32; 6];
             for shard in &shards {
-                for (sum, r) in replicas.iter_mut().zip(&shard.replicas) {
+                for (sum, r) in replicas.iter_mut().zip(&shard.block.replicas) {
                     *sum += r;
                 }
             }
             let left: Left = (
                 shards
                     .iter()
-                    .flat_map(|sh| sh.caches.iter().map(|c| c.items().to_vec()))
+                    .flat_map(|sh| sh.block.caches.iter().map(|c| c.items().to_vec()))
                     .collect(),
                 shards.iter().flat_map(|sh| sh.mandates.clone()).collect(),
                 replicas,
-                shards.iter().map(|sh| sh.transmissions).sum(),
+                shards.iter().map(|sh| sh.block.transmissions).sum(),
                 metrics,
                 draw,
             );

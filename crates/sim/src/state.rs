@@ -338,12 +338,20 @@ impl CacheMut<'_> {
             self.len() < self.capacity(),
             "no free slot to pin the sticky replica"
         );
+        self.arena.sticky[self.n] = self.append(item) as u32;
+    }
+
+    /// Write `item` into the first free slot, stamped by a fresh tick of
+    /// the node's clock; returns the slot. The caller has checked that
+    /// one is free.
+    #[inline]
+    fn append(&mut self, item: u32) -> usize {
         self.arena.clock[self.n] += 1;
         let (base, len) = (self.base(), self.len());
         self.arena.slots[base + len] = item;
         self.arena.stamps[base + len] = self.arena.clock[self.n];
         self.arena.len[self.n] += 1;
-        self.arena.sticky[self.n] = len as u32;
+        len
     }
 
     /// Fill a free slot with `item` (no eviction). Returns `false` if the
@@ -359,11 +367,7 @@ impl CacheMut<'_> {
             self.len() < self.capacity(),
             "cache is full; use insert_evict"
         );
-        self.arena.clock[self.n] += 1;
-        let (base, len) = (self.base(), self.len());
-        self.arena.slots[base + len] = item;
-        self.arena.stamps[base + len] = self.arena.clock[self.n];
-        self.arena.len[self.n] += 1;
+        self.append(item);
         true
     }
 
@@ -400,10 +404,7 @@ impl CacheMut<'_> {
         }
         let (base, len) = (self.base(), self.len());
         if len < self.capacity() {
-            self.arena.clock[self.n] += 1;
-            self.arena.slots[base + len] = item;
-            self.arena.stamps[base + len] = self.arena.clock[self.n];
-            self.arena.len[self.n] += 1;
+            self.append(item);
             return Ok(None);
         }
         // Choose a victim slot among non-sticky slots.
@@ -413,15 +414,7 @@ impl CacheMut<'_> {
             return Err(());
         }
         let pick = match self.arena.eviction {
-            EvictionPolicy::Random => {
-                let mut pick = rng.index(candidates);
-                if let Some(sticky) = sticky {
-                    if pick >= sticky {
-                        pick += 1;
-                    }
-                }
-                pick
-            }
+            EvictionPolicy::Random => random_non_sticky(rng, candidates, sticky),
             // LRU and FIFO: smallest stamp among non-sticky slots.
             EvictionPolicy::Lru | EvictionPolicy::Fifo => (0..len)
                 .filter(|&s| Some(s) != sticky)
@@ -438,19 +431,14 @@ impl CacheMut<'_> {
     /// Erase a uniformly random non-sticky occupant (fault injection:
     /// a slot failure loses its content without a replacement arriving).
     /// Returns the lost item, or `None` when nothing is erasable.
-    pub fn drop_random_non_sticky(&mut self, rng: &mut Xoshiro256) -> Option<u32> {
+    fn drop_random_non_sticky(&mut self, rng: &mut Xoshiro256) -> Option<u32> {
         let sticky = self.sticky();
         let len = self.len();
         let candidates = len - usize::from(sticky.is_some());
         if candidates == 0 {
             return None;
         }
-        let mut pick = rng.index(candidates);
-        if let Some(sticky) = sticky {
-            if pick >= sticky {
-                pick += 1;
-            }
-        }
+        let pick = random_non_sticky(rng, candidates, sticky);
         let base = self.base();
         let lost = self.arena.slots[base + pick];
         // Shift the tail down one slot (the arena analogue of Vec::remove).
@@ -468,6 +456,17 @@ impl CacheMut<'_> {
             }
         }
         Some(lost)
+    }
+}
+
+/// A uniformly random one of the `candidates` occupied slots that are not
+/// `sticky`: one draw from `rng`, stepping over the sticky slot.
+#[inline]
+fn random_non_sticky(rng: &mut Xoshiro256, candidates: usize, sticky: Option<usize>) -> usize {
+    let pick = rng.index(candidates);
+    match sticky {
+        Some(sticky) if pick >= sticky => pick + 1,
+        _ => pick,
     }
 }
 
@@ -862,9 +861,8 @@ impl SimState {
     /// Zero-capacity (client) caches are skipped.
     pub fn seed_sticky_and_fill(&mut self, rng: &mut Xoshiro256) {
         let items = self.items();
-        let mut node_order: Vec<usize> = (0..self.nodes())
-            .filter(|&n| self.caches.capacity_of(n) > 0)
-            .collect();
+        // Cache-carrying nodes are the id prefix `0..servers`.
+        let mut node_order: Vec<usize> = (0..self.servers()).collect();
         assert!(!node_order.is_empty(), "no cache-carrying nodes to seed");
         let nodes = node_order.len();
         rng.shuffle(&mut node_order);
@@ -916,11 +914,9 @@ impl SimState {
             "allocation server count mismatch"
         );
         assert_eq!(alloc.items(), self.items());
-        let server_ids: Vec<usize> = (0..self.nodes())
-            .filter(|&n| self.caches.capacity_of(n) > 0)
-            .collect();
-        for (col, &node) in server_ids.iter().enumerate() {
-            for item in alloc.cache_of(col) {
+        // Servers are the id prefix, so column k is node k.
+        for node in 0..self.servers() {
+            for item in alloc.cache_of(node) {
                 if self.caches.node_mut(node).fill(item as u32) {
                     self.replicas[item] += 1;
                 }

@@ -707,15 +707,38 @@ fn stats(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `--items` (default `items`) and `--omega`: the Pareto(ω) demand of
+/// §6.2, one request per minute in all. An empty catalogue, and an ω
+/// whose weights `rank^−ω` or their sum are not finite, are usage errors.
+fn pareto_demand(args: &Args, items: usize) -> Result<(usize, f64, DemandRates), CliError> {
+    let items: usize = args.get("items", items)?;
+    let omega: f64 = args.get("omega", 1.0)?;
+    if items == 0 {
+        return Err("--items must be at least 1".into());
+    }
+    // The largest weight times the count bounds their sum.
+    let bound = (items as f64).powf(-omega).max(1.0) * items as f64;
+    if !(omega.is_finite() && bound.is_finite()) {
+        return Err(format!(
+            "--omega must give finite Pareto weights over {items} items (got {omega})"
+        )
+        .into());
+    }
+    Ok((
+        items,
+        omega,
+        Popularity::pareto(items, omega).demand_rates(1.0),
+    ))
+}
+
 fn solve(args: &Args) -> Result<(), CliError> {
-    let items: usize = args.get("items", 50)?;
+    let (items, omega, demand) = pareto_demand(args, 50)?;
     let servers: usize = args.get("servers", 50)?;
     let rho: usize = args.get("rho", 5)?;
-    if items == 0 || servers == 0 || rho == 0 {
-        return Err("--items, --servers and --rho must all be at least 1".into());
+    if servers == 0 || rho == 0 {
+        return Err("--servers and --rho must both be at least 1".into());
     }
     let mu: f64 = args.get("mu", 0.05)?;
-    let omega: f64 = args.get("omega", 1.0)?;
     let clients: usize = args.get("clients", 0)?;
     let utility = args.utility()?;
 
@@ -730,7 +753,6 @@ fn solve(args: &Args) -> Result<(), CliError> {
             utility.kind()
         )));
     }
-    let demand = Popularity::pareto(items, omega).demand_rates(1.0);
 
     if args.options.contains_key("incremental") {
         return solve_incremental(args, system, demand, utility);
@@ -976,8 +998,7 @@ impl Scenario {
     /// `defaults` are the command's `(--items, --rho, --trials)`; `msg`
     /// admits the message-layer fault flags.
     fn parse(args: &Args, defaults: (usize, usize, usize), msg: bool) -> Result<Self, CliError> {
-        let items = args.get("items", defaults.0)?;
-        let omega = args.get("omega", 1.0)?;
+        let (items, omega, demand) = pareto_demand(args, defaults.0)?;
         Ok(Scenario {
             items,
             rho: args.get("rho", defaults.1)?,
@@ -985,7 +1006,7 @@ impl Scenario {
             trials: args.get("trials", defaults.2)?,
             seed: args.get("seed", 42)?,
             utility: args.utility()?,
-            demand: Popularity::pareto(items, omega).demand_rates(1.0),
+            demand,
             faults: fault_config(args, msg)?,
         })
     }
@@ -1220,14 +1241,16 @@ fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
     let trace = load_trace(args)?;
     let s = Scenario::parse(args, (50, 5, 15), false)?;
     let nodes = trace.nodes();
-    let profile = DemandProfile::uniform(s.items, nodes);
+    let config = s.config(Some(DemandProfile::uniform(s.items, nodes)));
+    // A config the engine would refuse is a config error before any work.
+    config.try_validate(nodes)?;
     // OPT on a trace: heterogeneous greedy on the measured pair rates.
     let policy = s.policy(args, nodes, || {
         let rates = TraceStats::from_trace(&trace).rates().clone();
         let system = HeterogeneousSystem::pure_p2p(rates, s.rho);
-        Ok(greedy_heterogeneous(&system, &s.demand, &profile, s.utility.as_ref()).to_counts())
+        let (demand, utility) = (&s.demand, s.utility.as_ref());
+        Ok(greedy_heterogeneous(&system, demand, &config.profile, utility).to_counts())
     })?;
-    let config = s.config(Some(profile));
     let source = ContactSource::trace(trace);
     let workers: Option<usize> = args.get_opt("workers")?;
     let checkpoint = args.options.get("checkpoint").map(PathBuf::from);
@@ -1629,6 +1652,8 @@ fn netrun(args: &Args) -> Result<(), CliError> {
     let s = Scenario::parse(args, (20, 4, 10), true)?;
     let workers: Option<usize> = args.get_opt("workers")?;
     let config = s.config(Some(DemandProfile::uniform(s.items, nodes)));
+    // A config the engine would refuse is a config error before any trial.
+    config.try_validate(nodes)?;
     let net = net_run_config(args)?;
     // No --profile here, and --verbose prints the aggregate, not the
     // recorder: without --trace-out nothing is tallied.

@@ -477,6 +477,26 @@ fn reproduce_refuses_a_bad_analytic_setting() {
     assert_eq!(left, ["specs/ext_mixed_catalog.toml"]);
 }
 
+/// ρ = 0 leaves nothing to place: `simulate`, with and without
+/// `--shards`, and `netrun` refuse it as a config error before any trial.
+#[test]
+fn zero_capacity_is_a_config_error() {
+    let mut case = Case::with_trace("zero_capacity_is_a_config_error");
+    let runs = [
+        case.run("simulate trace.txt --rho 0"),
+        case.run("simulate --shards 1 --nodes 400 --mu 0.001 --duration 300 --rho 0"),
+        case.run(&format!("{NETRUN} --rho 0")),
+    ];
+    case.finish();
+    for run in runs {
+        assert!(
+            run.code == 3 && run.stderr.contains("ρ must be at least 1"),
+            "{}",
+            run.stderr
+        );
+    }
+}
+
 /// Each usage error names every valid choice, and says it once.
 #[test]
 fn usage_messages() {
@@ -484,7 +504,17 @@ fn usage_messages() {
     let serial = case.run("simulate trace.txt --policy nope");
     let sharded = case.run("simulate --shards 2 --policy nope");
     let trace = case.run("trace");
+    // A catalogue and a skew `Popularity::pareto` could not build.
+    let demand = [
+        case.run("simulate trace.txt --items 0"),
+        case.run("simulate --shards 2 --omega inf"),
+        case.run(&format!("{NETRUN} --omega nan")),
+        case.run("solve --omega -1000"),
+    ];
     case.finish();
+    for run in demand {
+        assert_eq!(run.code, 2, "{}", run.stderr);
+    }
     let policies = "unknown policy `nope` \
                     (qcr | qcr-no-routing | opt | uni | sqrt | prop | dom | passive)";
     for run in [&serial, &sharded] {

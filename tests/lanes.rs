@@ -253,7 +253,7 @@ fn a_lane_that_dies_takes_no_other_lane_with_it() {
     let config = scenario(1);
     let source = source(false, 0);
     let pool = policy_pool(&config);
-    // A pinned allocation over another catalogue: `initialize` asserts
+    // A pinned allocation over another catalogue: `place` asserts
     // "catalog size mismatch", so the lane dies while it is being built.
     let misfit = PolicyKind::Static {
         label: "MISFIT",

@@ -13,6 +13,9 @@
 //! call the engine's seeding, demand, admission and settlement), the core
 //! solver and welfare cells at c55b17a (the parent of the change that left
 //! one greedy fill, one welfare sum and one gain dispatch in the core),
+//! the serial churn, truncation and LRU/FIFO cells at 70030ac (the parent
+//! of the change that made the sharded engine call the serial engine's
+//! placement, replica book, fault clock and gain booking),
 //! each by running this file there, in debug and in release: a cell whose
 //! digest moves has changed a float sum, an RNG draw or an event order.
 
@@ -39,6 +42,7 @@ use impatience_sim::engine_discrete::{run_trial_discrete, DiscreteSource};
 use impatience_sim::faults::{CacheFaults, Churn, ContactDrop, FaultConfig, MsgFaults};
 use impatience_sim::metrics::Metrics;
 use impatience_sim::policy::PolicyKind;
+use impatience_sim::state::EvictionPolicy;
 
 /// FNV-1a over the bit-exact checkpoint encoding of `metrics` followed
 /// by the `Debug` text of `rest` (integers only).
@@ -134,8 +138,43 @@ fn serial_engine_outputs_equal_the_recorded_ones() {
     )];
     let [_, opt, _] = policies(&step);
     cells.push(("demand shift".into(), shifted, source.clone(), opt, 3));
+    // Churn, a truncated trace, and LRU and FIFO eviction under QCR.
+    let churn = FaultConfig {
+        seed: 17,
+        churn: Some(Churn {
+            mean_up: 300.0,
+            mean_down: 60.0,
+        }),
+        ..FaultConfig::default()
+    };
+    let truncated = FaultConfig {
+        seed: 13,
+        truncate_fraction: Some(0.7),
+        ..FaultConfig::default()
+    };
+    for (name, faults) in [("churn", churn), ("truncate 0.7", truncated)] {
+        let config = config(utilities[0].1.clone(), Some(faults));
+        cells.push((
+            name.into(),
+            config,
+            source.clone(),
+            PolicyKind::qcr_default(),
+            3,
+        ));
+    }
+    for eviction in [EvictionPolicy::Lru, EvictionPolicy::Fifo] {
+        // ρ = 4: at ρ = 2 a node's one non-sticky slot is every rule's victim.
+        let config = SimConfig::builder(12, 4)
+            .demand(step.demand.clone())
+            .utility(step.utility.clone())
+            .bin(100.0)
+            .eviction(eviction)
+            .build();
+        let name = format!("{eviction:?} eviction");
+        cells.push((name, config, source.clone(), PolicyKind::qcr_default(), 3));
+    }
 
-    const RECORDED: [u64; 26] = [
+    const RECORDED: [u64; 30] = [
         0x72c1_767c_e60b_49ab,
         0xe70d_277f_16a8_fb7b,
         0x1d2a_0bf8_21cb_9e71,
@@ -162,6 +201,10 @@ fn serial_engine_outputs_equal_the_recorded_ones() {
         0x93d7_8b47_6dca_796c,
         0x031c_048d_f6bc_b76c,
         0x0203_87cc_2992_5733,
+        0x36fc_a284_b60a_52f0,
+        0xac24_55e4_32da_be84,
+        0x9d67_28ab_86ad_6661,
+        0xd51d_cb63_1b5d_baf0,
     ];
     assert_eq!(cells.len(), RECORDED.len());
     let moved: Vec<String> = cells

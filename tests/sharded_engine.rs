@@ -119,10 +119,21 @@ fn clean_runs_are_worker_stable() {
     }
 }
 
+/// FNV-1a over the bytes of `text`.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Same bits as before, not only the same bits at any width: digest,
 /// contact count, transmissions and final replicas of three cells as
 /// recorded at commit 1ab8887, which joined every worker between two
 /// phases. A scheduler that reorders two tasks on a shard moves them.
+/// The digests of the bit-exact metrics encoding and of the fault log
+/// were recorded at 70030ac, before the engine called the serial
+/// engine's placement, replica book, fault clock and gain booking: a
+/// moved settlement or gain sum moves them.
 #[test]
 fn outputs_equal_the_recorded_ones() {
     struct Recorded {
@@ -134,6 +145,8 @@ fn outputs_equal_the_recorded_ones() {
         contacts: u64,
         transmissions: u64,
         replicas: [u32; 12],
+        metrics: u64,
+        fault_log: u64,
     }
     let cells = [
         Recorded {
@@ -145,6 +158,8 @@ fn outputs_equal_the_recorded_ones() {
             contacts: 68_589,
             transmissions: 117,
             replicas: [25, 26, 15, 14, 15, 18, 11, 9, 14, 12, 16, 17],
+            metrics: 0x4fbd_0778_41c8_ea49,
+            fault_log: 0x0961_2b07_b5ec_b5a5,
         },
         Recorded {
             name: "all supported faults",
@@ -155,6 +170,8 @@ fn outputs_equal_the_recorded_ones() {
             contacts: 45_736,
             transmissions: 163,
             replicas: [19, 8, 8, 4, 6, 4, 11, 6, 4, 5, 2, 8],
+            metrics: 0x984d_b63e_a240_6868,
+            fault_log: 0xbe42_b93b_92ab_05e1,
         },
         Recorded {
             name: "pinned UNI",
@@ -168,6 +185,8 @@ fn outputs_equal_the_recorded_ones() {
             contacts: 68_342,
             transmissions: 0,
             replicas: [16; 12],
+            metrics: 0xed45_d4ca_3b3c_2299,
+            fault_log: 0x0961_2b07_b5ec_b5a5,
         },
     ];
     let source = ContactSource::homogeneous(96, 0.01, 1_500.0);
@@ -189,6 +208,13 @@ fn outputs_equal_the_recorded_ones() {
                 "{name}"
             );
             assert_eq!(out.outcome.final_replicas, cell.replicas, "{name}");
+            let metrics = fnv(&out.outcome.metrics.to_json().to_string());
+            assert_eq!(metrics, cell.metrics, "{name}: metrics {metrics:#018x}");
+            let fault_log = fnv(&format!("{:?}", out.fault_log));
+            assert_eq!(
+                fault_log, cell.fault_log,
+                "{name}: faults {fault_log:#018x}"
+            );
         }
     }
 }

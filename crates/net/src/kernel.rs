@@ -22,7 +22,7 @@
 //! retry, timeout, and backoff in the node layer exists because of this
 //! transport.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use impatience_core::rng::Xoshiro256;
 use impatience_obs::{Recorder, Sink};
@@ -34,7 +34,7 @@ use impatience_sim::state::SimState;
 
 use crate::config::{ChaosKind, NetConfig};
 use crate::error::NetError;
-use crate::node::{Ctx, Node, Timer};
+use crate::node::{Ctx, Node, Timer, VecMap};
 use crate::wire::Msg;
 
 /// Stream id for the per-node RNG forks (continues the
@@ -206,6 +206,23 @@ enum Ev {
     DeadlineSweep,
 }
 
+impl Ev {
+    /// Raised by a message or a contact window, as opposed to the
+    /// periodic and scheduled events (heartbeats, checkpoints, sweeps,
+    /// churn, chaos).
+    fn per_message(&self) -> bool {
+        matches!(
+            self,
+            Ev::Deliver { .. }
+                | Ev::LinkDown { .. }
+                | Ev::Timer {
+                    timer: Timer::WindowRetry { .. } | Timer::XferRetry { .. },
+                    ..
+                }
+        )
+    }
+}
+
 struct QEntry {
     t: f64,
     seq: u64,
@@ -230,8 +247,15 @@ impl Ord for QEntry {
     }
 }
 
+/// Two heaps drawing on one sequence counter, popped by the earlier
+/// `(t, seq)`: per-message events in `hot`, the periodic and scheduled
+/// ones (about two timers per node, firing hourly) in `slow`, so that
+/// every per-message push and pop walks a shallow heap. `(t, seq)` is a
+/// total order with unique `seq`, so the pops are exactly one heap's.
+#[derive(Default)]
 struct Queue {
-    heap: BinaryHeap<QEntry>,
+    hot: BinaryHeap<QEntry>,
+    slow: BinaryHeap<QEntry>,
     seq: u64,
 }
 
@@ -239,7 +263,12 @@ impl Queue {
     fn push(&mut self, t: f64, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(QEntry { t, seq, ev });
+        let heap = if ev.per_message() {
+            &mut self.hot
+        } else {
+            &mut self.slow
+        };
+        heap.push(QEntry { t, seq, ev });
     }
 
     /// Arm `timer` of `node`'s `incarnation` to fire at `t`.
@@ -251,6 +280,20 @@ impl Queue {
         };
         self.push(t, ev);
     }
+
+    /// The earliest entry: the greater by `QEntry`'s reversed order
+    /// (and any entry is greater than `None`).
+    fn peek(&self) -> Option<&QEntry> {
+        self.hot.peek().max(self.slow.peek())
+    }
+
+    fn pop(&mut self) -> Option<QEntry> {
+        if self.slow.peek() > self.hot.peek() {
+            self.slow.pop()
+        } else {
+            self.hot.pop()
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -261,7 +304,10 @@ struct Link {
 
 /// The unreliable in-process link layer.
 struct Transport {
-    links: BTreeMap<(u32, u32), Link>,
+    /// Open links by `link_key`: a handful at a time.
+    links: VecMap<(u32, u32), Link>,
+    /// Frame buffers handed back by deliveries, for the next sends.
+    spare: Vec<Vec<u8>>,
     /// Active message-fault family (None ⇒ clean transport, and the
     /// fault RNG is never consumed — bit-identical to no config at all).
     faults: Option<MsgFaults>,
@@ -283,7 +329,7 @@ impl Transport {
 
     fn open(&mut self, t: f64, a: u32, b: u32, window: u64, until: f64) {
         self.links.insert(
-            (a.min(b), a.max(b)),
+            link_key(a, b),
             Link {
                 up_until: until.max(t),
                 window,
@@ -345,20 +391,24 @@ impl Transport {
                 rec.fault(t, "net_msg_dup", from, to);
             }
         }
-        let bytes = msg.encode();
-        for _ in 0..copies {
+        let mut frame = self.spare.pop().unwrap_or_default();
+        msg.encode_into(&mut frame);
+        for copy in 1..=copies {
             let jitter = match self.faults {
                 Some(m) => extra(&mut self.fault_rng, &m, self.delay),
                 None => 0.0,
             };
-            q.push(
-                t + self.delay + jitter,
-                Ev::Deliver {
-                    to,
-                    from,
-                    bytes: bytes.clone(),
-                },
-            );
+            // The last copy takes the buffer itself, a duplicate another
+            // spare one: every buffer is in flight or spare, so there are
+            // never more than the most frames in flight at once.
+            let bytes = if copy == copies {
+                std::mem::take(&mut frame)
+            } else {
+                let mut dup = self.spare.pop().unwrap_or_default();
+                dup.clone_from(&frame);
+                dup
+            };
+            q.push(t + self.delay + jitter, Ev::Deliver { to, from, bytes });
         }
     }
 }
@@ -434,10 +484,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
     let mut nodes: Vec<Node> = (0..n_nodes)
         .map(|i| Node::new(i as u32, frame.rng.split(NODE_STREAM_ID ^ i as u64)))
         .collect();
-    let mut q = Queue {
-        heap: BinaryHeap::new(),
-        seq: 0,
-    };
+    let mut q = Queue::default();
     for (tt, node, up) in &churn_toggles {
         q.push(
             *tt,
@@ -465,7 +512,8 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
     }
 
     let mut transport = Transport {
-        links: BTreeMap::new(),
+        links: VecMap::default(),
+        spare: Vec::new(),
         faults: msg_faults,
         fault_rng,
         delay: net.msg_delay,
@@ -561,7 +609,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
             return Err(e);
         }
         let next_contact_t = contacts.peek().map_or(f64::INFINITY, |e| e.time);
-        let next_heap_t = q.heap.peek().map_or(f64::INFINITY, |e| e.t);
+        let next_heap_t = q.peek().map_or(f64::INFINITY, |e| e.t);
         let next_request =
             demand.next_arrival(next_contact_t.min(next_heap_t), duration, &mut frame.rng);
         let t = next_request.min(next_contact_t).min(next_heap_t);
@@ -599,7 +647,9 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
             }
         } else if next_contact_t <= next_heap_t {
             // --- contact: open a window, wake both endpoints ---
-            let e = contacts.next().expect("peeked above");
+            let Some(e) = contacts.next() else {
+                break; // peeked above
+            };
             if !frame.contact(e.time, e.a, e.b) {
                 continue;
             }
@@ -626,10 +676,13 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
             }
         } else {
             // --- kernel event ---
-            let QEntry { ev, .. } = q.heap.pop().expect("peeked above");
+            let Some(QEntry { ev, .. }) = q.pop() else {
+                break; // peeked above
+            };
             match ev {
                 Ev::Deliver { to, from, bytes } => {
                     let msg = Msg::decode(&bytes)?;
+                    transport.spare.push(bytes);
                     let alive = {
                         let n = &nodes[to as usize];
                         n.alive && !n.stalled
@@ -749,7 +802,9 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                     q.push(t + net.heartbeat_every, Ev::Supervise);
                 }
                 Ev::DeadlineSweep => {
-                    let d = net.deadline.expect("sweep implies deadline");
+                    let Some(d) = net.deadline else {
+                        continue; // only a deadline schedules sweeps
+                    };
                     for node in nodes.iter_mut().take(n_nodes) {
                         if node.alive && !node.stalled {
                             let expired = node.expire_deadline(t, d);
@@ -818,6 +873,7 @@ mod tests {
     use super::*;
     use impatience_core::demand::Popularity;
     use impatience_core::utility::Step;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn small_config(items: usize, rho: usize) -> SimConfig {
@@ -826,6 +882,41 @@ mod tests {
             .utility(Arc::new(Step::new(10.0)))
             .bin(100.0)
             .build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The two-heap queue peeks and pops random pushes, equal times
+        /// included, in the order one heap of the same entries does.
+        #[test]
+        fn two_heap_queue_pops_in_one_heaps_order(
+            ops in proptest::collection::vec((0u32..5, 0u32..5), 0..300)
+        ) {
+            let timer = |timer| Ev::Timer { node: 0, incarnation: 0, timer };
+            let mut q = Queue::default();
+            let mut one: BinaryHeap<QEntry> = BinaryHeap::new();
+            for (t, op) in ops {
+                let ev = match op {
+                    0 => Ev::LinkDown { a: 0, b: 1, window: 0 },
+                    1 => timer(Timer::XferRetry { xfer: 0 }),
+                    2 => timer(Timer::Heartbeat),
+                    3 => Ev::Supervise,
+                    _ => {
+                        prop_assert_eq!(q.pop().map(|e| e.seq), one.pop().map(|e| e.seq));
+                        continue;
+                    }
+                };
+                let t = f64::from(t);
+                one.push(QEntry { t, seq: q.seq, ev: ev.clone() });
+                q.push(t, ev);
+                prop_assert_eq!(q.peek().map(|e| e.seq), one.peek().map(|e| e.seq));
+            }
+            while !one.is_empty() {
+                prop_assert_eq!(q.pop().map(|e| e.seq), one.pop().map(|e| e.seq));
+            }
+            prop_assert!(q.pop().is_none());
+        }
     }
 
     #[test]

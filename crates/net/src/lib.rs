@@ -27,6 +27,7 @@
 //! agreement within the differential oracle's CLT budget.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod config;
 pub mod error;

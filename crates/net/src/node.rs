@@ -112,6 +112,50 @@ pub(crate) struct Exchange {
     pub dup_resends: u32,
 }
 
+/// A map kept as a short vector: a linear find, insert-or-replace and
+/// `swap_remove`. For a node's open window exchanges and the transport's
+/// open links, a handful of entries that nothing visits in key order,
+/// where a tree would allocate a node per first insert.
+#[derive(Clone, Debug)]
+pub(crate) struct VecMap<K, V>(Vec<(K, V)>);
+
+impl<K, V> Default for VecMap<K, V> {
+    fn default() -> Self {
+        VecMap(Vec::new())
+    }
+}
+
+impl<K: PartialEq, V> VecMap<K, V> {
+    fn position(&self, key: &K) -> Option<usize> {
+        self.0.iter().position(|(k, _)| k == key)
+    }
+
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.0.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Insert, replacing the value `key` had.
+    pub(crate) fn insert(&mut self, key: K, value: V) {
+        match self.position(&key) {
+            Some(i) => self.0[i].1 = value,
+            None => self.0.push((key, value)),
+        }
+    }
+
+    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
+        let i = self.position(key)?;
+        Some(self.0.swap_remove(i).1)
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// Everything a handler may touch outside the node itself.
 pub(crate) struct Ctx<'a, S: Sink> {
     /// Current simulation time.
@@ -171,7 +215,7 @@ pub(crate) struct Node {
     /// Outstanding requests.
     pub pending: Vec<PendingReq>,
     /// Open window exchanges by peer.
-    pub exchanges: BTreeMap<u32, Exchange>,
+    pub exchanges: VecMap<u32, Exchange>,
     /// Last volatile checkpoint (what a restart recovers).
     pub ckpt_pending: Vec<PendingReq>,
 }
@@ -188,7 +232,7 @@ impl Node {
             escrow: BTreeMap::new(),
             applied: BTreeMap::new(),
             pending: Vec::new(),
-            exchanges: BTreeMap::new(),
+            exchanges: VecMap::default(),
             ckpt_pending: Vec::new(),
         }
     }
@@ -245,8 +289,9 @@ impl Node {
         if ex.window != window {
             return; // a newer exchange replaced it
         }
-        let ex = self.exchanges.remove(&peer).expect("checked above");
-        if !ex.advert_seen {
+        let advert_seen = ex.advert_seen;
+        self.exchanges.remove(&peer);
+        if !advert_seen {
             ctx.stats.handshake_timeouts += 1;
             ctx.rec.fault(ctx.t, "net_handshake_timeout", self.id, peer);
             if ctx.cfg.strict && ctx.fatal.is_none() {
@@ -314,7 +359,9 @@ impl Node {
             }
             return;
         }
-        items.sort_unstable();
+        if !items.is_sorted() {
+            items.sort_unstable();
+        }
         ex.advert_seen = true;
         ex.peer_mandates = mandates;
 
@@ -427,7 +474,9 @@ impl Node {
         execute: bool,
     ) {
         debug_assert!(count > 0);
-        let pool = self.pool.get_mut(&item).expect("escrow from pooled item");
+        let Some(pool) = self.pool.get_mut(&item) else {
+            return; // callers escrow only from a pooled item
+        };
         debug_assert!(*pool >= count);
         *pool -= count;
         if *pool == 0 {

@@ -12,13 +12,14 @@
 //! The trailing checksum covers everything before it, so a corrupted
 //! frame — any single bit flip, anywhere — decodes to a typed
 //! [`WireError`] instead of a silently wrong message. Vectors are
-//! encoded as a `u32` count followed by the elements; counts are bounded
-//! by [`MAX_LIST`] so a corrupt length can never drive an allocation.
+//! encoded as a `u32` count followed by the elements; a count is checked
+//! against [`MAX_LIST`] and against the bytes left in the frame before
+//! it sizes anything, so a corrupt length can never drive an allocation.
 
 use std::fmt;
 
 /// Frame marker; bump on any layout change.
-pub const MAGIC: u8 = 0xA9;
+pub const MAGIC: u8 = 0xAA;
 
 /// Upper bound on encoded list lengths (items, wants, grants, pools).
 pub const MAX_LIST: u32 = 1 << 20;
@@ -101,6 +102,14 @@ impl Msg {
     /// Encode the message as one checksummed frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Encode the message as one checksummed frame into `buf`, replacing
+    /// what it held: [`Msg::encode`] for a caller that reuses buffers.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.clear();
         buf.push(MAGIC);
         match self {
             Msg::CacheAdvert {
@@ -110,7 +119,7 @@ impl Msg {
             } => {
                 buf.push(KIND_ADVERT);
                 buf.extend_from_slice(&window.to_le_bytes());
-                put_u32_list(&mut buf, items);
+                put_u32_list(buf, items);
                 buf.extend_from_slice(&(mandates.len() as u32).to_le_bytes());
                 for &(item, count) in mandates {
                     buf.extend_from_slice(&item.to_le_bytes());
@@ -120,12 +129,12 @@ impl Msg {
             Msg::Request { window, wants } => {
                 buf.push(KIND_REQUEST);
                 buf.extend_from_slice(&window.to_le_bytes());
-                put_u32_list(&mut buf, wants);
+                put_u32_list(buf, wants);
             }
             Msg::Fulfill { window, grants } => {
                 buf.push(KIND_FULFILL);
                 buf.extend_from_slice(&window.to_le_bytes());
-                put_u32_list(&mut buf, grants);
+                put_u32_list(buf, grants);
             }
             Msg::MandateHandoff {
                 xfer,
@@ -145,41 +154,41 @@ impl Msg {
                 buf.extend_from_slice(&consumed.to_le_bytes());
             }
         }
-        let sum = fnv1a32(&buf);
+        let sum = fnv1a32(buf);
         buf.extend_from_slice(&sum.to_le_bytes());
-        buf
     }
 
     /// Decode one frame. Truncated input is blamed as
     /// [`WireError::Truncated`] with the byte counts; any corruption the
     /// structure checks miss is caught by the trailing checksum.
     pub fn decode(buf: &[u8]) -> Result<Msg, WireError> {
-        if buf.len() < 6 {
+        // The last 4 bytes are the checksum, not payload.
+        let Some((body, &sum)) = buf
+            .split_last_chunk::<4>()
+            .filter(|(body, _)| body.len() >= 2)
+        else {
             return Err(WireError::Truncated {
                 need: 6,
                 have: buf.len(),
             });
+        };
+        if body[0] != MAGIC {
+            return Err(WireError::BadMagic { found: body[0] });
         }
-        if buf[0] != MAGIC {
-            return Err(WireError::BadMagic { found: buf[0] });
-        }
-        let kind = buf[1];
+        let kind = body[1];
         let mut cur = Cursor {
             buf,
             pos: 2,
-            // The last 4 bytes are the checksum, not payload.
-            end: buf.len() - 4,
+            end: body.len(),
         };
         let msg = match kind {
             KIND_ADVERT => {
                 let window = cur.u64()?;
                 let items = cur.u32_list()?;
-                let n = cur.list_len()?;
-                let mut mandates = Vec::with_capacity(n as usize);
+                let n = cur.list_len(12)?;
+                let mut mandates = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let item = cur.u32()?;
-                    let count = cur.u64()?;
-                    mandates.push((item, count));
+                    mandates.push((cur.u32()?, cur.u64()?));
                 }
                 Msg::CacheAdvert {
                     window,
@@ -212,8 +221,8 @@ impl Msg {
                 extra: cur.end - cur.pos,
             });
         }
-        let expected = fnv1a32(&buf[..cur.end]);
-        let found = u32::from_le_bytes(buf[cur.end..].try_into().expect("4 bytes"));
+        let expected = fnv1a32(body);
+        let found = u32::from_le_bytes(sum);
         if expected != found {
             return Err(WireError::ChecksumMismatch { expected, found });
         }
@@ -228,14 +237,18 @@ fn put_u32_list(buf: &mut Vec<u8>, xs: &[u32]) {
     }
 }
 
-/// FNV-1a, 32-bit. Any single-bit flip in the covered bytes changes the
-/// hash: each step xors the byte into the state and multiplies by an odd
+/// FNV-1a, 32-bit, over little-endian `u32` words and then the 0–3 tail
+/// bytes. Any single-bit flip in the covered bytes changes the hash: each
+/// step xors one word (or byte) into the state and multiplies by an odd
 /// prime (a bijection), so differing states never re-converge.
 fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
+    const PRIME: u32 = 0x0100_0193;
+    let mut words = bytes.chunks_exact(4);
+    let mut hash = words.by_ref().fold(0x811c_9dc5_u32, |hash, w| {
+        (hash ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).wrapping_mul(PRIME)
+    });
+    for &b in words.remainder() {
+        hash = (hash ^ u32::from(b)).wrapping_mul(PRIME);
     }
     hash
 }
@@ -247,31 +260,40 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
-        if self.pos + n > self.end {
-            return Err(WireError::Truncated {
-                need: self.pos + n + 4,
-                have: self.buf.len(),
-            });
+    /// The error for `n` more bytes than the payload holds.
+    fn truncated(&self, n: usize) -> WireError {
+        WireError::Truncated {
+            need: self.pos + n + 4,
+            have: self.buf.len(),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    }
+
+    /// The next `N` payload bytes.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let Some(&bytes) = self.buf[self.pos..self.end].first_chunk::<N>() else {
+            return Err(self.truncated(N));
+        };
+        self.pos += N;
+        Ok(bytes)
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        self.array().map(u64::from_le_bytes)
     }
 
-    fn list_len(&mut self) -> Result<u32, WireError> {
+    /// A list count, bounded by [`MAX_LIST`] and then by the payload
+    /// left: `n` elements of `elem_bytes` each must fit in it before the
+    /// caller sizes a `Vec` by `n`.
+    fn list_len(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
         let n = self.u32()?;
         if n > MAX_LIST {
             return Err(WireError::Oversized {
@@ -279,12 +301,16 @@ impl Cursor<'_> {
                 max: MAX_LIST,
             });
         }
-        Ok(n)
+        let bytes = n as usize * elem_bytes;
+        if bytes > self.end - self.pos {
+            return Err(self.truncated(bytes));
+        }
+        Ok(n as usize)
     }
 
     fn u32_list(&mut self) -> Result<Vec<u32>, WireError> {
-        let n = self.list_len()?;
-        let mut xs = Vec::with_capacity(n as usize);
+        let n = self.list_len(4)?;
+        let mut xs = Vec::with_capacity(n);
         for _ in 0..n {
             xs.push(self.u32()?);
         }
@@ -411,6 +437,15 @@ mod tests {
     }
 
     #[test]
+    fn encode_into_replaces_what_the_buffer_held() {
+        let mut buf = vec![0xFF; 64];
+        for msg in samples() {
+            msg.encode_into(&mut buf);
+            assert_eq!(buf, msg.encode(), "{}", msg.kind());
+        }
+    }
+
+    #[test]
     fn every_truncation_errors() {
         for msg in samples() {
             let bytes = msg.encode();
@@ -438,6 +473,27 @@ mod tests {
                         "{}: flip of byte {byte} bit {bit} decoded",
                         msg.kind()
                     );
+                }
+            }
+        }
+    }
+
+    /// Every list element is 4 or 12 bytes wide, so a frame's length mod 4
+    /// is fixed by its kind: 2, or 3 for the handoff. The checksum's byte
+    /// tail of lengths 0 and 1 is held to the single-bit-flip guarantee
+    /// here, on the checksum itself.
+    #[test]
+    fn every_single_bit_flip_changes_the_checksum_at_every_tail_length() {
+        let residues: Vec<usize> = samples().iter().map(|m| m.encode().len() % 4).collect();
+        assert!(residues.contains(&2) && residues.contains(&3));
+        for len in 0..16usize {
+            let bytes: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(0x9D)).collect();
+            let sum = fnv1a32(&bytes);
+            for byte in 0..len {
+                for bit in 0..8 {
+                    let mut bad = bytes.clone();
+                    bad[byte] ^= 1 << bit;
+                    assert_ne!(fnv1a32(&bad), sum, "length {len}: byte {byte} bit {bit}");
                 }
             }
         }

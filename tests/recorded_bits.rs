@@ -15,7 +15,9 @@
 //! one greedy fill, one welfare sum and one gain dispatch in the core),
 //! the serial churn, truncation and LRU/FIFO cells at 70030ac (the parent
 //! of the change that made the sharded engine call the serial engine's
-//! placement, replica book, fault clock and gain booking),
+//! placement, replica book, fault clock and gain booking), the net cells
+//! of the ledger's `net_qcr` shape at 09dc438 (the parent of the change
+//! that took the periodic timers off the kernel's message heap),
 //! each by running this file there, in debug and in release: a cell whose
 //! digest moves has changed a float sum, an RNG draw or an event order.
 
@@ -463,6 +465,27 @@ fn net_kernel_paths_equal_the_recorded_ones() {
     let source = ContactSource::homogeneous(12, 0.08, 1_500.0);
     let step = || config(Arc::new(Step::new(10.0)), None);
     let faulty = |faults| config(Arc::new(Step::new(10.0)), Some(faults));
+    // The ledger's `net_qcr` regime: 50 nodes, many frames in flight.
+    let wide = ContactSource::homogeneous(50, 0.05, 1_000.0);
+    let net_qcr = |faults: Option<FaultConfig>| {
+        let builder = SimConfig::builder(50, 5)
+            .demand(Popularity::pareto(50, 1.0).demand_rates(1.0))
+            .utility(Arc::new(Step::new(10.0)))
+            .bin(60.0);
+        match faults {
+            Some(faults) => builder.faults(faults).build(),
+            None => builder.build(),
+        }
+    };
+    let lossy = FaultConfig {
+        seed: 41,
+        msg: Some(MsgFaults {
+            loss_p: 0.1,
+            dup_p: 0.05,
+            reorder_window: 3,
+        }),
+        ..FaultConfig::default()
+    };
     let mut shifted = step();
     shifted.demand_shifts = vec![(
         750.0,
@@ -502,38 +525,69 @@ fn net_kernel_paths_equal_the_recorded_ones() {
         ..NetConfig::default()
     };
     type Check = fn(&impatience_net::NetTrialOutcome) -> bool;
-    // (cell, config, net, what must have happened), all on seed 3.
-    let cells: [(&str, SimConfig, NetConfig, Check); 7] = [
-        ("demand shift", shifted, NetConfig::default(), |_| true),
-        ("dedicated 4", dedicated, NetConfig::default(), |o| {
-            o.outcome.metrics.immediate_hits == 0
-        }),
-        ("drop + cache faults", drops, NetConfig::default(), |o| {
-            o.outcome.metrics.contacts_dropped > 0 && o.outcome.metrics.cache_faults > 0
-        }),
-        ("churn", churn, NetConfig::default(), |o| {
+    // (cell, source, config, net, what must have happened), all on seed 3.
+    let cells: [(&str, &ContactSource, SimConfig, NetConfig, Check); 9] = [
+        (
+            "demand shift",
+            &source,
+            shifted,
+            NetConfig::default(),
+            |_| true,
+        ),
+        (
+            "dedicated 4",
+            &source,
+            dedicated,
+            NetConfig::default(),
+            |o| o.outcome.metrics.immediate_hits == 0,
+        ),
+        (
+            "drop + cache faults",
+            &source,
+            drops,
+            NetConfig::default(),
+            |o| o.outcome.metrics.contacts_dropped > 0 && o.outcome.metrics.cache_faults > 0,
+        ),
+        ("churn", &source, churn, NetConfig::default(), |o| {
             o.stats.crashes > 0
         }),
         (
             "deadline",
+            &source,
             config(Arc::new(Power::new(0.5)), None),
             deadline,
             |o| o.stats.requests_expired > 0,
         ),
         (
             "chaos kill",
+            &source,
             step(),
             chaos(500.0, 3, ChaosKind::Kill { down_for: 200.0 }),
             |o| o.stats.crashes == 1 && o.stats.restarts == 1,
         ),
         (
             "chaos stall",
+            &source,
             step(),
             chaos(300.0, 2, ChaosKind::Stall),
             |o| o.degraded && o.stats.stalls == 1,
         ),
+        (
+            "net_qcr clean",
+            &wide,
+            net_qcr(None),
+            NetConfig::default(),
+            |o| o.stats.msgs_lost == 0 && o.stats.handoffs_applied > 0,
+        ),
+        (
+            "net_qcr lossy",
+            &wide,
+            net_qcr(Some(lossy)),
+            NetConfig::default(),
+            |o| o.stats.msgs_lost > 0 && o.stats.msgs_duplicated > 0,
+        ),
     ];
-    const RECORDED: [u64; 7] = [
+    const RECORDED: [u64; 9] = [
         0x5d96_b4cf_0b97_f93f,
         0x4a39_6004_df55_b7ca,
         0xa637_9e6f_daed_be55,
@@ -541,13 +595,14 @@ fn net_kernel_paths_equal_the_recorded_ones() {
         0x20d4_2da7_e3ea_21a6,
         0x6961_9238_0ffd_2ae5,
         0x5942_cd3d_c5fd_799e,
+        0xa285_fae8_aac7_674d,
+        0xc903_4bf1_3141_4398,
     ];
     let moved: Vec<String> = cells
         .iter()
         .zip(RECORDED)
-        .filter_map(|((cell, config, net, check), recorded)| {
-            let out =
-                run_net_trial(config, &source, net, 3).expect("the conservation audit passes");
+        .filter_map(|((cell, source, config, net, check), recorded)| {
+            let out = run_net_trial(config, source, net, 3).expect("the conservation audit passes");
             assert!(check(&out), "{cell}: the path was not taken");
             let got = digest(
                 &out.outcome.metrics,

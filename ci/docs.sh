@@ -5,7 +5,7 @@
 # DESIGN_LIMIT only ratchets down, toward ROADMAP item 6's 1 100 lines:
 # lower it when DESIGN.md shrinks, never raise it. Run from the
 # repository root.
-DESIGN_LIMIT=1526
+DESIGN_LIMIT=1521
 ENTRY_LIMIT=2500
 status=0
 design=$(wc -l < DESIGN.md)

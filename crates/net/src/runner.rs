@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use impatience_obs::{Recorder, Sink};
+use impatience_obs::{MetricsRegistry, Recorder, Sink};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::engine::TrialOutcome;
 use impatience_sim::runner::{
@@ -36,6 +36,121 @@ pub struct NetAggregate {
     pub conservation: Conservation,
     /// Trials that finished degraded (supervisor kill / event cap).
     pub degraded_trials: usize,
+}
+
+impl NetAggregate {
+    /// The batch's transport/protocol counters, conservation terms and
+    /// degraded-trial count as a Prometheus registry, merged with
+    /// whatever `rec` tallied.
+    pub fn registry<S: Sink>(&self, rec: &Recorder<S>) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        reg.absorb_recorder(rec);
+        let s = &self.stats;
+        let counters: [(&str, &str, u64); 17] = [
+            (
+                "net_msgs_sent",
+                "Frames submitted to an open link",
+                s.msgs_sent,
+            ),
+            (
+                "net_msgs_delivered",
+                "Frames delivered to a live node",
+                s.msgs_delivered,
+            ),
+            (
+                "net_msgs_lost",
+                "Frames destroyed by injected loss",
+                s.msgs_lost,
+            ),
+            (
+                "net_msgs_duplicated",
+                "Extra copies from duplication faults",
+                s.msgs_duplicated,
+            ),
+            (
+                "net_transport_closed",
+                "Sends or deliveries on a dead link",
+                s.transport_closed,
+            ),
+            ("net_retries", "Protocol retransmissions", s.retries),
+            (
+                "net_ack_timeouts",
+                "Transfers parked after the retry budget",
+                s.ack_timeouts,
+            ),
+            (
+                "net_handshake_timeouts",
+                "Windows closed without an advert exchange",
+                s.handshake_timeouts,
+            ),
+            (
+                "net_handoffs_started",
+                "Two-phase mandate transfers initiated",
+                s.handoffs_started,
+            ),
+            (
+                "net_handoffs_applied",
+                "Custody handoffs applied at the receiver",
+                s.handoffs_applied,
+            ),
+            (
+                "net_acks_received",
+                "Acks received back at the escrow holder",
+                s.acks_received,
+            ),
+            (
+                "net_execs_applied",
+                "Mandated copies written by execute transfers",
+                s.execs_applied,
+            ),
+            (
+                "net_crashes",
+                "Node crashes (churn plus chaos kills)",
+                s.crashes,
+            ),
+            ("net_restarts", "Node restarts from checkpoint", s.restarts),
+            (
+                "net_stalls",
+                "Nodes condemned by the heartbeat supervisor",
+                s.stalls,
+            ),
+            (
+                "net_requests_expired",
+                "Requests abandoned by the deadline budget",
+                s.requests_expired,
+            ),
+            (
+                "net_heartbeats",
+                "Heartbeats observed by the supervisor",
+                s.heartbeats,
+            ),
+        ];
+        for (name, help, v) in counters {
+            reg.counter_add(&format!("impatience_{name}_total"), help, &[], v as f64);
+        }
+        let c = &self.conservation;
+        for (term, v) in [
+            ("minted", c.minted),
+            ("executed", c.executed),
+            ("discarded", c.discarded),
+            ("pooled", c.pooled),
+            ("escrowed", c.escrowed),
+        ] {
+            reg.gauge_set(
+                "impatience_net_mandates",
+                "Mandate conservation terms at quiesce (minted = sum of the rest)",
+                &[("term", term)],
+                v as f64,
+            );
+        }
+        reg.gauge_set(
+            "impatience_net_degraded_trials",
+            "Trials that finished under a supervisor kill or the event cap",
+            &[],
+            self.degraded_trials as f64,
+        );
+        reg
+    }
 }
 
 /// Run `trials` distributed trials in parallel and aggregate.
@@ -155,4 +270,73 @@ pub fn run_net_trials_observed<S: Sink>(
         conservation,
         degraded_trials: outcomes.iter().filter(|o| o.degraded).count(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use impatience_obs::parse_prometheus;
+
+    #[test]
+    fn metrics_lint_and_carry_every_counter_and_conservation_term() {
+        let config = SimConfig::builder(6, 2).build();
+        let source = ContactSource::homogeneous(8, 0.1, 300.0);
+        let agg = run_net_trials(&config, &source, &NetConfig::default(), 2, 5).unwrap();
+        let reg = agg.registry(&Recorder::disabled());
+        let samples = parse_prometheus(&reg.render()).expect("the registry lints");
+        let value = |name: &str, labels: &[(&str, &str)]| {
+            let found = samples.iter().find(|s| {
+                s.name == name
+                    && s.labels.len() == labels.len()
+                    && s.labels
+                        .iter()
+                        .zip(labels)
+                        .all(|(a, b)| (a.0.as_str(), a.1.as_str()) == *b)
+            });
+            found
+                .unwrap_or_else(|| panic!("no sample {name} {labels:?}"))
+                .value
+        };
+        let s = &agg.stats;
+        for (name, v) in [
+            ("msgs_sent", s.msgs_sent),
+            ("msgs_delivered", s.msgs_delivered),
+            ("msgs_lost", s.msgs_lost),
+            ("msgs_duplicated", s.msgs_duplicated),
+            ("transport_closed", s.transport_closed),
+            ("retries", s.retries),
+            ("ack_timeouts", s.ack_timeouts),
+            ("handshake_timeouts", s.handshake_timeouts),
+            ("handoffs_started", s.handoffs_started),
+            ("handoffs_applied", s.handoffs_applied),
+            ("acks_received", s.acks_received),
+            ("execs_applied", s.execs_applied),
+            ("crashes", s.crashes),
+            ("restarts", s.restarts),
+            ("stalls", s.stalls),
+            ("requests_expired", s.requests_expired),
+            ("heartbeats", s.heartbeats),
+        ] {
+            assert_eq!(
+                value(&format!("impatience_net_{name}_total"), &[]),
+                v as f64
+            );
+        }
+        assert!(s.msgs_sent > 0, "the batch sent nothing");
+        let c = &agg.conservation;
+        for (term, v) in [
+            ("minted", c.minted),
+            ("executed", c.executed),
+            ("discarded", c.discarded),
+            ("pooled", c.pooled),
+            ("escrowed", c.escrowed),
+        ] {
+            assert_eq!(
+                value("impatience_net_mandates", &[("term", term)]),
+                v as f64
+            );
+        }
+        assert_eq!(value("impatience_net_degraded_trials", &[]), 0.0);
+        assert_eq!(samples.len(), 17 + 5 + 1);
+    }
 }

@@ -32,6 +32,8 @@
 //! A [`Manifest`] captures run provenance (config, seeds, git revision,
 //! wall time, worker count, peak queue depth, delay percentiles) and is
 //! written as a `.manifest.json` sibling of every results CSV.
+//! [`FailureKind`] is how a run that fails says so: one kind tag and one
+//! exit code per class, for the CLI and the service alike.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,6 +43,7 @@
 pub mod atomic;
 pub mod counter;
 pub mod event;
+pub mod exit;
 pub mod histogram;
 pub mod manifest;
 pub mod progress;
@@ -55,6 +58,7 @@ pub mod trace;
 pub use atomic::{write_atomic, AtomicFile};
 pub use counter::{Counters, Peaks};
 pub use event::Event;
+pub use exit::FailureKind;
 pub use histogram::Histogram;
 pub use manifest::{git_revision, Manifest};
 pub use progress::Progress;

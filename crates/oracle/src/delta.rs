@@ -68,15 +68,19 @@ pub struct DeltaSweepReport {
 impl DeltaSweepReport {
     /// Whether the whole sweep passed.
     pub fn ok(&self) -> bool {
-        self.exact_mismatches == 0
-            && self.brute_mismatches == 0
-            && self.certificate_violations == 0
-            && self.clt_ok()
+        self.failures() == 0
+    }
+
+    /// The number of failed checks: every mismatch and certificate
+    /// violation, plus one for a CLT summary over budget.
+    pub fn failures(&self) -> u32 {
+        (self.exact_mismatches + self.brute_mismatches + self.certificate_violations) as u32
+            + u32::from(!self.clt_ok())
     }
 
     /// Whether the CLT summary of true staleness sits within ε (vacuously
     /// true until enough certified reuses accumulate).
-    pub fn clt_ok(&self) -> bool {
+    fn clt_ok(&self) -> bool {
         match self.certified_gap_clt {
             Some((mean, half_width, eps)) => mean + half_width <= eps,
             None => true,
@@ -151,8 +155,10 @@ fn random_batch(rng: &mut Xoshiro256, items: usize, size: usize, structural: boo
 }
 
 /// Audit one exact-mode step: bit-identity vs scratch greedy, plus (for
-/// tiny instances) welfare equality with the exhaustive optimum.
-fn audit_exact_step(
+/// tiny instances, `brute`) welfare equality with the exhaustive optimum.
+/// A failure is counted in `report` and described as `{label} step
+/// {step}: …`.
+pub fn audit_exact_step(
     report: &mut DeltaSweepReport,
     label: &str,
     step: usize,
@@ -195,8 +201,8 @@ fn audit_exact_step(
 /// Audit one bounded-staleness step: on a certified reuse, recompute the
 /// fresh optimum from scratch and require the certificate's gap to
 /// dominate the true gap (and respect ε). Returns the true relative gap
-/// when a reuse was certified.
-fn audit_stale_step(
+/// when a reuse was certified, `None` (and checks nothing) otherwise.
+pub fn audit_stale_step(
     report: &mut DeltaSweepReport,
     label: &str,
     step: usize,

@@ -25,7 +25,8 @@
 //!   bounded-staleness certificate;
 //! * [`netdiff`] — the distributed message-passing QCR runtime
 //!   (`impatience-net`) against the in-process engine on paired seeds,
-//!   with an explicit allowance for its documented protocol biases;
+//!   with an explicit allowance for its documented protocol biases, and
+//!   the seeded panel `impatience netrun --verify` prints;
 //! * [`scenario`] — the seeded conformance matrix over
 //!   {utility families} × {populations} × {contact regimes} × {faults},
 //!   each cell a self-describing record with per-invariant pass/fail;
@@ -47,12 +48,12 @@ pub mod report;
 pub mod scenario;
 
 pub use brute::{brute_force_heterogeneous, brute_force_homogeneous};
-pub use delta::{delta_vs_scratch, DeltaSweepReport};
+pub use delta::{audit_exact_step, audit_stale_step, delta_vs_scratch, DeltaSweepReport};
 pub use differential::{
     clt_interval, engines_match, mc_gain_estimate, slot_refinement_errors, Comparison,
 };
-pub use netdiff::net_vs_engine;
-pub use report::{summary_table, write_report};
+pub use netdiff::{net_panel, net_vs_engine, NetPanelReport};
+pub use report::{summary_table, write_report, MatrixTotals};
 pub use scenario::{
     run_matrix, CheckStatus, InvariantResult, MatrixOptions, ScenarioRecord, INVARIANTS,
 };

@@ -27,10 +27,16 @@
 //!    sequential router would have clamped one direction; pools stay
 //!    within the cap (overflow is discarded on receipt) but the final
 //!    resting places can differ, a second-order allocation effect.
+//!
+//! [`net_panel`] is the seeded panel `impatience netrun --verify` runs:
+//! ten clean-transport cells through [`net_vs_engine`], then a lossy
+//! sweep that must terminate with every conservation audit intact.
 
-use impatience_net::{run_net_trial, NetConfig, NetError};
+use impatience_core::utility::parse_utility;
+use impatience_net::{run_net_trial, run_net_trials, NetAggregate, NetConfig, NetError};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::engine::run_trial;
+use impatience_sim::faults::{FaultConfig, MsgFaults};
 use impatience_sim::policy::PolicyKind;
 
 use crate::differential::{clt_interval, Comparison};
@@ -120,6 +126,165 @@ pub fn net_vs_engine(
     })
 }
 
+/// One cell of the [`net_panel`]: a homogeneous Poisson source and a
+/// campaign config ([`SimConfig::campaign`]).
+struct NetScenario {
+    name: &'static str,
+    utility: &'static str,
+    nodes: usize,
+    mu: f64,
+    items: usize,
+    rho: usize,
+    omega: f64,
+    dedicated: Option<usize>,
+}
+
+impl NetScenario {
+    fn build(&self, duration: f64) -> (SimConfig, ContactSource) {
+        let utility = parse_utility(self.utility).expect("the panel's utility specs parse");
+        let mut builder = SimConfig::campaign(self.items, self.rho, self.omega, utility);
+        if let Some(servers) = self.dedicated {
+            builder = builder.dedicated_servers(servers);
+        }
+        let source = ContactSource::homogeneous(self.nodes, self.mu, duration);
+        (builder.build(), source)
+    }
+}
+
+/// The clean-transport panel: utility families × populations × contact
+/// regimes, every cell run through both runtimes on paired seeds.
+#[rustfmt::skip]
+const NET_SCENARIOS: [NetScenario; 10] = [
+    NetScenario { name: "step10-small",  utility: "step:10", nodes: 10, mu: 0.10, items: 10, rho: 2, omega: 1.0, dedicated: None },
+    NetScenario { name: "step25-mid",    utility: "step:25", nodes: 16, mu: 0.05, items: 12, rho: 3, omega: 1.0, dedicated: None },
+    NetScenario { name: "exp-fast",      utility: "exp:0.1", nodes: 12, mu: 0.10, items: 10, rho: 2, omega: 1.0, dedicated: None },
+    NetScenario { name: "exp-slow",      utility: "exp:0.02", nodes: 20, mu: 0.04, items: 16, rho: 4, omega: 1.0, dedicated: None },
+    NetScenario { name: "power-0.5",     utility: "power:0.5", nodes: 12, mu: 0.08, items: 10, rho: 2, omega: 1.0, dedicated: None },
+    NetScenario { name: "neglog-ded",    utility: "neglog", nodes: 12, mu: 0.08, items: 10, rho: 2, omega: 1.0, dedicated: Some(4) },
+    NetScenario { name: "flat-demand",   utility: "step:10", nodes: 14, mu: 0.06, items: 12, rho: 3, omega: 0.5, dedicated: None },
+    NetScenario { name: "skewed-demand", utility: "step:10", nodes: 14, mu: 0.06, items: 12, rho: 3, omega: 2.0, dedicated: None },
+    NetScenario { name: "dedicated",     utility: "step:10", nodes: 16, mu: 0.08, items: 10, rho: 3, omega: 1.0, dedicated: Some(4) },
+    NetScenario { name: "dense",         utility: "step:10", nodes: 24, mu: 0.12, items: 8, rho: 2, omega: 1.0, dedicated: None },
+];
+
+/// The message-loss rates of the lossy sweep (duplication at a fifth of
+/// each, reordering over 3 slots).
+const LOSS_RATES: [f64; 3] = [0.05, 0.10, 0.20];
+
+/// Outcome of one [`net_panel`] run.
+pub struct NetPanelReport {
+    /// Trials per cell and per sweep point.
+    pub trials: usize,
+    /// The CLT gate of the clean comparisons.
+    pub z: f64,
+    /// Horizon of every trial (minutes).
+    pub duration: f64,
+    /// Each clean-transport cell's name and paired comparison.
+    pub clean: Vec<(&'static str, Comparison)>,
+    /// Each lossy sweep point's loss rate and batch aggregate; reaching
+    /// one means every trial of it passed its conservation audit.
+    pub lossy: Vec<(f64, NetAggregate)>,
+}
+
+impl NetPanelReport {
+    /// Clean cells whose runtimes disagreed.
+    pub fn failures(&self) -> usize {
+        self.clean.iter().filter(|(_, cmp)| !cmp.agrees()).count()
+    }
+
+    /// The clean-transport table and the lossy sweep, with the verdict
+    /// line when every cell agreed.
+    pub fn describe(&self) -> String {
+        let (trials, z, duration) = (self.trials, self.z, self.duration);
+        let mut out = format!(
+            "distributed runtime vs engine on paired seeds\n\
+             ({} scenarios × {trials} trials, z = {z}, horizon {duration} min)\n\
+             {:<14} {:>11} {:>12} {:>10} {:>10}  verdict\n",
+            self.clean.len(),
+            "scenario",
+            "engine",
+            "distributed",
+            "diff",
+            "budget"
+        );
+        for (name, cmp) in &self.clean {
+            out.push_str(&format!(
+                "{name:<14} {:>11.5} {:>12.5} {:>+10.2e} {:>10.2e}  {}\n",
+                cmp.reference,
+                cmp.estimate,
+                cmp.difference(),
+                cmp.half_width + cmp.allowance,
+                if cmp.agrees() { "agree" } else { "MISMATCH" }
+            ));
+        }
+        out.push_str(&format!(
+            "\nlossy sweep on {} ({trials} trials each; every run must terminate \
+             with the conservation audit intact):\n\
+             {:<6} {:>11} {:>7} {:>9} {:>9} {:>9}\n",
+            NET_SCENARIOS[0].name, "loss", "welfare", "ratio", "retries", "lost", "degraded"
+        ));
+        let clean_rate = self.clean.first().map_or(f64::NAN, |(_, cmp)| cmp.estimate);
+        for (loss, agg) in &self.lossy {
+            out.push_str(&format!(
+                "{:<6} {:>11.5} {:>7.3} {:>9} {:>9} {:>9}\n",
+                format!("{:.0}%", loss * 100.0),
+                agg.aggregate.mean_rate,
+                agg.aggregate.mean_rate / clean_rate,
+                agg.stats.retries,
+                agg.stats.msgs_lost,
+                agg.degraded_trials
+            ));
+        }
+        if self.failures() == 0 {
+            out.push_str(&format!(
+                "\nall {} scenarios agree; lossy sweep conserved at every rate\n",
+                self.clean.len()
+            ));
+        }
+        out
+    }
+}
+
+/// Run the panel: every clean-transport cell through [`net_vs_engine`]
+/// (cell `i` on base seed `seed + 1000·i`), then the first cell under
+/// each loss rate of the sweep. `quick` runs 4 trials of 900 minutes
+/// instead of 8 of 2 000. Any kernel error aborts the panel.
+///
+/// # Panics
+/// Panics if `z` is not positive.
+pub fn net_panel(seed: u64, quick: bool, z: f64) -> Result<NetPanelReport, NetError> {
+    let (trials, duration) = if quick { (4, 900.0) } else { (8, 2_000.0) };
+    let net = NetConfig::default();
+    let mut clean = Vec::with_capacity(NET_SCENARIOS.len());
+    for (i, cell) in NET_SCENARIOS.iter().enumerate() {
+        let (config, source) = cell.build(duration);
+        let cell_seed = seed.wrapping_add(i as u64 * 1_000);
+        let cmp = net_vs_engine(&config, &source, &net, trials, cell_seed, z)?;
+        clean.push((cell.name, cmp));
+    }
+    let mut lossy = Vec::with_capacity(LOSS_RATES.len());
+    for loss in LOSS_RATES {
+        let (mut config, source) = NET_SCENARIOS[0].build(duration);
+        config.faults = Some(FaultConfig {
+            seed: 7,
+            msg: Some(MsgFaults {
+                loss_p: loss,
+                dup_p: loss / 5.0,
+                reorder_window: 3,
+            }),
+            ..FaultConfig::default()
+        });
+        lossy.push((loss, run_net_trials(&config, &source, &net, trials, seed)?));
+    }
+    Ok(NetPanelReport {
+        trials,
+        z,
+        duration,
+        clean,
+        lossy,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +299,21 @@ mod tests {
             .utility(Arc::new(Step::new(10.0)))
             .bin(100.0)
             .build()
+    }
+
+    #[test]
+    fn quick_panel_agrees_and_conserves() {
+        let report = net_panel(42, true, 3.5).unwrap();
+        assert_eq!(report.failures(), 0, "{}", report.describe());
+        assert_eq!(report.clean.len(), NET_SCENARIOS.len());
+        assert_eq!(report.lossy.len(), LOSS_RATES.len());
+        for (loss, agg) in &report.lossy {
+            assert!(agg.conservation.holds(), "loss {loss}");
+            assert!(agg.stats.msgs_lost > 0, "loss {loss} lost nothing");
+        }
+        assert!(report
+            .describe()
+            .ends_with("all 10 scenarios agree; lossy sweep conserved at every rate\n"));
     }
 
     #[test]

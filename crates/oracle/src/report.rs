@@ -24,6 +24,41 @@ pub fn write_report(path: &Path, records: &[ScenarioRecord]) -> io::Result<()> {
     file.commit()
 }
 
+/// What a matrix run adds up to.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MatrixTotals {
+    /// Scenarios in the matrix.
+    pub scenarios: usize,
+    /// Scenarios that ran at least one check.
+    pub runnable: usize,
+    /// Checks passed, failed and skipped over every scenario.
+    pub passed: u32,
+    /// See [`MatrixTotals::passed`].
+    pub failed: u32,
+    /// See [`MatrixTotals::passed`].
+    pub skipped: u32,
+    /// Summed scenario wall time (seconds).
+    pub wall_s: f64,
+}
+
+impl MatrixTotals {
+    /// Add up `records`.
+    pub fn of(records: &[ScenarioRecord]) -> MatrixTotals {
+        let mut totals = MatrixTotals {
+            scenarios: records.len(),
+            ..MatrixTotals::default()
+        };
+        for record in records {
+            totals.runnable += usize::from(record.ran());
+            totals.passed += record.passed();
+            totals.failed += record.failed();
+            totals.skipped += record.skipped();
+            totals.wall_s += record.wall_s;
+        }
+        totals
+    }
+}
+
 /// Render the matrix as a fixed-width pass table: one row per scenario,
 /// one column per invariant (`ok` / `FAIL` / `-` for skipped), plus a
 /// totals footer.
@@ -52,16 +87,10 @@ pub fn summary_table(records: &[ScenarioRecord]) -> String {
         }
         out.push('\n');
     }
-    let (mut passed, mut failed, mut skipped) = (0u32, 0u32, 0u32);
-    for record in records {
-        passed += record.passed();
-        failed += record.failed();
-        skipped += record.skipped();
-    }
+    let t = MatrixTotals::of(records);
     out.push_str(&format!(
-        "{} scenarios ({} runnable): {passed} checks passed, {failed} failed, {skipped} skipped\n",
-        records.len(),
-        records.iter().filter(|r| r.ran()).count(),
+        "{} scenarios ({} runnable): {} checks passed, {} failed, {} skipped\n",
+        t.scenarios, t.runnable, t.passed, t.failed, t.skipped
     ));
     out
 }

@@ -1,69 +1,67 @@
 //! The error envelope: one JSON shape for every non-2xx response.
 //!
-//! Each [`ApiError`] kind maps to both an HTTP status and the CLI exit
-//! code the same failure would produce under `impatience <cmd>` — the
+//! Each [`ApiError`] kind maps to both an HTTP status and the class of
+//! failure ([`FailureKind`]) the same failure would be under
+//! `impatience <cmd>`, whose exit code the envelope carries — the
 //! taxonomy table lives in `API.md` and is round-tripped by
 //! `tests/serve_api.rs`.
 
 use impatience_json::Json;
+use impatience_obs::FailureKind;
 
-/// A typed service error: everything a handler can fail with.
+/// A typed service error: everything a handler can fail with. Its HTTP
+/// status and failure class are the table in `ApiError::class`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ApiError {
-    /// Malformed request: bad JSON, missing field, unknown route
-    /// parameter. HTTP 400 · exit 2 (usage).
+    /// Malformed request: bad JSON, missing field, unknown route parameter.
     BadRequest(String),
     /// Syntactically fine but semantically invalid model configuration
-    /// (bad rates, impossible population). HTTP 422 · exit 3 (config).
+    /// (bad rates, impossible population).
     Config(String),
-    /// The solver rejected the instance. HTTP 422 · exit 4 (solver).
+    /// The solver rejected the instance.
     Solver(String),
-    /// No such job, artifact, or route. HTTP 404 · exit 2 (usage).
+    /// No such job, artifact, or route.
     NotFound(String),
-    /// Wrong HTTP method for an existing route. HTTP 405 · exit 2.
+    /// Wrong HTTP method for an existing route.
     MethodNotAllowed(String),
     /// The campaign queue is full: load shed, retry later.
-    /// HTTP 429 · exit 9 (degraded).
     QueueFull {
         /// Configured queue capacity that was exhausted.
         capacity: usize,
     },
     /// Request larger than the configured body limit.
-    /// HTTP 413 · exit 2 (usage).
     TooLarge {
         /// The configured limit in bytes.
         limit: usize,
     },
     /// Checkpoint machinery failed while running or recovering a job.
-    /// HTTP 500 · exit 6 (checkpoint).
     Checkpoint(String),
     /// The campaign itself failed (all trials panicked, …).
-    /// HTTP 500 · exit 7 (campaign).
     Campaign(String),
-    /// Filesystem or socket trouble. HTTP 500 · exit 8 (io).
+    /// Filesystem or socket trouble.
     Io(String),
     /// The server is draining and not accepting work.
-    /// HTTP 503 · exit 9 (degraded).
     ShuttingDown,
 }
 
 impl ApiError {
-    /// API.md's taxonomy row: HTTP status, the exit code the equivalent
-    /// CLI failure reports (2 usage, 3 config, 4 solver, 6 checkpoint,
-    /// 7 campaign, 8 io, 9 degraded) and the envelope's kind tag.
-    fn class(&self) -> (u16, i32, &'static str) {
+    /// API.md's taxonomy row: HTTP status, the class of the equivalent
+    /// CLI failure (its exit code is the envelope's) and the envelope's
+    /// kind tag.
+    fn class(&self) -> (u16, FailureKind, &'static str) {
+        use FailureKind::{Campaign, Checkpoint, Config, Degraded, Io, Solver, Usage};
         match self {
-            ApiError::BadRequest(_) => (400, 2, "bad_request"),
-            ApiError::Config(_) => (422, 3, "config"),
-            ApiError::Solver(_) => (422, 4, "solver"),
-            ApiError::NotFound(_) => (404, 2, "not_found"),
-            ApiError::MethodNotAllowed(_) => (405, 2, "method_not_allowed"),
-            ApiError::QueueFull { .. } => (429, 9, "queue_full"),
-            ApiError::TooLarge { .. } => (413, 2, "too_large"),
-            ApiError::Checkpoint(_) => (500, 6, "checkpoint"),
-            ApiError::Campaign(_) => (500, 7, "campaign"),
-            ApiError::Io(_) => (500, 8, "io"),
-            ApiError::ShuttingDown => (503, 9, "shutting_down"),
+            ApiError::BadRequest(_) => (400, Usage, "bad_request"),
+            ApiError::Config(_) => (422, Config, "config"),
+            ApiError::Solver(_) => (422, Solver, "solver"),
+            ApiError::NotFound(_) => (404, Usage, "not_found"),
+            ApiError::MethodNotAllowed(_) => (405, Usage, "method_not_allowed"),
+            ApiError::QueueFull { .. } => (429, Degraded, "queue_full"),
+            ApiError::TooLarge { .. } => (413, Usage, "too_large"),
+            ApiError::Checkpoint(_) => (500, Checkpoint, "checkpoint"),
+            ApiError::Campaign(_) => (500, Campaign, "campaign"),
+            ApiError::Io(_) => (500, Io, "io"),
+            ApiError::ShuttingDown => (503, Degraded, "shutting_down"),
         }
     }
 
@@ -74,7 +72,7 @@ impl ApiError {
 
     /// The exit code the equivalent CLI failure reports.
     pub fn exit_code(&self) -> i32 {
-        self.class().1
+        i32::from(self.class().1.exit_code())
     }
 
     /// Stable machine-readable kind tag used in the envelope.

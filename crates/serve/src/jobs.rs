@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use impatience_core::demand::{DemandProfile, Popularity};
+use impatience_core::demand::DemandProfile;
 use impatience_core::utility::parse_utility;
 use impatience_json::Json;
 use impatience_obs::stream::{EventStream, StreamSink};
@@ -152,25 +152,21 @@ impl JobSpec {
 
     /// Compile to the simulator inputs.
     pub fn build(&self) -> Result<(SimConfig, ContactSource, PolicyKind), ApiError> {
-        let demand = Popularity::pareto(self.items, self.omega).demand_rates(1.0);
-        let profile = DemandProfile::uniform(self.items, self.nodes);
         let utility = parse_utility(&self.utility).map_err(|e| ApiError::Config(e.to_string()))?;
+        let config = SimConfig::campaign(self.items, self.rho, self.omega, utility)
+            .profile(DemandProfile::uniform(self.items, self.nodes))
+            .build();
         let policy = match self.policy.as_str() {
             "qcr" => PolicyKind::qcr_default(),
             "passive" => PolicyKind::Passive { replicas: 1.0 },
-            name => PolicyKind::fixed(name, &demand, self.nodes, self.rho).ok_or_else(|| {
-                ApiError::Config(format!(
-                    "unknown policy `{name}` (expected qcr, passive, uni, sqrt, prop, dom)"
-                ))
-            })?,
+            name => {
+                PolicyKind::fixed(name, &config.demand, self.nodes, self.rho).ok_or_else(|| {
+                    ApiError::Config(format!(
+                        "unknown policy `{name}` (expected qcr, passive, uni, sqrt, prop, dom)"
+                    ))
+                })?
+            }
         };
-        let config = SimConfig::builder(self.items, self.rho)
-            .demand(demand)
-            .profile(profile)
-            .utility(utility)
-            .bin(60.0)
-            .warmup_fraction(0.25)
-            .build();
         let source = ContactSource::homogeneous(self.nodes, self.mu, self.duration);
         Ok((config, source, policy))
     }

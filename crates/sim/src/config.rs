@@ -336,6 +336,23 @@ impl SimConfig {
         }
     }
 
+    /// The front ends' campaign shape: `items` items under Pareto(`omega`)
+    /// demand of one request per minute in all, `utility`, 60-minute bins
+    /// and the first quarter of the horizon as warm-up. The CLI's runs,
+    /// `netrun --verify`'s panel and the service's jobs all start here.
+    pub fn campaign(
+        items: usize,
+        rho: usize,
+        omega: f64,
+        utility: Arc<dyn DelayUtility>,
+    ) -> SimConfigBuilder {
+        SimConfig::builder(items, rho)
+            .demand(Popularity::pareto(items, omega).demand_rates(1.0))
+            .utility(utility)
+            .bin(60.0)
+            .warmup_fraction(0.25)
+    }
+
     /// The impatience model the replication protocol believes in: the
     /// protocol utility if one is set, else the true one.
     pub(crate) fn protocol(&self) -> Arc<dyn DelayUtility> {

@@ -33,7 +33,7 @@ use age_of_impatience::prelude::*;
 use impatience_core::demand::DemandProfile;
 use impatience_core::rng::Xoshiro256;
 use impatience_core::solver::greedy::try_greedy_homogeneous_observed;
-use impatience_core::solver::incremental::{Delta, DeltaOutcome, DeltaSolver};
+use impatience_core::solver::incremental::{Delta, DeltaSolver};
 use impatience_core::solver::relaxed::try_relaxed_optimum;
 use impatience_core::solver::SolverError;
 use impatience_core::utility::{parse_utility, DelayUtility};
@@ -44,12 +44,12 @@ use impatience_net::{
     run_net_trials_observed, ChaosEvent, ChaosKind, NetAggregate, NetConfig, NetError,
 };
 use impatience_obs::{
-    parse_prometheus, render_diff, AtomicFile, Event, JsonlSink, Manifest, MemorySink,
+    parse_prometheus, render_diff, AtomicFile, Event, FailureKind, JsonlSink, Manifest, MemorySink,
     MetricsRegistry, Progress, Recorder, Sink, TallySink, TraceSummary,
 };
 use impatience_oracle::{
-    delta_vs_scratch, net_vs_engine, run_matrix, summary_table, write_report, CheckStatus,
-    MatrixOptions,
+    audit_exact_step, audit_stale_step, delta_vs_scratch, net_panel, run_matrix, summary_table,
+    write_report, CheckStatus, DeltaSweepReport, MatrixOptions, MatrixTotals,
 };
 use impatience_serve::{ServeConfig, Server};
 use impatience_sim::config::SimConfig;
@@ -80,187 +80,85 @@ fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error[{}]: {e}", e.kind());
-            if matches!(e, CliError::Usage(_)) {
+            eprintln!("error[{}]: {}", e.kind.tag(), e.message);
+            if e.kind == FailureKind::Usage {
                 eprintln!("run `impatience help` for usage");
             }
-            e.exit_code()
+            ExitCode::from(e.kind.exit_code())
         }
     }
 }
 
-/// Everything that can go wrong at the CLI boundary, each class with its
-/// own exit code (listed in `USAGE`).
+/// A failure at the CLI boundary: its class, whose tag and exit code
+/// (listed in `USAGE`) come from [`FailureKind`]'s one map, and the
+/// message printed after the tag.
 #[derive(Debug)]
-enum CliError {
-    /// Bad flags, values, or subcommands.
-    Usage(String),
-    /// The simulation configuration was rejected.
-    Config(ConfigError),
-    /// A solver rejected its instance.
-    Solver(SolverError),
-    /// A contact trace could not be read or parsed.
-    Trace(TraceError),
-    /// A campaign checkpoint could not be read, written, or matched.
-    Checkpoint(CheckpointError),
-    /// The campaign itself failed (e.g. every trial panicked).
-    Campaign(CampaignError),
-    /// Results could not be written.
-    Io(String),
-    /// The campaign finished but had to skip trials (degraded result).
-    TrialsSkipped { skipped: usize, trials: usize },
-    /// The conformance matrix ran but at least one invariant failed.
-    Verify { failed: u32, scenarios: usize },
-    /// The experiment pipeline failed (spec parse, validation, execution).
-    Exp(ExpError),
-    /// `reproduce --check` regenerated results that differ from the
-    /// committed baselines.
-    Drift { drifted: usize, checked: usize },
-    /// The distributed runtime failed: conservation violation, strict
-    /// transport timeout, codec corruption, or a bad `NetConfig`.
-    Net(NetError),
-    /// The distributed batch finished but some trials were degraded
-    /// (supervisor condemned a node, or the event cap tripped).
-    NetDegraded { degraded: usize, trials: usize },
-    /// `netrun --verify` ran, but the distributed runtime disagreed with
-    /// the engine on at least one scenario.
-    NetVerify { failed: usize, scenarios: usize },
+struct CliError {
+    kind: FailureKind,
+    message: String,
 }
 
 impl CliError {
-    fn kind(&self) -> &'static str {
-        match self {
-            CliError::Usage(_) => "usage",
-            CliError::Config(_) => "config",
-            CliError::Solver(_) => "solver",
-            CliError::Trace(_) => "trace",
-            CliError::Checkpoint(_) => "checkpoint",
-            CliError::Campaign(_) => "campaign",
-            CliError::Io(_) => "io",
-            CliError::TrialsSkipped { .. } => "degraded",
-            CliError::Verify { .. } => "verify",
-            CliError::Exp(e) => match e {
-                ExpError::Io { .. } => "io",
-                ExpError::Campaign { .. } => "campaign",
-                _ => "config",
-            },
-            CliError::Drift { .. } => "drift",
-            CliError::Net(_) => "net",
-            CliError::NetDegraded { .. } => "degraded",
-            CliError::NetVerify { .. } => "verify",
+    fn new(kind: FailureKind, message: impl ToString) -> CliError {
+        CliError {
+            kind,
+            message: message.to_string(),
         }
     }
 
-    fn exit_code(&self) -> ExitCode {
-        ExitCode::from(match self {
-            CliError::Usage(_) => 2,
-            CliError::Config(_) => 3,
-            CliError::Solver(_) => 4,
-            CliError::Trace(_) => 5,
-            CliError::Checkpoint(_) => 6,
-            CliError::Campaign(_) => 7,
-            CliError::Io(_) => 8,
-            CliError::TrialsSkipped { .. } => 9,
-            CliError::Verify { .. } => 10,
-            CliError::Exp(e) => match e {
-                ExpError::Io { .. } => 8,
-                ExpError::Campaign { .. } => 7,
-                _ => 3,
-            },
-            CliError::Drift { .. } => 11,
-            CliError::Net(_) => 12,
-            CliError::NetDegraded { .. } => 9,
-            CliError::NetVerify { .. } => 10,
-        })
+    /// The campaign finished but had to skip trials (degraded result).
+    fn trials_skipped(skipped: usize, trials: usize) -> CliError {
+        let message = format!(
+            "campaign degraded: skipped {skipped} of {trials} trial(s); \
+             aggregate covers the rest (details above)"
+        );
+        CliError::new(FailureKind::Degraded, message)
+    }
+
+    /// A conformance check ran and found at least one violation.
+    fn verify_failed(failed: u32, scenarios: usize) -> CliError {
+        let message = format!(
+            "conformance matrix failed: {failed} invariant violation(s) \
+             across {scenarios} scenario(s); details above and in the report"
+        );
+        CliError::new(FailureKind::Verify, message)
+    }
+
+    /// An I/O failure on `path`: "cannot {verb} {path}: {e}".
+    fn cannot(verb: &str, path: impl std::fmt::Display, e: impl std::fmt::Display) -> CliError {
+        CliError::new(FailureKind::Io, format!("cannot {verb} {path}: {e}"))
     }
 }
 
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::Usage(m) | CliError::Io(m) => f.write_str(m),
-            CliError::Config(e) => write!(f, "{e}"),
-            CliError::Solver(e) => write!(f, "{e}"),
-            CliError::Trace(e) => write!(f, "{e}"),
-            CliError::Checkpoint(e) => write!(f, "{e}"),
-            CliError::Campaign(e) => write!(f, "{e}"),
-            CliError::TrialsSkipped { skipped, trials } => write!(
-                f,
-                "campaign degraded: skipped {skipped} of {trials} trial(s); \
-                 aggregate covers the rest (details above)"
-            ),
-            CliError::Verify { failed, scenarios } => write!(
-                f,
-                "conformance matrix failed: {failed} invariant violation(s) \
-                 across {scenarios} scenario(s); details above and in the report"
-            ),
-            CliError::Exp(e) => write!(f, "{e}"),
-            CliError::Drift { drifted, checked } => write!(
-                f,
-                "reproduction drift: {drifted} of {checked} artifact(s) \
-                 differ from the committed results (details above)"
-            ),
-            CliError::Net(e) => write!(f, "{e}"),
-            CliError::NetDegraded { degraded, trials } => write!(
-                f,
-                "distributed batch degraded: {degraded} of {trials} trial(s) \
-                 finished under a supervisor kill or the event cap; \
-                 conservation held in all of them (details above)"
-            ),
-            CliError::NetVerify { failed, scenarios } => write!(
-                f,
-                "distributed runtime disagreed with the engine on {failed} of \
-                 {scenarios} scenario(s); details above"
-            ),
+/// A library error becomes a [`CliError`] of its class.
+macro_rules! failure_from {
+    ($($error:ty => $kind:ident),* $(,)?) => {$(
+        impl From<$error> for CliError {
+            fn from(e: $error) -> CliError {
+                CliError::new(FailureKind::$kind, e)
+            }
         }
-    }
+    )*};
 }
 
-impl From<String> for CliError {
-    fn from(m: String) -> CliError {
-        CliError::Usage(m)
-    }
-}
-
-impl From<&str> for CliError {
-    fn from(m: &str) -> CliError {
-        CliError::Usage(m.to_string())
-    }
-}
-
-impl From<ConfigError> for CliError {
-    fn from(e: ConfigError) -> CliError {
-        CliError::Config(e)
-    }
-}
-
-impl From<SolverError> for CliError {
-    fn from(e: SolverError) -> CliError {
-        CliError::Solver(e)
-    }
-}
-
-impl From<TraceError> for CliError {
-    fn from(e: TraceError) -> CliError {
-        CliError::Trace(e)
-    }
-}
-
-impl From<CheckpointError> for CliError {
-    fn from(e: CheckpointError) -> CliError {
-        CliError::Checkpoint(e)
-    }
-}
+failure_from!(
+    String => Usage,
+    &str => Usage,
+    ConfigError => Config,
+    SolverError => Solver,
+    TraceError => Trace,
+    CheckpointError => Checkpoint,
+    NetError => Net,
+);
 
 impl From<ExpError> for CliError {
     fn from(e: ExpError) -> CliError {
-        CliError::Exp(e)
-    }
-}
-
-impl From<NetError> for CliError {
-    fn from(e: NetError) -> CliError {
-        CliError::Net(e)
+        let kind = match e {
+            ExpError::Io { .. } => FailureKind::Io,
+            ExpError::Campaign { .. } => FailureKind::Campaign,
+            _ => FailureKind::Config,
+        };
+        CliError::new(kind, e)
     }
 }
 
@@ -268,9 +166,9 @@ impl From<CampaignError> for CliError {
     fn from(e: CampaignError) -> CliError {
         // Unwrap the typed causes so the exit code reflects the root.
         match e {
-            CampaignError::Config(c) => CliError::Config(c),
-            CampaignError::Checkpoint(c) => CliError::Checkpoint(c),
-            other => CliError::Campaign(other),
+            CampaignError::Config(c) => c.into(),
+            CampaignError::Checkpoint(c) => c.into(),
+            other => CliError::new(FailureKind::Campaign, other),
         }
     }
 }
@@ -537,10 +435,7 @@ impl Args {
     }
 
     fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.options.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("cannot parse --{name} {v}")),
-        }
+        Ok(self.get_opt(name)?.unwrap_or(default))
     }
 
     /// `Some(parsed)` if the option was given, `None` otherwise.
@@ -590,7 +485,7 @@ fn run() -> Result<(), CliError> {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
+        other => Err(CliError::from(format!("unknown command `{other}`"))),
     }
 }
 
@@ -602,7 +497,7 @@ fn resume(path: Option<&String>) -> Result<(), CliError> {
     let path = path.ok_or("resume needs a checkpoint file argument")?;
     let ckpt = CampaignCheckpoint::load(Path::new(path))?;
     if ckpt.cli_args.is_empty() {
-        return Err(CliError::Usage(format!(
+        return Err(CliError::from(format!(
             "checkpoint {path} stores no CLI invocation; \
              re-run the original command with --checkpoint {path}"
         )));
@@ -612,7 +507,7 @@ fn resume(path: Option<&String>) -> Result<(), CliError> {
         .split_first()
         .unwrap_or_else(|| unreachable!("non-empty cli_args"));
     if command != "simulate" {
-        return Err(CliError::Usage(format!(
+        return Err(CliError::from(format!(
             "checkpoint {path} stores unsupported command `{command}`"
         )));
     }
@@ -635,10 +530,8 @@ fn generate(args: &Args) -> Result<(), CliError> {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let trace = match kind.as_str() {
         "poisson" => {
-            let nodes: usize = args.get("nodes", 50)?;
-            let mu: f64 = args.get("mu", 0.05)?;
-            let duration: f64 = args.get("duration", 5_000.0)?;
-            poisson_homogeneous(nodes, mu, duration, &mut rng)
+            let s = synthetic_source(args, (50, 0.05, 5_000.0))?;
+            poisson_homogeneous(s.nodes(), s.mean_rate(), s.duration(), &mut rng)
         }
         "conference" => {
             let cfg = ConferenceConfig {
@@ -656,7 +549,7 @@ fn generate(args: &Args) -> Result<(), CliError> {
             };
             cfg.generate(&mut rng)
         }
-        other => return Err(CliError::Usage(format!("unknown trace kind `{other}`"))),
+        other => return Err(CliError::from(format!("unknown trace kind `{other}`"))),
     };
     let out = args
         .options
@@ -665,9 +558,10 @@ fn generate(args: &Args) -> Result<(), CliError> {
     // Traces commit atomically like every other artifact: a crash here
     // never leaves a half-written trace that `stats` would half-parse.
     let mut buf = Vec::new();
-    write_trace(&trace, &mut buf).map_err(|e| CliError::Io(format!("serializing trace: {e}")))?;
+    write_trace(&trace, &mut buf)
+        .map_err(|e| CliError::new(FailureKind::Io, format!("serializing trace: {e}")))?;
     impatience_obs::write_atomic(Path::new(out), &buf)
-        .map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
+        .map_err(|e| CliError::cannot("write", out, e))?;
     println!(
         "wrote {} contacts / {} nodes / {:.0} min to {out}",
         trace.len(),
@@ -707,10 +601,10 @@ fn stats(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `--items` (default `items`) and `--omega`: the Pareto(ω) demand of
-/// §6.2, one request per minute in all. An empty catalogue, and an ω
-/// whose weights `rank^−ω` or their sum are not finite, are usage errors.
-fn pareto_demand(args: &Args, items: usize) -> Result<(usize, f64, DemandRates), CliError> {
+/// `--items` (default `items`) and `--omega`: the catalogue of the
+/// Pareto(ω) demand of §6.2. An empty catalogue, and an ω whose weights
+/// `rank^−ω` or their sum are not finite, are usage errors.
+fn catalogue(args: &Args, items: usize) -> Result<(usize, f64), CliError> {
     let items: usize = args.get("items", items)?;
     let omega: f64 = args.get("omega", 1.0)?;
     if items == 0 {
@@ -724,21 +618,22 @@ fn pareto_demand(args: &Args, items: usize) -> Result<(usize, f64, DemandRates),
         )
         .into());
     }
-    Ok((
-        items,
-        omega,
-        Popularity::pareto(items, omega).demand_rates(1.0),
-    ))
+    Ok((items, omega))
 }
 
 fn solve(args: &Args) -> Result<(), CliError> {
-    let (items, omega, demand) = pareto_demand(args, 50)?;
+    let (items, omega) = catalogue(args, 50)?;
+    let demand = Popularity::pareto(items, omega).demand_rates(1.0);
     let servers: usize = args.get("servers", 50)?;
     let rho: usize = args.get("rho", 5)?;
     if servers == 0 || rho == 0 {
         return Err("--servers and --rho must both be at least 1".into());
     }
     let mu: f64 = args.get("mu", 0.05)?;
+    if !(mu.is_finite() && mu > 0.0) {
+        let message = format!("contact rate μ must be finite and > 0 (got {mu})");
+        return Err(ConfigError::InvalidRate { message }.into());
+    }
     let clients: usize = args.get("clients", 0)?;
     let utility = args.utility()?;
 
@@ -748,7 +643,7 @@ fn solve(args: &Args) -> Result<(), CliError> {
         SystemModel::pure_p2p(servers, rho, mu)
     };
     if utility.requires_dedicated() && clients == 0 {
-        return Err(CliError::Usage(format!(
+        return Err(CliError::from(format!(
             "{} requires a dedicated population; pass --clients N",
             utility.kind()
         )));
@@ -841,9 +736,11 @@ fn solve_incremental(
         solver = solver.with_staleness(eps);
     }
 
+    // Each step is audited as `verify --solver-deltas` audits its
+    // sampled instances, the audit's scratch solve timed as the baseline.
+    let mut audit = DeltaSweepReport::default();
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let (mut inc_wall, mut scratch_wall) = (0.0f64, 0.0f64);
-    let mut divergences = 0u32;
     for step in 0..steps {
         let delta = [Delta::Demand {
             item: rng.index(items),
@@ -853,39 +750,15 @@ fn solve_incremental(
         let outcome = solver.apply(&delta)?;
         inc_wall += t.elapsed().as_secs_f64();
 
-        let current = DemandRates::new(solver.rates().to_vec());
         let t = std::time::Instant::now();
-        let fresh = try_greedy_homogeneous(&system, &current, utility.as_ref())?;
-        scratch_wall += t.elapsed().as_secs_f64();
-
-        match outcome {
-            DeltaOutcome::CertifiedStale(cert) => {
-                let w_fresh = social_welfare_homogeneous(
-                    &system,
-                    &current,
-                    utility.as_ref(),
-                    &fresh.as_f64(),
-                );
-                if w_fresh - cert.stale_welfare > cert.gap + 1e-9 * cert.scale {
-                    divergences += 1;
-                    eprintln!(
-                        "step {step}: unsound certificate — true gap {} over certified {}",
-                        w_fresh - cert.stale_welfare,
-                        cert.gap
-                    );
-                }
-            }
-            _ => {
-                if *solver.counts() != fresh {
-                    divergences += 1;
-                    eprintln!(
-                        "step {step}: incremental {:?} != scratch {:?}",
-                        solver.counts().counts(),
-                        fresh.counts()
-                    );
-                }
-            }
+        let u = utility.as_ref();
+        if audit_stale_step(&mut audit, "solve", step, &solver, u, &outcome).is_none() {
+            audit_exact_step(&mut audit, "solve", step, &solver, u, false);
         }
+        scratch_wall += t.elapsed().as_secs_f64();
+    }
+    for violation in &audit.violations {
+        eprintln!("{violation}");
     }
 
     let stats = solver.stats();
@@ -915,11 +788,8 @@ fn solve_incremental(
         scratch_wall * 1e3,
         scratch_wall / inc_wall.max(1e-12)
     );
-    if divergences > 0 {
-        return Err(CliError::Verify {
-            failed: divergences,
-            scenarios: steps,
-        });
+    if audit.failures() > 0 {
+        return Err(CliError::verify_failed(audit.failures(), steps));
     }
     println!("  every step checked against a from-scratch solve: ok");
     Ok(())
@@ -981,52 +851,44 @@ fn fault_config(args: &Args, msg: bool) -> Result<Option<FaultConfig>, CliError>
 }
 
 /// The scenario flags `simulate`, `simulate --shards` and `netrun` share,
-/// parsed once: catalogue, cache size, demand skew, impatience, batch
-/// size and seed, and the fault model.
+/// parsed once into the campaign config ([`SimConfig::campaign`]):
+/// catalogue, cache size, demand skew, impatience and the fault model,
+/// plus the batch size and seed.
 struct Scenario {
-    items: usize,
-    rho: usize,
+    config: SimConfig,
     omega: f64,
     trials: usize,
     seed: u64,
-    utility: Arc<dyn DelayUtility>,
-    demand: DemandRates,
-    faults: Option<FaultConfig>,
 }
 
 impl Scenario {
     /// `defaults` are the command's `(--items, --rho, --trials)`; `msg`
-    /// admits the message-layer fault flags.
-    fn parse(args: &Args, defaults: (usize, usize, usize), msg: bool) -> Result<Self, CliError> {
-        let (items, omega, demand) = pareto_demand(args, defaults.0)?;
-        Ok(Scenario {
-            items,
-            rho: args.get("rho", defaults.1)?,
-            omega,
-            trials: args.get("trials", defaults.2)?,
-            seed: args.get("seed", 42)?,
-            utility: args.utility()?,
-            demand,
-            faults: fault_config(args, msg)?,
-        })
-    }
-
-    /// The simulation config every CLI run uses: 60-minute bins, the
-    /// first quarter of the horizon as warm-up. Without a `profile`,
-    /// requests originate uniformly over the source's nodes.
-    fn config(&self, profile: Option<DemandProfile>) -> SimConfig {
-        let mut builder = SimConfig::builder(self.items, self.rho)
-            .demand(self.demand.clone())
-            .utility(self.utility.clone())
-            .bin(60.0)
-            .warmup_fraction(0.25);
-        if let Some(profile) = profile {
-            builder = builder.profile(profile);
+    /// admits the message-layer fault flags. With `nodes`, requests
+    /// originate uniformly over that many nodes; without, the engine
+    /// spreads them over the source's nodes.
+    fn parse(
+        args: &Args,
+        defaults: (usize, usize, usize),
+        msg: bool,
+        nodes: Option<usize>,
+    ) -> Result<Self, CliError> {
+        let (items, omega) = catalogue(args, defaults.0)?;
+        let rho = args.get("rho", defaults.1)?;
+        let trials = args.get("trials", defaults.2)?;
+        let seed = args.get("seed", 42)?;
+        let mut builder = SimConfig::campaign(items, rho, omega, args.utility()?);
+        if let Some(nodes) = nodes {
+            builder = builder.profile(DemandProfile::uniform(items, nodes));
         }
-        if let Some(fc) = self.faults.clone() {
+        if let Some(fc) = fault_config(args, msg)? {
             builder = builder.faults(fc);
         }
-        builder.build()
+        Ok(Scenario {
+            config: builder.build(),
+            omega,
+            trials,
+            seed,
+        })
     }
 
     /// `--policy` (default `qcr`) over `nodes` nodes. `opt` solves for
@@ -1039,6 +901,7 @@ impl Scenario {
         opt: impl FnOnce() -> Result<ReplicaCounts, CliError>,
     ) -> Result<PolicyKind, CliError> {
         let name = args.options.get("policy").map_or("qcr", String::as_str);
+        let c = &self.config;
         Ok(match name {
             "qcr" => PolicyKind::qcr_default(),
             "qcr-no-routing" => PolicyKind::Qcr(impatience_sim::policy::QcrConfig {
@@ -1050,8 +913,8 @@ impl Scenario {
                 label: "OPT",
                 counts: opt()?,
             },
-            other => PolicyKind::fixed(other, &self.demand, nodes, self.rho).ok_or_else(|| {
-                CliError::Usage(format!(
+            other => PolicyKind::fixed(other, &c.demand, nodes, c.rho).ok_or_else(|| {
+                CliError::from(format!(
                     "unknown policy `{other}` \
                      (qcr | qcr-no-routing | opt | uni | sqrt | prop | dom | passive)"
                 ))
@@ -1129,13 +992,11 @@ impl<'a> Scope<'a> {
         }
         print!("{}", report.render());
         if let Some(beside) = beside {
-            let cannot_write =
-                |path: &Path, e| CliError::Io(format!("cannot write {}: {e}", path.display()));
             let path = beside.with_extension("profile.json");
             let mut text = report.to_json().to_string();
             text.push('\n');
             impatience_obs::write_atomic(&path, text.as_bytes())
-                .map_err(|e| cannot_write(&path, e))?;
+                .map_err(|e| CliError::cannot("write", path.display(), e))?;
             println!("profile → {}", path.display());
             let path = beside.with_extension("prom");
             let mut registry = MetricsRegistry::new();
@@ -1143,7 +1004,7 @@ impl<'a> Scope<'a> {
             registry.absorb_phase_report(&report);
             registry
                 .write_prom(&path)
-                .map_err(|e| cannot_write(&path, e))?;
+                .map_err(|e| CliError::cannot("write", path.display(), e))?;
             println!("metrics → {}", path.display());
         }
         Ok(Some(report.total_wall_s))
@@ -1178,7 +1039,7 @@ macro_rules! observe {
         match $scope.events {
             Some(out) => {
                 let file = AtomicFile::create(Path::new(out))
-                    .map_err(|e| CliError::Io(format!("cannot create {out}: {e}")))?;
+                    .map_err(|e| CliError::cannot("create", out, e))?;
                 let mut recorder = Recorder::new(JsonlSink::new(file));
                 let $rec = &mut recorder;
                 let result = attempt(|| $body);
@@ -1187,7 +1048,7 @@ macro_rules! observe {
                     .into_sink()
                     .into_inner()
                     .and_then(AtomicFile::commit)
-                    .map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
+                    .map_err(|e| CliError::new(FailureKind::Io, format!("writing {out}: {e}")))?;
                 println!("events  → {out}");
                 result?
             }
@@ -1222,7 +1083,7 @@ fn write_manifest(
     let path = Manifest::sibling_path(beside);
     manifest
         .write_to(&path)
-        .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))?;
+        .map_err(|e| CliError::cannot("write", path.display(), e))?;
     println!("manifest→ {}", path.display());
     Ok(())
 }
@@ -1239,16 +1100,16 @@ fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
     let scope = Scope::new(args);
     let trace_file = args.positional.first().cloned().unwrap_or_default();
     let trace = load_trace(args)?;
-    let s = Scenario::parse(args, (50, 5, 15), false)?;
     let nodes = trace.nodes();
-    let config = s.config(Some(DemandProfile::uniform(s.items, nodes)));
+    let s = Scenario::parse(args, (50, 5, 15), false, Some(nodes))?;
+    let config = &s.config;
     // A config the engine would refuse is a config error before any work.
     config.try_validate(nodes)?;
     // OPT on a trace: heterogeneous greedy on the measured pair rates.
     let policy = s.policy(args, nodes, || {
         let rates = TraceStats::from_trace(&trace).rates().clone();
-        let system = HeterogeneousSystem::pure_p2p(rates, s.rho);
-        let (demand, utility) = (&s.demand, s.utility.as_ref());
+        let system = HeterogeneousSystem::pure_p2p(rates, config.rho);
+        let (demand, utility) = (&config.demand, config.utility.as_ref());
         Ok(greedy_heterogeneous(&system, demand, &config.profile, utility).to_counts())
     })?;
     let source = ContactSource::trace(trace);
@@ -1269,11 +1130,11 @@ fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
     let (outcome, seen) = observe!(scope, |rec| {
         let (trials, seed) = (s.trials, s.seed);
         let outcome = match &campaign {
-            Some(options) => run_campaign(&config, &source, &policy, trials, seed, options, rec)?,
+            Some(options) => run_campaign(config, &source, &policy, trials, seed, options, rec)?,
             // A plain batch: a panicking trial takes the process down.
             None => CampaignOutcome {
                 aggregate: run_trials_observed_with_workers(
-                    &config, &source, &policy, trials, seed, workers, rec,
+                    config, &source, &policy, trials, seed, workers, rec,
                 ),
                 skipped: Vec::new(),
                 resumed: 0,
@@ -1294,14 +1155,14 @@ fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
             m.set("trace", trace_file.as_str());
             m.set("events_file", out);
             m.set("policy", agg.label.as_str());
-            m.set("utility", s.utility.kind().to_string());
-            m.set("items", s.items as u64);
-            m.set("rho", s.rho as u64);
+            m.set("utility", config.utility.kind().to_string());
+            m.set("items", config.items as u64);
+            m.set("rho", config.rho as u64);
             m.set("omega", s.omega);
             m.set("trials", s.trials as u64);
             m.set("base_seed", s.seed);
             m.set("warmup_fraction", config.warmup_fraction);
-            let faults = s.faults.as_ref();
+            let faults = config.faults.as_ref();
             m.set(
                 "faults",
                 faults.map_or_else(|| "none".to_string(), FaultConfig::summary),
@@ -1334,14 +1195,11 @@ fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
         agg,
         seen.stats.as_ref(),
         s.trials,
-        &s.utility,
+        &config.utility,
         args.verbose(),
     );
     if !outcome.skipped.is_empty() {
-        return Err(CliError::TrialsSkipped {
-            skipped: outcome.skipped.len(),
-            trials: s.trials,
-        });
+        return Err(CliError::trials_skipped(outcome.skipped.len(), s.trials));
     }
     Ok(())
 }
@@ -1355,14 +1213,14 @@ fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
 /// W; only the wall clock changes.
 fn simulate_sharded(args: &Args) -> Result<(), CliError> {
     if let Some(path) = args.positional.first() {
-        return Err(CliError::Usage(format!(
+        return Err(CliError::from(format!(
             "--shards runs on a synthetic homogeneous source; drop the trace \
              argument `{path}` and pass --nodes/--mu/--duration instead"
         )));
     }
     for unsupported in ["checkpoint", "trace-out", "workers"] {
         if args.options.contains_key(unsupported) {
-            return Err(CliError::Usage(format!(
+            return Err(CliError::from(format!(
                 "--{unsupported} is not supported with --shards \
                  (parallelism is inside each trial)"
             )));
@@ -1373,26 +1231,27 @@ fn simulate_sharded(args: &Args) -> Result<(), CliError> {
         return Err("--shards must be at least 1".into());
     }
     let scope = Scope::new(args);
-    let nodes: usize = args.get("nodes", 10_000)?;
-    let mu: f64 = args.get("mu", 0.005)?;
-    let duration: f64 = args.get("duration", 3_000.0)?;
-    let s = Scenario::parse(args, (50, 5, 3), false)?;
+    let source = synthetic_source(args, (10_000, 0.005, 3_000.0))?;
+    let (nodes, mu) = (source.nodes(), source.mean_rate());
+    let s = Scenario::parse(args, (50, 5, 3), false, None)?;
+    let config = &s.config;
     // OPT on the synthetic source: the homogeneous greedy optimum —
     // analytic, so it costs the same at 10⁶ nodes as at 50.
     let policy = s.policy(args, nodes, || {
-        let system = SystemModel::pure_p2p(nodes, s.rho, mu);
-        Ok(try_greedy_homogeneous(
-            &system,
-            &s.demand,
-            s.utility.as_ref(),
-        )?)
+        let system = SystemModel::pure_p2p(nodes, config.rho, mu);
+        let (demand, utility) = (&config.demand, config.utility.as_ref());
+        Ok(try_greedy_homogeneous(&system, demand, utility)?)
     })?;
-    let config = s.config(None);
-    let source = ContactSource::homogeneous(nodes, mu, duration);
 
-    let agg = run_trials_sharded(&config, &source, &policy, s.trials, s.seed, Some(shards))?;
+    let agg = run_trials_sharded(config, &source, &policy, s.trials, s.seed, Some(shards))?;
 
-    report(&agg.aggregate, None, s.trials, &s.utility, args.verbose());
+    report(
+        &agg.aggregate,
+        None,
+        s.trials,
+        &config.utility,
+        args.verbose(),
+    );
     println!(
         "  shard workers         : {:>10} ({LOGICAL_SHARDS} logical shards)",
         shards
@@ -1414,25 +1273,31 @@ fn simulate_sharded(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Contact source for `netrun`: a trace positional, or the synthetic
-/// homogeneous family via `--nodes/--mu/--duration`.
-fn net_source(args: &Args) -> Result<(ContactSource, usize, String), CliError> {
+/// The synthetic homogeneous Poisson source of `--nodes/--mu/--duration`
+/// (the command's `defaults` where a flag is absent). One no engine can
+/// run is a config error before any trial.
+fn synthetic_source(args: &Args, defaults: (usize, f64, f64)) -> Result<ContactSource, CliError> {
+    let source = ContactSource::homogeneous(
+        args.get("nodes", defaults.0)?,
+        args.get("mu", defaults.1)?,
+        args.get("duration", defaults.2)?,
+    );
+    source.try_validate()?;
+    Ok(source)
+}
+
+/// Contact source for `netrun` and its label: a trace positional, or the
+/// synthetic source.
+fn net_source(args: &Args) -> Result<(ContactSource, String), CliError> {
     match args.positional.first() {
         Some(path) => {
             let trace = read_trace_file(Path::new(path))?;
-            let nodes = trace.nodes();
-            Ok((ContactSource::trace(trace), nodes, path.clone()))
+            Ok((ContactSource::trace(trace), path.clone()))
         }
         None => {
-            let nodes: usize = args.get("nodes", 16)?;
-            let mu: f64 = args.get("mu", 0.05)?;
-            let duration: f64 = args.get("duration", 2_000.0)?;
-            let label = format!("poisson n={nodes} mu={mu} T={duration}");
-            Ok((
-                ContactSource::homogeneous(nodes, mu, duration),
-                nodes,
-                label,
-            ))
+            let source = synthetic_source(args, (16, 0.05, 2_000.0))?;
+            let (n, mu, t) = (source.nodes(), source.mean_rate(), source.duration());
+            Ok((source, format!("poisson n={n} mu={mu} T={t}")))
         }
     }
 }
@@ -1451,147 +1316,28 @@ fn net_run_config(args: &Args) -> Result<NetConfig, CliError> {
         max_events: args.get("max-events", 0)?,
         ..d
     };
-    if let Some(spec) = args.options.get("kill") {
+    for (flag, form) in [("kill", "T:NODE:DOWN_FOR"), ("stall", "T:NODE")] {
+        let Some(spec) = args.options.get(flag) else {
+            continue;
+        };
+        let bad = || CliError::from(format!("--{flag} wants {form}, got `{spec}`"));
         let parts: Vec<&str> = spec.split(':').collect();
-        let bad = || CliError::Usage(format!("--kill wants T:NODE:DOWN_FOR, got `{spec}`"));
-        if parts.len() != 3 {
+        if parts.len() != form.split(':').count() {
             return Err(bad());
         }
         net.chaos.push(ChaosEvent {
             t: parts[0].parse().map_err(|_| bad())?,
             node: parts[1].parse().map_err(|_| bad())?,
-            kind: ChaosKind::Kill {
-                down_for: parts[2].parse().map_err(|_| bad())?,
+            kind: match parts.get(2) {
+                Some(down) => ChaosKind::Kill {
+                    down_for: down.parse().map_err(|_| bad())?,
+                },
+                None => ChaosKind::Stall,
             },
-        });
-    }
-    if let Some(spec) = args.options.get("stall") {
-        let parts: Vec<&str> = spec.split(':').collect();
-        let bad = || CliError::Usage(format!("--stall wants T:NODE, got `{spec}`"));
-        if parts.len() != 2 {
-            return Err(bad());
-        }
-        net.chaos.push(ChaosEvent {
-            t: parts[0].parse().map_err(|_| bad())?,
-            node: parts[1].parse().map_err(|_| bad())?,
-            kind: ChaosKind::Stall,
         });
     }
     net.validate()?;
     Ok(net)
-}
-
-/// The transport/protocol counters and conservation terms of a
-/// distributed batch as a Prometheus registry, merged with whatever the
-/// recorder tallied.
-fn net_registry<S: Sink>(rec: &Recorder<S>, agg: &NetAggregate) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    reg.absorb_recorder(rec);
-    let s = &agg.stats;
-    let counters: [(&str, &str, u64); 17] = [
-        (
-            "net_msgs_sent",
-            "Frames submitted to an open link",
-            s.msgs_sent,
-        ),
-        (
-            "net_msgs_delivered",
-            "Frames delivered to a live node",
-            s.msgs_delivered,
-        ),
-        (
-            "net_msgs_lost",
-            "Frames destroyed by injected loss",
-            s.msgs_lost,
-        ),
-        (
-            "net_msgs_duplicated",
-            "Extra copies from duplication faults",
-            s.msgs_duplicated,
-        ),
-        (
-            "net_transport_closed",
-            "Sends or deliveries on a dead link",
-            s.transport_closed,
-        ),
-        ("net_retries", "Protocol retransmissions", s.retries),
-        (
-            "net_ack_timeouts",
-            "Transfers parked after the retry budget",
-            s.ack_timeouts,
-        ),
-        (
-            "net_handshake_timeouts",
-            "Windows closed without an advert exchange",
-            s.handshake_timeouts,
-        ),
-        (
-            "net_handoffs_started",
-            "Two-phase mandate transfers initiated",
-            s.handoffs_started,
-        ),
-        (
-            "net_handoffs_applied",
-            "Custody handoffs applied at the receiver",
-            s.handoffs_applied,
-        ),
-        (
-            "net_acks_received",
-            "Acks received back at the escrow holder",
-            s.acks_received,
-        ),
-        (
-            "net_execs_applied",
-            "Mandated copies written by execute transfers",
-            s.execs_applied,
-        ),
-        (
-            "net_crashes",
-            "Node crashes (churn plus chaos kills)",
-            s.crashes,
-        ),
-        ("net_restarts", "Node restarts from checkpoint", s.restarts),
-        (
-            "net_stalls",
-            "Nodes condemned by the heartbeat supervisor",
-            s.stalls,
-        ),
-        (
-            "net_requests_expired",
-            "Requests abandoned by the deadline budget",
-            s.requests_expired,
-        ),
-        (
-            "net_heartbeats",
-            "Heartbeats observed by the supervisor",
-            s.heartbeats,
-        ),
-    ];
-    for (name, help, v) in counters {
-        reg.counter_add(&format!("impatience_{name}_total"), help, &[], v as f64);
-    }
-    let c = &agg.conservation;
-    for (term, v) in [
-        ("minted", c.minted),
-        ("executed", c.executed),
-        ("discarded", c.discarded),
-        ("pooled", c.pooled),
-        ("escrowed", c.escrowed),
-    ] {
-        reg.gauge_set(
-            "impatience_net_mandates",
-            "Mandate conservation terms at quiesce (minted = sum of the rest)",
-            &[("term", term)],
-            v as f64,
-        );
-    }
-    reg.gauge_set(
-        "impatience_net_degraded_trials",
-        "Trials that finished under a supervisor kill or the event cap",
-        &[],
-        agg.degraded_trials as f64,
-    );
-    reg
 }
 
 /// Result panel for a distributed batch.
@@ -1648,10 +1394,11 @@ fn netrun(args: &Args) -> Result<(), CliError> {
     if args.options.contains_key("verify") {
         return netrun_verify(args);
     }
-    let (source, nodes, source_label) = net_source(args)?;
-    let s = Scenario::parse(args, (20, 4, 10), true)?;
+    let (source, source_label) = net_source(args)?;
+    let nodes = source.nodes();
+    let s = Scenario::parse(args, (20, 4, 10), true, Some(nodes))?;
     let workers: Option<usize> = args.get_opt("workers")?;
-    let config = s.config(Some(DemandProfile::uniform(s.items, nodes)));
+    let config = &s.config;
     // A config the engine would refuse is a config error before any trial.
     config.try_validate(nodes)?;
     let net = net_run_config(args)?;
@@ -1665,15 +1412,15 @@ fn netrun(args: &Args) -> Result<(), CliError> {
     };
 
     let (agg, registry, seen) = observe!(scope, |rec| {
-        let agg = run_net_trials_observed(&config, &source, &net, s.trials, s.seed, workers, rec)?;
-        let registry = scope.events.map(|_| net_registry(rec, &agg));
+        let agg = run_net_trials_observed(config, &source, &net, s.trials, s.seed, workers, rec)?;
+        let registry = scope.events.map(|_| agg.registry(rec));
         Ok((agg, registry, scope.seen(rec)?))
     });
     if let (Some(out), Some(registry)) = (scope.events, registry) {
         let prom = Path::new(out).with_extension("prom");
         registry
             .write_prom(&prom)
-            .map_err(|e| CliError::Io(format!("cannot write {}: {e}", prom.display())))?;
+            .map_err(|e| CliError::cannot("write", prom.display(), e))?;
         println!("metrics → {}", prom.display());
         write_manifest("netrun", Path::new(out), &seen, |m| {
             m.set("source", source_label.as_str());
@@ -1688,161 +1435,54 @@ fn netrun(args: &Args) -> Result<(), CliError> {
         })?;
     }
 
-    net_report(&agg, &s.utility, &source_label, args.verbose());
+    net_report(&agg, &config.utility, &source_label, args.verbose());
     if agg.degraded_trials > 0 {
-        return Err(CliError::NetDegraded {
-            degraded: agg.degraded_trials,
-            trials: s.trials,
-        });
+        let message = format!(
+            "distributed batch degraded: {} of {} trial(s) \
+             finished under a supervisor kill or the event cap; \
+             conservation held in all of them (details above)",
+            agg.degraded_trials, s.trials
+        );
+        return Err(CliError::new(FailureKind::Degraded, message));
     }
     Ok(())
 }
 
-/// One cell of the `netrun --verify` differential panel.
-struct NetScenario {
-    name: &'static str,
-    utility: &'static str,
-    nodes: usize,
-    mu: f64,
-    items: usize,
-    rho: usize,
-    omega: f64,
-    dedicated: Option<usize>,
-}
-
-impl NetScenario {
-    fn build(&self, duration: f64) -> Result<(SimConfig, ContactSource), CliError> {
-        let utility = parse_utility(self.utility).map_err(|e| CliError::Usage(e.to_string()))?;
-        let mut builder = SimConfig::builder(self.items, self.rho)
-            .demand(Popularity::pareto(self.items, self.omega).demand_rates(1.0))
-            .utility(utility)
-            .bin(60.0)
-            .warmup_fraction(0.25);
-        if let Some(servers) = self.dedicated {
-            builder = builder.dedicated_servers(servers);
-        }
-        Ok((
-            builder.build(),
-            ContactSource::homogeneous(self.nodes, self.mu, duration),
-        ))
-    }
-}
-
-/// The clean-transport differential panel: utility families ×
-/// populations × contact regimes, every cell run through both runtimes
-/// on paired seeds.
-#[rustfmt::skip]
-const NET_SCENARIOS: [NetScenario; 10] = [
-    NetScenario { name: "step10-small",  utility: "step:10", nodes: 10, mu: 0.10, items: 10, rho: 2, omega: 1.0, dedicated: None },
-    NetScenario { name: "step25-mid",    utility: "step:25", nodes: 16, mu: 0.05, items: 12, rho: 3, omega: 1.0, dedicated: None },
-    NetScenario { name: "exp-fast",      utility: "exp:0.1", nodes: 12, mu: 0.10, items: 10, rho: 2, omega: 1.0, dedicated: None },
-    NetScenario { name: "exp-slow",      utility: "exp:0.02", nodes: 20, mu: 0.04, items: 16, rho: 4, omega: 1.0, dedicated: None },
-    NetScenario { name: "power-0.5",     utility: "power:0.5", nodes: 12, mu: 0.08, items: 10, rho: 2, omega: 1.0, dedicated: None },
-    NetScenario { name: "neglog-ded",    utility: "neglog", nodes: 12, mu: 0.08, items: 10, rho: 2, omega: 1.0, dedicated: Some(4) },
-    NetScenario { name: "flat-demand",   utility: "step:10", nodes: 14, mu: 0.06, items: 12, rho: 3, omega: 0.5, dedicated: None },
-    NetScenario { name: "skewed-demand", utility: "step:10", nodes: 14, mu: 0.06, items: 12, rho: 3, omega: 2.0, dedicated: None },
-    NetScenario { name: "dedicated",     utility: "step:10", nodes: 16, mu: 0.08, items: 10, rho: 3, omega: 1.0, dedicated: Some(4) },
-    NetScenario { name: "dense",         utility: "step:10", nodes: 24, mu: 0.12, items: 8, rho: 2, omega: 1.0, dedicated: None },
-];
-
-/// `impatience netrun --verify [--quick]`: run every clean-transport
-/// scenario through both the distributed kernel and the engine on paired
-/// seeds and require statistical agreement, then sweep message loss and
-/// require every run to terminate with conservation intact.
+/// `impatience netrun --verify [--quick]`: the oracle's net panel
+/// ([`net_panel`]) — clean-transport scenarios through both the
+/// distributed kernel and the engine on paired seeds, then a lossy sweep
+/// that must terminate with conservation intact; a disagreement exits 10.
 fn netrun_verify(args: &Args) -> Result<(), CliError> {
-    let quick = args.options.contains_key("quick");
     let seed: u64 = args.get("seed", 42)?;
     let z: f64 = args.get("z", 3.5)?;
-    let (trials, duration) = if quick { (4usize, 900.0) } else { (8, 2_000.0) };
-    let net = NetConfig::default();
-
-    println!("netrun --verify: distributed runtime vs engine on paired seeds");
-    println!(
-        "({} scenarios × {trials} trials, z = {z}, horizon {duration} min)",
-        NET_SCENARIOS.len()
-    );
-    println!(
-        "{:<14} {:>11} {:>12} {:>10} {:>10}  verdict",
-        "scenario", "engine", "distributed", "diff", "budget"
-    );
-    let mut failed = 0;
-    let mut clean_rate = f64::NAN;
-    for (i, s) in NET_SCENARIOS.iter().enumerate() {
-        let (config, source) = s.build(duration)?;
-        let cmp = net_vs_engine(
-            &config,
-            &source,
-            &net,
-            trials,
-            seed.wrapping_add(i as u64 * 1_000),
-            z,
-        )?;
-        let ok = cmp.agrees();
-        if i == 0 {
-            clean_rate = cmp.estimate;
-        }
-        println!(
-            "{:<14} {:>11.5} {:>12.5} {:>+10.2e} {:>10.2e}  {}",
-            s.name,
-            cmp.reference,
-            cmp.estimate,
-            cmp.difference(),
-            cmp.half_width + cmp.allowance,
-            if ok { "agree" } else { "MISMATCH" }
+    if !(z.is_finite() && z > 0.0) {
+        return Err(format!("--z must be finite and > 0 (got {z})").into());
+    }
+    let report = net_panel(seed, args.options.contains_key("quick"), z)?;
+    print!("netrun --verify: {}", report.describe());
+    if report.failures() > 0 {
+        let message = format!(
+            "distributed runtime disagreed with the engine on {} of \
+             {} scenario(s); details above",
+            report.failures(),
+            report.clean.len()
         );
-        if !ok {
-            failed += 1;
-        }
+        return Err(CliError::new(FailureKind::Verify, message));
     }
+    Ok(())
+}
 
-    println!();
-    println!("lossy sweep on {} ({trials} trials each; every run must terminate with the conservation audit intact):", NET_SCENARIOS[0].name);
-    println!(
-        "{:<6} {:>11} {:>7} {:>9} {:>9} {:>9}",
-        "loss", "welfare", "ratio", "retries", "lost", "degraded"
-    );
-    for loss in [0.05, 0.10, 0.20] {
-        let (mut config, source) = NET_SCENARIOS[0].build(duration)?;
-        config.faults = Some(FaultConfig {
-            seed: 7,
-            msg: Some(MsgFaults {
-                loss_p: loss,
-                dup_p: loss / 5.0,
-                reorder_window: 3,
-            }),
-            ..FaultConfig::default()
-        });
-        let agg = run_net_trials_observed(
-            &config,
-            &source,
-            &net,
-            trials,
-            seed,
-            None,
-            &mut Recorder::disabled(),
-        )?;
-        println!(
-            "{:<6} {:>11.5} {:>7.3} {:>9} {:>9} {:>9}",
-            format!("{:.0}%", loss * 100.0),
-            agg.aggregate.mean_rate,
-            agg.aggregate.mean_rate / clean_rate,
-            agg.stats.retries,
-            agg.stats.msgs_lost,
-            agg.degraded_trials
-        );
+/// `verify --solver-deltas`: only the `delta_vs_scratch` differential
+/// sweep, reported to stdout; any violation exits 10.
+fn verify_solver_deltas(args: &Args) -> Result<(), CliError> {
+    let quick = args.options.contains_key("quick");
+    let seed: u64 = args.get("seed", 42)?;
+    let report = delta_vs_scratch(seed, quick);
+    print!("{}", report.describe());
+    if !report.ok() {
+        let cases = report.cases as usize;
+        return Err(CliError::verify_failed(report.failures(), cases));
     }
-
-    if failed > 0 {
-        return Err(CliError::NetVerify {
-            failed,
-            scenarios: NET_SCENARIOS.len(),
-        });
-    }
-    println!();
-    println!(
-        "all {} scenarios agree; lossy sweep conserved at every rate",
-        NET_SCENARIOS.len()
-    );
     Ok(())
 }
 
@@ -1852,26 +1492,6 @@ fn netrun_verify(args: &Args) -> Result<(), CliError> {
 /// covers the solver-side invariants plus short determinism trials;
 /// `--full` adds the Monte-Carlo differential checks (analytic vs
 /// simulated welfare, continuous vs discrete engine duality).
-/// `verify --solver-deltas`: only the `delta_vs_scratch` differential
-/// sweep, reported to stdout; any violation exits 10.
-fn verify_solver_deltas(args: &Args) -> Result<(), CliError> {
-    let quick = args.options.contains_key("quick");
-    let seed: u64 = args.get("seed", 42)?;
-    let report = delta_vs_scratch(seed, quick);
-    print!("{}", report.describe());
-    if !report.ok() {
-        let failed = (report.exact_mismatches
-            + report.brute_mismatches
-            + report.certificate_violations) as u32
-            + u32::from(!report.clt_ok());
-        return Err(CliError::Verify {
-            failed,
-            scenarios: report.cases as usize,
-        });
-    }
-    Ok(())
-}
-
 fn verify(args: &Args) -> Result<(), CliError> {
     if args.options.contains_key("solver-deltas") {
         return verify_solver_deltas(args);
@@ -1910,31 +1530,21 @@ fn verify(args: &Args) -> Result<(), CliError> {
         Ok((records, scope.seen(rec)?))
     });
 
-    write_report(&report_path, &records)
-        .map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
+    write_report(&report_path, &records).map_err(|e| CliError::cannot("write", &out, e))?;
 
-    let scenarios = records.len();
-    let runnable = records.iter().filter(|r| r.ran()).count();
-    let (mut passed, mut failed, mut skipped) = (0u32, 0u32, 0u32);
-    for r in &records {
-        passed += r.passed();
-        failed += r.failed();
-        skipped += r.skipped();
-    }
-    let wall_s: f64 = records.iter().map(|r| r.wall_s).sum();
-
+    let t = MatrixTotals::of(&records);
     print!("{}", summary_table(&records));
     println!("report  → {out}");
     write_manifest("verify", &report_path, &seen, |m| {
         m.set("mode", if full { "full" } else { "quick" });
         m.set("base_seed", seed);
         m.set("report", out.as_str());
-        m.set("scenarios", scenarios as u64);
-        m.set("runnable", runnable as u64);
-        m.set("checks_passed", u64::from(passed));
-        m.set("checks_failed", u64::from(failed));
-        m.set("checks_skipped", u64::from(skipped));
-        m.set("wall_s", wall_s);
+        m.set("scenarios", t.scenarios as u64);
+        m.set("runnable", t.runnable as u64);
+        m.set("checks_passed", u64::from(t.passed));
+        m.set("checks_failed", u64::from(t.failed));
+        m.set("checks_skipped", u64::from(t.skipped));
+        m.set("wall_s", t.wall_s);
     })?;
     for r in &records {
         for check in r.results.iter().filter(|c| c.status == CheckStatus::Fail) {
@@ -1944,8 +1554,8 @@ fn verify(args: &Args) -> Result<(), CliError> {
             );
         }
     }
-    if failed > 0 {
-        return Err(CliError::Verify { failed, scenarios });
+    if t.failed > 0 {
+        return Err(CliError::verify_failed(t.failed, t.scenarios));
     }
     Ok(())
 }
@@ -1962,36 +1572,28 @@ fn trace_cmd(args: &Args) -> Result<(), CliError> {
         .first()
         .ok_or_else(|| format!("trace needs a subcommand: {SUBCOMMANDS}"))?;
     let load = |path: &str| -> Result<TraceSummary, CliError> {
-        TraceSummary::from_file(Path::new(path))
-            .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))
+        TraceSummary::from_file(Path::new(path)).map_err(|e| CliError::cannot("read", path, e))
+    };
+    // The file operand at `index`, or a usage error naming what `sub` needs.
+    let operand = |index: usize, needs: &str| -> Result<&String, CliError> {
+        let needs = format!("trace {sub} needs {needs}");
+        args.positional.get(index).ok_or_else(|| needs.into())
     };
     match sub.as_str() {
         "summarize" => {
-            let path = args
-                .positional
-                .get(1)
-                .ok_or("trace summarize needs a JSONL trace file")?;
+            let path = operand(1, "a JSONL trace file")?;
             let top: usize = args.get("top", 5)?;
             print!("{}", load(path)?.render(top));
             Ok(())
         }
         "diff" => {
-            let a = args
-                .positional
-                .get(1)
-                .ok_or("trace diff needs two JSONL trace files")?;
-            let b = args
-                .positional
-                .get(2)
-                .ok_or("trace diff needs two JSONL trace files")?;
+            let a = operand(1, "two JSONL trace files")?;
+            let b = operand(2, "two JSONL trace files")?;
             print!("{}", render_diff(&load(a)?, &load(b)?, a, b));
             Ok(())
         }
         "export" => {
-            let path = args
-                .positional
-                .get(1)
-                .ok_or("trace export needs a JSONL trace file")?;
+            let path = operand(1, "a JSONL trace file")?;
             if !args.options.contains_key("prom") {
                 return Err("trace export needs --prom (the only export format)".into());
             }
@@ -2000,7 +1602,7 @@ fn trace_cmd(args: &Args) -> Result<(), CliError> {
                 Some(out) => {
                     registry
                         .write_prom(Path::new(out))
-                        .map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
+                        .map_err(|e| CliError::cannot("write", out, e))?;
                     println!("metrics → {out}");
                 }
                 None => print!("{}", registry.render()),
@@ -2008,14 +1610,11 @@ fn trace_cmd(args: &Args) -> Result<(), CliError> {
             Ok(())
         }
         "lint-prom" => {
-            let path = args
-                .positional
-                .get(1)
-                .ok_or("trace lint-prom needs a Prometheus text file")?;
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
+            let path = operand(1, "a Prometheus text file")?;
+            let text =
+                std::fs::read_to_string(path).map_err(|e| CliError::cannot("read", path, e))?;
             let samples = parse_prometheus(&text).map_err(|(line, msg)| {
-                CliError::Trace(TraceError::Format {
+                CliError::from(TraceError::Format {
                     line,
                     message: format!("{path}: not valid Prometheus exposition: {msg}"),
                 })
@@ -2038,7 +1637,7 @@ fn trace_cmd(args: &Args) -> Result<(), CliError> {
             );
             Ok(())
         }
-        other => Err(CliError::Usage(format!(
+        other => Err(CliError::from(format!(
             "unknown trace subcommand `{other}` ({SUBCOMMANDS})"
         ))),
     }
@@ -2051,7 +1650,7 @@ fn trace_cmd(args: &Args) -> Result<(), CliError> {
 /// resumes its queue bit-identically on the next start.
 fn serve_cmd(args: &Args) -> Result<(), CliError> {
     if !args.positional.is_empty() {
-        return Err(CliError::Usage(format!(
+        return Err(CliError::from(format!(
             "serve takes no positional arguments (got `{}`)",
             args.positional[0]
         )));
@@ -2076,7 +1675,7 @@ fn serve_cmd(args: &Args) -> Result<(), CliError> {
         return Err("serve needs --queue >= 1 and --http-threads >= 1".into());
     }
     let data_dir = config.data_dir.clone();
-    let server = Server::start(config).map_err(|e| CliError::Io(e.message()))?;
+    let server = Server::start(config).map_err(|e| CliError::new(FailureKind::Io, e.message()))?;
     println!("impatience serve listening on {}", server.url());
     println!(
         "  data dir  {}  (address file: {})",
@@ -2193,10 +1792,12 @@ fn reproduce(args: &Args, invocation: &[String]) -> Result<(), CliError> {
     if check {
         let _ = std::fs::remove_dir_all(&run_dir);
         if outcome.drifted > 0 {
-            return Err(CliError::Drift {
-                drifted: outcome.drifted,
-                checked: outcome.checked,
-            });
+            let message = format!(
+                "reproduction drift: {} of {} artifact(s) \
+                 differ from the committed results (details above)",
+                outcome.drifted, outcome.checked
+            );
+            return Err(CliError::new(FailureKind::Drift, message));
         }
         println!(
             "check ok: {} artifact(s) byte-identical to {}/",
@@ -2215,10 +1816,10 @@ fn reproduce(args: &Args, invocation: &[String]) -> Result<(), CliError> {
         for (cell, msg) in &outcome.skipped {
             eprintln!("warning: {cell} skipped: {msg}");
         }
-        return Err(CliError::TrialsSkipped {
-            skipped: outcome.skipped.len(),
-            trials: outcome.trials_total,
-        });
+        return Err(CliError::trials_skipped(
+            outcome.skipped.len(),
+            outcome.trials_total,
+        ));
     }
     Ok(())
 }

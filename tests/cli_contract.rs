@@ -99,6 +99,24 @@ impl Case {
         run
     }
 
+    /// Mask every transcript line that starts with `prefix` after its
+    /// indent down to the indent and the prefix.
+    fn mask_lines_from(&mut self, prefix: &str) {
+        let mut masked = String::new();
+        for line in self.transcript.lines() {
+            let body = line.trim_start();
+            if body.starts_with(prefix) {
+                masked.push_str(&line[..line.len() - body.len()]);
+                masked.push_str(prefix);
+                masked.push_str(" #");
+            } else {
+                masked.push_str(line);
+            }
+            masked.push('\n');
+        }
+        self.transcript = masked;
+    }
+
     /// Append the files left behind (JSONL files with their line count,
     /// manifests with their top-level key order, CSVs with their content) and compare the whole
     /// transcript with the golden — or rewrite the golden when blessing.
@@ -530,4 +548,97 @@ fn usage_messages() {
         "{}",
         trace.stderr
     );
+}
+
+const SOLVE: &str = "solve --items 20 --servers 20 --rho 3 --utility exp:0.2";
+
+#[test]
+fn solve_plain() {
+    let mut case = Case::new("solve_plain");
+    case.run(SOLVE);
+    case.run(&format!("{SOLVE} --verbose"));
+    case.finish();
+}
+
+/// Both modes of the delta replay. The wall line also carries a speed-up
+/// ratio, so the whole line is masked.
+#[test]
+fn solve_incremental() {
+    let mut case = Case::new("solve_incremental");
+    case.run(&format!("{SOLVE} --incremental --deltas 8"));
+    case.run(&format!(
+        "{SOLVE} --incremental --deltas 8 --stale-eps 0.05"
+    ));
+    case.mask_lines_from("wall: incremental");
+    case.finish();
+}
+
+#[test]
+fn verify_solver_deltas() {
+    let mut case = Case::new("verify_solver_deltas");
+    case.run("verify --solver-deltas --quick");
+    case.finish();
+}
+
+#[test]
+fn netrun_verify() {
+    let mut case = Case::new("netrun_verify");
+    case.run("netrun --verify --quick");
+    case.finish();
+}
+
+#[test]
+fn generate_and_stats() {
+    let mut case = Case::new("generate_and_stats");
+    case.run("generate poisson --nodes 20 --mu 0.05 --duration 1500 -o trace.txt");
+    case.run("stats trace.txt");
+    case.finish();
+}
+
+/// Every `trace` subcommand on the two committed fixture traces.
+#[test]
+fn trace_subcommands() {
+    let mut case = Case::new("trace_subcommands");
+    for name in ["trace_a.jsonl", "trace_b.jsonl"] {
+        let fixture = format!("{REPO}/tests/fixtures/{name}");
+        std::fs::copy(fixture, case.dir.join(name)).unwrap();
+    }
+    case.run("trace summarize trace_a.jsonl --top 3");
+    case.run("trace diff trace_a.jsonl trace_b.jsonl");
+    case.run("trace export trace_b.jsonl --prom");
+    case.run("trace export trace_a.jsonl --prom -o a.prom");
+    case.run("trace lint-prom a.prom");
+    case.finish();
+}
+
+/// A synthetic source no engine can run is a config error before any
+/// trial, with the same message from `netrun` as from `simulate --shards`.
+#[test]
+fn bad_synthetic_source_is_a_config_error() {
+    let mut case = Case::new("bad_synthetic_source_is_a_config_error");
+    for source in ["--nodes 0", "--nodes 1", "--mu -0.1"] {
+        let net = case.run(&format!("netrun {source}"));
+        let sharded = case.run(&format!("simulate --shards 1 {source}"));
+        assert_eq!((net.code, sharded.code), (3, 3), "{}", net.stderr);
+        assert_eq!(net.stderr, sharded.stderr);
+    }
+    case.finish();
+}
+
+/// A contact rate the analytic model cannot hold is a config error in
+/// both `solve` modes; a `--z` that gives no interval is a usage error.
+#[test]
+fn solve_and_netrun_verify_refuse_bad_parameters() {
+    let mut case = Case::new("solve_and_netrun_verify_refuse_bad_parameters");
+    for mu in ["0", "-1", "nan"] {
+        let run = case.run(&format!("{SOLVE} --mu {mu}"));
+        assert_eq!(run.code, 3, "{}", run.stderr);
+    }
+    let run = case.run(&format!("{SOLVE} --incremental --mu 0"));
+    assert_eq!(run.code, 3, "{}", run.stderr);
+    for z in ["0", "-1"] {
+        let run = case.run(&format!("netrun --verify --quick --z {z}"));
+        assert_eq!(run.code, 2, "{}", run.stderr);
+    }
+    case.finish();
 }

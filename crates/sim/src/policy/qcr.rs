@@ -12,6 +12,7 @@
 //! (it can never lose its copy).
 
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
 use impatience_core::rng::Xoshiro256;
@@ -75,18 +76,70 @@ impl Default for QcrConfig {
 /// A node's outstanding mandates: item → count (≤ the mandate cap).
 pub type Pool = BTreeMap<u32, u64>;
 
+/// The first key of `pool` past `cursor` (`None`: from the start) — a
+/// walk in ascending key order that survives edits at the keys behind it.
+fn next_key(pool: &Pool, cursor: Option<u32>) -> Option<u32> {
+    let from = cursor.map_or(Unbounded, Excluded);
+    pool.range((from, Unbounded)).next().map(|(&item, _)| item)
+}
+
+/// Locally indexed mandate pools with a one-bit-per-node occupancy
+/// index beside them, so a meeting of two nodes holding no mandates is
+/// told so without loading either pool. A bit follows its pool at
+/// [`MandateHost::sync`], which [`QcrRules::after_meeting`] calls for
+/// the only two pools a meeting can change.
+#[derive(Clone, Debug)]
+pub(crate) struct Mandates {
+    pub(crate) pools: Vec<Pool>,
+    occupied: Vec<u64>,
+}
+
+impl Mandates {
+    /// `pools`, indexed.
+    pub(crate) fn new(pools: Vec<Pool>) -> Self {
+        let mut mandates = Mandates {
+            occupied: vec![0; pools.len().div_ceil(64)],
+            pools,
+        };
+        for node in 0..mandates.pools.len() {
+            mandates.sync(node);
+        }
+        mandates
+    }
+
+    pub(crate) fn has(&self, node: usize) -> bool {
+        self.occupied[node / 64] >> (node % 64) & 1 == 1
+    }
+
+    /// Set `node`'s bit from its pool.
+    pub(crate) fn sync(&mut self, node: usize) {
+        let bit = 1u64 << (node % 64);
+        if self.pools[node].is_empty() {
+            self.occupied[node / 64] &= !bit;
+        } else {
+            self.occupied[node / 64] |= bit;
+        }
+    }
+}
+
 /// What the protocol needs from the runtime it runs in: who holds which
-/// item, each node's mandate pool, how a copy gets made, and where an
-/// item's sticky seed sits. The serial engine answers from one
-/// [`SimState`], the sharded engine from the one or two shard blocks a
-/// meeting touches — the only QCR code that differs between them.
+/// item, each node's mandate pool and whether it holds anything, how a
+/// copy gets made, and where an item's sticky seed sits. The serial
+/// engine answers from one [`SimState`], the sharded engine from the one
+/// or two shard blocks a meeting touches — the only QCR code that
+/// differs between them.
 pub trait MandateHost {
     /// Does `node`'s cache hold `item`?
     fn holds(&self, node: usize, item: u32) -> bool;
     /// `node`'s mandate pool.
     fn pool(&self, node: usize) -> &Pool;
-    /// `node`'s mandate pool, mutably.
+    /// `node`'s mandate pool, mutably; [`MandateHost::sync`] brings its
+    /// occupancy bit up to date after.
     fn pool_mut(&mut self, node: usize) -> &mut Pool;
+    /// Does `node`'s pool hold anything (as of its last sync)?
+    fn has_mandates(&self, node: usize) -> bool;
+    /// Set `node`'s occupancy bit from its pool.
+    fn sync(&mut self, node: usize);
     /// Copy `item` into `node`'s cache (evicting by the cache's rule);
     /// `true` if a new replica now exists.
     fn replicate(&mut self, node: usize, item: u32, rng: &mut Xoshiro256) -> bool;
@@ -235,8 +288,11 @@ impl QcrRules {
         peer: usize,
         rng: &mut Xoshiro256,
     ) {
-        let items: Vec<u32> = host.pool(carrier).keys().copied().collect();
-        for item in items {
+        // Only `item`'s entry changes inside the loop, so the cursor
+        // visits the keys the pool held on entry.
+        let mut cursor = None;
+        while let Some(item) = next_key(host.pool(carrier), cursor) {
+            cursor = Some(item);
             if !host.holds(carrier, item) {
                 continue; // stalled: replica lost to random replacement
             }
@@ -258,15 +314,15 @@ impl QcrRules {
     /// Route mandates between the two meeting nodes (§5.3 / §6.1) by
     /// [`share`], the engines' odd leftover going by coin flip.
     pub fn route<H: MandateHost>(&self, host: &mut H, a: usize, b: usize, rng: &mut Xoshiro256) {
-        let mut items: Vec<u32> = host
-            .pool(a)
-            .keys()
-            .chain(host.pool(b).keys())
-            .copied()
-            .collect();
-        items.sort_unstable();
-        items.dedup();
-        for item in items {
+        // The union of both pools' keys, ascending: the smaller of the
+        // two next keys past the cursor.
+        let mut cursor = None;
+        while let Some(item) = [a, b]
+            .into_iter()
+            .filter_map(|node| next_key(host.pool(node), cursor))
+            .min()
+        {
+            cursor = Some(item);
             let of = |node| host.pool(node).get(&item).copied().unwrap_or(0);
             let total = (of(a) + of(b)).min(self.cfg.mandate_cap);
             if total == 0 {
@@ -288,7 +344,10 @@ impl QcrRules {
 
     /// The policy step of one meeting between `a` and `b`: mint for its
     /// fulfillments, execute in both directions, route what remains
-    /// toward replica holders.
+    /// toward replica holders. With nothing fulfilled and both pools
+    /// empty that step draws nothing and changes nothing, so it is not
+    /// taken. Mint writes the fulfilled node's pool, execute and route
+    /// only `a`'s and `b`'s: those two are the only bits to sync.
     pub fn after_meeting<H: MandateHost>(
         &self,
         host: &mut H,
@@ -298,7 +357,11 @@ impl QcrRules {
         metrics: &mut Metrics,
         rng: &mut Xoshiro256,
     ) {
+        if fulfilled.is_empty() && !host.has_mandates(a) && !host.has_mandates(b) {
+            return;
+        }
         for f in fulfilled {
+            debug_assert!(f.node == a || f.node == b, "a fulfillment off the meeting");
             self.mint(host.pool_mut(f.node), f.item, f.queries, metrics, rng);
         }
         self.execute(host, a, b, rng);
@@ -306,6 +369,8 @@ impl QcrRules {
         if self.cfg.mandate_routing {
             self.route(host, a, b, rng);
         }
+        host.sync(a);
+        host.sync(b);
     }
 }
 
@@ -352,7 +417,7 @@ fn set_mandates(pool: &mut Pool, item: u32, count: u64) {
 /// the trial's [`SimState`].
 pub struct Qcr {
     rules: QcrRules,
-    pools: Vec<Pool>,
+    mandates: Mandates,
 }
 
 impl Qcr {
@@ -360,16 +425,16 @@ impl Qcr {
     pub fn new(rules: QcrRules, nodes: usize) -> Self {
         Qcr {
             rules,
-            pools: vec![Pool::new(); nodes],
+            mandates: Mandates::new(vec![Pool::new(); nodes]),
         }
     }
 }
 
 /// The serial host: every node's cache in one [`SimState`], every pool
-/// in one slice.
+/// in one [`Mandates`].
 pub(crate) struct SerialHost<'a> {
     pub(crate) state: &'a mut SimState,
-    pub(crate) pools: &'a mut [Pool],
+    pub(crate) mandates: &'a mut Mandates,
 }
 
 impl MandateHost for SerialHost<'_> {
@@ -377,10 +442,16 @@ impl MandateHost for SerialHost<'_> {
         self.state.caches.holds(node, item)
     }
     fn pool(&self, node: usize) -> &Pool {
-        &self.pools[node]
+        &self.mandates.pools[node]
     }
     fn pool_mut(&mut self, node: usize) -> &mut Pool {
-        &mut self.pools[node]
+        &mut self.mandates.pools[node]
+    }
+    fn has_mandates(&self, node: usize) -> bool {
+        self.mandates.has(node)
+    }
+    fn sync(&mut self, node: usize) {
+        self.mandates.sync(node);
     }
     fn replicate(&mut self, node: usize, item: u32, rng: &mut Xoshiro256) -> bool {
         self.state.replicate(item, node, rng)
@@ -404,7 +475,7 @@ impl ReplicationPolicy for Qcr {
     ) {
         let mut host = SerialHost {
             state,
-            pools: &mut self.pools,
+            mandates: &mut self.mandates,
         };
         self.rules
             .after_meeting(&mut host, a, b, fulfilled, metrics, rng);
@@ -478,19 +549,23 @@ mod tests {
         state.caches.node_mut(0).fill(1);
         state.replicas[1] = 1;
         let p = rules(QcrConfig::default());
-        let mut pools = vec![Pool::from([(1, 2)]), Pool::new()];
+        let mut mandates = Mandates::new(vec![Pool::from([(1, 2)]), Pool::new()]);
         // Node 0 holds item 1, node 1 doesn't: one copy per meeting.
         let mut host = SerialHost {
             state: &mut state,
-            pools: &mut pools,
+            mandates: &mut mandates,
         };
         p.execute(&mut host, 0, 1, &mut rng);
         assert_eq!(host.state.replicas[1], 2);
-        assert_eq!(outstanding(host.pools), 1);
+        assert_eq!(outstanding(&host.mandates.pools), 1);
         // Second execution against the same (now holding) peer: ignored.
         p.execute(&mut host, 0, 1, &mut rng);
         assert_eq!(host.state.replicas[1], 2);
-        assert_eq!(outstanding(host.pools), 1, "no rewriting: mandate kept");
+        assert_eq!(
+            outstanding(&host.mandates.pools),
+            1,
+            "no rewriting: mandate kept"
+        );
     }
 
     #[test]
@@ -504,14 +579,14 @@ mod tests {
             rewriting: true,
             ..QcrConfig::default()
         });
-        let mut pools = vec![Pool::from([(1, 2)]), Pool::new()];
+        let mut mandates = Mandates::new(vec![Pool::from([(1, 2)]), Pool::new()]);
         let mut host = SerialHost {
             state: &mut state,
-            pools: &mut pools,
+            mandates: &mut mandates,
         };
         p.execute(&mut host, 0, 1, &mut rng);
         assert_eq!(state.replicas[1], 2, "no new copy");
-        assert_eq!(outstanding(&pools), 1, "one mandate burned");
+        assert_eq!(outstanding(&mandates.pools), 1, "one mandate burned");
     }
 
     #[test]
@@ -523,15 +598,19 @@ mod tests {
         state.caches.node_mut(1).fill(1);
         state.replicas[1] = 1;
         let p = rules(QcrConfig::default());
-        let mut pools = vec![Pool::from([(1, 2)]), Pool::new()];
+        let mut mandates = Mandates::new(vec![Pool::from([(1, 2)]), Pool::new()]);
         let mut host = SerialHost {
             state: &mut state,
-            pools: &mut pools,
+            mandates: &mut mandates,
         };
         p.execute(&mut host, 0, 1, &mut rng);
         assert!(!state.caches.node(0).holds(1));
         assert_eq!(state.replicas[1], 1, "no copy may be made");
-        assert_eq!(outstanding(&pools), 2, "mandates stall, not vanish");
+        assert_eq!(
+            outstanding(&mandates.pools),
+            2,
+            "mandates stall, not vanish"
+        );
     }
 
     #[test]
@@ -540,13 +619,13 @@ mod tests {
         let mut state = SimState::new(2, 4, 2);
         // Node 0 has mandates for item 1 but no copy.
         let p = rules(QcrConfig::default());
-        let mut pools = vec![Pool::from([(1, 3)]), Pool::new()];
+        let mut mandates = Mandates::new(vec![Pool::from([(1, 3)]), Pool::new()]);
         let mut host = SerialHost {
             state: &mut state,
-            pools: &mut pools,
+            mandates: &mut mandates,
         };
         p.execute(&mut host, 0, 1, &mut rng);
-        assert_eq!(outstanding(&pools), 3);
+        assert_eq!(outstanding(&mandates.pools), 3);
         assert_eq!(state.replicas[1], 0);
     }
 
@@ -557,14 +636,14 @@ mod tests {
         state.caches.node_mut(1).fill(2);
         state.replicas[2] = 1;
         let p = rules(QcrConfig::default());
-        let mut pools = vec![Pool::from([(2, 5)]), Pool::new()];
+        let mut mandates = Mandates::new(vec![Pool::from([(2, 5)]), Pool::new()]);
         let mut host = SerialHost {
             state: &mut state,
-            pools: &mut pools,
+            mandates: &mut mandates,
         };
         p.route(&mut host, 0, 1, &mut rng);
-        assert_eq!(pools[0].get(&2), None);
-        assert_eq!(pools[1].get(&2), Some(&5));
+        assert_eq!(mandates.pools[0].get(&2), None);
+        assert_eq!(mandates.pools[1].get(&2), Some(&5));
     }
 
     #[test]
@@ -575,14 +654,14 @@ mod tests {
         state.caches.node_mut(1).fill(2);
         state.replicas[2] = 2;
         let p = rules(QcrConfig::default());
-        let mut pools = vec![Pool::from([(2, 6)]), Pool::new()];
+        let mut mandates = Mandates::new(vec![Pool::from([(2, 6)]), Pool::new()]);
         let mut host = SerialHost {
             state: &mut state,
-            pools: &mut pools,
+            mandates: &mut mandates,
         };
         p.route(&mut host, 0, 1, &mut rng);
-        assert_eq!(pools[0].get(&2), Some(&3));
-        assert_eq!(pools[1].get(&2), Some(&3));
+        assert_eq!(mandates.pools[0].get(&2), Some(&3));
+        assert_eq!(mandates.pools[1].get(&2), Some(&3));
     }
 
     #[test]
@@ -594,14 +673,14 @@ mod tests {
         state.replicas[2] = 2;
         state.sticky_owner[2] = 0;
         let p = rules(QcrConfig::default());
-        let mut pools = vec![Pool::new(), Pool::from([(2, 6)])];
+        let mut mandates = Mandates::new(vec![Pool::new(), Pool::from([(2, 6)])]);
         let mut host = SerialHost {
             state: &mut state,
-            pools: &mut pools,
+            mandates: &mut mandates,
         };
         p.route(&mut host, 0, 1, &mut rng);
-        assert_eq!(pools[0].get(&2), Some(&4), "sticky seed gets 2/3");
-        assert_eq!(pools[1].get(&2), Some(&2));
+        assert_eq!(mandates.pools[0].get(&2), Some(&4), "sticky seed gets 2/3");
+        assert_eq!(mandates.pools[1].get(&2), Some(&2));
     }
 
     #[test]
@@ -662,8 +741,8 @@ mod tests {
             wait: 1.0,
         };
         p.after_contact(1.0, 0, 1, &mut state, &[f], &mut metrics, &mut rng);
-        assert!(outstanding(&p.pools[..1]) > 0);
-        assert_eq!(outstanding(&p.pools[1..]), 0);
+        assert!(outstanding(&p.mandates.pools[..1]) > 0);
+        assert_eq!(outstanding(&p.mandates.pools[1..]), 0);
     }
 
     #[test]

@@ -104,6 +104,7 @@ use crate::contact_bin::{decode_record_unchecked, encode_record, DEFAULT_BATCH, 
 use crate::engine::TrialOutcome;
 use crate::faults::{GilbertChain, SlotFaultClock};
 use crate::metrics::Metrics;
+use crate::policy::qcr::Mandates;
 use crate::policy::{Fulfillment, MandateHost, PolicyKind, Pool, QcrRules};
 use crate::state::{CacheArena, CacheRef, RequestArena, SimState};
 
@@ -421,6 +422,7 @@ impl LaneContacts {
 
 /// One shard's node-owned state: the block, pending requests and QCR
 /// mandate pools, locally indexed.
+#[derive(Clone)]
 struct ShardState {
     /// The block's first node id.
     start: usize,
@@ -429,7 +431,7 @@ struct ShardState {
     /// ([`SimState::replicate`], [`SimState::fail_cache_slot`]). Its own
     /// `sticky_owner` stays empty: the one table is `sticky_owner` below.
     block: SimState,
-    mandates: Vec<Pool>,
+    mandates: Mandates,
     requests: RequestArena,
     /// Sticky-seed node of each item: fixed at seeding, the same
     /// (global, read-only) table on every shard.
@@ -457,7 +459,7 @@ impl ShardState {
                 sticky_owner: Vec::new(),
                 transmissions: 0,
             },
-            mandates: vec![Pool::new(); len],
+            mandates: Mandates::new(vec![Pool::new(); len]),
             requests,
             sticky_owner,
         }
@@ -619,9 +621,9 @@ impl Ends<'_> {
     }
 }
 
-/// The protocol runs on shard blocks through these five accessors: pools
-/// live on the shard states (so phase-A/B tasks own them) and a copy
-/// is the owning block's [`SimState::replicate`].
+/// The protocol runs on shard blocks through these seven methods: pools
+/// and their occupancy bits live on the shard states (so phase-A/B tasks
+/// own them) and a copy is the owning block's [`SimState::replicate`].
 impl MandateHost for Ends<'_> {
     fn holds(&self, node: usize, item: u32) -> bool {
         let s = self.state_of(node);
@@ -630,13 +632,24 @@ impl MandateHost for Ends<'_> {
 
     fn pool(&self, node: usize) -> &Pool {
         let s = self.state_of(node);
-        &s.mandates[node - s.start]
+        &s.mandates.pools[node - s.start]
     }
 
     fn pool_mut(&mut self, node: usize) -> &mut Pool {
         let s = self.state_of_mut(node);
         let local = node - s.start;
-        &mut s.mandates[local]
+        &mut s.mandates.pools[local]
+    }
+
+    fn has_mandates(&self, node: usize) -> bool {
+        let s = self.state_of(node);
+        s.mandates.has(node - s.start)
+    }
+
+    fn sync(&mut self, node: usize) {
+        let s = self.state_of_mut(node);
+        let local = node - s.start;
+        s.mandates.sync(local);
     }
 
     fn replicate(&mut self, node: usize, item: u32, rng: &mut Xoshiro256) -> bool {
@@ -1321,13 +1334,83 @@ mod tests {
         }
     }
 
+    /// `state`'s caches and `pools` split into shard blocks of `blocks`
+    /// nodes each.
+    fn shards_of(state: SimState, pools: &[Pool], blocks: &[usize]) -> Vec<ShardState> {
+        let (items, sticky): (usize, Arc<[usize]>) = (state.items(), state.sticky_owner.into());
+        let mut start = 0;
+        state
+            .caches
+            .split_into_blocks(blocks)
+            .into_iter()
+            .zip(blocks)
+            .map(|(arena, &len)| {
+                let mut shard = ShardState::new(start, arena, items, sticky.clone());
+                shard.mandates = Mandates::new(pools[start..start + len].to_vec());
+                start += len;
+                shard
+            })
+            .collect()
+    }
+
+    /// Every node's cached items and pool, in node order.
+    type Held = (Vec<Vec<u32>>, Vec<Pool>);
+
+    /// Every node's caches and pools, owned, lent out as a [`MandateHost`]
+    /// one meeting at a time.
+    trait World: Clone {
+        type Host<'a>: MandateHost
+        where
+            Self: 'a;
+        fn host(&mut self) -> Self::Host<'_>;
+        fn left(&self) -> Held;
+    }
+
+    #[derive(Clone)]
+    struct Serial(SimState, Mandates);
+
+    impl World for Serial {
+        type Host<'a> = crate::policy::qcr::SerialHost<'a>;
+        fn host(&mut self) -> Self::Host<'_> {
+            crate::policy::qcr::SerialHost {
+                state: &mut self.0,
+                mandates: &mut self.1,
+            }
+        }
+        fn left(&self) -> Held {
+            let caches = self.0.caches.iter().map(|c| c.items().to_vec()).collect();
+            (caches, self.1.pools.clone())
+        }
+    }
+
+    impl World for Vec<ShardState> {
+        type Host<'a> = Ends<'a>;
+        fn host(&mut self) -> Ends<'_> {
+            match self.as_mut_slice() {
+                [one] => Ends::One(one),
+                [sa, sb] => Ends::Two(sa, sb),
+                _ => unreachable!("one block or two"),
+            }
+        }
+        fn left(&self) -> Held {
+            let caches = self.iter().flat_map(|sh| {
+                let caches = &sh.block.caches;
+                caches.iter().map(|c| c.items().to_vec())
+            });
+            let pools = self.iter().flat_map(|sh| sh.mandates.pools.clone());
+            (caches.collect(), pools.collect())
+        }
+    }
+
     #[test]
     fn hosts_agree() {
         // One meeting of nodes 0 and 1 — a mint, a copy each way (each
         // evicting at random), a sticky 2/3 split, an odd split settled by
-        // the coin, a mandate stalled for want of the item — hosted three
-        // ways: on one `SimState`, on one shard block, across two.
-        use crate::policy::qcr::SerialHost;
+        // the coin, a mandate stalled for want of the item — then one of
+        // nodes 2 and 3, nothing fulfilled and both pools empty (the step
+        // skipped), hosted three ways: on one `SimState` through the
+        // serial host, on one shard block, and across two blocks through
+        // `Ends`, each answering the seven `MandateHost` methods.
         use crate::policy::{QcrConfig, Reaction};
         let rules = QcrRules::new(
             QcrConfig {
@@ -1341,7 +1424,7 @@ mod tests {
             3,
         );
         let seeded = || {
-            let mut state = SimState::new(2, 6, 3);
+            let mut state = SimState::new(4, 6, 3);
             for (node, sticky, others) in [(0, 0, [1, 2]), (1, 3, [0, 2])] {
                 state.caches.node_mut(node).pin_sticky(sticky);
                 state.sticky_owner[sticky as usize] = node;
@@ -1352,88 +1435,158 @@ mod tests {
                     state.replicas[item as usize] += 1;
                 }
             }
+            for (node, item) in [(2, 4), (2, 5), (3, 1)] {
+                assert!(state.caches.node_mut(node).fill(item));
+                state.replicas[item as usize] += 1;
+            }
             let pools = vec![
                 Pool::from([(0, 3), (1, 2), (2, 5), (4, 3)]),
                 Pool::from([(0, 2), (3, 1)]),
+                Pool::new(),
+                Pool::new(),
             ];
             (state, pools)
         };
-        let fulfilled = [Fulfillment {
-            node: 1,
-            item: 1,
-            queries: 4,
-            wait: 2.0,
-        }];
-        // What a host leaves behind: caches, pools, replicas,
-        // transmissions, metrics, and the RNG's next draw.
-        type Left = (Vec<Vec<u32>>, Vec<Pool>, Vec<u32>, u64, String, u64);
-        let meet = |host: &mut dyn FnMut(&mut Metrics, &mut Xoshiro256)| {
+        /// Both meetings on `world`, and what they leave behind: caches
+        /// and pools, metrics, and the RNG's next draw.
+        fn meet<W: World>(rules: &QcrRules, world: &mut W) -> (Held, String, u64) {
+            let fulfilled = [Fulfillment {
+                node: 1,
+                item: 1,
+                queries: 4,
+                wait: 2.0,
+            }];
             let mut metrics = Metrics::new(100.0, 10.0);
             let mut rng = Xoshiro256::seed_from_u64(77);
-            host(&mut metrics, &mut rng);
-            (format!("{metrics:?}"), rng.next_u64())
-        };
+            rules.after_meeting(&mut world.host(), 0, 1, &fulfilled, &mut metrics, &mut rng);
+            rules.after_meeting(&mut world.host(), 2, 3, &[], &mut metrics, &mut rng);
+            (world.left(), format!("{metrics:?}"), rng.next_u64())
+        }
 
-        let (mut state, mut pools) = seeded();
-        let (metrics, draw) = meet(&mut |metrics, rng| {
-            let mut host = SerialHost {
-                state: &mut state,
-                pools: &mut pools,
-            };
-            rules.after_meeting(&mut host, 0, 1, &fulfilled, metrics, rng);
-        });
-        let caches = state.caches.iter().map(|c| c.items().to_vec()).collect();
-        let serial: Left = (
-            caches,
-            pools,
-            state.replicas.clone(),
-            state.transmissions,
-            metrics,
-            draw,
-        );
-        assert!(serial.3 >= 2, "a copy each way");
-        assert_eq!(serial.1[0][&4] + serial.1[1][&4], 3, "stalled, then split");
+        let (state, pools) = seeded();
+        let mut serial = Serial(state, Mandates::new(pools));
+        let left = meet(&rules, &mut serial);
+        let ((_, pools), _, _) = &left;
+        assert!(serial.0.transmissions >= 2, "a copy each way");
+        assert_eq!(pools[0][&4] + pools[1][&4], 3, "stalled, then split");
+        assert!(pools[2].is_empty() && pools[3].is_empty());
+        let serial = (left, serial.0.replicas, serial.0.transmissions);
 
-        for blocks in [vec![2], vec![1, 1]] {
+        for blocks in [vec![4], vec![1, 3]] {
             let (state, pools) = seeded();
-            let sticky: Arc<[usize]> = state.sticky_owner.into();
-            let mut shards: Vec<ShardState> = state
-                .caches
-                .split_into_blocks(&blocks)
-                .into_iter()
-                .enumerate()
-                .map(|(s, arena)| {
-                    let mut shard = ShardState::new(s, arena, 6, sticky.clone());
-                    shard.mandates = pools[s..s + blocks[s]].to_vec();
-                    shard
-                })
-                .collect();
-            let (metrics, draw) = meet(&mut |metrics, rng| {
-                let mut ends = match shards.as_mut_slice() {
-                    [one] => Ends::One(one),
-                    [sa, sb] => Ends::Two(sa, sb),
-                    _ => unreachable!(),
-                };
-                rules.after_meeting(&mut ends, 0, 1, &fulfilled, metrics, rng);
-            });
+            let mut shards = shards_of(state, &pools, &blocks);
+            let left = meet(&rules, &mut shards);
             let mut replicas = vec![0u32; 6];
             for shard in &shards {
                 for (sum, r) in replicas.iter_mut().zip(&shard.block.replicas) {
                     *sum += r;
                 }
             }
-            let left: Left = (
-                shards
-                    .iter()
-                    .flat_map(|sh| sh.block.caches.iter().map(|c| c.items().to_vec()))
-                    .collect(),
-                shards.iter().flat_map(|sh| sh.mandates.clone()).collect(),
-                replicas,
-                shards.iter().map(|sh| sh.block.transmissions).sum(),
-                metrics,
-                draw,
-            );
-            assert_eq!(left, serial, "shard blocks {blocks:?}");
+            let transmissions = shards.iter().map(|sh| sh.block.transmissions).sum();
+            let sharded = (left, replicas, transmissions);
+            assert_eq!(sharded, serial, "shard blocks {blocks:?}");
+        }
+    }
+
+    /// `MEETINGS` random meetings of `nodes` nodes through
+    /// [`QcrRules::after_meeting`] on `world`. Every step leaves what the
+    /// full step — mint, execute both ways, route — leaves on a clone:
+    /// the same caches, pools, metrics and next draw, skipped or not; and
+    /// after it each occupancy bit says whether its pool holds anything.
+    /// Returns what the world is left with, the next draw, and how many
+    /// steps met the skip condition.
+    fn random_meetings<W: World>(mut world: W, nodes: usize, items: usize) -> (Held, u64, usize) {
+        use crate::policy::{QcrConfig, Reaction};
+        const MEETINGS: usize = 2_000;
+        let rules = QcrRules::new(
+            QcrConfig {
+                reaction: Reaction::Constant(1.5),
+                mandate_cap: 4,
+                ..QcrConfig::default()
+            },
+            Arc::new(Step::new(10.0)),
+            nodes,
+            0.05,
+            items,
+            2,
+        );
+        let mut meetings = Xoshiro256::seed_from_u64(41);
+        let mut rng = Xoshiro256::seed_from_u64(42);
+        let mut metrics = Metrics::new(100.0, 10.0);
+        let mut skipped = 0;
+        for step in 0..MEETINGS {
+            let a = meetings.index(nodes);
+            let b = (a + 1 + meetings.index(nodes - 1)) % nodes;
+            let fulfilled: Vec<Fulfillment> = (0..usize::from(meetings.bernoulli(0.05)))
+                .map(|_| Fulfillment {
+                    node: if meetings.bernoulli(0.5) { a } else { b },
+                    item: meetings.index(items) as u32,
+                    queries: meetings.index(4) as u64,
+                    wait: 1.0,
+                })
+                .collect();
+            let full_step = {
+                let (mut world, mut rng, mut metrics) =
+                    (world.clone(), rng.clone(), metrics.clone());
+                let mut host = world.host();
+                if fulfilled.is_empty() && !host.has_mandates(a) && !host.has_mandates(b) {
+                    skipped += 1;
+                }
+                for f in &fulfilled {
+                    let pool = host.pool_mut(f.node);
+                    rules.mint(pool, f.item, f.queries, &mut metrics, &mut rng);
+                }
+                rules.execute(&mut host, a, b, &mut rng);
+                rules.execute(&mut host, b, a, &mut rng);
+                rules.route(&mut host, a, b, &mut rng);
+                drop(host);
+                (world.left(), format!("{metrics:?}"), rng.next_u64())
+            };
+            rules.after_meeting(&mut world.host(), a, b, &fulfilled, &mut metrics, &mut rng);
+            let after = (world.left(), format!("{metrics:?}"), rng.clone().next_u64());
+            assert_eq!(after, full_step, "meeting {step}: not the full step");
+            let host = world.host();
+            for n in 0..nodes {
+                let held = !host.pool(n).is_empty();
+                assert_eq!(host.has_mandates(n), held, "meeting {step}, node {n}");
+            }
+        }
+        (world.left(), rng.next_u64(), skipped)
+    }
+
+    #[test]
+    fn occupancy_bits_follow_the_pools_and_the_skip_changes_nothing() {
+        // Random caches, a third of the pools holding mandates to start,
+        // random fulfillments and constant-reaction mints: the serial
+        // host, one shard block and two all keep their bits right, skip
+        // only steps that would do nothing, and end in the same place.
+        let (nodes, items) = (8, 12);
+        let seeded = || {
+            let mut rng = Xoshiro256::seed_from_u64(40);
+            let mut state = SimState::new(nodes, items, 2);
+            PolicyKind::qcr_default().place(&mut state, &mut rng);
+            let pools: Vec<Pool> = (0..nodes)
+                .map(|_| {
+                    let mut pool = Pool::new();
+                    if rng.bernoulli(1.0 / 3.0) {
+                        pool.insert(rng.index(items) as u32, 1 + rng.index(4) as u64);
+                    }
+                    pool
+                })
+                .collect();
+            (state, pools)
+        };
+        let (state, pools) = seeded();
+        let serial = random_meetings(Serial(state, Mandates::new(pools)), nodes, items);
+        let skipped = serial.2;
+        assert!(
+            (100..1_900).contains(&skipped),
+            "both paths must be exercised: {skipped} skipped"
+        );
+        for blocks in [vec![8], vec![3, 5]] {
+            let (state, pools) = seeded();
+            let shards = shards_of(state, &pools, &blocks);
+            assert_eq!(random_meetings(shards, nodes, items), serial, "{blocks:?}");
         }
     }
 

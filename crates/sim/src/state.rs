@@ -120,7 +120,7 @@ impl CacheArena {
     }
 
     /// Number of cache-carrying nodes (capacity > 0), i.e. servers.
-    pub fn cache_nodes(&self) -> usize {
+    pub(crate) fn cache_nodes(&self) -> usize {
         if self.rho > 0 {
             self.cache_nodes
         } else {
@@ -820,22 +820,11 @@ impl SimState {
         }
     }
 
-    /// Dedicated population: nodes `0..servers` carry `rho`-slot caches,
-    /// the remaining (client) nodes have zero capacity.
-    pub fn new_dedicated(nodes: usize, servers: usize, items: usize, rho: usize) -> Self {
-        assert!(servers <= nodes);
-        SimState {
-            caches: CacheArena::new(nodes, servers, rho),
-            replicas: vec![0; items],
-            sticky_owner: vec![usize::MAX; items],
-            transmissions: 0,
-        }
-    }
-
-    /// Reset to the state [`SimState::new`] would build (or
-    /// [`SimState::new_dedicated`] when `servers < nodes`), reusing the
-    /// existing allocations — the scratch-pool hook that removes per-trial
-    /// state construction from the campaign hot path.
+    /// Reset to empty `rho`-slot caches on nodes `0..servers`, zero
+    /// capacity on the rest (a dedicated population's clients) and no
+    /// sticky seeds — [`SimState::new`]'s state when `servers == nodes` —
+    /// reusing the existing allocations: the scratch-pool hook that
+    /// removes per-trial state construction from the campaign hot path.
     pub fn reset(&mut self, nodes: usize, servers: usize, items: usize, rho: usize) {
         self.caches.reset(nodes, servers, rho);
         self.replicas.clear();
@@ -1220,7 +1209,10 @@ mod tests {
         used.seed_sticky_and_fill(&mut rng);
         used.replicate(0, 3, &mut rng);
         used.reset(9, 4, 6, 2);
-        let fresh = SimState::new_dedicated(9, 4, 6, 2);
+        let fresh = SimState {
+            caches: CacheArena::new(9, 4, 2),
+            ..SimState::new(9, 6, 2)
+        };
         assert_eq!(format!("{used:?}"), format!("{fresh:?}"));
         // And the reset state behaves identically under the same seed.
         let mut r1 = Xoshiro256::seed_from_u64(5);

@@ -51,6 +51,15 @@ curl -fsS -X POST "$BASE/v1/solve" \
 # exit_code 2 is the CLI usage code (see API.md's mapping table).
 curl -s -X POST "$BASE/v1/solve" -d '{"rho":2}' | grep '"exit_code":2' > /dev/null
 
+# A catalog past the size limits is refused before anything is allocated:
+# a 422 config envelope (exit_code 3), and the server still answers.
+STATUS=$(curl -s -o "$DATA/oversized.json" -w '%{http_code}' -X POST "$BASE/v1/solve" \
+    -d '{"nodes":10,"rho":2,"mu":0.05,"items":100000000000}')
+[ "$STATUS" = 422 ] || { echo "oversized solve answered $STATUS, not 422"; exit 1; }
+grep '"exit_code":3' "$DATA/oversized.json" > /dev/null
+[ "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz")" = 200 ] \
+    || { echo "/healthz did not answer 200 after the oversized solve"; exit 1; }
+
 # A tiny campaign, run to completion.
 SUBMIT=$(curl -fsS -X POST "$BASE/v1/campaigns" \
     -d '{"nodes":14,"mu":0.05,"duration":200.0,"items":6,"rho":2,"trials":2,"seed":11}')

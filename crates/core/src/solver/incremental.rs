@@ -508,27 +508,35 @@ impl DeltaSolver {
     /// Exchange entries across the selection boundary until the
     /// allocation is the top-`B` of the entry multiset — i.e. exactly
     /// the scratch greedy's answer. Returns replicas moved.
+    ///
+    /// The replica total is summed once and then moved with each
+    /// `take`/`give_back`, so the fill costs `O(|I| + ρ|S| log |I|)`,
+    /// not a catalog pass per replica.
     fn rebalance(&mut self) -> u64 {
         let mut moved = 0u64;
         let target = self.target();
+        let mut total = self.counts.total();
         // Grow to the budget (initial solve, raised ρ, item arrivals)…
-        while self.counts.total() < target {
+        while total < target {
             let Some((_, i)) = self.peek_valid_frontier() else {
                 break;
             };
             self.frontier.pop();
             self.take(i);
+            total += 1;
             moved += 1;
         }
         // …shrink past it (lowered ρ, items withdrawn)…
-        while self.counts.total() > target {
+        while total > target {
             let Some((_, i)) = self.peek_valid_selected() else {
                 break;
             };
             self.selected.pop();
             self.give_back(i);
+            total -= 1;
             moved += 1;
         }
+        debug_assert_eq!(total, self.counts.total());
         // …then swap while some outside entry strictly beats an inside
         // one. Strictness in the `(key, item)` tuple order guarantees
         // termination and mirrors the scratch heap's tie-breaking; a

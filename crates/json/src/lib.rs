@@ -151,8 +151,10 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Int(n) => {
-                use fmt::Write as _;
-                let _ = write!(out, "{n}");
+                if *n < 0 {
+                    out.push('-');
+                }
+                write_digits(n.unsigned_abs(), out);
             }
             Json::Float(x) => {
                 if x.is_finite() {
@@ -256,12 +258,36 @@ pub fn write_f64(x: f64, out: &mut String) {
 /// falling back to the float path above `i64::MAX`).
 pub fn write_u64(n: u64, out: &mut String) {
     match i64::try_from(n) {
-        Ok(i) => {
-            use fmt::Write as _;
-            let _ = write!(out, "{i}");
-        }
+        Ok(_) => write_digits(n, out),
         Err(_) => write_f64(n as f64, out),
     }
+}
+
+/// `"00" "01" … "99"`: the two ASCII digits of each value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Append the decimal digits of `n`, byte-identical to `{n}`, two at a
+/// time from [`DIGIT_PAIRS`] instead of through `core::fmt`.
+fn write_digits(mut n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    while n >= 10 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    // The leading digit of an odd-length number, or the 0 of zero.
+    if n > 0 || start == buf.len() {
+        start -= 1;
+        buf[start] = b'0' + n as u8;
+    }
+    out.extend(buf[start..].iter().map(|&b| char::from(b)));
 }
 
 /// Write `s` as a quoted, escaped JSON string exactly as [`Json::Str`]
@@ -356,6 +382,7 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pretty_print_reparses_identically() {
@@ -394,6 +421,67 @@ mod tests {
         assert_eq!(x, Json::Float(42.0));
         // A float that happens to be integral still re-parses as a float.
         assert_eq!(Json::parse(&x.to_string()).unwrap(), Json::Float(42.0));
+    }
+
+    /// `Json::Int(n)` and `write_u64(n)` as text.
+    fn int_text(n: i64) -> String {
+        Json::Int(n).to_string()
+    }
+
+    fn u64_text(n: u64) -> String {
+        let mut out = String::new();
+        write_u64(n, &mut out);
+        out
+    }
+
+    #[test]
+    fn integer_text_matches_display() {
+        let mut values = vec![0, 9, 10, 99, 100, i64::MIN, i64::MAX, i64::MIN + 1];
+        let mut power = 1i64;
+        while let Some(next) = power.checked_mul(10) {
+            values.extend([power - 1, power, power + 1, next - 1]);
+            power = next;
+        }
+        values.push(power);
+        for n in values.clone() {
+            values.push(n.wrapping_neg());
+        }
+        for n in values {
+            assert_eq!(int_text(n), format!("{n}"));
+            if let Ok(u) = u64::try_from(n) {
+                assert_eq!(u64_text(u), format!("{n}"));
+            }
+        }
+        for n in 0..10_000 {
+            assert_eq!(int_text(n), format!("{n}"));
+            assert_eq!(int_text(-n), format!("{}", -n));
+        }
+    }
+
+    #[test]
+    fn u64_above_i64_max_takes_the_float_path() {
+        for n in [i64::MAX as u64 + 1, u64::MAX] {
+            assert_eq!(u64_text(n), Json::Float(n as f64).to_string());
+            assert_eq!(u64_text(n), Json::from(n).to_string());
+        }
+        assert_eq!(u64_text(i64::MAX as u64), "9223372036854775807");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Random integers of every length: a full-width draw shifted
+        /// right by a random amount.
+        #[test]
+        fn random_integers_match_display(raw in 0u64..u64::MAX, shift in 0u32..64) {
+            let u = raw >> shift;
+            let i = u as i64;
+            prop_assert_eq!(int_text(i), format!("{i}"));
+            prop_assert_eq!(u64_text(u), Json::from(u).to_string());
+            if i >= 0 {
+                prop_assert_eq!(u64_text(u), format!("{u}"));
+            }
+        }
     }
 
     #[test]

@@ -271,7 +271,6 @@ impl Event {
     /// tally-only recording in the PR 1 bench.
     pub fn write_jsonl(&self, out: &mut String) {
         use impatience_json::{write_f64, write_str, write_u64};
-        use std::fmt::Write as _;
 
         out.push_str("{\"ev\":\"");
         out.push_str(self.kind());
@@ -281,7 +280,7 @@ impl Event {
             out.push('"');
             out.push_str(key);
             out.push_str("\":");
-            let _ = write!(out, "{n}");
+            Json::Int(n).write(out);
         };
         let float = |out: &mut String, key: &str, x: f64| {
             out.push(',');
@@ -494,6 +493,10 @@ mod tests {
             Event::TrialDone {
                 seed: u64::MAX,
                 wall_s: 1e-9,
+            },
+            Event::TrialDone {
+                seed: i64::MAX as u64,
+                wall_s: 0.5,
             },
             Event::ExperimentDone {
                 spec: "fig\"4\"\n".into(),

@@ -20,6 +20,27 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Maximum accepted request body size.
 const MAX_BODY_BYTES: usize = 1024 * 1024;
 
+/// Largest catalog a request may name: the items of the longest `demand`
+/// array a body of `MAX_BODY_BYTES` can carry (`[0,0,…]`, two bytes an
+/// item). A synthetic `items` count is held to the same size.
+pub(crate) const MAX_ITEMS: usize = MAX_BODY_BYTES / 2;
+/// Largest population (`nodes`, so `servers` too) a request may name.
+pub(crate) const MAX_NODES: usize = 1 << 20;
+/// Largest cache budget ρ·|S| a request may name; a campaign's
+/// `items`·`nodes` demand profile is held to the same size.
+pub(crate) const MAX_SLOTS: usize = 1 << 22;
+
+/// A 422 naming `what` unless `value` is at most `limit`.
+pub(crate) fn at_most(what: impl Display, value: usize, limit: usize) -> Result<(), ApiError> {
+    if value <= limit {
+        Ok(())
+    } else {
+        Err(ApiError::Config(format!(
+            "{what} must be ≤ {limit}, got {value}"
+        )))
+    }
+}
+
 /// A parsed HTTP request.
 #[derive(Debug)]
 pub struct Request {

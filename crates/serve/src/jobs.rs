@@ -47,7 +47,7 @@ use impatience_sim::{CampaignError, ContactSource, PolicyKind, SimConfig, TrialA
 
 use crate::artifacts::ArtifactStore;
 use crate::error::ApiError;
-use crate::http::{expect_object, field};
+use crate::http::{at_most, expect_object, field, MAX_ITEMS, MAX_NODES, MAX_SLOTS};
 use crate::lock;
 use crate::metrics::ServeMetrics;
 
@@ -108,6 +108,7 @@ impl JobSpec {
         if self.nodes < 2 {
             return Err(ApiError::Config("`nodes` must be ≥ 2".into()));
         }
+        at_most("`nodes`", self.nodes, MAX_NODES)?;
         if !(self.mu.is_finite() && self.mu > 0.0) {
             return Err(ApiError::Config(format!(
                 "`mu` must be finite and > 0, got {}",
@@ -120,6 +121,17 @@ impl JobSpec {
         if self.items == 0 {
             return Err(ApiError::Config("`items` must be ≥ 1".into()));
         }
+        at_most("`items`", self.items, MAX_ITEMS)?;
+        at_most(
+            "`rho`·`nodes`",
+            self.rho.saturating_mul(self.nodes),
+            MAX_SLOTS,
+        )?;
+        at_most(
+            "`items`·`nodes`",
+            self.items.saturating_mul(self.nodes),
+            MAX_SLOTS,
+        )?;
         if !(self.omega.is_finite() && self.omega > 0.0) {
             return Err(ApiError::Config("`omega` must be finite and > 0".into()));
         }
@@ -697,10 +709,17 @@ mod tests {
             // job's pure-P2P population does not have: the campaign gate.
             r#"{"utility":"neglog"}"#,
             r#"{"utility":"power:1.5"}"#,
+            // Over the size limits: refused before anything is allocated.
+            r#"{"items":100000000000}"#,
+            r#"{"nodes":100000000000}"#,
+            r#"{"nodes":5000,"items":1000}"#,
+            r#"{"nodes":1000000,"rho":5}"#,
+            r#"{"nodes":40,"rho":9223372036854775807}"#,
         ];
         for body in bad {
             let err = JobSpec::from_json(&Json::parse(body).unwrap()).unwrap_err();
             assert_eq!(err.http_status(), 422, "{body}");
+            assert_eq!(err.kind(), "config", "{body}");
         }
     }
 

@@ -4,7 +4,8 @@
 //! A request names a homogeneous system (population, cache budget ρ,
 //! contact rate μ, delay utility) plus a demand vector — either
 //! explicit `demand` rates or a synthetic Pareto catalog
-//! (`items` + `omega`). The handler checks a warm solver out of a pool
+//! (`items` + `omega`), which the pool builds once per shape and keeps in
+//! a bounded memo. The handler checks a warm solver out of a pool
 //! keyed by everything *except* demand, rebases its demand onto the
 //! request ([`DeltaSolver::rebase_demand`] — only the coordinates that
 //! moved pay), applies any explicit deltas, and answers with the
@@ -15,7 +16,7 @@
 //! is what makes p99 solve latency servable; the hit/miss ratio is
 //! exported as `impatience_solver_pool_total`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use impatience_core::demand::{DemandRates, Popularity};
@@ -25,7 +26,7 @@ use impatience_core::utility::{parse_utility, DelayUtility};
 use impatience_json::Json;
 
 use crate::error::ApiError;
-use crate::http::{expect_object, field, typed};
+use crate::http::{at_most, expect_object, field, typed, MAX_ITEMS, MAX_NODES, MAX_SLOTS};
 use crate::lock;
 
 /// A validated solve request.
@@ -34,9 +35,29 @@ pub struct SolveRequest {
     system: SystemModel,
     utility_spec: String,
     utility: Arc<dyn DelayUtility>,
-    demand: Vec<f64>,
+    demand: Demand,
     stale_eps: Option<f64>,
     deltas: Vec<Delta>,
+}
+
+/// A request's demand as it names it: the rates themselves, or the shape
+/// of a synthetic catalog the pool builds or finds in its memo.
+#[derive(Debug)]
+enum Demand {
+    /// Explicit `demand` rates.
+    Rates(Arc<[f64]>),
+    /// A Pareto(`omega`) catalog of `items`, total rate 1.
+    Pareto { items: usize, omega: f64 },
+}
+
+impl Demand {
+    /// Catalog size.
+    fn items(&self) -> usize {
+        match self {
+            Demand::Rates(rates) => rates.len(),
+            Demand::Pareto { items, .. } => *items,
+        }
+    }
 }
 
 impl SolveRequest {
@@ -49,6 +70,7 @@ impl SolveRequest {
         expect_object(body)?;
         let required = |key: &str| ApiError::BadRequest(format!("`{key}` is required"));
         let nodes: usize = field(body, "nodes")?.ok_or_else(|| required("nodes"))?;
+        at_most("`nodes`", nodes, MAX_NODES)?;
         let rho: usize = field(body, "rho")?.ok_or_else(|| required("rho"))?;
         let mu: f64 = field(body, "mu")?.ok_or_else(|| required("mu"))?;
         if !(mu.is_finite() && mu > 0.0) {
@@ -72,12 +94,15 @@ impl SolveRequest {
                 SystemModel::dedicated(nodes - s, s, rho, mu)
             }
         };
+        let servers = system.servers();
+        at_most("`rho`·servers", rho.saturating_mul(servers), MAX_SLOTS)?;
 
         let utility_spec = field(body, "utility")?.unwrap_or("step:10").to_string();
         let utility = parse_utility(&utility_spec).map_err(|e| ApiError::Config(e.to_string()))?;
 
-        let demand: Vec<f64> = match field::<&[Json]>(body, "demand")? {
+        let demand = match field::<&[Json]>(body, "demand")? {
             Some(arr) => {
+                at_most("`demand`", arr.len(), MAX_ITEMS)?;
                 let mut rates = Vec::with_capacity(arr.len());
                 for (i, r) in arr.iter().enumerate() {
                     let r: f64 = typed(r, format_args!("demand[{i}]"))?;
@@ -88,7 +113,7 @@ impl SolveRequest {
                     }
                     rates.push(r);
                 }
-                rates
+                Demand::Rates(rates.into())
             }
             None => {
                 let items: usize = field(body, "items")?.ok_or_else(|| {
@@ -97,19 +122,17 @@ impl SolveRequest {
                 if items == 0 {
                     return Err(ApiError::Config("`items` must be ≥ 1".into()));
                 }
+                at_most("`items`", items, MAX_ITEMS)?;
                 let omega = field(body, "omega")?.unwrap_or(1.0);
                 if !(omega.is_finite() && omega > 0.0) {
                     return Err(ApiError::Config(format!(
                         "`omega` must be finite and > 0, got {omega}"
                     )));
                 }
-                Popularity::pareto(items, omega)
-                    .demand_rates(1.0)
-                    .rates()
-                    .to_vec()
+                Demand::Pareto { items, omega }
             }
         };
-        if demand.is_empty() {
+        if demand.items() == 0 {
             return Err(ApiError::Config("demand catalog must be non-empty".into()));
         }
 
@@ -126,7 +149,7 @@ impl SolveRequest {
             .unwrap_or_default()
             .iter()
             .enumerate()
-            .map(|(i, d)| delta(i, d, demand.len()))
+            .map(|(i, d)| delta(i, d, demand.items(), servers))
             .collect::<Result<_, _>>()?;
 
         Ok(SolveRequest {
@@ -141,8 +164,8 @@ impl SolveRequest {
 }
 
 /// `deltas[i]`, one of `{item,rate}`, `{mu}` or `{rho}`, on a catalog of
-/// `items`.
-fn delta(i: usize, d: &Json, items: usize) -> Result<Delta, ApiError> {
+/// `items` cached by `servers`.
+fn delta(i: usize, d: &Json, items: usize, servers: usize) -> Result<Delta, ApiError> {
     if let Some(item) = d.get("item") {
         // An item index keeps its own wording ("an integer"), so it is
         // read here rather than by `typed`.
@@ -170,7 +193,9 @@ fn delta(i: usize, d: &Json, items: usize) -> Result<Delta, ApiError> {
             )));
         }
         Ok(Delta::ContactRate(mu))
-    } else if let Some(rho) = field(d, "rho")? {
+    } else if let Some(rho) = field::<usize>(d, "rho")? {
+        let slots = rho.saturating_mul(servers);
+        at_most(format_args!("`deltas[{i}].rho`·servers"), slots, MAX_SLOTS)?;
         Ok(Delta::CacheBudget(rho))
     } else {
         Err(ApiError::BadRequest(format!(
@@ -201,6 +226,50 @@ pub struct SolverPool {
     pools: Mutex<HashMap<String, Vec<DeltaSolver>>>,
     /// Cap on idle solvers kept per key (memory bound under fan-in).
     per_key: usize,
+    catalogs: Mutex<CatalogMemo>,
+}
+
+/// Rates the [`CatalogMemo`] holds at most, over all its catalogs
+/// (256 KiB). A larger catalog is built per request and not kept.
+const CATALOG_MEMO_RATES: usize = 1 << 15;
+
+/// The synthetic catalogs a [`SolverPool`] has built, keyed by
+/// `(items, ω bits)`, so a warm request's `items` + `omega` costs a
+/// lookup instead of a Pareto pass. Holds at most [`CATALOG_MEMO_RATES`]
+/// rates, evicting the oldest catalog first.
+#[derive(Default)]
+struct CatalogMemo {
+    catalogs: HashMap<(usize, u64), Arc<[f64]>>,
+    /// Keys in insertion order, oldest first.
+    order: VecDeque<(usize, u64)>,
+    /// Rates held, summed over `catalogs`.
+    rates: usize,
+}
+
+impl CatalogMemo {
+    fn get(&self, items: usize, omega: f64) -> Option<Arc<[f64]>> {
+        self.catalogs.get(&(items, omega.to_bits())).map(Arc::clone)
+    }
+
+    /// Keep `rates` as the catalog of `(items, omega)`, evicting the
+    /// oldest catalogs until it fits.
+    fn insert(&mut self, items: usize, omega: f64, rates: &Arc<[f64]>) {
+        let key = (items, omega.to_bits());
+        if items > CATALOG_MEMO_RATES || self.catalogs.contains_key(&key) {
+            return;
+        }
+        while self.rates + items > CATALOG_MEMO_RATES {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            if let Some(evicted) = self.catalogs.remove(&oldest) {
+                self.rates -= evicted.len();
+            }
+        }
+        self.catalogs.insert(key, Arc::clone(rates));
+        self.order.push_back(key);
+        self.rates += items;
+    }
 }
 
 /// Outcome of one pooled solve, ready to serialize.
@@ -227,18 +296,39 @@ impl SolverPool {
         SolverPool {
             pools: Mutex::new(HashMap::new()),
             per_key: per_key.max(1),
+            catalogs: Mutex::new(CatalogMemo::default()),
+        }
+    }
+
+    /// The rates `demand` names: its own, or the Pareto catalog of its
+    /// shape from the memo, built and kept on a miss.
+    fn rates(&self, demand: &Demand) -> Arc<[f64]> {
+        match *demand {
+            Demand::Rates(ref rates) => Arc::clone(rates),
+            Demand::Pareto { items, omega } => {
+                if let Some(rates) = lock(&self.catalogs).get(items, omega) {
+                    return rates;
+                }
+                let rates: Arc<[f64]> = Popularity::pareto(items, omega)
+                    .demand_rates(1.0)
+                    .rates()
+                    .into();
+                lock(&self.catalogs).insert(items, omega, &rates);
+                rates
+            }
         }
     }
 
     /// Serve one request end to end.
     pub fn solve(&self, req: &SolveRequest) -> Result<SolveReply, ApiError> {
-        let key = key_of(&req.system, &req.utility_spec, req.demand.len());
+        let key = key_of(&req.system, &req.utility_spec, req.demand.items());
+        let demand = self.rates(&req.demand);
         let warm = lock(&self.pools).get_mut(&key).and_then(Vec::pop);
         let pool_hit = warm.is_some();
         let mut solver = match warm {
             Some(s) => s,
             None => {
-                let demand = DemandRates::new(req.demand.clone());
+                let demand = DemandRates::new(demand.to_vec());
                 DeltaSolver::try_new(req.system, &demand, Arc::clone(&req.utility))
                     .map_err(|e| ApiError::Solver(e.to_string()))?
             }
@@ -247,7 +337,7 @@ impl SolverPool {
         solver.set_staleness(req.stale_eps);
         let mut outcome = if pool_hit {
             solver
-                .rebase_demand(&req.demand)
+                .rebase_demand(&demand)
                 .map_err(|e| ApiError::Solver(e.to_string()))?
         } else {
             DeltaOutcome::Resolved { moved: 0 }
@@ -443,10 +533,124 @@ mod tests {
                 r#"{"nodes":20,"rho":2,"mu":0.05,"items":6,"utility":"warp:9"}"#,
                 422,
             ),
+            // Over the size limits: refused before anything is allocated.
+            (
+                r#"{"nodes":10,"rho":2,"mu":0.05,"items":100000000000}"#,
+                422,
+            ),
+            (r#"{"nodes":100000000000,"rho":2,"mu":0.05,"items":6}"#, 422),
+            (r#"{"nodes":1000000,"rho":5,"mu":0.05,"items":6}"#, 422),
+            (
+                r#"{"nodes":20,"rho":9223372036854775807,"mu":0.05,"items":6}"#,
+                422,
+            ),
+            (
+                r#"{"nodes":20,"rho":2,"mu":0.05,"items":6,"deltas":[{"rho":1000000}]}"#,
+                422,
+            ),
         ] {
             let err = SolveRequest::from_json(&Json::parse(body).unwrap()).unwrap_err();
             assert_eq!(err.http_status(), want_status, "body: {body}");
+            if want_status == 422 {
+                assert_eq!(err.kind(), "config", "body: {body}");
+            }
         }
+    }
+
+    /// The reply's bytes, as the server sends them.
+    fn reply_text(pool: &SolverPool, body: &str) -> String {
+        pool.solve(&req(body)).unwrap().to_json().to_string()
+    }
+
+    #[test]
+    fn catalog_memo_hit_replies_equal_miss_replies() {
+        for body in [
+            r#"{"nodes":40,"rho":3,"mu":0.05,"items":300,"omega":0.8}"#,
+            r#"{"nodes":40,"rho":3,"mu":0.05,"items":300,"omega":0.8,
+                "deltas":[{"item":7,"rate":0.5},{"rho":4}]}"#,
+            r#"{"nodes":40,"rho":3,"mu":0.05,"items":300,"omega":0.8,"stale_eps":0.05,
+                "utility":"exp:0.5"}"#,
+        ] {
+            // A fresh pool builds the catalog: a memo miss.
+            let miss = reply_text(&SolverPool::new(4), body);
+            // Another shape of the same catalog fills the memo first, so
+            // `body` finds its catalog there but still misses the solver
+            // pool, as the first did.
+            let pool = SolverPool::new(4);
+            pool.solve(&req(
+                r#"{"nodes":60,"rho":2,"mu":0.05,"items":300,"omega":0.8}"#,
+            ))
+            .unwrap();
+            assert!(lock(&pool.catalogs).get(300, 0.8).is_some());
+            assert_eq!(reply_text(&pool, body), miss, "body: {body}");
+        }
+    }
+
+    #[test]
+    fn catalog_memo_never_serves_another_shape() {
+        let pool = SolverPool::new(4);
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let shapes = [
+            (12, 1.0),
+            (13, 1.0),
+            (12, next_up(1.0)),
+            (12, 0.5),
+            (1, 1.0),
+        ];
+        for round in 0..2 {
+            for &(items, omega) in &shapes {
+                let got = pool.rates(&Demand::Pareto { items, omega });
+                let want = Popularity::pareto(items, omega).demand_rates(1.0);
+                let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(want.rates()),
+                    "{items} items, ω {omega}, round {round}"
+                );
+            }
+        }
+        // The second round was served from the memo.
+        let again = pool.rates(&Demand::Pareto {
+            items: 13,
+            omega: 1.0,
+        });
+        assert!(Arc::ptr_eq(
+            &again,
+            &lock(&pool.catalogs).get(13, 1.0).unwrap()
+        ));
+    }
+
+    #[test]
+    fn catalog_memo_stays_within_its_bound() {
+        let pool = SolverPool::new(1);
+        for items in 1..=1_000 {
+            pool.rates(&Demand::Pareto { items, omega: 1.0 });
+            let memo = lock(&pool.catalogs);
+            assert!(memo.rates <= CATALOG_MEMO_RATES, "after {items} items");
+            assert_eq!(
+                memo.rates,
+                memo.catalogs.values().map(|c| c.len()).sum::<usize>()
+            );
+            assert_eq!(memo.order.len(), memo.catalogs.len());
+            assert!(memo.get(items, 1.0).is_some(), "the newest catalog is kept");
+        }
+        // The oldest went first: what is left is the newest run of shapes.
+        let memo = lock(&pool.catalogs);
+        let oldest = memo.order.front().unwrap().0;
+        assert!((oldest..=1_000).all(|items| memo.get(items, 1.0).is_some()));
+        assert!(memo.get(oldest - 1, 1.0).is_none());
+        drop(memo);
+        // A catalog over the bound is built for its request, not kept.
+        let big = CATALOG_MEMO_RATES + 1;
+        assert_eq!(
+            pool.rates(&Demand::Pareto {
+                items: big,
+                omega: 1.0
+            })
+            .len(),
+            big
+        );
+        assert!(lock(&pool.catalogs).get(big, 1.0).is_none());
     }
 
     #[test]

@@ -236,3 +236,51 @@ fn dynamic_demand_solver_layer_is_pinned() {
         greedy_homogeneous(&system, &after, &utility)
     );
 }
+
+/// The grow and shrink loops on catalogs large enough that a miscounted
+/// replica total would show: ρ raised, ρ lowered and a block of the most
+/// popular items zeroed, each through `apply` and each equal to a scratch
+/// greedy; then a 5 000-item catalog filled from scratch.
+#[test]
+fn large_catalog_budget_steps_match_scratch() {
+    let utility: Arc<dyn DelayUtility> = Arc::new(Exponential::new(0.5));
+    let scratch_of = |solver: &DeltaSolver| {
+        let demand = DemandRates::new(solver.rates().to_vec());
+        greedy_homogeneous(solver.system(), &demand, utility.as_ref())
+    };
+
+    let system = SystemModel::pure_p2p(50, 4, 0.05);
+    let demand = Popularity::pareto(2_000, 0.8).demand_rates(1.0);
+    let mut solver = DeltaSolver::new(system, &demand, Arc::clone(&utility));
+    assert_eq!(*solver.counts(), scratch_of(&solver), "initial fill");
+    let zero_block: Vec<Delta> = (0..300)
+        .map(|item| Delta::Demand { item, rate: 0.0 })
+        .collect();
+    let steps = [
+        vec![Delta::CacheBudget(9)],
+        vec![Delta::CacheBudget(2)],
+        zero_block,
+        vec![Delta::CacheBudget(6)],
+    ];
+    for (step, deltas) in steps.iter().enumerate() {
+        let out = solver.apply(deltas).expect("exact deltas cannot fail");
+        assert!(
+            matches!(out, DeltaOutcome::Resolved { moved } if moved > 0),
+            "step {step}: {out:?}"
+        );
+        assert_eq!(*solver.counts(), scratch_of(&solver), "step {step}");
+        assert_eq!(
+            solver.counts().total(),
+            solver.system().total_slots() as u64,
+            "step {step}: the budget is filled"
+        );
+    }
+
+    let system = SystemModel::pure_p2p(200, 10, 0.05);
+    let demand = Popularity::pareto(5_000, 1.0).demand_rates(1.0);
+    let solver = DeltaSolver::new(system, &demand, Arc::clone(&utility));
+    assert_eq!(
+        *solver.counts(),
+        greedy_homogeneous(&system, &demand, utility.as_ref())
+    );
+}

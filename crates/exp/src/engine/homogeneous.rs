@@ -100,7 +100,7 @@ impl Kind for LossSweepSpec {
                 let suite = run.suite(&cell, |config| {
                     homogeneous_competitors(&cell.what, &config.demand, config.utility.as_ref())
                 })?;
-                table.point(value, &normalized_losses(&suite));
+                table.point(value, &normalized_losses(&run.spec.name, &suite)?);
             }
             let seeds = [sweep.seed];
             run.emit(&sweep.file, &table, &seeds, self.trials)?;

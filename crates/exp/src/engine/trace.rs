@@ -138,8 +138,8 @@ impl Kind for TraceSuiteSpec {
             )
         };
 
-        if let Some(ts) = &self.timeseries {
-            let cell = cells.next().expect("the time series is the first cell");
+        // The time series, when there is one, is the first cell.
+        for (ts, cell) in self.timeseries.iter().zip(cells.by_ref()) {
             let stats = &traces.actual.stats;
             let suite = run.suite(&cell, |config| competitors(stats, config))?;
             let columns: Vec<(&str, &[f64])> = suite
@@ -156,7 +156,7 @@ impl Kind for TraceSuiteSpec {
             let mut table = Table::sweep(&axis.param);
             for (&value, cell) in axis.values.iter().zip(cells.by_ref()) {
                 let suite = run.suite(&cell, |config| competitors(&replay.stats, config))?;
-                table.point(value, &normalized_losses(&suite));
+                table.point(value, &normalized_losses(&run.spec.name, &suite)?);
             }
             run.emit(&axis.file, &table, &[axis.seed], self.trials)?;
         }

@@ -18,6 +18,8 @@ use impatience_sim::policy::PolicyKind;
 use impatience_sim::runner::TrialAggregate;
 use impatience_traces::TraceStats;
 
+use crate::error::ExpError;
+
 /// The paper's Pareto(ω = 1) demand at 1 request/min system-wide — the
 /// popularity model of every simulated evaluation section.
 pub fn pareto_demand(items: usize) -> DemandRates {
@@ -92,27 +94,26 @@ pub fn trace_competitors(
 
 /// Extract `(U − U_OPT)/|U_OPT|` in percent for every non-OPT policy,
 /// using the *simulated* OPT utility as the reference (as the paper's
-/// Fig. 4–6 do).
-///
-/// # Panics
-/// Panics if the suite carries no `OPT` entry; every suite the engines
-/// build includes one.
-pub fn normalized_losses(suite: &[(String, TrialAggregate)]) -> Vec<(String, f64)> {
-    let u_opt = suite
+/// Fig. 4–6 do); a suite of `spec` without an `OPT` entry is an error.
+pub fn normalized_losses(
+    spec: &str,
+    suite: &[(String, TrialAggregate)],
+) -> Result<Vec<(String, f64)>, ExpError> {
+    let (_, opt) = suite
         .iter()
         .find(|(l, _)| l == "OPT")
-        .map(|(_, a)| a.mean_rate)
-        .expect("suite must contain OPT");
-    suite
+        .ok_or_else(|| ExpError::spec(spec, "a loss cell runs no OPT"))?;
+    let losses = suite
         .iter()
         .filter(|(l, _)| l != "OPT")
         .map(|(l, a)| {
             (
                 l.clone(),
-                impatience_sim::metrics::normalized_loss_percent(a.mean_rate, u_opt),
+                impatience_sim::metrics::normalized_loss_percent(a.mean_rate, opt.mean_rate),
             )
         })
-        .collect()
+        .collect();
+    Ok(losses)
 }
 
 /// Convenience: the paper's §6.2 homogeneous setting (50 pure-P2P nodes,

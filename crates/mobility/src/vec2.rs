@@ -21,12 +21,12 @@ impl Vec2 {
     pub const ZERO: Vec2 = Vec2::new(0.0, 0.0);
 
     /// Euclidean norm.
-    pub fn norm(self) -> f64 {
+    fn norm(self) -> f64 {
         self.x.hypot(self.y)
     }
 
     /// Squared norm (no square root; use for comparisons).
-    pub fn norm_sq(self) -> f64 {
+    fn norm_sq(self) -> f64 {
         self.x * self.x + self.y * self.y
     }
 

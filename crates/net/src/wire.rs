@@ -1,9 +1,8 @@
 //! The wire codec: the five-message QCR protocol as length-checked,
 //! checksummed little-endian frames.
 //!
-//! Frame layout (mirroring the `sim::contact_bin` idiom: fixed magic,
-//! explicit little-endian fields, typed decode errors with truncation
-//! blame):
+//! Frame layout (fixed magic, explicit little-endian fields, typed
+//! decode errors with truncation blame):
 //!
 //! ```text
 //! [ MAGIC (1) | kind (1) | payload (kind-specific) | FNV-1a32 (4) ]

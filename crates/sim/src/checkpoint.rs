@@ -28,7 +28,7 @@ use crate::metrics::{f64_to_hex, Metrics};
 use crate::policy::PolicyKind;
 
 /// The checkpoint schema this build reads and writes.
-pub const CHECKPOINT_SCHEMA: &str = "impatience-checkpoint/1";
+const CHECKPOINT_SCHEMA: &str = "impatience-checkpoint/1";
 
 /// Why a checkpoint could not be read, written, or matched to the
 /// campaign being resumed.

@@ -41,12 +41,11 @@ use impatience_core::demand::DemandRates;
 use impatience_core::rng::{AliasTable, Xoshiro256};
 use impatience_core::types::SystemModel;
 use impatience_obs::{Recorder, Sink};
-use impatience_traces::ContactEvent;
+use impatience_traces::{ContactEvent, ContactStream};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::config::{ContactSource, SimConfig};
-use crate::contact_bin::BatchedContacts;
 use crate::faults::FaultState;
 use crate::metrics::Metrics;
 use crate::policy::{Fulfillment, PolicyKind, ReplicationPolicy};
@@ -153,6 +152,109 @@ pub fn seed_trial(source: &ContactSource, seed: u64) -> (Xoshiro256, BatchedCont
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let contacts = BatchedContacts::new(source.stream(&mut rng));
     (rng, contacts)
+}
+
+/// Number of events pulled per [`BatchedContacts`] refill (and per
+/// sharded lane refill).
+///
+/// 1024 events = 16 KiB — comfortably inside L1/L2, while amortizing the
+/// per-refill call overhead ~1000×.
+pub const DEFAULT_BATCH: usize = 1024;
+
+/// Batch adapter over a lazy [`ContactStream`]: a refill pulls up to
+/// `batch` upcoming events into one reusable buffer, which the lane
+/// driver takes a slice at a time (`next_batch`) and the net kernel an
+/// event at a time (`peek`/`next`).
+///
+/// Steady-state consumption performs zero allocation — `clear()` keeps
+/// the buffer's capacity across refills. Because the underlying contact
+/// stream draws from its own forked RNG stream, sampling a batch ahead
+/// of the simulation clock cannot perturb any other random draw, so the
+/// event sequence is bit-identical to consuming the stream directly.
+#[derive(Debug)]
+pub struct BatchedContacts {
+    stream: ContactStream,
+    nodes: usize,
+    duration: f64,
+    batch: usize,
+    buf: Vec<ContactEvent>,
+    /// Index of the next unconsumed event in `buf`.
+    pos: usize,
+    exhausted: bool,
+}
+
+impl BatchedContacts {
+    /// Wrap a stream with the default batch size ([`DEFAULT_BATCH`]).
+    pub fn new(stream: ContactStream) -> Self {
+        Self::with_batch(stream, DEFAULT_BATCH)
+    }
+
+    /// Wrap a stream, pulling `batch` events per refill.
+    ///
+    /// # Panics
+    /// Panics if `batch` is zero.
+    pub(crate) fn with_batch(stream: ContactStream, batch: usize) -> Self {
+        assert!(batch > 0, "batch size must be at least 1");
+        BatchedContacts {
+            nodes: stream.nodes(),
+            duration: stream.duration(),
+            stream,
+            batch,
+            buf: Vec::with_capacity(batch),
+            pos: 0,
+            exhausted: false,
+        }
+    }
+
+    /// Number of nodes the stream covers.
+    pub fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// Length of the observation window.
+    pub fn duration(&self) -> f64 {
+        self.duration
+    }
+
+    /// Pull the next batch of events into the reusable buffer, unless the
+    /// current one still has events or the stream has ended.
+    fn refill(&mut self) {
+        if self.pos < self.buf.len() || self.exhausted {
+            return;
+        }
+        let _s = impatience_obs::span!("stream");
+        self.buf.clear();
+        self.pos = 0;
+        self.buf.extend(self.stream.by_ref().take(self.batch));
+        self.exhausted = self.buf.len() < self.batch;
+    }
+
+    /// Every event not yet consumed of the current batch — a fresh batch
+    /// when there is none — consumed as a whole. Empty once the stream
+    /// has ended.
+    pub(crate) fn next_batch(&mut self) -> &[ContactEvent] {
+        self.refill();
+        let batch = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        batch
+    }
+
+    /// The next event without consuming it (refilling if the current
+    /// batch is drained).
+    pub fn peek(&mut self) -> Option<ContactEvent> {
+        self.refill();
+        self.buf.get(self.pos).copied()
+    }
+}
+
+impl Iterator for BatchedContacts {
+    type Item = ContactEvent;
+
+    fn next(&mut self) -> Option<ContactEvent> {
+        let e = self.peek()?;
+        self.pos += 1;
+        Some(e)
+    }
 }
 
 /// A trial's demand: Poisson arrivals of total rate `Σ_i d_i`, items drawn
@@ -984,5 +1086,75 @@ mod tests {
         let series = out.metrics.expected_utility_series();
         assert_eq!(series.len(), 10);
         assert!(series.iter().all(|v| v.is_finite()), "{series:?}");
+    }
+
+    #[test]
+    fn batched_stream_is_bit_identical_to_direct_consumption() {
+        for batch in [1, 3, DEFAULT_BATCH] {
+            let mut rng = Xoshiro256::seed_from_u64(11);
+            let direct: Vec<ContactEvent> =
+                ContactStream::poisson(20, 0.02, 1_000.0, rng.split(2)).collect();
+            let mut rng = Xoshiro256::seed_from_u64(11);
+            let stream = ContactStream::poisson(20, 0.02, 1_000.0, rng.split(2));
+            let mut batched = BatchedContacts::with_batch(stream, batch);
+            let mut got = Vec::new();
+            while let Some(peeked) = batched.peek() {
+                let next = batched.next().unwrap();
+                assert_eq!(peeked, next);
+                got.push(next);
+            }
+            assert_eq!(got, direct, "batch size {batch}");
+            assert!(batched.next().is_none());
+
+            // Slice consumption yields the same sequence; a slice taken
+            // after a single event is the rest of that event's batch (a
+            // fresh batch when that was all of it).
+            let mut rng = Xoshiro256::seed_from_u64(11);
+            let stream = ContactStream::poisson(20, 0.02, 1_000.0, rng.split(2));
+            let mut batched = BatchedContacts::with_batch(stream, batch);
+            let mut got = vec![batched.next().unwrap()];
+            let rest = batched.next_batch();
+            assert_eq!(rest.len(), (batch - 1).max(1));
+            got.extend_from_slice(rest);
+            loop {
+                let slice = batched.next_batch();
+                if slice.is_empty() {
+                    break;
+                }
+                assert!(slice.len() <= batch);
+                got.extend_from_slice(slice);
+            }
+            assert_eq!(got, direct, "batch size {batch}, by slices");
+            assert!(batched.peek().is_none() && batched.next_batch().is_empty());
+        }
+    }
+
+    mod batching {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Batched consumption is bit-identical to consuming the
+            /// stream directly, for any population, rate and batch size.
+            #[test]
+            fn batched_consumption_matches_direct_streaming(
+                seed in 0u64..1_000,
+                nodes in 2usize..40,
+                mu in 1e-4f64..0.05,
+                batch in 1usize..(2 * DEFAULT_BATCH),
+            ) {
+                let duration = 400.0;
+                let direct: Vec<ContactEvent> =
+                    ContactStream::poisson(nodes, mu, duration, Xoshiro256::seed_from_u64(seed))
+                        .collect();
+                let stream =
+                    ContactStream::poisson(nodes, mu, duration, Xoshiro256::seed_from_u64(seed));
+                let batched: Vec<ContactEvent> =
+                    BatchedContacts::with_batch(stream, batch).collect();
+                prop_assert_eq!(&batched, &direct);
+            }
+        }
     }
 }

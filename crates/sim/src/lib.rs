@@ -46,7 +46,6 @@
 
 pub mod checkpoint;
 pub mod config;
-pub mod contact_bin;
 pub mod engine;
 pub mod engine_discrete;
 pub mod faults;
@@ -58,8 +57,7 @@ pub mod state;
 
 pub use checkpoint::{CampaignCheckpoint, CheckpointError};
 pub use config::{ConfigError, ContactSource, SimConfig, SimConfigBuilder};
-pub use contact_bin::BatchedContacts;
-pub use engine::{run_trial, TrialOutcome};
+pub use engine::{run_trial, BatchedContacts, TrialOutcome};
 pub use engine_discrete::{run_trial_discrete, DiscreteSource};
 pub use faults::{CacheFaults, Churn, ContactDrop, FaultConfig, MsgFaults};
 pub use metrics::Metrics;

@@ -76,9 +76,9 @@
 //! ## Memory at scale
 //!
 //! Per-lane contacts are sampled **streaming** — each lane keeps one
-//! lookahead event plus a [`crate::contact_bin`]-encoded batch buffer of
-//! at most [`DEFAULT_BATCH`] fixed-width records, so trace memory is
-//! O(lanes), not O(contacts). Node state is the flat SoA
+//! lookahead event plus a reused buffer of at most [`DEFAULT_BATCH`]
+//! [`ContactEvent`]s, the form every other driver buffers too, so trace
+//! memory is O(lanes), not O(contacts). Node state is the flat SoA
 //! [`CacheArena`]/[`RequestArena`] split into per-shard blocks
 //! (`split_into_blocks` moves, never copies, slot storage).
 //!
@@ -100,8 +100,7 @@ use impatience_core::utility::DelayUtility;
 use impatience_traces::{pair_from_index, ContactEvent};
 
 use crate::config::{ConfigError, ContactSource, SimConfig};
-use crate::contact_bin::{decode_record_unchecked, encode_record, DEFAULT_BATCH, RECORD_BYTES};
-use crate::engine::TrialOutcome;
+use crate::engine::{TrialOutcome, DEFAULT_BATCH};
 use crate::faults::{GilbertChain, SlotFaultClock};
 use crate::metrics::Metrics;
 use crate::policy::qcr::Mandates;
@@ -260,8 +259,8 @@ enum LaneKind {
     },
 }
 
-/// A streaming contact sampler for one lane, batched through the compact
-/// binary record format, with the lane's share of the fault model (the
+/// A streaming contact sampler for one lane, buffering up to a batch of
+/// [`ContactEvent`]s ahead, with the lane's share of the fault model (the
 /// Gilbert drop chain and trace truncation act per lane; cache faults
 /// are global and live at the epoch boundary).
 struct LaneContacts {
@@ -273,9 +272,9 @@ struct LaneContacts {
     t: f64,
     lookahead: Option<ContactEvent>,
     done: bool,
-    /// Encoded batch of upcoming events (≤ [`DEFAULT_BATCH`] records),
-    /// reused across refills — the lane's whole trace memory.
-    buf: Vec<u8>,
+    /// Batch of upcoming events (≤ [`DEFAULT_BATCH`]), reused across
+    /// refills — the lane's whole trace memory.
+    buf: Vec<ContactEvent>,
     pos: usize,
     // Fault model.
     drop: Option<GilbertChain>,
@@ -358,10 +357,10 @@ impl LaneContacts {
     fn refill(&mut self, limit: f64) {
         self.buf.clear();
         self.pos = 0;
-        while self.buf.len() < DEFAULT_BATCH * RECORD_BYTES {
+        while self.buf.len() < DEFAULT_BATCH {
             match self.lookahead {
                 Some(e) if e.time < limit => {
-                    encode_record(&e, &mut self.buf);
+                    self.buf.push(e);
                     self.advance();
                 }
                 _ => break,
@@ -373,19 +372,14 @@ impl LaneContacts {
     fn peek_before(&mut self, limit: f64) -> Option<ContactEvent> {
         if self.pos == self.buf.len() {
             self.refill(limit);
-            if self.buf.is_empty() {
-                return None;
-            }
         }
-        Some(decode_record_unchecked(
-            &self.buf[self.pos..self.pos + RECORD_BYTES],
-        ))
+        self.buf.get(self.pos).copied()
     }
 
     /// Consume the next event before `limit`.
     fn next_before(&mut self, limit: f64) -> Option<ContactEvent> {
         let e = self.peek_before(limit)?;
-        self.pos += RECORD_BYTES;
+        self.pos += 1;
         Some(e)
     }
 

@@ -35,11 +35,6 @@ impl ContactEvent {
         }
     }
 
-    /// Whether this contact involves the given node.
-    pub fn involves(&self, node: u32) -> bool {
-        self.a == node || self.b == node
-    }
-
     /// JSON form: `{"time": t, "a": a, "b": b}`.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -84,14 +79,6 @@ mod tests {
         let e = ContactEvent::new(5.0, 9, 2);
         assert_eq!((e.a, e.b), (2, 9));
         assert_eq!(e.time, 5.0);
-    }
-
-    #[test]
-    fn involvement() {
-        let e = ContactEvent::new(1.0, 3, 7);
-        assert!(e.involves(3));
-        assert!(e.involves(7));
-        assert!(!e.involves(5));
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl Default for ConferenceConfig {
 /// Diurnal activity multiplier at minute `t` (period 24 h):
 /// conference hours (09–18) are fully active, evenings (18–24) moderate,
 /// nights (00–09) nearly silent.
-pub fn diurnal_activity(t: f64) -> f64 {
+fn diurnal_activity(t: f64) -> f64 {
     let hour = (t.rem_euclid(DAY)) / 60.0;
     if (9.0..18.0).contains(&hour) {
         1.0

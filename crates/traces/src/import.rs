@@ -21,7 +21,7 @@
 
 use std::io::{BufRead, BufReader, Read};
 
-use crate::{ContactEvent, ContactTrace, TraceIoError};
+use crate::{ContactEvent, ContactTrace, TraceError};
 
 /// Column order of an interval-format contact file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,15 +59,15 @@ impl Default for ImportOptions {
 
 /// Parse an interval-format contact file into a point-contact trace.
 ///
-/// Malformed lines produce a [`TraceIoError::Format`] carrying the line
+/// Malformed lines produce a [`TraceError::Format`] carrying the line
 /// number; self-contacts and inverted intervals are rejected.
 pub fn read_interval_trace(
     reader: impl Read,
     options: ImportOptions,
-) -> Result<ContactTrace, TraceIoError> {
+) -> Result<ContactTrace, TraceError> {
     if let Some(refresh) = options.refresh_interval {
         if !(refresh.is_finite() && refresh > 0.0) {
-            return Err(TraceIoError::Format {
+            return Err(TraceError::Format {
                 line: 0,
                 message: format!("refresh interval must be positive and finite (got {refresh})"),
             });
@@ -84,24 +84,24 @@ pub fn read_interval_trace(
         }
         let fields: Vec<&str> = line.split_whitespace().collect();
         if fields.len() < 4 {
-            return Err(TraceIoError::Format {
+            return Err(TraceError::Format {
                 line: line_no,
                 message: format!("expected 4 fields, got {}", fields.len()),
             });
         }
-        let parse_f = |s: &str, what: &str| -> Result<f64, TraceIoError> {
-            s.parse().map_err(|_| TraceIoError::Format {
+        let parse_f = |s: &str, what: &str| -> Result<f64, TraceError> {
+            s.parse().map_err(|_| TraceError::Format {
                 line: line_no,
                 message: format!("unparsable {what} `{s}`"),
             })
         };
-        let parse_id = |s: &str, what: &str| -> Result<u32, TraceIoError> {
-            let raw: u32 = s.parse().map_err(|_| TraceIoError::Format {
+        let parse_id = |s: &str, what: &str| -> Result<u32, TraceError> {
+            let raw: u32 = s.parse().map_err(|_| TraceError::Format {
                 line: line_no,
                 message: format!("unparsable {what} `{s}`"),
             })?;
             if options.one_based_ids {
-                raw.checked_sub(1).ok_or_else(|| TraceIoError::Format {
+                raw.checked_sub(1).ok_or_else(|| TraceError::Format {
                     line: line_no,
                     message: format!("{what} is 0 but ids are declared 1-based"),
                 })
@@ -124,13 +124,13 @@ pub fn read_interval_trace(
             ),
         };
         if a == b {
-            return Err(TraceIoError::Format {
+            return Err(TraceError::Format {
                 line: line_no,
                 message: format!("self-contact ({a})"),
             });
         }
         if !(start.is_finite() && end.is_finite()) || end < start {
-            return Err(TraceIoError::Format {
+            return Err(TraceError::Format {
                 line: line_no,
                 message: format!("invalid interval [{start}, {end}]"),
             });
@@ -138,7 +138,7 @@ pub fn read_interval_trace(
         intervals.push((start, end, a, b));
     }
     if intervals.is_empty() {
-        return Err(TraceIoError::Format {
+        return Err(TraceError::Format {
             line: 0,
             message: "no contact intervals found".into(),
         });
@@ -180,9 +180,9 @@ pub fn read_interval_trace(
 pub fn read_interval_trace_file(
     path: impl AsRef<std::path::Path>,
     options: ImportOptions,
-) -> Result<ContactTrace, TraceIoError> {
+) -> Result<ContactTrace, TraceError> {
     let path = path.as_ref();
-    let annotate = |e: TraceIoError| e.in_file(path);
+    let annotate = |e: TraceError| e.in_file(path);
     let file = std::fs::File::open(path).map_err(|e| annotate(e.into()))?;
     read_interval_trace(file, options).map_err(annotate)
 }

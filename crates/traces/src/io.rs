@@ -50,9 +50,6 @@ pub enum TraceError {
     },
 }
 
-/// Former name of [`TraceError`], kept for downstream code.
-pub type TraceIoError = TraceError;
-
 impl TraceError {
     /// Annotate this error with the file it arose from.
     pub fn in_file(self, path: impl Into<PathBuf>) -> TraceError {
@@ -102,7 +99,7 @@ impl From<impatience_json::JsonParseError> for TraceError {
 }
 
 /// Write a trace in the plain-text format.
-pub fn write_trace(trace: &ContactTrace, writer: impl Write) -> Result<(), TraceIoError> {
+pub fn write_trace(trace: &ContactTrace, writer: impl Write) -> Result<(), TraceError> {
     let mut w = BufWriter::new(writer);
     writeln!(w, "# impatience-trace v1")?;
     writeln!(w, "# nodes {}", trace.nodes())?;
@@ -115,7 +112,7 @@ pub fn write_trace(trace: &ContactTrace, writer: impl Write) -> Result<(), Trace
 }
 
 /// Read a trace in the plain-text format.
-pub fn read_trace(reader: impl Read) -> Result<ContactTrace, TraceIoError> {
+pub fn read_trace(reader: impl Read) -> Result<ContactTrace, TraceError> {
     let reader = BufReader::new(reader);
     let mut nodes: Option<usize> = None;
     let mut duration: Option<f64> = None;
@@ -137,7 +134,14 @@ pub fn read_trace(reader: impl Read) -> Result<ContactTrace, TraceIoError> {
                     nodes = Some(parse_field(parts.next(), line_no, "node count")?);
                 }
                 Some("duration") => {
-                    duration = Some(parse_field(parts.next(), line_no, "duration")?);
+                    let d: f64 = parse_field(parts.next(), line_no, "duration")?;
+                    if !(d > 0.0 && d.is_finite()) {
+                        return Err(TraceError::Format {
+                            line: line_no,
+                            message: format!("duration must be positive and finite, got {d}"),
+                        });
+                    }
+                    duration = Some(d);
                 }
                 _ => {} // other comments ignored
             }
@@ -148,19 +152,19 @@ pub fn read_trace(reader: impl Read) -> Result<ContactTrace, TraceIoError> {
         let a: u32 = parse_field(parts.next(), line_no, "first node")?;
         let b: u32 = parse_field(parts.next(), line_no, "second node")?;
         if parts.next().is_some() {
-            return Err(TraceIoError::Format {
+            return Err(TraceError::Format {
                 line: line_no,
                 message: "trailing fields after `time a b`".into(),
             });
         }
         if a == b {
-            return Err(TraceIoError::Format {
+            return Err(TraceError::Format {
                 line: line_no,
                 message: format!("self-contact ({a}, {b})"),
             });
         }
         if !(time.is_finite() && time >= 0.0) {
-            return Err(TraceIoError::Format {
+            return Err(TraceError::Format {
                 line: line_no,
                 message: format!("invalid event time {time}"),
             });
@@ -174,13 +178,13 @@ pub fn read_trace(reader: impl Read) -> Result<ContactTrace, TraceIoError> {
     let nodes = nodes.unwrap_or(max_node as usize + 1);
     let duration = duration.unwrap_or(max_time.max(f64::MIN_POSITIVE));
     if (max_node as usize) >= nodes && !events.is_empty() {
-        return Err(TraceIoError::Format {
+        return Err(TraceError::Format {
             line: 0,
             message: format!("event references node {max_node} but header says {nodes} nodes"),
         });
     }
     if max_time > duration {
-        return Err(TraceIoError::Format {
+        return Err(TraceError::Format {
             line: 0,
             message: format!("event at t={max_time} exceeds header duration {duration}"),
         });
@@ -192,31 +196,31 @@ fn parse_field<T: std::str::FromStr>(
     field: Option<&str>,
     line: usize,
     what: &str,
-) -> Result<T, TraceIoError> {
+) -> Result<T, TraceError> {
     field
-        .ok_or_else(|| TraceIoError::Format {
+        .ok_or_else(|| TraceError::Format {
             line,
             message: format!("missing {what}"),
         })?
         .parse()
-        .map_err(|_| TraceIoError::Format {
+        .map_err(|_| TraceError::Format {
             line,
             message: format!("unparsable {what}"),
         })
 }
 
 /// Serialize a trace as JSON.
-pub fn write_trace_json(trace: &ContactTrace, mut writer: impl Write) -> Result<(), TraceIoError> {
+pub fn write_trace_json(trace: &ContactTrace, mut writer: impl Write) -> Result<(), TraceError> {
     writer.write_all(trace.to_json().to_string().as_bytes())?;
     Ok(())
 }
 
 /// Deserialize a trace from JSON.
-pub fn read_trace_json(mut reader: impl Read) -> Result<ContactTrace, TraceIoError> {
+pub fn read_trace_json(mut reader: impl Read) -> Result<ContactTrace, TraceError> {
     let mut text = String::new();
     reader.read_to_string(&mut text)?;
     let value = impatience_json::Json::parse(&text)?;
-    ContactTrace::from_json(&value).map_err(|message| TraceIoError::Format { line: 0, message })
+    ContactTrace::from_json(&value).map_err(|message| TraceError::Format { line: 0, message })
 }
 
 /// Read a plain-text trace from `path`; errors carry the path.
@@ -277,7 +281,7 @@ mod tests {
     #[test]
     fn error_on_malformed_line() {
         let err = read_trace("1.0 0\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, TraceIoError::Format { line: 1, .. }), "{err}");
+        assert!(matches!(err, TraceError::Format { line: 1, .. }), "{err}");
         let err = read_trace("abc 0 1\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("unparsable event time"));
         let err = read_trace("1.0 0 1 9\n".as_bytes()).unwrap_err();
@@ -302,6 +306,19 @@ mod tests {
         let text = "# duration 2\n3.0 0 1\n";
         let err = read_trace(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("exceeds header duration"), "{err}");
+    }
+
+    #[test]
+    fn error_on_degenerate_header_duration() {
+        for bad in ["0", "-5", "NaN", "inf"] {
+            let text = format!("# nodes 3\n# duration {bad}\n1.0 0 1\n");
+            let err = read_trace(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, TraceError::Format { line: 2, .. }),
+                "{bad}: {err}"
+            );
+            assert!(err.to_string().contains("positive and finite"), "{err}");
+        }
     }
 
     #[test]

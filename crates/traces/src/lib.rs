@@ -52,7 +52,6 @@ pub use event::ContactEvent;
 pub use import::{read_interval_trace, read_interval_trace_file, ImportOptions, IntervalColumns};
 pub use io::{
     read_trace, read_trace_file, read_trace_json, write_trace, write_trace_json, TraceError,
-    TraceIoError,
 };
 pub use stats::TraceStats;
 pub use stream::{

@@ -69,24 +69,6 @@ impl ContactTrace {
         self.events.is_empty()
     }
 
-    /// Events within `[from, to)`, re-based so the window starts at 0.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ from < to ≤ duration`.
-    pub fn window(&self, from: f64, to: f64) -> ContactTrace {
-        assert!(
-            0.0 <= from && from < to && to <= self.duration,
-            "invalid window"
-        );
-        let events: Vec<ContactEvent> = self
-            .events
-            .iter()
-            .filter(|e| e.time >= from && e.time < to)
-            .map(|e| ContactEvent::new(e.time - from, e.a, e.b))
-            .collect();
-        ContactTrace::new(self.nodes, to - from, events)
-    }
-
     /// Number of contacts each node participates in.
     pub fn contact_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.nodes];
@@ -216,15 +198,6 @@ mod tests {
         assert_eq!(times, vec![10.0, 30.0, 50.0, 70.0]);
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn window_rebases_time() {
-        let t = sample();
-        let w = t.window(20.0, 60.0);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.events()[0].time, 10.0); // was 30
-        assert_eq!(w.duration(), 40.0);
     }
 
     #[test]

@@ -595,6 +595,19 @@ fn generate_and_stats() {
     case.finish();
 }
 
+/// A trace whose `# duration` header is not a positive, finite time is
+/// a `trace` error naming the header's line, in `stats` and `simulate`.
+#[test]
+fn degenerate_trace_duration_is_a_trace_error() {
+    let mut case = Case::new("degenerate_trace_duration_is_a_trace_error");
+    std::fs::write(case.dir.join("zero.trace"), "# nodes 3\n# duration 0\n").unwrap();
+    for line in ["stats zero.trace", "simulate zero.trace --items 2 --rho 1"] {
+        let run = case.run(line);
+        assert_eq!(run.code, 5, "{}", run.stderr);
+    }
+    case.finish();
+}
+
 /// Every `trace` subcommand on the two committed fixture traces.
 #[test]
 fn trace_subcommands() {

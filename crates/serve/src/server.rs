@@ -220,8 +220,7 @@ enum Answer {
 /// take counts under `*`. A handled request counts as 200 (a 202
 /// included), or as 500 when its reply cannot be written.
 fn route(mut stream: TcpStream, ctx: &Arc<Ctx>) {
-    // A stalled peer must not wedge a pool worker forever.
-    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+    bound_stalls(&stream);
     let _ = stream.set_nodelay(true);
     let (template, answer) = match Request::read_from(&mut stream) {
         Ok(req) => dispatch(&req, ctx),
@@ -254,6 +253,14 @@ fn route(mut stream: TcpStream, ctx: &Arc<Ctx>) {
         }
     };
     ctx.metrics.http_request(template, status);
+}
+
+/// A stalled peer must not wedge a pool worker forever: neither a read
+/// of its request nor a write of the reply may wait past
+/// [`SOCKET_TIMEOUT`].
+fn bound_stalls(stream: &TcpStream) {
+    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
 }
 
 /// The answer to `req`, and the template it counts under.
@@ -378,10 +385,9 @@ fn handle_events(
         .stream(id)
         .ok_or_else(|| ApiError::NotFound(format!("no job {id}")))?;
     // SSE connections outlive the read timeout set for parsing. Writes
-    // get the same limit instead: a subscriber that stops reading is
-    // dropped like a closed peer and resumes with `Last-Event-ID`.
+    // keep theirs: a subscriber that stops reading is dropped like a
+    // closed peer and resumes with `Last-Event-ID`.
     let _ = stream.set_read_timeout(None);
-    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     start_sse(stream).map_err(|e| ApiError::Io(e.to_string()))?;
     let mut cursor = events.subscribe(offset);
     let mut frames: Vec<u8> = Vec::new();
@@ -480,6 +486,19 @@ mod tests {
             .map(|(_, b)| b.to_string())
             .unwrap_or_default();
         (status, payload)
+    }
+
+    /// Both directions of a routed connection are bounded: a client that
+    /// stops reading a large reply frees its worker like one that stops
+    /// sending its request.
+    #[test]
+    fn routed_streams_bound_reads_and_writes() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        bound_stalls(&stream);
+        assert_eq!(stream.read_timeout().unwrap(), Some(SOCKET_TIMEOUT));
+        assert_eq!(stream.write_timeout().unwrap(), Some(SOCKET_TIMEOUT));
     }
 
     #[test]

@@ -316,6 +316,14 @@ impl<'a> Demand<'a> {
         self.next
     }
 
+    /// The earlier of the next arrival and the next demand shift: before
+    /// it, [`Demand::next_arrival`] changes nothing.
+    #[inline]
+    pub(crate) fn next_event(&mut self) -> f64 {
+        let shift = self.shifts.peek().map_or(f64::INFINITY, |&&(t, _)| t);
+        self.next.min(shift)
+    }
+
     /// The active rates.
     pub(crate) fn rates(&self) -> &'a DemandRates {
         self.rates
@@ -406,6 +414,14 @@ impl<'a, S: Sink> Frame<'a, S> {
         if let Some(fs) = self.faults.as_mut() {
             fs.apply_cache_faults(t, state, &mut self.metrics, self.rec);
         }
+    }
+
+    /// Time of the next cache-slot fault (∞ without one).
+    #[inline]
+    pub(crate) fn next_cache_fault(&self) -> f64 {
+        self.faults
+            .as_ref()
+            .map_or(f64::INFINITY, FaultState::next_cache_fault)
     }
 
     /// Nodes `a` and `b` meet at `t`: recorded, unless the fault model
@@ -700,6 +716,35 @@ impl<'a, S: Sink> Lane<'a, S> {
         }
     }
 
+    /// The earliest time at which [`Lane::step`] does more than meet: the
+    /// next arrival or demand shift, bin start or cache fault, or the
+    /// horizon. A contact strictly before it only meets.
+    #[inline]
+    fn quiet(&mut self) -> f64 {
+        self.demand
+            .next_event()
+            .min(self.next_snapshot)
+            .min(self.trial.frame.next_cache_fault())
+            .min(self.trial.frame.duration)
+    }
+
+    /// [`Lane::step`] through `contacts`: a run of contacts before the
+    /// next non-contact event goes straight to the meeting, the first
+    /// contact at or past it through `step`.
+    fn batch(&mut self, contacts: &[ContactEvent]) {
+        let mut quiet = self.quiet();
+        for e in contacts {
+            if e.time < quiet {
+                let _s = impatience_obs::span!("contact");
+                self.trial
+                    .meeting(e.time, e.a, e.b, |created| e.time - created);
+            } else {
+                self.step(Some(e));
+                quiet = self.quiet();
+            }
+        }
+    }
+
     /// Past the last contact: step to the horizon and take the trailing
     /// snapshots.
     fn run_out(&mut self) {
@@ -772,11 +817,34 @@ pub(crate) fn run_lanes<S: Sink>(
     recs: &mut [Recorder<S>],
     scratches: &mut [TrialScratch],
 ) -> Vec<(std::thread::Result<TrialOutcome>, f64)> {
+    drive_lanes(
+        config,
+        source,
+        seed,
+        policies,
+        recs,
+        scratches,
+        |lane, batch| lane.batch(batch),
+    )
+}
+
+/// [`run_lanes`] with `drive` taking each lane through each batch of
+/// contacts: [`Lane::batch`] here, one [`Lane::step`] per contact in the
+/// tests' reference driver.
+fn drive_lanes<S: Sink>(
+    config: &SimConfig,
+    source: &ContactSource,
+    seed: u64,
+    policies: &[&PolicyKind],
+    recs: &mut [Recorder<S>],
+    scratches: &mut [TrialScratch],
+    drive: impl Fn(&mut Lane<'_, S>, &[ContactEvent]),
+) -> Vec<(std::thread::Result<TrialOutcome>, f64)> {
     assert!(policies.len() == recs.len() && policies.len() == scratches.len());
     // Self-profiling spans (impatience_obs::span) are gated process-wide
-    // and cost one relaxed atomic load each when profiling is off; they
-    // are independent of the recorder's sink, so `--profile` attributes
-    // wall time even on otherwise-unobserved runs.
+    // and cost one relaxed atomic load and a branch each (~1 ns) when
+    // profiling is off; they are independent of the recorder's sink, so
+    // `--profile` attributes wall time even on otherwise-unobserved runs.
     let _trial_span = impatience_obs::span!("trial");
     // Contacts arrive `DEFAULT_BATCH` at a time in a reusable buffer, so
     // the hot loop touches no allocator and no enum dispatch per event.
@@ -808,7 +876,7 @@ pub(crate) fn run_lanes<S: Sink>(
             break;
         }
         for lane in &mut lanes {
-            lane.step(|lane| batch.iter().for_each(|e| lane.step(Some(e))));
+            lane.step(|lane| drive(lane, batch));
         }
     }
     lanes
@@ -1126,6 +1194,193 @@ mod tests {
             }
             assert_eq!(got, direct, "batch size {batch}, by slices");
             assert!(batched.peek().is_none() && batched.next_batch().is_empty());
+        }
+    }
+
+    mod quiet_runs {
+        use super::*;
+        use crate::faults::{CacheFaults, Churn, ContactDrop, FaultConfig};
+        use impatience_core::demand::DemandProfile;
+        use impatience_obs::{Event, MemorySink};
+        use proptest::prelude::*;
+
+        const NODES: usize = 8;
+        const ITEMS: usize = 6;
+        const RHO: usize = 2;
+        const DURATION: f64 = 300.0;
+        const BIN: f64 = 50.0;
+        const SHIFTS: [f64; 2] = [90.0, 210.0];
+
+        fn config(shifts: bool, faults: bool, dedicated: bool) -> SimConfig {
+            let demand = |alpha| Popularity::pareto(ITEMS, alpha).demand_rates(0.4);
+            let mut builder = SimConfig::builder(ITEMS, RHO)
+                .demand(demand(1.0))
+                .utility(Arc::new(Step::new(20.0)))
+                .bin(BIN);
+            if shifts {
+                builder = builder
+                    .demand_shift(SHIFTS[0], demand(0.2))
+                    .demand_shift(SHIFTS[1], demand(2.0));
+            }
+            if faults {
+                builder = builder.faults(FaultConfig {
+                    seed: 3,
+                    drop: Some(ContactDrop {
+                        p: 0.2,
+                        mean_burst: 2.0,
+                    }),
+                    cache: Some(CacheFaults { rate: 0.01 }),
+                    churn: Some(Churn {
+                        mean_up: 150.0,
+                        mean_down: 30.0,
+                    }),
+                    ..FaultConfig::default()
+                });
+            }
+            if dedicated {
+                builder = builder
+                    .dedicated_servers(4)
+                    .profile(DemandProfile::uniform(ITEMS, NODES - 4));
+            }
+            builder.build()
+        }
+
+        fn policies(config: &SimConfig) -> Vec<PolicyKind> {
+            let servers = config.dedicated_servers.unwrap_or(NODES);
+            vec![
+                PolicyKind::Static {
+                    label: "UNI",
+                    counts: uniform(ITEMS, servers, RHO),
+                },
+                PolicyKind::qcr_default(),
+                PolicyKind::HillClimb {
+                    moves_per_contact: 1,
+                },
+            ]
+        }
+
+        /// Every lane of `policies` on `source`, `drive` taking a lane
+        /// through each batch: the outcomes as bits (metrics in their
+        /// checkpoint encoding, floats as bit patterns) and the events.
+        fn lanes(
+            config: &SimConfig,
+            source: &ContactSource,
+            seed: u64,
+            policies: &[PolicyKind],
+            drive: impl Fn(&mut Lane<'_, MemorySink>, &[ContactEvent]),
+        ) -> Vec<(String, Vec<Event>)> {
+            let policies: Vec<&PolicyKind> = policies.iter().collect();
+            let mut recs: Vec<_> = policies
+                .iter()
+                .map(|_| Recorder::new(MemorySink::new()))
+                .collect();
+            let mut scratches: Vec<_> = policies.iter().map(|_| TrialScratch::new()).collect();
+            let outcomes = drive_lanes(
+                config,
+                source,
+                seed,
+                &policies,
+                &mut recs,
+                &mut scratches,
+                drive,
+            );
+            outcomes
+                .into_iter()
+                .zip(recs)
+                .map(|((outcome, _), rec)| {
+                    let outcome = outcome.unwrap_or_else(|panic| resume_unwind(panic));
+                    let bits = format!(
+                        "{} {} {:?}",
+                        outcome.label,
+                        outcome.metrics.to_json(),
+                        outcome.final_replicas
+                    );
+                    // A lane's wall time is the one thing allowed to differ.
+                    let events = rec
+                        .sink()
+                        .events
+                        .iter()
+                        .map(|e| match *e {
+                            Event::TrialDone { seed, .. } => Event::TrialDone { seed, wall_s: 0.0 },
+                            ref other => other.clone(),
+                        })
+                        .collect();
+                    (bits, events)
+                })
+                .collect()
+        }
+
+        /// The reference driver: [`Lane::step`] once per contact.
+        fn stepped(lane: &mut Lane<'_, MemorySink>, batch: &[ContactEvent]) {
+            batch.iter().for_each(|e| lane.step(Some(e)));
+        }
+
+        fn batched(lane: &mut Lane<'_, MemorySink>, batch: &[ContactEvent]) {
+            lane.batch(batch);
+        }
+
+        /// A Poisson trace plus contacts at exactly the times the quiet
+        /// check compares against: each arrival and cache fault of a
+        /// first run on it (meeting the node concerned and every other
+        /// node), each bin start, each shift time and the horizon.
+        fn tied_trace(config: &SimConfig, seed: u64, policies: &[PolicyKind]) -> ContactSource {
+            let rng = Xoshiro256::seed_from_u64(seed ^ 0x7ace);
+            let base = ContactStream::poisson(NODES, 0.02, DURATION, rng).collect_trace();
+            let mut events = base.events().to_vec();
+            let source = ContactSource::trace(base);
+            let mut ties: Vec<(f64, u32)> = (0..)
+                .map(|k| k as f64 * BIN)
+                .take_while(|&t| t < DURATION)
+                .chain(SHIFTS)
+                .chain([DURATION])
+                .map(|t| (t, 0))
+                .collect();
+            for (_, recorded) in lanes(config, &source, seed, policies, stepped) {
+                ties.extend(recorded.iter().filter_map(|e| match *e {
+                    Event::Request { t, node, .. } => Some((t, node)),
+                    Event::Fault {
+                        t,
+                        kind: "cache_fault",
+                        node,
+                        ..
+                    } => Some((t, node)),
+                    _ => None,
+                }));
+            }
+            for (t, node) in ties {
+                let others = (0..NODES as u32).filter(|&m| m != node);
+                events.extend(others.map(|m| ContactEvent::new(t, node, m)));
+            }
+            ContactSource::trace(ContactTrace::new(NODES, DURATION, events))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Running contacts straight to the meeting until the lane's
+            /// next non-contact event changes nothing: every lane's
+            /// outcome and event stream equal those of stepping each
+            /// contact through `Lane::step`.
+            #[test]
+            fn quiet_runs_equal_per_contact_steps(
+                seed in 0u64..10_000,
+                setting in 0u32..16,
+            ) {
+                let on = |bit: u32| setting & (1 << bit) != 0;
+                let config = config(on(0), on(1), on(2));
+                let policies = policies(&config);
+                let source = if on(3) {
+                    tied_trace(&config, seed, &policies)
+                } else {
+                    ContactSource::homogeneous(NODES, 0.02, DURATION)
+                };
+                let want = lanes(&config, &source, seed, &policies, stepped);
+                let got = lanes(&config, &source, seed, &policies, batched);
+                for (lane, (want, got)) in want.iter().zip(&got).enumerate() {
+                    prop_assert!(want.0 == got.0, "lane {}: outcomes differ", lane);
+                    prop_assert!(want.1 == got.1, "lane {}: event streams differ", lane);
+                }
+            }
         }
     }
 

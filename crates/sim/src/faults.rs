@@ -477,6 +477,12 @@ impl FaultState {
         true
     }
 
+    /// Time of the next cache-slot fault (∞ when none is armed).
+    #[inline]
+    pub fn next_cache_fault(&self) -> f64 {
+        self.cache.next
+    }
+
     /// Apply every cache-slot fault due by time `t`: each erases a
     /// uniformly random non-sticky slot of a uniformly random server.
     pub fn apply_cache_faults<S: Sink>(

@@ -681,8 +681,10 @@ impl RequestArena {
     /// nor advances the round counter. Nor does a meeting the fault model
     /// dropped, for which the engines do not call this at all.
     ///
-    /// Costs O(ρ) when nothing is fulfilled and one pass over `node`'s
-    /// queue otherwise. Requires [`RequestArena::reset_indexed`].
+    /// Costs O(1) when `node` has nothing pending (the common case: the
+    /// peer's slots are not even loaded), O(ρ) when nothing is fulfilled
+    /// and one pass over `node`'s queue otherwise. Requires
+    /// [`RequestArena::reset_indexed`].
     pub fn meet(
         &mut self,
         node: usize,
@@ -692,8 +694,11 @@ impl RequestArena {
         if peer.capacity() == 0 {
             return;
         }
-        let peer_items = peer.items();
         self.rounds[node] += 1;
+        if self.head[node] == NIL {
+            return;
+        }
+        let peer_items = peer.items();
         let rounds = self.rounds[node];
         let base = node * self.words;
         let pending = &self.pending[base..base + self.words];

@@ -13,7 +13,10 @@ use impatience_obs::{
 };
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::policy::PolicyKind;
-use impatience_sim::runner::{run_trials_observed_with_workers, TrialAggregate};
+use impatience_sim::runner::{
+    run_campaigns, run_trials_observed_with_workers, CampaignOptions, TrialAggregate,
+};
+use impatience_traces::ContactStream;
 
 use proptest::prelude::*;
 
@@ -127,6 +130,9 @@ proptest! {
 
 // ---------------------------------------------------- bit-identity
 
+/// Span collection is process-wide: the tests that arm it take turns.
+static ARMED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn small_setting() -> (SimConfig, ContactSource, PolicyKind) {
     let items = 12;
     let config = SimConfig::builder(items, 3)
@@ -161,6 +167,7 @@ fn fingerprint(agg: &TrialAggregate) -> Vec<u64> {
 /// anyone tempted to thread profiling state into the simulation.)
 #[test]
 fn profiling_on_off_bit_identical_across_workers() {
+    let _armed = ARMED.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = fingerprint(&run_aggregate(1));
     for workers in [1usize, 2, 8] {
         let off = fingerprint(&run_aggregate(workers));
@@ -176,6 +183,54 @@ fn profiling_on_off_bit_identical_across_workers() {
             report.phases.iter().any(|p| p.path == "trial"),
             "profiled run should have recorded trial spans"
         );
+    }
+}
+
+/// Every contact a lane meets at is timed under `trial/contact`, with its
+/// exchange and policy step beneath it, whichever way the lane's driver
+/// reached the meeting: on a fixed-seed trial of three lanes, each of
+/// the three paths counts lanes × admitted contacts calls.
+#[test]
+fn lane_spans_count_every_admitted_contact() {
+    let _armed = ARMED.lock().unwrap_or_else(|e| e.into_inner());
+    let (config, _, qcr) = small_setting();
+    let rng = impatience_core::rng::Xoshiro256::seed_from_u64(17);
+    let trace = ContactStream::poisson(20, 0.05, 600.0, rng).collect_trace();
+    // No fault model: every contact of the trace is admitted.
+    let admitted = trace.events().len() as u64;
+    let source = ContactSource::trace(trace);
+    let uni = PolicyKind::Static {
+        label: "UNI",
+        counts: impatience_core::prelude::uniform(config.items, 20, config.rho),
+    };
+    let hill = PolicyKind::HillClimb {
+        moves_per_contact: 1,
+    };
+    let lanes = [(&qcr, None), (&uni, None), (&hill, None)];
+    let options = CampaignOptions {
+        workers: Some(1),
+        ..CampaignOptions::default()
+    };
+    let mut rec = Recorder::new(TallySink);
+    let _ = impatience_obs::span::take_aggregate();
+    impatience_obs::span::enable();
+    let outcomes = run_campaigns(&config, &source, &lanes, 1, 42, &options, &mut rec);
+    impatience_obs::span::disable();
+    let report = impatience_obs::span::take_aggregate().report();
+    assert!(outcomes.unwrap().iter().all(Result::is_ok));
+    let want = lanes.len() as u64 * admitted;
+    assert_eq!(rec.counters.get("contacts"), want);
+    for path in [
+        "trial/contact",
+        "trial/contact/exchange",
+        "trial/contact/policy",
+    ] {
+        let calls = report
+            .phases
+            .iter()
+            .find(|p| p.path == path)
+            .map_or(0, |p| p.calls);
+        assert_eq!(calls, want, "{path}");
     }
 }
 

@@ -74,11 +74,6 @@ impl Popularity {
         self.weights[i]
     }
 
-    /// The normalized probabilities.
-    pub fn probabilities(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// Turn the distribution into absolute demand rates with a given total
     /// request rate (requests per unit time across the whole system).
     pub fn demand_rates(&self, total_rate: f64) -> DemandRates {
@@ -231,7 +226,7 @@ mod tests {
     fn pareto_is_normalized_and_decreasing() {
         let p = Popularity::pareto(50, 1.0);
         assert_eq!(p.items(), 50);
-        let total: f64 = p.probabilities().iter().sum();
+        let total: f64 = p.weights.iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
         for i in 1..50 {
             assert!(p.probability(i) < p.probability(i - 1));

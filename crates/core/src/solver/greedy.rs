@@ -33,7 +33,7 @@ use crate::welfare::item_gain;
 /// The memo is decoupled from any one solve so [`crate::solver::incremental`]
 /// can carry it across delta re-solves: demand changes leave `G` untouched
 /// (it never depends on `d_i`), so the cached values survive entirely.
-pub(crate) struct GainMemo {
+pub struct GainMemo {
     /// `cache[x]` is `Some(G(x))` once evaluated; indices `0..=|S|`.
     cache: Vec<Cell<Option<f64>>>,
     /// Quadrature evaluations actually performed (cache misses),
@@ -43,7 +43,7 @@ pub(crate) struct GainMemo {
 
 impl GainMemo {
     /// An empty memo for a system with `servers` cache columns.
-    pub(crate) fn new(servers: usize) -> Self {
+    pub fn new(servers: usize) -> Self {
         GainMemo {
             cache: vec![Cell::new(None); servers + 1],
             evaluations: Cell::new(0),
@@ -65,7 +65,7 @@ impl GainMemo {
     }
 
     /// `G(x)`, evaluated by quadrature on first use and cached.
-    pub(crate) fn gain(&self, system: &SystemModel, utility: &dyn DelayUtility, x: u32) -> f64 {
+    pub fn gain(&self, system: &SystemModel, utility: &dyn DelayUtility, x: u32) -> f64 {
         let slot = &self.cache[x as usize];
         if let Some(cached) = slot.get() {
             return cached;
@@ -77,20 +77,26 @@ impl GainMemo {
     }
 }
 
-/// The greedy's heap key for an item of demand `d` holding `x` replicas,
-/// from its per-unit gain `G`: the marginal `d·(G(x+1) − G(x))`, where the
-/// first replica under a cost-type utility (`G(x) = −∞`) is worth `+∞`.
-/// [`super::incremental`] keys its entries with this same function, so its
-/// exchange orders entries exactly as the scratch greedy pops them.
-pub(crate) fn greedy_key(gain: impl Fn(u32) -> f64, x: u32, d: f64) -> HeapKey {
+/// The per-unit-demand marginal of taking an item from `x` to `x + 1`
+/// replicas, from its per-unit gain `G`: `G(x+1) − G(x)`, where the first
+/// replica under a cost-type utility (`G(x) = −∞`) is worth `+∞`. Theorem
+/// 2's greedy and §4.1's hill climber both weigh it by the item's demand.
+pub fn marginal(gain: impl Fn(u32) -> f64, x: u32) -> f64 {
     let next = gain(x + 1);
     let curr = gain(x);
-    let marginal = if curr == f64::NEG_INFINITY {
+    if curr == f64::NEG_INFINITY {
         f64::INFINITY
     } else {
         next - curr
-    };
-    HeapKey::gain(marginal * d, d)
+    }
+}
+
+/// The greedy's heap key for an item of demand `d` holding `x` replicas:
+/// its [`marginal`] times `d`. [`super::incremental`] keys its entries
+/// with this same function, so its exchange orders entries exactly as the
+/// scratch greedy pops them.
+pub(crate) fn greedy_key(gain: impl Fn(u32) -> f64, x: u32, d: f64) -> HeapKey {
+    HeapKey::gain(marginal(gain, x) * d, d)
 }
 
 /// Theorem 2's fill, for one utility or one per item: a heap entry per

@@ -291,12 +291,6 @@ impl DeltaSolver {
         self.stats
     }
 
-    /// Quadrature evaluations performed by the shared gain memo so far —
-    /// the dominant cost a warm solver avoids re-paying.
-    pub fn gain_evaluations(&self) -> u64 {
-        self.gains.evaluations()
-    }
-
     /// Social welfare of the current allocation under the current demand
     /// (the sum of
     /// [`social_welfare_homogeneous`](crate::welfare::social_welfare_homogeneous),
@@ -876,7 +870,7 @@ mod tests {
         let system = SystemModel::pure_p2p(30, 3, 0.05);
         let demand = Popularity::pareto(40, 1.0).demand_rates(1.0);
         let mut solver = DeltaSolver::new(system, &demand, Arc::new(Exponential::new(0.5)));
-        let evals_after_init = solver.gain_evaluations();
+        let evals_after_init = solver.gains.evaluations();
         assert!(evals_after_init <= system.servers() as u64 + 1);
         for round in 0..20 {
             let rate = 0.5 + 0.01 * round as f64;
@@ -886,8 +880,8 @@ mod tests {
         }
         // Deltas may *lazily* touch replica levels the initial solve
         // never reached, but each level costs one quadrature ever.
-        assert!(solver.gain_evaluations() <= system.servers() as u64 + 1);
-        let evals = solver.gain_evaluations();
+        assert!(solver.gains.evaluations() <= system.servers() as u64 + 1);
+        let evals = solver.gains.evaluations();
         for round in 0..20 {
             let rate = 0.6 + 0.01 * round as f64;
             solver
@@ -895,7 +889,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(
-            solver.gain_evaluations(),
+            solver.gains.evaluations(),
             evals,
             "repeat deltas over known levels must not re-run quadrature"
         );

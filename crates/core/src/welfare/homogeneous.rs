@@ -53,7 +53,8 @@ pub fn expected_gain_pure_p2p(
 /// Per-request expected gain of an item holding `x` replicas under
 /// homogeneous contacts in continuous time: the inner term of Eq. 5 on a
 /// pure-P2P population, of Eq. 3 on a dedicated one. The continuous twin
-/// of [`item_gain_discrete`]; `x` may be fractional.
+/// of the slotted gain [`social_welfare_homogeneous_discrete`] sums; `x`
+/// may be fractional.
 pub fn item_gain(system: &SystemModel, utility: &dyn DelayUtility, x: f64) -> f64 {
     if system.population.is_pure_p2p() {
         expected_gain_pure_p2p(utility, x, system.clients(), system.contact_rate)
@@ -105,7 +106,7 @@ pub fn social_welfare_homogeneous(
 ///
 /// Requires `μ·δ < 1` (a contact probability). The series is summed until
 /// its geometric envelope drops below `1e-12` of the accumulated value.
-pub fn item_gain_discrete(utility: &dyn DelayUtility, x: f64, mu: f64, delta: f64) -> f64 {
+fn item_gain_discrete(utility: &dyn DelayUtility, x: f64, mu: f64, delta: f64) -> f64 {
     assert!(
         delta > 0.0 && mu * delta < 1.0,
         "need μδ < 1 (got {})",

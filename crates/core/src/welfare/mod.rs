@@ -24,7 +24,7 @@ pub use heterogeneous::{
 };
 pub(crate) use homogeneous::welfare_sum;
 pub use homogeneous::{
-    expected_gain_continuous, expected_gain_pure_p2p, item_gain, item_gain_discrete,
-    social_welfare_homogeneous, social_welfare_homogeneous_discrete,
+    expected_gain_continuous, expected_gain_pure_p2p, item_gain, social_welfare_homogeneous,
+    social_welfare_homogeneous_discrete,
 };
 pub use mixed::{greedy_homogeneous_mixed, social_welfare_homogeneous_mixed, UtilityCatalog};

@@ -294,9 +294,7 @@ impl Kind for QcrAblationSpec {
             let variants = qcr_variants()
                 .into_iter()
                 .map(|(name, cfg)| (name, PolicyKind::Qcr(cfg)));
-            let hill = PolicyKind::HillClimb {
-                moves_per_contact: 1,
-            };
+            let hill = PolicyKind::HillClimb;
             let contenders = std::iter::once(("OPT", opt))
                 .chain(variants)
                 .chain([("hill-climb", hill)]);

@@ -11,13 +11,9 @@
 
 use impatience_core::allocation::ReplicaCounts;
 use impatience_core::demand::DemandRates;
-use impatience_core::rng::Xoshiro256;
 use impatience_core::types::SystemModel;
 use impatience_core::utility::DelayUtility;
-use impatience_core::welfare::{
-    expected_gain_continuous, expected_gain_pure_p2p, social_welfare_homogeneous,
-    social_welfare_homogeneous_discrete,
-};
+use impatience_core::welfare::{social_welfare_homogeneous, social_welfare_homogeneous_discrete};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::engine::run_trial;
 use impatience_sim::engine_discrete::{run_trial_discrete, DiscreteSource};
@@ -83,60 +79,6 @@ pub fn clt_interval(samples: &[f64], z: f64) -> (f64, f64) {
     }
     let var = samples.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
     (mean, z * (var / n).sqrt())
-}
-
-/// Monte-Carlo estimate of the per-request expected gain at `replicas`
-/// copies, sampled straight from the paper's delay law, compared with
-/// the quadrature-backed analytic value.
-///
-/// With `nodes = Some(n)` the pure-P2P law of Eq. 5 is sampled: with
-/// probability `x/n` the requester holds the item (gain `h(0⁺)`),
-/// otherwise it waits `Exp(x·μ)`. With `nodes = None` the dedicated law
-/// of Eq. 3 is sampled: the wait is always `Exp(x·μ)`. The reference is
-/// [`expected_gain_pure_p2p`] / [`expected_gain_continuous`], which
-/// integrate the *same* law by adaptive quadrature — so this check ties
-/// the numeric toolbox to an independent sampling path.
-///
-/// # Panics
-/// Panics if `samples == 0`, on cost-type utilities with `replicas = 0`
-/// (the analytic value is `−∞`, nothing to estimate), or on a
-/// `requires_dedicated` utility sampled in pure-P2P mode.
-pub fn mc_gain_estimate(
-    utility: &dyn DelayUtility,
-    replicas: f64,
-    nodes: Option<usize>,
-    mu: f64,
-    samples: usize,
-    seed: u64,
-    z: f64,
-) -> Comparison {
-    assert!(samples > 0, "need at least one sample");
-    let analytic = match nodes {
-        Some(n) => expected_gain_pure_p2p(utility, replicas, n, mu),
-        None => expected_gain_continuous(utility, replicas, mu),
-    };
-    assert!(
-        analytic.is_finite(),
-        "analytic gain is not finite ({analytic}); choose replicas > 0 for cost-type utilities"
-    );
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let rate = replicas * mu;
-    let mut draws = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let gain = match nodes {
-            Some(n) if rng.f64() < replicas / n as f64 => utility.h_zero(),
-            _ => utility.h(rng.exp(rate)),
-        };
-        draws.push(gain);
-    }
-    let (mean, half_width) = clt_interval(&draws, z);
-    Comparison {
-        reference: analytic,
-        estimate: mean,
-        half_width,
-        allowance: 0.0,
-        samples,
-    }
 }
 
 /// Engine-level differential: the analytic welfare of a pinned allocation
@@ -322,7 +264,63 @@ pub fn slot_refinement_errors(
 mod tests {
     use super::*;
     use impatience_core::demand::Popularity;
+    use impatience_core::rng::Xoshiro256;
     use impatience_core::utility::{Exponential, Power, Step};
+    use impatience_core::welfare::{expected_gain_continuous, expected_gain_pure_p2p};
+
+    /// Monte-Carlo estimate of the per-request expected gain at `replicas`
+    /// copies, sampled straight from the paper's delay law, compared with
+    /// the quadrature-backed analytic value.
+    ///
+    /// With `nodes = Some(n)` the pure-P2P law of Eq. 5 is sampled: with
+    /// probability `x/n` the requester holds the item (gain `h(0⁺)`),
+    /// otherwise it waits `Exp(x·μ)`. With `nodes = None` the dedicated law
+    /// of Eq. 3 is sampled: the wait is always `Exp(x·μ)`. The reference is
+    /// [`expected_gain_pure_p2p`] / [`expected_gain_continuous`], which
+    /// integrate the *same* law by adaptive quadrature — so this check ties
+    /// the numeric toolbox to an independent sampling path.
+    ///
+    /// # Panics
+    /// Panics if `samples == 0`, on cost-type utilities with `replicas = 0`
+    /// (the analytic value is `−∞`, nothing to estimate), or on a
+    /// `requires_dedicated` utility sampled in pure-P2P mode.
+    fn mc_gain_estimate(
+        utility: &dyn DelayUtility,
+        replicas: f64,
+        nodes: Option<usize>,
+        mu: f64,
+        samples: usize,
+        seed: u64,
+        z: f64,
+    ) -> Comparison {
+        assert!(samples > 0, "need at least one sample");
+        let analytic = match nodes {
+            Some(n) => expected_gain_pure_p2p(utility, replicas, n, mu),
+            None => expected_gain_continuous(utility, replicas, mu),
+        };
+        assert!(
+            analytic.is_finite(),
+            "analytic gain is not finite ({analytic}); choose replicas > 0 for cost-type utilities"
+        );
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let rate = replicas * mu;
+        let mut draws = Vec::with_capacity(samples);
+        for _ in 0..samples {
+            let gain = match nodes {
+                Some(n) if rng.f64() < replicas / n as f64 => utility.h_zero(),
+                _ => utility.h(rng.exp(rate)),
+            };
+            draws.push(gain);
+        }
+        let (mean, half_width) = clt_interval(&draws, z);
+        Comparison {
+            reference: analytic,
+            estimate: mean,
+            half_width,
+            allowance: 0.0,
+            samples,
+        }
+    }
 
     #[test]
     fn clt_interval_basics() {

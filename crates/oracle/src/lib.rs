@@ -49,9 +49,7 @@ pub mod scenario;
 
 pub use brute::{brute_force_heterogeneous, brute_force_homogeneous};
 pub use delta::{audit_exact_step, audit_stale_step, delta_vs_scratch, DeltaSweepReport};
-pub use differential::{
-    clt_interval, engines_match, mc_gain_estimate, slot_refinement_errors, Comparison,
-};
+pub use differential::{clt_interval, engines_match, slot_refinement_errors, Comparison};
 pub use netdiff::{net_panel, net_vs_engine, NetPanelReport};
 pub use report::{summary_table, write_report, MatrixTotals};
 pub use scenario::{

@@ -1253,9 +1253,7 @@ mod tests {
                     counts: uniform(ITEMS, servers, RHO),
                 },
                 PolicyKind::qcr_default(),
-                PolicyKind::HillClimb {
-                    moves_per_contact: 1,
-                },
+                PolicyKind::HillClimb,
             ]
         }
 

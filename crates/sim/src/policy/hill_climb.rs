@@ -17,80 +17,67 @@ use std::sync::Arc;
 
 use impatience_core::demand::DemandRates;
 use impatience_core::rng::Xoshiro256;
+use impatience_core::solver::greedy::{marginal, GainMemo};
 use impatience_core::types::SystemModel;
 use impatience_core::utility::DelayUtility;
-use impatience_core::welfare::item_gain;
 
 use crate::metrics::Metrics;
 use crate::policy::{Fulfillment, ReplicationPolicy};
 use crate::state::SimState;
 
 /// The §4.1 hill-climbing baseline (full knowledge, local moves only).
-pub struct HillClimb {
+pub(crate) struct HillClimb {
     demand: DemandRates,
     utility: Arc<dyn DelayUtility>,
     system: SystemModel,
-    /// Moves per meeting (1 = the paper's minimal local manipulation).
-    moves_per_contact: usize,
+    /// The greedy's per-unit gain table `G(x)`, `x ∈ 0..=|S|`.
+    gains: GainMemo,
 }
 
 impl HillClimb {
     /// Create the policy for a homogeneous system description matching
     /// the simulation (used to evaluate welfare marginals).
-    pub fn new(
+    pub(crate) fn new(
         system: SystemModel,
         demand: DemandRates,
         utility: Arc<dyn DelayUtility>,
-        moves_per_contact: usize,
     ) -> Self {
-        assert!(moves_per_contact > 0);
         HillClimb {
+            gains: GainMemo::new(system.servers()),
             demand,
             utility,
             system,
-            moves_per_contact,
         }
     }
 
-    /// Marginal welfare of taking item `i` from `x` to `x+1` replicas.
-    fn gain_up(&self, i: usize, x: u32) -> f64 {
-        self.demand.rate(i) * (self.item_gain(x + 1) - self.item_gain(x))
-    }
-
-    /// Marginal welfare lost by taking item `j` from `x` to `x−1`.
-    fn loss_down(&self, j: usize, x: u32) -> f64 {
-        debug_assert!(x > 0);
-        self.demand.rate(j) * (self.item_gain(x) - self.item_gain(x - 1))
-    }
-
-    fn item_gain(&self, x: u32) -> f64 {
-        item_gain(&self.system, self.utility.as_ref(), f64::from(x))
+    /// Per-unit-demand marginal of taking an item from `x` to `x+1`
+    /// replicas (the greedy's rule, over the memoized gains).
+    fn marginal(&self, x: u32) -> f64 {
+        marginal(
+            |x| self.gains.gain(&self.system, self.utility.as_ref(), x),
+            x,
+        )
     }
 
     /// Perform the best improving single-slot replacement available at
-    /// `node`, if any. Returns whether a move was made.
-    fn improve_node(&self, node: usize, state: &mut SimState) -> bool {
-        let items = state.items();
+    /// `node`, if any. A node without a cache never moves; at one with a
+    /// cache every count read is at most `|S|`, inside the gain table.
+    fn improve_node(&self, node: usize, state: &mut SimState) {
+        if state.caches.capacity_of(node) == 0 {
+            return;
+        }
         // Best item to add: the one with the largest up-marginal among
         // items this node does not yet hold (adding a duplicate to the
         // same cache is not a new replica).
         let mut best_add: Option<(f64, u32)> = None;
-        for i in 0..items {
-            let i32_ = i as u32;
-            if self.demand.rate(i) == 0.0 || state.caches.holds(node, i32_) {
-                continue; // undemanded items earn nothing (0·(−∞) is NaN, not value)
+        for i in 0..state.items() {
+            let d = self.demand.rate(i);
+            if d == 0.0 || state.caches.holds(node, i as u32) {
+                continue; // undemanded items earn nothing (0·∞ is NaN, not value)
             }
-            let x = state.replicas[i];
-            if (x as usize) >= state.nodes() {
-                continue;
-            }
-            let up = self.gain_up(i, x);
-            // d > 0 and gain(x) = −∞ at x = 0 make the first copy
-            // infinitely valuable; the subtraction yields +∞ directly,
-            // NaN only via 0·∞ which the demand guard above excludes.
-            let up = if up.is_nan() { f64::INFINITY } else { up };
+            let up = d * self.marginal(state.replicas[i]);
             if best_add.as_ref().is_none_or(|&(g, _)| up > g) {
-                best_add = Some((up, i32_));
+                best_add = Some((up, i as u32));
             }
         }
         // Cheapest occupant to drop (never the sticky item; never the
@@ -101,37 +88,36 @@ impl HillClimb {
             if Some(j) == sticky {
                 continue;
             }
-            if self.demand.rate(j as usize) == 0.0 {
+            let d = self.demand.rate(j as usize);
+            if d == 0.0 {
                 // Undemanded occupants are free to drop.
                 best_drop = Some((0.0, j));
                 continue;
             }
-            let x = state.replicas[j as usize];
-            let down = self.loss_down(j as usize, x);
-            let down = if down.is_nan() { f64::INFINITY } else { down };
+            let down = d * self.marginal(state.replicas[j as usize] - 1);
             if best_drop.as_ref().is_none_or(|&(l, _)| down < l) {
                 best_drop = Some((down, j));
             }
         }
         let Some((up, add)) = best_add else {
-            return false;
+            return;
         };
         // A free slot (catalog smaller than capacity) is filled directly.
         if state.caches.node(node).len() < state.caches.node(node).capacity() {
             if up <= 0.0 {
-                return false;
+                return;
             }
             let filled = state.caches.node_mut(node).fill(add);
             debug_assert!(filled);
             state.replicas[add as usize] += 1;
             state.transmissions += 1;
-            return true;
+            return;
         }
         let Some((down, drop)) = best_drop else {
-            return false;
+            return;
         };
         if up <= down + 1e-15 {
-            return false; // local optimum at this node
+            return; // local optimum at this node
         }
         // Swap: drop `drop`, fetch `add` (one transmission).
         let swapped = state.caches.node_mut(node).swap_item(drop, add);
@@ -139,7 +125,6 @@ impl HillClimb {
         state.replicas[drop as usize] -= 1;
         state.replicas[add as usize] += 1;
         state.transmissions += 1;
-        true
     }
 }
 
@@ -155,13 +140,8 @@ impl ReplicationPolicy for HillClimb {
         _metrics: &mut Metrics,
         _rng: &mut Xoshiro256,
     ) {
-        for _ in 0..self.moves_per_contact {
-            let moved_a = self.improve_node(a, state);
-            let moved_b = self.improve_node(b, state);
-            if !moved_a && !moved_b {
-                break;
-            }
-        }
+        self.improve_node(a, state);
+        self.improve_node(b, state);
     }
 }
 
@@ -193,14 +173,7 @@ mod tests {
             .warmup_fraction(0.5)
             .build();
         let source = ContactSource::homogeneous(nodes, mu, 3_000.0);
-        let out = run_trial(
-            &config,
-            &source,
-            PolicyKind::HillClimb {
-                moves_per_contact: 1,
-            },
-            11,
-        );
+        let out = run_trial(&config, &source, PolicyKind::HillClimb, 11);
         let w_final = social_welfare_homogeneous(
             &system,
             &demand,
@@ -233,14 +206,7 @@ mod tests {
             .bin(100.0)
             .build();
         let source = ContactSource::homogeneous(8, 0.1, 1_500.0);
-        let out = run_trial(
-            &config,
-            &source,
-            PolicyKind::HillClimb {
-                moves_per_contact: 1,
-            },
-            2,
-        );
+        let out = run_trial(&config, &source, PolicyKind::HillClimb, 2);
         assert!(
             out.final_replicas[6] <= 2,
             "undemanded item hoarded {} replicas",
@@ -260,14 +226,7 @@ mod tests {
             .bin(100.0)
             .build();
         let source = ContactSource::homogeneous(10, 0.1, 1_000.0);
-        let out = run_trial(
-            &config,
-            &source,
-            PolicyKind::HillClimb {
-                moves_per_contact: 2,
-            },
-            3,
-        );
+        let out = run_trial(&config, &source, PolicyKind::HillClimb, 3);
         let total: u32 = out.final_replicas.iter().sum();
         assert_eq!(total, 20, "budget must be conserved");
         for (i, &x) in out.final_replicas.iter().enumerate() {

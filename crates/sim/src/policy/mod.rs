@@ -9,7 +9,6 @@ mod hill_climb;
 pub(crate) mod qcr;
 mod static_alloc;
 
-pub use hill_climb::HillClimb;
 pub use qcr::{pool_add, share, MandateHost, Pool, Qcr, QcrConfig, QcrRules, Reaction};
 pub use static_alloc::StaticAllocation;
 
@@ -76,11 +75,9 @@ pub enum PolicyKind {
         replicas: f64,
     },
     /// §4.1's hill-climbing baseline: full-knowledge welfare marginals,
-    /// but cache changes only through local moves at meetings.
-    HillClimb {
-        /// Improving moves attempted per meeting per node.
-        moves_per_contact: usize,
-    },
+    /// but cache changes only through local moves at meetings (one
+    /// improving move per node per meeting).
+    HillClimb,
 }
 
 impl PolicyKind {
@@ -131,7 +128,7 @@ impl PolicyKind {
             }
             PolicyKind::Static { label, .. } => (*label).into(),
             PolicyKind::Passive { replicas } => format!("PASSIVE({replicas})"),
-            PolicyKind::HillClimb { .. } => "HILL".into(),
+            PolicyKind::HillClimb => "HILL".into(),
         }
     }
 
@@ -144,7 +141,7 @@ impl PolicyKind {
                 reaction: Reaction::Constant(*replicas),
                 ..QcrConfig::default()
             }),
-            PolicyKind::Static { .. } | PolicyKind::HillClimb { .. } => None,
+            PolicyKind::Static { .. } | PolicyKind::HillClimb => None,
         }
     }
 
@@ -192,13 +189,12 @@ impl PolicyKind {
         match self {
             PolicyKind::Qcr(_) | PolicyKind::Passive { .. } => unreachable!("handled above"),
             PolicyKind::Static { .. } => Box::new(StaticAllocation),
-            PolicyKind::HillClimb { moves_per_contact } => {
+            PolicyKind::HillClimb => {
                 let mu = if mu_ref > 0.0 { mu_ref } else { 1.0 };
-                Box::new(HillClimb::new(
+                Box::new(hill_climb::HillClimb::new(
                     config.system(nodes, mu),
                     config.demand.clone(),
                     config.protocol(),
-                    *moves_per_contact,
                 ))
             }
         }

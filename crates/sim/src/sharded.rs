@@ -176,7 +176,7 @@ pub fn validate_sharded(
     if !matches!(source, ContactSource::Homogeneous { .. }) {
         return unsupported("trace contact sources (only homogeneous Poisson)");
     }
-    if matches!(policy, PolicyKind::HillClimb { .. }) {
+    if matches!(policy, PolicyKind::HillClimb) {
         return unsupported("the hill-climbing baseline");
     }
     if config.dedicated_servers.is_some() {
@@ -1688,13 +1688,7 @@ mod tests {
         ));
         // Hill climbing.
         assert!(matches!(
-            validate_sharded(
-                &config,
-                &source,
-                &PolicyKind::HillClimb {
-                    moves_per_contact: 1
-                }
-            ),
+            validate_sharded(&config, &source, &PolicyKind::HillClimb),
             Err(ConfigError::UnsupportedSharded { .. })
         ));
         // Dedicated population.

@@ -232,8 +232,9 @@ OBSERVABILITY (simulate, netrun, verify, reproduce: one reading of three flags):
                      plus a Prometheus NAME.prom; verify writes them as
                      siblings of the conformance report; simulate writes
                      them next to --trace-out when given. Off by default:
-                     the disarmed span probes cost one relaxed atomic
-                     load, and results are bit-identical either way.
+                     a disarmed span costs about 1 ns (one load plus the
+                     inlined drop's branch), and results are
+                     bit-identical either way.
 
 TRACE ANALYSIS (trace; operates on --trace-out JSONL files):
   summarize FILE     event counts by kind, time range, the span phase

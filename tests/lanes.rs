@@ -125,9 +125,7 @@ fn policy_pool(config: &SimConfig) -> Vec<PolicyKind> {
             mandate_routing: false,
             ..QcrConfig::default()
         }),
-        PolicyKind::HillClimb {
-            moves_per_contact: 1,
-        },
+        PolicyKind::HillClimb,
         PolicyKind::Static {
             label: "OPT",
             counts: greedy_homogeneous(&system, &config.demand, config.utility.as_ref()),

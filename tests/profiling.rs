@@ -203,9 +203,7 @@ fn lane_spans_count_every_admitted_contact() {
         label: "UNI",
         counts: impatience_core::prelude::uniform(config.items, 20, config.rho),
     };
-    let hill = PolicyKind::HillClimb {
-        moves_per_contact: 1,
-    };
+    let hill = PolicyKind::HillClimb;
     let lanes = [(&qcr, None), (&uni, None), (&hill, None)];
     let options = CampaignOptions {
         workers: Some(1),

@@ -17,7 +17,9 @@
 //! of the change that made the sharded engine call the serial engine's
 //! placement, replica book, fault clock and gain booking), the net cells
 //! of the ledger's `net_qcr` shape at 09dc438 (the parent of the change
-//! that took the periodic timers off the kernel's message heap),
+//! that took the periodic timers off the kernel's message heap), the
+//! hill climber cells at 741be58 (the parent of the change that made the
+//! climber read the greedy's gain table and marginal rule),
 //! each by running this file there, in debug and in release: a cell whose
 //! digest moves has changed a float sum, an RNG draw or an event order.
 
@@ -215,6 +217,76 @@ fn serial_engine_outputs_equal_the_recorded_ones() {
         .filter_map(|((cell, config, source, policy, seed), recorded)| {
             let out = run_trial(config, source, policy.clone(), *seed);
             assert!(out.metrics.fulfillments() > 0, "{cell}: nothing happened");
+            let got = digest(&out.metrics, &out.final_replicas);
+            (got != recorded).then(|| format!("{cell}: {got:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "digests moved:\n{}", moved.join("\n"));
+}
+
+#[test]
+fn hill_climber_outputs_equal_the_recorded_ones() {
+    let (nodes, mu, duration) = (12, 0.05, 1_500.0);
+    let source = ContactSource::homogeneous(nodes, mu, duration);
+    let faulty = FaultConfig {
+        seed: 13,
+        drop: Some(ContactDrop {
+            p: 0.2,
+            mean_burst: 2.0,
+        }),
+        cache: Some(CacheFaults { rate: 0.002 }),
+        ..FaultConfig::default()
+    };
+    let utilities: [(&str, Arc<dyn DelayUtility>); 2] = [
+        ("step", Arc::new(Step::new(10.0))),
+        ("power", Arc::new(Power::new(0.5))),
+    ];
+    // (cell, config, seed), in the order of `RECORDED`.
+    let mut cells = Vec::new();
+    for (name, utility) in &utilities {
+        for (f, faults) in [None, Some(faulty.clone())].into_iter().enumerate() {
+            for seed in 1..=2u64 {
+                let config = config(utility.clone(), faults.clone());
+                cells.push((format!("{name}, faults {f}, seed {seed}"), config, seed));
+            }
+        }
+    }
+    // Four servers of eight clients under a waiting cost (G(0) = −∞), with
+    // the last item never requested: clients hold no cache, so never move.
+    let mut rates = Popularity::pareto(12, 1.0)
+        .demand_rates(0.8)
+        .rates()
+        .to_vec();
+    rates[11] = 0.0;
+    let dedicated = SimConfig::builder(12, 4)
+        .demand(DemandRates::new(rates))
+        .utility(Arc::new(Power::new(0.0)))
+        .bin(100.0)
+        .dedicated_servers(4)
+        .build();
+    cells.push(("dedicated, undemanded item".into(), dedicated, 3));
+
+    const RECORDED: [u64; 9] = [
+        0xd63d_9928_2fde_a3d7,
+        0xe090_7b90_de3f_22ca,
+        0x8c62_493c_bec3_6f25,
+        0xec63_24e8_5b82_5ebe,
+        0x2666_4f79_1944_f1b0,
+        0x8652_c02b_5937_a3b4,
+        0x22da_2bac_ba4f_163e,
+        0xe103_1e2f_45c8_d5af,
+        0x6c35_95ff_a782_ffae,
+    ];
+    assert_eq!(cells.len(), RECORDED.len());
+    let moved: Vec<String> = cells
+        .iter()
+        .zip(RECORDED)
+        .filter_map(|((cell, config, seed), recorded)| {
+            let out = run_trial(config, &source, PolicyKind::HillClimb, *seed);
+            assert!(
+                out.metrics.transmissions > 0,
+                "{cell}: the climber never moved"
+            );
             let got = digest(&out.metrics, &out.final_replicas);
             (got != recorded).then(|| format!("{cell}: {got:#018x}"))
         })

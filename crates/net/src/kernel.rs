@@ -22,7 +22,7 @@
 //! retry, timeout, and backoff in the node layer exists because of this
 //! transport.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use impatience_core::rng::Xoshiro256;
 use impatience_obs::{Recorder, Sink};
@@ -35,7 +35,7 @@ use impatience_sim::state::SimState;
 use crate::config::{ChaosKind, NetConfig};
 use crate::error::NetError;
 use crate::node::{Ctx, Node, Timer, VecMap};
-use crate::wire::Msg;
+use crate::wire::{self, Lists};
 
 /// Stream id for the per-node RNG forks (continues the
 /// `sim::faults` stream-id family).
@@ -247,13 +247,20 @@ impl Ord for QEntry {
     }
 }
 
-/// Two heaps drawing on one sequence counter, popped by the earlier
-/// `(t, seq)`: per-message events in `hot`, the periodic and scheduled
-/// ones (about two timers per node, firing hourly) in `slow`, so that
-/// every per-message push and pop walks a shallow heap. `(t, seq)` is a
-/// total order with unique `seq`, so the pops are exactly one heap's.
+/// Two FIFO lanes and two heaps drawing on one sequence counter, popped
+/// by the least `(t, seq)` over their heads. A link closes `window` after
+/// its contact and a clean frame lands `msg_delay` after its send, so
+/// `LinkDown` and `Deliver` entries come in time order: each rides its
+/// lane unless its `t` is before the lane tail's (a jittered frame),
+/// and then the per-message heap `hot`. The periodic and scheduled events
+/// (about two timers per node, firing hourly) go to `slow`, so a
+/// per-message push or pop walks a shallow heap or none. `(t, seq)` is a
+/// total order with unique `seq` and each lane is sorted by it, so the
+/// pops are exactly one heap's.
 #[derive(Default)]
 struct Queue {
+    /// The `Deliver` lane and the `LinkDown` lane.
+    lanes: [VecDeque<QEntry>; 2],
     hot: BinaryHeap<QEntry>,
     slow: BinaryHeap<QEntry>,
     seq: u64,
@@ -263,12 +270,23 @@ impl Queue {
     fn push(&mut self, t: f64, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
-        let heap = if ev.per_message() {
-            &mut self.hot
-        } else {
-            &mut self.slow
+        let entry = QEntry { t, seq, ev };
+        let lane = match entry.ev {
+            Ev::Deliver { .. } => Some(&mut self.lanes[0]),
+            Ev::LinkDown { .. } => Some(&mut self.lanes[1]),
+            _ => None,
         };
-        heap.push(QEntry { t, seq, ev });
+        if let Some(lane) = lane {
+            if lane.back().is_none_or(|tail| tail.t.total_cmp(&t).is_le()) {
+                lane.push_back(entry);
+                return;
+            }
+        }
+        if entry.ev.per_message() {
+            self.hot.push(entry);
+        } else {
+            self.slow.push(entry);
+        }
     }
 
     /// Arm `timer` of `node`'s `incarnation` to fire at `t`.
@@ -281,17 +299,30 @@ impl Queue {
         self.push(t, ev);
     }
 
-    /// The earliest entry: the greater by `QEntry`'s reversed order
-    /// (and any entry is greater than `None`).
+    /// The earliest entry and where it waits (0 and 1: the lanes, 2: `hot`,
+    /// 3: `slow`): the greatest head by `QEntry`'s reversed order, any
+    /// entry being greater than `None`.
+    fn first(&self) -> Option<(usize, &QEntry)> {
+        let [delivers, link_downs] = &self.lanes;
+        let heads = [
+            delivers.front(),
+            link_downs.front(),
+            self.hot.peek(),
+            self.slow.peek(),
+        ];
+        let (at, head) = heads.into_iter().enumerate().max_by(|a, b| a.1.cmp(&b.1))?;
+        head.map(|head| (at, head))
+    }
+
     fn peek(&self) -> Option<&QEntry> {
-        self.hot.peek().max(self.slow.peek())
+        self.first().map(|(_, head)| head)
     }
 
     fn pop(&mut self) -> Option<QEntry> {
-        if self.slow.peek() > self.hot.peek() {
-            self.slow.pop()
-        } else {
-            self.hot.pop()
+        match self.first()?.0 {
+            lane @ (0 | 1) => self.lanes[lane].pop_front(),
+            2 => self.hot.pop(),
+            _ => self.slow.pop(),
         }
     }
 }
@@ -349,21 +380,23 @@ impl Transport {
         }
     }
 
-    /// Submit a frame. Applies loss/duplication/reordering faults and
-    /// schedules the surviving copies as [`Ev::Deliver`].
+    /// Submit an encoded frame. Applies loss/duplication/reordering
+    /// faults and schedules the surviving copies as [`Ev::Deliver`]; a
+    /// frame that does not leave goes back to the spare list.
     #[allow(clippy::too_many_arguments)]
     fn send<S: Sink>(
         &mut self,
         t: f64,
         from: u32,
         to: u32,
-        msg: &Msg,
+        mut frame: Vec<u8>,
         q: &mut Queue,
         stats: &mut NetStats,
         rec: &mut Recorder<S>,
         fatal: &mut Option<NetError>,
     ) {
         if !self.link_up(t, from, to) {
+            self.spare.push(frame);
             stats.transport_closed += 1;
             if self.strict && fatal.is_none() {
                 *fatal = Some(NetError::TransportClosed { from, to, at: t });
@@ -381,6 +414,7 @@ impl Transport {
         };
         if let Some(m) = self.faults {
             if m.loss_p > 0.0 && self.fault_rng.bernoulli(m.loss_p) {
+                self.spare.push(frame);
                 stats.msgs_lost += 1;
                 rec.fault(t, "net_msg_loss", from, to);
                 return;
@@ -391,8 +425,6 @@ impl Transport {
                 rec.fault(t, "net_msg_dup", from, to);
             }
         }
-        let mut frame = self.spare.pop().unwrap_or_default();
-        msg.encode_into(&mut frame);
         for copy in 1..=copies {
             let jitter = match self.faults {
                 Some(m) => extra(&mut self.fault_rng, &m, self.delay),
@@ -528,7 +560,10 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
     let mut next_xfer: u64 = 0;
     let mut fatal: Option<NetError> = None;
     let mut degraded = false;
-    let mut out: Vec<(u32, Msg)> = Vec::new();
+    let mut out: Vec<(u32, Vec<u8>)> = Vec::new();
+    let mut lists = Lists::default();
+    // Registry entries before `swept` are fulfilled or settled for good.
+    let mut swept = 0;
     let mut timers: Vec<(f64, Timer)> = Vec::new();
     let event_cap = if net.max_events > 0 {
         net.max_events
@@ -551,6 +586,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                     ledger: &mut ledger,
                     registry: &mut registry,
                     out: &mut out,
+                    spare: &mut transport.spare,
                     timers: &mut timers,
                     rec: &mut *frame.rec,
                     utility: config.utility.as_ref(),
@@ -561,8 +597,8 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                 };
                 nodes[id].$call(&mut c, $($arg),*);
             }
-            for (to, msg) in out.drain(..) {
-                transport.send($t, $node, to, &msg, &mut q, &mut stats, frame.rec, &mut fatal);
+            for (to, bytes) in out.drain(..) {
+                transport.send($t, $node, to, bytes, &mut q, &mut stats, frame.rec, &mut fatal);
             }
             let inc = nodes[id].incarnation;
             for (ft, timer) in timers.drain(..) {
@@ -628,6 +664,8 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
             // --- request arrival: the engine's; a waiting request is
             // handed to its origin's task ---
             if let Some((created, origin, item)) = frame.arrival(&mut demand, &state) {
+                // The deadline sweep's `swept` relies on arrival order.
+                debug_assert!(registry.last().is_none_or(|r| r.created <= created));
                 let req_id = registry.len() as u64;
                 let n = &mut nodes[origin];
                 let alive = n.alive && !n.stalled;
@@ -681,7 +719,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
             };
             match ev {
                 Ev::Deliver { to, from, bytes } => {
-                    let msg = Msg::decode(&bytes)?;
+                    let head = wire::decode_into(&bytes, &mut lists)?;
                     transport.spare.push(bytes);
                     let alive = {
                         let n = &nodes[to as usize];
@@ -691,7 +729,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                         stats.transport_closed += 1;
                     } else {
                         stats.msgs_delivered += 1;
-                        dispatch!(t, to, on_msg(from, msg));
+                        dispatch!(t, to, on_msg(from, head, &lists));
                     }
                 }
                 Ev::LinkDown { a, b, window } => {
@@ -813,13 +851,12 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                     }
                     // Limbo requests at dead/stalled nodes expire too:
                     // the user's patience does not care about servers.
-                    let overdue: Vec<u64> = registry
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| !r.fulfilled && !r.settled && t - r.created > d)
-                        .map(|(i, _)| i as u64)
-                        .collect();
-                    settle_expired!(t, overdue);
+                    // Entries are in arrival order, so the overdue ones
+                    // not yet swept are a run from `swept`; this sweep
+                    // settles each that is neither fulfilled nor settled.
+                    let end = swept + registry[swept..].partition_point(|r| t - r.created > d);
+                    settle_expired!(t, swept as u64..end as u64);
+                    swept = end;
                     q.push(t + d * 0.5, Ev::DeadlineSweep);
                 }
             }
@@ -887,27 +924,36 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The two-heap queue peeks and pops random pushes, equal times
-        /// included, in the order one heap of the same entries does.
+        /// The queue peeks and pops random pushes in the order one heap
+        /// of the same entries does. A clock advances by 0–2 per op, and
+        /// an entry lands at it (in order, or equal to the tail) or, one
+        /// time in four, 3 before it (out of order): `Deliver` and
+        /// `LinkDown` ride their lanes in the first case and fall back to
+        /// the heap in the second, so a pop that took a lane head over an
+        /// earlier heap top would show here.
         #[test]
         fn two_heap_queue_pops_in_one_heaps_order(
-            ops in proptest::collection::vec((0u32..5, 0u32..5), 0..300)
+            ops in proptest::collection::vec((0u32..3, 0u32..4, 0u32..7), 0..300)
         ) {
             let timer = |timer| Ev::Timer { node: 0, incarnation: 0, timer };
             let mut q = Queue::default();
             let mut one: BinaryHeap<QEntry> = BinaryHeap::new();
-            for (t, op) in ops {
+            let mut clock = 0u32;
+            for (step, late, op) in ops {
+                clock += step;
                 let ev = match op {
-                    0 => Ev::LinkDown { a: 0, b: 1, window: 0 },
-                    1 => timer(Timer::XferRetry { xfer: 0 }),
-                    2 => timer(Timer::Heartbeat),
-                    3 => Ev::Supervise,
+                    0 => Ev::Deliver { to: 0, from: 1, bytes: Vec::new() },
+                    1 => Ev::LinkDown { a: 0, b: 1, window: 0 },
+                    2 => timer(Timer::XferRetry { xfer: 0 }),
+                    3 => timer(Timer::Heartbeat),
+                    4 => Ev::Supervise,
                     _ => {
                         prop_assert_eq!(q.pop().map(|e| e.seq), one.pop().map(|e| e.seq));
+                        prop_assert_eq!(q.peek().map(|e| e.seq), one.peek().map(|e| e.seq));
                         continue;
                     }
                 };
-                let t = f64::from(t);
+                let t = f64::from(clock) - if late == 3 { 3.0 } else { 0.0 };
                 one.push(QEntry { t, seq: q.seq, ev: ev.clone() });
                 q.push(t, ev);
                 prop_assert_eq!(q.peek().map(|e| e.seq), one.peek().map(|e| e.seq));

@@ -18,13 +18,17 @@
 //! is [`pool_add`]. Only the odd-leftover tie-break (no shared coin
 //! between two tasks) and the two-phase transfer are this runtime's own.
 //!
-//! Handlers communicate only through [`Ctx`]: outgoing messages, new
+//! Handlers communicate only through [`Ctx`]: outgoing frames, new
 //! timers, metrics, and the kernel-side request registry (the omniscient
 //! "user" that books each request's welfare exactly once, even when a
 //! crash resurrects an already-fulfilled request from a stale
-//! checkpoint).
+//! checkpoint). A handler writes each outgoing frame straight from its
+//! state into a buffer off the transport's spare list, and reads each
+//! delivered one from the kernel's reused [`Lists`]: a contact window
+//! builds no [`Msg`] and, once the buffers have grown, allocates nothing.
 
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 
 use impatience_core::rng::Xoshiro256;
 use impatience_core::utility::DelayUtility;
@@ -36,7 +40,7 @@ use impatience_sim::Metrics;
 use crate::config::NetConfig;
 use crate::error::NetError;
 use crate::kernel::{Ledger, NetStats, ReqRecord};
-use crate::wire::Msg;
+use crate::wire::{self, Decoded, Lists, Msg};
 
 /// Node-local timers, scheduled through [`Ctx::timers`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -90,7 +94,8 @@ pub(crate) struct Xfer {
     pub parked: bool,
 }
 
-/// Per-window exchange state with one peer (volatile).
+/// Per-window exchange state with one peer (volatile). A node reuses
+/// the exchanges its closed windows leave, for their lists' buffers.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Exchange {
     /// Window id.
@@ -110,6 +115,23 @@ pub(crate) struct Exchange {
     /// Adverts re-sent in response to duplicate adverts (anti-entropy;
     /// bounded to stop live nodes ping-ponging).
     pub dup_resends: u32,
+}
+
+impl Exchange {
+    /// Start window `window` afresh, keeping the lists' buffers.
+    fn reopen(&mut self, window: u64) {
+        let mut fresh = Exchange {
+            window,
+            peer_items: std::mem::take(&mut self.peer_items),
+            peer_mandates: std::mem::take(&mut self.peer_mandates),
+            requested: std::mem::take(&mut self.requested),
+            ..Exchange::default()
+        };
+        fresh.peer_items.clear();
+        fresh.peer_mandates.clear();
+        fresh.requested.clear();
+        *self = fresh;
+    }
 }
 
 /// A map kept as a short vector: a linear find, insert-or-replace and
@@ -138,11 +160,14 @@ impl<K: PartialEq, V> VecMap<K, V> {
         self.0.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Insert, replacing the value `key` had.
-    pub(crate) fn insert(&mut self, key: K, value: V) {
+    /// Insert, returning the value `key` had.
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
         match self.position(&key) {
-            Some(i) => self.0[i].1 = value,
-            None => self.0.push((key, value)),
+            Some(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            None => {
+                self.0.push((key, value));
+                None
+            }
         }
     }
 
@@ -170,8 +195,10 @@ pub(crate) struct Ctx<'a, S: Sink> {
     pub ledger: &'a mut Ledger,
     /// Kernel-side request registry indexed by `req_id`.
     pub registry: &'a mut Vec<ReqRecord>,
-    /// Outgoing messages: (receiver, message).
-    pub out: &'a mut Vec<(u32, Msg)>,
+    /// Outgoing frames: (receiver, encoded frame).
+    pub out: &'a mut Vec<(u32, Vec<u8>)>,
+    /// Buffers to encode frames into: the transport's spare list.
+    pub spare: &'a mut Vec<Vec<u8>>,
     /// New timers for this node: (fire time, timer).
     pub timers: &'a mut Vec<(f64, Timer)>,
     /// Event recorder.
@@ -188,6 +215,27 @@ pub(crate) struct Ctx<'a, S: Sink> {
     pub next_xfer: &'a mut u64,
     /// First fatal error in strict mode; kernel aborts when set.
     pub fatal: &'a mut Option<NetError>,
+}
+
+impl<S: Sink> Ctx<'_, S> {
+    /// Queue a frame to `to`, written by `write` into a spare buffer.
+    fn send(&mut self, to: u32, write: impl FnOnce(&mut Vec<u8>)) {
+        let mut frame = self.spare.pop().unwrap_or_default();
+        write(&mut frame);
+        self.out.push((to, frame));
+    }
+
+    /// Queue a list-free message (handoff or ack) to `to`.
+    fn send_msg(&mut self, to: u32, msg: &Msg) {
+        self.send(to, |buf| msg.encode_into(buf));
+    }
+}
+
+/// The first key of `pool` past `cursor` (`None`: from the start): a walk
+/// over a pool whose current entry the loop body may remove.
+fn next_key(pool: &Pool, cursor: Option<u32>) -> Option<u32> {
+    let from = cursor.map_or(Unbounded, Excluded);
+    pool.range((from, Unbounded)).next().map(|(&item, _)| item)
 }
 
 /// One protocol node.
@@ -218,6 +266,15 @@ pub(crate) struct Node {
     pub exchanges: VecMap<u32, Exchange>,
     /// Last volatile checkpoint (what a restart recovers).
     pub ckpt_pending: Vec<PendingReq>,
+    // --- buffers ---
+    /// The cache slots as they were when last copied into `advert_items`.
+    advert_slots: Vec<u32>,
+    /// `advert_slots` sorted: the items every advert carries.
+    advert_items: Vec<u32>,
+    /// Exchanges of closed windows, reused by the next contacts.
+    spare_exchanges: Vec<Exchange>,
+    /// The grants a peer's request is answered with.
+    grants: Vec<u32>,
 }
 
 impl Node {
@@ -234,6 +291,10 @@ impl Node {
             pending: Vec::new(),
             exchanges: VecMap::default(),
             ckpt_pending: Vec::new(),
+            advert_slots: Vec::new(),
+            advert_items: Vec::new(),
+            spare_exchanges: Vec::new(),
+            grants: Vec::new(),
         }
     }
 
@@ -243,27 +304,32 @@ impl Node {
         raw.min(cfg.rto_cap) * (0.5 + self.rng.f64())
     }
 
-    fn advert<S: Sink>(&self, ctx: &Ctx<'_, S>, window: u64) -> Msg {
-        let mut items = ctx.state.caches.node(self.id as usize).items().to_vec();
-        items.sort_unstable();
-        Msg::CacheAdvert {
-            window,
-            items,
-            mandates: self.pool.iter().map(|(&i, &c)| (i, c)).collect(),
+    /// Send `peer` the advert of `window`: the cache's items, sorted
+    /// again only when the slots differ from the ones sorted last, and the
+    /// mandate pool, written straight into the frame.
+    fn send_advert<S: Sink>(&mut self, ctx: &mut Ctx<'_, S>, peer: u32, window: u64) {
+        let cache = ctx.state.caches.node(self.id as usize);
+        let slots = cache.items();
+        if slots != self.advert_slots.as_slice() {
+            self.advert_slots.clear();
+            self.advert_slots.extend_from_slice(slots);
+            self.advert_items.clone_from(&self.advert_slots);
+            self.advert_items.sort_unstable();
         }
+        let (items, pool) = (&self.advert_items, &self.pool);
+        ctx.send(peer, |buf| {
+            wire::encode_advert(buf, window, items, pool.iter().map(|(&i, &c)| (i, c)));
+        });
     }
 
     /// A contact window to `peer` just opened.
     pub(crate) fn on_contact<S: Sink>(&mut self, ctx: &mut Ctx<'_, S>, peer: u32, window: u64) {
-        self.exchanges.insert(
-            peer,
-            Exchange {
-                window,
-                ..Exchange::default()
-            },
-        );
-        let hello = self.advert(ctx, window);
-        ctx.out.push((peer, hello));
+        let mut ex = self.spare_exchanges.pop().unwrap_or_default();
+        ex.reopen(window);
+        if let Some(old) = self.exchanges.insert(peer, ex) {
+            self.spare_exchanges.push(old);
+        }
+        self.send_advert(ctx, peer, window);
         // Re-drive every live escrowed transfer aimed at this peer: the
         // jittered per-window retries do the short-timescale recovery,
         // the next contact does the long one.
@@ -290,7 +356,9 @@ impl Node {
             return; // a newer exchange replaced it
         }
         let advert_seen = ex.advert_seen;
-        self.exchanges.remove(&peer);
+        if let Some(ex) = self.exchanges.remove(&peer) {
+            self.spare_exchanges.push(ex);
+        }
         if !advert_seen {
             ctx.stats.handshake_timeouts += 1;
             ctx.rec.fault(ctx.t, "net_handshake_timeout", self.id, peer);
@@ -315,34 +383,29 @@ impl Node {
         });
     }
 
-    /// Dispatch one delivered protocol message.
-    pub(crate) fn on_msg<S: Sink>(&mut self, ctx: &mut Ctx<'_, S>, from: u32, msg: Msg) {
-        match msg {
-            Msg::CacheAdvert {
-                window,
-                items,
-                mandates,
-            } => self.on_advert(ctx, from, window, items, mandates),
-            Msg::Request { window, wants } => self.on_peer_request(ctx, from, window, wants),
-            Msg::Fulfill { window, grants } => self.on_fulfill(ctx, from, window, grants),
-            Msg::MandateHandoff {
+    /// Dispatch one delivered frame, its lists in `lists`.
+    pub(crate) fn on_msg<S: Sink>(
+        &mut self,
+        ctx: &mut Ctx<'_, S>,
+        from: u32,
+        head: Decoded,
+        lists: &Lists,
+    ) {
+        match head {
+            Decoded::Advert { window } => self.on_advert(ctx, from, window, lists),
+            Decoded::Request { window } => self.on_peer_request(ctx, from, window, &lists.items),
+            Decoded::Fulfill { window } => self.on_fulfill(ctx, from, window, &lists.items),
+            Decoded::Handoff {
                 xfer,
                 item,
                 count,
                 execute,
             } => self.on_handoff(ctx, from, xfer, item, count, execute),
-            Msg::MandateAck { xfer, consumed } => self.on_ack(ctx, from, xfer, consumed),
+            Decoded::Ack { xfer, consumed } => self.on_ack(ctx, from, xfer, consumed),
         }
     }
 
-    fn on_advert<S: Sink>(
-        &mut self,
-        ctx: &mut Ctx<'_, S>,
-        from: u32,
-        window: u64,
-        mut items: Vec<u32>,
-        mandates: Vec<(u32, u64)>,
-    ) {
+    fn on_advert<S: Sink>(&mut self, ctx: &mut Ctx<'_, S>, from: u32, window: u64, lists: &Lists) {
         let Some(ex) = self.exchanges.get_mut(&from) else {
             return; // stale: the window already closed here
         };
@@ -354,41 +417,40 @@ impl Node {
             // advert usually means it lost ours — resend it, bounded.
             if ex.dup_resends < 3 {
                 ex.dup_resends += 1;
-                let hello = self.advert(ctx, window);
-                ctx.out.push((from, hello));
+                self.send_advert(ctx, from, window);
             }
             return;
         }
-        if !items.is_sorted() {
-            items.sort_unstable();
-        }
         ex.advert_seen = true;
-        ex.peer_mandates = mandates;
+        ex.peer_items.clone_from(&lists.items);
+        if !ex.peer_items.is_sorted() {
+            ex.peer_items.sort_unstable();
+        }
+        ex.peer_mandates.clone_from(&lists.mandates);
 
         // Query counting and request assembly: one advert = one meeting
         // with a cache-carrying peer, exactly the engine's per-contact
         // increment. Items the peer holds are requested (their counter
         // bumps by one at fulfillment); items it lacks count a query.
-        let mut wants: Vec<u32> = Vec::new();
         for p in &mut self.pending {
-            if items.binary_search(&p.item).is_ok() {
-                wants.push(p.item);
+            if ex.peer_items.binary_search(&p.item).is_ok() {
+                ex.requested.push(p.item);
             } else {
                 p.queries += 1;
             }
         }
-        ex.peer_items = items;
-        wants.sort_unstable();
-        wants.dedup();
-        if !wants.is_empty() {
-            ex.requested = wants.clone();
-            ctx.out.push((from, Msg::Request { window, wants }));
+        ex.requested.sort_unstable();
+        ex.requested.dedup();
+        if !ex.requested.is_empty() {
+            let wants = &ex.requested;
+            ctx.send(from, |buf| wire::encode_request(buf, window, wants));
         }
 
         // Mandate execution (§5.3's possession rule): for each pooled
         // item this node holds and the peer lacks, offer one copy.
-        let pooled: Vec<u32> = self.pool.keys().copied().collect();
-        for item in pooled {
+        let mut cursor = None;
+        while let Some(item) = next_key(&self.pool, cursor) {
+            cursor = Some(item);
             let holds_here = ctx.state.caches.holds(self.id as usize, item);
             let holds_peer = self.peer_holds(from, item);
             if holds_here && !holds_peer && !self.xfer_in_flight(from, item) {
@@ -432,8 +494,11 @@ impl Node {
     /// leftover) keeps the two computations consistent, so at most one
     /// direction transfers custody per item.
     fn route_pool<S: Sink>(&mut self, ctx: &mut Ctx<'_, S>, peer: u32) {
-        let items: Vec<u32> = self.pool.keys().copied().collect();
-        for item in items {
+        // `route_item` changes only `item`'s entry, so the walk visits
+        // the keys the pool held when it began.
+        let mut cursor = None;
+        while let Some(item) = next_key(&self.pool, cursor) {
+            cursor = Some(item);
             self.route_item(ctx, peer, item);
         }
     }
@@ -533,7 +598,7 @@ impl Node {
         if attempts > 1 {
             ctx.stats.retries += 1;
         }
-        ctx.out.push((peer, msg));
+        ctx.send_msg(peer, &msg);
         let delay = self.backoff(ctx.cfg, attempts);
         ctx.timers
             .push((ctx.t + delay, Timer::XferRetry { xfer: id }));
@@ -545,18 +610,19 @@ impl Node {
         ctx: &mut Ctx<'_, S>,
         from: u32,
         window: u64,
-        wants: Vec<u32>,
+        wants: &[u32],
     ) {
-        let mut grants = Vec::with_capacity(wants.len());
+        self.grants.clear();
         let me = self.id as usize;
-        for item in wants {
+        for &item in wants {
             if ctx.state.caches.holds(me, item) {
                 // Serving counts as a use of this copy (LRU recency).
                 ctx.state.caches.node_mut(me).touch(item);
-                grants.push(item);
+                self.grants.push(item);
             }
         }
-        ctx.out.push((from, Msg::Fulfill { window, grants }));
+        let grants = &self.grants;
+        ctx.send(from, |buf| wire::encode_fulfill(buf, window, grants));
     }
 
     /// Content arrived: settle matching pending requests, mint mandates
@@ -568,24 +634,18 @@ impl Node {
         ctx: &mut Ctx<'_, S>,
         from: u32,
         window: u64,
-        grants: Vec<u32>,
+        grants: &[u32],
     ) {
         if let Some(ex) = self.exchanges.get_mut(&from) {
             if ex.window == window {
                 ex.fulfill_seen = true;
             }
         }
-        for &item in &grants {
-            let mut fulfilled: Vec<PendingReq> = Vec::new();
-            self.pending.retain(|p| {
-                if p.item == item {
-                    fulfilled.push(*p);
-                    false
-                } else {
-                    true
-                }
-            });
-            for p in fulfilled {
+        for &item in grants {
+            // Settling touches no pending request, so taking the matches
+            // one by one settles them in the order they were pending.
+            while let Some(i) = self.pending.iter().position(|p| p.item == item) {
+                let p = self.pending.remove(i);
                 let record = &mut ctx.registry[p.req_id as usize];
                 if record.fulfilled || record.lost {
                     continue; // checkpoint zombie: welfare already booked
@@ -630,7 +690,7 @@ impl Node {
     ) {
         if let Some(&consumed) = self.applied.get(&xfer) {
             // Redelivery (duplicate frame or sender retry): same ack.
-            ctx.out.push((from, Msg::MandateAck { xfer, consumed }));
+            ctx.send_msg(from, &Msg::MandateAck { xfer, consumed });
             return;
         }
         let me = self.id as usize;
@@ -652,7 +712,7 @@ impl Node {
             count // custody fully consumed (overflow destroyed here)
         };
         self.applied.insert(xfer, consumed);
-        ctx.out.push((from, Msg::MandateAck { xfer, consumed }));
+        ctx.send_msg(from, &Msg::MandateAck { xfer, consumed });
     }
 
     /// Phase 2 sender: release the escrow; un-consumed mandates return
@@ -691,19 +751,12 @@ impl Node {
                 }
                 ex.retries += 1;
                 let attempts = ex.retries;
-                let requested = ex.requested.clone();
                 ctx.stats.retries += 1;
                 if stalled_handshake {
-                    let hello = self.advert(ctx, window);
-                    ctx.out.push((peer, hello));
+                    self.send_advert(ctx, peer, window);
                 } else {
-                    ctx.out.push((
-                        peer,
-                        Msg::Request {
-                            window,
-                            wants: requested,
-                        },
-                    ));
+                    let wants = &ex.requested;
+                    ctx.send(peer, |buf| wire::encode_request(buf, window, wants));
                 }
                 let delay = self.backoff(ctx.cfg, attempts);
                 ctx.timers

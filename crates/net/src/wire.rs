@@ -108,125 +108,244 @@ impl Msg {
     /// Encode the message as one checksummed frame into `buf`, replacing
     /// what it held: [`Msg::encode`] for a caller that reuses buffers.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.clear();
-        buf.push(MAGIC);
         match self {
             Msg::CacheAdvert {
                 window,
                 items,
                 mandates,
-            } => {
-                buf.push(KIND_ADVERT);
-                buf.extend_from_slice(&window.to_le_bytes());
-                put_u32_list(buf, items);
-                buf.extend_from_slice(&(mandates.len() as u32).to_le_bytes());
-                for &(item, count) in mandates {
-                    buf.extend_from_slice(&item.to_le_bytes());
-                    buf.extend_from_slice(&count.to_le_bytes());
-                }
-            }
-            Msg::Request { window, wants } => {
-                buf.push(KIND_REQUEST);
-                buf.extend_from_slice(&window.to_le_bytes());
-                put_u32_list(buf, wants);
-            }
-            Msg::Fulfill { window, grants } => {
-                buf.push(KIND_FULFILL);
-                buf.extend_from_slice(&window.to_le_bytes());
-                put_u32_list(buf, grants);
-            }
+            } => encode_advert(buf, *window, items, mandates.iter().copied()),
+            Msg::Request { window, wants } => encode_request(buf, *window, wants),
+            Msg::Fulfill { window, grants } => encode_fulfill(buf, *window, grants),
             Msg::MandateHandoff {
                 xfer,
                 item,
                 count,
                 execute,
             } => {
-                buf.push(KIND_HANDOFF);
+                open(buf, KIND_HANDOFF);
                 buf.extend_from_slice(&xfer.to_le_bytes());
                 buf.extend_from_slice(&item.to_le_bytes());
                 buf.extend_from_slice(&count.to_le_bytes());
                 buf.push(u8::from(*execute));
+                seal(buf);
             }
             Msg::MandateAck { xfer, consumed } => {
-                buf.push(KIND_ACK);
+                open(buf, KIND_ACK);
                 buf.extend_from_slice(&xfer.to_le_bytes());
                 buf.extend_from_slice(&consumed.to_le_bytes());
+                seal(buf);
             }
         }
-        let sum = fnv1a32(buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
     }
 
     /// Decode one frame. Truncated input is blamed as
     /// [`WireError::Truncated`] with the byte counts; any corruption the
     /// structure checks miss is caught by the trailing checksum.
     pub fn decode(buf: &[u8]) -> Result<Msg, WireError> {
-        // The last 4 bytes are the checksum, not payload.
-        let Some((body, &sum)) = buf
-            .split_last_chunk::<4>()
-            .filter(|(body, _)| body.len() >= 2)
-        else {
-            return Err(WireError::Truncated {
-                need: 6,
-                have: buf.len(),
-            });
-        };
-        if body[0] != MAGIC {
-            return Err(WireError::BadMagic { found: body[0] });
-        }
-        let kind = body[1];
-        let mut cur = Cursor {
-            buf,
-            pos: 2,
-            end: body.len(),
-        };
-        let msg = match kind {
-            KIND_ADVERT => {
-                let window = cur.u64()?;
-                let items = cur.u32_list()?;
-                let n = cur.list_len(12)?;
-                let mut mandates = Vec::with_capacity(n);
-                for _ in 0..n {
-                    mandates.push((cur.u32()?, cur.u64()?));
-                }
-                Msg::CacheAdvert {
-                    window,
-                    items,
-                    mandates,
-                }
-            }
-            KIND_REQUEST => Msg::Request {
-                window: cur.u64()?,
-                wants: cur.u32_list()?,
-            },
-            KIND_FULFILL => Msg::Fulfill {
-                window: cur.u64()?,
-                grants: cur.u32_list()?,
-            },
-            KIND_HANDOFF => Msg::MandateHandoff {
-                xfer: cur.u64()?,
-                item: cur.u32()?,
-                count: cur.u64()?,
-                execute: cur.u8()? != 0,
-            },
-            KIND_ACK => Msg::MandateAck {
-                xfer: cur.u64()?,
-                consumed: cur.u64()?,
-            },
-            other => return Err(WireError::UnknownKind { kind: other }),
-        };
-        if cur.pos != cur.end {
-            return Err(WireError::TrailingBytes {
-                extra: cur.end - cur.pos,
-            });
-        }
-        let expected = fnv1a32(body);
-        let found = u32::from_le_bytes(sum);
-        if expected != found {
-            return Err(WireError::ChecksumMismatch { expected, found });
-        }
-        Ok(msg)
+        let mut lists = Lists::default();
+        let head = decode_into(buf, &mut lists)?;
+        Ok(head.into_msg(lists))
     }
+}
+
+/// A decoded frame's fixed fields. Its lists are in the [`Lists`] it was
+/// decoded into by [`decode_into`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Decoded {
+    /// A [`Msg::CacheAdvert`]: items in [`Lists::items`], mandates in
+    /// [`Lists::mandates`].
+    Advert {
+        /// Contact-window id.
+        window: u64,
+    },
+    /// A [`Msg::Request`]: the wants in [`Lists::items`].
+    Request {
+        /// Contact-window id.
+        window: u64,
+    },
+    /// A [`Msg::Fulfill`]: the grants in [`Lists::items`].
+    Fulfill {
+        /// Contact-window id.
+        window: u64,
+    },
+    /// A [`Msg::MandateHandoff`].
+    Handoff {
+        /// Globally unique transfer id.
+        xfer: u64,
+        /// The mandated item.
+        item: u32,
+        /// Mandates in escrow for this transfer.
+        count: u64,
+        /// Execute instead of transferring custody.
+        execute: bool,
+    },
+    /// A [`Msg::MandateAck`].
+    Ack {
+        /// The transfer being acknowledged.
+        xfer: u64,
+        /// Mandates consumed at the receiver.
+        consumed: u64,
+    },
+}
+
+impl Decoded {
+    /// The message this frame and the `lists` it was decoded into carry.
+    pub fn into_msg(self, lists: Lists) -> Msg {
+        match self {
+            Decoded::Advert { window } => Msg::CacheAdvert {
+                window,
+                items: lists.items,
+                mandates: lists.mandates,
+            },
+            Decoded::Request { window } => Msg::Request {
+                window,
+                wants: lists.items,
+            },
+            Decoded::Fulfill { window } => Msg::Fulfill {
+                window,
+                grants: lists.items,
+            },
+            Decoded::Handoff {
+                xfer,
+                item,
+                count,
+                execute,
+            } => Msg::MandateHandoff {
+                xfer,
+                item,
+                count,
+                execute,
+            },
+            Decoded::Ack { xfer, consumed } => Msg::MandateAck { xfer, consumed },
+        }
+    }
+}
+
+/// Caller-owned buffers a frame's lists decode into, reused from frame
+/// to frame so that a decode allocates only when a list outgrows them.
+#[derive(Clone, Debug, Default)]
+pub struct Lists {
+    /// Advert items, request wants or fulfill grants.
+    pub items: Vec<u32>,
+    /// Advert mandates as (item, count) pairs.
+    pub mandates: Vec<(u32, u64)>,
+}
+
+/// Decode one frame into `lists`, replacing what they held. [`Msg::decode`]
+/// calls it on fresh lists; a caller that reuses buffers calls it directly.
+/// Its checks, in order: magic, kind, each list count against [`MAX_LIST`]
+/// and then the bytes left, trailing bytes, checksum.
+pub fn decode_into(buf: &[u8], lists: &mut Lists) -> Result<Decoded, WireError> {
+    // The last 4 bytes are the checksum, not payload.
+    let Some((body, &sum)) = buf
+        .split_last_chunk::<4>()
+        .filter(|(body, _)| body.len() >= 2)
+    else {
+        return Err(WireError::Truncated {
+            need: 6,
+            have: buf.len(),
+        });
+    };
+    if body[0] != MAGIC {
+        return Err(WireError::BadMagic { found: body[0] });
+    }
+    let kind = body[1];
+    let mut cur = Cursor {
+        buf,
+        pos: 2,
+        end: body.len(),
+    };
+    lists.items.clear();
+    lists.mandates.clear();
+    let head = match kind {
+        KIND_ADVERT => {
+            let window = cur.u64()?;
+            cur.list_into(&mut lists.items, 4, Cursor::u32)?;
+            cur.list_into(&mut lists.mandates, 12, |c| Ok((c.u32()?, c.u64()?)))?;
+            Decoded::Advert { window }
+        }
+        KIND_REQUEST => {
+            let window = cur.u64()?;
+            cur.list_into(&mut lists.items, 4, Cursor::u32)?;
+            Decoded::Request { window }
+        }
+        KIND_FULFILL => {
+            let window = cur.u64()?;
+            cur.list_into(&mut lists.items, 4, Cursor::u32)?;
+            Decoded::Fulfill { window }
+        }
+        KIND_HANDOFF => Decoded::Handoff {
+            xfer: cur.u64()?,
+            item: cur.u32()?,
+            count: cur.u64()?,
+            execute: cur.u8()? != 0,
+        },
+        KIND_ACK => Decoded::Ack {
+            xfer: cur.u64()?,
+            consumed: cur.u64()?,
+        },
+        other => return Err(WireError::UnknownKind { kind: other }),
+    };
+    if cur.pos != cur.end {
+        return Err(WireError::TrailingBytes {
+            extra: cur.end - cur.pos,
+        });
+    }
+    let expected = fnv1a32(body);
+    let found = u32::from_le_bytes(sum);
+    if expected != found {
+        return Err(WireError::ChecksumMismatch { expected, found });
+    }
+    Ok(head)
+}
+
+/// Write the frame of `Msg::CacheAdvert { window, items, mandates }`
+/// into `buf`, replacing what it held, from borrowed lists: the one
+/// advert writer, which [`Msg::encode_into`] calls too.
+pub fn encode_advert(
+    buf: &mut Vec<u8>,
+    window: u64,
+    items: &[u32],
+    mandates: impl ExactSizeIterator<Item = (u32, u64)>,
+) {
+    open(buf, KIND_ADVERT);
+    buf.extend_from_slice(&window.to_le_bytes());
+    put_u32_list(buf, items);
+    buf.extend_from_slice(&(mandates.len() as u32).to_le_bytes());
+    for (item, count) in mandates {
+        buf.extend_from_slice(&item.to_le_bytes());
+        buf.extend_from_slice(&count.to_le_bytes());
+    }
+    seal(buf);
+}
+
+/// Write the frame of `Msg::Request { window, wants }` into `buf`.
+pub(crate) fn encode_request(buf: &mut Vec<u8>, window: u64, wants: &[u32]) {
+    window_list(buf, KIND_REQUEST, window, wants);
+}
+
+/// Write the frame of `Msg::Fulfill { window, grants }` into `buf`.
+pub(crate) fn encode_fulfill(buf: &mut Vec<u8>, window: u64, grants: &[u32]) {
+    window_list(buf, KIND_FULFILL, window, grants);
+}
+
+fn window_list(buf: &mut Vec<u8>, kind: u8, window: u64, xs: &[u32]) {
+    open(buf, kind);
+    buf.extend_from_slice(&window.to_le_bytes());
+    put_u32_list(buf, xs);
+    seal(buf);
+}
+
+/// Start a frame of `kind` in `buf`, dropping what it held.
+fn open(buf: &mut Vec<u8>, kind: u8) {
+    buf.clear();
+    buf.extend_from_slice(&[MAGIC, kind]);
+}
+
+/// Append the checksum of everything before it.
+fn seal(buf: &mut Vec<u8>) {
+    let sum = fnv1a32(buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
 }
 
 fn put_u32_list(buf: &mut Vec<u8>, xs: &[u32]) {
@@ -307,13 +426,21 @@ impl Cursor<'_> {
         Ok(n as usize)
     }
 
-    fn u32_list(&mut self) -> Result<Vec<u32>, WireError> {
-        let n = self.list_len(4)?;
-        let mut xs = Vec::with_capacity(n);
+    /// A counted list into `xs` (cleared by the caller): the count
+    /// passes [`Cursor::list_len`] before `xs` grows by it, then each
+    /// element is read by `elem`.
+    fn list_into<T>(
+        &mut self,
+        xs: &mut Vec<T>,
+        elem_bytes: usize,
+        elem: fn(&mut Self) -> Result<T, WireError>,
+    ) -> Result<(), WireError> {
+        let n = self.list_len(elem_bytes)?;
+        xs.reserve(n);
         for _ in 0..n {
-            xs.push(self.u32()?);
+            xs.push(elem(self)?);
         }
-        Ok(xs)
+        Ok(())
     }
 }
 

@@ -15,6 +15,10 @@
 //! trial" is just its index. The work-stealing cursor is likewise
 //! recovered as the set of indices not yet in `completed`.
 
+// It reads files from disk: no `unwrap`/`expect` outside tests, as in the
+// crates that face I/O.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};

@@ -1,17 +1,20 @@
 //! Contracts of the distributed QCR runtime's message layer: the wire
 //! codec round-trips every frame and rejects truncation/corruption with
-//! typed errors; the message-fault family is inert on the in-process
-//! engine (bit-identical trajectories with or without it attached); the
-//! distributed batch is deterministic per seed and independent of the
-//! worker count; message loss degrades welfare boundedly instead of
-//! wedging; paired seeds share exactly the contacts the two runtimes
-//! see; and the clean-transport runtime statistically matches the engine
-//! under the oracle's paired-seed differential.
+//! typed errors, alike whether it decodes into fresh or reused buffers,
+//! and writes an advert from borrowed lists as `Msg::encode` does; the
+//! message-fault family is inert on the in-process engine (bit-identical
+//! trajectories with or without it attached); the distributed batch is
+//! deterministic per seed and independent of the worker count; message
+//! loss degrades welfare boundedly instead of wedging; paired seeds share
+//! exactly the contacts the two runtimes see; and the clean-transport
+//! runtime statistically matches the engine under the oracle's
+//! paired-seed differential.
 
 use std::sync::Arc;
 
 use impatience_core::demand::Popularity;
 use impatience_core::utility::Step;
+use impatience_net::wire::{decode_into, encode_advert, Lists};
 use impatience_net::{run_net_trials_observed, Msg, NetConfig, WireError};
 use impatience_obs::{Event, MemorySink, Recorder};
 use impatience_oracle::net_vs_engine;
@@ -104,6 +107,61 @@ proptest! {
         // a *different* frame, and never panics.
         if let Ok(decoded) = Msg::decode(&bytes) {
             prop_assert_eq!(decoded, msg);
+        }
+    }
+}
+
+// ------------------------------------------------- codec, buffers reused
+
+/// Lists a longer advert than any `arb_msg` makes was decoded into, as
+/// the kernel's are after a busy run.
+fn used_lists() -> Lists {
+    let longer = Msg::CacheAdvert {
+        window: 1,
+        items: (0..40).rev().collect(),
+        mandates: (0..40).map(|i| (i, u64::from(i) + 1)).collect(),
+    };
+    let mut lists = Lists::default();
+    decode_into(&longer.encode(), &mut lists).expect("an encoded advert decodes");
+    lists
+}
+
+/// [`decode_into`] on [`used_lists`], as the message it carries.
+fn decode_reusing(bytes: &[u8]) -> Result<Msg, WireError> {
+    let mut lists = used_lists();
+    decode_into(bytes, &mut lists).map(|head| head.into_msg(lists))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn decoding_into_used_lists_gives_what_msg_decode_gives(msg in arb_msg()) {
+        let bytes = msg.encode();
+        prop_assert_eq!(decode_reusing(&bytes), Msg::decode(&bytes));
+    }
+
+    #[test]
+    fn broken_frames_fail_alike_on_both_decode_paths(
+        msg in arb_msg(),
+        cut in 0usize..64,
+        pos in 0usize..4096,
+        bit in 0u32..8,
+    ) {
+        let mut bytes = msg.encode();
+        let cut = cut % bytes.len();
+        prop_assert_eq!(decode_reusing(&bytes[..cut]), Msg::decode(&bytes[..cut]));
+        let len = bytes.len();
+        bytes[pos % len] ^= 1u8 << bit;
+        prop_assert_eq!(decode_reusing(&bytes), Msg::decode(&bytes));
+    }
+
+    #[test]
+    fn an_advert_written_from_borrowed_lists_is_msg_encode(msg in arb_msg()) {
+        if let Msg::CacheAdvert { window, items, mandates } = &msg {
+            let mut buf = vec![0xFF; 40];
+            encode_advert(&mut buf, *window, items, mandates.iter().copied());
+            prop_assert_eq!(buf, msg.encode());
         }
     }
 }

@@ -1,37 +1,80 @@
-//! A list's length prefix sizes no allocation before it is checked
-//! against the bytes that remain: a correctly checksummed frame that
-//! declares `MAX_LIST` elements and carries none decodes to `Truncated`
-//! without allocating for them. A test binary of its own, because the
-//! counting allocator is global to the process.
+//! Two allocation contracts of the net crate, each held by a counting
+//! allocator:
+//!
+//! * a list's length prefix sizes no allocation before it is checked
+//!   against the bytes that remain: a correctly checksummed frame that
+//!   declares `MAX_LIST` elements and carries none decodes to `Truncated`
+//!   without allocating for them;
+//! * a clean trial's contact windows allocate (almost) nothing per frame:
+//!   frames are written from node state into reused buffers and decoded
+//!   into reused lists.
+//!
+//! A test binary of its own, because the counting allocator is global to
+//! the process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::Arc;
 
+use impatience_core::demand::Popularity;
+use impatience_core::utility::Step;
 use impatience_net::wire::{MAGIC, MAX_LIST};
-use impatience_net::{Msg, WireError};
+use impatience_net::{run_net_trial, Msg, NetConfig, WireError};
+use impatience_sim::config::{ContactSource, SimConfig};
 
-/// The system allocator, counting the bytes live and their peak.
+/// The system allocator, counting the bytes live and their peak, or, on
+/// a thread inside [`counting_calls`], the allocation calls instead.
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's allocations are counted in `CALLS` and kept out of
+    /// `LIVE` and `PEAK`, so the two tests can run side by side.
+    static COUNT_CALLS: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counts_calls() -> bool {
+    COUNT_CALLS.try_with(Cell::get).unwrap_or(false)
+}
 
 // SAFETY: every call is forwarded unchanged to `System`, which keeps the
 // `GlobalAlloc` contract; the counters only read the layouts' sizes.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), SeqCst) + layout.size();
-        PEAK.fetch_max(live, SeqCst);
+        if counts_calls() {
+            CALLS.fetch_add(1, SeqCst);
+        } else {
+            let live = LIVE.fetch_add(layout.size(), SeqCst) + layout.size();
+            PEAK.fetch_max(live, SeqCst);
+        }
         // SAFETY: the caller's guarantees on `layout` are the ones
         // `System.alloc` asks for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), SeqCst);
+        if !counts_calls() {
+            LIVE.fetch_sub(layout.size(), SeqCst);
+        }
         // SAFETY: `ptr` was allocated by `System.alloc` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
+}
+
+/// Run `f` with this thread's allocations counted as calls, returning
+/// its value and the calls. Whatever `f` allocates must be freed inside
+/// it, so that `LIVE` never sees a free of a block it did not count.
+fn counting_calls<T: Copy>(f: impl FnOnce() -> T) -> (T, usize) {
+    COUNT_CALLS.with(|c| c.set(true));
+    let before = CALLS.load(SeqCst);
+    let value = f();
+    let calls = CALLS.load(SeqCst) - before;
+    COUNT_CALLS.with(|c| c.set(false));
+    (value, calls)
 }
 
 #[global_allocator]
@@ -82,4 +125,35 @@ fn a_declared_list_length_allocates_nothing_before_its_bytes_are_there() {
         );
         assert!(peak < 4096, "{list}: decoding allocated {peak} bytes");
     }
+}
+
+/// The ledger's `net_qcr` shape on a clean transport: 50 nodes and items,
+/// ρ = 5, μ = 0.05, many frames in flight. Going from 200 to 400 minutes
+/// adds tens of thousands of frames and only the allocations they cost;
+/// set-up and the buffers' growth to their working size are paid by both.
+#[test]
+fn a_clean_trial_allocates_almost_nothing_per_frame() {
+    let config = SimConfig::builder(50, 5)
+        .demand(Popularity::pareto(50, 1.0).demand_rates(1.0))
+        .utility(Arc::new(Step::new(10.0)))
+        .bin(60.0)
+        .build();
+    let run = |duration: f64| {
+        let source = ContactSource::homogeneous(50, 0.05, duration);
+        counting_calls(|| {
+            let out = run_net_trial(&config, &source, &NetConfig::default(), 3)
+                .expect("the conservation audit passes");
+            out.stats.msgs_sent
+        })
+    };
+    let (short_sent, short_calls) = run(200.0);
+    let (long_sent, long_calls) = run(400.0);
+    let frames = long_sent - short_sent;
+    assert!(frames > 10_000, "only {frames} more frames");
+    let per_frame = (long_calls as f64 - short_calls as f64) / frames as f64;
+    assert!(
+        per_frame < 0.1,
+        "{per_frame:.3} allocations per frame ({short_calls} calls for {short_sent} \
+         frames, {long_calls} for {long_sent})"
+    );
 }

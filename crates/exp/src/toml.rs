@@ -10,13 +10,16 @@
 //! * basic strings with `\"`, `\\`, `\n`, `\t` escapes;
 //! * integers (optional sign, `_` separators), floats (decimal point
 //!   and/or exponent), booleans;
-//! * arrays `[v, v, ...]`, possibly spanning lines, with trailing commas;
+//! * arrays `[v, v, ...]`, possibly spanning lines, with trailing commas,
+//!   nested at most [`MAX_DEPTH`] deep (the JSON parser's limit);
 //! * `#` comments.
 //!
 //! Floats are parsed with Rust's `str::parse::<f64>` (correctly rounded),
 //! so a value written as `0.25` in a spec is bit-identical to the literal
 //! `0.25` in code — the foundation of the pipeline's bit-for-bit
 //! reproducibility guarantee.
+
+use impatience_json::MAX_DEPTH;
 
 /// A parsed TOML value.
 #[derive(Clone, Debug, PartialEq)]
@@ -156,6 +159,8 @@ struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
     line: usize,
+    /// Arrays open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -317,7 +322,17 @@ impl<'a> Parser<'a> {
         self.skip_inline_ws();
         match self.peek() {
             Some(b'"') => self.parse_string(),
-            Some(b'[') => self.parse_array(),
+            Some(b'[') => {
+                // The parser recurses per array: a hostile spec must hit
+                // an error, not the end of the stack.
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("arrays nested deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let array = self.parse_array();
+                self.depth -= 1;
+                array
+            }
             Some(b't') | Some(b'f') => {
                 let word_start = self.pos;
                 while self.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
@@ -369,6 +384,7 @@ pub fn parse(text: &str) -> Result<Table, TomlError> {
         src: text.as_bytes(),
         pos: 0,
         line: 1,
+        depth: 0,
     };
     let mut root = Table::default();
     let mut target = Target::Root;
@@ -498,6 +514,17 @@ mod tests {
         assert_eq!(e.line, 1);
         let e = parse("x = 1\nx = 2\n").unwrap_err();
         assert!(e.message.contains("duplicate"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = format!("ok = 1\nx = {}", "[".repeat(100_000));
+        let e = parse(&deep).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("nested deeper than 128"), "{e}");
+        // The limit itself still parses.
+        let at_limit = format!("x = {}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        parse(&at_limit).unwrap();
     }
 
     #[test]

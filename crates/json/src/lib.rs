@@ -34,7 +34,7 @@
 
 mod parse;
 
-pub use parse::JsonParseError;
+pub use parse::{JsonParseError, MAX_DEPTH};
 
 use std::fmt;
 

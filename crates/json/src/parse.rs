@@ -42,7 +42,7 @@ pub(crate) fn parse(text: &str) -> Result<Json, JsonParseError> {
 
 /// Nesting limit: recursion-based parsing must not let hostile input
 /// overflow the stack.
-const MAX_DEPTH: usize = 128;
+pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],

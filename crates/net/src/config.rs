@@ -1,10 +1,19 @@
 //! Knobs of the distributed runtime: contact-window geometry, message
-//! delay, retry/backoff budget, heartbeats, checkpoints, and chaos
-//! hooks.
-
-use impatience_sim::policy::QcrConfig;
+//! delay, retry/backoff budget, request deadline and chaos hooks. The
+//! heartbeat and checkpoint periods are constants of the runtime, and
+//! QCR runs with its default knobs, like the engine it is checked
+//! against.
 
 use crate::error::NetError;
+
+/// Heartbeat period of every live node (minutes).
+pub(crate) const HEARTBEAT_EVERY: f64 = 120.0;
+/// The supervisor condemns a node silent for this long (minutes).
+pub(crate) const HEARTBEAT_TIMEOUT: f64 = 360.0;
+/// Period of the volatile-state checkpoint each node recovers from
+/// after a crash (minutes).
+pub(crate) const CHECKPOINT_EVERY: f64 = 60.0;
+const _: () = assert!(HEARTBEAT_TIMEOUT > HEARTBEAT_EVERY);
 
 /// A scheduled chaos injection against one node task.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,8 +51,6 @@ pub enum ChaosKind {
 /// minutes), so the clean-transport runtime is statistically the engine.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// QCR protocol knobs; must match the engine's for differential runs.
-    pub qcr: QcrConfig,
     /// How long a trace contact keeps the link up (minutes).
     pub window: f64,
     /// One-way message delay (minutes).
@@ -54,13 +61,6 @@ pub struct NetConfig {
     pub rto_cap: f64,
     /// Send attempts before a transfer is parked as an ack timeout.
     pub max_attempts: u32,
-    /// Heartbeat period of every live node.
-    pub heartbeat_every: f64,
-    /// Supervisor kills a node silent for this long.
-    pub heartbeat_timeout: f64,
-    /// Period of the volatile-state checkpoint each node recovers from
-    /// after a crash.
-    pub checkpoint_every: f64,
     /// Request deadline budget: a pending request older than this is
     /// abandoned and settled as unfulfilled. `None` waits until the
     /// horizon (the engine's semantics).
@@ -70,28 +70,19 @@ pub struct NetConfig {
     pub max_events: u64,
     /// Scheduled chaos injections.
     pub chaos: Vec<ChaosEvent>,
-    /// Strict transport semantics: the first handshake or ack timeout
-    /// aborts the trial with the corresponding [`NetError`] instead of
-    /// being counted and retried. For tests; production runs degrade.
-    pub strict: bool,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            qcr: QcrConfig::default(),
             window: 0.05,
             msg_delay: 0.002,
             rto_base: 0.01,
             rto_cap: 0.08,
             max_attempts: 64,
-            heartbeat_every: 120.0,
-            heartbeat_timeout: 360.0,
-            checkpoint_every: 60.0,
             deadline: None,
             max_events: 0,
             chaos: Vec::new(),
-            strict: false,
         }
     }
 }
@@ -112,18 +103,6 @@ impl NetConfig {
                 "message delay {} must be below the contact window {} or nothing \
                  can ever be delivered",
                 self.msg_delay, self.window
-            )));
-        }
-        if !pos(self.heartbeat_every) || !pos(self.heartbeat_timeout) || !pos(self.checkpoint_every)
-        {
-            return Err(NetError::Config(
-                "heartbeat and checkpoint periods must be positive and finite".into(),
-            ));
-        }
-        if self.heartbeat_timeout <= self.heartbeat_every {
-            return Err(NetError::Config(format!(
-                "heartbeat timeout {} must exceed the heartbeat period {}",
-                self.heartbeat_timeout, self.heartbeat_every
             )));
         }
         if let Some(d) = self.deadline {
@@ -175,9 +154,6 @@ mod tests {
         cfg.msg_delay = 0.06;
         assert!(cfg.validate().is_err());
         cfg.msg_delay = 0.002;
-        cfg.heartbeat_timeout = cfg.heartbeat_every;
-        assert!(cfg.validate().is_err());
-        cfg.heartbeat_timeout = 360.0;
         cfg.chaos.push(ChaosEvent {
             t: -1.0,
             node: 0,

@@ -1,12 +1,14 @@
 //! Typed error taxonomy of the distributed runtime.
 //!
-//! Extends the PR 3 per-class CLI exit codes: every `NetError` maps to
-//! exit code **12** in `impatience netrun`. The variants separate what
-//! went wrong at the *protocol* layer (a link that was never up, a
+//! Every `NetError` maps to exit code **12** in `impatience netrun`.
+//! Transport weather is never an error: a send on a closed link, a
 //! contact window that closed before the peers exchanged a single
-//! message, a transfer that exhausted its retry budget) from the one
-//! failure that is always a bug rather than weather: a violated mandate
-//! conservation invariant at quiesce.
+//! advert and a transfer that exhausted its retry budget (its mandates
+//! stay escrowed, so conservation holds) are counted in `NetStats`, the
+//! two timeouts also as fault events, and the run goes on. What remains
+//! is a run configured with parameters the runtime cannot honor, a frame
+//! that fails to decode, and the one failure that is always a bug rather
+//! than weather: a violated mandate conservation invariant at quiesce.
 
 use std::fmt;
 
@@ -15,43 +17,6 @@ use crate::wire::WireError;
 /// Everything that can go wrong inside the distributed QCR runtime.
 #[derive(Clone, Debug, PartialEq)]
 pub enum NetError {
-    /// A message was submitted for a link that is not up (or to a node
-    /// outside the population). In normal operation the kernel counts
-    /// and drops these; the error surfaces when a caller demands strict
-    /// transport semantics.
-    TransportClosed {
-        /// Sending node.
-        from: u32,
-        /// Intended receiver.
-        to: u32,
-        /// Simulation time of the attempt.
-        at: f64,
-    },
-    /// A contact window closed before the two endpoints completed even
-    /// one advert exchange, while at least one of them had protocol
-    /// state pending for the other (strict mode only; otherwise counted
-    /// and retried at the next contact).
-    HandshakeTimeout {
-        /// The node reporting the failed exchange.
-        node: u32,
-        /// The peer it never heard from.
-        peer: u32,
-        /// The contact-window id.
-        window: u64,
-    },
-    /// A two-phase mandate transfer exhausted its retry budget without
-    /// an acknowledgment. The mandates stay escrowed (conservation
-    /// holds); strict mode turns the parked transfer into this error.
-    AckTimeout {
-        /// The escrow holder.
-        node: u32,
-        /// The unresponsive peer.
-        peer: u32,
-        /// The transfer id.
-        xfer: u64,
-        /// Send attempts made before giving up.
-        attempts: u32,
-    },
     /// The quiesce-time mandate audit failed: minted mandates are not
     /// exactly accounted for by executions, discards, node pools, and
     /// in-flight escrow. Always a protocol bug, never injected weather.
@@ -77,9 +42,6 @@ impl NetError {
     /// Stable machine-readable class name (manifest / log field).
     pub fn kind(&self) -> &'static str {
         match self {
-            NetError::TransportClosed { .. } => "transport_closed",
-            NetError::HandshakeTimeout { .. } => "handshake_timeout",
-            NetError::AckTimeout { .. } => "ack_timeout",
             NetError::ConservationViolation { .. } => "conservation_violation",
             NetError::Codec(_) => "codec",
             NetError::Config(_) => "config",
@@ -90,22 +52,6 @@ impl NetError {
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetError::TransportClosed { from, to, at } => {
-                write!(f, "transport closed: {from} -> {to} at t={at}")
-            }
-            NetError::HandshakeTimeout { node, peer, window } => write!(
-                f,
-                "handshake timeout: node {node} never heard from {peer} in window {window}"
-            ),
-            NetError::AckTimeout {
-                node,
-                peer,
-                xfer,
-                attempts,
-            } => write!(
-                f,
-                "ack timeout: transfer {xfer} from {node} to {peer} unacked after {attempts} attempts"
-            ),
             NetError::ConservationViolation {
                 minted,
                 executed,
@@ -140,22 +86,6 @@ mod tests {
     #[test]
     fn display_and_kind_cover_every_variant() {
         let cases: Vec<NetError> = vec![
-            NetError::TransportClosed {
-                from: 1,
-                to: 2,
-                at: 3.5,
-            },
-            NetError::HandshakeTimeout {
-                node: 0,
-                peer: 9,
-                window: 77,
-            },
-            NetError::AckTimeout {
-                node: 4,
-                peer: 5,
-                xfer: 12,
-                attempts: 64,
-            },
             NetError::ConservationViolation {
                 minted: 10,
                 executed: 4,
@@ -167,17 +97,7 @@ mod tests {
             NetError::Config("bad".into()),
         ];
         let kinds: Vec<&str> = cases.iter().map(|e| e.kind()).collect();
-        assert_eq!(
-            kinds,
-            [
-                "transport_closed",
-                "handshake_timeout",
-                "ack_timeout",
-                "conservation_violation",
-                "codec",
-                "config"
-            ]
-        );
+        assert_eq!(kinds, ["conservation_violation", "codec", "config"]);
         for e in &cases {
             assert!(!e.to_string().is_empty());
         }

@@ -29,10 +29,10 @@ use impatience_obs::{Recorder, Sink};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::engine::{seed_trial, Demand, Frame, TrialOutcome};
 use impatience_sim::faults::{MsgFaults, MSG_STREAM_ID};
-use impatience_sim::policy::{PolicyKind, QcrRules};
+use impatience_sim::policy::{PolicyKind, QcrConfig, QcrRules};
 use impatience_sim::state::SimState;
 
-use crate::config::{ChaosKind, NetConfig};
+use crate::config::{ChaosKind, NetConfig, CHECKPOINT_EVERY, HEARTBEAT_EVERY, HEARTBEAT_TIMEOUT};
 use crate::error::NetError;
 use crate::node::{Ctx, Node, Timer, VecMap};
 use crate::wire::{self, Lists};
@@ -344,7 +344,6 @@ struct Transport {
     faults: Option<MsgFaults>,
     fault_rng: Xoshiro256,
     delay: f64,
-    strict: bool,
 }
 
 fn link_key(a: u32, b: u32) -> (u32, u32) {
@@ -393,14 +392,10 @@ impl Transport {
         q: &mut Queue,
         stats: &mut NetStats,
         rec: &mut Recorder<S>,
-        fatal: &mut Option<NetError>,
     ) {
         if !self.link_up(t, from, to) {
             self.spare.push(frame);
             stats.transport_closed += 1;
-            if self.strict && fatal.is_none() {
-                *fatal = Some(NetError::TransportClosed { from, to, at: t });
-            }
             return;
         }
         stats.msgs_sent += 1;
@@ -480,7 +475,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
     let mut state = SimState::default();
     let (mut frame, _) = Frame::begin(
         &config,
-        &PolicyKind::Qcr(net.qcr.clone()),
+        &PolicyKind::qcr_default(),
         n_nodes,
         source.mean_rate(),
         duration,
@@ -491,7 +486,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
     );
     let mut demand = Demand::arrivals(&config, &mut frame.rng);
 
-    let rules = QcrRules::for_trial(net.qcr.clone(), &config, n_nodes, source.mean_rate());
+    let rules = QcrRules::for_trial(QcrConfig::default(), &config, n_nodes, source.mean_rate());
 
     // The frame's fault state drives contact admission and cache faults
     // on the engine's own streams, so contacts involving churned-down
@@ -532,13 +527,13 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
             q.push(c.t, Ev::Chaos { idx });
         }
     }
-    q.push(net.heartbeat_every, Ev::Supervise);
+    q.push(HEARTBEAT_EVERY, Ev::Supervise);
     if let Some(d) = net.deadline {
         q.push(d, Ev::DeadlineSweep);
     }
     for node in nodes.iter_mut() {
-        let hb = net.heartbeat_every * (0.5 + 0.5 * node.rng.f64());
-        let ck = net.checkpoint_every * (0.5 + 0.5 * node.rng.f64());
+        let hb = HEARTBEAT_EVERY * (0.5 + 0.5 * node.rng.f64());
+        let ck = CHECKPOINT_EVERY * (0.5 + 0.5 * node.rng.f64());
         q.timer(hb, node.id, 0, Timer::Heartbeat);
         q.timer(ck, node.id, 0, Timer::Checkpoint);
     }
@@ -549,7 +544,6 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
         faults: msg_faults,
         fault_rng,
         delay: net.msg_delay,
-        strict: net.strict,
     };
     let mut stats = NetStats::default();
     let mut ledger = Ledger::default();
@@ -558,7 +552,6 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
     let mut condemned = vec![false; n_nodes];
     let mut next_window: u64 = 0;
     let mut next_xfer: u64 = 0;
-    let mut fatal: Option<NetError> = None;
     let mut degraded = false;
     let mut out: Vec<(u32, Vec<u8>)> = Vec::new();
     let mut lists = Lists::default();
@@ -593,12 +586,11 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                     rules: &rules,
                     cfg: net,
                     next_xfer: &mut next_xfer,
-                    fatal: &mut fatal,
                 };
                 nodes[id].$call(&mut c, $($arg),*);
             }
             for (to, bytes) in out.drain(..) {
-                transport.send($t, $node, to, bytes, &mut q, &mut stats, frame.rec, &mut fatal);
+                transport.send($t, $node, to, bytes, &mut q, &mut stats, frame.rec);
             }
             let inc = nodes[id].incarnation;
             for (ft, timer) in timers.drain(..) {
@@ -641,9 +633,6 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
     }
 
     loop {
-        if let Some(e) = fatal.take() {
-            return Err(e);
-        }
         let next_contact_t = contacts.peek().map_or(f64::INFINITY, |e| e.time);
         let next_heap_t = q.peek().map_or(f64::INFINITY, |e| e.t);
         let next_request =
@@ -755,11 +744,11 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                         Timer::Heartbeat => {
                             last_seen[node as usize] = t;
                             stats.heartbeats += 1;
-                            q.timer(t + net.heartbeat_every, node, incarnation, timer);
+                            q.timer(t + HEARTBEAT_EVERY, node, incarnation, timer);
                         }
                         Timer::Checkpoint => {
                             nodes[node as usize].checkpoint();
-                            q.timer(t + net.checkpoint_every, node, incarnation, timer);
+                            q.timer(t + CHECKPOINT_EVERY, node, incarnation, timer);
                         }
                         Timer::WindowRetry { peer, .. } => {
                             let up = transport.link_up(t, node, peer);
@@ -784,8 +773,8 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                         stats.restarts += 1;
                         frame.rec.fault(t, "net_node_restart", node, 0);
                         let inc = nodes[idx].incarnation;
-                        q.timer(t + net.heartbeat_every * 0.5, node, inc, Timer::Heartbeat);
-                        q.timer(t + net.checkpoint_every, node, inc, Timer::Checkpoint);
+                        q.timer(t + HEARTBEAT_EVERY * 0.5, node, inc, Timer::Heartbeat);
+                        q.timer(t + CHECKPOINT_EVERY, node, inc, Timer::Checkpoint);
                         // Re-arm retries for escrow that survived the
                         // crash; the next contact with each peer also
                         // re-drives them.
@@ -825,7 +814,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                     for idx in 0..n_nodes {
                         if nodes[idx].alive
                             && !condemned[idx]
-                            && t - last_seen[idx] > net.heartbeat_timeout
+                            && t - last_seen[idx] > HEARTBEAT_TIMEOUT
                         {
                             // Wedged task: remove it and degrade the run
                             // rather than hang waiting for it.
@@ -837,7 +826,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                             frame.rec.fault(t, "net_node_stalled", idx as u32, 0);
                         }
                     }
-                    q.push(t + net.heartbeat_every, Ev::Supervise);
+                    q.push(t + HEARTBEAT_EVERY, Ev::Supervise);
                 }
                 Ev::DeadlineSweep => {
                     let Some(d) = net.deadline else {
@@ -861,9 +850,6 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                 }
             }
         }
-    }
-    if let Some(e) = fatal.take() {
-        return Err(e);
     }
 
     // --- quiesce: settle, audit, report ---

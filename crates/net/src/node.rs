@@ -28,17 +28,15 @@
 //! builds no [`Msg`] and, once the buffers have grown, allocates nothing.
 
 use std::collections::BTreeMap;
-use std::ops::Bound::{Excluded, Unbounded};
 
 use impatience_core::rng::Xoshiro256;
 use impatience_core::utility::DelayUtility;
 use impatience_obs::{Recorder, Sink};
-use impatience_sim::policy::{pool_add, share, Pool, QcrRules};
+use impatience_sim::policy::{next_key, pool_add, share, Pool, QcrRules};
 use impatience_sim::state::SimState;
 use impatience_sim::Metrics;
 
 use crate::config::NetConfig;
-use crate::error::NetError;
 use crate::kernel::{Ledger, NetStats, ReqRecord};
 use crate::wire::{self, Decoded, Lists, Msg};
 
@@ -213,8 +211,6 @@ pub(crate) struct Ctx<'a, S: Sink> {
     pub cfg: &'a NetConfig,
     /// Global transfer-id counter.
     pub next_xfer: &'a mut u64,
-    /// First fatal error in strict mode; kernel aborts when set.
-    pub fatal: &'a mut Option<NetError>,
 }
 
 impl<S: Sink> Ctx<'_, S> {
@@ -229,13 +225,6 @@ impl<S: Sink> Ctx<'_, S> {
     fn send_msg(&mut self, to: u32, msg: &Msg) {
         self.send(to, |buf| msg.encode_into(buf));
     }
-}
-
-/// The first key of `pool` past `cursor` (`None`: from the start): a walk
-/// over a pool whose current entry the loop body may remove.
-fn next_key(pool: &Pool, cursor: Option<u32>) -> Option<u32> {
-    let from = cursor.map_or(Unbounded, Excluded);
-    pool.range((from, Unbounded)).next().map(|(&item, _)| item)
 }
 
 /// One protocol node.
@@ -362,13 +351,6 @@ impl Node {
         if !advert_seen {
             ctx.stats.handshake_timeouts += 1;
             ctx.rec.fault(ctx.t, "net_handshake_timeout", self.id, peer);
-            if ctx.cfg.strict && ctx.fatal.is_none() {
-                *ctx.fatal = Some(NetError::HandshakeTimeout {
-                    node: self.id,
-                    peer,
-                    window,
-                });
-            }
         }
     }
 
@@ -509,7 +491,7 @@ impl Node {
             return;
         }
         let theirs = self.peer_pool(peer, item);
-        let cap = ctx.cfg.qcr.mandate_cap;
+        let cap = ctx.rules.mandate_cap();
         let total = (mine + theirs).min(cap);
         let me = self.id as usize;
         let holds_here = ctx.state.caches.holds(me, item);
@@ -575,17 +557,8 @@ impl Node {
         x.attempts += 1;
         if x.attempts > ctx.cfg.max_attempts {
             x.parked = true;
-            let (peer, attempts) = (x.peer, x.attempts - 1);
             ctx.stats.ack_timeouts += 1;
-            ctx.rec.fault(ctx.t, "net_ack_timeout", self.id, peer);
-            if ctx.cfg.strict && ctx.fatal.is_none() {
-                *ctx.fatal = Some(NetError::AckTimeout {
-                    node: self.id,
-                    peer,
-                    xfer: id,
-                    attempts,
-                });
-            }
+            ctx.rec.fault(ctx.t, "net_ack_timeout", self.id, x.peer);
             return;
         }
         let msg = Msg::MandateHandoff {
@@ -706,7 +679,7 @@ impl Node {
                 0 // cache can't accept (all slots sticky)
             }
         } else {
-            let cap = ctx.cfg.qcr.mandate_cap;
+            let cap = ctx.rules.mandate_cap();
             ctx.ledger.discarded += pool_add(&mut self.pool, item, count, cap);
             ctx.stats.handoffs_applied += 1;
             count // custody fully consumed (overflow destroyed here)
@@ -724,7 +697,7 @@ impl Node {
         ctx.stats.acks_received += 1;
         let returned = x.count.saturating_sub(consumed);
         if returned > 0 {
-            let cap = ctx.cfg.qcr.mandate_cap;
+            let cap = ctx.rules.mandate_cap();
             ctx.ledger.discarded += pool_add(&mut self.pool, x.item, returned, cap);
         }
     }

@@ -141,8 +141,8 @@ impl Histogram {
     ///
     /// Uses the shared nearest-rank definition of [`crate::stats`] (the
     /// smallest value with at least `⌈q·n⌉` samples at or below it), so
-    /// it matches `impatience_sim::runner::percentile` — which delegates
-    /// to the same function — up to bucket resolution.
+    /// it matches [`crate::percentile`], which the runner's bands use, up
+    /// to bucket resolution.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
         if self.total == 0 {
@@ -298,12 +298,6 @@ mod tests {
             assert_eq!(on.counts.len(), on.buckets());
             assert_eq!((off.range(), off.buckets()), (on.range(), on.buckets()));
         }
-        // The shape round-trips through `with_shape`, as the runner's
-        // per-trial recorders take it from a possibly disabled caller.
-        let again = crate::Recorder::with_shape(crate::NoopSink, 7.0, 3.0, 11);
-        assert_eq!(again.delay.range(), 7.0);
-        assert_eq!(again.inter_contact.range(), 3.0);
-        assert_eq!(again.delay.buckets(), 11);
 
         // Recording and merging are no-ops, not index panics.
         let mut h = Histogram::shape_only(10.0, 10);

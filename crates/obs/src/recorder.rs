@@ -44,20 +44,9 @@ impl Recorder<NoopSink> {
 }
 
 impl<S: Sink> Recorder<S> {
-    /// A recorder with default histogram shapes.
+    /// A recorder forwarding to `sink`. An inactive sink can never
+    /// record, so its histograms carry the shape and allocate no buckets.
     pub fn new(sink: S) -> Self {
-        Recorder::with_shape(
-            sink,
-            DEFAULT_DELAY_RANGE,
-            DEFAULT_INTER_CONTACT_RANGE,
-            DEFAULT_BUCKETS,
-        )
-    }
-
-    /// A recorder with explicit histogram spans and bucket count. An
-    /// inactive sink can never record, so its histograms carry the shape
-    /// and allocate no buckets.
-    pub fn with_shape(sink: S, delay_range: f64, inter_contact_range: f64, buckets: usize) -> Self {
         let histogram = if S::ACTIVE {
             Histogram::new
         } else {
@@ -67,8 +56,8 @@ impl<S: Sink> Recorder<S> {
             sink,
             counters: Counters::new(),
             peaks: Peaks::new(),
-            delay: histogram(delay_range, buckets),
-            inter_contact: histogram(inter_contact_range, buckets),
+            delay: histogram(DEFAULT_DELAY_RANGE, DEFAULT_BUCKETS),
+            inter_contact: histogram(DEFAULT_INTER_CONTACT_RANGE, DEFAULT_BUCKETS),
             last_contact: None,
         }
     }
@@ -83,7 +72,7 @@ impl<S: Sink> Recorder<S> {
         &self.sink
     }
 
-    /// The sink, mutably (e.g. `JsonlSink::take_error`).
+    /// The sink, mutably.
     pub fn sink_mut(&mut self) -> &mut S {
         &mut self.sink
     }

@@ -119,8 +119,8 @@ const JSONL_BUF_CAPACITY: usize = JSONL_BATCH_BYTES + 4096;
 /// overhead the PR 1 `observability_overhead` bench measured for
 /// per-event writes.
 ///
-/// I/O errors don't panic the hot path; the first one is kept and can be
-/// inspected with [`JsonlSink::take_error`] after the run.
+/// I/O errors don't panic the hot path; the first one is kept and
+/// [`JsonlSink::into_inner`] returns it after the run.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
@@ -139,11 +139,6 @@ impl<W: Write> JsonlSink<W> {
             buf: String::with_capacity(JSONL_BUF_CAPACITY),
             error: None,
         }
-    }
-
-    /// The first write error, if any occurred.
-    pub fn take_error(&mut self) -> Option<std::io::Error> {
-        self.error.take()
     }
 
     fn drain(&mut self) {
@@ -307,10 +302,11 @@ mod tests {
         let mut sink = JsonlSink::new(Failing);
         sink.record(&Event::Contact { t: 0.0, a: 0, b: 1 });
         sink.record(&Event::Contact { t: 1.0, a: 0, b: 1 });
-        // Batched events only reach the writer on flush.
+        // Batched events only reach the writer on flush; the first
+        // error is kept and handed back at the end.
         sink.flush();
-        assert!(sink.take_error().is_some());
-        assert!(sink.take_error().is_none());
+        let err = sink.into_inner().err().expect("the write error");
+        assert_eq!(err.to_string(), "disk full");
     }
 
     #[test]

@@ -62,7 +62,8 @@ fn latency_decay(config: &SimConfig, lat: f64) -> f64 {
 }
 
 /// Run `trials` paired trials through the engine and the distributed
-/// kernel and compare their post-warm-up welfare rates.
+/// kernel (default [`NetConfig`]) and compare their post-warm-up welfare
+/// rates.
 ///
 /// `reference` is the engine's mean rate, `estimate` the kernel's, and
 /// `half_width` the CLT interval of the *paired* per-seed differences at
@@ -70,23 +71,22 @@ fn latency_decay(config: &SimConfig, lat: f64) -> f64 {
 /// deterministic biases (protocol latency, cap-pressure routing); see
 /// the module docs.
 ///
-/// Any kernel error (conservation violation, strict-mode timeout,
-/// invalid [`NetConfig`]) aborts the comparison.
+/// Any kernel error (a conservation violation, a config the kernel
+/// cannot run) aborts the comparison.
 ///
 /// # Panics
 /// Panics if `trials == 0`.
 pub fn net_vs_engine(
     config: &SimConfig,
     source: &ContactSource,
-    net: &NetConfig,
     trials: usize,
     base_seed: u64,
     z: f64,
 ) -> Result<Comparison, NetError> {
     assert!(trials > 0, "need at least one trial");
-    net.validate()?;
+    let net = NetConfig::default();
     let warmup = config.warmup_fraction;
-    let policy = PolicyKind::Qcr(net.qcr.clone());
+    let policy = PolicyKind::qcr_default();
     let mut engine = Vec::with_capacity(trials);
     let mut distributed = Vec::with_capacity(trials);
     for k in 0..trials {
@@ -97,7 +97,7 @@ pub fn net_vs_engine(
                 .average_observed_rate(warmup),
         );
         distributed.push(
-            run_net_trial(config, source, net, seed)?
+            run_net_trial(config, source, &net, seed)?
                 .outcome
                 .metrics
                 .average_observed_rate(warmup),
@@ -259,7 +259,7 @@ pub fn net_panel(seed: u64, quick: bool, z: f64) -> Result<NetPanelReport, NetEr
     for (i, cell) in NET_SCENARIOS.iter().enumerate() {
         let (config, source) = cell.build(duration);
         let cell_seed = seed.wrapping_add(i as u64 * 1_000);
-        let cmp = net_vs_engine(&config, &source, &net, trials, cell_seed, z)?;
+        let cmp = net_vs_engine(&config, &source, trials, cell_seed, z)?;
         clean.push((cell.name, cmp));
     }
     let mut lossy = Vec::with_capacity(LOSS_RATES.len());
@@ -320,7 +320,7 @@ mod tests {
     fn clean_transport_agrees_with_engine() {
         let config = config(10, 2);
         let source = ContactSource::homogeneous(12, 0.1, 1_500.0);
-        let cmp = net_vs_engine(&config, &source, &NetConfig::default(), 5, 41, 3.5).unwrap();
+        let cmp = net_vs_engine(&config, &source, 5, 41, 3.5).unwrap();
         assert!(
             cmp.agrees(),
             "distributed QCR diverged from the engine: {}",
@@ -337,7 +337,7 @@ mod tests {
             .bin(100.0)
             .build();
         let source = ContactSource::homogeneous(10, 0.1, 1_500.0);
-        let cmp = net_vs_engine(&config, &source, &NetConfig::default(), 5, 77, 3.5).unwrap();
+        let cmp = net_vs_engine(&config, &source, 5, 77, 3.5).unwrap();
         assert!(cmp.agrees(), "{}", cmp.describe());
     }
 
@@ -346,8 +346,7 @@ mod tests {
         use impatience_sim::faults::FaultConfig;
         let mut config = config(8, 2);
         let source = ContactSource::homogeneous(10, 0.1, 1_500.0);
-        let net = NetConfig::default();
-        let clean = net_vs_engine(&config, &source, &net, 4, 91, 3.5).unwrap();
+        let clean = net_vs_engine(&config, &source, 4, 91, 3.5).unwrap();
         config.faults = Some(FaultConfig {
             msg: Some(MsgFaults {
                 loss_p: 0.10,
@@ -356,7 +355,7 @@ mod tests {
             }),
             ..FaultConfig::default()
         });
-        let lossy = net_vs_engine(&config, &source, &net, 4, 91, 3.5).unwrap();
+        let lossy = net_vs_engine(&config, &source, 4, 91, 3.5).unwrap();
         // Retries mask most loss inside the contact window: welfare must
         // stay within a bounded factor of the clean run, not collapse.
         assert!(

@@ -30,6 +30,7 @@ use crate::config::{ContactSource, SimConfig};
 use crate::engine::TrialOutcome;
 use crate::metrics::{f64_to_hex, Metrics};
 use crate::policy::PolicyKind;
+use crate::sharded::{fnv, FNV_OFFSET};
 
 /// The checkpoint schema this build reads and writes.
 const CHECKPOINT_SCHEMA: &str = "impatience-checkpoint/1";
@@ -136,7 +137,7 @@ pub fn fingerprint(
         .map_or("none".to_string(), |f| f.summary());
     format!(
         "{}|trials={trials}|seed={base_seed}|items={}|rho={}|bin={}|warmup={}|util={}|\
-         servers={:?}|shifts={}|src={src}|faults={faults}",
+         servers={:?}|shifts={}|src={src}|faults={faults}|inputs={:016x}",
         policy.label(),
         config.items,
         config.rho,
@@ -145,7 +146,31 @@ pub fn fingerprint(
         config.utility.kind(),
         config.dedicated_servers,
         config.demand_shifts.len(),
+        inputs_digest(config, policy),
     )
+}
+
+/// FNV-1a over the trial inputs the readable fields leave out: the demand
+/// rates and profile, each shift's time and rates, the eviction rule, the
+/// protocol utility and the policy's parameters (QCR's knobs, a pinned
+/// allocation's counts). `Debug` prints a float in its shortest
+/// round-trip form, so two inputs print alike only if their bits agree.
+fn inputs_digest(config: &SimConfig, policy: &PolicyKind) -> u64 {
+    let pinned = match policy {
+        PolicyKind::Static { counts, .. } => Some(counts),
+        _ => None,
+    };
+    let inputs = format!(
+        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        config.demand,
+        config.profile,
+        config.demand_shifts,
+        config.eviction,
+        config.protocol_utility,
+        policy.qcr_config(),
+        pinned,
+    );
+    inputs.bytes().fold(FNV_OFFSET, |h, b| fnv(h, b.into()))
 }
 
 /// One finished trial in a checkpoint: the outcome, or the panic message
@@ -379,8 +404,11 @@ impl CampaignCheckpoint {
 mod tests {
     use super::*;
     use crate::engine::run_trial;
-    use impatience_core::demand::Popularity;
-    use impatience_core::utility::Step;
+    use crate::policy::QcrConfig;
+    use crate::state::EvictionPolicy;
+    use impatience_core::allocation::ReplicaCounts;
+    use impatience_core::demand::{DemandProfile, Popularity};
+    use impatience_core::utility::{DelayUtility, Step};
     use std::sync::Arc;
 
     fn setup() -> (SimConfig, ContactSource) {
@@ -513,5 +541,51 @@ mod tests {
             ..Default::default()
         });
         assert_ne!(base, fingerprint(&degraded, &source, &policy, 10, 1));
+
+        // Inputs with no readable field of their own, one at a time.
+        let edited = |edit: &dyn Fn(&mut SimConfig)| {
+            let mut c = config.clone();
+            edit(&mut c);
+            fingerprint(&c, &source, &policy, 10, 1)
+        };
+        let rates = |omega: f64| Popularity::pareto(6, omega).demand_rates(0.5);
+        assert_ne!(base, edited(&|c| c.demand = rates(2.0)), "ω");
+        assert_ne!(
+            edited(&|c| c.profile = DemandProfile::uniform(6, 6)),
+            edited(&|c| c.profile = DemandProfile::clustered(6, 6, 2, 3.0)),
+            "profile"
+        );
+        let shifted = edited(&|c| c.demand_shifts = vec![(300.0, rates(0.5))]);
+        let later = edited(&|c| c.demand_shifts = vec![(400.0, rates(0.5))]);
+        let steeper = edited(&|c| c.demand_shifts = vec![(300.0, rates(0.7))]);
+        assert_ne!(shifted, later, "shift time");
+        assert_ne!(shifted, steeper, "shift rates");
+        assert_ne!(
+            base,
+            edited(&|c| c.eviction = EvictionPolicy::Lru),
+            "eviction"
+        );
+        let believed: Arc<dyn DelayUtility> = Arc::new(Step::new(20.0));
+        let protocol = edited(&|c| c.protocol_utility = Some(believed.clone()));
+        assert_ne!(base, protocol, "protocol utility");
+        let capped = PolicyKind::Qcr(QcrConfig {
+            mandate_cap: 5,
+            ..QcrConfig::default()
+        });
+        assert_eq!(capped.label(), policy.label());
+        let capped = fingerprint(&config, &source, &capped, 10, 1);
+        assert_ne!(base, capped, "QCR knobs");
+        let pinned = |counts: Vec<u32>| {
+            let policy = PolicyKind::Static {
+                label: "OPT",
+                counts: ReplicaCounts::new(counts, 6),
+            };
+            fingerprint(&config, &source, &policy, 10, 1)
+        };
+        assert_ne!(
+            pinned(vec![2; 6]),
+            pinned(vec![3, 3, 2, 2, 1, 1]),
+            "pinned counts"
+        );
     }
 }

@@ -9,7 +9,7 @@ mod hill_climb;
 pub(crate) mod qcr;
 mod static_alloc;
 
-pub use qcr::{pool_add, share, MandateHost, Pool, Qcr, QcrConfig, QcrRules, Reaction};
+pub use qcr::{next_key, pool_add, share, MandateHost, Pool, Qcr, QcrConfig, QcrRules, Reaction};
 pub use static_alloc::StaticAllocation;
 
 use impatience_core::allocation::{AllocationMatrix, ReplicaCounts};

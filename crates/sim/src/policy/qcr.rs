@@ -43,9 +43,6 @@ pub struct QcrConfig {
     /// the item consumes a mandate even though no copy is made. The
     /// paper's experiments run with rewriting *off*.
     pub rewriting: bool,
-    /// Multiplier applied to the reaction function (its proportionality
-    /// constant is free; this trades convergence speed against churn).
-    pub gain_scale: f64,
     /// Auto-normalize the reaction so that a fulfillment at the *uniform-
     /// allocation* query count `y* = |I|/ρ` mints about one replica.
     /// Property 2 leaves ψ's constant free; without normalization, steep
@@ -65,7 +62,6 @@ impl Default for QcrConfig {
         QcrConfig {
             mandate_routing: true,
             rewriting: false,
-            gain_scale: 1.0,
             normalize_reaction: true,
             mandate_cap: 20,
             reaction: Reaction::Psi,
@@ -78,7 +74,7 @@ pub type Pool = BTreeMap<u32, u64>;
 
 /// The first key of `pool` past `cursor` (`None`: from the start) — a
 /// walk in ascending key order that survives edits at the keys behind it.
-fn next_key(pool: &Pool, cursor: Option<u32>) -> Option<u32> {
+pub fn next_key(pool: &Pool, cursor: Option<u32>) -> Option<u32> {
     let from = cursor.map_or(Unbounded, Excluded);
     pool.range((from, Unbounded)).next().map(|(&item, _)| item)
 }
@@ -161,8 +157,8 @@ pub struct QcrRules {
     /// of μ; the proportionality constant of ψ is free, but its shape in
     /// `y` depends on μ for some families).
     mu_ref: f64,
-    /// Combined multiplier on the reaction function: gain_scale ×
-    /// ψ-normalization × steepness damping.
+    /// Combined multiplier on the reaction function: ψ-normalization ×
+    /// steepness damping.
     scale: f64,
 }
 
@@ -179,11 +175,10 @@ impl QcrRules {
         items: usize,
         rho: usize,
     ) -> Self {
-        assert!(cfg.gain_scale > 0.0, "gain scale must be positive");
         assert!(servers > 0, "need at least one server");
         let servers = servers as f64;
         let mu_ref = if mu_ref > 0.0 { mu_ref } else { 1.0 };
-        let mut scale = cfg.gain_scale;
+        let mut scale = 1.0;
         if cfg.normalize_reaction && cfg.reaction == Reaction::Psi {
             // Expected query count under the uniform allocation:
             // y* = |S|/x̄ with x̄ = ρ|S|/|I|.
@@ -231,6 +226,11 @@ impl QcrRules {
         )
     }
 
+    /// The most mandates one pool holds for one item.
+    pub fn mandate_cap(&self) -> u64 {
+        self.cfg.mandate_cap
+    }
+
     /// Mint mandates for `item` into `pool` for a fulfillment after `y`
     /// queries; returns how many entered the pool.
     pub fn mint(
@@ -248,7 +248,7 @@ impl QcrRules {
         }
         let raw = match self.cfg.reaction {
             Reaction::Psi => self.utility.psi(y as f64, self.servers, self.mu_ref) * self.scale,
-            Reaction::Constant(k) => k * self.cfg.gain_scale,
+            Reaction::Constant(k) => k,
         };
         if raw.is_nan() || raw <= 0.0 {
             return 0; // nothing to mint

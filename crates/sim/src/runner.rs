@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
 
-use impatience_obs::{Recorder, Sink};
+use impatience_obs::{percentile_sorted, Recorder, Sink};
 
 use crate::checkpoint::{fingerprint, CampaignCheckpoint, CheckpointError};
 use crate::config::{ConfigError, ContactSource, SimConfig};
@@ -78,12 +78,6 @@ pub struct BatchTelemetry {
     /// Trials `trial_s` covers.
     pub trials: usize,
 }
-
-// Nearest-rank percentiles. One shared implementation serves both the
-// exact sample percentiles here and the bucketed histogram quantiles in
-// `impatience-obs` — re-exported so existing `runner::percentile`
-// callers keep working.
-pub use impatience_obs::stats::{percentile, percentile_sorted};
 
 /// The cross-trial statistics of one policy's outcomes, in trial order —
 /// rates with their mean and 5 %/95 % bands, mean series, replicas and
@@ -296,11 +290,6 @@ pub fn run_jobs<S: Sink, J: TrialJob>(
     rec: &mut Recorder<S>,
 ) -> (Vec<LaneResult<J::Output>>, f64) {
     const { assert!(<S::Trial as Sink>::ACTIVE == S::ACTIVE) };
-    let shape = (
-        rec.delay.range(),
-        rec.inter_contact.range(),
-        rec.delay.buckets(),
-    );
     // Main-thread profiling spans: "trials" covers dispatch plus the
     // wait for workers (whose own time lands under the per-worker
     // "trial" root), "merge" the tally absorption and event hand-off.
@@ -315,7 +304,7 @@ pub fn run_jobs<S: Sink, J: TrialJob>(
             let t0 = Instant::now();
             let mut recs: Vec<Recorder<S::Trial>> = lanes
                 .iter()
-                .map(|_| Recorder::with_shape(S::Trial::default(), shape.0, shape.1, shape.2))
+                .map(|_| Recorder::new(S::Trial::default()))
                 .collect();
             let results = catch_unwind(AssertUnwindSafe(|| {
                 job.run(k, &lanes, &mut scratch, &mut recs)
@@ -840,6 +829,7 @@ mod tests {
     use crate::engine::run_trial_observed;
     use impatience_core::demand::Popularity;
     use impatience_core::utility::Step;
+    use impatience_obs::percentile;
     use std::sync::Arc;
 
     fn quick_setup() -> (SimConfig, ContactSource) {

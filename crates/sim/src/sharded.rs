@@ -658,10 +658,11 @@ impl MandateHost for Ends<'_> {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// One FNV-1a step over a 64-bit word.
 #[inline]
-fn fnv(mut h: u64, x: u64) -> u64 {
+pub(crate) fn fnv(mut h: u64, x: u64) -> u64 {
     h ^= x;
     h.wrapping_mul(0x0000_0100_0000_01b3)
 }

@@ -3,13 +3,12 @@
 //! manifest consistency with the simulator's own metrics.
 
 use age_of_impatience::obs::{
-    Counters, Event, Histogram, JsonlSink, Manifest, MemorySink, Recorder, TallySink,
+    percentile, Counters, Event, Histogram, JsonlSink, Manifest, MemorySink, Recorder, TallySink,
 };
 use age_of_impatience::prelude::*;
 use impatience_core::demand::Popularity;
 use impatience_core::utility::Step;
 use impatience_json::Json;
-use impatience_sim::runner::percentile;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -24,7 +23,8 @@ fn small_sim() -> (SimConfig, ContactSource) {
 }
 
 /// The histogram's nearest-rank quantile must agree with the exact
-/// `runner::percentile` on identical samples, up to one bucket width.
+/// `percentile` (the runner's bands) on identical samples, up to one
+/// bucket width.
 #[test]
 fn histogram_quantiles_match_runner_percentile() {
     let samples: Vec<f64> = (0..997).map(|i| ((i * 193) % 1000) as f64 / 7.0).collect();

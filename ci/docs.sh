@@ -2,10 +2,10 @@
 # The documentation budget: DESIGN.md's line count and the byte size of
 # every CHANGES.md entry (one `- PR …` line each), printed. Exits 1 when
 # DESIGN.md is over DESIGN_LIMIT or the newest entry is over ENTRY_LIMIT.
-# DESIGN_LIMIT only ratchets down, toward ROADMAP item 6's 1 100 lines:
+# DESIGN_LIMIT only ratchets down, toward ROADMAP item 9's 1 100 lines:
 # lower it when DESIGN.md shrinks, never raise it. Run from the
 # repository root.
-DESIGN_LIMIT=1520
+DESIGN_LIMIT=1459
 ENTRY_LIMIT=2500
 status=0
 design=$(wc -l < DESIGN.md)

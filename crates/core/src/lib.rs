@@ -38,6 +38,7 @@
 //! * [`rng`] — a deterministic, dependency-free xoshiro256++ PRNG and the
 //!   samplers used throughout the workspace (exponential, Pareto, Poisson,
 //!   alias method). Bit-stable results across toolchain upgrades.
+//! * [`fnv`] — FNV-1a, the workspace's one content hash.
 //! * [`numeric`] — the small numerical toolbox (adaptive quadrature,
 //!   Brent root finding, Lanczos Γ) backing the closed-form-free code paths.
 //!
@@ -65,6 +66,7 @@
 
 pub mod allocation;
 pub mod demand;
+pub mod fnv;
 pub mod numeric;
 pub mod rng;
 pub mod solver;

@@ -910,12 +910,7 @@ impl Spec {
     /// The FNV-1a 64-bit hash of the spec file bytes, as stamped into
     /// artifact manifests (`fnv1a:<16 hex digits>`).
     pub fn hash(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in self.raw.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("fnv1a:{h:016x}")
+        impatience_core::fnv::fnv1a_hash(self.raw.as_bytes())
     }
 }
 

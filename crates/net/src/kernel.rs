@@ -28,18 +28,15 @@ use impatience_core::rng::Xoshiro256;
 use impatience_obs::{Recorder, Sink};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::engine::{seed_trial, Demand, Frame, TrialOutcome};
-use impatience_sim::faults::{MsgFaults, MSG_STREAM_ID};
+use impatience_sim::faults::MsgFaults;
 use impatience_sim::policy::{PolicyKind, QcrConfig, QcrRules};
 use impatience_sim::state::SimState;
+use impatience_sim::streams;
 
 use crate::config::{ChaosKind, NetConfig, CHECKPOINT_EVERY, HEARTBEAT_EVERY, HEARTBEAT_TIMEOUT};
 use crate::error::NetError;
 use crate::node::{Ctx, Node, Timer, VecMap};
 use crate::wire::{self, Lists};
-
-/// Stream id for the per-node RNG forks (continues the
-/// `sim::faults` stream-id family).
-const NODE_STREAM_ID: u64 = 0xFA17_0005_0DE5_EED5;
 
 /// Anti-wedge backstop when [`NetConfig::max_events`] is 0: no realistic
 /// trial comes near it, and a protocol bug that loops cannot hang the
@@ -455,9 +452,9 @@ pub fn run_net_trial(
 /// Deterministic by `(config, source, net, seed)`: the trial begins as the
 /// engine's QCR trial on the same seed does ([`seed_trial`],
 /// [`Frame::begin`], [`Demand::arrivals`]), then forks one RNG stream per
-/// node off the trial RNG; transport chaos runs on streams keyed by the
-/// fault seed — so results are independent of how many worker threads a
-/// batch uses.
+/// node off the trial RNG; transport chaos runs on a stream of the fault
+/// root ([`streams`]) — so results are independent of how many worker
+/// threads a batch uses.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn run_net_trial_observed<S: Sink>(
     config: &SimConfig,
@@ -503,13 +500,11 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
         .as_ref()
         .and_then(|f| f.msg)
         .filter(MsgFaults::is_active);
-    let fault_seed = config.faults.as_ref().map_or(0, |f| f.seed);
-    let fault_rng =
-        Xoshiro256::seed_from_u64(seed ^ fault_seed.rotate_left(23)).split(MSG_STREAM_ID);
+    let fault_rng = streams::messages(seed, config.faults.as_ref().map_or(0, |f| f.seed));
 
     // --- node tasks ---
     let mut nodes: Vec<Node> = (0..n_nodes)
-        .map(|i| Node::new(i as u32, frame.rng.split(NODE_STREAM_ID ^ i as u64)))
+        .map(|i| Node::new(i as u32, streams::net_node(&mut frame.rng, i)))
         .collect();
     let mut q = Queue::default();
     for (tt, node, up) in &churn_toggles {

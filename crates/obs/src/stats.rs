@@ -91,4 +91,16 @@ mod tests {
         }
         assert_eq!(percentile_sorted(&[7.0], 0.5), 7.0);
     }
+
+    #[test]
+    #[should_panic(expected = "empty sample")]
+    fn percentile_rejects_empty() {
+        let _ = percentile(&[], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty sample")]
+    fn percentile_sorted_rejects_empty() {
+        let _ = percentile_sorted(&[], 0.5);
+    }
 }

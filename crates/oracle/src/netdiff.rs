@@ -1,18 +1,15 @@
 //! Distributed-runtime differential: the message-passing QCR kernel
 //! (`impatience-net`) against the in-process engine on paired seeds.
 //!
-//! Both runtimes seed trial `k` with `base_seed + k` and begin it with
-//! the engine's own seeding (`impatience_sim::engine::seed_trial`), so a
-//! pair of trials shares its contacts, the faults that drop them, its
-//! sticky fill and the time of its first arrival. The rest of the demand
-//! stream is not shared: right after drawing that time the kernel forks
-//! one RNG stream per node off the trial RNG, and the engine's QCR draws
-//! from the RNG its arrivals come from, so items, origins and later
-//! arrival times differ. (Sharing them would take another RNG stream and
-//! change every recorded digest.) The comparison runs on the *paired
-//! differences* of the per-trial welfare rates: the shared contacts make
-//! them tighter than two independent CLT widths, and any systematic gap
-//! between the runtimes shows up directly in the mean difference.
+//! Both runtimes seed trial `k` with `base_seed + k` and draw from the
+//! streams of `impatience_sim::streams` in its order, so a pair of trials
+//! shares its contacts, the faults that drop them, its sticky fill and
+//! the time of its first arrival, and nothing after it: the kernel's
+//! per-node streams fork there, so items, origins and later arrival times
+//! differ. The comparison runs on the *paired differences* of the
+//! per-trial welfare rates: the shared contacts make them tighter than
+//! two independent CLT widths, and any systematic gap between the
+//! runtimes shows up directly in the mean difference.
 //!
 //! The deterministic [`Comparison::allowance`] covers the two documented
 //! biases of the distributed runtime:

@@ -68,8 +68,8 @@ mod solve;
 
 use std::sync::{Mutex, MutexGuard};
 
-pub use artifacts::fnv1a_hash;
 pub use error::ApiError;
+pub use impatience_core::fnv::fnv1a_hash;
 pub use jobs::JobSpec;
 pub use server::{ServeConfig, Server};
 pub use solve::{SolveReply, SolveRequest, SolverPool};

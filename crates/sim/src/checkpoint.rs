@@ -23,6 +23,7 @@ use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use impatience_core::fnv::{fnv, FNV_OFFSET};
 use impatience_json::Json;
 use impatience_obs::AtomicFile;
 
@@ -30,7 +31,6 @@ use crate::config::{ContactSource, SimConfig};
 use crate::engine::TrialOutcome;
 use crate::metrics::{f64_to_hex, Metrics};
 use crate::policy::PolicyKind;
-use crate::sharded::{fnv, FNV_OFFSET};
 
 /// The checkpoint schema this build reads and writes.
 const CHECKPOINT_SCHEMA: &str = "impatience-checkpoint/1";

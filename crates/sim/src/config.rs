@@ -11,6 +11,7 @@ use impatience_core::utility::{DelayUtility, Step};
 use impatience_traces::{ContactStream, ContactTrace};
 
 use crate::faults::FaultConfig;
+use crate::streams;
 
 /// A rejected simulation configuration: what is wrong and with which
 /// value, surfaced at construction/validation time instead of a panic
@@ -148,11 +149,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// RNG stream id for forking contact randomness off a trial seed: the
-/// contact stream draws from its own generator so lazily interleaving
-/// contact sampling with demand sampling cannot perturb the trajectory.
-const CONTACT_STREAM_ID: u64 = 0xC0217AC7_57BEA000;
-
 /// Where the contact events of a trial come from.
 #[derive(Clone)]
 pub enum ContactSource {
@@ -223,7 +219,7 @@ impl ContactSource {
     /// trace length), a zero-copy cursor for [`ContactSource::Trace`].
     ///
     /// For the homogeneous source the stream runs on its own generator
-    /// forked from `rng` ([`Xoshiro256::split`]); the trace source does
+    /// forked from `rng` ([`crate::streams`]); the trace source does
     /// not touch `rng` at all. Either way the caller's generator ends in
     /// a state independent of how many contacts are later drawn.
     pub fn stream(&self, rng: &mut Xoshiro256) -> ContactStream {
@@ -232,7 +228,7 @@ impl ContactSource {
                 nodes,
                 mu,
                 duration,
-            } => ContactStream::poisson(*nodes, *mu, *duration, rng.split(CONTACT_STREAM_ID)),
+            } => ContactStream::poisson(*nodes, *mu, *duration, streams::contacts(rng)),
             ContactSource::Trace(t) => ContactStream::cursor(Arc::clone(t)),
         }
     }

@@ -50,6 +50,7 @@ use crate::faults::FaultState;
 use crate::metrics::Metrics;
 use crate::policy::{Fulfillment, PolicyKind, ReplicationPolicy};
 use crate::state::{RequestArena, SimState};
+use crate::streams;
 
 /// Reusable per-trial working storage: the SoA cache/replica state, the
 /// pending-request arena, and the per-contact fulfillment buffers.
@@ -144,12 +145,12 @@ pub fn run_trial_scratch(
     )
 }
 
-/// A trial's seeding order starts here: the trial RNG seeds the contact
-/// stream (one `split`), then [`Frame::begin`] places the initial caches
-/// from it and [`Demand::arrivals`] draws the first arrival — the same
-/// contacts, placement and first arrival in every runtime on `seed`.
+/// A trial's seeding order starts here: the trial root forks the contact
+/// stream, then [`Frame::begin`] places the initial caches from it and
+/// [`Demand::arrivals`] draws the first arrival — the same contacts,
+/// placement and first arrival in every runtime on `seed` ([`streams`]).
 pub fn seed_trial(source: &ContactSource, seed: u64) -> (Xoshiro256, BatchedContacts) {
-    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let mut rng = streams::trial(seed);
     let contacts = BatchedContacts::new(source.stream(&mut rng));
     (rng, contacts)
 }
@@ -384,9 +385,8 @@ impl<'a, S: Sink> Frame<'a, S> {
         state.set_eviction(config.eviction);
         policy.place(state, &mut rng);
         let placed = policy.instantiate(config, nodes, mu_ref);
-        // Fault injection: the schedule runs on RNG streams derived from the
-        // trial seed and the fault seed only, never from `rng` — attaching an
-        // *inactive* FaultConfig leaves the trajectory bit-for-bit unchanged.
+        // Faults run on the fault root, never on `rng`: an *inactive*
+        // FaultConfig leaves the trajectory bit-for-bit unchanged.
         let faults = config
             .faults
             .as_ref()
@@ -798,11 +798,10 @@ impl<T> Guarded<T> {
 /// it, which leaves the other lanes running — together with the wall time
 /// spent in it, in seconds.
 ///
-/// The trial is seeded once ([`seed_trial`]); every lane starts from a
-/// copy of the trial RNG as the contact stream left it, and draws demand,
-/// initial placement and the policy from its copy. Contacts and faults
-/// run on streams keyed by the seed alone, and each lane arms its own
-/// `FaultState`, so all lanes see the same contacts, drops and outages.
+/// The trial is seeded once ([`seed_trial`]); every lane draws from its
+/// own copy of the trial root as the contact fork left it, and arms its
+/// own `FaultState`, so all lanes see the same contacts, drops and
+/// outages ([`crate::streams`]).
 /// Then, a batch of contacts at a time, each lane in turn steps through
 /// the whole batch.
 ///

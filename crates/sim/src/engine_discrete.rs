@@ -20,10 +20,7 @@ use impatience_traces::SlotContactStream;
 use crate::config::SimConfig;
 use crate::engine::{Demand, Frame, Trial, TrialOutcome, TrialScratch};
 use crate::policy::PolicyKind;
-
-/// RNG stream id forking slot-contact randomness off the trial seed
-/// (mirrors the continuous engine's contact-stream fork).
-const SLOT_STREAM_ID: u64 = 0xD15C_2E7E_5107_0001;
+use crate::streams;
 
 /// Parameters of a slotted homogeneous run.
 #[derive(Clone, Copy, Debug)]
@@ -57,7 +54,7 @@ impl DiscreteSource {
             self.nodes,
             self.mu * self.delta,
             self.slots,
-            rng.split(SLOT_STREAM_ID),
+            streams::slots(rng),
         )
     }
 }
@@ -112,7 +109,7 @@ pub fn run_trial_discrete_observed<S: Sink>(
     } = *source;
     let config = config.try_resolved(nodes).unwrap_or_else(|e| panic!("{e}"));
 
-    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let mut rng = streams::trial(seed);
     let mut contacts = source.stream(&mut rng);
     let mut scratch = TrialScratch::new();
     let (frame, policy) = Frame::begin(

@@ -7,10 +7,10 @@
 //! related work actually observes — node churn, lossy contacts, cache
 //! contention, and truncated measurement traces.
 //!
-//! Four independent fault processes, all driven by RNG streams forked
-//! from `trial_seed ⊕ FaultConfig::seed` (never from the trial's demand
-//! generator, so an *inactive* process leaves the trajectory bit-for-bit
-//! identical to a fault-free run):
+//! Four independent fault processes, all driven by streams of the fault
+//! root ([`crate::streams`]), never by the trial's demand generator, so
+//! an *inactive* process leaves the trajectory bit-for-bit identical to a
+//! fault-free run:
 //!
 //! * **server churn** — each node alternates exponentially distributed
 //!   up/down periods; a contact involving a down node never happens;
@@ -31,16 +31,7 @@ use impatience_obs::{Recorder, Sink};
 use crate::config::ConfigError;
 use crate::metrics::Metrics;
 use crate::state::SimState;
-
-/// RNG stream ids forking the fault processes off the fault base seed.
-const CHURN_STREAM_ID: u64 = 0xFA17_0001_C4B2_9D01;
-const DROP_STREAM_ID: u64 = 0xFA17_0002_D209_BA55;
-const CACHE_STREAM_ID: u64 = 0xFA17_0003_5107_FA11;
-/// Stream id reserved for the message-layer transport (`impatience-net`).
-/// Exported so the distributed runtime forks its chaos off the *same*
-/// base seed (`trial_seed ^ rotl(fault_seed, 23)`) as the engine-side
-/// processes, keeping the whole fault schedule worker-count-independent.
-pub const MSG_STREAM_ID: u64 = 0xFA17_0004_AE55_A6E5;
+use crate::streams::{self, CHURN_STREAM_ID};
 
 /// Exponential on/off churn for cache-carrying nodes.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -276,11 +267,6 @@ impl FaultConfig {
         parts.join(",")
     }
 
-    /// The base every fault stream of trial `trial_seed` forks from.
-    pub(crate) fn base_rng(&self, trial_seed: u64) -> Xoshiro256 {
-        Xoshiro256::seed_from_u64(trial_seed ^ self.seed.rotate_left(23))
-    }
-
     /// The precomputed churn toggle schedule for one trial, as
     /// `(time, node, up)` triples sorted by time. This is exactly the
     /// schedule [`FaultState`] plays back inside the engines, exported so
@@ -294,7 +280,8 @@ impl FaultConfig {
         duration: f64,
         trial_seed: u64,
     ) -> Vec<(f64, u32, bool)> {
-        churn_toggles(self.churn, nodes, duration, &mut self.base_rng(trial_seed))
+        let mut fault = streams::fault(trial_seed, self.seed);
+        churn_toggles(self.churn, nodes, duration, &mut fault)
     }
 }
 
@@ -320,7 +307,7 @@ fn churn_toggles(
     let up_rate = 1.0 / churn.mean_up;
     let down_rate = 1.0 / churn.mean_down;
     for node in 0..nodes {
-        let mut rng = base.split(CHURN_STREAM_ID ^ node as u64);
+        let mut rng = streams::churn(base, CHURN_STREAM_ID ^ node as u64);
         let mut t = rng.exp(up_rate);
         let mut up = false; // first toggle goes down
         while t < duration && toggles.len() < MAX_TOGGLES {
@@ -382,11 +369,10 @@ impl SlotFaultClock {
 
 /// Per-trial fault state, owned by the engine event loop.
 ///
-/// All randomness comes from streams forked off
-/// `seed_from_u64(trial_seed ^ rotated fault seed)` at construction, in
-/// a fixed order — the schedule is a pure function of
-/// `(FaultConfig, nodes, servers, duration, trial_seed)` and therefore
-/// identical at any worker count.
+/// All randomness comes from the fault root's streams, forked at
+/// construction in [`crate::streams`]' order — the schedule is a pure
+/// function of `(FaultConfig, nodes, servers, duration, trial_seed)` and
+/// therefore identical at any worker count.
 #[derive(Clone, Debug)]
 pub struct FaultState {
     /// Merged churn schedule, `(time, node, up)` in time order; `cursor`
@@ -412,10 +398,9 @@ impl FaultState {
         duration: f64,
         trial_seed: u64,
     ) -> FaultState {
-        let mut base = cfg.base_rng(trial_seed);
+        let mut base = streams::fault(trial_seed, cfg.seed);
         let toggles = churn_toggles(cfg.churn, nodes, duration, &mut base);
-        let drop_rng = base.split(DROP_STREAM_ID);
-        let cache_rng = base.split(CACHE_STREAM_ID);
+        let (drop_rng, cache_rng) = streams::drops_and_cache(&mut base);
         FaultState {
             toggles,
             cursor: 0,

@@ -54,6 +54,7 @@ pub mod policy;
 pub mod runner;
 pub mod sharded;
 pub mod state;
+pub mod streams;
 
 pub use checkpoint::{CampaignCheckpoint, CheckpointError};
 pub use config::{ConfigError, ContactSource, SimConfig, SimConfigBuilder};

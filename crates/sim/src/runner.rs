@@ -829,7 +829,6 @@ mod tests {
     use crate::engine::run_trial_observed;
     use impatience_core::demand::Popularity;
     use impatience_core::utility::Step;
-    use impatience_obs::percentile;
     use std::sync::Arc;
 
     fn quick_setup() -> (SimConfig, ContactSource) {
@@ -840,39 +839,6 @@ mod tests {
             .build();
         let source = ContactSource::homogeneous(8, 0.08, 800.0);
         (config, source)
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 0.05), 1.0);
-        assert_eq!(percentile(&v, 0.5), 3.0);
-        assert_eq!(percentile(&v, 0.95), 5.0);
-        assert_eq!(percentile(&v, 1.0), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty sample")]
-    fn percentile_rejects_empty() {
-        let _ = percentile(&[], 0.5);
-    }
-
-    #[test]
-    fn percentile_sorted_matches_percentile() {
-        let unsorted = [5.0, 1.0, 3.0, 2.0, 4.0];
-        let mut sorted = unsorted;
-        sorted.sort_by(f64::total_cmp);
-        for q in [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0] {
-            assert_eq!(percentile_sorted(&sorted, q), percentile(&unsorted, q));
-        }
-        assert_eq!(percentile_sorted(&[7.0], 0.5), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty sample")]
-    fn percentile_sorted_rejects_empty() {
-        let _ = percentile_sorted(&[], 0.5);
     }
 
     #[test]

@@ -51,9 +51,8 @@
 //! ## Determinism at any worker count
 //!
 //! The unit of scheduling is the **task** (a shard in phase A, a shard
-//! pair in phase B), and every task owns its entire random state: a
-//! contact-lane RNG, a request RNG, and a policy RNG, each forked from
-//! the trial master with a fixed stream id in a fixed order at startup.
+//! pair in phase B), and every task owns its entire random state, forked
+//! up front in a fixed order ([`crate::streams`]).
 //! Worker threads only decide *when* a task runs, never *what* it
 //! computes — the step counters fix the order of tasks on every shard,
 //! and two tasks that share no shard share no mutable state. Metrics
@@ -94,6 +93,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use impatience_core::fnv::{fnv, FNV_OFFSET};
 use impatience_core::rng::{AliasTable, Xoshiro256};
 use impatience_core::types::SystemModel;
 use impatience_core::utility::DelayUtility;
@@ -106,6 +106,7 @@ use crate::metrics::Metrics;
 use crate::policy::qcr::Mandates;
 use crate::policy::{Fulfillment, MandateHost, PolicyKind, Pool, QcrRules};
 use crate::state::{CacheArena, CacheRef, RequestArena, SimState};
+use crate::streams;
 
 /// Number of logical shards, fixed regardless of worker count: tasks are
 /// defined per logical shard, workers merely schedule them, which is what
@@ -113,17 +114,7 @@ use crate::state::{CacheArena, CacheRef, RequestArena, SimState};
 pub const LOGICAL_SHARDS: usize = 16;
 
 /// Cross-shard lanes: one per unordered shard pair.
-const CROSS_LANES: usize = LOGICAL_SHARDS * (LOGICAL_SHARDS - 1) / 2;
-
-// Stream ids for forking per-task RNGs off the trial master (contact /
-// request / policy) and off the fault base (drop chains, cache clock).
-// The split *order* at startup is fixed; ids only need to be distinct.
-const LANE_CONTACT_STREAM: u64 = 0x5AAD_0C01_7AC7_0000;
-const SHARD_REQUEST_STREAM: u64 = 0x5AAD_0E02_12E9_0000;
-const SHARD_POLICY_STREAM: u64 = 0x5AAD_0203_90C1_0000;
-const LANE_POLICY_STREAM: u64 = 0x5AAD_0204_C205_0000;
-const LANE_DROP_STREAM: u64 = 0x5AAD_FA17_0002_0000;
-const CACHE_FAULT_STREAM: u64 = 0x5AAD_FA17_0003_0000;
+pub(crate) const CROSS_LANES: usize = LOGICAL_SHARDS * (LOGICAL_SHARDS - 1) / 2;
 
 /// One injected fault, in the order the owning task observed it — the
 /// sharded analogue of the recorder's fault events, kept as a plain
@@ -658,15 +649,6 @@ impl MandateHost for Ends<'_> {
     }
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a step over a 64-bit word.
-#[inline]
-pub(crate) fn fnv(mut h: u64, x: u64) -> u64 {
-    h ^= x;
-    h.wrapping_mul(0x0000_0100_0000_01b3)
-}
-
 /// Process one admitted meeting: exchange, gains, then the policy step.
 fn process_meeting(
     time: f64,
@@ -944,47 +926,22 @@ pub fn run_trial_sharded(
     let faults = config.faults.as_ref().and_then(|f| f.for_trial(seed));
     let blocks = shard_blocks(nodes);
 
-    // ---- fixed RNG derivation order (independent of everything else) ----
-    let mut master = Xoshiro256::seed_from_u64(seed);
-    let mut intra_rngs: Vec<Xoshiro256> = (0..LOGICAL_SHARDS)
-        .map(|s| master.split(LANE_CONTACT_STREAM ^ s as u64))
-        .collect();
-    let mut cross_rngs: Vec<Xoshiro256> = (0..CROSS_LANES)
-        .map(|j| master.split(LANE_CONTACT_STREAM ^ (LOGICAL_SHARDS + j) as u64))
-        .collect();
-    let mut req_rngs: Vec<Xoshiro256> = (0..LOGICAL_SHARDS)
-        .map(|s| master.split(SHARD_REQUEST_STREAM ^ s as u64))
-        .collect();
-    let mut shard_policy_rngs: Vec<Xoshiro256> = (0..LOGICAL_SHARDS)
-        .map(|s| master.split(SHARD_POLICY_STREAM ^ s as u64))
-        .collect();
-    let mut lane_policy_rngs: Vec<Xoshiro256> = (0..CROSS_LANES)
-        .map(|j| master.split(LANE_POLICY_STREAM ^ j as u64))
-        .collect();
-    // Fault streams fork from the fault base, never from the master.
-    let (mut lane_chains, cache_clock, truncate_at) = match faults {
-        Some(f) => {
-            let mut base = f.base_rng(seed);
-            // Every lane's stream forks whether or not drops are on, so
-            // the cache stream below is the same stream either way.
-            let chains: Vec<Option<GilbertChain>> = (0..LOGICAL_SHARDS + CROSS_LANES)
-                .map(|l| {
-                    let rng = base.split(LANE_DROP_STREAM ^ l as u64);
-                    f.drop.map(|drop| GilbertChain::new(drop, rng))
-                })
-                .collect();
-            let clock = SlotFaultClock::new(f.cache, nodes, base.split(CACHE_FAULT_STREAM));
-            let truncate_at = f.truncate_fraction.map_or(f64::INFINITY, |x| x * duration);
-            (chains, Some(clock), truncate_at)
-        }
-        None => (Vec::new(), None, f64::INFINITY),
-    };
-    let mut lane_chain = |l: usize| lane_chains.get_mut(l).and_then(Option::take);
+    // Every task's streams fork up front ([`streams`]); a lane's drop
+    // stream forks whether or not drops are on.
+    let mut rngs = streams::sharded(seed, faults.map(|f| f.seed));
+    let drop = faults.and_then(|f| f.drop);
+    let chain = |rng: Option<Xoshiro256>| drop.zip(rng).map(|(d, rng)| GilbertChain::new(d, rng));
+    let cache_clock = faults
+        .zip(rngs.cache_faults)
+        .map(|(f, rng)| SlotFaultClock::new(f.cache, nodes, rng));
+    let truncate_at = faults
+        .and_then(|f| f.truncate_fraction)
+        .map_or(f64::INFINITY, |x| x * duration);
 
     // ---- global state init (serial), then split into shard blocks ----
     let mut global = SimState::new(nodes, items, rho);
     global.set_eviction(config.eviction);
-    policy.place(&mut global, &mut master);
+    policy.place(&mut global, &mut rngs.placement);
     let qcr = policy
         .qcr_config()
         .map(|cfg| QcrRules::for_trial(cfg, config, nodes, mu));
@@ -1006,14 +963,16 @@ pub fn run_trial_sharded(
 
     // ---- build tasks ----
     let mut shards: Vec<Mutex<Shard>> = Vec::with_capacity(LOGICAL_SHARDS);
-    for (s, arena) in arenas.into_iter().enumerate() {
-        let (start, len) = blocks[s];
+    let mut tasks = rngs.tasks.into_iter();
+    let shard_tasks = tasks.by_ref().take(LOGICAL_SHARDS).zip(rngs.requests);
+    for ((arena, &(start, len)), (task, mut req_rng)) in
+        arenas.into_iter().zip(&blocks).zip(shard_tasks)
+    {
         let req_rate = if nodes > 0 {
             total_rate * len as f64 / nodes as f64
         } else {
             0.0
         };
-        let mut req_rng = std::mem::replace(&mut req_rngs[s], Xoshiro256::seed_from_u64(0));
         let next_request = if req_rate > 0.0 {
             req_rng.exp(req_rate)
         } else {
@@ -1021,17 +980,13 @@ pub fn run_trial_sharded(
         };
         shards.push(Mutex::new(Shard {
             state: ShardState::new(start, arena, items, sticky_owner.clone()),
-            ctx: TaskCtx::new(
-                std::mem::replace(&mut shard_policy_rngs[s], Xoshiro256::seed_from_u64(0)),
-                duration,
-                bin,
-            ),
+            ctx: TaskCtx::new(task.policy, duration, bin),
             contacts: LaneContacts::new(
                 LaneKind::Intra { start, n: len },
                 mu,
                 duration,
-                std::mem::replace(&mut intra_rngs[s], Xoshiro256::seed_from_u64(0)),
-                lane_chain(s),
+                task.contacts,
+                chain(task.drops),
                 truncate_at,
             ),
             req_rng,
@@ -1039,11 +994,12 @@ pub fn run_trial_sharded(
             next_request,
         }));
     }
-    let mut lanes: Vec<Mutex<CrossLane>> = Vec::with_capacity(CROSS_LANES);
-    for s in 0..LOGICAL_SHARDS {
-        for t in (s + 1)..LOGICAL_SHARDS {
-            let j = cross_index(s, t);
-            lanes.push(Mutex::new(CrossLane {
+    // Lanes in `cross_index` order: (0, 1), (0, 2), …, (14, 15).
+    let pairs = (0..LOGICAL_SHARDS).flat_map(|s| (s + 1..LOGICAL_SHARDS).map(move |t| (s, t)));
+    let lanes: Vec<Mutex<CrossLane>> = pairs
+        .zip(tasks)
+        .map(|((s, t), task)| {
+            Mutex::new(CrossLane {
                 contacts: LaneContacts::new(
                     LaneKind::Cross {
                         start_a: blocks[s].0,
@@ -1053,18 +1009,14 @@ pub fn run_trial_sharded(
                     },
                     mu,
                     duration,
-                    std::mem::replace(&mut cross_rngs[j], Xoshiro256::seed_from_u64(0)),
-                    lane_chain(LOGICAL_SHARDS + j),
+                    task.contacts,
+                    chain(task.drops),
                     truncate_at,
                 ),
-                ctx: TaskCtx::new(
-                    std::mem::replace(&mut lane_policy_rngs[j], Xoshiro256::seed_from_u64(0)),
-                    duration,
-                    bin,
-                ),
-            }));
-        }
-    }
+                ctx: TaskCtx::new(task.policy, duration, bin),
+            })
+        })
+        .collect();
 
     // ---- epochs ----
     // The exchange epoch must be short against the fastest dynamics a

@@ -241,7 +241,7 @@ impl TraceSummary {
     }
 
     /// Re-export the trace as a metrics registry (the backing of
-    /// `impatience trace export --prom`).
+    /// `impatience trace export`).
     pub fn to_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         for (kind, count) in &self.events {

@@ -238,14 +238,13 @@ pub fn audit_stale_step(
     Some(((w_fresh - cert.stale_welfare) / cert.scale).max(0.0))
 }
 
-/// Run the `delta_vs_scratch` differential sweep. Deterministic given
-/// `seed`; `quick` shrinks the step counts for CI. See the module docs
-/// for what is checked.
-pub fn delta_vs_scratch(seed: u64, quick: bool) -> DeltaSweepReport {
+/// Run the `delta_vs_scratch` differential sweep: 16 delta steps per
+/// tiny case, 12 per sampled one. Deterministic given `seed`. See the
+/// module docs for what is checked.
+pub fn delta_vs_scratch(seed: u64) -> DeltaSweepReport {
     let mut report = DeltaSweepReport::default();
     let mut root = Xoshiro256::seed_from_u64(seed);
-    let steps_tiny = if quick { 6 } else { 16 };
-    let steps_sampled = if quick { 5 } else { 12 };
+    let (steps_tiny, steps_sampled) = (16, 12);
     let eps = 0.05;
     let mut true_gaps: Vec<f64> = Vec::new();
 
@@ -338,8 +337,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_sweep_passes_and_certifies_some_reuse() {
-        let report = delta_vs_scratch(2024, true);
+    fn sweep_passes_and_certifies_some_reuse() {
+        let report = delta_vs_scratch(2024);
         assert!(report.ok(), "{}", report.describe());
         assert!(
             report.exact_checks > 50,
@@ -356,8 +355,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_given_seed() {
-        let a = delta_vs_scratch(7, true);
-        let b = delta_vs_scratch(7, true);
+        let a = delta_vs_scratch(7);
+        let b = delta_vs_scratch(7);
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.exact_checks, b.exact_checks);
         assert_eq!(a.certified_reuses, b.certified_reuses);
@@ -370,15 +369,5 @@ mod tests {
             (None, None) => {}
             other => panic!("CLT summaries diverged: {other:?}"),
         }
-    }
-
-    #[test]
-    fn full_and_quick_share_the_case_inventory() {
-        // Quick mode shortens the delta sequences but must not silently
-        // drop coverage of a (utility, population) case.
-        let quick = delta_vs_scratch(3, true);
-        let full = delta_vs_scratch(3, false);
-        assert_eq!(quick.cases, full.cases);
-        assert!(full.steps > quick.steps);
     }
 }

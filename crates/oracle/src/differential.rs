@@ -14,6 +14,7 @@ use impatience_core::demand::DemandRates;
 use impatience_core::types::SystemModel;
 use impatience_core::utility::DelayUtility;
 use impatience_core::welfare::{social_welfare_homogeneous, social_welfare_homogeneous_discrete};
+use impatience_obs::Recorder;
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::engine::run_trial;
 use impatience_sim::engine_discrete::{run_trial_discrete, DiscreteSource};
@@ -207,9 +208,15 @@ pub fn engines_match(
                 .average_observed_rate(config.warmup_fraction),
         );
         disc.push(
-            run_trial_discrete(config, &disc_source, policy(), seed ^ 0x5EED_D15C)
-                .metrics
-                .average_observed_rate(config.warmup_fraction),
+            run_trial_discrete(
+                config,
+                &disc_source,
+                policy(),
+                seed ^ 0x5EED_D15C,
+                &mut Recorder::disabled(),
+            )
+            .metrics
+            .average_observed_rate(config.warmup_fraction),
         );
     }
     let (mean_c, hw_c) = clt_interval(&cont, z);

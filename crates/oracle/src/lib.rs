@@ -33,8 +33,8 @@
 //! * [`report`] — JSONL + summary-table conformance reports written
 //!   atomically.
 //!
-//! The `impatience verify [--quick|--full]` CLI subcommand is a thin
-//! wrapper over [`scenario::run_matrix`] + [`report`].
+//! The `impatience verify` CLI subcommand is a thin wrapper over
+//! [`scenario::run_matrix`] + [`report`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -52,6 +52,4 @@ pub use delta::{audit_exact_step, audit_stale_step, delta_vs_scratch, DeltaSweep
 pub use differential::{clt_interval, engines_match, slot_refinement_errors, Comparison};
 pub use netdiff::{net_panel, net_vs_engine, NetPanelReport};
 pub use report::{summary_table, write_report, MatrixTotals};
-pub use scenario::{
-    run_matrix, CheckStatus, InvariantResult, MatrixOptions, ScenarioRecord, INVARIANTS,
-};
+pub use scenario::{run_matrix, CheckStatus, InvariantResult, ScenarioRecord, INVARIANTS};

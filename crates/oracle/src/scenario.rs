@@ -216,48 +216,6 @@ impl ScenarioRecord {
     }
 }
 
-/// Knobs of a matrix run.
-#[derive(Clone, Copy, Debug)]
-pub struct MatrixOptions {
-    /// Quick mode runs the solver/analytic invariants plus short
-    /// determinism trials; full mode adds the Monte-Carlo differential
-    /// checks (`analytic_mc`, `engine_duality`).
-    pub quick: bool,
-    /// Root seed; every scenario's randomness is split from it.
-    pub base_seed: u64,
-    /// Run only the first `n` cells of the enumeration (`None` = the
-    /// whole matrix). Cell seeds do not depend on the limit, so a
-    /// truncated run is a prefix of the full one — used by fast unit
-    /// tests; the CLI always runs everything.
-    pub limit: Option<usize>,
-}
-
-impl MatrixOptions {
-    /// Quick mode (the CI gate), full matrix.
-    pub fn quick(base_seed: u64) -> Self {
-        MatrixOptions {
-            quick: true,
-            base_seed,
-            limit: None,
-        }
-    }
-
-    /// Full mode, including the Monte-Carlo differential checks.
-    pub fn full(base_seed: u64) -> Self {
-        MatrixOptions {
-            quick: false,
-            base_seed,
-            limit: None,
-        }
-    }
-
-    /// Restrict the run to the first `n` cells.
-    pub fn with_limit(mut self, n: usize) -> Self {
-        self.limit = Some(n);
-        self
-    }
-}
-
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PopKind {
     Dedicated,
@@ -326,32 +284,37 @@ fn utilities() -> Vec<(&'static str, Arc<dyn DelayUtility>)> {
     ]
 }
 
-/// Run the full conformance matrix, streaming one
-/// [`Recorder::scenario_done`] event per cell, and return every cell's
-/// record. Deterministic given `opts.base_seed` (wall-clock metadata
-/// aside).
-pub fn run_matrix<S: Sink>(opts: &MatrixOptions, rec: &mut Recorder<S>) -> Vec<ScenarioRecord> {
+/// Run the conformance matrix, streaming one [`Recorder::scenario_done`]
+/// event per cell, and return every cell's record. Every cell's
+/// randomness is split from `base_seed`, so the run is deterministic
+/// (wall-clock metadata aside). `limit` runs only the first `n` cells of
+/// the enumeration; cell seeds do not depend on it, so a truncated run is
+/// a prefix of the whole one.
+pub fn run_matrix<S: Sink>(
+    base_seed: u64,
+    limit: Option<usize>,
+    rec: &mut Recorder<S>,
+) -> Vec<ScenarioRecord> {
     let pops = [PopKind::Dedicated, PopKind::PureP2p, PopKind::Mixed];
     // 5 utilities × 3 populations × {hom,het} × {clean,faults}, capped by
     // an explicit --limit. The meter is stderr-only and TTY-gated, so
     // batch runs and the JSONL report never see it.
     let full = utilities().len() * pops.len() * 2 * 2;
-    let total = opts.limit.map_or(full, |n| n.min(full)) as u64;
+    let total = limit.map_or(full, |n| n.min(full)) as u64;
     let mut progress = impatience_obs::Progress::new("verify", total);
     let mut records = Vec::new();
-    let mut root = Xoshiro256::seed_from_u64(opts.base_seed);
+    let mut root = Xoshiro256::seed_from_u64(base_seed);
     let mut index = 0u64;
     'matrix: for (ulabel, utility) in utilities() {
         for pop in pops {
             for het_contacts in [false, true] {
                 for faults in [false, true] {
-                    if opts.limit.is_some_and(|n| records.len() >= n) {
+                    if limit.is_some_and(|n| records.len() >= n) {
                         break 'matrix;
                     }
                     let started = Instant::now();
                     let seed = root.split(index).next_u64();
                     let record = run_scenario(
-                        opts,
                         index,
                         seed,
                         ulabel,
@@ -381,7 +344,6 @@ pub fn run_matrix<S: Sink>(opts: &MatrixOptions, rec: &mut Recorder<S>) -> Vec<S
 
 #[allow(clippy::too_many_arguments)]
 fn run_scenario(
-    opts: &MatrixOptions,
     index: u64,
     seed: u64,
     ulabel: &str,
@@ -468,31 +430,22 @@ fn run_scenario(
         .results
         .push(check_solver_variants(pop, mu_mean, &demand, &utility, seed));
 
-    if opts.quick {
-        record
-            .results
-            .push(InvariantResult::skipped("analytic_mc", "full mode only"));
-        record
-            .results
-            .push(InvariantResult::skipped("engine_duality", "full mode only"));
-    } else {
-        record.results.push(check_analytic_mc(
-            pop,
-            het_contacts,
-            &utility,
-            &demand,
-            faults,
-            seed,
-        ));
-        record.results.push(check_engine_duality(
-            pop,
-            het_contacts,
-            &utility,
-            &demand,
-            faults,
-            seed,
-        ));
-    }
+    record.results.push(check_analytic_mc(
+        pop,
+        het_contacts,
+        &utility,
+        &demand,
+        faults,
+        seed,
+    ));
+    record.results.push(check_engine_duality(
+        pop,
+        het_contacts,
+        &utility,
+        &demand,
+        faults,
+        seed,
+    ));
 
     record.wall_s = started.elapsed().as_secs_f64();
     record
@@ -1049,7 +1002,7 @@ mod tests {
     #[test]
     fn matrix_shape_and_skips() {
         // 5 utilities × 3 populations × 2 contact regimes × 2 fault modes.
-        let recs = run_matrix(&MatrixOptions::quick(7), &mut Recorder::disabled());
+        let recs = run_matrix(7, None, &mut Recorder::disabled());
         assert_eq!(recs.len(), 60);
         let runnable = recs.iter().filter(|r| r.ran()).count();
         // NegLog outside dedicated populations: 2 pops × 2 × 2 = 8 skipped.
@@ -1059,6 +1012,14 @@ mod tests {
             assert_eq!(r.results.len(), INVARIANTS.len());
             assert_eq!(r.failed(), 0, "scenario {} failed: {:?}", r.name, r.results);
         }
+        // Every invariant runs somewhere: none is skipped in every cell.
+        for name in INVARIANTS {
+            let passes = recs
+                .iter()
+                .flat_map(|r| &r.results)
+                .any(|c| c.name == *name && c.status == CheckStatus::Pass);
+            assert!(passes, "{name} passes in no cell");
+        }
     }
 
     #[test]
@@ -1066,9 +1027,8 @@ mod tests {
         // A prefix covering both contact regimes, fault modes, and two
         // populations is enough to pin determinism without paying for
         // the full matrix twice in debug builds.
-        let opts = MatrixOptions::quick(11).with_limit(8);
-        let a = run_matrix(&opts, &mut Recorder::disabled());
-        let b = run_matrix(&opts, &mut Recorder::disabled());
+        let a = run_matrix(11, Some(8), &mut Recorder::disabled());
+        let b = run_matrix(11, Some(8), &mut Recorder::disabled());
         assert_eq!(a.len(), 8);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.seed, y.seed);
@@ -1090,10 +1050,7 @@ mod tests {
 
     #[test]
     fn record_json_is_self_describing() {
-        let recs = run_matrix(
-            &MatrixOptions::quick(3).with_limit(1),
-            &mut Recorder::disabled(),
-        );
+        let recs = run_matrix(3, Some(1), &mut Recorder::disabled());
         let j = recs[0].to_json();
         for key in [
             "index",

@@ -64,24 +64,14 @@ impl DiscreteSource {
 /// fulfillment earns `h(δ)`, matching the discrete welfare convention of
 /// Eq. 2/4 where the leading term is `h(δ)`).
 ///
+/// This is the slotted driver of the engine's trial frame, with the
+/// hooks of [`crate::engine::run_trial_observed`] (compiled away for
+/// [`Recorder::disabled`]); requests are stamped with their slot number.
+///
 /// # Panics
 /// Panics unless `μ·δ < 1` (it must be a probability) and the config is
 /// valid for a pure-P2P population of `source.nodes` nodes.
-pub fn run_trial_discrete(
-    config: &SimConfig,
-    source: &DiscreteSource,
-    policy: PolicyKind,
-    seed: u64,
-) -> TrialOutcome {
-    run_trial_discrete_observed(config, source, policy, seed, &mut Recorder::disabled())
-}
-
-/// [`run_trial_discrete`] with instrumentation, mirroring
-/// [`crate::engine::run_trial_observed`]: the same hooks, statically
-/// compiled away when `rec` carries a `NoopSink`. This is the slotted
-/// driver of the engine's trial frame; requests are stamped with their
-/// slot number.
-pub fn run_trial_discrete_observed<S: Sink>(
+pub fn run_trial_discrete<S: Sink>(
     config: &SimConfig,
     source: &DiscreteSource,
     policy: PolicyKind,
@@ -183,8 +173,20 @@ mod tests {
             delta: 0.5,
             slots: 2_000,
         };
-        let a = run_trial_discrete(&config, &source, PolicyKind::qcr_default(), 4);
-        let b = run_trial_discrete(&config, &source, PolicyKind::qcr_default(), 4);
+        let a = run_trial_discrete(
+            &config,
+            &source,
+            PolicyKind::qcr_default(),
+            4,
+            &mut Recorder::disabled(),
+        );
+        let b = run_trial_discrete(
+            &config,
+            &source,
+            PolicyKind::qcr_default(),
+            4,
+            &mut Recorder::disabled(),
+        );
         assert_eq!(a.final_replicas, b.final_replicas);
         let total: u32 = a.final_replicas.iter().sum();
         assert_eq!(total, 20);
@@ -227,9 +229,15 @@ mod tests {
             };
             let mut acc = 0.0;
             for seed in 0..4 {
-                acc += run_trial_discrete(&config, &source, policy.clone(), seed)
-                    .metrics
-                    .average_observed_rate(0.3);
+                acc += run_trial_discrete(
+                    &config,
+                    &source,
+                    policy.clone(),
+                    seed,
+                    &mut Recorder::disabled(),
+                )
+                .metrics
+                .average_observed_rate(0.3);
             }
             acc / 4.0
         };
@@ -254,7 +262,13 @@ mod tests {
             delta: 1.0,
             slots: 4_000,
         };
-        let qcr = run_trial_discrete(&config, &source, PolicyKind::qcr_default(), 9);
+        let qcr = run_trial_discrete(
+            &config,
+            &source,
+            PolicyKind::qcr_default(),
+            9,
+            &mut Recorder::disabled(),
+        );
         // Popular items hold more replicas than the tail at steady state.
         let head: u32 = qcr.final_replicas[..3].iter().sum();
         let tail: u32 = qcr.final_replicas[17..].iter().sum();
@@ -263,7 +277,7 @@ mod tests {
 
     #[test]
     fn observed_discrete_trial_matches_plain_run() {
-        use impatience_obs::{Recorder, TallySink};
+        use impatience_obs::TallySink;
 
         let config = config(10, 2);
         let source = DiscreteSource {
@@ -272,10 +286,15 @@ mod tests {
             delta: 0.5,
             slots: 2_000,
         };
-        let plain = run_trial_discrete(&config, &source, PolicyKind::qcr_default(), 4);
+        let plain = run_trial_discrete(
+            &config,
+            &source,
+            PolicyKind::qcr_default(),
+            4,
+            &mut Recorder::disabled(),
+        );
         let mut rec = Recorder::new(TallySink);
-        let observed =
-            run_trial_discrete_observed(&config, &source, PolicyKind::qcr_default(), 4, &mut rec);
+        let observed = run_trial_discrete(&config, &source, PolicyKind::qcr_default(), 4, &mut rec);
         assert_eq!(plain.final_replicas, observed.final_replicas);
         assert_eq!(
             plain.metrics.fulfillments(),
@@ -301,7 +320,7 @@ mod tests {
         // Stream/engine equivalence: the contacts the engine processes
         // are exactly what the seed's forked slot stream yields —
         // deriving the stream independently reproduces them bit-for-bit.
-        use impatience_obs::{Event, MemorySink, Recorder};
+        use impatience_obs::{Event, MemorySink};
 
         let config = config(10, 2);
         let source = DiscreteSource {
@@ -312,13 +331,7 @@ mod tests {
         };
         let seed = 4;
         let mut rec = Recorder::new(MemorySink::new());
-        let _ = run_trial_discrete_observed(
-            &config,
-            &source,
-            PolicyKind::qcr_default(),
-            seed,
-            &mut rec,
-        );
+        let _ = run_trial_discrete(&config, &source, PolicyKind::qcr_default(), seed, &mut rec);
         let engine_contacts: Vec<(u32, u32, f64)> = rec
             .sink()
             .events
@@ -348,6 +361,12 @@ mod tests {
             delta: 3.0,
             slots: 10,
         };
-        let _ = run_trial_discrete(&config, &source, PolicyKind::qcr_default(), 0);
+        let _ = run_trial_discrete(
+            &config,
+            &source,
+            PolicyKind::qcr_default(),
+            0,
+            &mut Recorder::disabled(),
+        );
     }
 }

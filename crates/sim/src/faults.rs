@@ -31,7 +31,7 @@ use impatience_obs::{Recorder, Sink};
 use crate::config::ConfigError;
 use crate::metrics::Metrics;
 use crate::state::SimState;
-use crate::streams::{self, CHURN_STREAM_ID};
+use crate::streams;
 
 /// Exponential on/off churn for cache-carrying nodes.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -307,7 +307,7 @@ fn churn_toggles(
     let up_rate = 1.0 / churn.mean_up;
     let down_rate = 1.0 / churn.mean_down;
     for node in 0..nodes {
-        let mut rng = streams::churn(base, CHURN_STREAM_ID ^ node as u64);
+        let mut rng = streams::churn(base, node);
         let mut t = rng.exp(up_rate);
         let mut up = false; // first toggle goes down
         while t < duration && toggles.len() < MAX_TOGGLES {

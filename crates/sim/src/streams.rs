@@ -28,7 +28,7 @@ const CONTACTS: u64 = 0xC0217AC7_57BEA000;
 const SLOTS: u64 = 0xD15C_2E7E_5107_0001;
 const NET_NODE: u64 = 0xFA17_0005_0DE5_EED5;
 /// Node `n`'s churn stream is the fault root's fork of this id XOR `n`.
-pub(crate) const CHURN_STREAM_ID: u64 = 0xFA17_0001_C4B2_9D01;
+const CHURN_STREAM_ID: u64 = 0xFA17_0001_C4B2_9D01;
 const DROPS: u64 = 0xFA17_0002_D209_BA55;
 const CACHE_FAULTS: u64 = 0xFA17_0003_5107_FA11;
 const MESSAGES: u64 = 0xFA17_0004_AE55_A6E5;
@@ -62,9 +62,9 @@ pub(crate) fn slots(trial: &mut Xoshiro256) -> Xoshiro256 {
     trial.split(SLOTS)
 }
 
-/// Node `n`'s churn stream (`stream` = [`CHURN_STREAM_ID`] XOR `n`), off the fault root.
-pub(crate) fn churn(fault: &mut Xoshiro256, stream: u64) -> Xoshiro256 {
-    fault.split(stream)
+/// Node `node`'s churn stream, off the fault root.
+pub(crate) fn churn(fault: &mut Xoshiro256, node: usize) -> Xoshiro256 {
+    fault.split(CHURN_STREAM_ID ^ node as u64)
 }
 
 /// The contact-drop and cache-fault streams, off the fault root.

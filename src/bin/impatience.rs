@@ -11,14 +11,15 @@
 //! impatience simulate trace.txt --drop-p 0.2 --churn-up 300 --churn-down 30
 //! impatience simulate trace.txt --trials 200 --checkpoint run.ckpt
 //! impatience resume   run.ckpt
-//! impatience verify   --quick -o conformance.jsonl
+//! impatience verify   -o conformance.jsonl
 //! impatience reproduce --all
 //! impatience reproduce --fig 4 --check
 //! ```
 //!
 //! Argument parsing is hand-rolled (no CLI dependency): every option is
-//! `--name value` (except the boolean `--verbose`), subcommand first,
-//! one optional positional (the trace file).
+//! `--name value` (except boolean flags such as `--verbose`), subcommand
+//! first, then positionals (the trace file). An option the subcommand
+//! does not read is a usage error ([`accepted`]).
 //!
 //! Errors are typed ([`CliError`]) and mapped to distinct exit codes so
 //! scripts can tell a usage mistake from a torn checkpoint from a
@@ -49,7 +50,7 @@ use impatience_obs::{
 };
 use impatience_oracle::{
     audit_exact_step, audit_stale_step, delta_vs_scratch, net_panel, run_matrix, summary_table,
-    write_report, CheckStatus, DeltaSweepReport, MatrixOptions, MatrixTotals,
+    write_report, CheckStatus, DeltaSweepReport, MatrixTotals,
 };
 use impatience_serve::{ServeConfig, Server};
 use impatience_sim::config::SimConfig;
@@ -195,15 +196,14 @@ USAGE:
                       [--kill T:NODE:DOWN] [--stall T:NODE]
                       [--trace-out FILE] [--verbose]
   impatience netrun   --verify [--quick] [--seed N] [--z F]
-  impatience verify   [--quick|--full] [--seed N] [-o FILE] [--trace-out FILE] [--limit N]
-                      [--profile]
-  impatience verify   --solver-deltas [--quick] [--seed N]
+  impatience verify   [--seed N] [-o FILE] [--trace-out FILE] [--limit N] [--profile]
+  impatience verify   --solver-deltas [--seed N]
   impatience reproduce [SPEC..] [--fig N | --all] [--list] [--check] [--resume]
                        [--specs DIR] [-o DIR] [--workers N] [--trace-out FILE] [--verbose]
                        [--profile]
   impatience trace    summarize FILE [--top K]
   impatience trace    diff FILE_A FILE_B
-  impatience trace    export FILE --prom [-o FILE]
+  impatience trace    export FILE [-o FILE]
   impatience trace    lint-prom FILE
   impatience serve    [--addr HOST:PORT] [--data-dir DIR] [--queue N]
                       [--http-threads N] [--solver-pool N]
@@ -212,7 +212,8 @@ USAGE:
 UTILITY SPECS:  step:<tau> | exp:<nu> | power:<alpha> | neglog
 POLICIES:       qcr | qcr-no-routing | opt | uni | sqrt | prop | dom | passive
 
-OBSERVABILITY (simulate, netrun, verify, reproduce: one reading of three flags):
+OBSERVABILITY (simulate, reproduce; netrun without --profile, verify without
+               --verbose: one reading of three flags):
   --trace-out FILE   write a JSONL event trace; a run manifest (config,
                      seeds, git revision, wall time, percentiles) lands at
                      FILE with extension .manifest.json (verify and
@@ -242,7 +243,7 @@ TRACE ANALYSIS (trace; operates on --trace-out JSONL files):
                      top --top K slowest cells and trials (default 5)
   diff A B           per-phase wall-time deltas and event-kind counts
                      between two traces (new/missing kinds flagged)
-  export FILE --prom re-render a trace's tallies as Prometheus text
+  export FILE        re-render a trace's tallies as Prometheus text
                      exposition; -o FILE writes atomically, else stdout
   lint-prom FILE     parse FILE as Prometheus text exposition and report
                      the sample count; any malformed line exits 5 with
@@ -323,20 +324,19 @@ VERIFICATION (verify; deterministic given --seed):
   against the paper's invariants: submodularity, the Property 1
   equilibrium residual, welfare monotonicity, greedy vs brute-force
   optima (Theorems 1-2), bit-level determinism, slot-refinement
-  convergence, and the solver-variant cell (incremental delta solves
-  bit-identical to scratch, staleness certificates sound). --full adds
-  the Monte-Carlo differential checks (analytic vs simulated welfare,
-  continuous vs discrete engines); --quick is the default and the CI
-  gate. The JSONL report lands at -o FILE (default conformance.jsonl)
-  with a manifest sibling; --trace-out streams per-scenario events;
-  --limit N truncates the matrix (test hook).
+  convergence, the solver-variant cell (incremental delta solves
+  bit-identical to scratch, staleness certificates sound), and the
+  Monte-Carlo differential checks (analytic vs simulated welfare,
+  continuous vs discrete engines). The JSONL report lands at -o FILE
+  (default conformance.jsonl) with a manifest sibling; --trace-out
+  streams per-scenario events; --limit N truncates the matrix (test
+  hook).
   --solver-deltas    run only the delta_vs_scratch differential sweep:
                      random delta sequences through the incremental
                      solver, checked for bit-identity against scratch
                      solves, brute-force optimality on tiny instances,
                      and soundness of every bounded-staleness
-                     certificate (exit 10 on any violation). --quick
-                     shortens the sequences for CI.
+                     certificate (exit 10 on any violation).
 
 INCREMENTAL SOLVES (solve --incremental):
   Replays --deltas N (default 16) seeded single-item demand changes
@@ -387,47 +387,79 @@ COMMON OPTIONS (defaults):
   generate vehicular:  --cabs 50 --duration 1440
 ";
 
+/// The options `command` reads, hidden test hooks included
+/// (`--abort-after-chunks`, `--rto-base`, ...), as space-separated
+/// groups of names; `-o` is `out`. `None` for an unknown command. Of
+/// these, [`FLAGS`] take no value.
+fn accepted(command: &str) -> Option<&'static [&'static str]> {
+    const SCENARIO: &str = "items omega rho trials seed utility nodes mu duration workers";
+    const FAULTS: &str =
+        "fault-seed drop-p drop-burst churn-up churn-down cache-fault-rate truncate";
+    Some(match command {
+        "generate" => &["seed nodes mu duration days cabs out"],
+        "stats" | "resume" | "help" | "--help" | "-h" => &[],
+        "solve" => &[
+            "items omega servers rho mu clients utility verbose",
+            "incremental deltas seed stale-eps",
+        ],
+        "simulate" => &[
+            SCENARIO,
+            FAULTS,
+            "policy shards trace-out verbose profile",
+            "checkpoint checkpoint-every abort-after-chunks",
+        ],
+        "netrun" => &[
+            SCENARIO,
+            FAULTS,
+            "loss-p dup-p reorder window msg-delay deadline kill stall",
+            "rto-base rto-cap max-attempts max-events trace-out verbose verify quick z",
+        ],
+        "verify" => &["seed limit out trace-out profile solver-deltas"],
+        "reproduce" => &["specs fig all list check resume out workers trace-out verbose profile"],
+        "trace" => &["top out"],
+        "serve" => &["addr data-dir queue http-threads solver-pool"],
+        _ => return None,
+    })
+}
+
+/// The options that take no value.
+const FLAGS: &str = "verbose quick all list check resume profile verify incremental solver-deltas";
+
 struct Args {
     positional: Vec<String>,
     options: HashMap<String, String>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
+    /// `command`'s arguments. An unknown command, or an option `command`
+    /// does not read ([`accepted`]), is a usage error.
+    fn parse(command: &str, raw: &[String]) -> Result<Self, String> {
+        let groups = accepted(command).ok_or_else(|| format!("unknown command `{command}`"))?;
         let mut positional = Vec::new();
         let mut options = HashMap::new();
         let mut it = raw.iter();
         while let Some(arg) = it.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                // Boolean flags take no value.
-                if matches!(
-                    name,
-                    "verbose"
-                        | "quick"
-                        | "full"
-                        | "all"
-                        | "list"
-                        | "check"
-                        | "resume"
-                        | "profile"
-                        | "prom"
-                        | "verify"
-                        | "incremental"
-                        | "solver-deltas"
-                ) {
-                    options.insert(name.to_string(), "true".to_string());
+            let name = match arg.strip_prefix("--") {
+                Some(name) => name,
+                None if arg == "-o" => "out",
+                None => {
+                    positional.push(arg.clone());
                     continue;
                 }
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("option --{name} requires a value"))?;
-                options.insert(name.to_string(), value.clone());
-            } else if arg == "-o" {
-                let value = it.next().ok_or("-o requires a file path")?;
-                options.insert("out".to_string(), value.clone());
-            } else {
-                positional.push(arg.clone());
+            };
+            let names =
+                |groups: &[&str]| groups.iter().flat_map(|g| g.split(' ')).any(|n| n == name);
+            if !names(groups) {
+                return Err(format!("unknown option `{arg}` for `{command}`"));
             }
+            let value = if names(&[FLAGS]) {
+                "true".to_string()
+            } else {
+                it.next()
+                    .ok_or_else(|| format!("option {arg} requires a value"))?
+                    .clone()
+            };
+            options.insert(name.to_string(), value);
         }
         Ok(Args {
             positional,
@@ -470,7 +502,7 @@ fn run() -> Result<(), CliError> {
         println!("{USAGE}");
         return Ok(());
     };
-    let args = Args::parse(&raw[1..])?;
+    let args = Args::parse(command, &raw[1..])?;
     match command.as_str() {
         "generate" => generate(&args),
         "stats" => stats(&args),
@@ -486,7 +518,7 @@ fn run() -> Result<(), CliError> {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CliError::from(format!("unknown command `{other}`"))),
+        other => unreachable!("Args::parse refuses command `{other}`"),
     }
 }
 
@@ -518,7 +550,7 @@ fn resume(path: Option<&String>) -> Result<(), CliError> {
         ckpt.trials,
         stored.join(" ")
     );
-    let args = Args::parse(rest)?;
+    let args = Args::parse(command, rest)?;
     simulate(&args, &stored)
 }
 
@@ -1476,9 +1508,8 @@ fn netrun_verify(args: &Args) -> Result<(), CliError> {
 /// `verify --solver-deltas`: only the `delta_vs_scratch` differential
 /// sweep, reported to stdout; any violation exits 10.
 fn verify_solver_deltas(args: &Args) -> Result<(), CliError> {
-    let quick = args.options.contains_key("quick");
     let seed: u64 = args.get("seed", 42)?;
-    let report = delta_vs_scratch(seed, quick);
+    let report = delta_vs_scratch(seed);
     print!("{}", report.describe());
     if !report.ok() {
         let cases = report.cases as usize;
@@ -1487,30 +1518,17 @@ fn verify_solver_deltas(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `impatience verify [--quick|--full]`: run the seeded scenario
-/// conformance matrix from the oracle crate and fail (exit 10) on any
-/// invariant violation. Quick mode — the default and the CI gate —
-/// covers the solver-side invariants plus short determinism trials;
-/// `--full` adds the Monte-Carlo differential checks (analytic vs
-/// simulated welfare, continuous vs discrete engine duality).
+/// `impatience verify`: run the seeded scenario conformance matrix from
+/// the oracle crate — the solver-side invariants, short determinism
+/// trials and the Monte-Carlo differential checks (analytic vs simulated
+/// welfare, continuous vs discrete engine duality) — and fail (exit 10)
+/// on any invariant violation.
 fn verify(args: &Args) -> Result<(), CliError> {
     if args.options.contains_key("solver-deltas") {
         return verify_solver_deltas(args);
     }
-    let quick = args.options.contains_key("quick");
-    let full = args.options.contains_key("full");
-    if quick && full {
-        return Err("--quick and --full are mutually exclusive".into());
-    }
     let seed: u64 = args.get("seed", 42)?;
-    let mut opts = if full {
-        MatrixOptions::full(seed)
-    } else {
-        MatrixOptions::quick(seed)
-    };
-    if let Some(limit) = args.get_opt("limit")? {
-        opts = opts.with_limit(limit);
-    }
+    let limit: Option<usize> = args.get_opt("limit")?;
     let out = args
         .options
         .get("out")
@@ -1527,7 +1545,7 @@ fn verify(args: &Args) -> Result<(), CliError> {
     };
 
     let (records, seen) = observe!(scope, |rec| {
-        let records = run_matrix(&opts, rec);
+        let records = run_matrix(seed, limit, rec);
         Ok((records, scope.seen(rec)?))
     });
 
@@ -1537,7 +1555,6 @@ fn verify(args: &Args) -> Result<(), CliError> {
     print!("{}", summary_table(&records));
     println!("report  → {out}");
     write_manifest("verify", &report_path, &seen, |m| {
-        m.set("mode", if full { "full" } else { "quick" });
         m.set("base_seed", seed);
         m.set("report", out.as_str());
         m.set("scenarios", t.scenarios as u64);
@@ -1595,9 +1612,6 @@ fn trace_cmd(args: &Args) -> Result<(), CliError> {
         }
         "export" => {
             let path = operand(1, "a JSONL trace file")?;
-            if !args.options.contains_key("prom") {
-                return Err("trace export needs --prom (the only export format)".into());
-            }
             let registry = load(path)?.to_registry();
             match args.options.get("out") {
                 Some(out) => {

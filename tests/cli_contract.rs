@@ -407,11 +407,11 @@ fn netrun_stall_degrades() {
     case.finish();
 }
 
-const VERIFY: &str = "verify --quick --limit 2 -o conformance.jsonl";
+const VERIFY: &str = "verify --limit 2 -o conformance.jsonl";
 
 #[test]
-fn verify_quick() {
-    let mut case = Case::new("verify_quick");
+fn verify_plain() {
+    let mut case = Case::new("verify_plain");
     case.run(VERIFY);
     case.finish();
 }
@@ -515,13 +515,19 @@ fn zero_capacity_is_a_config_error() {
     }
 }
 
-/// Each usage error names every valid choice, and says it once.
+/// Each usage error names every valid choice, and says it once; an
+/// option the command does not read is refused, not ignored.
 #[test]
 fn usage_messages() {
     let mut case = Case::with_trace("usage_messages");
     let serial = case.run("simulate trace.txt --policy nope");
     let sharded = case.run("simulate --shards 2 --policy nope");
     let trace = case.run("trace");
+    let unread = [
+        ("solve", case.run("solve --itmes 7"), "--itmes"),
+        ("verify", case.run("verify --quick"), "--quick"),
+        ("trace", case.run("trace export trace.txt --prom"), "--prom"),
+    ];
     // A catalogue and a skew `Popularity::pareto` could not build.
     let demand = [
         case.run("simulate trace.txt --items 0"),
@@ -548,6 +554,14 @@ fn usage_messages() {
         "{}",
         trace.stderr
     );
+    for (command, run, option) in unread {
+        let message = format!("unknown option `{option}` for `{command}`");
+        assert!(
+            run.code == 2 && run.stderr.contains(&message),
+            "{}",
+            run.stderr
+        );
+    }
 }
 
 const SOLVE: &str = "solve --items 20 --servers 20 --rho 3 --utility exp:0.2";
@@ -576,7 +590,7 @@ fn solve_incremental() {
 #[test]
 fn verify_solver_deltas() {
     let mut case = Case::new("verify_solver_deltas");
-    case.run("verify --solver-deltas --quick");
+    case.run("verify --solver-deltas");
     case.finish();
 }
 
@@ -618,8 +632,8 @@ fn trace_subcommands() {
     }
     case.run("trace summarize trace_a.jsonl --top 3");
     case.run("trace diff trace_a.jsonl trace_b.jsonl");
-    case.run("trace export trace_b.jsonl --prom");
-    case.run("trace export trace_a.jsonl --prom -o a.prom");
+    case.run("trace export trace_b.jsonl");
+    case.run("trace export trace_a.jsonl -o a.prom");
     case.run("trace lint-prom a.prom");
     case.finish();
 }

@@ -20,7 +20,7 @@ use impatience_core::welfare::{
 };
 use impatience_obs::Recorder;
 use impatience_oracle::{
-    brute_force_heterogeneous, brute_force_homogeneous, run_matrix, CheckStatus, MatrixOptions,
+    brute_force_heterogeneous, brute_force_homogeneous, run_matrix, CheckStatus,
 };
 use proptest::prelude::*;
 
@@ -175,9 +175,8 @@ fn property1_equilibrium_residual_below_solver_tolerance() {
 /// reproducible seeds, and zero invariant violations.
 #[test]
 fn matrix_slice_is_stable_and_violation_free() {
-    let opts = MatrixOptions::quick(7).with_limit(10);
     let mut rec = Recorder::disabled();
-    let records = run_matrix(&opts, &mut rec);
+    let records = run_matrix(7, Some(10), &mut rec);
     assert_eq!(records.len(), 10);
     assert_eq!(records[0].name, "step/dedicated/hom/clean");
     for r in &records {
@@ -189,7 +188,7 @@ fn matrix_slice_is_stable_and_violation_free() {
         }
     }
     // Bit-level reproducibility of the slice from the same base seed.
-    let again = run_matrix(&opts, &mut Recorder::disabled());
+    let again = run_matrix(7, Some(10), &mut Recorder::disabled());
     for (a, b) in records.iter().zip(&again) {
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.name, b.name);

@@ -40,6 +40,7 @@ use impatience_core::welfare::{
     HeterogeneousSystem, UtilityCatalog,
 };
 use impatience_net::{run_net_trial, ChaosEvent, ChaosKind, NetConfig};
+use impatience_obs::Recorder;
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::engine::run_trial;
 use impatience_sim::engine_discrete::{run_trial_discrete, DiscreteSource};
@@ -476,6 +477,7 @@ fn discrete_engine_outputs_equal_the_recorded_ones() {
                     &source,
                     PolicyKind::qcr_default(),
                     seed,
+                    &mut Recorder::disabled(),
                 );
                 assert!(out.metrics.mandates_created > 0, "QCR must be live");
                 if f == 1 {

@@ -135,7 +135,7 @@ fn discrete_contact_sequence_is_policy_independent() {
     // dense per-pair Bernoulli scan.
     use impatience_core::prelude::uniform;
     use impatience_obs::{Event, MemorySink, Recorder};
-    use impatience_sim::engine_discrete::{run_trial_discrete_observed, DiscreteSource};
+    use impatience_sim::engine_discrete::{run_trial_discrete, DiscreteSource};
 
     let utility: Arc<dyn DelayUtility> = Arc::new(Step::new(10.0));
     let config = SimConfig::builder(12, 2)
@@ -151,7 +151,7 @@ fn discrete_contact_sequence_is_policy_independent() {
     };
     let contacts_under = |policy: PolicyKind| -> Vec<Event> {
         let mut rec = Recorder::new(MemorySink::new());
-        run_trial_discrete_observed(&config, &source, policy, 7, &mut rec);
+        run_trial_discrete(&config, &source, policy, 7, &mut rec);
         rec.into_sink()
             .events
             .into_iter()

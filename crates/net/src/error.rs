@@ -1,7 +1,7 @@
 //! Typed error taxonomy of the distributed runtime.
 //!
-//! Every `NetError` maps to exit code **12** in `impatience netrun`.
-//! Transport weather is never an error: a send on a closed link, a
+//! In `impatience netrun` a [`NetError::Config`] exits 3, like every
+//! config error, and the other variants exit **12**. Transport weather is never an error: a send on a closed link, a
 //! contact window that closed before the peers exchanged a single
 //! advert and a transfer that exhausted its retry budget (its mandates
 //! stay escrowed, so conservation holds) are counted in `NetStats`, the

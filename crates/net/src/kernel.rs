@@ -15,8 +15,8 @@
 //! engine's, which is what makes differential verification meaningful.
 //!
 //! The transport is an *unreliable link* abstraction: a contact from the
-//! [`ContactSource`] opens a link for [`NetConfig::window`] minutes;
-//! messages submitted on an open link arrive after a delay unless the
+//! [`ContactSource`] opens a link for `WINDOW` minutes; messages
+//! submitted on an open link arrive after [`MSG_DELAY`] unless the
 //! message-fault family ([`MsgFaults`]) loses, duplicates, or reorders
 //! them; messages in flight when the link closes are dropped. Every
 //! retry, timeout, and backoff in the node layer exists because of this
@@ -33,15 +33,18 @@ use impatience_sim::policy::{PolicyKind, QcrConfig, QcrRules};
 use impatience_sim::state::SimState;
 use impatience_sim::streams;
 
-use crate::config::{ChaosKind, NetConfig, CHECKPOINT_EVERY, HEARTBEAT_EVERY, HEARTBEAT_TIMEOUT};
+use crate::config::{
+    ChaosKind, NetConfig, CHECKPOINT_EVERY, HEARTBEAT_EVERY, HEARTBEAT_TIMEOUT, MSG_DELAY, RTO_CAP,
+    WINDOW,
+};
 use crate::error::NetError;
 use crate::node::{Ctx, Node, Timer, VecMap};
 use crate::wire::{self, Lists};
 
-/// Anti-wedge backstop when [`NetConfig::max_events`] is 0: no realistic
-/// trial comes near it, and a protocol bug that loops cannot hang the
-/// process — the run degrades instead.
-const AUTO_EVENT_CAP: u64 = 20_000_000;
+/// Anti-wedge backstop on kernel events per trial: no realistic trial
+/// comes near it, and a protocol bug that loops cannot hang the process
+/// — the run degrades instead.
+const EVENT_CAP: u64 = 20_000_000;
 
 /// Transport/protocol counters of one trial (or, merged, of a batch).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -245,8 +248,8 @@ impl Ord for QEntry {
 }
 
 /// Two FIFO lanes and two heaps drawing on one sequence counter, popped
-/// by the least `(t, seq)` over their heads. A link closes `window` after
-/// its contact and a clean frame lands `msg_delay` after its send, so
+/// by the least `(t, seq)` over their heads. A link closes [`WINDOW`]
+/// after its contact and a clean frame lands [`MSG_DELAY`] after its send, so
 /// `LinkDown` and `Deliver` entries come in time order: each rides its
 /// lane unless its `t` is before the lane tail's (a jittered frame),
 /// and then the per-message heap `hot`. The periodic and scheduled events
@@ -340,7 +343,6 @@ struct Transport {
     /// fault RNG is never consumed — bit-identical to no config at all).
     faults: Option<MsgFaults>,
     fault_rng: Xoshiro256,
-    delay: f64,
 }
 
 fn link_key(a: u32, b: u32) -> (u32, u32) {
@@ -397,9 +399,9 @@ impl Transport {
         }
         stats.msgs_sent += 1;
         let mut copies = 1u32;
-        let extra = |rng: &mut Xoshiro256, m: &MsgFaults, delay: f64| {
+        let extra = |rng: &mut Xoshiro256, m: &MsgFaults| {
             if m.reorder_window > 0 {
-                rng.f64() * m.reorder_window as f64 * delay
+                rng.f64() * m.reorder_window as f64 * MSG_DELAY
             } else {
                 0.0
             }
@@ -419,7 +421,7 @@ impl Transport {
         }
         for copy in 1..=copies {
             let jitter = match self.faults {
-                Some(m) => extra(&mut self.fault_rng, &m, self.delay),
+                Some(m) => extra(&mut self.fault_rng, &m),
                 None => 0.0,
             };
             // The last copy takes the buffer itself, a duplicate another
@@ -432,7 +434,7 @@ impl Transport {
                 dup.clone_from(&frame);
                 dup
             };
-            q.push(t + self.delay + jitter, Ev::Deliver { to, from, bytes });
+            q.push(t + MSG_DELAY + jitter, Ev::Deliver { to, from, bytes });
         }
     }
 }
@@ -469,6 +471,12 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
     let config = config
         .try_resolved(n_nodes)
         .map_err(|e| NetError::Config(e.to_string()))?;
+    if let Some(c) = net.chaos.iter().find(|c| c.node as usize >= n_nodes) {
+        return Err(NetError::Config(format!(
+            "chaos event at minute {} targets node {}, but the population has {n_nodes} nodes",
+            c.t, c.node
+        )));
+    }
     let mut state = SimState::default();
     let (mut frame, _) = Frame::begin(
         &config,
@@ -518,9 +526,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
         );
     }
     for (idx, c) in net.chaos.iter().enumerate() {
-        if (c.node as usize) < n_nodes {
-            q.push(c.t, Ev::Chaos { idx });
-        }
+        q.push(c.t, Ev::Chaos { idx });
     }
     q.push(HEARTBEAT_EVERY, Ev::Supervise);
     if let Some(d) = net.deadline {
@@ -538,7 +544,6 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
         spare: Vec::new(),
         faults: msg_faults,
         fault_rng,
-        delay: net.msg_delay,
     };
     let mut stats = NetStats::default();
     let mut ledger = Ledger::default();
@@ -553,11 +558,6 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
     // Registry entries before `swept` are fulfilled or settled for good.
     let mut swept = 0;
     let mut timers: Vec<(f64, Timer)> = Vec::new();
-    let event_cap = if net.max_events > 0 {
-        net.max_events
-    } else {
-        AUTO_EVENT_CAP
-    };
     let mut events: u64 = 0;
 
     // Builds a `Ctx` and calls one node handler, then drains its
@@ -579,7 +579,6 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                     rec: &mut *frame.rec,
                     utility: config.utility.as_ref(),
                     rules: &rules,
-                    cfg: net,
                     next_xfer: &mut next_xfer,
                 };
                 nodes[id].$call(&mut c, $($arg),*);
@@ -637,7 +636,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
             break;
         }
         events += 1;
-        if events > event_cap {
+        if events > EVENT_CAP {
             degraded = true;
             frame.rec.fault(t, "net_event_cap", 0, 0);
             break;
@@ -677,9 +676,9 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
             }
             let window = next_window;
             next_window += 1;
-            transport.open(e.time, e.a, e.b, window, e.time + net.window);
+            transport.open(e.time, e.a, e.b, window, e.time + WINDOW);
             q.push(
-                e.time + net.window,
+                e.time + WINDOW,
                 Ev::LinkDown {
                     a: e.a,
                     b: e.b,
@@ -780,12 +779,7 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
                             .map(|(&id, _)| id)
                             .collect();
                         for x in xfers {
-                            q.timer(
-                                t + net.rto_cap * 0.75,
-                                node,
-                                inc,
-                                Timer::XferRetry { xfer: x },
-                            );
+                            q.timer(t + RTO_CAP * 0.75, node, inc, Timer::XferRetry { xfer: x });
                         }
                     }
                 }
@@ -1084,6 +1078,27 @@ mod tests {
         assert_eq!(out.stats.stalls, 1, "supervisor must condemn the node");
         assert!(out.degraded, "a condemned node degrades the run");
         assert!(out.conservation.holds());
+    }
+
+    #[test]
+    fn chaos_against_an_absent_node_is_refused() {
+        let config = small_config(10, 2);
+        let source = ContactSource::homogeneous(6, 0.1, 200.0);
+        for node in [6, 99] {
+            let net = NetConfig {
+                chaos: vec![crate::config::ChaosEvent {
+                    t: 5.0,
+                    node,
+                    kind: ChaosKind::Stall,
+                }],
+                ..NetConfig::default()
+            };
+            let Err(NetError::Config(message)) = run_net_trial(&config, &source, &net, 1) else {
+                panic!("chaos against node {node} of 6 must be a config error");
+            };
+            assert!(message.contains(&format!("node {node}")), "{message}");
+            assert!(message.contains("6 nodes"), "{message}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use impatience_sim::policy::{next_key, pool_add, share, Pool, QcrRules};
 use impatience_sim::state::SimState;
 use impatience_sim::Metrics;
 
-use crate::config::NetConfig;
+use crate::config::{MAX_ATTEMPTS, RTO_BASE, RTO_CAP};
 use crate::kernel::{Ledger, NetStats, ReqRecord};
 use crate::wire::{self, Decoded, Lists, Msg};
 
@@ -207,8 +207,6 @@ pub(crate) struct Ctx<'a, S: Sink> {
     /// The protocol's decisions, shared with the engines: minting here
     /// is theirs, built from the same inputs.
     pub rules: &'a QcrRules,
-    /// Runtime knobs.
-    pub cfg: &'a NetConfig,
     /// Global transfer-id counter.
     pub next_xfer: &'a mut u64,
 }
@@ -288,9 +286,9 @@ impl Node {
     }
 
     /// Capped exponential backoff with ±50% jitter.
-    fn backoff(&mut self, cfg: &NetConfig, attempts: u32) -> f64 {
-        let raw = cfg.rto_base * 2f64.powi(attempts.min(16) as i32);
-        raw.min(cfg.rto_cap) * (0.5 + self.rng.f64())
+    fn backoff(&mut self, attempts: u32) -> f64 {
+        let raw = RTO_BASE * 2f64.powi(attempts.min(16) as i32);
+        raw.min(RTO_CAP) * (0.5 + self.rng.f64())
     }
 
     /// Send `peer` the advert of `window`: the cache's items, sorted
@@ -331,7 +329,7 @@ impl Node {
         for id in xfers {
             self.send_xfer(ctx, id);
         }
-        let delay = self.backoff(ctx.cfg, 0);
+        let delay = self.backoff(0);
         ctx.timers
             .push((ctx.t + delay, Timer::WindowRetry { peer, window }));
     }
@@ -555,7 +553,7 @@ impl Node {
             return;
         }
         x.attempts += 1;
-        if x.attempts > ctx.cfg.max_attempts {
+        if x.attempts > MAX_ATTEMPTS {
             x.parked = true;
             ctx.stats.ack_timeouts += 1;
             ctx.rec.fault(ctx.t, "net_ack_timeout", self.id, x.peer);
@@ -572,7 +570,7 @@ impl Node {
             ctx.stats.retries += 1;
         }
         ctx.send_msg(peer, &msg);
-        let delay = self.backoff(ctx.cfg, attempts);
+        let delay = self.backoff(attempts);
         ctx.timers
             .push((ctx.t + delay, Timer::XferRetry { xfer: id }));
     }
@@ -731,7 +729,7 @@ impl Node {
                     let wants = &ex.requested;
                     ctx.send(peer, |buf| wire::encode_request(buf, window, wants));
                 }
-                let delay = self.backoff(ctx.cfg, attempts);
+                let delay = self.backoff(attempts);
                 ctx.timers
                     .push((ctx.t + delay, Timer::WindowRetry { peer, window }));
             }
@@ -748,7 +746,7 @@ impl Node {
                     // Wait for the next contact; keep a slow timer armed
                     // so a reopened window inside a long gap still
                     // retries even without a fresh contact event.
-                    let delay = ctx.cfg.rto_cap * (0.5 + self.rng.f64());
+                    let delay = RTO_CAP * (0.5 + self.rng.f64());
                     ctx.timers.push((ctx.t + delay, Timer::XferRetry { xfer }));
                 }
             }

@@ -30,6 +30,7 @@
 //! sweep that must terminate with every conservation audit intact.
 
 use impatience_core::utility::parse_utility;
+use impatience_net::config::MSG_DELAY;
 use impatience_net::{run_net_trial, run_net_trials, NetAggregate, NetConfig, NetError};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::engine::run_trial;
@@ -37,6 +38,10 @@ use impatience_sim::faults::{FaultConfig, MsgFaults};
 use impatience_sim::policy::PolicyKind;
 
 use crate::differential::{clt_interval, Comparison};
+
+/// The CLT gate of every clean comparison: the paired differences'
+/// half-width is `Z` standard errors.
+const Z: f64 = 3.5;
 
 /// Worst relative decay `1 − h(w + lat)/h(w)` of the utility over a
 /// latency stretch `lat`, probed at a small set of waits (plus `0⁺` when
@@ -64,7 +69,7 @@ fn latency_decay(config: &SimConfig, lat: f64) -> f64 {
 ///
 /// `reference` is the engine's mean rate, `estimate` the kernel's, and
 /// `half_width` the CLT interval of the *paired* per-seed differences at
-/// the chosen `z`. The allowance bounds the kernel's documented
+/// z = 3.5. The allowance bounds the kernel's documented
 /// deterministic biases (protocol latency, cap-pressure routing); see
 /// the module docs.
 ///
@@ -78,7 +83,6 @@ pub fn net_vs_engine(
     source: &ContactSource,
     trials: usize,
     base_seed: u64,
-    z: f64,
 ) -> Result<Comparison, NetError> {
     assert!(trials > 0, "need at least one trial");
     let net = NetConfig::default();
@@ -107,10 +111,10 @@ pub fn net_vs_engine(
         .zip(&engine)
         .map(|(n, e)| n - e)
         .collect();
-    let (_, hw) = clt_interval(&diffs, z);
+    let (_, hw) = clt_interval(&diffs, Z);
 
     // Protocol latency: advert + request + fulfill, one hop each.
-    let latency = 3.0 * net.msg_delay;
+    let latency = 3.0 * MSG_DELAY;
     let latency_bias = mean_e.abs() * latency_decay(config, latency);
     // Cap-pressure routing: allocation drift, second order in the rate.
     let routing_bias = 0.02 * mean_e.abs();
@@ -172,8 +176,6 @@ const LOSS_RATES: [f64; 3] = [0.05, 0.10, 0.20];
 pub struct NetPanelReport {
     /// Trials per cell and per sweep point.
     pub trials: usize,
-    /// The CLT gate of the clean comparisons.
-    pub z: f64,
     /// Horizon of every trial (minutes).
     pub duration: f64,
     /// Each clean-transport cell's name and paired comparison.
@@ -192,10 +194,10 @@ impl NetPanelReport {
     /// The clean-transport table and the lossy sweep, with the verdict
     /// line when every cell agreed.
     pub fn describe(&self) -> String {
-        let (trials, z, duration) = (self.trials, self.z, self.duration);
+        let (trials, duration) = (self.trials, self.duration);
         let mut out = format!(
             "distributed runtime vs engine on paired seeds\n\
-             ({} scenarios × {trials} trials, z = {z}, horizon {duration} min)\n\
+             ({} scenarios × {trials} trials, z = {Z}, horizon {duration} min)\n\
              {:<14} {:>11} {:>12} {:>10} {:>10}  verdict\n",
             self.clean.len(),
             "scenario",
@@ -246,17 +248,14 @@ impl NetPanelReport {
 /// (cell `i` on base seed `seed + 1000·i`), then the first cell under
 /// each loss rate of the sweep. `quick` runs 4 trials of 900 minutes
 /// instead of 8 of 2 000. Any kernel error aborts the panel.
-///
-/// # Panics
-/// Panics if `z` is not positive.
-pub fn net_panel(seed: u64, quick: bool, z: f64) -> Result<NetPanelReport, NetError> {
+pub fn net_panel(seed: u64, quick: bool) -> Result<NetPanelReport, NetError> {
     let (trials, duration) = if quick { (4, 900.0) } else { (8, 2_000.0) };
     let net = NetConfig::default();
     let mut clean = Vec::with_capacity(NET_SCENARIOS.len());
     for (i, cell) in NET_SCENARIOS.iter().enumerate() {
         let (config, source) = cell.build(duration);
         let cell_seed = seed.wrapping_add(i as u64 * 1_000);
-        let cmp = net_vs_engine(&config, &source, trials, cell_seed, z)?;
+        let cmp = net_vs_engine(&config, &source, trials, cell_seed)?;
         clean.push((cell.name, cmp));
     }
     let mut lossy = Vec::with_capacity(LOSS_RATES.len());
@@ -275,7 +274,6 @@ pub fn net_panel(seed: u64, quick: bool, z: f64) -> Result<NetPanelReport, NetEr
     }
     Ok(NetPanelReport {
         trials,
-        z,
         duration,
         clean,
         lossy,
@@ -300,7 +298,7 @@ mod tests {
 
     #[test]
     fn quick_panel_agrees_and_conserves() {
-        let report = net_panel(42, true, 3.5).unwrap();
+        let report = net_panel(42, true).unwrap();
         assert_eq!(report.failures(), 0, "{}", report.describe());
         assert_eq!(report.clean.len(), NET_SCENARIOS.len());
         assert_eq!(report.lossy.len(), LOSS_RATES.len());
@@ -317,7 +315,7 @@ mod tests {
     fn clean_transport_agrees_with_engine() {
         let config = config(10, 2);
         let source = ContactSource::homogeneous(12, 0.1, 1_500.0);
-        let cmp = net_vs_engine(&config, &source, 5, 41, 3.5).unwrap();
+        let cmp = net_vs_engine(&config, &source, 5, 41).unwrap();
         assert!(
             cmp.agrees(),
             "distributed QCR diverged from the engine: {}",
@@ -334,7 +332,7 @@ mod tests {
             .bin(100.0)
             .build();
         let source = ContactSource::homogeneous(10, 0.1, 1_500.0);
-        let cmp = net_vs_engine(&config, &source, 5, 77, 3.5).unwrap();
+        let cmp = net_vs_engine(&config, &source, 5, 77).unwrap();
         assert!(cmp.agrees(), "{}", cmp.describe());
     }
 
@@ -343,7 +341,7 @@ mod tests {
         use impatience_sim::faults::FaultConfig;
         let mut config = config(8, 2);
         let source = ContactSource::homogeneous(10, 0.1, 1_500.0);
-        let clean = net_vs_engine(&config, &source, 4, 91, 3.5).unwrap();
+        let clean = net_vs_engine(&config, &source, 4, 91).unwrap();
         config.faults = Some(FaultConfig {
             msg: Some(MsgFaults {
                 loss_p: 0.10,
@@ -352,7 +350,7 @@ mod tests {
             }),
             ..FaultConfig::default()
         });
-        let lossy = net_vs_engine(&config, &source, 4, 91, 3.5).unwrap();
+        let lossy = net_vs_engine(&config, &source, 4, 91).unwrap();
         // Retries mask most loss inside the contact window: welfare must
         // stay within a bounded factor of the clean run, not collapse.
         assert!(

@@ -18,8 +18,9 @@
 //!
 //! Argument parsing is hand-rolled (no CLI dependency): every option is
 //! `--name value` (except boolean flags such as `--verbose`), subcommand
-//! first, then positionals (the trace file). An option the subcommand
-//! does not read is a usage error ([`accepted`]).
+//! first, then positionals (the trace file). A flag or the first
+//! positional picks the subcommand's mode, and an option that mode does
+//! not read is a usage error ([`ACCEPTED`]).
 //!
 //! Errors are typed ([`CliError`]) and mapped to distinct exit codes so
 //! scripts can tell a usage mistake from a torn checkpoint from a
@@ -149,8 +150,17 @@ failure_from!(
     SolverError => Solver,
     TraceError => Trace,
     CheckpointError => Checkpoint,
-    NetError => Net,
 );
+
+impl From<NetError> for CliError {
+    fn from(e: NetError) -> CliError {
+        let kind = match e {
+            NetError::Config(_) => FailureKind::Config,
+            _ => FailureKind::Net,
+        };
+        CliError::new(kind, e)
+    }
+}
 
 impl From<ExpError> for CliError {
     fn from(e: ExpError) -> CliError {
@@ -192,10 +202,9 @@ USAGE:
   impatience netrun   [TRACE | --nodes N --mu F --duration T] [--items N --rho N
                        --utility SPEC --trials N --seed N --workers N]
                       [--loss-p F --dup-p F --reorder N] [fault injection]
-                      [--window MIN --msg-delay MIN --deadline MIN]
-                      [--kill T:NODE:DOWN] [--stall T:NODE]
+                      [--deadline MIN] [--kill T:NODE:DOWN] [--stall T:NODE]
                       [--trace-out FILE] [--verbose]
-  impatience netrun   --verify [--quick] [--seed N] [--z F]
+  impatience netrun   --verify [--quick] [--seed N]
   impatience verify   [--seed N] [-o FILE] [--trace-out FILE] [--limit N] [--profile]
   impatience verify   --solver-deltas [--seed N]
   impatience reproduce [SPEC..] [--fig N | --all] [--list] [--check] [--resume]
@@ -304,8 +313,6 @@ DISTRIBUTED RUNTIME (netrun; the message-passing QCR kernel):
   --dup-p F          deliver each message twice with probability F
   --reorder N        extra per-message jitter of U(0,N) delay slots
                      (messages up to N slots apart can swap order)
-  --window MIN       contact link-up window (default 0.05)
-  --msg-delay MIN    one-way message delay (default 0.002)
   --deadline MIN     abandon requests older than this (default: horizon)
   --kill T:NODE:DOWN crash NODE at minute T, restart DOWN minutes later
   --stall T:NODE     wedge NODE at minute T (supervisor must condemn it)
@@ -316,7 +323,7 @@ DISTRIBUTED RUNTIME (netrun; the message-passing QCR kernel):
                      seeds and require agreement within the CLT budget
                      (exit 10 on disagreement), then a lossy sweep that
                      must terminate conserving at 5/10/20% loss.
-                     --quick shrinks horizons for CI; --z sets the gate.
+                     --quick shrinks horizons for CI; the gate is z = 3.5.
 
 VERIFICATION (verify; deterministic given --seed):
   Runs the oracle conformance matrix — 5 utility families x 3 population
@@ -387,40 +394,42 @@ COMMON OPTIONS (defaults):
   generate vehicular:  --cabs 50 --duration 1440
 ";
 
-/// The options `command` reads, hidden test hooks included
-/// (`--abort-after-chunks`, `--rto-base`, ...), as space-separated
-/// groups of names; `-o` is `out`. `None` for an unknown command. Of
-/// these, [`FLAGS`] take no value.
-fn accepted(command: &str) -> Option<&'static [&'static str]> {
-    const SCENARIO: &str = "items omega rho trials seed utility nodes mu duration workers";
-    const FAULTS: &str =
-        "fault-seed drop-p drop-burst churn-up churn-down cache-fault-rate truncate";
-    Some(match command {
-        "generate" => &["seed nodes mu duration days cabs out"],
-        "stats" | "resume" | "help" | "--help" | "-h" => &[],
-        "solve" => &[
-            "items omega servers rho mu clients utility verbose",
-            "incremental deltas seed stale-eps",
-        ],
-        "simulate" => &[
-            SCENARIO,
-            FAULTS,
-            "policy shards trace-out verbose profile",
-            "checkpoint checkpoint-every abort-after-chunks",
-        ],
-        "netrun" => &[
-            SCENARIO,
-            FAULTS,
-            "loss-p dup-p reorder window msg-delay deadline kill stall",
-            "rto-base rto-cap max-attempts max-events trace-out verbose verify quick z",
-        ],
-        "verify" => &["seed limit out trace-out profile solver-deltas"],
-        "reproduce" => &["specs fig all list check resume out workers trace-out verbose profile"],
-        "trace" => &["top out"],
-        "serve" => &["addr data-dir queue http-threads solver-pool"],
-        _ => return None,
-    })
-}
+/// Each mode of each command and the options it reads, the hidden test
+/// hook `--abort-after-chunks` included, as space-separated groups of
+/// names; `-o` is `out`. A mode `CMD --FLAG` is picked by that flag,
+/// `CMD WORD` by the first positional, and `CMD` otherwise. Of these
+/// options, [`FLAGS`] take no value.
+#[rustfmt::skip]
+const ACCEPTED: &[(&str, &[&str])] = &[
+    ("generate poisson", &["seed nodes mu duration out"]),
+    ("generate conference", &["seed nodes days out"]),
+    ("generate vehicular", &["seed cabs duration out"]),
+    ("stats", &[]),
+    ("resume", &[]),
+    ("help", &[]),
+    ("--help", &[]),
+    ("-h", &[]),
+    ("solve", &[SYSTEM, "verbose"]),
+    ("solve --incremental", &[SYSTEM, "incremental deltas seed stale-eps"]),
+    ("simulate", &[SCENARIO, FAULTS, "policy workers trace-out verbose profile", CHECKPOINT]),
+    ("simulate --shards", &[SCENARIO, SOURCE, FAULTS, "policy shards verbose profile"]),
+    ("netrun", &[SCENARIO, SOURCE, FAULTS, NET]),
+    ("netrun --verify", &["verify quick seed"]),
+    ("verify", &["seed limit out trace-out profile"]),
+    ("verify --solver-deltas", &["solver-deltas seed"]),
+    ("reproduce", &["specs fig all list check resume out workers trace-out verbose profile"]),
+    ("trace summarize", &["top"]),
+    ("trace diff", &[]),
+    ("trace export", &["out"]),
+    ("trace lint-prom", &[]),
+    ("serve", &["addr data-dir queue http-threads solver-pool"]),
+];
+const SYSTEM: &str = "items omega servers rho mu clients utility";
+const SCENARIO: &str = "items omega rho trials seed utility";
+const SOURCE: &str = "nodes mu duration";
+const FAULTS: &str = "fault-seed drop-p drop-burst churn-up churn-down cache-fault-rate truncate";
+const CHECKPOINT: &str = "checkpoint checkpoint-every abort-after-chunks";
+const NET: &str = "loss-p dup-p reorder deadline kill stall workers trace-out verbose";
 
 /// The options that take no value.
 const FLAGS: &str = "verbose quick all list check resume profile verify incremental solver-deltas";
@@ -431,12 +440,21 @@ struct Args {
 }
 
 impl Args {
-    /// `command`'s arguments. An unknown command, or an option `command`
-    /// does not read ([`accepted`]), is a usage error.
+    /// `command`'s arguments. An unknown command or mode, or an option
+    /// the mode does not read ([`ACCEPTED`]), is a usage error.
     fn parse(command: &str, raw: &[String]) -> Result<Self, String> {
-        let groups = accepted(command).ok_or_else(|| format!("unknown command `{command}`"))?;
+        let modes: Vec<_> = ACCEPTED
+            .iter()
+            .filter(|(mode, _)| mode.split(' ').next() == Some(command))
+            .collect();
+        if modes.is_empty() {
+            return Err(format!("unknown command `{command}`"));
+        }
         let mut positional = Vec::new();
         let mut options = HashMap::new();
+        let mut given = Vec::new();
+        // The last option, when its value is missing.
+        let mut bare = None;
         let mut it = raw.iter();
         while let Some(arg) = it.next() {
             let name = match arg.strip_prefix("--") {
@@ -447,19 +465,41 @@ impl Args {
                     continue;
                 }
             };
-            let names =
-                |groups: &[&str]| groups.iter().flat_map(|g| g.split(' ')).any(|n| n == name);
-            if !names(groups) {
-                return Err(format!("unknown option `{arg}` for `{command}`"));
-            }
-            let value = if names(&[FLAGS]) {
-                "true".to_string()
+            let value = if FLAGS.split(' ').any(|flag| flag == name) {
+                Some("true".to_string())
             } else {
-                it.next()
-                    .ok_or_else(|| format!("option {arg} requires a value"))?
-                    .clone()
+                it.next().cloned()
             };
-            options.insert(name.to_string(), value);
+            bare = value.is_none().then_some(arg);
+            options.insert(name.to_string(), value.unwrap_or_default());
+            given.push((arg, name));
+        }
+        // The mode its flag or first positional picks, else the bare one
+        // (listed first, so tried last).
+        let picked = |mode: &str| match mode.split_once(' ') {
+            None => true,
+            Some((_, pick)) => match pick.strip_prefix("--") {
+                Some(flag) => options.contains_key(flag),
+                None => positional.first().is_some_and(|word| word == pick),
+            },
+        };
+        let Some((mode, names)) = modes.iter().rev().find(|(mode, _)| picked(mode)) else {
+            let choices: Vec<&str> = modes
+                .iter()
+                .filter_map(|(mode, _)| Some(mode.split_once(' ')?.1))
+                .collect();
+            let choices = choices.join(" | ");
+            return Err(match positional.first() {
+                Some(word) => format!("unknown mode `{word}` for `{command}` ({choices})"),
+                None => format!("{command} needs one of: {choices}"),
+            });
+        };
+        let reads = |name: &str| names.iter().flat_map(|g| g.split(' ')).any(|n| n == name);
+        if let Some((arg, _)) = given.iter().find(|(_, name)| !reads(name)) {
+            return Err(format!("unknown option `{arg}` for `{mode}`"));
+        }
+        if let Some(arg) = bare {
+            return Err(format!("option {arg} requires a value"));
         }
         Ok(Args {
             positional,
@@ -555,10 +595,7 @@ fn resume(path: Option<&String>) -> Result<(), CliError> {
 }
 
 fn generate(args: &Args) -> Result<(), CliError> {
-    let kind = args
-        .positional
-        .first()
-        .ok_or("generate needs a kind: poisson | conference | vehicular")?;
+    let kind = &args.positional[0];
     let seed: u64 = args.get("seed", 42)?;
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let trace = match kind.as_str() {
@@ -582,7 +619,7 @@ fn generate(args: &Args) -> Result<(), CliError> {
             };
             cfg.generate(&mut rng)
         }
-        other => return Err(CliError::from(format!("unknown trace kind `{other}`"))),
+        other => unreachable!("Args::parse refuses kind `{other}`"),
     };
     let out = args
         .options
@@ -908,6 +945,9 @@ impl Scenario {
         let (items, omega) = catalogue(args, defaults.0)?;
         let rho = args.get("rho", defaults.1)?;
         let trials = args.get("trials", defaults.2)?;
+        if trials == 0 {
+            return Err("--trials must be at least 1".into());
+        }
         let seed = args.get("seed", 42)?;
         let mut builder = SimConfig::campaign(items, rho, omega, args.utility()?);
         if let Some(nodes) = nodes {
@@ -1251,14 +1291,6 @@ fn simulate_sharded(args: &Args) -> Result<(), CliError> {
              argument `{path}` and pass --nodes/--mu/--duration instead"
         )));
     }
-    for unsupported in ["checkpoint", "trace-out", "workers"] {
-        if args.options.contains_key(unsupported) {
-            return Err(CliError::from(format!(
-                "--{unsupported} is not supported with --shards \
-                 (parallelism is inside each trial)"
-            )));
-        }
-    }
     let shards: usize = args.get("shards", 1)?;
     if shards == 0 {
         return Err("--shards must be at least 1".into());
@@ -1335,19 +1367,12 @@ fn net_source(args: &Args) -> Result<(ContactSource, String), CliError> {
     }
 }
 
-/// The [`NetConfig`] for `netrun`, from defaults plus the CLI overrides
-/// and the `--kill/--stall` chaos injections.
+/// The [`NetConfig`] for `netrun`: `--deadline` and the `--kill/--stall`
+/// chaos injections.
 fn net_run_config(args: &Args) -> Result<NetConfig, CliError> {
-    let d = NetConfig::default();
     let mut net = NetConfig {
-        window: args.get("window", d.window)?,
-        msg_delay: args.get("msg-delay", d.msg_delay)?,
-        rto_base: args.get("rto-base", d.rto_base)?,
-        rto_cap: args.get("rto-cap", d.rto_cap)?,
-        max_attempts: args.get("max-attempts", d.max_attempts)?,
         deadline: args.get_opt("deadline")?,
-        max_events: args.get("max-events", 0)?,
-        ..d
+        chaos: Vec::new(),
     };
     for (flag, form) in [("kill", "T:NODE:DOWN_FOR"), ("stall", "T:NODE")] {
         let Some(spec) = args.options.get(flag) else {
@@ -1487,11 +1512,7 @@ fn netrun(args: &Args) -> Result<(), CliError> {
 /// that must terminate with conservation intact; a disagreement exits 10.
 fn netrun_verify(args: &Args) -> Result<(), CliError> {
     let seed: u64 = args.get("seed", 42)?;
-    let z: f64 = args.get("z", 3.5)?;
-    if !(z.is_finite() && z > 0.0) {
-        return Err(format!("--z must be finite and > 0 (got {z})").into());
-    }
-    let report = net_panel(seed, args.options.contains_key("quick"), z)?;
+    let report = net_panel(seed, args.options.contains_key("quick"))?;
     print!("netrun --verify: {}", report.describe());
     if report.failures() > 0 {
         let message = format!(
@@ -1529,6 +1550,9 @@ fn verify(args: &Args) -> Result<(), CliError> {
     }
     let seed: u64 = args.get("seed", 42)?;
     let limit: Option<usize> = args.get_opt("limit")?;
+    if limit == Some(0) {
+        return Err("--limit must be at least 1".into());
+    }
     let out = args
         .options
         .get("out")
@@ -1584,11 +1608,7 @@ fn verify(args: &Args) -> Result<(), CliError> {
 /// lines are counted, not fatal — so a truncated trace from a killed run
 /// still summarizes.
 fn trace_cmd(args: &Args) -> Result<(), CliError> {
-    const SUBCOMMANDS: &str = "summarize | diff | export | lint-prom";
-    let sub = args
-        .positional
-        .first()
-        .ok_or_else(|| format!("trace needs a subcommand: {SUBCOMMANDS}"))?;
+    let sub = &args.positional[0];
     let load = |path: &str| -> Result<TraceSummary, CliError> {
         TraceSummary::from_file(Path::new(path)).map_err(|e| CliError::cannot("read", path, e))
     };
@@ -1652,9 +1672,7 @@ fn trace_cmd(args: &Args) -> Result<(), CliError> {
             );
             Ok(())
         }
-        other => Err(CliError::from(format!(
-            "unknown trace subcommand `{other}` ({SUBCOMMANDS})"
-        ))),
+        other => unreachable!("Args::parse refuses subcommand `{other}`"),
     }
 }
 

@@ -523,10 +523,61 @@ fn usage_messages() {
     let serial = case.run("simulate trace.txt --policy nope");
     let sharded = case.run("simulate --shards 2 --policy nope");
     let trace = case.run("trace");
+    // Each mode refuses what only another mode reads.
     let unread = [
         ("solve", case.run("solve --itmes 7"), "--itmes"),
         ("verify", case.run("verify --quick"), "--quick"),
-        ("trace", case.run("trace export trace.txt --prom"), "--prom"),
+        (
+            "trace export",
+            case.run("trace export trace.txt --prom"),
+            "--prom",
+        ),
+        (
+            "simulate",
+            case.run("simulate trace.txt --nodes 5"),
+            "--nodes",
+        ),
+        (
+            "verify --solver-deltas",
+            case.run("verify --solver-deltas --limit 3"),
+            "--limit",
+        ),
+        ("solve", case.run("solve --deltas 8"), "--deltas"),
+        (
+            "netrun --verify",
+            case.run("netrun --verify --quick --trials 3"),
+            "--trials",
+        ),
+        ("netrun", case.run(&format!("{NETRUN} --quick")), "--quick"),
+        (
+            "generate conference",
+            case.run("generate conference --mu 0.9 -o conf.txt"),
+            "--mu",
+        ),
+        (
+            "generate vehicular",
+            case.run("generate vehicular --nodes 40 --days 9 -o taxi.txt"),
+            "--nodes",
+        ),
+        (
+            "trace summarize",
+            case.run("trace summarize events.jsonl -o x.prom"),
+            "-o",
+        ),
+        (
+            "trace diff",
+            case.run("trace diff a.jsonl b.jsonl --top 3 -o x.prom"),
+            "--top",
+        ),
+    ];
+    // A count of zero, and a net config the runtime cannot honor.
+    let zero = [
+        case.run("simulate trace.txt --trials 0"),
+        case.run("verify --limit 0"),
+    ];
+    let net = [
+        case.run(&format!("{NETRUN} --trials 1 --deadline -5")),
+        case.run("netrun --nodes 6 --duration 200 --trials 1 --stall 5:99"),
     ];
     // A catalogue and a skew `Popularity::pareto` could not build.
     let demand = [
@@ -536,8 +587,15 @@ fn usage_messages() {
         case.run("solve --omega -1000"),
     ];
     case.finish();
-    for run in demand {
+    for run in demand.iter().chain(&zero) {
         assert_eq!(run.code, 2, "{}", run.stderr);
+    }
+    for run in net {
+        assert!(
+            run.code == 3 && run.stderr.contains("error[config]: net config"),
+            "{}",
+            run.stderr
+        );
     }
     let policies = "unknown policy `nope` \
                     (qcr | qcr-no-routing | opt | uni | sqrt | prop | dom | passive)";
@@ -663,9 +721,8 @@ fn solve_and_netrun_verify_refuse_bad_parameters() {
     }
     let run = case.run(&format!("{SOLVE} --incremental --mu 0"));
     assert_eq!(run.code, 3, "{}", run.stderr);
-    for z in ["0", "-1"] {
-        let run = case.run(&format!("netrun --verify --quick --z {z}"));
-        assert_eq!(run.code, 2, "{}", run.stderr);
-    }
+    // The gate is a constant: `--z` is no option.
+    let run = case.run("netrun --verify --quick --z 0");
+    assert_eq!(run.code, 2, "{}", run.stderr);
     case.finish();
 }

@@ -325,8 +325,7 @@ fn clean_transport_matches_engine_within_clt_budget() {
         .warmup_fraction(0.25)
         .build();
     let source = ContactSource::homogeneous(12, 0.1, 1_200.0);
-    let cmp =
-        net_vs_engine(&config, &source, 5, 42, 3.5).expect("differential batch must conserve");
+    let cmp = net_vs_engine(&config, &source, 5, 42).expect("differential batch must conserve");
     assert!(
         cmp.agrees(),
         "distributed QCR diverged from the engine: {}",

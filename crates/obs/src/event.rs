@@ -7,7 +7,7 @@ use impatience_json::Json;
 /// Times are simulation minutes (the workspace convention); wall-clock
 /// quantities carry a `_s` suffix and are seconds. The JSONL encoding
 /// tags each record with an `"ev"` discriminant — see
-/// [`Event::to_json`].
+/// [`Event::write_jsonl`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event {
     /// Two nodes met.
@@ -130,7 +130,8 @@ pub enum Event {
         /// Simulation time.
         t: f64,
         /// Fault kind: `"contact_drop"`, `"node_down"`, `"node_up"`,
-        /// `"cache_fault"`, or `"trace_truncated"`.
+        /// `"cache_fault"`, `"trace_truncated"`, `"trial_panic"`, or one
+        /// of the net runtime's `"net_*"` kinds (see `impatience-net`).
         kind: &'static str,
         /// The primary node affected.
         node: u32,
@@ -159,116 +160,15 @@ impl Event {
         }
     }
 
-    /// Encode as a flat JSON object, `"ev"` first.
-    pub fn to_json(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> = vec![("ev".into(), Json::from(self.kind()))];
-        let mut push = |key: &str, value: Json| pairs.push((key.into(), value));
-        match *self {
-            Event::Contact { t, a, b } => {
-                push("t", t.into());
-                push("a", a.into());
-                push("b", b.into());
-            }
-            Event::Request { t, node, item } | Event::ImmediateHit { t, node, item } => {
-                push("t", t.into());
-                push("node", node.into());
-                push("item", item.into());
-            }
-            Event::Fulfillment {
-                t,
-                node,
-                item,
-                wait,
-                queries,
-            } => {
-                push("t", t.into());
-                push("node", node.into());
-                push("item", item.into());
-                push("wait", wait.into());
-                push("queries", queries.into());
-            }
-            Event::Unfulfilled {
-                t,
-                node,
-                item,
-                wait,
-            } => {
-                push("t", t.into());
-                push("node", node.into());
-                push("item", item.into());
-                push("wait", wait.into());
-            }
-            Event::Replication { t, count } => {
-                push("t", t.into());
-                push("count", count.into());
-            }
-            Event::SolverStep {
-                solver,
-                iteration,
-                item,
-                value,
-            } => {
-                push("solver", solver.into());
-                push("iteration", iteration.into());
-                push("item", item.into());
-                push("value", value.into());
-            }
-            Event::SolverDone {
-                solver,
-                iterations,
-                evaluations,
-                wall_s,
-            } => {
-                push("solver", solver.into());
-                push("iterations", iterations.into());
-                push("evaluations", evaluations.into());
-                push("wall_s", wall_s.into());
-            }
-            Event::TrialDone { seed, wall_s } => {
-                push("seed", seed.into());
-                push("wall_s", wall_s.into());
-            }
-            Event::ScenarioDone {
-                index,
-                passed,
-                failed,
-                skipped,
-                wall_s,
-            } => {
-                push("index", index.into());
-                push("passed", passed.into());
-                push("failed", failed.into());
-                push("skipped", skipped.into());
-                push("wall_s", wall_s.into());
-            }
-            Event::ExperimentDone {
-                ref spec,
-                ref cell,
-                rows,
-                wall_s,
-            } => {
-                push("spec", spec.as_str().into());
-                push("cell", cell.as_str().into());
-                push("rows", rows.into());
-                push("wall_s", wall_s.into());
-            }
-            Event::Fault { t, kind, node, aux } => {
-                push("t", t.into());
-                push("kind", kind.into());
-                push("node", node.into());
-                push("aux", aux.into());
-            }
-        }
-        Json::Object(pairs)
-    }
-
-    /// Append the JSONL encoding of this event (one compact JSON object,
-    /// no trailing newline) directly to `out`.
+    /// Append the JSONL encoding of this event to `out`: one compact
+    /// JSON object, `"ev"` first and then the variant's fields in
+    /// declaration order, no trailing newline.
     ///
-    /// Byte-identical to `self.to_json().write(out)` — checked by a test
-    /// over every variant — but without building the intermediate
-    /// [`Json`] tree, which is what made the JSONL sink ~5× slower than
-    /// tally-only recording in the PR 1 bench.
+    /// This is the one encoding of an event. It writes the text
+    /// directly, without building a [`Json`] tree, which is what made
+    /// the JSONL sink ~5× slower than tally-only recording when it did.
+    /// A test parses the line of every variant back and holds its keys
+    /// to the schema.
     pub fn write_jsonl(&self, out: &mut String) {
         use impatience_json::{write_f64, write_str, write_u64};
 
@@ -407,6 +307,117 @@ impl Event {
 mod tests {
     use super::*;
 
+    /// Each kind's keys after `"ev"`, in the order a line carries them.
+    #[rustfmt::skip]
+    const SCHEMA: [(&str, &[&str]); 12] = [
+        ("contact", &["t", "a", "b"]),
+        ("request", &["t", "node", "item"]),
+        ("immediate_hit", &["t", "node", "item"]),
+        ("fulfillment", &["t", "node", "item", "wait", "queries"]),
+        ("unfulfilled", &["t", "node", "item", "wait"]),
+        ("replication", &["t", "count"]),
+        ("solver_step", &["solver", "iteration", "item", "value"]),
+        ("solver_done", &["solver", "iterations", "evaluations", "wall_s"]),
+        ("trial_done", &["seed", "wall_s"]),
+        ("scenario", &["index", "passed", "failed", "skipped", "wall_s"]),
+        ("experiment", &["spec", "cell", "rows", "wall_s"]),
+        ("fault", &["t", "kind", "node", "aux"]),
+    ];
+
+    fn line(e: &Event) -> String {
+        let mut out = String::new();
+        e.write_jsonl(&mut out);
+        out
+    }
+
+    /// The event a parsed line describes, read key by key.
+    fn decode(v: &Json) -> Event {
+        let get = |key: &str| v.get(key).unwrap_or_else(|| panic!("no `{key}` in {v}"));
+        let float = |key: &str| get(key).as_f64().unwrap();
+        // Past `i64::MAX` a `u64` is written as a float.
+        let uint = |key: &str| {
+            let x = get(key);
+            x.as_u64().unwrap_or_else(|| {
+                let x = x.as_f64().unwrap();
+                assert!(x >= i64::MAX as f64, "`{key}` is not an integer");
+                x as u64
+            })
+        };
+        let int = |key: &str| u32::try_from(uint(key)).unwrap();
+        let text = |key: &str| get(key).as_str().unwrap().to_string();
+        let name = |key: &str| &*Box::leak(text(key).into_boxed_str());
+        match get("ev").as_str().unwrap() {
+            "contact" => Event::Contact {
+                t: float("t"),
+                a: int("a"),
+                b: int("b"),
+            },
+            "request" => Event::Request {
+                t: float("t"),
+                node: int("node"),
+                item: int("item"),
+            },
+            "immediate_hit" => Event::ImmediateHit {
+                t: float("t"),
+                node: int("node"),
+                item: int("item"),
+            },
+            "fulfillment" => Event::Fulfillment {
+                t: float("t"),
+                node: int("node"),
+                item: int("item"),
+                wait: float("wait"),
+                queries: int("queries"),
+            },
+            "unfulfilled" => Event::Unfulfilled {
+                t: float("t"),
+                node: int("node"),
+                item: int("item"),
+                wait: float("wait"),
+            },
+            "replication" => Event::Replication {
+                t: float("t"),
+                count: uint("count"),
+            },
+            "solver_step" => Event::SolverStep {
+                solver: name("solver"),
+                iteration: uint("iteration"),
+                item: int("item"),
+                value: float("value"),
+            },
+            "solver_done" => Event::SolverDone {
+                solver: name("solver"),
+                iterations: uint("iterations"),
+                evaluations: uint("evaluations"),
+                wall_s: float("wall_s"),
+            },
+            "trial_done" => Event::TrialDone {
+                seed: uint("seed"),
+                wall_s: float("wall_s"),
+            },
+            "scenario" => Event::ScenarioDone {
+                index: uint("index"),
+                passed: int("passed"),
+                failed: int("failed"),
+                skipped: int("skipped"),
+                wall_s: float("wall_s"),
+            },
+            "experiment" => Event::ExperimentDone {
+                spec: text("spec"),
+                cell: text("cell"),
+                rows: uint("rows"),
+                wall_s: float("wall_s"),
+            },
+            "fault" => Event::Fault {
+                t: float("t"),
+                kind: name("kind"),
+                node: int("node"),
+                aux: int("aux"),
+            },
+            other => panic!("unknown kind `{other}`"),
+        }
+    }
+
     #[test]
     fn json_records_are_tagged_and_flat() {
         let e = Event::Fulfillment {
@@ -416,15 +427,15 @@ mod tests {
             wait: 2.25,
             queries: 4,
         };
-        let v = e.to_json();
-        assert_eq!(v.get("ev").and_then(Json::as_str), Some("fulfillment"));
+        let text = line(&e);
+        assert!(text.starts_with("{\"ev\":\"fulfillment\""), "{text}");
+        let v = Json::parse(&text).unwrap();
         assert_eq!(v.get("wait").and_then(Json::as_f64), Some(2.25));
         assert_eq!(v.get("queries").and_then(Json::as_u64), Some(4));
-        let text = v.to_string();
-        assert!(text.starts_with("{\"ev\":\"fulfillment\""), "{text}");
-        assert_eq!(Json::parse(&text).unwrap(), v);
     }
 
+    /// Every variant's line parses to an object whose keys are its
+    /// kind's schema, in order, and whose values are the event's fields.
     #[test]
     fn every_variant_serializes() {
         let events = [
@@ -488,8 +499,8 @@ mod tests {
                 node: 4,
                 aux: 9,
             },
-            // Edge cases for the serialization fast path: huge integers,
-            // tiny floats, strings needing escapes.
+            // Edge cases of the encoding: huge integers, tiny floats,
+            // a negative zero, strings needing escapes.
             Event::TrialDone {
                 seed: u64::MAX,
                 wall_s: 1e-9,
@@ -510,15 +521,23 @@ mod tests {
                 b: 0,
             },
         ];
-        for e in events {
-            let v = e.to_json();
-            assert_eq!(v.get("ev").and_then(Json::as_str), Some(e.kind()));
-            assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
-            // The direct JSONL fast path must be byte-identical to tree
-            // serialization.
-            let mut fast = String::new();
-            e.write_jsonl(&mut fast);
-            assert_eq!(fast, v.to_string(), "fast path diverges for {e:?}");
+        let mut seen = Vec::new();
+        for e in &events {
+            let text = line(e);
+            let v = Json::parse(&text).unwrap_or_else(|err| panic!("{text}: {err}"));
+            let keys: Vec<&str> = v.as_object().unwrap().iter().map(|(k, _)| &**k).collect();
+            let (kind, schema) = SCHEMA
+                .iter()
+                .find(|(kind, _)| *kind == e.kind())
+                .unwrap_or_else(|| panic!("no schema for `{}`", e.kind()));
+            assert_eq!(keys[0], "ev", "{text}");
+            assert_eq!(&keys[1..], *schema, "{text}");
+            // Debug text, so that a float's sign counts too.
+            assert_eq!(format!("{:?}", decode(&v)), format!("{e:?}"), "{text}");
+            seen.push(*kind);
         }
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), SCHEMA.len(), "a kind without a case");
     }
 }

@@ -24,7 +24,7 @@ pub trait Sink {
     /// events the way this sink does, so that [`Sink::splice`] takes the
     /// result over without a second pass: nothing at all for
     /// [`NoopSink`] and [`TallySink`], the events for [`MemorySink`],
-    /// JSONL text for [`JsonlSink`], finished stream chunks for
+    /// chunks of rendered lines ([`JsonlLines`]) for [`JsonlSink`] and
     /// [`StreamSink`](crate::stream::StreamSink). Its `ACTIVE` is this
     /// sink's.
     type Trial: Sink + Default + Send;
@@ -102,22 +102,78 @@ impl Sink for MemorySink {
     }
 }
 
-/// Size past which a batch of JSONL text is cut: [`JsonlSink`] drains to
-/// its writer there, [`JsonlLines`] starts a new piece.
-const JSONL_BATCH_BYTES: usize = 64 * 1024;
+/// Rendered event lines on their way out, cut into chunks of about
+/// [`Batch::BYTES`]: the lines back to back with no separator, and where
+/// each one ends. A trial's [`JsonlLines`] and a
+/// [`StreamSink`](crate::StreamSink) build their chunks in one.
+#[derive(Debug, Default)]
+pub(crate) struct Batch {
+    text: String,
+    /// End offset in `text` of every batched line.
+    ends: Vec<u32>,
+}
 
-/// Room for a full batch plus the event that crosses the threshold.
-const JSONL_BUF_CAPACITY: usize = JSONL_BATCH_BYTES + 4096;
+/// A cut [`Batch`]: its text and line ends.
+pub(crate) type ChunkParts = (Box<str>, Box<[u32]>);
+
+impl Batch {
+    /// Cut a chunk, or drain a [`JsonlSink`], past this size.
+    pub(crate) const BYTES: usize = 64 * 1024;
+
+    /// Room for a full batch plus the event that crosses the threshold.
+    const BUF_CAPACITY: usize = Self::BYTES + 4096;
+
+    /// Serialize `event` onto the batch; whether it is now due a cut.
+    pub(crate) fn push(&mut self, event: &Event) -> bool {
+        if self.text.capacity() == 0 {
+            self.text.reserve(Self::BUF_CAPACITY);
+        }
+        event.write_jsonl(&mut self.text);
+        // A batch is cut at `BYTES`, so one event would have to
+        // serialize to 4 GiB for an offset to outgrow a `u32`.
+        assert!(
+            self.text.len() <= u32::MAX as usize,
+            "event batch outgrew its u32 line offsets"
+        );
+        self.ends.push(self.text.len() as u32);
+        self.text.len() >= Self::BYTES
+    }
+
+    /// Bytes of text batched so far.
+    pub(crate) fn len(&self) -> usize {
+        self.text.len()
+    }
+
+    /// The batched lines as a chunk, leaving the batch empty; `None` if
+    /// it held no line.
+    pub(crate) fn cut(&mut self) -> Option<ChunkParts> {
+        if self.ends.is_empty() {
+            return None;
+        }
+        let text = std::mem::take(&mut self.text);
+        let ends = std::mem::take(&mut self.ends);
+        Some((text.into_boxed_str(), ends.into_boxed_slice()))
+    }
+}
+
+/// The lines of a chunk's `text`, which end at `ends`.
+pub(crate) fn lines<'a>(text: &'a str, ends: &'a [u32]) -> impl Iterator<Item = &'a str> + 'a {
+    let mut start = 0;
+    ends.iter().map(move |&end| {
+        let line = &text[start..end as usize];
+        start = end as usize;
+        line
+    })
+}
 
 /// Writes one JSON object per event per line (JSONL).
 ///
-/// Events serialize directly into an internal batch buffer (no
-/// intermediate JSON tree — see [`Event::write_jsonl`]) which drains to
-/// the writer when it passes [`JsonlSink::BATCH_BYTES`], on
-/// [`Sink::flush`] (called by the runner at checkpoint boundaries), and
-/// on [`JsonlSink::into_inner`]. Batching is what removed the ~5×
-/// overhead the PR 1 `observability_overhead` bench measured for
-/// per-event writes.
+/// Events serialize directly into an internal buffer (no intermediate
+/// JSON tree — see [`Event::write_jsonl`]) which drains to the writer
+/// when it passes the batch threshold (64 KiB), on [`Sink::flush`]
+/// (called by the runner at checkpoint boundaries), and on
+/// [`JsonlSink::into_inner`]. Batching is what removed the ~5× overhead
+/// that per-event writes cost.
 ///
 /// I/O errors don't panic the hot path; the first one is kept and
 /// [`JsonlSink::into_inner`] returns it after the run.
@@ -129,20 +185,29 @@ pub struct JsonlSink<W: Write> {
 }
 
 impl<W: Write> JsonlSink<W> {
-    /// Drain the batch buffer to the writer once it exceeds this size.
-    pub const BATCH_BYTES: usize = JSONL_BATCH_BYTES;
-
     /// Stream events to `writer`.
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer,
-            buf: String::with_capacity(JSONL_BUF_CAPACITY),
+            buf: String::with_capacity(Batch::BUF_CAPACITY),
             error: None,
         }
     }
 
+    /// End the line just written to the buffer; drain a full buffer.
+    fn end_line(&mut self) {
+        self.buf.push('\n');
+        if self.buf.len() >= Batch::BYTES {
+            self.drain();
+        }
+    }
+
     fn drain(&mut self) {
-        write_unless_failed(&mut self.writer, &mut self.error, &self.buf);
+        if !self.buf.is_empty() && self.error.is_none() {
+            if let Err(e) = self.writer.write_all(self.buf.as_bytes()) {
+                self.error = Some(e);
+            }
+        }
         self.buf.clear();
     }
 
@@ -157,17 +222,6 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
-/// Send `text` to `writer`, unless an earlier write failed; keep the
-/// first error.
-fn write_unless_failed<W: Write>(writer: &mut W, error: &mut Option<std::io::Error>, text: &str) {
-    if text.is_empty() || error.is_some() {
-        return;
-    }
-    if let Err(e) = writer.write_all(text.as_bytes()) {
-        *error = Some(e);
-    }
-}
-
 impl<W: Write> Sink for JsonlSink<W> {
     type Trial = JsonlLines;
 
@@ -176,10 +230,7 @@ impl<W: Write> Sink for JsonlSink<W> {
             return;
         }
         event.write_jsonl(&mut self.buf);
-        self.buf.push('\n');
-        if self.buf.len() >= Self::BATCH_BYTES {
-            self.drain();
-        }
+        self.end_line();
     }
 
     fn flush(&mut self) {
@@ -191,43 +242,54 @@ impl<W: Write> Sink for JsonlSink<W> {
         }
     }
 
+    /// The trial's lines, each ended by a newline, go out through the
+    /// buffer like recorded ones.
     fn splice(&mut self, trial: JsonlLines) {
-        self.drain();
-        for piece in &trial.pieces {
-            write_unless_failed(&mut self.writer, &mut self.error, piece);
+        if self.error.is_some() {
+            return;
+        }
+        for (text, ends) in trial.into_chunks() {
+            for line in lines(&text, &ends) {
+                self.buf.push_str(line);
+                self.end_line();
+            }
         }
     }
 }
 
-/// The per-trial half of [`JsonlSink`]: the lines the trial's events
-/// render to, newline-terminated, held as text in pieces of about
-/// [`JsonlSink::BATCH_BYTES`] — one growing `String` would copy itself
-/// at every doubling and hold up to twice its length.
+/// The per-trial half of [`JsonlSink`] and of
+/// [`StreamSink`](crate::StreamSink): the trial's events rendered into
+/// the stream's own chunks (same text, same line ends, same cut), away
+/// from either sink, for [`Sink::splice`] to take over in order. Chunks
+/// rather than one growing `String`, which would copy itself at every
+/// doubling and hold up to twice its length.
 #[derive(Debug, Default)]
 pub struct JsonlLines {
-    /// Each piece ends on a line end; the last one is being written.
-    pieces: Vec<String>,
+    chunks: Vec<ChunkParts>,
+    batch: Batch,
+}
+
+impl JsonlLines {
+    /// Every chunk in order, the one still being written last.
+    pub(crate) fn into_chunks(mut self) -> impl Iterator<Item = ChunkParts> {
+        let last = self.batch.cut();
+        self.chunks.into_iter().chain(last)
+    }
 }
 
 impl Sink for JsonlLines {
     type Trial = JsonlLines;
 
     fn record(&mut self, event: &Event) {
-        if self
-            .pieces
-            .last()
-            .is_none_or(|piece| piece.len() >= JSONL_BATCH_BYTES)
-        {
-            self.pieces.push(String::with_capacity(JSONL_BUF_CAPACITY));
-        }
-        if let Some(piece) = self.pieces.last_mut() {
-            event.write_jsonl(piece);
-            piece.push('\n');
+        if self.batch.push(event) {
+            self.chunks.extend(self.batch.cut());
         }
     }
 
-    fn splice(&mut self, trial: JsonlLines) {
-        self.pieces.extend(trial.pieces);
+    fn splice(&mut self, mut trial: JsonlLines) {
+        self.chunks.extend(self.batch.cut());
+        self.chunks.append(&mut trial.chunks);
+        self.batch = trial.batch;
     }
 }
 
@@ -246,19 +308,21 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_trial_holds_its_text_in_pieces() {
+    fn jsonl_trial_holds_its_text_in_chunks() {
         let mut trial = JsonlLines::default();
-        let n = 3 * JSONL_BATCH_BYTES / 20;
+        let n = 3 * Batch::BYTES / 20;
         for i in 0..n {
             trial.record(&Event::Replication {
                 t: i as f64,
                 count: i as u64,
             });
         }
-        assert!(trial.pieces.len() >= 3, "one piece per batch of text");
-        assert!(trial.pieces.iter().all(|p| p.len() < JSONL_BUF_CAPACITY));
-        assert!(trial.pieces.iter().all(|p| p.ends_with('\n')));
-        let lines: usize = trial.pieces.iter().map(|p| p.lines().count()).sum();
+        let chunks: Vec<ChunkParts> = trial.into_chunks().collect();
+        assert!(chunks.len() >= 3, "one chunk per batch of text");
+        assert!(chunks
+            .iter()
+            .all(|(text, _)| text.len() < Batch::BUF_CAPACITY));
+        let lines: usize = chunks.iter().map(|(_, ends)| ends.len()).sum();
         assert_eq!(lines, n);
     }
 
@@ -354,8 +418,8 @@ mod tests {
     #[test]
     fn jsonl_batch_buffer_drains_at_threshold() {
         let mut sink = JsonlSink::new(Vec::new());
-        // Each contact line is ~40 bytes; push well past BATCH_BYTES.
-        let n = (JsonlSink::<Vec<u8>>::BATCH_BYTES / 20) as u64;
+        // Each line is ~40 bytes; push well past the threshold.
+        let n = (Batch::BYTES / 20) as u64;
         for i in 0..n {
             sink.record(&Event::Replication {
                 t: i as f64,

@@ -1,9 +1,9 @@
 //! Live event streaming: the sink → SSE bridge used by `impatience serve`.
 //!
 //! A [`StreamSink`] is a [`Sink`] that batches serialized JSONL event
-//! lines exactly like [`JsonlSink`](crate::JsonlSink) (same 64 KiB
-//! threshold, same checkpoint-boundary `flush`), but drains into a
-//! shared, append-only, in-memory [`EventStream`] instead of a writer.
+//! lines with the same batch as [`JsonlSink`](crate::JsonlSink) (same
+//! 64 KiB threshold, same checkpoint-boundary `flush`), but drains into
+//! a shared, append-only, in-memory [`EventStream`] instead of a writer.
 //! Any number of subscribers ([`StreamCursor`]) can then replay the
 //! stream from an arbitrary offset and block for new lines — which is
 //! precisely what a Server-Sent-Events endpoint needs for
@@ -16,8 +16,8 @@
 //! line's end offset as a `u32`. Whoever records an event builds the
 //! chunk it lands in: the sink for events recorded straight into it,
 //! one chunk per drain, and a trial of a parallel batch for its own
-//! ([`StreamTrial`], the sink's per-trial half), on the trial's thread,
-//! cut at the same threshold. Either notes a line's end as it
+//! ([`JsonlLines`], the per-trial half of both sinks), on the trial's
+//! thread, cut at the same threshold. Either notes a line's end as it
 //! serializes the event and hands the buffer over whole, so publishing
 //! neither scans for newlines nor copies or allocates per line; a
 //! retained line costs its own bytes plus four, and is written once, by
@@ -46,7 +46,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::event::Event;
-use crate::sink::Sink;
+use crate::sink::{lines, Batch, ChunkParts, JsonlLines, Sink};
 
 /// One drained batch, immutable once published.
 struct Chunk {
@@ -56,52 +56,6 @@ struct Chunk {
     text: Box<str>,
     /// `ends[i]` is the offset in `text` one past the chunk's line `i`.
     ends: Box<[u32]>,
-}
-
-/// A chunk before it has a place in a stream: its text and line ends.
-type ChunkParts = (Box<str>, Box<[u32]>);
-
-/// A chunk in the making: serialized lines and where each one ends.
-#[derive(Default)]
-struct Batch {
-    buf: String,
-    /// End offset in `buf` of every batched line.
-    ends: Vec<u32>,
-}
-
-impl Batch {
-    /// Cut a chunk past this size.
-    const BYTES: usize = 64 * 1024;
-
-    /// Room for a full batch plus the event that crosses the threshold.
-    const BUF_CAPACITY: usize = Self::BYTES + 4096;
-
-    /// Serialize `event` onto the batch; whether it is now due a cut.
-    fn push(&mut self, event: &Event) -> bool {
-        if self.buf.capacity() == 0 {
-            self.buf.reserve(Self::BUF_CAPACITY);
-        }
-        event.write_jsonl(&mut self.buf);
-        // A batch is cut at `BYTES`, so one event would have to
-        // serialize to 4 GiB for an offset to outgrow a `u32`.
-        assert!(
-            self.buf.len() <= u32::MAX as usize,
-            "event batch outgrew its u32 line offsets"
-        );
-        self.ends.push(self.buf.len() as u32);
-        self.buf.len() >= Self::BYTES
-    }
-
-    /// The batched lines as a chunk, leaving the batch empty; `None` if
-    /// it held no line.
-    fn cut(&mut self) -> Option<ChunkParts> {
-        if self.ends.is_empty() {
-            return None;
-        }
-        let text = std::mem::take(&mut self.buf);
-        let ends = std::mem::take(&mut self.ends);
-        Some((text.into_boxed_str(), ends.into_boxed_slice()))
-    }
 }
 
 #[derive(Default)]
@@ -270,19 +224,10 @@ impl ChunkTail {
     /// `(index, line)` pairs in publication order; indices are dense.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &str)> + '_ {
         let chunk = &*self.chunk;
-        let mut start = match self.skip {
-            0 => 0,
-            n => chunk.ends[n - 1] as usize,
-        };
-        let first = chunk.first + self.skip;
-        chunk.ends[self.skip..]
-            .iter()
+        lines(&chunk.text, &chunk.ends)
             .enumerate()
-            .map(move |(i, &end)| {
-                let line = &chunk.text[start..end as usize];
-                start = end as usize;
-                (first + i, line)
-            })
+            .skip(self.skip)
+            .map(move |(i, line)| (chunk.first + i, line))
     }
 }
 
@@ -366,7 +311,7 @@ impl StreamSink {
 
     /// Bytes currently batched but not yet published.
     fn pending_bytes(&self) -> usize {
-        self.batch.buf.len()
+        self.batch.len()
     }
 
     /// Hand the batch over to the stream as one chunk.
@@ -383,7 +328,7 @@ impl StreamSink {
 }
 
 impl Sink for StreamSink {
-    type Trial = StreamTrial;
+    type Trial = JsonlLines;
 
     fn record(&mut self, event: &Event) {
         // Flush-on-attach: a subscriber arriving between checkpoints
@@ -404,35 +349,9 @@ impl Sink for StreamSink {
 
     /// The trial's chunks become the stream's, as they are: no line is
     /// rendered, scanned or copied again.
-    fn splice(&mut self, mut trial: StreamTrial) {
-        let last = trial.batch.cut();
+    fn splice(&mut self, trial: JsonlLines) {
         self.stream
-            .publish(self.batch.cut().into_iter().chain(trial.chunks).chain(last));
-    }
-}
-
-/// The per-trial half of [`StreamSink`]: builds the stream's own chunks
-/// (same text, same line ends, same [`StreamSink::BATCH_BYTES`] cut) away
-/// from the stream, for [`Sink::splice`] to publish in order.
-#[derive(Default)]
-pub struct StreamTrial {
-    chunks: Vec<ChunkParts>,
-    batch: Batch,
-}
-
-impl Sink for StreamTrial {
-    type Trial = StreamTrial;
-
-    fn record(&mut self, event: &Event) {
-        if self.batch.push(event) {
-            self.chunks.extend(self.batch.cut());
-        }
-    }
-
-    fn splice(&mut self, mut trial: StreamTrial) {
-        self.chunks.extend(self.batch.cut());
-        self.chunks.append(&mut trial.chunks);
-        self.batch = trial.batch;
+            .publish(self.batch.cut().into_iter().chain(trial.into_chunks()));
     }
 }
 

@@ -1,7 +1,9 @@
 //! [`Sink::splice`] against its definition: whatever the interleaving of
 //! direct records, flushes, attaching subscribers and spliced trial
 //! sinks, a sink ends up holding, line for line, what the same events
-//! recorded one by one into one sink of its kind leave there.
+//! recorded one by one into one sink of its kind leave there. And the
+//! JSONL file and the event stream, which batch through one type, hold
+//! the same lines.
 
 use std::time::Duration;
 
@@ -168,5 +170,27 @@ proptest! {
             );
             prop_assert_eq!(cursor.position(), offset.max(n));
         }
+    }
+
+    /// The two sinks share one batch and one per-trial half, and render
+    /// the same session to the same text: the file's lines are the
+    /// stream's, each ended by a newline.
+    #[test]
+    fn jsonl_and_stream_sinks_write_the_same_lines(ops in arb_ops()) {
+        let mut file = JsonlSink::new(Vec::new());
+        drive(&mut file, &ops, |_, _| {});
+        let file = String::from_utf8(file.into_inner().unwrap()).unwrap();
+
+        let stream = EventStream::new();
+        let mut sink = StreamSink::new(stream.clone());
+        drive(&mut sink, &ops, |_, pick| {
+            stream.subscribe(pick);
+        });
+        let stream = sink.finish();
+        let lines: String = read_available(&mut stream.subscribe(0))
+            .into_iter()
+            .map(|(_, line)| line + "\n")
+            .collect();
+        prop_assert!(file == lines);
     }
 }

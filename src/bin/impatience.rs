@@ -199,17 +199,19 @@ USAGE:
                             [--items N --rho N --utility SPEC --policy P --trials N
                              --seed N --verbose --profile] [fault injection]
   impatience resume   CKPT
-  impatience netrun   [TRACE | --nodes N --mu F --duration T] [--items N --rho N
-                       --utility SPEC --trials N --seed N --workers N]
-                      [--loss-p F --dup-p F --reorder N] [fault injection]
-                      [--deadline MIN] [--kill T:NODE:DOWN] [--stall T:NODE]
-                      [--trace-out FILE] [--verbose]
+  impatience netrun   TRACE [NET OPTIONS]
+  impatience netrun   [--nodes N --mu F --duration T] [NET OPTIONS]
+                      NET OPTIONS: [--items N --rho N --utility SPEC --trials N
+                       --seed N --workers N] [--loss-p F --dup-p F --reorder N]
+                      [fault injection] [--deadline MIN] [--kill T:NODE:DOWN]
+                      [--stall T:NODE] [--trace-out FILE] [--verbose]
   impatience netrun   --verify [--quick] [--seed N]
   impatience verify   [--seed N] [-o FILE] [--trace-out FILE] [--limit N] [--profile]
   impatience verify   --solver-deltas [--seed N]
-  impatience reproduce [SPEC..] [--fig N | --all] [--list] [--check] [--resume]
+  impatience reproduce [SPEC..] [--fig N | --all] [--check] [--resume]
                        [--specs DIR] [-o DIR] [--workers N] [--trace-out FILE] [--verbose]
                        [--profile]
+  impatience reproduce --list [SPEC.. | --fig N | --all] [--specs DIR]
   impatience trace    summarize FILE [--top K]
   impatience trace    diff FILE_A FILE_B
   impatience trace    export FILE [-o FILE]
@@ -397,8 +399,9 @@ COMMON OPTIONS (defaults):
 /// Each mode of each command and the options it reads, the hidden test
 /// hook `--abort-after-chunks` included, as space-separated groups of
 /// names; `-o` is `out`. A mode `CMD --FLAG` is picked by that flag,
-/// `CMD WORD` by the first positional, and `CMD` otherwise. Of these
-/// options, [`FLAGS`] take no value.
+/// `CMD WORD` by a first positional that is WORD, `CMD TRACE` by any
+/// first positional, and `CMD` otherwise. Of these options, [`FLAGS`]
+/// take no value.
 #[rustfmt::skip]
 const ACCEPTED: &[(&str, &[&str])] = &[
     ("generate poisson", &["seed nodes mu duration out"]),
@@ -414,10 +417,12 @@ const ACCEPTED: &[(&str, &[&str])] = &[
     ("simulate", &[SCENARIO, FAULTS, "policy workers trace-out verbose profile", CHECKPOINT]),
     ("simulate --shards", &[SCENARIO, SOURCE, FAULTS, "policy shards verbose profile"]),
     ("netrun", &[SCENARIO, SOURCE, FAULTS, NET]),
+    ("netrun TRACE", &[SCENARIO, FAULTS, NET]),
     ("netrun --verify", &["verify quick seed"]),
     ("verify", &["seed limit out trace-out profile"]),
     ("verify --solver-deltas", &["solver-deltas seed"]),
-    ("reproduce", &["specs fig all list check resume out workers trace-out verbose profile"]),
+    ("reproduce", &["specs fig all check resume out workers trace-out verbose profile"]),
+    ("reproduce --list", &["list specs fig all"]),
     ("trace summarize", &["top"]),
     ("trace diff", &[]),
     ("trace export", &["out"]),
@@ -480,7 +485,9 @@ impl Args {
             None => true,
             Some((_, pick)) => match pick.strip_prefix("--") {
                 Some(flag) => options.contains_key(flag),
-                None => positional.first().is_some_and(|word| word == pick),
+                None => positional
+                    .first()
+                    .is_some_and(|word| word == pick || pick == "TRACE"),
             },
         };
         let Some((mode, names)) = modes.iter().rev().find(|(mode, _)| picked(mode)) else {

@@ -550,6 +550,16 @@ fn usage_messages() {
         ),
         ("netrun", case.run(&format!("{NETRUN} --quick")), "--quick"),
         (
+            "netrun TRACE",
+            case.run("netrun trace.txt --nodes 5 --mu 9 --duration 3 --trials 1"),
+            "--nodes",
+        ),
+        (
+            "reproduce --list",
+            case.run("reproduce --list --check --specs FIXTURE_SPECS"),
+            "--check",
+        ),
+        (
             "generate conference",
             case.run("generate conference --mu 0.9 -o conf.txt"),
             "--mu",

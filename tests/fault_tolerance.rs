@@ -65,7 +65,11 @@ fn fault_log(config: &SimConfig, source: &ContactSource, workers: usize) -> Vec<
         .events
         .iter()
         .filter(|e| matches!(e, Event::Fault { .. }))
-        .map(|e| e.to_json().to_string())
+        .map(|e| {
+            let mut line = String::new();
+            e.write_jsonl(&mut line);
+            line
+        })
         .collect()
 }
 

@@ -82,7 +82,11 @@ fn chaos_log(workers: usize) -> (Vec<String>, String) {
         .events
         .iter()
         .filter(|e| matches!(e, Event::Fault { .. }))
-        .map(|e| e.to_json().to_string())
+        .map(|e| {
+            let mut line = String::new();
+            e.write_jsonl(&mut line);
+            line
+        })
         .collect();
     (log, format!("{:?} {:?}", agg.stats, agg.conservation))
 }

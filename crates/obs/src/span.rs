@@ -114,6 +114,7 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Close the span now instead of at end of scope.
+    #[inline]
     pub fn close(self) {}
 
     #[inline(never)]

@@ -279,7 +279,7 @@ impl StreamCursor {
 /// A [`Sink`] that batches JSONL lines into an [`EventStream`].
 ///
 /// Identical batching discipline to [`JsonlSink`](crate::JsonlSink)
-/// (drain at [`StreamSink::BATCH_BYTES`], on [`Sink::flush`] at
+/// (drain past 64 KiB, on [`Sink::flush`] at
 /// checkpoint boundaries, and on drop), plus the flush-on-attach rule:
 /// if the stream's attach epoch moved since the last drain — a new SSE
 /// subscriber arrived — the very next [`Sink::record`] drains first, so
@@ -291,9 +291,6 @@ pub struct StreamSink {
 }
 
 impl StreamSink {
-    /// Drain the batch buffer into the stream past this size.
-    pub const BATCH_BYTES: usize = Batch::BYTES;
-
     /// Batch events into `stream`.
     pub fn new(stream: EventStream) -> Self {
         let seen_epoch = stream.attach_epoch();
@@ -430,7 +427,7 @@ mod tests {
     fn drains_at_batch_threshold() {
         let stream = EventStream::new();
         let mut sink = StreamSink::new(stream.clone());
-        let n = StreamSink::BATCH_BYTES / 20;
+        let n = Batch::BYTES / 20;
         for i in 0..n {
             sink.record(&Event::Replication {
                 t: i as f64,
@@ -439,7 +436,7 @@ mod tests {
         }
         assert!(
             !stream.is_empty(),
-            "crossing BATCH_BYTES must publish without an explicit flush"
+            "crossing Batch::BYTES must publish without an explicit flush"
         );
     }
 

@@ -14,7 +14,7 @@
 //!   mandate routing (§5.3) with sticky-seed preference — the protocol
 //!   itself being [`policy::QcrRules`], which the sharded engine and the
 //!   message-passing runtime run too;
-//! * [`policy::StaticAllocation`] — the perfect-control-channel
+//! * [`policy::PolicyKind::Static`] — the perfect-control-channel
 //!   competitors (OPT/UNI/SQRT/PROP/DOM): caches pinned to a precomputed
 //!   allocation, fulfillment only;
 //! * `PolicyKind::Passive` — fixed replicas-per-fulfillment

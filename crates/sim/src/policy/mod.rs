@@ -3,14 +3,12 @@
 //! The engine handles request fulfillment and query counting; a policy
 //! places the initial caches ([`PolicyKind::place`]) and decides how to
 //! *replicate* content. See [`Qcr`] for the paper's distributed scheme
-//! and [`StaticAllocation`] for the fixed competitors.
+//! and [`PolicyKind::Static`] for the fixed competitors.
 
 mod hill_climb;
 pub(crate) mod qcr;
-mod static_alloc;
 
 pub use qcr::{next_key, pool_add, share, MandateHost, Pool, Qcr, QcrConfig, QcrRules, Reaction};
-pub use static_alloc::StaticAllocation;
 
 use impatience_core::allocation::{AllocationMatrix, ReplicaCounts};
 use impatience_core::demand::DemandRates;
@@ -59,8 +57,10 @@ pub trait ReplicationPolicy {
 pub enum PolicyKind {
     /// Query Counting Replication (§5) with the given knobs.
     Qcr(QcrConfig),
-    /// A fixed allocation (perfect control channel): caches are pinned to
-    /// the given replica counts and never change.
+    /// A fixed allocation: §6.1's competitors "have access to a perfect
+    /// control-channel", so caches are pinned to the given replica counts
+    /// (a fresh random placement each trial, by [`PolicyKind::place`])
+    /// and never change; a meeting only fulfills requests.
     Static {
         /// Human-readable label (e.g. "OPT", "UNI").
         label: &'static str,
@@ -170,32 +170,33 @@ impl PolicyKind {
         state.load_allocation(&AllocationMatrix::from_counts_shuffled(counts, rho, rng));
     }
 
-    /// Instantiate the policy for one trial of `config` on a population
-    /// of `nodes` nodes, at reference contact rate `mu_ref`.
+    /// Instantiate the policy's contact rules for one trial of `config` on
+    /// a population of `nodes` nodes, at reference contact rate `mu_ref`;
+    /// `None` for a pinned allocation, whose meetings move nothing.
     pub fn instantiate(
         &self,
         config: &SimConfig,
         nodes: usize,
         mu_ref: f64,
-    ) -> Box<dyn ReplicationPolicy> {
+    ) -> Option<Box<dyn ReplicationPolicy>> {
         assert!(
             config.dedicated_servers.unwrap_or(nodes) <= nodes,
             "need servers ≤ nodes"
         );
         if let Some(cfg) = self.qcr_config() {
             let rules = QcrRules::for_trial(cfg, config, nodes, mu_ref);
-            return Box::new(Qcr::new(rules, nodes));
+            return Some(Box::new(Qcr::new(rules, nodes)));
         }
         match self {
             PolicyKind::Qcr(_) | PolicyKind::Passive { .. } => unreachable!("handled above"),
-            PolicyKind::Static { .. } => Box::new(StaticAllocation),
+            PolicyKind::Static { .. } => None,
             PolicyKind::HillClimb => {
                 let mu = if mu_ref > 0.0 { mu_ref } else { 1.0 };
-                Box::new(hill_climb::HillClimb::new(
+                Some(Box::new(hill_climb::HillClimb::new(
                     config.system(nodes, mu),
                     config.demand.clone(),
                     config.protocol(),
-                ))
+                )))
             }
         }
     }
@@ -237,5 +238,47 @@ mod tests {
             .collect();
         assert_eq!(labels, ["UNI", "SQRT", "PROP", "DOM"]);
         assert!(PolicyKind::fixed("opt", &demand, 10, 2).is_none());
+    }
+
+    fn pinned(counts: ReplicaCounts) -> PolicyKind {
+        PolicyKind::Static {
+            label: "PINNED",
+            counts,
+        }
+    }
+
+    #[test]
+    fn place_pins_exact_counts() {
+        let mut rng = Xoshiro256::seed_from_u64(1);
+        let counts = ReplicaCounts::new(vec![3, 2, 0, 1], 4);
+        let mut state = SimState::new(4, 4, 2);
+        pinned(counts).place(&mut state, &mut rng);
+        assert_eq!(state.replicas, vec![3, 2, 0, 1]);
+    }
+
+    #[test]
+    fn only_a_pinned_allocation_has_no_contact_rules() {
+        let config = SimConfig::builder(2, 1).build();
+        let rules = |policy: PolicyKind| policy.instantiate(&config, 4, 1.0).is_some();
+        assert!(!rules(pinned(ReplicaCounts::new(vec![2, 2], 4))));
+        assert!(rules(PolicyKind::qcr_default()));
+        assert!(rules(PolicyKind::Passive { replicas: 1.0 }));
+        assert!(rules(PolicyKind::HillClimb));
+    }
+
+    #[test]
+    fn trials_differ_in_placement_but_not_counts() {
+        let counts = ReplicaCounts::new(vec![2, 1, 1], 4);
+        let run = |seed| {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let mut state = SimState::new(4, 3, 1);
+            pinned(counts.clone()).place(&mut state, &mut rng);
+            let holders: Vec<Vec<u32>> = state.caches.iter().map(|c| c.items().to_vec()).collect();
+            (state.replicas.clone(), holders)
+        };
+        let (c1, h1) = run(1);
+        let (c2, h2) = run(99);
+        assert_eq!(c1, c2);
+        assert_ne!(h1, h2, "placements should be shuffled per trial");
     }
 }

@@ -478,11 +478,10 @@ pub(crate) fn run_net_trial_observed<S: Sink>(
         )));
     }
     let mut state = SimState::default();
-    let (mut frame, _) = Frame::begin(
+    let mut frame = Frame::begin(
         &config,
         &PolicyKind::qcr_default(),
         n_nodes,
-        source.mean_rate(),
         duration,
         rng,
         seed,

@@ -39,5 +39,5 @@ pub mod wire;
 pub use config::{ChaosEvent, ChaosKind, NetConfig};
 pub use error::NetError;
 pub use kernel::{run_net_trial, Conservation, NetStats, NetTrialOutcome};
-pub use runner::{run_net_trials, run_net_trials_observed, NetAggregate};
+pub use runner::{run_net_trials_observed, NetAggregate};
 pub use wire::{Msg, WireError};

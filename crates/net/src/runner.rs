@@ -153,29 +153,6 @@ impl NetAggregate {
     }
 }
 
-/// Run `trials` distributed trials in parallel and aggregate.
-///
-/// The first trial error (in trial order, not completion order) aborts
-/// the batch — a conservation violation on seed `base_seed + k` is
-/// reported for that seed whatever the thread interleaving was.
-pub fn run_net_trials(
-    config: &SimConfig,
-    source: &ContactSource,
-    net: &NetConfig,
-    trials: usize,
-    base_seed: u64,
-) -> Result<NetAggregate, NetError> {
-    run_net_trials_observed(
-        config,
-        source,
-        net,
-        trials,
-        base_seed,
-        None,
-        &mut Recorder::disabled(),
-    )
-}
-
 /// Trial `k` of a batch: one kernel run on seed `base_seed + k`.
 struct SeededNetTrials<'a> {
     config: &'a SimConfig,
@@ -207,8 +184,13 @@ impl TrialJob for SeededNetTrials<'_> {
     }
 }
 
-/// [`run_net_trials`] with instrumentation and an explicit worker count
-/// (`None` picks one per available core).
+/// Run `trials` distributed trials in parallel, on `workers` threads
+/// (`None` picks one per available core), and aggregate.
+///
+/// # Errors
+/// The first trial error in trial order, not completion order, aborts the
+/// batch: a conservation violation on seed `base_seed + k` is reported for
+/// that seed whatever the thread interleaving was.
 ///
 /// # Panics
 /// Re-raises, with its message, the panic of the lowest-numbered trial
@@ -281,7 +263,8 @@ mod tests {
     fn metrics_lint_and_carry_every_counter_and_conservation_term() {
         let config = SimConfig::builder(6, 2).build();
         let source = ContactSource::homogeneous(8, 0.1, 300.0);
-        let agg = run_net_trials(&config, &source, &NetConfig::default(), 2, 5).unwrap();
+        let (net, rec) = (NetConfig::default(), &mut Recorder::disabled());
+        let agg = run_net_trials_observed(&config, &source, &net, 2, 5, None, rec).unwrap();
         let reg = agg.registry(&Recorder::disabled());
         let samples = parse_prometheus(&reg.render()).expect("the registry lints");
         let value = |name: &str, labels: &[(&str, &str)]| {

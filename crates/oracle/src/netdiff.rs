@@ -31,7 +31,8 @@
 
 use impatience_core::utility::parse_utility;
 use impatience_net::config::MSG_DELAY;
-use impatience_net::{run_net_trial, run_net_trials, NetAggregate, NetConfig, NetError};
+use impatience_net::{run_net_trial, run_net_trials_observed, NetAggregate, NetConfig, NetError};
+use impatience_obs::Recorder;
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::engine::run_trial;
 use impatience_sim::faults::{FaultConfig, MsgFaults};
@@ -270,7 +271,9 @@ pub fn net_panel(seed: u64, quick: bool) -> Result<NetPanelReport, NetError> {
             }),
             ..FaultConfig::default()
         });
-        lossy.push((loss, run_net_trials(&config, &source, &net, trials, seed)?));
+        let disabled = &mut Recorder::disabled();
+        let agg = run_net_trials_observed(&config, &source, &net, trials, seed, None, disabled)?;
+        lossy.push((loss, agg));
     }
     Ok(NetPanelReport {
         trials,

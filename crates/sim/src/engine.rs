@@ -360,23 +360,22 @@ pub struct Frame<'a, S: Sink> {
 
 impl<'a, S: Sink> Frame<'a, S> {
     /// Begin a trial of `policy` on `state`, reset for `nodes` nodes: the
-    /// policy places the caches from `rng` as [`seed_trial`] left it, and
-    /// its contact rules, if it has any, come back for the engine's
-    /// exchange (a runtime with a protocol of its own drops them).
-    /// `config` is resolved for `nodes` ([`SimConfig::try_resolved`]);
-    /// `mu_ref` is the reference rate.
+    /// policy places the caches from `rng` as [`seed_trial`] left it and
+    /// names the trial. Its contact rules are the driver's to build
+    /// ([`PolicyKind::instantiate`]); a runtime with a protocol of its own
+    /// builds none. `config` is resolved for `nodes`
+    /// ([`SimConfig::try_resolved`]).
     #[allow(clippy::too_many_arguments)] // one trial's whole context
     pub fn begin(
         config: &'a SimConfig,
         policy: &PolicyKind,
         nodes: usize,
-        mu_ref: f64,
         duration: f64,
         mut rng: Xoshiro256,
         seed: u64,
         rec: &'a mut Recorder<S>,
         state: &mut SimState,
-    ) -> (Self, Option<Box<dyn ReplicationPolicy>>) {
+    ) -> Self {
         let wall_start = rec.is_active().then(Instant::now);
         rec.trial_start();
         // Population shape: pure P2P (every node serves) or dedicated
@@ -385,7 +384,6 @@ impl<'a, S: Sink> Frame<'a, S> {
         state.reset(nodes, servers, config.items, config.rho);
         state.set_eviction(config.eviction);
         policy.place(state, &mut rng);
-        let placed = policy.instantiate(config, nodes, mu_ref);
         // Faults run on the fault root, never on `rng`: an *inactive*
         // FaultConfig leaves the trajectory bit-for-bit unchanged.
         let faults = config
@@ -393,7 +391,7 @@ impl<'a, S: Sink> Frame<'a, S> {
             .as_ref()
             .and_then(|f| f.for_trial(seed))
             .map(|f| FaultState::new(f, nodes, servers, duration, seed));
-        let frame = Frame {
+        Frame {
             config,
             faults,
             client_base: config.dedicated_servers.unwrap_or(0),
@@ -404,8 +402,7 @@ impl<'a, S: Sink> Frame<'a, S> {
             metrics: Metrics::new(duration, config.bin),
             rec,
             rng,
-        };
-        (frame, placed)
+        }
     }
 
     /// Fire the cache-slot faults due by `t`. Drivers call this before
@@ -865,10 +862,9 @@ fn drive_lanes<S: Sink>(
             let rng = rng.clone();
             Guarded::begin(move || {
                 let state = &mut scratch.state;
-                let (frame, policy) = Frame::begin(
-                    config, policy, nodes, mu_ref, duration, rng, seed, rec, state,
-                );
-                Lane::new(Trial::new(frame, policy, scratch), nodes, mu_ref)
+                let frame = Frame::begin(config, policy, nodes, duration, rng, seed, rec, state);
+                let rules = policy.instantiate(config, nodes, mu_ref);
+                Lane::new(Trial::new(frame, rules, scratch), nodes, mu_ref)
             })
         })
         .collect();

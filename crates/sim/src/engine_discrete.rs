@@ -102,18 +102,18 @@ pub fn run_trial_discrete<S: Sink>(
     let mut rng = streams::trial(seed);
     let mut contacts = source.stream(&mut rng);
     let mut scratch = TrialScratch::new();
-    let (frame, policy) = Frame::begin(
+    let frame = Frame::begin(
         &config,
         &policy,
         nodes,
-        mu,
         source.duration(),
         rng,
         seed,
         rec,
         &mut scratch.state,
     );
-    let mut trial = Trial::new(frame, policy, &mut scratch);
+    let rules = policy.instantiate(&config, nodes, mu);
+    let mut trial = Trial::new(frame, rules, &mut scratch);
     let (demand, total_rate) = (Demand::new(&config), config.demand.total());
     let snapshot_system = SystemModel::pure_p2p(nodes, config.rho, mu);
     let snapshot_every = (config.bin / delta).max(1.0) as u64;

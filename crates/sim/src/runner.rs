@@ -360,17 +360,15 @@ pub fn default_workers() -> usize {
 }
 
 /// [`run_trials`] with instrumentation and an explicit worker count
-/// (`None` picks one per available core). The batch shards across worker
-/// threads whether or not the recorder is live, and what it records is a
+/// (`None` picks one per available core): the [`run_campaign`] of one
+/// lane with no checkpoint file, run as one chunk. What it records is a
 /// pure function of `(config, source, policy, trials, base_seed)` (see
-/// [`run_jobs`]): trial trajectories, tallies, and the event stream are
-/// independent of the worker count by construction; the override exists
-/// for determinism tests and for sharing a host. Wall-clock telemetry
-/// (total, per-trial, worker utilization) is collected on every path.
+/// [`run_jobs`]), whatever the worker count; the override exists for
+/// determinism tests and for sharing a host.
 ///
 /// # Panics
 /// Re-raises, with its message, the panic of the lowest-numbered trial
-/// that panicked.
+/// that panicked; an invalid configuration panics with its error.
 pub fn run_trials_observed_with_workers<S: Sink>(
     config: &SimConfig,
     source: &ContactSource,
@@ -380,36 +378,17 @@ pub fn run_trials_observed_with_workers<S: Sink>(
     workers: Option<usize>,
     rec: &mut Recorder<S>,
 ) -> TrialAggregate {
-    assert!(trials > 0, "need at least one trial");
-    let batch_start = Instant::now();
-    let workers = workers.unwrap_or_else(default_workers).max(1).min(trials);
-    let job = SeededLanes {
-        config,
-        source,
-        policies: &[policy],
-        done: &[HashSet::new()],
-        base_seed,
-    };
-    let all: Vec<usize> = (0..trials).collect();
-    let (results, busy_s) = run_jobs(&all, workers, &job, rec);
-    let mut trial_s = 0.0;
-    let outcomes: Vec<TrialOutcome> = results
-        .into_iter()
-        .map(|(_, _, result)| {
-            let (outcome, lane_s) = result.unwrap_or_else(|message| panic!("{message}"));
-            trial_s += lane_s;
-            outcome
-        })
-        .collect();
-    let telemetry = BatchTelemetry {
+    let options = CampaignOptions {
+        checkpoint_every: 0,
         workers,
-        wall_s: batch_start.elapsed().as_secs_f64(),
-        busy_s,
-        trial_s,
-        trials,
+        ..CampaignOptions::default()
     };
-    let _agg_span = impatience_obs::span!("aggregate");
-    aggregate(policy.label(), &outcomes, config.warmup_fraction, telemetry)
+    match run_campaign(config, source, policy, trials, base_seed, &options, rec) {
+        Ok(outcome) if outcome.skipped.is_empty() => outcome.aggregate,
+        Ok(CampaignOutcome { skipped, .. })
+        | Err(CampaignError::AllTrialsFailed { skipped, .. }) => panic!("{}", skipped[0].1),
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Aggregate of a batch of *intra-trial sharded* trials
@@ -599,8 +578,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fault-tolerant campaign: [`run_trials_observed_with_workers`] plus skip-and-report
-/// on panicking trials and checkpoint/resume.
+/// Fault-tolerant batch of `trials` trials of `policy`, trial `k` on seed
+/// `base_seed + k`: skip-and-report on panicking trials and, with a
+/// checkpoint file, checkpoint/resume.
 ///
 /// If [`CampaignOptions::checkpoint_path`] names an existing checkpoint
 /// for the **same** campaign (fingerprint, trial count, and base seed
@@ -794,6 +774,7 @@ pub fn run_campaigns<S: Sink>(
     }
 
     let wall_s = batch_start.elapsed().as_secs_f64();
+    let _agg_span = impatience_obs::span!("aggregate");
     let outcomes = campaigns.iter().zip(&lanes).map(|(campaign, policy)| {
         let mut outcomes = Vec::new();
         let mut skipped = Vec::new();
@@ -826,7 +807,7 @@ pub fn run_campaigns<S: Sink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_trial_observed;
+    use crate::engine::{run_trial, run_trial_observed};
     use impatience_core::demand::Popularity;
     use impatience_core::utility::Step;
     use std::sync::Arc;
@@ -969,10 +950,20 @@ mod tests {
     }
 
     #[test]
-    fn campaign_without_faults_matches_run_trials_bit_for_bit() {
+    fn campaign_without_faults_matches_the_separate_trials_bit_for_bit() {
         let (config, source) = quick_setup();
         let policy = PolicyKind::qcr_default();
-        let plain = run_trials(&config, &source, &policy, 6, 50);
+        let separate: Vec<TrialOutcome> = (50..56)
+            .map(|seed| run_trial(&config, &source, policy.clone(), seed))
+            .collect();
+        let telemetry = BatchTelemetry {
+            workers: 1,
+            wall_s: 0.0,
+            busy_s: 0.0,
+            trial_s: 0.0,
+            trials: 6,
+        };
+        let reference = aggregate(policy.label(), &separate, config.warmup_fraction, telemetry);
         let campaign = run_campaign(
             &config,
             &source,
@@ -987,14 +978,41 @@ mod tests {
         assert_eq!(campaign.resumed, 0);
         assert_eq!(campaign.executed, 6);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&campaign.aggregate.rates), bits(&plain.rates));
+        assert_eq!(bits(&campaign.aggregate.rates), bits(&reference.rates));
         assert_eq!(
             bits(&campaign.aggregate.mean_final_replicas),
-            bits(&plain.mean_final_replicas)
+            bits(&reference.mean_final_replicas)
         );
         assert_eq!(
             campaign.aggregate.mean_rate.to_bits(),
-            plain.mean_rate.to_bits()
+            reference.mean_rate.to_bits()
+        );
+    }
+
+    #[test]
+    fn a_plain_batch_re_raises_its_lowest_numbered_panic() {
+        let (mut config, source) = quick_setup();
+        config.faults = Some(crate::faults::FaultConfig {
+            panic_on_seeds: vec![61, 63],
+            ..Default::default()
+        });
+        let policy = PolicyKind::qcr_default();
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            run_trials_observed_with_workers(
+                &config,
+                &source,
+                &policy,
+                5,
+                60,
+                Some(2),
+                &mut Recorder::disabled(),
+            )
+        }))
+        .expect_err("a panicking trial panics the batch");
+        let message = panic_message(panic);
+        assert!(
+            message.contains("chaos panic for trial seed 61"),
+            "{message}"
         );
     }
 

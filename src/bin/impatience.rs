@@ -57,9 +57,7 @@ use impatience_serve::{ServeConfig, Server};
 use impatience_sim::config::SimConfig;
 use impatience_sim::faults::{CacheFaults, Churn, ContactDrop, FaultConfig, MsgFaults};
 use impatience_sim::policy::PolicyKind;
-use impatience_sim::runner::{
-    run_trials_observed_with_workers, run_trials_sharded, CampaignOutcome,
-};
+use impatience_sim::runner::run_trials_sharded;
 use impatience_sim::sharded::LOGICAL_SHARDS;
 use impatience_traces::gen::{ConferenceConfig, VehicularConfig};
 use impatience_traces::{read_trace_file, write_trace, TraceError};
@@ -378,7 +376,8 @@ CHECKPOINTING (simulate):
   --checkpoint FILE      save campaign state to FILE after every chunk of
                          trials (atomic rename); panicking trials are
                          skipped and reported instead of killing the run
-  --checkpoint-every N   trials per chunk (default 16; 0 = end only)
+  --checkpoint-every N   trials per chunk (default 16; 0 = end only);
+                         only with --checkpoint
   resume CKPT            re-run the invocation stored in CKPT, restoring
                          finished trials bit-identically and running the rest
 
@@ -415,7 +414,8 @@ const ACCEPTED: &[(&str, usize, &[&str])] = &[
     ("-h", 0, &[]),
     ("solve", 0, &[SYSTEM, "verbose"]),
     ("solve --incremental", 0, &[SYSTEM, "incremental deltas seed stale-eps"]),
-    ("simulate", 1, &[SCENARIO, FAULTS, "policy workers trace-out verbose profile", CHECKPOINT]),
+    ("simulate", 1, &[SCENARIO, FAULTS, SIMULATE]),
+    ("simulate --checkpoint", 1, &[SCENARIO, FAULTS, SIMULATE, CHECKPOINT]),
     ("simulate --shards", 0, &[SCENARIO, SOURCE, FAULTS, "policy shards verbose profile"]),
     ("netrun", 0, &[SCENARIO, SOURCE, FAULTS, NET]),
     ("netrun TRACE", 1, &[SCENARIO, FAULTS, NET]),
@@ -435,6 +435,7 @@ const SYSTEM: &str = "items omega servers rho mu clients utility";
 const SCENARIO: &str = "items omega rho trials seed utility";
 const SOURCE: &str = "nodes mu duration";
 const FAULTS: &str = "fault-seed drop-p drop-burst churn-up churn-down cache-fault-rate truncate";
+const SIMULATE: &str = "policy workers trace-out verbose profile";
 const CHECKPOINT: &str = "checkpoint checkpoint-every abort-after-chunks";
 const NET: &str = "loss-p dup-p reorder deadline kill stall workers trace-out verbose";
 
@@ -1180,11 +1181,11 @@ fn write_manifest(
     Ok(())
 }
 
-/// `impatience simulate TRACE`: a batch of trials of one policy on a
-/// contact trace. With `--checkpoint` the batch is a campaign: trials run
-/// behind a panic barrier (skip-and-report), progress commits to the
-/// checkpoint file after every chunk, and `resume` picks up exactly where
-/// a killed process stopped.
+/// `impatience simulate TRACE`: a campaign of trials of one policy on a
+/// contact trace, each trial behind a panic barrier (skip-and-report).
+/// With `--checkpoint`, progress commits to the checkpoint file after
+/// every chunk, and `resume` picks up exactly where a killed process
+/// stopped.
 fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
     if args.options.contains_key("shards") {
         return simulate_sharded(args);
@@ -1205,34 +1206,20 @@ fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
         Ok(greedy_heterogeneous(&system, demand, &config.profile, utility).to_counts())
     })?;
     let source = ContactSource::trace(trace);
-    let workers: Option<usize> = args.get_opt("workers")?;
     let checkpoint = args.options.get("checkpoint").map(PathBuf::from);
-    let campaign = match &checkpoint {
-        Some(path) => Some(CampaignOptions {
-            checkpoint_path: Some(path.clone()),
-            checkpoint_every: args.get("checkpoint-every", 16)?,
-            workers,
-            // Undocumented test hook: die after N chunks as if killed.
-            abort_after_chunks: args.get_opt("abort-after-chunks")?,
-            cli_args: invocation.to_vec(),
-        }),
-        None => None,
+    // Without a file a batch is one chunk: a boundary would save nothing.
+    let every = if checkpoint.is_some() { 16 } else { 0 };
+    let options = CampaignOptions {
+        checkpoint_path: checkpoint.clone(),
+        checkpoint_every: args.get("checkpoint-every", every)?,
+        workers: args.get_opt("workers")?,
+        // Undocumented test hook: die after N chunks as if killed.
+        abort_after_chunks: args.get_opt("abort-after-chunks")?,
+        cli_args: invocation.to_vec(),
     };
 
     let (outcome, seen) = observe!(scope, |rec| {
-        let (trials, seed) = (s.trials, s.seed);
-        let outcome = match &campaign {
-            Some(options) => run_campaign(config, &source, &policy, trials, seed, options, rec)?,
-            // A plain batch: a panicking trial takes the process down.
-            None => CampaignOutcome {
-                aggregate: run_trials_observed_with_workers(
-                    config, &source, &policy, trials, seed, workers, rec,
-                ),
-                skipped: Vec::new(),
-                resumed: 0,
-                executed: trials,
-            },
-        };
+        let outcome = run_campaign(config, &source, &policy, s.trials, s.seed, &options, rec)?;
         Ok((outcome, scope.seen(rec)?))
     });
 

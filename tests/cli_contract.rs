@@ -579,6 +579,17 @@ fn usage_messages() {
             case.run("trace diff a.jsonl b.jsonl --top 3 -o x.prom"),
             "--top",
         ),
+        // Chunking and the abort hook shape a checkpointed campaign only.
+        (
+            "simulate",
+            case.run("simulate trace.txt --checkpoint-every 3 --abort-after-chunks 1"),
+            "--checkpoint-every",
+        ),
+        (
+            "simulate",
+            case.run("simulate trace.txt --abort-after-chunks 1"),
+            "--abort-after-chunks",
+        ),
     ];
     // A count of zero, and a net config the runtime cannot honor.
     let zero = [

@@ -35,7 +35,13 @@
 //!
 //! Span durations feed a [`Histogram`] in **microseconds** over
 //! `[0, ~67s)` with 4096 buckets (~16.4 ms resolution); wall, self,
-//! calls, mean and max are exact, p50/p95 are bucket-resolution.
+//! calls and mean (wall ÷ calls) are exact, p50/p95 are
+//! bucket-resolution.
+//!
+//! A hot loop may time a run of occurrences under one guard and count
+//! the rest with [`add_calls`] (one clock pair per run, not per call).
+//! Calls, paths and wall totals stay exact; the histogram and max of
+//! such a span then describe runs, not single occurrences.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -104,6 +110,24 @@ fn enter_slow(name: &'static str) -> SpanGuard {
         // nothing rather than panic.
         None => SpanGuard { open: None },
     }
+}
+
+/// Count `n` more completed calls of `name` as a child of the innermost
+/// open span on this thread, adding no wall time and no histogram
+/// sample: for occurrences timed inside another guard, or skipped
+/// because they would have done nothing. Disarmed, it costs what
+/// [`enter`] does.
+#[inline]
+pub fn add_calls(name: &'static str, n: u64) {
+    if n > 0 && is_enabled() {
+        add_calls_slow(name, n);
+    }
+}
+
+#[inline(never)]
+fn add_calls_slow(name: &'static str, n: u64) {
+    // Ignore a destroyed thread-local during teardown.
+    let _ = LOCAL.try_with(|cell| cell.profiler.borrow_mut().add_calls(name, n));
 }
 
 /// RAII handle for one span occurrence; closes the span on drop.
@@ -239,8 +263,22 @@ impl LocalProfiler {
     ///
     /// [`exit`]: LocalProfiler::exit
     pub fn enter(&mut self, name: &'static str) -> usize {
+        let id = self.child(name);
+        self.stack.push(id);
+        id
+    }
+
+    /// Count `n` completed calls of `name` under the innermost open span,
+    /// with no wall time ([`add_calls`]).
+    fn add_calls(&mut self, name: &'static str, n: u64) {
+        let id = self.child(name);
+        self.nodes[id].tally.calls += n;
+    }
+
+    /// The node of `name` under the innermost open span, made on first use.
+    fn child(&mut self, name: &'static str) -> usize {
         let parent = self.stack.last().copied().unwrap_or(NO_PARENT);
-        let id = match self.index.get(&(parent, name)) {
+        match self.index.get(&(parent, name)) {
             Some(&id) => id,
             None => {
                 let id = self.nodes.len();
@@ -252,9 +290,7 @@ impl LocalProfiler {
                 self.index.insert((parent, name), id);
                 id
             }
-        };
-        self.stack.push(id);
-        id
+        }
     }
 
     /// Close the span opened as node `id`, attributing `elapsed_s`
@@ -381,7 +417,7 @@ impl PhaseAgg {
                 calls: tally.calls,
                 wall_s: tally.wall_s,
                 self_s: tally.wall_s,
-                mean_s: secs(tally.hist.mean()),
+                mean_s: (tally.calls > 0).then(|| tally.wall_s / tally.calls as f64),
                 p50_s: secs(tally.hist.p50()),
                 p95_s: secs(tally.hist.p95()),
                 max_s: secs(tally.hist.max()),
@@ -422,13 +458,14 @@ pub struct PhaseStat {
     /// Wall time not attributed to direct children, seconds. Can dip
     /// below zero by clock granularity when children overlap readings.
     pub self_s: f64,
-    /// Mean occurrence duration, seconds (exact).
+    /// Mean occurrence duration, wall ÷ calls, seconds (exact).
     pub mean_s: Option<f64>,
     /// Median occurrence duration, seconds (bucket resolution).
     pub p50_s: Option<f64>,
     /// 95th-percentile occurrence duration, seconds (bucket resolution).
     pub p95_s: Option<f64>,
-    /// Longest occurrence, seconds (exact).
+    /// Longest timed occurrence, seconds (exact; a batched span's
+    /// longest run).
     pub max_s: Option<f64>,
 }
 
@@ -593,6 +630,29 @@ mod tests {
             assert_eq!(report.phases[1].calls, 3);
             assert_eq!(report.phases[1].depth, 1);
             assert!(report.phases[0].wall_s >= report.phases[1].wall_s);
+        });
+    }
+
+    #[test]
+    fn added_calls_count_without_timing() {
+        run_serial(|| {
+            add_calls("idle", 5);
+            assert!(take_aggregate().report().is_empty(), "disarmed");
+            enable();
+            {
+                let _outer = enter("outer");
+                {
+                    let _run = enter("inner");
+                }
+                add_calls("inner", 3);
+                add_calls("inner", 0);
+            }
+            let report = take_aggregate().report();
+            let inner = &report.phases[1];
+            assert_eq!(inner.path, "outer/inner");
+            assert_eq!(inner.calls, 4);
+            assert_eq!(inner.mean_s, Some(inner.wall_s / 4.0));
+            assert_eq!(report.phases[0].calls, 1);
         });
     }
 

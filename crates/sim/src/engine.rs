@@ -40,7 +40,7 @@
 use impatience_core::demand::DemandRates;
 use impatience_core::rng::{AliasTable, Xoshiro256};
 use impatience_core::types::SystemModel;
-use impatience_obs::{Recorder, Sink};
+use impatience_obs::{span, Recorder, Sink};
 use impatience_traces::{ContactEvent, ContactStream};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -729,20 +729,51 @@ impl<'a, S: Sink> Lane<'a, S> {
     }
 
     /// [`Lane::step`] through `contacts`: a run of contacts before the
-    /// next non-contact event goes straight to the meeting, the first
-    /// contact at or past it through `step`.
-    fn batch(&mut self, contacts: &[ContactEvent]) {
-        let mut quiet = self.quiet();
-        for e in contacts {
-            if e.time < quiet {
-                let _s = impatience_obs::span!("contact");
-                self.trial
-                    .meeting(e.time, e.a, e.b, |created| e.time - created);
-            } else {
-                self.step(Some(e));
-                quiet = self.quiet();
-            }
+    /// next non-contact event goes straight to the meetings
+    /// ([`Lane::quiet_run`]), the first contact at or past it through
+    /// `step`.
+    fn batch(&mut self, mut contacts: &[ContactEvent]) {
+        while !contacts.is_empty() {
+            let quiet = self.quiet();
+            let run = contacts.iter().take_while(|e| e.time < quiet).count();
+            self.quiet_run(&contacts[..run]);
+            let Some(e) = contacts.get(run) else {
+                return;
+            };
+            self.step(Some(e));
+            contacts = &contacts[run + 1..];
         }
+    }
+
+    /// Meet at each contact of `run`, all before the lane's next
+    /// non-contact event. The run is timed as one `contact` span and
+    /// counted as one call per contact (DESIGN §13).
+    ///
+    /// A lane with no contact rules, no fault model and an inactive sink
+    /// skips a meeting at which neither node has a request pending: with
+    /// no drop to draw, nothing to record and no replication, such a
+    /// meeting changes nothing ([`RequestArena::meet`]). Its `exchange`
+    /// and `policy` calls are still counted.
+    fn quiet_run(&mut self, run: &[ContactEvent]) {
+        if run.is_empty() {
+            return;
+        }
+        let trial = &mut self.trial;
+        let skips = !S::ACTIVE && trial.policy.is_none() && trial.frame.faults.is_none();
+        let span = impatience_obs::span!("contact");
+        let mut skipped = 0;
+        for e in run {
+            let requests = &trial.scratch.requests;
+            if skips && !requests.has_pending(e.a as usize) && !requests.has_pending(e.b as usize) {
+                skipped += 1;
+                continue;
+            }
+            trial.meeting(e.time, e.a, e.b, |created| e.time - created);
+        }
+        span::add_calls("exchange", skipped);
+        span::add_calls("policy", skipped);
+        span.close();
+        span::add_calls("contact", run.len() as u64 - 1);
     }
 
     /// Past the last contact: step to the horizon and take the trailing
@@ -1255,21 +1286,20 @@ mod tests {
             ]
         }
 
-        /// Every lane of `policies` on `source`, `drive` taking a lane
-        /// through each batch: the outcomes as bits (metrics in their
-        /// checkpoint encoding, floats as bit patterns) and the events.
-        fn lanes(
+        /// Every lane of `policies` on `source`, each against a recorder
+        /// from `rec`, `drive` taking a lane through each batch: the
+        /// outcomes as bits (metrics in their checkpoint encoding, floats
+        /// as bit patterns) beside the recorders.
+        fn outcomes<S: Sink>(
             config: &SimConfig,
             source: &ContactSource,
             seed: u64,
             policies: &[PolicyKind],
-            drive: impl Fn(&mut Lane<'_, MemorySink>, &[ContactEvent]),
-        ) -> Vec<(String, Vec<Event>)> {
+            rec: impl Fn() -> Recorder<S>,
+            drive: impl Fn(&mut Lane<'_, S>, &[ContactEvent]),
+        ) -> Vec<(String, Recorder<S>)> {
             let policies: Vec<&PolicyKind> = policies.iter().collect();
-            let mut recs: Vec<_> = policies
-                .iter()
-                .map(|_| Recorder::new(MemorySink::new()))
-                .collect();
+            let mut recs: Vec<_> = policies.iter().map(|_| rec()).collect();
             let mut scratches: Vec<_> = policies.iter().map(|_| TrialScratch::new()).collect();
             let outcomes = drive_lanes(
                 config,
@@ -1291,6 +1321,23 @@ mod tests {
                         outcome.metrics.to_json(),
                         outcome.final_replicas
                     );
+                    (bits, rec)
+                })
+                .collect()
+        }
+
+        /// [`outcomes`] on memory sinks, with each lane's event stream.
+        fn lanes(
+            config: &SimConfig,
+            source: &ContactSource,
+            seed: u64,
+            policies: &[PolicyKind],
+            drive: impl Fn(&mut Lane<'_, MemorySink>, &[ContactEvent]),
+        ) -> Vec<(String, Vec<Event>)> {
+            let memory = || Recorder::new(MemorySink::new());
+            outcomes(config, source, seed, policies, memory, drive)
+                .into_iter()
+                .map(|(bits, rec)| {
                     // A lane's wall time is the one thing allowed to differ.
                     let events = rec
                         .sink()
@@ -1307,11 +1354,11 @@ mod tests {
         }
 
         /// The reference driver: [`Lane::step`] once per contact.
-        fn stepped(lane: &mut Lane<'_, MemorySink>, batch: &[ContactEvent]) {
+        fn stepped<S: Sink>(lane: &mut Lane<'_, S>, batch: &[ContactEvent]) {
             batch.iter().for_each(|e| lane.step(Some(e)));
         }
 
-        fn batched(lane: &mut Lane<'_, MemorySink>, batch: &[ContactEvent]) {
+        fn batched<S: Sink>(lane: &mut Lane<'_, S>, batch: &[ContactEvent]) {
             lane.batch(batch);
         }
 
@@ -1375,6 +1422,31 @@ mod tests {
                 for (lane, (want, got)) in want.iter().zip(&got).enumerate() {
                     prop_assert!(want.0 == got.0, "lane {}: outcomes differ", lane);
                     prop_assert!(want.1 == got.1, "lane {}: event streams differ", lane);
+                }
+            }
+
+            /// On an inactive recorder a fault-free pinned lane skips the
+            /// meetings at which neither node has a request pending
+            /// (`Lane::quiet_run`); every lane's outcome still equals
+            /// that of stepping each contact, which never skips.
+            #[test]
+            fn skipped_meetings_change_nothing(
+                seed in 0u64..10_000,
+                setting in 0u32..8,
+            ) {
+                let on = |bit: u32| setting & (1 << bit) != 0;
+                let config = config(on(0), false, on(1));
+                let policies = policies(&config);
+                let source = if on(2) {
+                    tied_trace(&config, seed, &policies)
+                } else {
+                    ContactSource::homogeneous(NODES, 0.02, DURATION)
+                };
+                let disabled = Recorder::disabled;
+                let want = outcomes(&config, &source, seed, &policies, disabled, stepped);
+                let got = outcomes(&config, &source, seed, &policies, disabled, batched);
+                for (lane, (want, got)) in want.iter().zip(&got).enumerate() {
+                    prop_assert!(want.0 == got.0, "lane {}: outcomes differ", lane);
                 }
             }
         }

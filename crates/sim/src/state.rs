@@ -500,9 +500,11 @@ fn pending_bit(item: u32) -> (usize, u64) {
 /// * **Round counter and baseline column.** Property 2's `y` — the
 ///   queries a request has made since it was created — is the number of
 ///   cache-carrying peers its *node* has met since then. `rounds[node]`
-///   counts those meetings; `queries[entry]` holds the counter's value
-///   at `push`, and the difference is taken at fulfillment. A meeting
-///   that fulfills nothing touches no entry.
+///   counts those meetings while the node has a request pending (every
+///   meeting a queued request sees, so none of its queries is lost);
+///   `queries[entry]` holds the counter's value at `push`, and the
+///   difference is taken at fulfillment. A meeting that fulfills nothing
+///   touches no entry, and one at an idle node touches nothing at all.
 /// * **Pending-item index.** `pending` is a per-node bitset of the items
 ///   with at least one queued request (`⌈items/64⌉` words per node). A
 ///   meeting tests the peer's ≤ ρ cached items against it and walks the
@@ -534,8 +536,8 @@ pub struct RequestArena {
     free: u32,
     /// Live entries across all nodes.
     len: u64,
-    /// Meetings with a cache-carrying peer so far, per node (empty
-    /// unless sized by [`RequestArena::reset_indexed`]).
+    /// Meetings with a cache-carrying peer while a request was pending,
+    /// per node (empty unless sized by [`RequestArena::reset_indexed`]).
     rounds: Vec<u64>,
     /// Per-node bitset of items with a pending request, `words` words
     /// per node (empty unless sized by [`RequestArena::reset_indexed`]).
@@ -618,6 +620,13 @@ impl RequestArena {
         self.len == 0
     }
 
+    /// Whether `node` has a request pending: when neither side of a
+    /// meeting has one, [`RequestArena::meet`] does nothing on either.
+    #[inline]
+    pub(crate) fn has_pending(&self, node: usize) -> bool {
+        self.head[node] != NIL
+    }
+
     /// Append a fresh request (zero queries) to `node`'s queue.
     pub fn push(&mut self, node: usize, item: u32, created: f64) {
         // Without round counters (`reset`) the column starts at 0, which
@@ -681,20 +690,18 @@ impl RequestArena {
     /// nor advances the round counter. Nor does a meeting the fault model
     /// dropped, for which the engines do not call this at all.
     ///
-    /// Costs O(1) when `node` has nothing pending (the common case: the
-    /// peer's slots are not even loaded), O(ρ) when nothing is fulfilled
-    /// and one pass over `node`'s queue otherwise. The first two are
-    /// inlined into the caller; only a hit calls out to the walk.
-    /// Requires [`RequestArena::reset_indexed`].
+    /// Costs one test and changes nothing when `node` has nothing pending
+    /// (the common case: neither the round counter nor the peer's slots
+    /// are touched, so the lane driver may skip such a meeting outright),
+    /// O(ρ) when nothing is fulfilled and one pass over `node`'s queue
+    /// otherwise. The first two are inlined into the caller; only a hit
+    /// calls out to the walk. Requires [`RequestArena::reset_indexed`].
     #[inline]
     pub fn meet(&mut self, node: usize, peer: CacheRef<'_>, fulfilled: impl FnMut(u32, f64, u64)) {
-        if peer.capacity() == 0 {
+        if self.head[node] == NIL || peer.capacity() == 0 {
             return;
         }
         self.rounds[node] += 1;
-        if self.head[node] == NIL {
-            return;
-        }
         let pending = &self.pending[node * self.words..(node + 1) * self.words];
         let hit = peer.items().iter().any(|&item| {
             let (word, mask) = pending_bit(item);
@@ -1387,6 +1394,41 @@ mod tests {
                 .flat_map(|(n, q)| q.iter().map(move |&(i, c, _)| (n, i, c)))
                 .collect();
             (got, want, residue)
+        }
+
+        /// Lazy rounds: node 0 idles through a hundred meetings before its
+        /// first request and fifty between two, and node 1, a client of a
+        /// dedicated population, meets only clients for long stretches
+        /// while it waits. Every `queries` is still the eager count of
+        /// cache-carrying peers met while the request was queued.
+        #[test]
+        fn idle_meetings_count_no_queries() {
+            // `fold` maps the raw draw 3·x to item x.
+            let (push, holder, client) = (0, 5, 9);
+            let step = |kind, node, item: u32| (kind, node, 3 * item, vec![3 * item]);
+            let run = |n, kind, node, item| std::iter::repeat_n(step(kind, node, item), n);
+            let steps: Vec<Step> = run(100, holder, 0, 10)
+                .chain(run(1, push, 0, 10))
+                .chain(run(5, holder, 0, 20))
+                .chain(run(5, client, 0, 0))
+                .chain(run(1, holder, 0, 10))
+                .chain(run(50, holder, 0, 10))
+                .chain(run(1, push, 0, 10))
+                .chain(run(3, holder, 0, 20))
+                .chain(run(1, holder, 0, 10))
+                .chain(run(1, push, 1, 30))
+                .chain(run(20, client, 1, 0))
+                .chain(run(2, holder, 1, 20))
+                .chain(run(20, client, 1, 0))
+                .chain(run(1, holder, 1, 30))
+                .collect();
+            let mut arena = RequestArena::new();
+            arena.reset_indexed(2, 65);
+            let (got, want, residue) = drive(&mut arena, 2, 65, &steps);
+            assert_eq!(got, want);
+            let queries: Vec<u64> = got.iter().map(|f| f.3).collect();
+            assert_eq!(queries, [6, 4, 3]);
+            assert!(residue.is_empty() && arena.is_empty());
         }
 
         proptest! {

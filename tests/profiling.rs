@@ -7,9 +7,10 @@ use std::path::Path;
 
 use impatience_core::demand::Popularity;
 use impatience_core::utility::Step;
-use impatience_obs::span::{LocalProfiler, PhaseAgg};
+use impatience_obs::span::{LocalProfiler, PhaseAgg, PhaseReport};
 use impatience_obs::{
-    parse_prometheus, render_diff, Histogram, MetricsRegistry, Recorder, TallySink, TraceSummary,
+    parse_prometheus, render_diff, Histogram, MetricsRegistry, Recorder, Sink, TallySink,
+    TraceSummary,
 };
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::policy::PolicyKind;
@@ -145,10 +146,23 @@ fn small_setting() -> (SimConfig, ContactSource, PolicyKind) {
     (config, source, PolicyKind::qcr_default())
 }
 
-fn run_aggregate(workers: usize) -> TrialAggregate {
-    let (config, source, policy) = small_setting();
-    let mut rec = Recorder::new(TallySink);
-    run_trials_observed_with_workers(&config, &source, &policy, 6, 42, Some(workers), &mut rec)
+/// Fingerprints of a QCR batch on a tally sink and of a pinned UNI batch
+/// on a disabled recorder, whose lanes skip the meetings at which nobody
+/// waits.
+fn run_fingerprints(workers: usize) -> [Vec<u64>; 2] {
+    let (config, source, qcr) = small_setting();
+    let uni = PolicyKind::Static {
+        label: "UNI",
+        counts: impatience_core::prelude::uniform(config.items, 20, config.rho),
+    };
+    let workers = Some(workers);
+    let mut tally = Recorder::new(TallySink);
+    let mut disabled = Recorder::disabled();
+    [
+        run_trials_observed_with_workers(&config, &source, &qcr, 6, 42, workers, &mut tally),
+        run_trials_observed_with_workers(&config, &source, &uni, 6, 42, workers, &mut disabled),
+    ]
+    .map(|agg| fingerprint(&agg))
 }
 
 fn fingerprint(agg: &TrialAggregate) -> Vec<u64> {
@@ -168,11 +182,11 @@ fn fingerprint(agg: &TrialAggregate) -> Vec<u64> {
 #[test]
 fn profiling_on_off_bit_identical_across_workers() {
     let _armed = ARMED.lock().unwrap_or_else(|e| e.into_inner());
-    let baseline = fingerprint(&run_aggregate(1));
+    let baseline = run_fingerprints(1);
     for workers in [1usize, 2, 8] {
-        let off = fingerprint(&run_aggregate(workers));
+        let off = run_fingerprints(workers);
         impatience_obs::span::enable();
-        let on = fingerprint(&run_aggregate(workers));
+        let on = run_fingerprints(workers);
         impatience_obs::span::disable();
         // Drain whatever the profiled run recorded so later tests (and
         // reruns) start clean.
@@ -186,13 +200,10 @@ fn profiling_on_off_bit_identical_across_workers() {
     }
 }
 
-/// Every contact a lane meets at is timed under `trial/contact`, with its
-/// exchange and policy step beneath it, whichever way the lane's driver
-/// reached the meeting: on a fixed-seed trial of three lanes, each of
-/// the three paths counts lanes × admitted contacts calls.
-#[test]
-fn lane_spans_count_every_admitted_contact() {
-    let _armed = ARMED.lock().unwrap_or_else(|e| e.into_inner());
+/// A fixed-seed trial of three lanes (QCR, the pinned UNI, the hill
+/// climber) run on `rec` with spans armed: its lanes × admitted contacts,
+/// and the profile.
+fn profiled_lanes<S: Sink>(rec: &mut Recorder<S>) -> (u64, PhaseReport) {
     let (config, _, qcr) = small_setting();
     let rng = impatience_core::rng::Xoshiro256::seed_from_u64(17);
     let trace = ContactStream::poisson(20, 0.05, 600.0, rng).collect_trace();
@@ -209,26 +220,40 @@ fn lane_spans_count_every_admitted_contact() {
         workers: Some(1),
         ..CampaignOptions::default()
     };
-    let mut rec = Recorder::new(TallySink);
     let _ = impatience_obs::span::take_aggregate();
     impatience_obs::span::enable();
-    let outcomes = run_campaigns(&config, &source, &lanes, 1, 42, &options, &mut rec);
+    let outcomes = run_campaigns(&config, &source, &lanes, 1, 42, &options, rec);
     impatience_obs::span::disable();
     let report = impatience_obs::span::take_aggregate().report();
     assert!(outcomes.unwrap().iter().all(Result::is_ok));
-    let want = lanes.len() as u64 * admitted;
-    assert_eq!(rec.counters.get("contacts"), want);
-    for path in [
-        "trial/contact",
-        "trial/contact/exchange",
-        "trial/contact/policy",
-    ] {
-        let calls = report
-            .phases
-            .iter()
-            .find(|p| p.path == path)
-            .map_or(0, |p| p.calls);
-        assert_eq!(calls, want, "{path}");
+    (lanes.len() as u64 * admitted, report)
+}
+
+/// Every contact a lane meets at is counted under `trial/contact`, with
+/// its exchange and policy step beneath it, whichever way the lane's
+/// driver reached the meeting: each of the three paths counts lanes ×
+/// admitted contacts calls. On a disabled recorder the pinned UNI lane
+/// skips the meetings at which nobody waits, and the counts hold.
+#[test]
+fn lane_spans_count_every_admitted_contact() {
+    let _armed = ARMED.lock().unwrap_or_else(|e| e.into_inner());
+    let mut tally = Recorder::new(TallySink);
+    let (want, tallied) = profiled_lanes(&mut tally);
+    assert_eq!(tally.counters.get("contacts"), want);
+    let (_, disabled) = profiled_lanes(&mut Recorder::disabled());
+    for (rec, report) in [("tally", tallied), ("disabled", disabled)] {
+        for path in [
+            "trial/contact",
+            "trial/contact/exchange",
+            "trial/contact/policy",
+        ] {
+            let calls = report
+                .phases
+                .iter()
+                .find(|p| p.path == path)
+                .map_or(0, |p| p.calls);
+            assert_eq!(calls, want, "{rec}: {path}");
+        }
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::path::Path;
 use std::process::Command;
+use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use impatience_json::Json;
@@ -10,7 +11,8 @@ use impatience_json::Json;
 /// `.manifest.json` sibling of a results file.
 ///
 /// Construction stamps the schema version, the artifact kind, the unix
-/// creation time, and the git revision (when available); callers add
+/// creation time, and the git revision (when available: the tree as of
+/// the process's first stamp, [`git_revision`]); callers add
 /// config, seeds, wall time, worker counts, and statistic summaries with
 /// [`Manifest::set`]. Keys are unique — setting an existing key
 /// overwrites it in place, preserving field order for diffability.
@@ -95,24 +97,33 @@ fn unix_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// The current git revision (short hash, `+dirty` when the tree has
+/// The git revision (short hash, `+dirty` when the tree has
 /// modifications), or `None` outside a repository / without git.
+///
+/// Asked of `git` once per process: every later call returns the first
+/// answer, so a manifest's `git_rev` is the tree as of the process's
+/// first stamp.
 pub fn git_revision() -> Option<String> {
-    let rev = Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())?;
-    let dirty = Command::new("git")
-        .args(["status", "--porcelain"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .is_some_and(|o| !o.stdout.is_empty());
-    Some(if dirty { format!("{rev}+dirty") } else { rev })
+    static REVISION: OnceLock<Option<String>> = OnceLock::new();
+    REVISION
+        .get_or_init(|| {
+            let rev = Command::new("git")
+                .args(["rev-parse", "--short", "HEAD"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())?;
+            let dirty = Command::new("git")
+                .args(["status", "--porcelain"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .is_some_and(|o| !o.stdout.is_empty());
+            Some(if dirty { format!("{rev}+dirty") } else { rev })
+        })
+        .clone()
 }
 
 /// The `rustc --version` string of the compiler that built this crate
@@ -149,6 +160,15 @@ mod tests {
         assert_eq!(m.get("kind").and_then(Json::as_str), Some("test"));
         assert!(m.get("created_unix").and_then(Json::as_u64).is_some());
         assert!(m.get("git_rev").is_some());
+    }
+
+    #[test]
+    fn git_revision_is_asked_once_per_process() {
+        assert_eq!(git_revision(), git_revision());
+        assert_eq!(
+            Manifest::new("a").get("git_rev"),
+            Manifest::new("b").get("git_rev")
+        );
     }
 
     #[test]

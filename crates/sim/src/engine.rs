@@ -53,7 +53,8 @@ use crate::state::{RequestArena, SimState};
 use crate::streams;
 
 /// Reusable per-trial working storage: the SoA cache/replica state, the
-/// pending-request arena, and the per-contact fulfillment buffers.
+/// pending-request arena with its per-node count of servable requests,
+/// and the per-contact fulfillment buffers.
 ///
 /// A trial begins by `reset`-ing each piece to its freshly-constructed
 /// state, so results are bit-identical whether a scratch is fresh or
@@ -64,6 +65,9 @@ use crate::streams;
 pub struct TrialScratch {
     pub(crate) state: SimState,
     pub(crate) requests: RequestArena,
+    /// Per node, the pending requests a meeting could still serve
+    /// ([`Trial::idle`]).
+    servable: Vec<u32>,
     pub(crate) fulfilled: Vec<Fulfillment>,
     pub(crate) waits: Vec<f64>,
     pub(crate) gains: Vec<f64>,
@@ -226,7 +230,10 @@ impl BatchedContacts {
         let _s = impatience_obs::span!("stream");
         self.buf.clear();
         self.pos = 0;
-        self.buf.extend(self.stream.by_ref().take(self.batch));
+        match &mut self.stream {
+            ContactStream::Poisson(stream) => stream.fill(&mut self.buf, self.batch),
+            cursor => self.buf.extend(cursor.by_ref().take(self.batch)),
+        }
         self.exhausted = self.buf.len() < self.batch;
     }
 
@@ -512,6 +519,8 @@ impl<'a, S: Sink> Trial<'a, S> {
     ) -> Self {
         let nodes = scratch.state.nodes();
         scratch.requests.reset_indexed(nodes, frame.config.items);
+        scratch.servable.clear();
+        scratch.servable.resize(nodes, 0);
         scratch.fulfilled.clear();
         Trial {
             frame,
@@ -545,8 +554,15 @@ impl<'a, S: Sink> Trial<'a, S> {
         }
     }
 
+    /// Queue a request for `item` at `node` under `stamp`. It counts as
+    /// servable unless the lane has no contact rules and no copy of
+    /// `item` exists: that allocation never grows, so no meeting can
+    /// serve it.
     fn queue(&mut self, node: usize, item: u32, stamp: f64) {
         self.scratch.requests.push(node, item, stamp);
+        if self.policy.is_some() || self.scratch.state.replicas[item as usize] > 0 {
+            self.scratch.servable[node] += 1;
+        }
         if self.frame.rec.is_active() {
             self.open_requests += 1;
             self.frame.rec.open_requests(self.open_requests);
@@ -564,6 +580,7 @@ impl<'a, S: Sink> Trial<'a, S> {
         let TrialScratch {
             state,
             requests,
+            servable,
             fulfilled,
             waits,
             gains,
@@ -594,6 +611,7 @@ impl<'a, S: Sink> Trial<'a, S> {
                 // of the peer's copy.
                 let server = if f.node == a { b } else { a };
                 state.caches.node_mut(server).touch(f.item);
+                servable[f.node] -= 1;
             }
             metrics.record_meeting(t, config.utility.as_ref(), fulfilled, waits, gains);
             if rec.is_active() {
@@ -610,6 +628,16 @@ impl<'a, S: Sink> Trial<'a, S> {
             policy.after_contact(t, a, b, state, fulfilled, metrics, rng);
             rec.replications(t, state.transmissions - transmissions_before);
         }
+    }
+
+    /// Whether a meeting can change nothing on `node`'s side: it has no
+    /// servable request pending and the contact rules, if any, call it
+    /// idle ([`ReplicationPolicy::idle`]). A meeting of two idle nodes
+    /// fulfils nothing, so the rules do nothing either; only a dropped
+    /// contact or an active sink could still tell it happened.
+    #[inline]
+    fn idle(&self, node: usize) -> bool {
+        self.scratch.servable[node] == 0 && self.policy.as_ref().is_none_or(|p| p.idle(node))
     }
 
     /// Settle what is open at the horizon (`age` turns a stamp into the
@@ -734,9 +762,7 @@ impl<'a, S: Sink> Lane<'a, S> {
     /// `step`.
     fn batch(&mut self, mut contacts: &[ContactEvent]) {
         while !contacts.is_empty() {
-            let quiet = self.quiet();
-            let run = contacts.iter().take_while(|e| e.time < quiet).count();
-            self.quiet_run(&contacts[..run]);
+            let run = self.quiet_run(contacts);
             let Some(e) = contacts.get(run) else {
                 return;
             };
@@ -745,26 +771,29 @@ impl<'a, S: Sink> Lane<'a, S> {
         }
     }
 
-    /// Meet at each contact of `run`, all before the lane's next
-    /// non-contact event. The run is timed as one `contact` span and
-    /// counted as one call per contact (DESIGN §13).
+    /// Meet at each leading contact of `contacts` before the lane's next
+    /// non-contact event ([`Lane::quiet`]) and return how many there
+    /// were. A run is timed as one `contact` span and counted as one
+    /// call per contact (DESIGN §13).
     ///
-    /// A lane with no contact rules, no fault model and an inactive sink
-    /// skips a meeting at which neither node has a request pending: with
-    /// no drop to draw, nothing to record and no replication, such a
-    /// meeting changes nothing ([`RequestArena::meet`]). Its `exchange`
-    /// and `policy` calls are still counted.
-    fn quiet_run(&mut self, run: &[ContactEvent]) {
-        if run.is_empty() {
-            return;
+    /// Without a fault model and on an inactive sink, a meeting of two
+    /// idle nodes ([`Trial::idle`]) is skipped: no drop is drawn, nothing
+    /// is recorded, nothing is fulfilled and the rules do nothing. At
+    /// most a node's round counter would have moved, which only ever
+    /// counts for a servable request ([`RequestArena::meet`]). A skipped
+    /// meeting's `exchange` and `policy` calls are still counted.
+    fn quiet_run(&mut self, contacts: &[ContactEvent]) -> usize {
+        let quiet = self.quiet();
+        if !contacts.first().is_some_and(|e| e.time < quiet) {
+            return 0;
         }
         let trial = &mut self.trial;
-        let skips = !S::ACTIVE && trial.policy.is_none() && trial.frame.faults.is_none();
+        let skips = !S::ACTIVE && trial.frame.faults.is_none();
         let span = impatience_obs::span!("contact");
-        let mut skipped = 0;
-        for e in run {
-            let requests = &trial.scratch.requests;
-            if skips && !requests.has_pending(e.a as usize) && !requests.has_pending(e.b as usize) {
+        let (mut run, mut skipped) = (0, 0);
+        for e in contacts.iter().take_while(|e| e.time < quiet) {
+            run += 1;
+            if skips && trial.idle(e.a as usize) && trial.idle(e.b as usize) {
                 skipped += 1;
                 continue;
             }
@@ -773,7 +802,8 @@ impl<'a, S: Sink> Lane<'a, S> {
         span::add_calls("exchange", skipped);
         span::add_calls("policy", skipped);
         span.close();
-        span::add_calls("contact", run.len() as u64 - 1);
+        span::add_calls("contact", run as u64 - 1);
+        run
     }
 
     /// Past the last contact: step to the horizon and take the trailing
@@ -1281,7 +1311,14 @@ mod tests {
                     label: "UNI",
                     counts: uniform(ITEMS, servers, RHO),
                 },
+                // Pinned to the top items: the tail's requests can never
+                // be served.
+                PolicyKind::Static {
+                    label: "DOM",
+                    counts: impatience_core::prelude::dominant(&config.demand, servers, RHO),
+                },
                 PolicyKind::qcr_default(),
+                PolicyKind::Passive { replicas: 1.0 },
                 PolicyKind::HillClimb,
             ]
         }
@@ -1425,10 +1462,10 @@ mod tests {
                 }
             }
 
-            /// On an inactive recorder a fault-free pinned lane skips the
-            /// meetings at which neither node has a request pending
-            /// (`Lane::quiet_run`); every lane's outcome still equals
-            /// that of stepping each contact, which never skips.
+            /// On an inactive recorder a fault-free lane skips the
+            /// meetings of two idle nodes (`Lane::quiet_run`); every
+            /// lane's outcome still equals that of stepping each
+            /// contact, which never skips.
             #[test]
             fn skipped_meetings_change_nothing(
                 seed in 0u64..10_000,
@@ -1460,7 +1497,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// Batched consumption is bit-identical to consuming the
-            /// stream directly, for any population, rate and batch size.
+            /// stream directly, for any population, rate and batch size,
+            /// sampled or replayed.
             #[test]
             fn batched_consumption_matches_direct_streaming(
                 seed in 0u64..1_000,
@@ -1477,6 +1515,12 @@ mod tests {
                 let batched: Vec<ContactEvent> =
                     BatchedContacts::with_batch(stream, batch).collect();
                 prop_assert_eq!(&batched, &direct);
+                // The cursor arm of the refill, over the same events.
+                let trace = Arc::new(ContactTrace::new(nodes, duration, direct.clone()));
+                let stream = ContactStream::cursor(trace);
+                let replayed: Vec<ContactEvent> =
+                    BatchedContacts::with_batch(stream, batch).collect();
+                prop_assert_eq!(&replayed, &direct);
             }
         }
     }

@@ -50,6 +50,14 @@ pub trait ReplicationPolicy {
         metrics: &mut Metrics,
         rng: &mut Xoshiro256,
     );
+
+    /// Whether `node` is idle: a meeting that fulfils nothing, between
+    /// two idle nodes, leaves the policy, the caches and the RNG as they
+    /// were, so the engine may skip it. The default, `false`, never lets
+    /// it.
+    fn idle(&self, _node: usize) -> bool {
+        false
+    }
 }
 
 /// Cloneable descriptor of a policy, instantiated per trial.

@@ -480,6 +480,12 @@ impl ReplicationPolicy for Qcr {
         self.rules
             .after_meeting(&mut host, a, b, fulfilled, metrics, rng);
     }
+
+    /// A node without mandates: [`QcrRules::after_meeting`] returns at
+    /// once on a meeting of two such nodes that fulfils nothing.
+    fn idle(&self, node: usize) -> bool {
+        !self.mandates.has(node)
+    }
 }
 
 #[cfg(test)]

@@ -620,13 +620,6 @@ impl RequestArena {
         self.len == 0
     }
 
-    /// Whether `node` has a request pending: when neither side of a
-    /// meeting has one, [`RequestArena::meet`] does nothing on either.
-    #[inline]
-    pub(crate) fn has_pending(&self, node: usize) -> bool {
-        self.head[node] != NIL
-    }
-
     /// Append a fresh request (zero queries) to `node`'s queue.
     pub fn push(&mut self, node: usize, item: u32, created: f64) {
         // Without round counters (`reset`) the column starts at 0, which
@@ -691,11 +684,15 @@ impl RequestArena {
     /// dropped, for which the engines do not call this at all.
     ///
     /// Costs one test and changes nothing when `node` has nothing pending
-    /// (the common case: neither the round counter nor the peer's slots
-    /// are touched, so the lane driver may skip such a meeting outright),
-    /// O(ρ) when nothing is fulfilled and one pass over `node`'s queue
+    /// (neither the round counter nor the peer's slots are touched), O(ρ)
+    /// when nothing is fulfilled and one pass over `node`'s queue
     /// otherwise. The first two are inlined into the caller; only a hit
-    /// calls out to the walk. Requires [`RequestArena::reset_indexed`].
+    /// calls out to the walk. Rounds count only while a request is
+    /// pending, and a request's `queries` is the rounds since it was
+    /// queued, so while no pending request of `node` can be served its
+    /// meetings may go unmet without changing any count reported: the
+    /// lane driver skips them (`Lane::quiet_run`). Requires
+    /// [`RequestArena::reset_indexed`].
     #[inline]
     pub fn meet(&mut self, node: usize, peer: CacheRef<'_>, fulfilled: impl FnMut(u32, f64, u64)) {
         if self.head[node] == NIL || peer.capacity() == 0 {

@@ -129,6 +129,22 @@ impl PoissonContactStream {
         self.lookahead = self.sample_next(event.time);
         Some(event)
     }
+
+    /// Append the next (up to) `n` events to `buf`, in one loop: the
+    /// events, and the draws behind them, of `n` calls to
+    /// `ContactStream::next` on this stream.
+    pub fn fill(&mut self, buf: &mut Vec<ContactEvent>, n: usize) {
+        buf.reserve(n);
+        let mut next = self.lookahead;
+        for _ in 0..n {
+            let Some(event) = next else {
+                break;
+            };
+            buf.push(event);
+            next = self.sample_next(event.time);
+        }
+        self.lookahead = next;
+    }
 }
 
 /// A lazy, time-ordered source of [`ContactEvent`]s for one trial.

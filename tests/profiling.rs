@@ -200,9 +200,9 @@ fn profiling_on_off_bit_identical_across_workers() {
     }
 }
 
-/// A fixed-seed trial of three lanes (QCR, the pinned UNI, the hill
-/// climber) run on `rec` with spans armed: its lanes × admitted contacts,
-/// and the profile.
+/// A fixed-seed trial of four lanes (QCR, the pinned UNI and DOM, the
+/// hill climber) run on `rec` with spans armed: its lanes × admitted
+/// contacts, and the profile.
 fn profiled_lanes<S: Sink>(rec: &mut Recorder<S>) -> (u64, PhaseReport) {
     let (config, _, qcr) = small_setting();
     let rng = impatience_core::rng::Xoshiro256::seed_from_u64(17);
@@ -214,8 +214,12 @@ fn profiled_lanes<S: Sink>(rec: &mut Recorder<S>) -> (u64, PhaseReport) {
         label: "UNI",
         counts: impatience_core::prelude::uniform(config.items, 20, config.rho),
     };
+    let dom = PolicyKind::Static {
+        label: "DOM",
+        counts: impatience_core::prelude::dominant(&config.demand, 20, config.rho),
+    };
     let hill = PolicyKind::HillClimb;
-    let lanes = [(&qcr, None), (&uni, None), (&hill, None)];
+    let lanes = [(&qcr, None), (&uni, None), (&dom, None), (&hill, None)];
     let options = CampaignOptions {
         workers: Some(1),
         ..CampaignOptions::default()
@@ -232,8 +236,8 @@ fn profiled_lanes<S: Sink>(rec: &mut Recorder<S>) -> (u64, PhaseReport) {
 /// Every contact a lane meets at is counted under `trial/contact`, with
 /// its exchange and policy step beneath it, whichever way the lane's
 /// driver reached the meeting: each of the three paths counts lanes ×
-/// admitted contacts calls. On a disabled recorder the pinned UNI lane
-/// skips the meetings at which nobody waits, and the counts hold.
+/// admitted contacts calls. On a disabled recorder the QCR, UNI and DOM
+/// lanes skip the meetings of idle nodes, and the counts hold.
 #[test]
 fn lane_spans_count_every_admitted_contact() {
     let _armed = ARMED.lock().unwrap_or_else(|e| e.into_inner());

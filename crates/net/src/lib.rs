@@ -22,9 +22,9 @@
 //! nodes and degrades the run instead of hanging it.
 //!
 //! Everything is deterministic by `(config, source, net, seed)` and
-//! independent of worker count; `impatience netrun --verify` runs the
-//! same seeds through this runtime and the engine and asserts welfare
-//! agreement within the differential oracle's CLT budget.
+//! independent of worker count; `impatience verify` runs the same seeds
+//! through this runtime and the engine and asserts welfare agreement
+//! within the differential oracle's CLT budget.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]

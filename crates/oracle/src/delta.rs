@@ -22,6 +22,7 @@
 
 use std::sync::Arc;
 
+use impatience_core::allocation::ReplicaCounts;
 use impatience_core::demand::{DemandRates, Popularity};
 use impatience_core::numeric::tolerances;
 use impatience_core::rng::Xoshiro256;
@@ -157,15 +158,16 @@ fn random_batch(rng: &mut Xoshiro256, items: usize, size: usize, structural: boo
 /// Audit one exact-mode step: bit-identity vs scratch greedy, plus (for
 /// tiny instances, `brute`) welfare equality with the exhaustive optimum.
 /// A failure is counted in `report` and described as `{label} step
-/// {step}: …`.
-pub fn audit_exact_step(
+/// {step}: …`. Returns the scratch allocation: the fresh optimum of the
+/// solver's current demand.
+pub(crate) fn audit_exact_step(
     report: &mut DeltaSweepReport,
     label: &str,
     step: usize,
     solver: &DeltaSolver,
     utility: &dyn DelayUtility,
     brute: bool,
-) {
+) -> ReplicaCounts {
     let demand = DemandRates::new(solver.rates().to_vec());
     let scratch = greedy_homogeneous(solver.system(), &demand, utility);
     report.exact_checks += 1;
@@ -196,26 +198,29 @@ pub fn audit_exact_step(
             ));
         }
     }
+    scratch
 }
 
-/// Audit one bounded-staleness step: on a certified reuse, recompute the
-/// fresh optimum from scratch and require the certificate's gap to
-/// dominate the true gap (and respect ε). Returns the true relative gap
-/// when a reuse was certified, `None` (and checks nothing) otherwise.
-pub fn audit_stale_step(
+/// Audit one bounded-staleness step: on a certified reuse, require the
+/// certificate's gap to dominate the true gap to `fresh`, the scratch
+/// optimum of the solver's current demand (what [`audit_exact_step`]
+/// returns for an exact twin fed the same deltas), and to respect ε.
+/// Returns the true relative gap when a reuse was certified, `None` (and
+/// checks nothing) otherwise.
+pub(crate) fn audit_stale_step(
     report: &mut DeltaSweepReport,
     label: &str,
     step: usize,
     solver: &DeltaSolver,
     utility: &dyn DelayUtility,
     outcome: &DeltaOutcome,
+    fresh: &ReplicaCounts,
 ) -> Option<f64> {
     let DeltaOutcome::CertifiedStale(cert) = outcome else {
         return None;
     };
     report.certified_reuses += 1;
     let demand = DemandRates::new(solver.rates().to_vec());
-    let fresh = greedy_homogeneous(solver.system(), &demand, utility);
     let w_fresh = social_welfare_homogeneous(solver.system(), &demand, utility, &fresh.as_f64());
     let slack = tolerances::WELFARE_REL * cert.scale;
     if w_fresh - cert.stale_welfare > cert.gap + slack {
@@ -307,16 +312,12 @@ pub fn delta_vs_scratch(seed: u64) -> DeltaSweepReport {
                 let batch = random_batch(&mut rng, items, size, false);
                 exact.apply(&batch).expect("demand deltas cannot fail");
                 report.steps += 1;
-                audit_exact_step(&mut report, &label, step, &exact, utility.as_ref(), false);
+                let u = utility.as_ref();
+                let fresh = audit_exact_step(&mut report, &label, step, &exact, u, false);
                 let outcome = stale.apply(&batch).expect("demand deltas cannot fail");
-                if let Some(gap) = audit_stale_step(
-                    &mut report,
-                    &label,
-                    step,
-                    &stale,
-                    utility.as_ref(),
-                    &outcome,
-                ) {
+                if let Some(gap) =
+                    audit_stale_step(&mut report, &label, step, &stale, u, &outcome, &fresh)
+                {
                     true_gaps.push(gap);
                 }
             }

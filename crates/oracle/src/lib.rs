@@ -26,15 +26,17 @@
 //! * [`netdiff`] — the distributed message-passing QCR runtime
 //!   (`impatience-net`) against the in-process engine on paired seeds,
 //!   with an explicit allowance for its documented protocol biases, and
-//!   the seeded panel `impatience netrun --verify` prints;
+//!   the seeded panel of them ([`net_panel`]);
 //! * [`scenario`] — the seeded conformance matrix over
 //!   {utility families} × {populations} × {contact regimes} × {faults},
 //!   each cell a self-describing record with per-invariant pass/fail;
 //! * [`report`] — JSONL + summary-table conformance reports written
 //!   atomically.
 //!
-//! The `impatience verify` CLI subcommand is a thin wrapper over
-//! [`scenario::run_matrix`] + [`report`].
+//! `impatience verify` is the one seeded run of all three verdicts: the
+//! matrix ([`scenario::run_matrix`], written by [`report`]), then
+//! [`delta_vs_scratch`] and [`net_panel`], each report printed as its
+//! `describe()` gives it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -48,7 +50,7 @@ pub mod report;
 pub mod scenario;
 
 pub use brute::{brute_force_heterogeneous, brute_force_homogeneous};
-pub use delta::{audit_exact_step, audit_stale_step, delta_vs_scratch, DeltaSweepReport};
+pub use delta::{delta_vs_scratch, DeltaSweepReport};
 pub use differential::{clt_interval, engines_match, slot_refinement_errors, Comparison};
 pub use netdiff::{net_panel, net_vs_engine, NetPanelReport};
 pub use report::{summary_table, write_report, MatrixTotals};

@@ -25,9 +25,9 @@
 //!    within the cap (overflow is discarded on receipt) but the final
 //!    resting places can differ, a second-order allocation effect.
 //!
-//! [`net_panel`] is the seeded panel `impatience netrun --verify` runs:
-//! ten clean-transport cells through [`net_vs_engine`], then a lossy
-//! sweep that must terminate with every conservation audit intact.
+//! [`net_panel`] is the seeded panel `impatience verify` runs: ten
+//! clean-transport cells through [`net_vs_engine`], then a lossy sweep
+//! that must terminate with every conservation audit intact.
 
 use impatience_core::utility::parse_utility;
 use impatience_net::config::MSG_DELAY;
@@ -245,12 +245,16 @@ impl NetPanelReport {
     }
 }
 
-/// Run the panel: every clean-transport cell through [`net_vs_engine`]
-/// (cell `i` on base seed `seed + 1000·i`), then the first cell under
-/// each loss rate of the sweep. `quick` runs 4 trials of 900 minutes
-/// instead of 8 of 2 000. Any kernel error aborts the panel.
-pub fn net_panel(seed: u64, quick: bool) -> Result<NetPanelReport, NetError> {
-    let (trials, duration) = if quick { (4, 900.0) } else { (8, 2_000.0) };
+/// Run the panel, 8 trials of 2 000 minutes per cell and sweep point:
+/// every clean-transport cell through [`net_vs_engine`] (cell `i` on
+/// base seed `seed + 1000·i`), then the first cell under each loss rate
+/// of the sweep. Any kernel error aborts the panel.
+pub fn net_panel(seed: u64) -> Result<NetPanelReport, NetError> {
+    panel(seed, 8, 2_000.0)
+}
+
+/// [`net_panel`] at `trials` trials of `duration` minutes.
+fn panel(seed: u64, trials: usize, duration: f64) -> Result<NetPanelReport, NetError> {
     let net = NetConfig::default();
     let mut clean = Vec::with_capacity(NET_SCENARIOS.len());
     for (i, cell) in NET_SCENARIOS.iter().enumerate() {
@@ -300,8 +304,8 @@ mod tests {
     }
 
     #[test]
-    fn quick_panel_agrees_and_conserves() {
-        let report = net_panel(42, true).unwrap();
+    fn small_panel_agrees_and_conserves() {
+        let report = panel(42, 4, 900.0).unwrap();
         assert_eq!(report.failures(), 0, "{}", report.describe());
         assert_eq!(report.clean.len(), NET_SCENARIOS.len());
         assert_eq!(report.lossy.len(), LOSS_RATES.len());

@@ -17,7 +17,7 @@ use impatience_core::numeric::tolerances;
 use impatience_core::rng::Xoshiro256;
 use impatience_core::solver::greedy::greedy_homogeneous;
 use impatience_core::solver::het_greedy::greedy_heterogeneous;
-use impatience_core::solver::incremental::{Delta, DeltaOutcome, DeltaSolver};
+use impatience_core::solver::incremental::{Delta, DeltaSolver};
 use impatience_core::solver::relaxed::try_relaxed_optimum;
 use impatience_core::types::SystemModel;
 use impatience_core::utility::{Custom, DelayUtility, Exponential, NegLog, Power, Step};
@@ -33,6 +33,7 @@ use impatience_sim::faults::{ContactDrop, FaultConfig};
 use impatience_sim::policy::PolicyKind;
 
 use crate::brute::{brute_force_heterogeneous, brute_force_homogeneous};
+use crate::delta::{audit_exact_step, audit_stale_step, DeltaSweepReport};
 use crate::differential::{analytic_vs_simulated, engines_match, slot_refinement_errors};
 
 /// Matrix dimensions, fixed so the brute-force oracle stays exhaustive
@@ -796,11 +797,11 @@ fn check_slot_refinement(
 }
 
 /// Solver variants {scratch, incremental, stale-ε} on the homogeneous
-/// reduction: a [`DeltaSolver`] replays a short seeded demand-delta
-/// sequence and must stay bit-identical to from-scratch greedy (and
-/// therefore brute-force optimal, Theorem 2) at every step, while its
-/// bounded-staleness twin may only reuse a stale allocation under a
-/// *sound* certificate (true gap dominated by the certified gap).
+/// reduction: a [`DeltaSolver`] and its bounded-staleness twin replay a
+/// short seeded demand-delta sequence, each step judged by the rules of
+/// [`crate::delta::delta_vs_scratch`] — the exact solver bit-identical to
+/// from-scratch greedy and brute-force optimal (Theorem 2), every
+/// certified stale reuse sound. The value is the number of violations.
 fn check_solver_variants(
     pop: PopKind,
     mu: f64,
@@ -817,92 +818,37 @@ fn check_solver_variants(
     let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xDE17A);
     let mut exact = DeltaSolver::new(system, demand, Arc::clone(utility));
     let mut stale = DeltaSolver::new(system, demand, Arc::clone(utility)).with_staleness(0.05);
-    let mut worst = 0.0f64;
-    let mut certified = 0u32;
+    let mut audit = DeltaSweepReport::default();
+    let u = utility.as_ref();
     for step in 0..4 {
         let deltas = [Delta::Demand {
             item: rng.index(ITEMS),
             rate: rng.range(0.05, 2.0),
         }];
-        if let Err(e) = exact.apply(&deltas) {
-            return InvariantResult::fail(
-                "solver_variants",
-                f64::NAN,
-                format!("exact delta solve failed at step {step}: {e}"),
-            );
-        }
-        let current = DemandRates::new(exact.rates().to_vec());
-        let scratch = greedy_homogeneous(&system, &current, utility.as_ref());
-        if *exact.counts() != scratch {
-            return InvariantResult::fail(
-                "solver_variants",
-                f64::NAN,
-                format!(
-                    "step {step}: incremental {:?} ≠ scratch greedy {:?}",
-                    exact.counts().counts(),
-                    scratch.counts()
-                ),
-            );
-        }
-        let (_, w_b) = brute_force_homogeneous(&system, &current, utility.as_ref());
-        let w_inc = social_welfare_homogeneous(
-            &system,
-            &current,
-            utility.as_ref(),
-            &exact.counts().as_f64(),
-        );
-        let scale = w_b.abs().max(1.0);
-        let gap = if w_inc == f64::NEG_INFINITY && w_b == f64::NEG_INFINITY {
-            0.0
-        } else {
-            (w_inc - w_b).abs() / scale
-        };
-        worst = worst.max(gap);
-        if gap > tolerances::WELFARE_REL {
-            return InvariantResult::fail(
-                "solver_variants",
-                gap,
-                format!("step {step}: incremental welfare {w_inc} ≠ brute optimum {w_b}"),
-            );
-        }
-        match stale.apply(&deltas) {
-            Ok(DeltaOutcome::CertifiedStale(cert)) => {
-                certified += 1;
-                let w_fresh = social_welfare_homogeneous(
-                    &system,
-                    &current,
-                    utility.as_ref(),
-                    &scratch.as_f64(),
-                );
-                if w_fresh - cert.stale_welfare > cert.gap + tolerances::WELFARE_REL * cert.scale {
-                    return InvariantResult::fail(
-                        "solver_variants",
-                        w_fresh - cert.stale_welfare,
-                        format!(
-                            "step {step}: unsound certificate — true gap {} over certified {}",
-                            w_fresh - cert.stale_welfare,
-                            cert.gap
-                        ),
-                    );
-                }
-            }
-            Ok(_) => {}
+        let outcome = match exact.apply(&deltas).and_then(|_| stale.apply(&deltas)) {
+            Ok(outcome) => outcome,
             Err(e) => {
-                return InvariantResult::fail(
-                    "solver_variants",
-                    f64::NAN,
-                    format!("stale-ε delta solve failed at step {step}: {e}"),
-                );
+                let detail = format!("delta solve failed at step {step}: {e}");
+                return InvariantResult::fail("solver_variants", f64::NAN, detail);
             }
-        }
+        };
+        let fresh = audit_exact_step(&mut audit, "delta", step, &exact, u, true);
+        audit_stale_step(&mut audit, "delta", step, &stale, u, &outcome, &fresh);
     }
-    InvariantResult::pass(
-        "solver_variants",
-        worst,
+    let detail = if audit.ok() {
         format!(
             "4 delta steps bit-identical to scratch and brute-optimal; \
-             {certified} staleness certificates accepted, all sound"
-        ),
+             {} staleness certificates accepted, all sound",
+            audit.certified_reuses
+        )
+    } else {
+        audit.violations.join("; ")
+    };
+    InvariantResult::check(
+        "solver_variants",
+        audit.ok(),
+        f64::from(audit.failures()),
+        detail,
     )
 }
 

@@ -335,7 +335,7 @@ impl SimConfig {
     /// The front ends' campaign shape: `items` items under Pareto(`omega`)
     /// demand of one request per minute in all, `utility`, 60-minute bins
     /// and the first quarter of the horizon as warm-up. The CLI's runs,
-    /// `netrun --verify`'s panel and the service's jobs all start here.
+    /// `verify`'s net panel and the service's jobs all start here.
     pub fn campaign(
         items: usize,
         rho: usize,

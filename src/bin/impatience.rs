@@ -35,7 +35,6 @@ use age_of_impatience::prelude::*;
 use impatience_core::demand::DemandProfile;
 use impatience_core::rng::Xoshiro256;
 use impatience_core::solver::greedy::try_greedy_homogeneous_observed;
-use impatience_core::solver::incremental::{Delta, DeltaSolver};
 use impatience_core::solver::relaxed::try_relaxed_optimum;
 use impatience_core::solver::SolverError;
 use impatience_core::utility::{parse_utility, DelayUtility};
@@ -50,8 +49,7 @@ use impatience_obs::{
     MetricsRegistry, Progress, Recorder, Sink, TallySink, TraceSummary,
 };
 use impatience_oracle::{
-    audit_exact_step, audit_stale_step, delta_vs_scratch, net_panel, run_matrix, summary_table,
-    write_report, CheckStatus, DeltaSweepReport, MatrixTotals,
+    delta_vs_scratch, net_panel, run_matrix, summary_table, write_report, CheckStatus, MatrixTotals,
 };
 use impatience_serve::{ServeConfig, Server};
 use impatience_sim::config::SimConfig;
@@ -113,15 +111,6 @@ impl CliError {
              aggregate covers the rest (details above)"
         );
         CliError::new(FailureKind::Degraded, message)
-    }
-
-    /// A conformance check ran and found at least one violation.
-    fn verify_failed(failed: u32, scenarios: usize) -> CliError {
-        let message = format!(
-            "conformance matrix failed: {failed} invariant violation(s) \
-             across {scenarios} scenario(s); details above and in the report"
-        );
-        CliError::new(FailureKind::Verify, message)
     }
 
     /// An I/O failure on `path`: "cannot {verb} {path}: {e}".
@@ -189,7 +178,6 @@ USAGE:
   impatience generate <poisson|conference|vehicular> [opts] -o FILE
   impatience stats    TRACE
   impatience solve    [--items N --servers N --rho N --mu F --omega F --utility SPEC]
-                      [--incremental [--deltas N] [--stale-eps F] [--seed N]]
   impatience simulate TRACE [--items N --rho N --utility SPEC --policy P --trials N --seed N]
                             [--trace-out FILE] [--verbose] [--workers N] [--profile]
                             [fault injection] [--checkpoint FILE]
@@ -203,9 +191,7 @@ USAGE:
                        --seed N --workers N] [--loss-p F --dup-p F --reorder N]
                       [fault injection] [--deadline MIN] [--kill T:NODE:DOWN]
                       [--stall T:NODE] [--trace-out FILE] [--verbose]
-  impatience netrun   --verify [--quick] [--seed N]
   impatience verify   [--seed N] [-o FILE] [--trace-out FILE] [--limit N] [--profile]
-  impatience verify   --solver-deltas [--seed N]
   impatience reproduce [SPEC..] [--fig N | --all] [--check] [--resume]
                        [--specs DIR] [-o DIR] [--workers N] [--trace-out FILE] [--verbose]
                        [--profile]
@@ -318,16 +304,11 @@ DISTRIBUTED RUNTIME (netrun; the message-passing QCR kernel):
   --stall T:NODE     wedge NODE at minute T (supervisor must condemn it)
   --trace-out FILE   JSONL events + manifest + a Prometheus .prom
                      sibling carrying the transport/protocol counters
-  --verify           differential mode: run clean-transport scenarios
-                     through both this runtime and the engine on paired
-                     seeds and require agreement within the CLT budget
-                     (exit 10 on disagreement), then a lossy sweep that
-                     must terminate conserving at 5/10/20% loss.
-                     --quick shrinks horizons for CI; the gate is z = 3.5.
 
 VERIFICATION (verify; deterministic given --seed):
-  Runs the oracle conformance matrix — 5 utility families x 3 population
-  shapes x {hom,het} contacts x {clean,faults} — and checks each cell
+  Runs three checks in one process and exits 10 if any of them fails.
+  1. The oracle conformance matrix — 5 utility families x 3 population
+  shapes x {hom,het} contacts x {clean,faults} — checks each cell
   against the paper's invariants: submodularity, the Property 1
   equilibrium residual, welfare monotonicity, greedy vs brute-force
   optima (Theorems 1-2), bit-level determinism, slot-refinement
@@ -336,24 +317,17 @@ VERIFICATION (verify; deterministic given --seed):
   Monte-Carlo differential checks (analytic vs simulated welfare,
   continuous vs discrete engines). The JSONL report lands at -o FILE
   (default conformance.jsonl) with a manifest sibling; --trace-out
-  streams per-scenario events; --limit N truncates the matrix (test
-  hook).
-  --solver-deltas    run only the delta_vs_scratch differential sweep:
-                     random delta sequences through the incremental
-                     solver, checked for bit-identity against scratch
-                     solves, brute-force optimality on tiny instances,
-                     and soundness of every bounded-staleness
-                     certificate (exit 10 on any violation).
-
-INCREMENTAL SOLVES (solve --incremental):
-  Replays --deltas N (default 16) seeded single-item demand changes
-  through the incremental DeltaSolver and a from-scratch greedy solve
-  side by side, timing both and requiring bit-identical allocations
-  (exit 10 on divergence). --stale-eps F switches the solver to
-  bounded-staleness mode: stale allocations are reused when a
-  weak-duality certificate proves their welfare is within F of fresh,
-  and every accepted certificate is audited against the actual fresh
-  solve.
+  streams per-scenario events; --limit N truncates the matrix and
+  stops after it (test hook).
+  2. The delta_vs_scratch sweep: random delta sequences through the
+  incremental solver, checked for bit-identity against scratch solves,
+  brute-force optimality on tiny instances, and soundness of every
+  bounded-staleness certificate.
+  3. The net panel: clean-transport scenarios through both the
+  distributed runtime (netrun) and the engine on paired seeds, which
+  must agree within the CLT budget (z = 3.5), then a lossy sweep that
+  must terminate conserving at 5/10/20% loss (a conservation violation
+  exits 12).
 
 REPRODUCTION (reproduce; deterministic, seeds live in the specs):
   Compiles the declarative TOML scenario specs in experiments/ (one per
@@ -384,7 +358,7 @@ CHECKPOINTING (simulate):
 EXIT CODES:
   0 ok | 2 usage | 3 config | 4 solver | 5 trace | 6 checkpoint
   7 campaign | 8 io | 9 degraded (some trials skipped)
-  10 verify (conformance invariant violated, or netrun --verify disagreed)
+  10 verify (conformance invariant, delta sweep or net panel violated)
   11 drift (reproduce --check differs from committed results)
   12 net (distributed runtime: conservation violation or transport fault)
 
@@ -413,15 +387,12 @@ const ACCEPTED: &[(&str, usize, &[&str])] = &[
     ("--help", 0, &[]),
     ("-h", 0, &[]),
     ("solve", 0, &[SYSTEM, "verbose"]),
-    ("solve --incremental", 0, &[SYSTEM, "incremental deltas seed stale-eps"]),
     ("simulate", 1, &[SCENARIO, FAULTS, SIMULATE]),
     ("simulate --checkpoint", 1, &[SCENARIO, FAULTS, SIMULATE, CHECKPOINT]),
     ("simulate --shards", 0, &[SCENARIO, SOURCE, FAULTS, "policy shards verbose profile"]),
     ("netrun", 0, &[SCENARIO, SOURCE, FAULTS, NET]),
     ("netrun TRACE", 1, &[SCENARIO, FAULTS, NET]),
-    ("netrun --verify", 0, &["verify quick seed"]),
     ("verify", 0, &["seed limit out trace-out profile"]),
-    ("verify --solver-deltas", 0, &["solver-deltas seed"]),
     ("reproduce", ANY, &["specs fig all check resume out workers trace-out verbose profile"]),
     ("reproduce --list", ANY, &["list specs fig all"]),
     ("trace summarize", 2, &["top"]),
@@ -440,7 +411,7 @@ const CHECKPOINT: &str = "checkpoint checkpoint-every abort-after-chunks";
 const NET: &str = "loss-p dup-p reorder deadline kill stall workers trace-out verbose";
 
 /// The options that take no value.
-const FLAGS: &str = "verbose quick all list check resume profile verify incremental solver-deltas";
+const FLAGS: &str = "verbose all list check resume profile";
 
 struct Args {
     positional: Vec<String>,
@@ -540,6 +511,15 @@ impl Args {
                 .map(Some)
                 .map_err(|_| format!("cannot parse --{name} {v}")),
         }
+    }
+
+    /// `--workers`, when given: at least 1.
+    fn workers(&self) -> Result<Option<usize>, String> {
+        let workers = self.get_opt("workers")?;
+        if workers == Some(0) {
+            return Err("--workers must be at least 1".into());
+        }
+        Ok(workers)
     }
 
     fn verbose(&self) -> bool {
@@ -739,10 +719,6 @@ fn solve(args: &Args) -> Result<(), CliError> {
         )));
     }
 
-    if args.options.contains_key("incremental") {
-        return solve_incremental(args, system, demand, utility);
-    }
-
     let opt = if args.verbose() {
         let mut rec = Recorder::new(MemorySink::new());
         let opt = try_greedy_homogeneous_observed(&system, &demand, utility.as_ref(), &mut rec)?;
@@ -796,92 +772,6 @@ fn solve(args: &Args) -> Result<(), CliError> {
         let w = social_welfare_homogeneous(&system, &demand, utility.as_ref(), &counts.as_f64());
         println!("welfare {label:<5} {w:>12.5} utility/min");
     }
-    Ok(())
-}
-
-/// `solve --incremental`: replay seeded demand deltas through the
-/// incremental solver and a from-scratch greedy side by side, timing
-/// both and checking the incremental path at every step — bit-identity
-/// in exact mode, certificate soundness in `--stale-eps` mode.
-fn solve_incremental(
-    args: &Args,
-    system: SystemModel,
-    demand: DemandRates,
-    utility: Arc<dyn DelayUtility>,
-) -> Result<(), CliError> {
-    let steps: usize = args.get("deltas", 16)?;
-    let seed: u64 = args.get("seed", 42)?;
-    let stale_eps: Option<f64> = args.get_opt("stale-eps")?;
-    if steps == 0 {
-        return Err("--deltas must be at least 1".into());
-    }
-    if let Some(eps) = stale_eps {
-        if !eps.is_finite() || eps < 0.0 {
-            return Err("--stale-eps must be finite and non-negative".into());
-        }
-    }
-    let items = demand.items();
-    let mut solver = DeltaSolver::try_new(system, &demand, Arc::clone(&utility))?;
-    if let Some(eps) = stale_eps {
-        solver = solver.with_staleness(eps);
-    }
-
-    // Each step is audited as `verify --solver-deltas` audits its
-    // sampled instances, the audit's scratch solve timed as the baseline.
-    let mut audit = DeltaSweepReport::default();
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let (mut inc_wall, mut scratch_wall) = (0.0f64, 0.0f64);
-    for step in 0..steps {
-        let delta = [Delta::Demand {
-            item: rng.index(items),
-            rate: rng.range(0.01, 2.0),
-        }];
-        let t = std::time::Instant::now();
-        let outcome = solver.apply(&delta)?;
-        inc_wall += t.elapsed().as_secs_f64();
-
-        let t = std::time::Instant::now();
-        let u = utility.as_ref();
-        if audit_stale_step(&mut audit, "solve", step, &solver, u, &outcome).is_none() {
-            audit_exact_step(&mut audit, "solve", step, &solver, u, false);
-        }
-        scratch_wall += t.elapsed().as_secs_f64();
-    }
-    for violation in &audit.violations {
-        eprintln!("{violation}");
-    }
-
-    let stats = solver.stats();
-    println!(
-        "incremental: {steps} deltas over |I|={items} |S|={} ρ={} utility={}{}",
-        system.servers(),
-        system.cache_capacity,
-        utility.kind(),
-        match stale_eps {
-            Some(eps) => format!(" (bounded staleness ε={eps})"),
-            None => String::new(),
-        }
-    );
-    println!(
-        "  delta solves {:>4}   replicas moved {:>6}   rebuilds {}",
-        stats.delta_solves, stats.replicas_moved, stats.rebuilds
-    );
-    if stale_eps.is_some() {
-        println!(
-            "  certificates {:>4}   reused stale  {:>6}   fell back {}",
-            stats.certificates, stats.certified_reuses, stats.certificate_fallbacks
-        );
-    }
-    println!(
-        "  wall: incremental {:.3} ms vs scratch {:.3} ms ({:.1}x)",
-        inc_wall * 1e3,
-        scratch_wall * 1e3,
-        scratch_wall / inc_wall.max(1e-12)
-    );
-    if audit.failures() > 0 {
-        return Err(CliError::verify_failed(audit.failures(), steps));
-    }
-    println!("  every step checked against a from-scratch solve: ok");
     Ok(())
 }
 
@@ -1190,6 +1080,7 @@ fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
     if args.options.contains_key("shards") {
         return simulate_sharded(args);
     }
+    let workers = args.workers()?;
     let scope = Scope::new(args);
     let trace_file = args.positional.first().cloned().unwrap_or_default();
     let trace = load_trace(args)?;
@@ -1212,7 +1103,7 @@ fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
     let options = CampaignOptions {
         checkpoint_path: checkpoint.clone(),
         checkpoint_every: args.get("checkpoint-every", every)?,
-        workers: args.get_opt("workers")?,
+        workers,
         // Undocumented test hook: die after N chunks as if killed.
         abort_after_chunks: args.get_opt("abort-after-chunks")?,
         cli_args: invocation.to_vec(),
@@ -1447,15 +1338,11 @@ fn net_report(agg: &NetAggregate, utility: &Arc<dyn DelayUtility>, source: &str,
 /// kernel (`impatience-net`) — independent node tasks, a typed
 /// five-message protocol, an unreliable transport, two-phase acked
 /// mandate transfers, and an exact conservation audit at quiesce.
-/// `--verify` switches to the differential mode instead.
 fn netrun(args: &Args) -> Result<(), CliError> {
-    if args.options.contains_key("verify") {
-        return netrun_verify(args);
-    }
+    let workers = args.workers()?;
     let (source, source_label) = net_source(args)?;
     let nodes = source.nodes();
     let s = Scenario::parse(args, (20, 4, 10), true, Some(nodes))?;
-    let workers: Option<usize> = args.get_opt("workers")?;
     let config = &s.config;
     // A config the engine would refuse is a config error before any trial.
     config.try_validate(nodes)?;
@@ -1506,48 +1393,13 @@ fn netrun(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `impatience netrun --verify [--quick]`: the oracle's net panel
-/// ([`net_panel`]) — clean-transport scenarios through both the
-/// distributed kernel and the engine on paired seeds, then a lossy sweep
-/// that must terminate with conservation intact; a disagreement exits 10.
-fn netrun_verify(args: &Args) -> Result<(), CliError> {
-    let seed: u64 = args.get("seed", 42)?;
-    let report = net_panel(seed, args.options.contains_key("quick"))?;
-    print!("netrun --verify: {}", report.describe());
-    if report.failures() > 0 {
-        let message = format!(
-            "distributed runtime disagreed with the engine on {} of \
-             {} scenario(s); details above",
-            report.failures(),
-            report.clean.len()
-        );
-        return Err(CliError::new(FailureKind::Verify, message));
-    }
-    Ok(())
-}
-
-/// `verify --solver-deltas`: only the `delta_vs_scratch` differential
-/// sweep, reported to stdout; any violation exits 10.
-fn verify_solver_deltas(args: &Args) -> Result<(), CliError> {
-    let seed: u64 = args.get("seed", 42)?;
-    let report = delta_vs_scratch(seed);
-    print!("{}", report.describe());
-    if !report.ok() {
-        let cases = report.cases as usize;
-        return Err(CliError::verify_failed(report.failures(), cases));
-    }
-    Ok(())
-}
-
-/// `impatience verify`: run the seeded scenario conformance matrix from
-/// the oracle crate — the solver-side invariants, short determinism
-/// trials and the Monte-Carlo differential checks (analytic vs simulated
-/// welfare, continuous vs discrete engine duality) — and fail (exit 10)
-/// on any invariant violation.
+/// `impatience verify`: the oracle's three verdicts in one seeded run —
+/// the scenario conformance matrix (solver invariants, short determinism
+/// trials, the Monte-Carlo differential checks), the `delta_vs_scratch`
+/// sweep of the incremental solver, and the net panel of the distributed
+/// runtime against the engine — failing (exit 10) if any of them does.
+/// `--limit` truncates the matrix and stops after it.
 fn verify(args: &Args) -> Result<(), CliError> {
-    if args.options.contains_key("solver-deltas") {
-        return verify_solver_deltas(args);
-    }
     let seed: u64 = args.get("seed", 42)?;
     let limit: Option<usize> = args.get_opt("limit")?;
     if limit == Some(0) {
@@ -1568,15 +1420,42 @@ fn verify(args: &Args) -> Result<(), CliError> {
         ..Scope::new(args)
     };
 
-    let (records, seen) = observe!(scope, |rec| {
+    let (records, oracles, seen) = observe!(scope, |rec| {
         let records = run_matrix(seed, limit, rec);
-        Ok((records, scope.seen(rec)?))
+        let oracles = match limit {
+            Some(_) => None,
+            None => Some((delta_vs_scratch(seed), net_panel(seed)?)),
+        };
+        Ok((records, oracles, scope.seen(rec)?))
     });
 
     write_report(&report_path, &records).map_err(|e| CliError::cannot("write", &out, e))?;
 
     let t = MatrixTotals::of(&records);
     print!("{}", summary_table(&records));
+    let mut failed = Vec::new();
+    if t.failed > 0 {
+        failed.push(format!(
+            "conformance matrix: {} invariant violation(s) across {} scenario(s)",
+            t.failed, t.scenarios
+        ));
+    }
+    if let Some((sweep, panel)) = &oracles {
+        print!("\n{}\n{}", sweep.describe(), panel.describe());
+        if !sweep.ok() {
+            failed.push(format!(
+                "delta_vs_scratch: {} failed check(s)",
+                sweep.failures()
+            ));
+        }
+        if panel.failures() > 0 {
+            failed.push(format!(
+                "net panel: {} of {} scenario(s) disagreed",
+                panel.failures(),
+                panel.clean.len()
+            ));
+        }
+    }
     println!("report  → {out}");
     write_manifest("verify", &report_path, &seen, |m| {
         m.set("base_seed", seed);
@@ -1596,8 +1475,12 @@ fn verify(args: &Args) -> Result<(), CliError> {
             );
         }
     }
-    if t.failed > 0 {
-        return Err(CliError::verify_failed(t.failed, t.scenarios));
+    if !failed.is_empty() {
+        let message = format!(
+            "verify failed: {}; details above and in the report",
+            failed.join("; ")
+        );
+        return Err(CliError::new(FailureKind::Verify, message));
     }
     Ok(())
 }
@@ -1740,6 +1623,7 @@ fn reproduce(args: &Args, invocation: &[String]) -> Result<(), CliError> {
         .get("specs")
         .map(String::as_str)
         .unwrap_or("experiments");
+    let workers = args.workers()?;
     let scope = Scope::new(args);
     let compile_span = impatience_obs::span!("spec.compile");
     let registry = Registry::load_dir(Path::new(specs_dir))?;
@@ -1811,7 +1695,7 @@ fn reproduce(args: &Args, invocation: &[String]) -> Result<(), CliError> {
             .options
             .contains_key("resume")
             .then(|| run_dir.join(".checkpoints")),
-        workers: args.get_opt("workers")?,
+        workers,
         invocation,
     };
     let outcome = observe!(scope, |rec| { run.execute(rec) });

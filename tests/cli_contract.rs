@@ -99,24 +99,6 @@ impl Case {
         run
     }
 
-    /// Mask every transcript line that starts with `prefix` after its
-    /// indent down to the indent and the prefix.
-    fn mask_lines_from(&mut self, prefix: &str) {
-        let mut masked = String::new();
-        for line in self.transcript.lines() {
-            let body = line.trim_start();
-            if body.starts_with(prefix) {
-                masked.push_str(&line[..line.len() - body.len()]);
-                masked.push_str(prefix);
-                masked.push_str(" #");
-            } else {
-                masked.push_str(line);
-            }
-            masked.push('\n');
-        }
-        self.transcript = masked;
-    }
-
     /// Append the files left behind (JSONL files with their line count,
     /// manifests with their top-level key order, CSVs with their content) and compare the whole
     /// transcript with the golden — or rewrite the golden when blessing.
@@ -537,17 +519,25 @@ fn usage_messages() {
             case.run("simulate trace.txt --nodes 5"),
             "--nodes",
         ),
+        // `verify` is the one oracle run, `solve` one solve.
         (
-            "verify --solver-deltas",
+            "verify",
             case.run("verify --solver-deltas --limit 3"),
-            "--limit",
+            "--solver-deltas",
+        ),
+        (
+            "verify",
+            case.run("verify --solver-deltas nothing.txt"),
+            "--solver-deltas",
         ),
         ("solve", case.run("solve --deltas 8"), "--deltas"),
+        ("solve", case.run("solve --incremental"), "--incremental"),
         (
-            "netrun --verify",
+            "netrun",
             case.run("netrun --verify --quick --trials 3"),
-            "--trials",
+            "--verify",
         ),
+        ("netrun", case.run("netrun --verify T"), "--verify"),
         ("netrun", case.run(&format!("{NETRUN} --quick")), "--quick"),
         (
             "netrun TRACE",
@@ -596,6 +586,11 @@ fn usage_messages() {
         case.run("simulate trace.txt --trials 0"),
         case.run("verify --limit 0"),
     ];
+    let no_workers = [
+        case.run("simulate trace.txt --workers 0 --trials 2"),
+        case.run(&format!("{NETRUN} --trials 1 --workers 0")),
+        case.run("reproduce --all --workers 0 --specs FIXTURE_SPECS -o out"),
+    ];
     let net = [
         case.run(&format!("{NETRUN} --trials 1 --deadline -5")),
         case.run("netrun --nodes 6 --duration 200 --trials 1 --stall 5:99"),
@@ -615,12 +610,6 @@ fn usage_messages() {
             "bogus.txt",
         ),
         (
-            "verify --solver-deltas",
-            case.run("verify --solver-deltas nothing.txt"),
-            "nothing.txt",
-        ),
-        ("netrun --verify", case.run("netrun --verify T"), "T"),
-        (
             "trace diff",
             case.run("trace diff a.jsonl b.jsonl c.jsonl"),
             "c.jsonl",
@@ -634,6 +623,13 @@ fn usage_messages() {
     case.finish();
     for run in demand.iter().chain(&zero) {
         assert_eq!(run.code, 2, "{}", run.stderr);
+    }
+    for run in &no_workers {
+        assert!(
+            run.code == 2 && run.stderr.contains("--workers must be at least 1"),
+            "{}",
+            run.stderr
+        );
     }
     for run in net {
         assert!(
@@ -690,33 +686,6 @@ fn solve_plain() {
     case.finish();
 }
 
-/// Both modes of the delta replay. The wall line also carries a speed-up
-/// ratio, so the whole line is masked.
-#[test]
-fn solve_incremental() {
-    let mut case = Case::new("solve_incremental");
-    case.run(&format!("{SOLVE} --incremental --deltas 8"));
-    case.run(&format!(
-        "{SOLVE} --incremental --deltas 8 --stale-eps 0.05"
-    ));
-    case.mask_lines_from("wall: incremental");
-    case.finish();
-}
-
-#[test]
-fn verify_solver_deltas() {
-    let mut case = Case::new("verify_solver_deltas");
-    case.run("verify --solver-deltas");
-    case.finish();
-}
-
-#[test]
-fn netrun_verify() {
-    let mut case = Case::new("netrun_verify");
-    case.run("netrun --verify --quick");
-    case.finish();
-}
-
 #[test]
 fn generate_and_stats() {
     let mut case = Case::new("generate_and_stats");
@@ -768,19 +737,13 @@ fn bad_synthetic_source_is_a_config_error() {
     case.finish();
 }
 
-/// A contact rate the analytic model cannot hold is a config error in
-/// both `solve` modes; a `--z` that gives no interval is a usage error.
+/// A contact rate the analytic model cannot hold is a config error.
 #[test]
-fn solve_and_netrun_verify_refuse_bad_parameters() {
-    let mut case = Case::new("solve_and_netrun_verify_refuse_bad_parameters");
+fn solve_refuses_bad_parameters() {
+    let mut case = Case::new("solve_refuses_bad_parameters");
     for mu in ["0", "-1", "nan"] {
         let run = case.run(&format!("{SOLVE} --mu {mu}"));
         assert_eq!(run.code, 3, "{}", run.stderr);
     }
-    let run = case.run(&format!("{SOLVE} --incremental --mu 0"));
-    assert_eq!(run.code, 3, "{}", run.stderr);
-    // The gate is a constant: `--z` is no option.
-    let run = case.run("netrun --verify --quick --z 0");
-    assert_eq!(run.code, 2, "{}", run.stderr);
     case.finish();
 }

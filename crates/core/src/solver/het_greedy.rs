@@ -10,11 +10,7 @@
 //! gains stay in the heap and are recomputed only when popped, which is
 //! valid because submodularity guarantees marginals never increase.
 
-use std::cell::Cell;
 use std::collections::BinaryHeap;
-use std::time::Instant;
-
-use impatience_obs::{Recorder, Sink};
 
 use super::HeapKey;
 use crate::allocation::AllocationMatrix;
@@ -44,20 +40,6 @@ pub fn greedy_heterogeneous(
     profile: &DemandProfile,
     utility: &dyn DelayUtility,
 ) -> AllocationMatrix {
-    greedy_heterogeneous_observed(system, demand, profile, utility, &mut Recorder::disabled())
-}
-
-/// [`greedy_heterogeneous`] with instrumentation: each fresh placement
-/// emits a `solver_step` with the marginal welfare gain; `solver_done`
-/// reports placements, welfare evaluations (initial scan plus lazy
-/// recomputations — the CELF savings show up here), and wall time.
-pub fn greedy_heterogeneous_observed<S: Sink>(
-    system: &HeterogeneousSystem,
-    demand: &DemandRates,
-    profile: &DemandProfile,
-    utility: &dyn DelayUtility,
-    rec: &mut Recorder<S>,
-) -> AllocationMatrix {
     let _span = impatience_obs::span!("solve.het_greedy");
     let items = demand.items();
     let servers = system.servers.len();
@@ -83,9 +65,7 @@ pub fn greedy_heterogeneous_observed<S: Sink>(
         .collect();
     let mut holders: Vec<Vec<usize>> = vec![Vec::new(); items];
 
-    let evaluations = Cell::new(items as u64); // the initial per-item welfare scan
     let gain_of = |item: usize, server: usize, holders: &[usize], current: f64| -> f64 {
-        evaluations.set(evaluations.get() + 1);
         let mut with: Vec<usize> = holders.to_vec();
         with.push(server);
         let new = item_welfare_heterogeneous(system, item, &with, demand, profile, utility);
@@ -120,7 +100,6 @@ pub fn greedy_heterogeneous_observed<S: Sink>(
         }
     }
 
-    let wall_start = rec.is_active().then(Instant::now);
     let budget = system.rho * servers;
     let mut placed = 0usize;
     while placed < budget {
@@ -133,7 +112,6 @@ pub fn greedy_heterogeneous_observed<S: Sink>(
             // Fresh gain: place it.
             alloc.place(cand.item, cand.server);
             holders[cand.item].push(cand.server);
-            rec.solver_step("het_greedy", placed as u64, cand.item as u32, key.primary);
             if key.primary.is_infinite() {
                 item_value[cand.item] = item_welfare_heterogeneous(
                     system,
@@ -159,14 +137,6 @@ pub fn greedy_heterogeneous_observed<S: Sink>(
             let key = HeapKey::gain(g, demand.rate(cand.item));
             heap.push((key, Candidate { round, ..cand }));
         }
-    }
-    if let Some(start) = wall_start {
-        rec.solver_done(
-            "het_greedy",
-            placed as u64,
-            evaluations.get(),
-            start.elapsed().as_secs_f64(),
-        );
     }
     alloc
 }
@@ -295,53 +265,6 @@ mod tests {
         let demand = DemandRates::new(vec![1.0]);
         let profile = DemandProfile::uniform(1, 4);
         let _ = greedy_heterogeneous(&system, &demand, &profile, &Power::new(1.5));
-    }
-
-    #[test]
-    fn observed_het_greedy_matches_and_counts_lazy_evals() {
-        use impatience_obs::{Event, MemorySink, Recorder};
-        let rates = ContactRates::homogeneous(8, 0.05);
-        let system = HeterogeneousSystem::pure_p2p(rates, 2);
-        let demand = Popularity::pareto(6, 1.0).demand_rates(1.0);
-        let profile = DemandProfile::uniform(6, 8);
-        let utility = Step::new(1.0);
-        let plain = greedy_heterogeneous(&system, &demand, &profile, &utility);
-        let mut rec = Recorder::new(MemorySink::new());
-        let observed =
-            greedy_heterogeneous_observed(&system, &demand, &profile, &utility, &mut rec);
-        assert_eq!(
-            plain, observed,
-            "instrumentation must not change the allocation"
-        );
-
-        let steps = rec
-            .sink()
-            .events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    Event::SolverStep {
-                        solver: "het_greedy",
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(steps, 16, "budget ρ·|S| = 2·8 placements");
-        match rec.sink().events.last() {
-            Some(Event::SolverDone {
-                solver: "het_greedy",
-                iterations,
-                evaluations,
-                ..
-            }) => {
-                assert_eq!(*iterations, 16);
-                // Initial scan alone is items + items·servers gains.
-                assert!(*evaluations >= 6 + 6 * 8);
-            }
-            other => panic!("expected SolverDone, got {other:?}"),
-        }
     }
 
     #[test]

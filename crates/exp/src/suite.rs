@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use impatience_core::allocation::ReplicaCounts;
 use impatience_core::demand::{DemandProfile, DemandRates, Popularity};
 use impatience_core::solver::greedy::greedy_homogeneous;
 use impatience_core::solver::het_greedy::greedy_heterogeneous;
@@ -55,9 +56,8 @@ fn with_rate_blind(
     std::iter::once(opt).chain(fixed).collect()
 }
 
-/// The competitor suite for a *trace* setting: OPT is the submodular
-/// greedy of Theorem 1 on rates estimated from the trace (the paper's
-/// memoryless approximation, §6.3); the others are rate-blind.
+/// The competitor suite for a *trace* setting: [`trace_opt`], then the
+/// rate-blind allocations.
 pub fn trace_competitors(
     trace_stats: &TraceStats,
     rho: usize,
@@ -65,6 +65,22 @@ pub fn trace_competitors(
     profile: &DemandProfile,
     utility: &dyn DelayUtility,
 ) -> Vec<PolicyKind> {
+    let opt = PolicyKind::Static {
+        label: "OPT",
+        counts: trace_opt(trace_stats, rho, demand, profile, utility),
+    };
+    with_rate_blind(opt, demand, trace_stats.nodes(), rho)
+}
+
+/// OPT on a trace: the submodular greedy of Theorem 1 on pair rates
+/// estimated from the trace (the paper's memoryless approximation, §6.3).
+pub fn trace_opt(
+    trace_stats: &TraceStats,
+    rho: usize,
+    demand: &DemandRates,
+    profile: &DemandProfile,
+    utility: &dyn DelayUtility,
+) -> ReplicaCounts {
     let nodes = trace_stats.nodes();
     let mut rates = trace_stats.rates().clone();
     if utility.h_infinity() == f64::NEG_INFINITY {
@@ -84,12 +100,7 @@ pub fn trace_competitors(
         }
     }
     let hsys = HeterogeneousSystem::pure_p2p(rates, rho);
-    let opt_matrix = greedy_heterogeneous(&hsys, demand, profile, utility);
-    let opt = PolicyKind::Static {
-        label: "OPT",
-        counts: opt_matrix.to_counts(),
-    };
-    with_rate_blind(opt, demand, nodes, rho)
+    greedy_heterogeneous(&hsys, demand, profile, utility).to_counts()
 }
 
 /// Extract `(U − U_OPT)/|U_OPT|` in percent for every non-OPT policy,

@@ -38,8 +38,7 @@ use impatience_core::solver::greedy::try_greedy_homogeneous_observed;
 use impatience_core::solver::relaxed::try_relaxed_optimum;
 use impatience_core::solver::SolverError;
 use impatience_core::utility::{parse_utility, DelayUtility};
-use impatience_core::welfare::HeterogeneousSystem;
-use impatience_exp::{run_spec, CheckOutcome, ExecContext, ExpError, Registry, Spec};
+use impatience_exp::{run_spec, suite, CheckOutcome, ExecContext, ExpError, Registry, Spec};
 use impatience_json::Json;
 use impatience_net::{
     run_net_trials_observed, ChaosEvent, ChaosKind, NetAggregate, NetConfig, NetError,
@@ -762,13 +761,17 @@ fn solve(args: &Args) -> Result<(), CliError> {
     if items > 15 {
         println!("  ... ({} more items)", items - 15);
     }
-    for (label, counts) in [
-        ("OPT", opt),
-        ("UNI", uniform(items, servers, rho)),
-        ("SQRT", sqrt_proportional(&demand, servers, rho)),
-        ("PROP", proportional(&demand, servers, rho)),
-        ("DOM", dominant(&demand, servers, rho)),
-    ] {
+    let fixed = PolicyKind::FIXED
+        .iter()
+        .filter_map(|name| PolicyKind::fixed(name, &demand, servers, rho));
+    let opt = PolicyKind::Static {
+        label: "OPT",
+        counts: opt,
+    };
+    for policy in std::iter::once(opt).chain(fixed) {
+        let PolicyKind::Static { label, counts } = policy else {
+            unreachable!("OPT and the rate-blind allocations are pinned")
+        };
         let w = social_welfare_homogeneous(&system, &demand, utility.as_ref(), &counts.as_f64());
         println!("welfare {label:<5} {w:>12.5} utility/min");
     }
@@ -1089,12 +1092,11 @@ fn simulate(args: &Args, invocation: &[String]) -> Result<(), CliError> {
     let config = &s.config;
     // A config the engine would refuse is a config error before any work.
     config.try_validate(nodes)?;
-    // OPT on a trace: heterogeneous greedy on the measured pair rates.
+    // OPT on a trace is the trace suites' OPT (never-met pairs floored).
     let policy = s.policy(args, nodes, || {
-        let rates = TraceStats::from_trace(&trace).rates().clone();
-        let system = HeterogeneousSystem::pure_p2p(rates, config.rho);
-        let (demand, utility) = (&config.demand, config.utility.as_ref());
-        Ok(greedy_heterogeneous(&system, demand, &config.profile, utility).to_counts())
+        let (stats, utility) = (TraceStats::from_trace(&trace), config.utility.as_ref());
+        let (rho, demand, profile) = (config.rho, &config.demand, &config.profile);
+        Ok(suite::trace_opt(&stats, rho, demand, profile, utility))
     })?;
     let source = ContactSource::trace(trace);
     let checkpoint = args.options.get("checkpoint").map(PathBuf::from);

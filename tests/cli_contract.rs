@@ -267,6 +267,33 @@ fn simulate_policy_opt() {
     case.finish();
 }
 
+/// On a sparse trace some pairs never meet. Under a waiting cost
+/// (`power:0`, h(∞) = −∞) the raw rates make every placement look equally
+/// worthless and OPT collapses to DOM; `simulate --policy opt` floors
+/// those pairs as the figure suites do, so its OPT beats DOM.
+#[test]
+fn opt_on_a_trace_floors_pairs_that_never_met() {
+    let case = Case::new("opt_on_a_sparse_trace");
+    let generate = "generate poisson --nodes 20 --mu 0.001 --duration 1500 -o sparse.txt";
+    assert_eq!(case.exec(&generate.split(' ').collect::<Vec<_>>()).code, 0);
+    let mean = |policy: &str| -> f64 {
+        let line = format!(
+            "simulate sparse.txt --items 20 --trials 6 --utility power:0 --policy {policy}"
+        );
+        let run = case.exec(&line.split(' ').collect::<Vec<_>>());
+        assert_eq!(run.code, 0, "{}", run.stderr);
+        let mean = run
+            .stdout
+            .lines()
+            .find_map(|l| l.split_once("mean observed utility :"));
+        mean.and_then(|(_, v)| v.trim().strip_suffix("/min")?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no mean in {}", run.stdout))
+    };
+    let (opt, dom) = (mean("opt"), mean("dom"));
+    std::fs::remove_dir_all(&case.dir).ok();
+    assert!(opt > dom, "OPT {opt} /min does not beat DOM {dom} /min");
+}
+
 #[test]
 fn simulate_faults() {
     let mut case = Case::with_trace("simulate_faults");

@@ -2,9 +2,11 @@
 //! engine, mirroring the discipline of `fault_tolerance.rs`: the same
 //! seed must produce the identical fault log, welfare trajectory, and
 //! event digest at any worker count — fault injection included — the
-//! bits must be the ones recorded before the scheduler was last changed,
-//! and the sharded engine must statistically agree with the serial
-//! engine on the model they both simulate.
+//! bits must be the ones recorded in `tests/fixtures/pins.tsv`, and the
+//! sharded engine must statistically agree with the serial engine on the
+//! model they both simulate.
+
+mod pins;
 
 use impatience_core::demand::Popularity;
 use impatience_core::solver::fixed::uniform;
@@ -17,6 +19,8 @@ use impatience_sim::sharded::{run_trial_sharded, ShardedOutcome};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use pins::Cell;
 
 /// Worker counts every gate compares with one worker: the CI host's two,
 /// a count that divides neither 16 shards nor 8 lanes, one per lane of a
@@ -119,113 +123,68 @@ fn clean_runs_are_worker_stable() {
     }
 }
 
-/// FNV-1a over the bytes of `text`.
-fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Same bits as before, not only the same bits at any width: digest,
-/// contact count, transmissions and final replicas of three cells as
-/// recorded at commit 1ab8887, which joined every worker between two
-/// phases. A scheduler that reorders two tasks on a shard moves them.
-/// The digests of the bit-exact metrics encoding and of the fault log
-/// were recorded at 70030ac, before the engine called the serial
-/// engine's placement, replica book, fault clock and gain booking: a
-/// moved settlement or gain sum moves them.
-#[test]
-fn outputs_equal_the_recorded_ones() {
-    struct Recorded {
-        name: &'static str,
-        faults: Option<FaultConfig>,
-        policy: PolicyKind,
-        seed: u64,
-        digest: u64,
-        contacts: u64,
-        transmissions: u64,
-        replicas: [u32; 12],
-        metrics: u64,
-        fault_log: u64,
-    }
+/// Digest, contact count, transmissions, final replicas and the digests
+/// of the bit-exact metrics encoding and of the fault log of three cells,
+/// at 1 and 3 workers: a scheduler that reorders two tasks on a shard, or
+/// a moved settlement or gain sum, moves them.
+fn recorded_cells() -> Vec<Cell> {
+    let uni = PolicyKind::Static {
+        label: "UNI",
+        counts: uniform(12, 96, 2),
+    };
     let cells = [
-        Recorded {
-            name: "clean QCR",
-            faults: None,
-            policy: PolicyKind::qcr_default(),
-            seed: 11,
-            digest: 0x42b8_aaad_469c_8373,
-            contacts: 68_589,
-            transmissions: 117,
-            replicas: [25, 26, 15, 14, 15, 18, 11, 9, 14, 12, 16, 17],
-            metrics: 0x4fbd_0778_41c8_ea49,
-            fault_log: 0x0961_2b07_b5ec_b5a5,
-        },
-        Recorded {
-            name: "all supported faults",
-            faults: Some(all_supported_faults()),
-            policy: PolicyKind::qcr_default(),
-            seed: 3,
-            digest: 0x47ed_4a9e_e7c4_fa83,
-            contacts: 45_736,
-            transmissions: 163,
-            replicas: [19, 8, 8, 4, 6, 4, 11, 6, 4, 5, 2, 8],
-            metrics: 0x984d_b63e_a240_6868,
-            fault_log: 0xbe42_b93b_92ab_05e1,
-        },
-        Recorded {
-            name: "pinned UNI",
-            faults: None,
-            policy: PolicyKind::Static {
-                label: "UNI",
-                counts: uniform(12, 96, 2),
-            },
-            seed: 5,
-            digest: 0x8449_9d36_3eec_b78b,
-            contacts: 68_342,
-            transmissions: 0,
-            replicas: [16; 12],
-            metrics: 0xed45_d4ca_3b3c_2299,
-            fault_log: 0x0961_2b07_b5ec_b5a5,
-        },
+        ("clean QCR", None, PolicyKind::qcr_default(), 11),
+        (
+            "all supported faults",
+            Some(all_supported_faults()),
+            PolicyKind::qcr_default(),
+            3,
+        ),
+        ("pinned UNI", None, uni, 5),
     ];
     let source = ContactSource::homogeneous(96, 0.01, 1_500.0);
-    for cell in cells {
-        for workers in [1, 3] {
+    let mut pinned = Vec::new();
+    for (name, faults, policy, seed) in cells {
+        let [one, three] = [1, 3].map(|workers| {
             let out = run_trial_sharded(
-                &config(cell.faults.clone()),
+                &config(faults.clone()),
                 &source,
-                cell.policy.clone(),
-                cell.seed,
+                policy.clone(),
+                seed,
                 workers,
             )
             .expect("supported configuration");
-            let name = cell.name;
-            assert_eq!(out.event_digest, cell.digest, "{name}, {workers} workers");
-            assert_eq!(out.contacts_processed, cell.contacts, "{name}");
-            assert_eq!(
-                out.outcome.metrics.transmissions, cell.transmissions,
-                "{name}"
-            );
-            assert_eq!(out.outcome.final_replicas, cell.replicas, "{name}");
-            let metrics = fnv(&out.outcome.metrics.to_json().to_string());
-            assert_eq!(metrics, cell.metrics, "{name}: metrics {metrics:#018x}");
-            let fault_log = fnv(&format!("{:?}", out.fault_log));
-            assert_eq!(
-                fault_log, cell.fault_log,
-                "{name}: faults {fault_log:#018x}"
-            );
-        }
+            [
+                ("digest", pins::hex(out.event_digest)),
+                ("contacts", out.contacts_processed.to_string()),
+                (
+                    "transmissions",
+                    out.outcome.metrics.transmissions.to_string(),
+                ),
+                ("replicas", format!("{:?}", out.outcome.final_replicas)),
+                (
+                    "metrics",
+                    pins::digest(out.outcome.metrics.to_json().to_string().into_bytes()),
+                ),
+                (
+                    "fault_log",
+                    pins::digest(format!("{:?}", out.fault_log).into_bytes()),
+                ),
+            ]
+        });
+        assert_eq!(three, one, "{name}: 3 workers against 1");
+        pinned.extend(one.map(|(field, value)| (format!("{name}, {field}"), value)));
     }
+    pinned
 }
 
-/// A horizon that is not a bin multiple (T 60, bin 100): the trial ends
-/// at T, not at the end of the bin. No cache fault is dated past the
-/// horizon, and the meetings are the recorded ones (digest and contact
-/// count of commit 1ab8887, which ran the empty epochs and fired 29 such
-/// faults).
 #[test]
-fn the_trial_ends_at_the_horizon_not_at_the_end_of_its_bin() {
+fn outputs_equal_the_recorded_ones() {
+    pins::check("sharded", &recorded_cells());
+}
+
+/// A horizon that is not a bin multiple (T 60, bin 100), at `workers`.
+fn horizon_trial(workers: usize) -> ShardedOutcome {
     let source = ContactSource::homogeneous(96, 0.05, 60.0);
     let faults = FaultConfig {
         seed: 31,
@@ -233,15 +192,40 @@ fn the_trial_ends_at_the_horizon_not_at_the_end_of_its_bin() {
         ..FaultConfig::default()
     };
     let cfg = config(Some(faults));
-    let out = run_trial_sharded(&cfg, &source, PolicyKind::qcr_default(), 3, 1).unwrap();
-    assert_eq!(out.event_digest, 0x649d_b29c_0330_52d4);
-    assert_eq!(out.contacts_processed, 13_490);
+    run_trial_sharded(&cfg, &source, PolicyKind::qcr_default(), 3, workers).unwrap()
+}
+
+/// The event digest and contact count of the one-worker horizon trial.
+fn horizon_cells(out: &ShardedOutcome) -> Vec<Cell> {
+    vec![
+        ("digest".into(), pins::hex(out.event_digest)),
+        ("contacts".into(), out.contacts_processed.to_string()),
+    ]
+}
+
+/// The trial ends at T, not at the end of the bin. No cache fault is dated
+/// past the horizon, and the meetings are the recorded ones (a scheduler
+/// that ran the empty epochs fired 29 such faults).
+#[test]
+fn the_trial_ends_at_the_horizon_not_at_the_end_of_its_bin() {
+    let out = horizon_trial(1);
+    pins::check("horizon", &horizon_cells(&out));
     assert!(!out.fault_log.is_empty(), "cache faults must be live");
     let late: Vec<_> = out.fault_log.iter().filter(|r| r.time > 60.0).collect();
     assert!(late.is_empty(), "faults after the horizon: {late:?}");
-    let wide = run_trial_sharded(&cfg, &source, PolicyKind::qcr_default(), 3, 3).unwrap();
+    let wide = horizon_trial(3);
     assert_eq!(wide.fault_log, out.fault_log);
     assert_eq!(wide.outcome.final_replicas, out.outcome.final_replicas);
+}
+
+/// Rewrites this binary's rows of the pin table from the tree.
+#[test]
+#[ignore = "rewrites tests/fixtures/pins.tsv"]
+fn record_pins() {
+    pins::record(&[
+        ("sharded", recorded_cells()),
+        ("horizon", horizon_cells(&horizon_trial(1))),
+    ]);
 }
 
 /// `Step(15)` whose `h_batch` — called once per admitted meeting, from
